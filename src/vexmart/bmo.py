@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -24,11 +24,12 @@ from .martingale import (
     count_stopping_times,
     enumerate_stopping_matrix,
     martingale_from_terminal,
+    require_f0_zero,
     sample_stopping_times,
     stopped_terminal_diffs,
 )
 from .space import Exponent, FilteredSpace, as_leaf_values
-from .varlp import luxemburg_norm, norm_batch
+from .varlp import norm_batch
 from .hardy import hs_norm
 
 
@@ -48,36 +49,38 @@ def candidate_matrix(
     samples: int = 256,
 ) -> tuple[np.ndarray, str]:
     """Stopping times to scan, as a stop-level matrix, plus the achieved
-    mode."""
+    mode.  Stopping times that are never finite contribute nothing to any
+    supremum over stopping times and are left out."""
     if mode not in ("auto", "exhaustive", "sampled"):
         raise DomainError(f"unknown supremum mode {mode!r}")
     count = count_stopping_times(space)
     if mode in ("auto", "exhaustive") and count <= cap:
-        return enumerate_stopping_matrix(space, cap), "exhaustive"
-    if mode == "exhaustive":
+        taus, achieved = enumerate_stopping_matrix(space, cap), "exhaustive"
+    elif mode == "exhaustive":
         raise ResourceError(
             f"{count} stopping times exceed cap {cap}; exhaustive mode refused"
         )
-    sampled = sample_stopping_times(space, samples, seed)
-    rows = [t.vals for t in sampled]
-    rows.extend(
-        np.full(space.n_leaves, float(n)) for n in range(space.depth + 1)
-    )
-    return np.unique(np.vstack(rows), axis=0), "sampled"
+    else:
+        sampled = sample_stopping_times(space, samples, seed)
+        rows = [t.vals for t in sampled]
+        rows.extend(
+            np.full(space.n_leaves, float(n)) for n in range(space.depth + 1)
+        )
+        taus, achieved = np.unique(np.vstack(rows), axis=0), "sampled"
+    return taus[np.isfinite(taus).any(axis=1)], achieved
 
 
-def _indicator_norms(
-    space: FilteredSpace, masks: np.ndarray, norm_of: Callable[[np.ndarray], float]
+def indicator_norms(
+    probs: np.ndarray, pvals: np.ndarray, masks: np.ndarray, mixed: bool = False
 ) -> np.ndarray:
-    """Norms of indicator rows with caching over distinct sets."""
-    cache: dict[bytes, float] = {}
-    out = np.empty(masks.shape[0])
-    for i, row in enumerate(masks):
-        key = row.tobytes()
-        if key not in cache:
-            cache[key] = norm_of(row.astype(float))
-        out[i] = cache[key]
-    return out
+    """Luxemburg norms of the rows of a boolean matrix read as indicators,
+    with one solve per distinct row.  Rows are told apart by their packed
+    bits as one opaque key each, which sorts far faster than
+    ``np.unique(masks, axis=0)`` compares them column by column."""
+    packed = np.packbits(masks, axis=1)
+    keys = packed.view(f"V{packed.shape[1]}").ravel()
+    _, first, which = np.unique(keys, return_index=True, return_inverse=True)
+    return norm_batch(probs, pvals, masks[first].astype(float), mixed=mixed)[which]
 
 
 def _sup_result(
@@ -103,20 +106,12 @@ def bmo_norm(
     with the terminal-level difference and f_{-1} = 0; stopping times that
     are never finite contribute nothing."""
     space = f.space
-    if float(np.abs(f.arrays[0]).max()) > 1e-12 * max(
-        1.0, float(np.abs(f.terminal).max())
-    ):
-        raise DomainError("bmo_norm requires f_0 = 0")
+    require_f0_zero(f, "bmo_norm requires f_0 = 0")
     taus, achieved = candidate_matrix(space, mode, cap, seed, samples)
     finite = np.isfinite(taus)
-    keep = finite.any(axis=1)
-    taus = taus[keep]
-    finite = finite[keep]
     diffs = stopped_terminal_diffs(f, taus, shift="minus-one")
-    nums = norm_batch(space.probs, p.vals, np.abs(diffs))
-    dens = _indicator_norms(
-        space, finite, lambda chi: luxemburg_norm(space, chi, p).norm
-    )
+    nums = norm_batch(space.probs, p.vals, diffs)
+    dens = indicator_norms(space.probs, p.vals, finite)
     return _sup_result(taus, nums / dens, achieved)
 
 
@@ -144,18 +139,11 @@ def lipschitz_norm(
 
     taus, achieved = candidate_matrix(space, mode, cap, seed, samples)
     finite = np.isfinite(taus)
-    keep = finite.any(axis=1)
-    taus = taus[keep]
-    finite = finite[keep]
     diffs = np.abs(stopped_terminal_diffs(f, taus, shift="none"))
     nums = (diffs**q @ space.probs) ** (1.0 / q)
     pq = finite @ space.probs
     dens_q = pq ** (1.0 / q)
-    dens_alpha = _indicator_norms(
-        space,
-        finite,
-        lambda chi: luxemburg_norm(space, chi, inv_alpha, mixed=True).norm,
-    )
+    dens_alpha = indicator_norms(space.probs, inv_alpha.vals, finite, mixed=True)
     return _sup_result(taus, nums / (dens_q * dens_alpha), achieved)
 
 
@@ -170,10 +158,7 @@ def duality_pairing_ratio(
     space = f.space
     if p.p_plus() > 1.0:
         raise DomainError("duality pairing requires p_+ <= 1")
-    if float(np.abs(f.arrays[0]).max()) > 1e-12 * max(
-        1.0, float(np.abs(f.terminal).max())
-    ):
-        raise DomainError("duality pairing requires f_0 = 0")
+    require_f0_zero(f, "duality pairing requires f_0 = 0")
     phi_v = as_leaf_values(space, phi)
     pairing = abs(float(np.sum(space.probs * f.terminal * phi_v)))
     # remove the F_0 projection: it pairs to zero against f and makes the

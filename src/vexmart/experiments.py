@@ -17,7 +17,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import DomainError, NumericalError, ResourceError, ValidationError
-from .bmo import bmo_norm, candidate_matrix
+from .bmo import bmo_norm, candidate_matrix, indicator_norms
 from .martingale import (
     Martingale,
     martingale_from_terminal,
@@ -397,11 +397,11 @@ def exp_jn_curve(
     kwargs = {} if cap is None else {"cap": cap}
     taus, _ = candidate_matrix(space, "exhaustive", **kwargs)
     finite = np.isfinite(taus)
-    keep = finite.any(axis=1)
-    taus, finite = taus[keep], finite[keep]
     diffs = stopped_terminal_diffs(f, taus, shift="minus-one")
     probs = space.probs
-    dens = norm_batch(probs, p.vals, finite.astype(float))
+    # the norm of an indicator in L^{r p(.)} is its L^{p(.)} norm to the
+    # power 1/r, so these serve every moment r below
+    dens = indicator_norms(probs, p.vals, finite)
 
     grid = (
         _t_grid_from_diffs(np.where(finite, diffs, -np.inf))
@@ -413,10 +413,8 @@ def exp_jn_curve(
 
     def moment_ratio(r: float) -> float:
         if r not in cache:
-            pv = p.vals * r
-            nums = norm_batch(probs, pv, np.where(finite, np.abs(diffs), 0.0))
-            dn = norm_batch(probs, pv, finite.astype(float))
-            cache[r] = float(np.max(nums / dn)) / b1
+            nums = norm_batch(probs, p.vals * r, np.where(finite, diffs, 0.0))
+            cache[r] = float(np.max(nums / dens ** (1.0 / r))) / b1
         return cache[r]
 
     # fixed point for C_hat: the r values used depend on C_hat and vice
@@ -441,8 +439,7 @@ def exp_jn_curve(
 
     envelope = []
     for t in grid:
-        mask = finite & (diffs >= t)
-        lhs = norm_batch(probs, p.vals, mask.astype(float))
+        lhs = indicator_norms(probs, p.vals, finite & (diffs >= t))
         bound = 4.0 * math.exp(-c2 * t / b1) * dens
         bad = lhs > bound + ASSERT_SLACK * max(1.0, float(dens.max()))
         if np.any(bad):

@@ -15,7 +15,6 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import DomainError
 from .martingale import (
     INF,
     Martingale,
@@ -23,6 +22,7 @@ from .martingale import (
     cond_square,
     martingale_from_terminal,
     maximal,
+    require_f0_zero,
     stop,
 )
 from .space import Exponent, FilteredSpace, as_leaf_values
@@ -119,8 +119,7 @@ def atomic_decompose(f: Martingale, p: Exponent) -> AtomicDecomposition:
     stopped martingale f^{tau_k} is identically zero, so lower terms vanish.
     """
     space = f.space
-    if float(np.abs(f.arrays[0]).max()) > 1e-12 * max(1.0, float(np.abs(f.terminal).max())):
-        raise DomainError("atomic decomposition requires f_0 = 0")
+    require_f0_zero(f, "atomic decomposition requires f_0 = 0")
 
     n_levels = space.depth + 1
     s_by_level = np.array([cond_square(f, m) for m in range(n_levels)])

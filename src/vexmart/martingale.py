@@ -16,17 +16,12 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import ResourceError, ValidationError
-from .space import FilteredSpace, as_leaf_values
+from .errors import DomainError, ResourceError, ValidationError
+from .space import FilteredSpace, as_leaf_values, readonly
 
 INF = math.inf
 ENUMERATION_CAP = 10**6
 TOWER_TOL = 1e-12
-
-
-def _readonly(a: np.ndarray) -> np.ndarray:
-    a.setflags(write=False)
-    return a
 
 
 @dataclass(frozen=True)
@@ -46,7 +41,7 @@ class Martingale:
     @cached_property
     def arrays(self) -> np.ndarray:
         """(N+1, n_leaves) matrix of level values, read-only."""
-        return _readonly(np.array(self.levels, dtype=float))
+        return readonly(np.array(self.levels, dtype=float))
 
     @property
     def terminal(self) -> np.ndarray:
@@ -71,6 +66,8 @@ def make_martingale(
             f"expected {space.depth + 1} levels of {space.n_leaves} values, "
             f"got shape {arr.shape}"
         )
+    if not np.isfinite(arr).all():
+        raise ValidationError("martingale values must be finite")
     if check:
         tol = TOWER_TOL * max(1.0, float(np.abs(arr).max()))
         for n in range(space.depth + 1):
@@ -86,6 +83,14 @@ def make_martingale(
                     f"tower property fails between levels {n} and {n + 1}"
                 )
     return Martingale(space, tuple(tuple(row) for row in arr))
+
+
+def require_f0_zero(f: Martingale, message: str) -> None:
+    """Raise DomainError(message) unless f_0 vanishes relative to f_N."""
+    if float(np.abs(f.arrays[0]).max()) > 1e-12 * max(
+        1.0, float(np.abs(f.terminal).max())
+    ):
+        raise DomainError(message)
 
 
 def cond_expect(
@@ -139,7 +144,7 @@ class StoppingTime:
 
     @cached_property
     def vals(self) -> np.ndarray:
-        return _readonly(np.array(self.stop_level, dtype=float))
+        return readonly(np.array(self.stop_level, dtype=float))
 
     @property
     def finite_mask(self) -> np.ndarray:
@@ -156,7 +161,7 @@ def validate_stopping_time(
             f"expected {space.n_leaves} stop levels, got {len(vals)}"
         )
     for t in vals:
-        if not (math.isinf(t) or (t == int(t) and 0 <= t <= space.depth)):
+        if not (t == INF or (0 <= t <= space.depth and t == int(t))):
             raise ValidationError(
                 f"stop level {t} outside {{0..{space.depth}}} and infinity"
             )
@@ -243,9 +248,7 @@ def _node_matrix(space: FilteredSpace, level: int, block_pos: int) -> np.ndarray
     child_leaves: list[int] = []
     for child in space.children[level][block_pos]:
         child_leaves.extend(space.levels[level + 1][child])
-    order = np.argsort(np.argsort(child_leaves))
     combo = combo[:, np.argsort(child_leaves)]
-    del order
     stop_row = np.full((1, len(block)), float(level))
     # combo columns are now in ascending leaf order; block is ascending too
     if tuple(sorted(block)) != tuple(sorted(child_leaves)):

@@ -24,7 +24,8 @@ BRUTE_FORCE_LEAF_LIMIT = 20
 PROB_TOL = 1e-12
 
 
-def _readonly(a: np.ndarray) -> np.ndarray:
+def readonly(a: np.ndarray) -> np.ndarray:
+    """Freeze an array owned by an immutable value."""
     a.setflags(write=False)
     return a
 
@@ -66,7 +67,7 @@ class FilteredSpace:
 
     @cached_property
     def probs(self) -> np.ndarray:
-        return _readonly(np.array(self.leaf_probs, dtype=float))
+        return readonly(np.array(self.leaf_probs, dtype=float))
 
     @cached_property
     def block_of(self) -> tuple[np.ndarray, ...]:
@@ -77,7 +78,7 @@ class FilteredSpace:
             for j, block in enumerate(level):
                 for leaf in block:
                     m[leaf] = j
-            out.append(_readonly(m))
+            out.append(readonly(m))
         return tuple(out)
 
     @cached_property
@@ -87,7 +88,7 @@ class FilteredSpace:
             bp = np.bincount(
                 self.block_of[n], weights=self.probs, minlength=len(level)
             )
-            out.append(_readonly(bp))
+            out.append(readonly(bp))
         return tuple(out)
 
     @cached_property
@@ -140,9 +141,9 @@ class Exponent:
 
     @cached_property
     def vals(self) -> np.ndarray:
-        return _readonly(np.array(self.values, dtype=float))
+        return readonly(np.array(self.values, dtype=float))
 
-    @property
+    @cached_property
     def is_finite(self) -> bool:
         return bool(np.all(np.isfinite(self.vals)))
 
@@ -168,6 +169,8 @@ def as_leaf_values(space: FilteredSpace, f: Sequence[float]) -> np.ndarray:
         raise ValidationError(
             f"expected {space.n_leaves} leaf values, got shape {v.shape}"
         )
+    if not np.isfinite(v).all():
+        raise ValidationError("leaf values must be finite")
     return v
 
 

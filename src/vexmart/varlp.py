@@ -2,13 +2,22 @@
 
 The modular is the finite weighted sum  rho(f/lambda) = sum_w P(w) *
 (|f(w)|/lambda)^{p(w)}.  The Luxemburg norm is the infimal lambda with
-rho(f/lambda) <= 1; since lambda -> rho(f/lambda) is strictly decreasing for
-f != 0, the norm is located by bracketing and bisection.
+rho(f/lambda) <= 1.  Every norm comes from one batch kernel:
+
+* In s = log(lambda), g(s) = log rho(f e^{-s}) is a log-sum-exp of affine
+  functions of s, hence convex and strictly decreasing for f != 0, and the
+  norm is its root.  Newton's method started left of the root climbs to it
+  monotonically.  g is evaluated with the row maximum shifted out, so no
+  power overflows.
+* The start is the closed-form left bracket of the norm-modular bridge,
+  ||f|| >= ||f||_inf * rho(f/||f||_inf)^{1/p_-(supp f)}, so no bracket
+  search is needed.
+* A constant exponent takes the closed form (E|f|^p)^{1/p}.
 
 The mixed mode admits p(w) = +inf entries, where the modular instead imposes
-the constraint |f(w)| <= lambda (returning an infinite sentinel when
-violated).  It exists only for the Lipschitz-space exponent 1/alpha(.) and is
-rejected everywhere else.
+the constraint |f(w)| <= lambda; the norm is then the larger of
+max_{p = inf} |f| and the root of the finite part.  It exists only for the
+Lipschitz-space exponent 1/alpha(.) and is rejected everywhere else.
 """
 
 from __future__ import annotations
@@ -24,12 +33,15 @@ from .space import Exponent, FilteredSpace, as_leaf_values
 
 BISECT_REL_TOL = 1e-12
 BISECT_MAX_ITER = 200
-BRACKET_MAX_HALVINGS = 2000
 ASSERT_TOL = 1e-9
 
 
 @dataclass(frozen=True)
 class NormResult:
+    """``iterations`` counts Newton steps, 0 for a closed form.
+    ``residual`` is |rho(f/norm) - 1|, or 0 where a closed form or the
+    mixed-mode constraint max_{p = inf} |f| gives the norm."""
+
     norm: float
     iterations: int
     residual: float
@@ -59,6 +71,86 @@ def modular(
     return float(np.sum(space.probs * v**pv))
 
 
+def _log_modular(
+    logw: np.ndarray, pvals: np.ndarray, u: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Per row, g(u) = log sum_w exp(logw - p u) and the slope -g'(u),
+    which is the mean of p under the weights exp(logw - p u)."""
+    e = logw - pvals * u[:, None]
+    top = e.max(axis=1)
+    w = np.exp(e - top[:, None])
+    total = w.sum(axis=1)
+    return top + np.log(total), (w @ pvals) / total
+
+
+def _luxemburg_rows(
+    probs: np.ndarray,
+    pvals: np.ndarray,
+    rows: np.ndarray,
+    mixed: bool,
+    rel_tol: float = BISECT_REL_TOL,
+    max_iter: int = BISECT_MAX_ITER,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(norms, Newton steps, residuals) of the rows of a 2-d array.
+
+    Newton runs on u = log(lambda / max|f|), where the modular terms are
+    P(w) |f(w)/max|f||^{p(w)} e^{-p(w) u}, and stops at the first point
+    whose step is at most rel_tol; that point is returned, so the residual
+    is the one of the returned norm.  Steps below zero only arise from
+    rounding at the root and stop the iteration too.
+    """
+    a = np.abs(rows)
+    sup = None
+    inf = np.isinf(pvals)
+    if inf.any():
+        if not mixed:
+            raise DomainError("infinite exponent entries require mixed mode")
+        sup = a[:, inf].max(axis=1)
+        a, probs, pvals = a[:, ~inf], probs[~inf], pvals[~inf]
+    m = a.shape[0]
+    norms = np.zeros(m)
+    steps = np.zeros(m, dtype=np.intp)
+    resid = np.zeros(m)
+    top = a.max(axis=1, initial=0.0)
+    live = top > 0
+    # log(0) = -inf marks a zero entry; terms far below the row maximum
+    # may underflow to 0
+    with np.errstate(divide="ignore", under="ignore"):
+        if pvals.size and np.all(pvals == pvals[0]):
+            scale = np.where(live, top, 1.0)
+            p0 = pvals[0]
+            norms = scale * ((a / scale[:, None]) ** p0 @ probs) ** (1.0 / p0)
+        elif live.any():
+            idx = np.flatnonzero(live)
+            h = (a if idx.size == m else a[idx]) / top[idx, None]
+            logw = np.log(probs) + pvals * np.log(h)
+            g0, _ = _log_modular(logw, pvals, np.zeros(idx.size))
+            u = g0 / np.where(h > 0, pvals, np.inf).min(axis=1)
+            for it in range(1, max_iter + 1):
+                g, slope = _log_modular(logw, pvals, u)
+                step = g / slope
+                done = step <= rel_tol
+                if done.any():
+                    k = idx[done]
+                    norms[k] = top[k] * np.exp(u[done])
+                    steps[k] = it
+                    resid[k] = np.abs(np.expm1(g[done]))
+                    if done.all():
+                        break
+                    keep = ~done
+                    idx, logw, u, step = idx[keep], logw[keep], u[keep], step[keep]
+                u = u + step
+            else:
+                raise NumericalError(
+                    f"Luxemburg Newton iteration did not converge in "
+                    f"{max_iter} steps on {idx.size} rows"
+                )
+    if sup is not None:
+        resid[sup >= norms] = 0.0
+        norms = np.maximum(norms, sup)
+    return norms, steps, resid
+
+
 def luxemburg_norm(
     space: FilteredSpace,
     f: Sequence[float],
@@ -67,101 +159,26 @@ def luxemburg_norm(
     rel_tol: float = BISECT_REL_TOL,
     max_iter: int = BISECT_MAX_ITER,
 ) -> NormResult:
-    """Luxemburg norm inf{lambda > 0 : rho(f/lambda) <= 1}.
-
-    Bracket: lambda_hi = max|f| always satisfies rho <= 1 on a probability
-    space; lambda_lo is found by geometric halving until rho >= 1.
-    """
-    v = np.abs(as_leaf_values(space, f))
-    hi = float(v.max())
-    if hi == 0.0:
-        return NormResult(0.0, 0, 0.0)
-
-    def rho(lam: float) -> float:
-        return modular(space, v, p, lam, mixed=mixed)
-
-    r_hi = rho(hi)
-    if r_hi >= 1.0:
-        # max|f| attains the norm exactly (e.g. constant |f|, or the
-        # mixed-mode constraint binding); rho can only exceed 1 here by
-        # roundoff in the power sums.
-        return NormResult(hi, 0, abs(r_hi - 1.0))
-
-    lo = hi
-    for _ in range(BRACKET_MAX_HALVINGS):
-        lo *= 0.5
-        if rho(lo) >= 1.0:
-            break
-    else:
-        raise NumericalError(
-            f"no lower bracket for Luxemburg norm after "
-            f"{BRACKET_MAX_HALVINGS} halvings (last lambda {lo!r})"
-        )
-
-    iterations = 0
-    while hi - lo > rel_tol * hi:
-        if iterations >= max_iter:
-            raise NumericalError(
-                f"Luxemburg bisection did not converge in {max_iter} "
-                f"iterations; bracket [{lo!r}, {hi!r}]"
-            )
-        mid = 0.5 * (lo + hi)
-        if rho(mid) >= 1.0:
-            lo = mid
-        else:
-            hi = mid
-        iterations += 1
-
-    norm = 0.5 * (lo + hi)
-    r = rho(norm)
-    if not math.isfinite(r):
-        # mixed-mode sup constraint binds: hi is the feasible side of the
-        # jump and the bracket width is the only meaningful accuracy
-        return NormResult(hi, iterations, 0.0)
-    return NormResult(norm, iterations, abs(r - 1.0))
+    """Luxemburg norm inf{lambda > 0 : rho(f/lambda) <= 1}, as a one-row
+    call of the batch kernel."""
+    v = as_leaf_values(space, f)
+    norms, steps, resid = _luxemburg_rows(
+        space.probs, p.vals, v[None, :], mixed, rel_tol, max_iter
+    )
+    return NormResult(float(norms[0]), int(steps[0]), float(resid[0]))
 
 
 def norm_batch(
     probs: np.ndarray,
     pvals: np.ndarray,
     rows: np.ndarray,
-    rel_tol: float = BISECT_REL_TOL,
+    mixed: bool = False,
 ) -> np.ndarray:
     """Luxemburg norms of many leaf functions sharing one (space, exponent),
-    via vectorized bisection.  Internal plumbing for the sup-over-stopping-
-    times modules; constant exponents short-circuit to the closed form."""
-    rows = np.atleast_2d(np.abs(np.asarray(rows, dtype=float)))
-    p0 = pvals[0]
-    if np.all(pvals == p0):
-        return (rows**p0 @ probs) ** (1.0 / p0)
-
-    out = np.zeros(rows.shape[0])
-    hi = rows.max(axis=1)
-    live = hi > 0
-    if not np.any(live):
-        return out
-    r = rows[live]
-    hi = hi[live]
-    lo = hi.copy()
-    # geometric halving until the lower bracket holds everywhere
-    for _ in range(BRACKET_MAX_HALVINGS):
-        rho_lo = ((r / lo[:, None]) ** pvals) @ probs
-        need = rho_lo < 1.0
-        if not np.any(need):
-            break
-        lo[need] *= 0.5
-    for _ in range(BISECT_MAX_ITER):
-        mid = 0.5 * (lo + hi)
-        rho_mid = ((r / mid[:, None]) ** pvals) @ probs
-        below = rho_mid < 1.0
-        hi = np.where(below, mid, hi)
-        lo = np.where(below, lo, mid)
-        if np.all(hi - lo <= rel_tol * lo):
-            break
-    else:
-        raise NumericalError("batched Luxemburg bisection did not converge")
-    out[live] = 0.5 * (lo + hi)
-    return out
+    from the kernel of :func:`luxemburg_norm`.  Internal plumbing for the
+    sup-over-stopping-times modules."""
+    rows = np.atleast_2d(np.asarray(rows, dtype=float))
+    return _luxemburg_rows(probs, pvals, rows, mixed)[0]
 
 
 def check_power_identity(
@@ -197,12 +214,6 @@ def check_holder(
         luxemburg_norm(space, fv, q).norm,
         luxemburg_norm(space, gv, r).norm,
     )
-
-
-# Default test envelope for the Holder constant.  The theory asserts
-# existence of a constant without giving a formula; randomized sweeps report
-# the empirical maximum against this configurable bound.
-HOLDER_DEFAULT_C = 2.0
 
 
 @dataclass(frozen=True)

@@ -277,3 +277,24 @@ class TestExitCodes:
                     "--martingale", mg])
         assert code == 1
         capsys.readouterr()
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_function_exit_one(self, capsys, tmp_path, quad_inputs, bad):
+        sp, pe, _ = quad_inputs
+        fn = write_json(tmp_path / "bad_f.json", {"values": [bad, 1.0]})
+        code = run(["norm", "--space", sp, "--exponent", pe, "--function", fn])
+        assert code == 1
+        assert "finite" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    @pytest.mark.parametrize("key", ["terminal", "levels"])
+    def test_non_finite_martingale_exit_one(self, capsys, tmp_path, quad_inputs,
+                                            bad, key):
+        sp, pe, _ = quad_inputs
+        obj = ({"terminal": [bad, 1.0]} if key == "terminal"
+               else {"levels": [[0.0, 0.0], [bad, 1.0]]})
+        mg = write_json(tmp_path / "bad_m.json", obj)
+        code = run(["decompose", "--space", sp, "--exponent", pe,
+                    "--martingale", mg])
+        assert code == 1
+        assert "finite" in capsys.readouterr().err

@@ -155,6 +155,11 @@ class TestStoppingTimes:
         with pytest.raises(ValidationError):
             validate_stopping_time(two_leaf, (2.0, 2.0))
 
+    @pytest.mark.parametrize("bad", [math.nan, -math.inf])
+    def test_rejects_non_finite_levels(self, two_leaf, bad):
+        with pytest.raises(ValidationError):
+            validate_stopping_time(two_leaf, (bad, bad))
+
     def test_stop_never(self, four_leaf):
         rng = random.Random(11)
         f = random_martingale(rng, four_leaf)

@@ -180,6 +180,65 @@ def test_norm_batch_matches_scalar():
             assert got == pytest.approx(want, rel=1e-9, abs=1e-12)
 
 
+def bisection_oracle(probs, pvals, f) -> float:
+    """Plain bisection on lambda -> rho(f/lambda), independent of the
+    package's kernel; +inf entries of p impose |f| <= lambda instead."""
+    v = np.abs(np.asarray(f, dtype=float))
+    if not v.any():
+        return 0.0
+    inf = np.isinf(pvals)
+
+    def feasible(lam):
+        if np.any(v[inf] > lam):
+            return False
+        return float(np.sum(probs[~inf] * (v[~inf] / lam) ** pvals[~inf])) <= 1.0
+
+    hi = float(v.max())  # feasible on a probability space
+    lo = hi
+    while feasible(lo):
+        lo *= 0.5
+    while hi - lo > 1e-15 * hi:
+        mid = 0.5 * (lo + hi)
+        if feasible(mid):
+            hi = mid
+        else:
+            lo = mid
+    return hi
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    seed=st.integers(min_value=0, max_value=10**6),
+    p_lo=st.floats(min_value=0.3, max_value=6.0),
+    p_hi=st.floats(min_value=0.3, max_value=6.0),
+    log_scale=st.floats(min_value=-6.0, max_value=6.0),
+    zero_frac=st.sampled_from([0.0, 0.3, 0.7]),
+    mixed=st.booleans(),
+)
+def test_kernel_matches_bisection_oracle(seed, p_lo, p_hi, log_scale, zero_frac,
+                                         mixed):
+    rng = random.Random(seed)
+    sp = random_tree_space(rng)
+    n = sp.n_leaves
+    lo, hi = min(p_lo, p_hi), max(p_lo, p_hi)
+    pv = [rng.uniform(lo, hi) for _ in range(n)]
+    if mixed:
+        pv = [math.inf if rng.random() < 0.4 else x for x in pv]
+    p = Exponent(tuple(pv), allow_infinite=mixed)
+    scale = 10.0**log_scale
+    rows = np.array([[0.0 if rng.random() < zero_frac else scale * rng.gauss(0, 1)
+                      for _ in range(n)] for _ in range(6)])
+    rows[0] = 0.0
+    with np.errstate(all="raise"):
+        want = [bisection_oracle(sp.probs, p.vals, row) for row in rows]
+        batch = norm_batch(sp.probs, p.vals, rows, mixed=mixed)
+        single = [luxemburg_norm(sp, row, p, mixed=mixed) for row in rows]
+    for w, b, res in zip(want, batch, single):
+        assert b == pytest.approx(w, rel=1e-10, abs=0.0)
+        assert res.norm == pytest.approx(w, rel=1e-10, abs=0.0)
+        assert res.residual <= 1e-9
+
+
 def test_power_identity():
     rng = random.Random(29)
     for _ in range(60):
