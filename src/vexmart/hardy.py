@@ -19,14 +19,15 @@ from .martingale import (
     INF,
     Martingale,
     StoppingTime,
+    _stopped_values,
     cond_square,
+    cond_square_levels,
     martingale_from_terminal,
     maximal,
     require_f0_zero,
-    stop,
 )
-from .space import Exponent, FilteredSpace, as_leaf_values
-from .varlp import luxemburg_norm
+from .space import ArrayValue, Exponent, FilteredSpace, as_leaf_values
+from .varlp import luxemburg_norm, norm_batch
 
 ATOM_MEAN_TOL = 1e-10
 ATOM_SIZE_TOL = 1e-9
@@ -72,11 +73,8 @@ def is_atom(
         zero = bool(np.abs(a).max() <= ATOM_MEAN_TOL)
         return AtomCheck(zero, zero, zero, float(np.abs(a).max()), 0.0, math.inf)
     mart = martingale_from_terminal(space, a)
-    worst = 0.0
-    for n in range(space.depth + 1):
-        on_continue = tau.vals >= n
-        if on_continue.any():
-            worst = max(worst, float(np.abs(mart.arrays[n][on_continue]).max()))
+    on_continue = tau.vals >= np.arange(space.depth + 1)[:, None]
+    worst = float(np.abs(mart.arrays[on_continue]).max(initial=0.0))
     mean_ok = worst <= ATOM_MEAN_TOL * scale
     s_sup = float(cond_square(mart).max())
     bound = 1.0 / luxemburg_norm(space, finite.astype(float), p).norm
@@ -84,12 +82,15 @@ def is_atom(
     return AtomCheck(mean_ok and size_ok, mean_ok, size_ok, worst, s_sup, bound)
 
 
-@dataclass(frozen=True)
-class AtomTerm:
+@dataclass(frozen=True, eq=False)
+class AtomTerm(ArrayValue):
+    """One weighted atom; ``atom_terminal`` is a_N as a read-only array."""
+
+    ARRAYS = ("atom_terminal",)
     k: int
     mu: float
     tau: StoppingTime
-    atom_terminal: tuple[float, ...]
+    atom_terminal: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -100,14 +101,12 @@ class AtomicDecomposition:
     k_max: int
 
 
-def _threshold_time(s_next: np.ndarray, level_count: int, cut: float) -> np.ndarray:
-    """tau_k per leaf: first n with s_{n+1}(f) > cut (inf when never).
-    ``s_next[n]`` holds s_{n+1} values; beyond the last level s is constant."""
-    n_leaves = s_next.shape[1]
-    out = np.full(n_leaves, INF)
-    for n in range(level_count - 1, -1, -1):
-        out = np.where(s_next[n] > cut, float(n), out)
-    return out
+def _threshold_times(s_next: np.ndarray, cuts: np.ndarray) -> np.ndarray:
+    """One row per cut: tau per leaf, the first n with s_{n+1}(f) > cut
+    (inf when never).  ``s_next[n]`` holds s_{n+1} values; beyond the last
+    level s is constant."""
+    above = s_next[None, :, :] > cuts[:, None, None]
+    return np.where(above.any(axis=1), above.argmax(axis=1), INF)
 
 
 def atomic_decompose(f: Martingale, p: Exponent) -> AtomicDecomposition:
@@ -121,8 +120,7 @@ def atomic_decompose(f: Martingale, p: Exponent) -> AtomicDecomposition:
     space = f.space
     require_f0_zero(f, "atomic decomposition requires f_0 = 0")
 
-    n_levels = space.depth + 1
-    s_by_level = np.array([cond_square(f, m) for m in range(n_levels)])
+    s_by_level = cond_square_levels(f)
     s_total = s_by_level[-1]
     smax = float(s_total.max())
     if smax <= 0.0:
@@ -142,25 +140,24 @@ def atomic_decompose(f: Martingale, p: Exponent) -> AtomicDecomposition:
     while 2.0**k_lo >= vmin:
         k_lo -= 1
 
-    taus = {
-        k: StoppingTime(tuple(_threshold_time(s_next, n_levels, 2.0**k)))
-        for k in range(k_lo, k_hi + 1)
-    }
-    terms: list[AtomTerm] = []
+    # row i is tau_{k_lo + i}; the atom of k is f^{tau_{k+1}}_N - f^{tau_k}_N
+    taus = _threshold_times(
+        s_next, np.array([2.0**k for k in range(k_lo, k_hi + 1)])
+    )
+    stopped = _stopped_values(f, taus, float(space.depth))
+    diffs = stopped[1:] - stopped[:-1]
     fscale = max(1.0, float(np.abs(f.terminal).max()))
-    for k in range(k_lo, k_hi):
-        tau_k, tau_k1 = taus[k], taus[k + 1]
-        finite = tau_k.finite_mask
-        chi_norm = luxemburg_norm(space, finite.astype(float), p).norm
-        mu = 3.0 * 2.0**k * chi_norm
-        diff = stop(f, tau_k1).terminal - stop(f, tau_k).terminal
-        if float(np.abs(diff).max()) <= 1e-14 * fscale:
-            continue  # zero atom, contributes nothing
-        atom = diff / mu
-        terms.append(AtomTerm(k, mu, tau_k, tuple(atom)))
-
-    if not terms:
+    # zero atoms contribute nothing
+    rows = np.flatnonzero(np.abs(diffs).max(axis=1) > 1e-14 * fscale)
+    if rows.size == 0:
         return AtomicDecomposition(space, (), 0, -1)
+    finite = np.isfinite(taus[rows]).astype(float)
+    chi_norms = norm_batch(space.probs, p.vals, finite)
+    terms = []
+    for i, chi_norm in zip(rows.tolist(), chi_norms.tolist()):
+        k = k_lo + i
+        mu = 3.0 * 2.0**k * chi_norm
+        terms.append(AtomTerm(k, mu, StoppingTime(taus[i]), diffs[i] / mu))
     return AtomicDecomposition(
         space, tuple(terms), terms[0].k, terms[-1].k
     )
@@ -172,15 +169,14 @@ def a_quantity(dec: AtomicDecomposition, p: Exponent) -> float:
     if not dec.terms:
         return 0.0
     p_under = min(p.p_minus(), 1.0)
-    acc = np.zeros(dec.space.n_leaves)
-    for term in dec.terms:
-        if term.mu == 0.0:
-            continue
-        chi = term.tau.finite_mask.astype(float)
-        chi_norm = luxemburg_norm(dec.space, chi, p).norm
+    sp = dec.space
+    terms = [t for t in dec.terms if t.mu != 0.0]
+    chis = np.array([t.tau.finite_mask for t in terms], dtype=float)
+    chis = chis.reshape(-1, sp.n_leaves)
+    acc = np.zeros(sp.n_leaves)
+    for term, chi, chi_norm in zip(terms, chis, norm_batch(sp.probs, p.vals, chis)):
         acc += (term.mu * chi / chi_norm) ** p_under
-    g = acc ** (1.0 / p_under)
-    return luxemburg_norm(dec.space, g, p).norm
+    return luxemburg_norm(sp, acc ** (1.0 / p_under), p).norm
 
 
 def reconstruct(dec: AtomicDecomposition, space: FilteredSpace | None = None) -> Martingale:
@@ -191,7 +187,7 @@ def reconstruct(dec: AtomicDecomposition, space: FilteredSpace | None = None) ->
     for term in dec.terms:
         atom = martingale_from_terminal(sp, term.atom_terminal)
         total += term.mu * atom.arrays
-    return Martingale(sp, tuple(tuple(row) for row in total))
+    return Martingale(sp, total)
 
 
 @dataclass(frozen=True)

@@ -11,46 +11,38 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Sequence
 
 import numpy as np
 
 from .errors import DomainError, ResourceError, ValidationError
-from .space import FilteredSpace, as_leaf_values, readonly
+from .space import ArrayValue, FilteredSpace, as_leaf_values
 
 INF = math.inf
 ENUMERATION_CAP = 10**6
 TOWER_TOL = 1e-12
 
 
-@dataclass(frozen=True)
-class Martingale:
-    """Adapted sequence, one leaf-indexed function per filtration level."""
+@dataclass(frozen=True, eq=False)
+class Martingale(ArrayValue):
+    """Adapted sequence: row n of the read-only (N+1, n_leaves) array
+    ``arrays`` is the leaf-indexed function f_n."""
 
+    ARRAYS = ("arrays",)
     space: FilteredSpace
-    levels: tuple[tuple[float, ...], ...]
+    arrays: np.ndarray
 
-    def __post_init__(self) -> None:
-        object.__setattr__(
-            self,
-            "levels",
-            tuple(tuple(float(x) for x in lv) for lv in self.levels),
-        )
-
-    @cached_property
-    def arrays(self) -> np.ndarray:
-        """(N+1, n_leaves) matrix of level values, read-only."""
-        return readonly(np.array(self.levels, dtype=float))
+    @property
+    def levels(self) -> tuple[tuple[float, ...], ...]:
+        """The level values as nested tuples of Python floats."""
+        return tuple(map(tuple, self.arrays.tolist()))
 
     @property
     def terminal(self) -> np.ndarray:
         return self.arrays[-1]
 
     def scaled(self, c: float) -> "Martingale":
-        return Martingale(
-            self.space, tuple(tuple(c * x for x in lv) for lv in self.levels)
-        )
+        return Martingale(self.space, c * self.arrays)
 
 
 def make_martingale(
@@ -70,19 +62,19 @@ def make_martingale(
         raise ValidationError("martingale values must be finite")
     if check:
         tol = TOWER_TOL * max(1.0, float(np.abs(arr).max()))
-        for n in range(space.depth + 1):
-            proj = space.block_average(arr[n], n)
-            if np.max(np.abs(proj - arr[n])) > tol:
-                raise ValidationError(
-                    f"level {n} is not measurable with respect to its partition"
-                )
-        for n in range(space.depth):
-            back = space.block_average(arr[n + 1], n)
-            if np.max(np.abs(back - arr[n])) > tol:
-                raise ValidationError(
-                    f"tower property fails between levels {n} and {n + 1}"
-                )
-    return Martingale(space, tuple(tuple(row) for row in arr))
+        proj = np.abs(space.level_averages(arr) - arr).max(axis=1)
+        bad = np.flatnonzero(proj > tol)
+        if bad.size:
+            raise ValidationError(
+                f"level {bad[0]} is not measurable with respect to its partition"
+            )
+        back = np.abs(space.level_averages(arr[1:]) - arr[:-1]).max(axis=1)
+        bad = np.flatnonzero(back > tol)
+        if bad.size:
+            raise ValidationError(
+                f"tower property fails between levels {bad[0]} and {bad[0] + 1}"
+            )
+    return Martingale(space, arr)
 
 
 def require_f0_zero(f: Martingale, message: str) -> None:
@@ -107,10 +99,9 @@ def martingale_from_terminal(
 ) -> Martingale:
     """The martingale f_n = E(f_inf | F_n)."""
     v = as_leaf_values(space, f_inf)
-    levels = tuple(
-        tuple(space.block_average(v, n)) for n in range(space.depth + 1)
+    return Martingale(
+        space, space.level_averages(np.broadcast_to(v, (space.depth + 1, v.size)))
     )
-    return Martingale(space, levels)
 
 
 def maximal(f: Martingale, upto: int | None = None) -> np.ndarray:
@@ -119,32 +110,34 @@ def maximal(f: Martingale, upto: int | None = None) -> np.ndarray:
     return np.abs(f.arrays[: m + 1]).max(axis=0)
 
 
-def cond_square(f: Martingale, upto: int | None = None) -> np.ndarray:
-    """Conditional square function s_m(f): square root of the cumulative
-    conditioned squared increments (the 0-th increment is zero since
-    f_{-1} = f_0)."""
+def cond_square_levels(f: Martingale, upto: int | None = None) -> np.ndarray:
+    """Rows s_0(f), ..., s_upto(f) of the conditional square function:
+    square roots of the cumulative conditioned squared increments (the 0-th
+    increment is zero since f_{-1} = f_0)."""
     m = f.space.depth if upto is None else upto
-    acc = np.zeros(f.space.n_leaves)
-    for n in range(1, m + 1):
-        df = f.arrays[n] - f.arrays[n - 1]
-        acc += f.space.block_average(df * df, n - 1)
+    df = np.diff(f.arrays[: m + 1], axis=0)
+    acc = np.zeros((m + 1, f.space.n_leaves))
+    np.cumsum(f.space.level_averages(df * df), axis=0, out=acc[1:])
     return np.sqrt(acc)
 
 
-@dataclass(frozen=True)
-class StoppingTime:
-    """Per-leaf stop level in {0, ..., N} or math.inf ('never stop')."""
+def cond_square(f: Martingale, upto: int | None = None) -> np.ndarray:
+    """Conditional square function s_upto(f), by default s(f) = s_N(f)."""
+    return cond_square_levels(f, upto)[-1]
 
-    stop_level: tuple[float, ...]
 
-    def __post_init__(self) -> None:
-        object.__setattr__(
-            self, "stop_level", tuple(float(t) for t in self.stop_level)
-        )
+@dataclass(frozen=True, eq=False)
+class StoppingTime(ArrayValue):
+    """Per-leaf stop level in {0, ..., N} or math.inf ('never stop'), as a
+    read-only float array."""
 
-    @cached_property
-    def vals(self) -> np.ndarray:
-        return readonly(np.array(self.stop_level, dtype=float))
+    ARRAYS = ("vals",)
+    vals: np.ndarray
+
+    @property
+    def stop_level(self) -> tuple[float, ...]:
+        """The stop levels as a tuple of Python floats."""
+        return tuple(self.vals.tolist())
 
     @property
     def finite_mask(self) -> np.ndarray:
@@ -155,25 +148,55 @@ def validate_stopping_time(
     space: FilteredSpace, stop_level: Sequence[float]
 ) -> StoppingTime:
     """Accepts iff {tau = n} is a union of level-n blocks for every n."""
-    vals = [float(t) for t in stop_level]
-    if len(vals) != space.n_leaves:
+    try:
+        vals = np.array(stop_level, dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise ValidationError(f"stop levels must be numbers: {exc}") from exc
+    if vals.shape != (space.n_leaves,):
         raise ValidationError(
-            f"expected {space.n_leaves} stop levels, got {len(vals)}"
+            f"expected {space.n_leaves} stop levels, got {vals.size}"
         )
-    for t in vals:
-        if not (t == INF or (0 <= t <= space.depth and t == int(t))):
-            raise ValidationError(
-                f"stop level {t} outside {{0..{space.depth}}} and infinity"
-            )
+    ok = np.isposinf(vals) | (
+        (vals >= 0) & (vals <= space.depth) & (vals == np.floor(vals))
+    )
+    if not ok.all():
+        raise ValidationError(
+            f"stop level {float(vals[~ok][0])} outside "
+            f"{{0..{space.depth}}} and infinity"
+        )
     for n in range(space.depth + 1):
-        for b, block in enumerate(space.levels[n]):
-            hits = [leaf for leaf in block if vals[leaf] == n]
-            if hits and len(hits) != len(block):
-                raise ValidationError(
-                    f"{{tau = {n}}} splits level-{n} block {b} {block}: "
-                    "not measurable"
-                )
-    return StoppingTime(tuple(vals))
+        hit = vals == n
+        if not hit.any():
+            continue
+        bo, n_blocks = space.block_of[n], len(space.levels[n])
+        hits = np.bincount(bo[hit], minlength=n_blocks)
+        split = (hits > 0) & (hits != np.bincount(bo, minlength=n_blocks))
+        if split.any():
+            b = int(np.flatnonzero(split)[0])
+            raise ValidationError(
+                f"{{tau = {n}}} splits level-{n} block {b} "
+                f"{space.levels[n][b]}: not measurable"
+            )
+    return StoppingTime(vals)
+
+
+def _stopped_values(
+    f: Martingale,
+    tau_vals: np.ndarray,
+    upto: float | np.ndarray,
+    shift: str = "none",
+) -> np.ndarray:
+    """f_{min(upto, tau)} at every leaf, or f_{min(upto, tau - 1)} with
+    f_{-1} = 0 for shift="minus-one".  ``tau_vals`` and ``upto`` broadcast
+    against a trailing leaf axis."""
+    if shift not in ("none", "minus-one"):
+        raise ValidationError(f"unknown shift mode {shift!r}")
+    t = tau_vals if shift == "none" else tau_vals - 1.0
+    idx = np.minimum(t, upto)
+    leaf = np.arange(f.space.n_leaves)
+    return np.where(
+        idx < 0, 0.0, f.arrays[np.maximum(idx, 0.0).astype(np.intp), leaf]
+    )
 
 
 def stop(f: Martingale, tau: StoppingTime, shift: str = "none") -> Martingale:
@@ -183,24 +206,8 @@ def stop(f: Martingale, tau: StoppingTime, shift: str = "none") -> Martingale:
     The shifted sequence is adapted but generally fails the tower property,
     since tau - 1 is not a stopping time; no validation is applied.
     """
-    if shift not in ("none", "minus-one"):
-        raise ValidationError(f"unknown shift mode {shift!r}")
-    space = f.space
-    t = tau.vals if shift == "none" else tau.vals - 1.0
-    levels = []
-    for n in range(space.depth + 1):
-        idx = np.minimum(float(n), t)
-        row = np.where(
-            idx < 0,
-            0.0,
-            np.take_along_axis(
-                f.arrays,
-                np.maximum(idx, 0.0).astype(np.intp)[None, :],
-                axis=0,
-            )[0],
-        )
-        levels.append(tuple(row))
-    return Martingale(space, tuple(levels))
+    n = np.arange(f.space.depth + 1, dtype=float)[:, None]
+    return Martingale(f.space, _stopped_values(f, tau.vals, n, shift))
 
 
 def _count_node(space: FilteredSpace, level: int, block_pos: int, memo) -> int:
@@ -290,7 +297,7 @@ def enumerate_stopping_times(
     """Exhaustive enumeration by recursive stop/continue labeling of the
     filtration tree."""
     matrix = enumerate_stopping_matrix(space, cap)
-    return tuple(StoppingTime(tuple(row)) for row in matrix)
+    return tuple(StoppingTime(row) for row in matrix)
 
 
 def sample_stopping_times(
@@ -302,8 +309,8 @@ def sample_stopping_times(
         raise ValidationError("count must be >= 1")
     rng = random.Random(f"vexmart-stopping:{seed}")
     out = [
-        StoppingTime((0.0,) * space.n_leaves),
-        StoppingTime((INF,) * space.n_leaves),
+        StoppingTime(np.zeros(space.n_leaves)),
+        StoppingTime(np.full(space.n_leaves, INF)),
     ][:count]
     while len(out) < count:
         vals = [0.0] * space.n_leaves
@@ -323,7 +330,7 @@ def sample_stopping_times(
 
         for b in range(len(space.levels[0])):
             descend(0, b)
-        out.append(StoppingTime(tuple(vals)))
+        out.append(StoppingTime(vals))
     return tuple(out)
 
 
@@ -332,12 +339,6 @@ def stopped_terminal_diffs(
 ) -> np.ndarray:
     """(f - f^{tau-1})_N (or unshifted f - f^tau) per leaf, for a whole
     matrix of stopping times at once."""
-    t = tau_matrix if shift == "none" else tau_matrix - 1.0
-    n = float(f.space.depth)
-    idx = np.minimum(t, n)
-    gather = np.where(
-        idx < 0,
-        0.0,
-        f.arrays[np.maximum(idx, 0.0).astype(np.intp), np.arange(f.space.n_leaves)],
+    return f.terminal[None, :] - _stopped_values(
+        f, tau_matrix, float(f.space.depth), shift
     )
-    return f.terminal[None, :] - gather

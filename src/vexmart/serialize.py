@@ -14,8 +14,15 @@ from typing import Any, Mapping, Sequence
 
 from .errors import ValidationError
 from .hardy import AtomTerm, AtomicDecomposition
-from .martingale import INF, Martingale, StoppingTime, make_martingale, martingale_from_terminal
-from .space import Exponent, FilteredSpace, validate_filtration
+from .martingale import (
+    INF,
+    Martingale,
+    StoppingTime,
+    make_martingale,
+    martingale_from_terminal,
+    validate_stopping_time,
+)
+from .space import Exponent, FilteredSpace, as_leaf_values, validate_filtration
 
 
 def space_to_json(space: FilteredSpace) -> dict:
@@ -56,8 +63,8 @@ def function_from_json(obj: Mapping[str, Any]) -> list[float]:
 
 def martingale_to_json(f: Martingale, full: bool = False) -> dict:
     if full:
-        return {"levels": [list(lv) for lv in f.levels]}
-    return {"terminal": list(f.terminal)}
+        return {"levels": f.arrays.tolist()}
+    return {"terminal": f.terminal.tolist()}
 
 
 def martingale_from_json(space: FilteredSpace, obj: Mapping[str, Any]) -> Martingale:
@@ -71,7 +78,7 @@ def martingale_from_json(space: FilteredSpace, obj: Mapping[str, Any]) -> Martin
 def stopping_time_to_json(tau: StoppingTime) -> dict:
     return {
         "stop_level": [
-            "inf" if math.isinf(t) else int(t) for t in tau.stop_level
+            "inf" if math.isinf(t) else int(t) for t in tau.vals.tolist()
         ]
     }
 
@@ -92,26 +99,39 @@ def decomposition_to_json(dec: AtomicDecomposition) -> list:
             "k": term.k,
             "mu": term.mu,
             "tau": stopping_time_to_json(term.tau)["stop_level"],
-            "atom_terminal": list(term.atom_terminal),
+            "atom_terminal": term.atom_terminal.tolist(),
         }
         for term in dec.terms
     ]
 
 
+def _term_from_json(space: FilteredSpace, t: Mapping[str, Any]) -> AtomTerm:
+    """One decomposition term, validated against the space: an integer k,
+    a finite weight mu >= 0, a stopping time and finite atom values."""
+    try:
+        k, mu, tau, atom = t["k"], t["mu"], t["tau"], t["atom_terminal"]
+    except (KeyError, TypeError) as exc:
+        raise ValidationError(f"decomposition term missing key {exc}") from exc
+    if isinstance(k, bool) or not isinstance(k, int):
+        raise ValidationError(f"term k must be an integer, got {k!r}")
+    if isinstance(mu, bool) or not isinstance(mu, (int, float)) or not (
+        math.isfinite(mu) and mu >= 0
+    ):
+        raise ValidationError(f"term mu must be finite and >= 0, got {mu!r}")
+    if not isinstance(tau, list):
+        raise ValidationError(f"term tau must be a list, got {tau!r}")
+    return AtomTerm(
+        k,
+        float(mu),
+        validate_stopping_time(space, [INF if v == "inf" else v for v in tau]),
+        as_leaf_values(space, atom),
+    )
+
+
 def decomposition_from_json(
     space: FilteredSpace, obj: Sequence[Mapping[str, Any]]
 ) -> AtomicDecomposition:
-    terms = tuple(
-        AtomTerm(
-            int(t["k"]),
-            float(t["mu"]),
-            StoppingTime(
-                tuple(INF if v == "inf" else float(v) for v in t["tau"])
-            ),
-            tuple(float(v) for v in t["atom_terminal"]),
-        )
-        for t in obj
-    )
+    terms = tuple(_term_from_json(space, t) for t in obj)
     if terms:
         return AtomicDecomposition(space, terms, terms[0].k, terms[-1].k)
     return AtomicDecomposition(space, (), 0, -1)

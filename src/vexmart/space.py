@@ -9,7 +9,7 @@ and all operations are pure.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import cached_property
 from typing import Iterable, Sequence
 
@@ -28,6 +28,30 @@ def readonly(a: np.ndarray) -> np.ndarray:
     """Freeze an array owned by an immutable value."""
     a.setflags(write=False)
     return a
+
+
+class ArrayValue:
+    """Base of the frozen dataclasses that hold float arrays.  Each field
+    named in ``ARRAYS`` stores a read-only float copy of its input, so a
+    caller's array is never frozen or aliased, and values compare field by
+    field with arrays compared by content.  Subclasses are declared with
+    ``eq=False`` and are unhashable."""
+
+    ARRAYS: tuple[str, ...] = ()
+
+    def __post_init__(self) -> None:
+        for name in self.ARRAYS:
+            value = np.array(getattr(self, name), dtype=float)
+            object.__setattr__(self, name, readonly(value))
+
+    def __eq__(self, other: object) -> bool:
+        if type(other) is not type(self):
+            return NotImplemented
+        for field in fields(self):
+            a, b = getattr(self, field.name), getattr(other, field.name)
+            if not (np.array_equal(a, b) if isinstance(a, np.ndarray) else a == b):
+                return False
+        return True
 
 
 @dataclass(frozen=True)
@@ -116,6 +140,25 @@ class FilteredSpace:
                            minlength=len(self.levels[level]))
         return (sums / self.block_probs[level])[bo]
 
+    @cached_property
+    def _stacked_blocks(self) -> tuple[np.ndarray, np.ndarray]:
+        """Leaf -> block maps of all levels as one (N+1, n_leaves) array,
+        with blocks numbered consecutively across levels, and the block
+        probabilities in that numbering."""
+        sizes = [len(level) for level in self.levels]
+        offsets = np.cumsum([0] + sizes[:-1])[:, None]
+        ids = readonly(np.stack(self.block_of) + offsets)
+        return ids, readonly(np.concatenate(self.block_probs))
+
+    def level_averages(self, rows: np.ndarray) -> np.ndarray:
+        """Row n of the result is the block average of ``rows[n]`` at level
+        n, for the first len(rows) levels, from one weighted bincount.
+        Each row equals its :meth:`block_average` bit for bit."""
+        ids, block_probs = self._stacked_blocks
+        ids = ids[: len(rows)]
+        sums = np.bincount(ids.ravel(), weights=(self.probs * rows).ravel())
+        return (sums / block_probs[: sums.size])[ids]
+
 
 @dataclass(frozen=True)
 class Exponent:
@@ -164,7 +207,10 @@ def constant_exponent(space: FilteredSpace, p0: float) -> Exponent:
 
 
 def as_leaf_values(space: FilteredSpace, f: Sequence[float]) -> np.ndarray:
-    v = np.asarray(f, dtype=float)
+    try:
+        v = np.asarray(f, dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise ValidationError(f"leaf values must be numbers: {exc}") from exc
     if v.shape != (space.n_leaves,):
         raise ValidationError(
             f"expected {space.n_leaves} leaf values, got shape {v.shape}"

@@ -7,6 +7,7 @@ import pytest
 from vexmart import (
     Exponent,
     StoppingTime,
+    ValidationError,
     atomic_decompose,
     build_dyadic_space,
     build_mary_space,
@@ -131,6 +132,36 @@ class TestSerializeRoundTrips:
         )
         assert back.terms == dec.terms
         assert np.allclose(reconstruct(back).arrays, f.arrays, atol=1e-12)
+
+    def test_decomposition_rejects_nan_term(self):
+        text = ('[{"k": 0, "mu": NaN, "tau": [NaN, -5.0], '
+                '"atom_terminal": [1.0, -1.0]}]')
+        with pytest.raises(ValidationError):
+            serialize.decomposition_from_json(build_dyadic_space(1), json.loads(text))
+        term = {"mu": 1.5, "tau": [0, 0], "atom_terminal": [1.0, -1.0]}
+        with pytest.raises(ValidationError, match="missing"):
+            serialize.decomposition_from_json(build_dyadic_space(1), [term])
+
+    @pytest.mark.parametrize("change, match", [
+        ({"tau": [0, 1]}, "not measurable"),
+        ({"tau": [math.nan, -5.0]}, "stop level"),
+        ({"tau": ["inf", "never"]}, "numbers"),
+        ({"tau": 0}, "list"),
+        ({"mu": math.inf}, "mu"),
+        ({"mu": -1.0}, "mu"),
+        ({"mu": "1.5"}, "mu"),
+        ({"k": 0.5}, "integer"),
+        ({"k": True}, "integer"),
+        ({"atom_terminal": [math.inf, -1.0]}, "finite"),
+        ({"atom_terminal": [1.0, -1.0, 0.0]}, "leaf values"),
+        ({"atom_terminal": [1.0, "x"]}, "numbers"),
+    ])
+    def test_decomposition_rejects_bad_terms(self, change, match):
+        term = {"k": 0, "mu": 1.5, "tau": [0, 0], "atom_terminal": [1.0, -1.0]}
+        sp = build_dyadic_space(1)
+        assert serialize.decomposition_from_json(sp, [term]).terms[0].mu == 1.5
+        with pytest.raises(ValidationError, match=match):
+            serialize.decomposition_from_json(sp, [{**term, **change}])
 
 
 class TestDeterminism:

@@ -11,6 +11,7 @@ from vexmart import (
     a_quantity,
     atomic_decompose,
     build_dyadic_space,
+    cond_square,
     constant_exponent,
     hmax_norm,
     hs_norm,
@@ -18,7 +19,9 @@ from vexmart import (
     martingale_from_terminal,
     prop41_bounds,
     reconstruct,
+    stop,
 )
+from vexmart.hardy import AtomTerm
 from vexmart.martingale import Martingale
 
 from conftest import random_exponent, random_tree_space
@@ -30,6 +33,17 @@ def centered_martingale(rng, space, scale=1.0):
     v = np.array([rng.gauss(0, scale) for _ in range(space.n_leaves)])
     v -= space.block_average(v, 0)
     return martingale_from_terminal(space, v)
+
+
+def threshold_oracle(f, cut):
+    """Per leaf, the first n with s_{n+1}(f) > cut (s_N past the last
+    level), or inf."""
+    depth = f.space.depth
+    s_next = [cond_square(f, min(n + 1, depth)) for n in range(depth + 1)]
+    return StoppingTime([
+        next((float(n) for n in range(depth + 1) if s_next[n][w] > cut), INF)
+        for w in range(f.space.n_leaves)
+    ])
 
 
 class TestHardyNorms:
@@ -147,6 +161,37 @@ class TestAtomicDecomposition:
             for term in atomic_decompose(f, p).terms:
                 chk = is_atom(sp, term.atom_terminal, term.tau, p)
                 assert chk.ok, (term.k, chk)
+
+    def test_atoms_are_stopped_terminal_differences(self):
+        # bit for bit: a_k = (f^{tau_{k+1}}_N - f^{tau_k}_N) / mu_k with the
+        # stopped terminals of stop()
+        rng = random.Random(19)
+        for _ in range(40):
+            sp = random_tree_space(rng)
+            f = centered_martingale(rng, sp, scale=rng.choice([0.01, 1.0, 100.0]))
+            p = random_exponent(rng, sp.n_leaves, 0.5, 3.0)
+            for term in atomic_decompose(f, p).terms:
+                tau_k = threshold_oracle(f, 2.0**term.k)
+                tau_k1 = threshold_oracle(f, 2.0 ** (term.k + 1))
+                assert term.tau == tau_k
+                diff = stop(f, tau_k1).terminal - stop(f, tau_k).terminal
+                assert np.array_equal(term.atom_terminal, diff / term.mu)
+
+    def test_atom_term_value_semantics(self):
+        atom = np.array([2 / 3, -2 / 3])
+        tau = StoppingTime((0.0, 0.0))
+        term = AtomTerm(-1, 1.5, tau, atom)
+        assert term == AtomTerm(-1, 1.5, StoppingTime(np.zeros(2)), atom.copy())
+        for other in (AtomTerm(0, 1.5, tau, atom), AtomTerm(-1, 2.0, tau, atom),
+                      AtomTerm(-1, 1.5, StoppingTime((1.0, 1.0)), atom),
+                      AtomTerm(-1, 1.5, tau, -atom)):
+            assert term != other
+        atom[0] = 5.0
+        assert term.atom_terminal[0] == 2 / 3
+        assert not term.atom_terminal.flags.writeable
+        f = martingale_from_terminal(build_dyadic_space(2), (1.0, -1.0, 2.0, -2.0))
+        p = constant_exponent(f.space, 1.5)
+        assert atomic_decompose(f, p) == atomic_decompose(f, p)
 
     def test_weights_formula(self):
         rng = random.Random(13)

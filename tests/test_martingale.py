@@ -3,6 +3,8 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from vexmart import (
     Martingale,
@@ -284,3 +286,109 @@ class TestEnumeration:
             for row, diff in zip(matrix, batch):
                 want = f.terminal - stop(f, StoppingTime(tuple(row)), shift).terminal
                 assert np.allclose(diff, want, atol=1e-12)
+
+
+def stop_oracle(f, stop_levels, shift):
+    """f^tau_n(w) = f_{min(n, tau(w))}(w) leaf by leaf, or f_{min(n, tau(w) - 1)}(w)
+    with f_{-1} = 0 for the shifted stop."""
+    depth, n_leaves = f.space.depth, f.space.n_leaves
+    out = np.zeros((depth + 1, n_leaves))
+    for n in range(depth + 1):
+        for w in range(n_leaves):
+            t = stop_levels[w] if shift == "none" else stop_levels[w] - 1
+            m = min(n, t)
+            out[n, w] = 0.0 if m < 0 else f.arrays[int(m), w]
+    return out
+
+
+@settings(max_examples=100, deadline=None)
+@given(seed=st.integers(min_value=0, max_value=10**6),
+       shift=st.sampled_from(["none", "minus-one"]))
+def test_stop_matches_per_leaf_oracle(seed, shift):
+    # any per-leaf level in {0..N, inf}: stop() gathers without validating
+    rng = random.Random(seed)
+    sp = random_tree_space(rng)
+    f = random_martingale(rng, sp)
+    levels = [rng.choice([*range(sp.depth + 1), INF]) for _ in range(sp.n_leaves)]
+    want = stop_oracle(f, levels, shift)
+    assert np.array_equal(stop(f, StoppingTime(levels), shift).arrays, want)
+    matrix = np.array([levels, [INF] * sp.n_leaves, [0.0] * sp.n_leaves])
+    diffs = stopped_terminal_diffs(f, matrix, shift=shift)
+    assert np.array_equal(diffs[0], f.terminal - want[-1])
+
+
+def test_unknown_shift_rejected(four_leaf):
+    f = random_martingale(random.Random(1), four_leaf)
+    tau = StoppingTime((0.0,) * 4)
+    with pytest.raises(ValidationError, match="shift"):
+        stop(f, tau, shift="plus-one")
+    with pytest.raises(ValidationError, match="shift"):
+        stopped_terminal_diffs(f, tau.vals[None, :], shift="plus-one")
+
+
+class TestArrayValues:
+    def test_martingale_value_semantics(self, four_leaf):
+        levels = np.array([[0.0] * 4, [1.0, 1.0, -1.0, -1.0], [2.0, 0.0, -1.0, -1.0]])
+        f = Martingale(four_leaf, levels)
+        assert f == Martingale(four_leaf, levels.copy())
+        assert f == make_martingale(four_leaf, levels.tolist())
+        assert f != Martingale(four_leaf, levels * 2.0)
+        assert f != Martingale(build_dyadic_space(1), levels[:2, :2])
+        assert (f == StoppingTime(levels[2])) is False
+        levels[2, 0] = 99.0  # the caller keeps its array writeable
+        assert f.arrays[2, 0] == 2.0
+        assert not f.arrays.flags.writeable
+        assert f.levels[2] == (2.0, 0.0, -1.0, -1.0)
+        assert f.scaled(2.0) == Martingale(four_leaf, 2.0 * f.arrays)
+
+    def test_stopping_time_value_semantics(self):
+        vals = np.array([0.0, 1.0, INF, INF])
+        tau = StoppingTime(vals)
+        assert tau == StoppingTime((0.0, 1.0, INF, INF))
+        assert tau != StoppingTime((0.0, 1.0, INF, 2.0))
+        assert tau != StoppingTime((0.0, 1.0))
+        vals[0] = 2.0
+        assert tau.stop_level == (0.0, 1.0, INF, INF)
+        assert not tau.vals.flags.writeable
+        assert vals.flags.writeable
+        with pytest.raises(ValueError):
+            tau.vals[0] = 1.0
+
+    def test_validated_values_are_frozen_copies(self, four_leaf):
+        levels = np.array([[0.0] * 4, [1.0, 1.0, -1.0, -1.0], [2.0, 0.0, -1.0, -1.0]])
+        f = make_martingale(four_leaf, levels)
+        stop_levels = np.array([1.0, 1.0, INF, INF])
+        tau = validate_stopping_time(four_leaf, stop_levels)
+        levels[:] = 0.0
+        stop_levels[:] = 0.0
+        assert f.levels[1] == (1.0, 1.0, -1.0, -1.0)
+        assert tau.stop_level == (1.0, 1.0, INF, INF)
+        assert not (f.arrays.flags.writeable or tau.vals.flags.writeable)
+
+
+def test_level_averages_match_block_average():
+    rng = random.Random(43)
+    for _ in range(30):
+        sp = random_tree_space(rng)
+        rows = np.array([[rng.gauss(0, 1) for _ in range(sp.n_leaves)]
+                         for _ in range(sp.depth + 1)])
+        for r in range(sp.depth + 2):
+            got = sp.level_averages(rows[:r])
+            assert got.shape == (r, sp.n_leaves)
+            for n in range(r):
+                assert np.array_equal(got[n], sp.block_average(rows[n], n))
+
+
+def test_cond_square_matches_level_loop():
+    # the cumulative sum adds the conditioned increments in level order,
+    # like this loop, so the results are equal bit for bit
+    rng = random.Random(47)
+    for _ in range(30):
+        sp = random_tree_space(rng)
+        f = random_martingale(rng, sp)
+        acc = np.zeros(sp.n_leaves)
+        for m in range(sp.depth + 1):
+            if m:
+                df = f.arrays[m] - f.arrays[m - 1]
+                acc += sp.block_average(df * df, m - 1)
+            assert np.array_equal(cond_square(f, m), np.sqrt(acc))
