@@ -90,7 +90,7 @@ def _sup_result(
         return SupNormResult(0.0, None, mode, taus.shape[0])
     i = int(np.argmax(ratios))
     return SupNormResult(
-        float(ratios[i]), StoppingTime(tuple(taus[i])), mode, taus.shape[0]
+        float(ratios[i]), StoppingTime(taus[i]), mode, taus.shape[0]
     )
 
 
@@ -135,7 +135,7 @@ def lipschitz_norm(
         raise DomainError("alpha must be nonnegative")
     with np.errstate(divide="ignore"):
         inv = np.where(avals > 0, 1.0 / np.where(avals > 0, avals, 1.0), math.inf)
-    inv_alpha = Exponent(tuple(inv), allow_infinite=True)
+    inv_alpha = Exponent(inv, allow_infinite=True)
 
     taus, achieved = candidate_matrix(space, mode, cap, seed, samples)
     finite = np.isfinite(taus)
@@ -165,7 +165,7 @@ def duality_pairing_ratio(
     # Lipschitz norm's f_0 = 0 convention applicable
     centered = phi_v - space.block_average(phi_v, 0)
     phi_mart = martingale_from_terminal(space, centered)
-    alpha = tuple(1.0 / p.vals - 1.0)
+    alpha = 1.0 / p.vals - 1.0
     hs = hs_norm(f, p)
     lip = lipschitz_norm(phi_mart, 2.0, alpha, mode=mode).value
     if pairing <= 1e-15 * max(1.0, float(np.abs(phi_v).max())) * max(

@@ -130,14 +130,11 @@ def generate_exponent(
         vals = [rng.uniform(lo, hi) for _ in range(n)]
     elif law == "block-structured":
         level = min(1, space.depth)
-        vals = [0.0] * n
-        for block in space.levels[level]:
-            v = rng.uniform(lo, hi)
-            for leaf in block:
-                vals[leaf] = v
+        draws = [rng.uniform(lo, hi) for _ in range(space.n_blocks[level])]
+        vals = np.array(draws)[space.block_of[level]]
     else:
         raise DomainError(f"unknown exponent law {law!r}")
-    return Exponent(tuple(vals))
+    return Exponent(vals)
 
 
 def generate_martingale(config: TrialConfig, index: int = 0) -> Martingale:
@@ -190,6 +187,7 @@ def weak_type_check(
     ratios, bounds, asserted = [], [], []
     witness = None
     best = -1.0
+    terminal, exponent = f.terminal.tolist(), p.vals.tolist()
     for lam in grid:
         a_mask = mf > lam
         pa = float(space.probs[a_mask].sum())
@@ -201,8 +199,9 @@ def weak_type_check(
         rho = modular(space, f.terminal, p, lam)
         ratio = pa / rho
         idx = np.nonzero(a_mask)[0]
-        bound = p.p_plus(idx) / p.p_minus(idx)
-        check = p.p_minus(idx) >= 1.0
+        p_lo = p.p_minus(idx)
+        bound = p.p_plus(idx) / p_lo
+        check = p_lo >= 1.0
         if check and ratio > bound + ASSERT_SLACK:
             raise NumericalError(
                 f"weak-type ratio {ratio} exceeds proof-chain constant "
@@ -217,8 +216,8 @@ def weak_type_check(
                 "lambda": lam,
                 "ratio": ratio,
                 "bound": bound,
-                "terminal": [float(x) for x in f.terminal],
-                "exponent": list(p.values),
+                "terminal": terminal,
+                "exponent": exponent,
             }
     return _report(
         "weak-type proof-chain constant",
@@ -259,8 +258,8 @@ def doob_strong_check(config: TrialConfig, p: Exponent) -> ConstantReport:
             witness = {
                 "trial": i,
                 "ratio": ratio,
-                "terminal": [float(x) for x in f.terminal],
-                "exponent": list(p.values),
+                "terminal": f.terminal.tolist(),
+                "exponent": p.vals.tolist(),
             }
     k = condition_k(space, p)
     return _report(
@@ -285,36 +284,27 @@ def lemma34_check(
         fv = fv * scale
     k = condition_k(space, p).k
     e = p.vals / p.p_minus()
-    probs = space.probs
-    ratios = []
-    witness = None
-    best = -1.0
-    for n in range(space.depth + 1):
-        av = space.block_average(fv, n)
-        lhs = av**e
-        # avg over the block of x of |f|^{e_x}: the exponent tracks the
-        # evaluation point, not the integration variable
-        powers = fv[None, :] ** e[:, None]
-        weighted = powers * probs[None, :]
-        bo = space.block_of[n]
-        for x in range(space.n_leaves):
-            block = space.levels[n][bo[x]]
-            avg_x = float(weighted[x, list(block)].sum()) / float(
-                space.block_probs[n][bo[x]]
-            )
-            rhs = k * (avg_x + 1.0)
-            ratio = lhs[x] / rhs
-            ratios.append(ratio)
-            if ratio > best:
-                best = ratio
-                witness = {"level": n, "leaf": x, "ratio": ratio}
+    # row x: P(y) |f(y)|^{e_x}; the exponent tracks the evaluation point x,
+    # not the integration variable y, and does not depend on the level
+    weighted = fv[None, :] ** e[:, None]
+    weighted *= space.probs
+    ratios = np.empty((space.depth + 1, space.n_leaves))
+    for n, bo in enumerate(space.block_of):
+        lhs = space.block_average(fv, n) ** e
+        same_block = bo[:, None] == bo[None, :]
+        avg = weighted.sum(axis=1, where=same_block) / space.block_probs[n][bo]
+        ratios[n] = lhs / (k * (avg + 1.0))
+    # first largest ratio in level-major, leaf-minor order
+    n, x = divmod(int(np.argmax(ratios)), space.n_leaves)
+    best = float(ratios[n, x])
+    witness = {"level": n, "leaf": x, "ratio": best}
     if best > 1.0 + ASSERT_SLACK:
         raise NumericalError(
             f"pointwise block-average inequality violated: max ratio {best}"
         )
     return _report(
         "block-average pointwise inequality",
-        ratios,
+        ratios.ravel().tolist(),
         witness,
         {"condition_k": k, "rescale": scale},
     )
@@ -345,8 +335,8 @@ def jn_equivalence(config: TrialConfig, p: Exponent) -> ConstantReport:
             witness = {
                 "trial": i,
                 "ratio": ratio,
-                "terminal": [float(x) for x in f.terminal],
-                "exponent": list(p.values),
+                "terminal": f.terminal.tolist(),
+                "exponent": p.vals.tolist(),
             }
     arr = np.array(ratios) if ratios else np.array([])
     details = {
@@ -623,8 +613,8 @@ def violation_33_search(config: TrialConfig) -> ConstantReport:
                 "kind": "random",
                 "trial": i,
                 "ratio": ratio,
-                "f": [float(x) for x in fv],
-                "exponent": list(p.values),
+                "f": fv,
+                "exponent": p.vals.tolist(),
                 **info,
             }
     return _report(

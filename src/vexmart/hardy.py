@@ -86,7 +86,7 @@ def is_atom(
 class AtomTerm(ArrayValue):
     """One weighted atom; ``atom_terminal`` is a_N as a read-only array."""
 
-    ARRAYS = ("atom_terminal",)
+    ARRAYS = {"atom_terminal": float}
     k: int
     mu: float
     tau: StoppingTime

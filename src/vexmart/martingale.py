@@ -28,7 +28,7 @@ class Martingale(ArrayValue):
     """Adapted sequence: row n of the read-only (N+1, n_leaves) array
     ``arrays`` is the leaf-indexed function f_n."""
 
-    ARRAYS = ("arrays",)
+    ARRAYS = {"arrays": float}
     space: FilteredSpace
     arrays: np.ndarray
 
@@ -52,7 +52,10 @@ def make_martingale(
 ) -> Martingale:
     """Validated constructor: per-level measurability and the tower
     property E(f_{n+1} | F_n) = f_n within an absolute tolerance."""
-    arr = np.asarray(levels, dtype=float)
+    try:
+        arr = np.asarray(levels, dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise ValidationError(f"martingale values must be finite numbers: {exc}") from exc
     if arr.shape != (space.depth + 1, space.n_leaves):
         raise ValidationError(
             f"expected {space.depth + 1} levels of {space.n_leaves} values, "
@@ -131,7 +134,7 @@ class StoppingTime(ArrayValue):
     """Per-leaf stop level in {0, ..., N} or math.inf ('never stop'), as a
     read-only float array."""
 
-    ARRAYS = ("vals",)
+    ARRAYS = {"vals": float}
     vals: np.ndarray
 
     @property
@@ -168,14 +171,14 @@ def validate_stopping_time(
         hit = vals == n
         if not hit.any():
             continue
-        bo, n_blocks = space.block_of[n], len(space.levels[n])
+        bo, n_blocks = space.block_of[n], space.n_blocks[n]
         hits = np.bincount(bo[hit], minlength=n_blocks)
         split = (hits > 0) & (hits != np.bincount(bo, minlength=n_blocks))
         if split.any():
             b = int(np.flatnonzero(split)[0])
             raise ValidationError(
                 f"{{tau = {n}}} splits level-{n} block {b} "
-                f"{space.levels[n][b]}: not measurable"
+                f"{tuple(np.flatnonzero(bo == b).tolist())}: not measurable"
             )
     return StoppingTime(vals)
 
@@ -229,38 +232,33 @@ def count_stopping_times(space: FilteredSpace) -> int:
     counting 'never stop' continuations)."""
     memo: dict = {}
     total = 1
-    for b in range(len(space.levels[0])):
+    for b in range(space.n_blocks[0]):
         total *= _count_node(space, 0, b, memo)
     return total
+
+
+def _product(parts: list[np.ndarray]) -> np.ndarray:
+    """Rows of the cartesian product of the parts' rows, first part
+    slowest, columns side by side."""
+    combo = parts[0]
+    for part in parts[1:]:
+        m, k = combo.shape[0], part.shape[0]
+        combo = np.hstack([np.repeat(combo, k, axis=0), np.tile(part, (m, 1))])
+    return combo
 
 
 def _node_matrix(space: FilteredSpace, level: int, block_pos: int) -> np.ndarray:
     """All stop assignments for the leaves of one block, rows in a fixed
     deterministic order: stop-here first, then the cartesian product of the
-    children's assignments."""
-    block = space.levels[level][block_pos]
+    children's assignments.  Columns follow the leaves in tree order (see
+    :func:`enumerate_stopping_matrix`)."""
     if level == space.depth:
         return np.array([[float(level)], [INF]])
-    parts = [
+    combo = _product([
         _node_matrix(space, level + 1, child)
         for child in space.children[level][block_pos]
-    ]
-    combo = parts[0]
-    for part in parts[1:]:
-        m, k = combo.shape[0], part.shape[0]
-        combo = np.hstack(
-            [np.repeat(combo, k, axis=0), np.tile(part, (m, 1))]
-        )
-    # children are visited in child order; reorder columns to leaf order
-    child_leaves: list[int] = []
-    for child in space.children[level][block_pos]:
-        child_leaves.extend(space.levels[level + 1][child])
-    combo = combo[:, np.argsort(child_leaves)]
-    stop_row = np.full((1, len(block)), float(level))
-    # combo columns are now in ascending leaf order; block is ascending too
-    if tuple(sorted(block)) != tuple(sorted(child_leaves)):
-        raise ValidationError("filtration children do not cover their block")
-    return np.vstack([stop_row, combo])
+    ])
+    return np.vstack([np.full((1, combo.shape[1]), float(level)), combo])
 
 
 def enumerate_stopping_matrix(
@@ -273,21 +271,11 @@ def enumerate_stopping_matrix(
         raise ResourceError(
             f"{count} stopping times exceed cap {cap}; use sampling mode"
         )
-    combo = None
-    col_leaves: list[int] = []
-    for b, block in enumerate(space.levels[0]):
-        part = _node_matrix(space, 0, b)
-        col_leaves.extend(sorted(block))
-        if combo is None:
-            combo = part
-        else:
-            m, k = combo.shape[0], part.shape[0]
-            combo = np.hstack(
-                [np.repeat(combo, k, axis=0), np.tile(part, (m, 1))]
-            )
-    assert combo is not None
+    combo = _product([_node_matrix(space, 0, b) for b in range(space.n_blocks[0])])
+    # tree order: leaves sorted by their block at level 0, then level 1, ...
+    tree_order = np.lexsort(space.block_of[::-1])
     out = np.empty_like(combo)
-    out[:, np.array(col_leaves, dtype=np.intp)] = combo
+    out[:, tree_order] = combo
     return out
 
 
@@ -312,25 +300,26 @@ def sample_stopping_times(
         StoppingTime(np.zeros(space.n_leaves)),
         StoppingTime(np.full(space.n_leaves, INF)),
     ][:count]
+    # a stopped block is marked in one flag array over the blocks of all
+    # levels, numbered level-major as in space._stacked_blocks
+    ids, _ = space._stacked_blocks
+    offsets = np.cumsum((0,) + space.n_blocks[:-1])
+    level_of_row = np.arange(space.depth + 1, dtype=float)[:, None]
     while len(out) < count:
-        vals = [0.0] * space.n_leaves
+        stops = np.zeros(sum(space.n_blocks), dtype=bool)
 
         def descend(level: int, block_pos: int) -> None:
-            at_bottom = level == space.depth
             if rng.random() < 0.5:
-                for leaf in space.levels[level][block_pos]:
-                    vals[leaf] = float(level)
-                return
-            if at_bottom:
-                for leaf in space.levels[level][block_pos]:
-                    vals[leaf] = INF
-                return
-            for child in space.children[level][block_pos]:
-                descend(level + 1, child)
+                stops[offsets[level] + block_pos] = True
+            elif level < space.depth:
+                for child in space.children[level][block_pos]:
+                    descend(level + 1, child)
 
-        for b in range(len(space.levels[0])):
+        for b in range(space.n_blocks[0]):
             descend(0, b)
-        out.append(StoppingTime(vals))
+        # the stopped blocks form an antichain: a leaf lies in at most one
+        hit = stops[ids]
+        out.append(StoppingTime(np.where(hit, level_of_row, INF).min(axis=0)))
     return tuple(out)
 
 

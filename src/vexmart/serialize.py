@@ -27,7 +27,7 @@ from .space import Exponent, FilteredSpace, as_leaf_values, validate_filtration
 
 def space_to_json(space: FilteredSpace) -> dict:
     return {
-        "leaf_probs": list(space.leaf_probs),
+        "leaf_probs": space.probs.tolist(),
         "levels": [[list(b) for b in level] for level in space.levels],
     }
 
@@ -40,12 +40,12 @@ def space_from_json(obj: Mapping[str, Any]) -> FilteredSpace:
 
 
 def exponent_to_json(p: Exponent) -> dict:
-    return {"values": list(p.values)}
+    return {"values": p.vals.tolist()}
 
 
 def exponent_from_json(obj: Mapping[str, Any]) -> Exponent:
     try:
-        return Exponent(tuple(obj["values"]))
+        return Exponent(obj["values"])
     except KeyError as exc:
         raise ValidationError(f"exponent JSON missing key {exc}") from exc
 
@@ -59,6 +59,8 @@ def function_from_json(obj: Mapping[str, Any]) -> list[float]:
         return [float(v) for v in obj["values"]]
     except KeyError as exc:
         raise ValidationError(f"function JSON missing key {exc}") from exc
+    except (TypeError, ValueError) as exc:
+        raise ValidationError(f"function values must be finite numbers: {exc}") from exc
 
 
 def martingale_to_json(f: Martingale, full: bool = False) -> dict:
@@ -71,7 +73,7 @@ def martingale_from_json(space: FilteredSpace, obj: Mapping[str, Any]) -> Martin
     if "levels" in obj:
         return make_martingale(space, obj["levels"])
     if "terminal" in obj:
-        return martingale_from_terminal(space, [float(v) for v in obj["terminal"]])
+        return martingale_from_terminal(space, obj["terminal"])
     raise ValidationError("martingale JSON needs 'terminal' or 'levels'")
 
 

@@ -8,10 +8,10 @@ and all operations are pure.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, fields
 from functools import cached_property
-from typing import Iterable, Sequence
+from itertools import chain
+from typing import Sequence
 
 import numpy as np
 
@@ -19,7 +19,8 @@ from .errors import DomainError, ResourceError, ValidationError
 
 Blocks = tuple[tuple[int, ...], ...]
 
-MAX_DYADIC_DEPTH = 24
+# largest probs + block_of a builder may allocate, in bytes
+MAX_SPACE_BYTES = 1 << 30
 BRUTE_FORCE_LEAF_LIMIT = 20
 PROB_TOL = 1e-12
 
@@ -31,17 +32,17 @@ def readonly(a: np.ndarray) -> np.ndarray:
 
 
 class ArrayValue:
-    """Base of the frozen dataclasses that hold float arrays.  Each field
-    named in ``ARRAYS`` stores a read-only float copy of its input, so a
-    caller's array is never frozen or aliased, and values compare field by
-    field with arrays compared by content.  Subclasses are declared with
-    ``eq=False`` and are unhashable."""
+    """Base of the frozen dataclasses that hold arrays.  Each field named
+    in ``ARRAYS`` stores a read-only copy of its input with the dtype given
+    there, so a caller's array is never frozen or aliased, and values
+    compare field by field with arrays compared by content.  Subclasses are
+    declared with ``eq=False`` and are unhashable."""
 
-    ARRAYS: tuple[str, ...] = ()
+    ARRAYS: dict[str, type] = {}
 
     def __post_init__(self) -> None:
-        for name in self.ARRAYS:
-            value = np.array(getattr(self, name), dtype=float)
+        for name, dtype in self.ARRAYS.items():
+            value = np.array(getattr(self, name), dtype=dtype)
             object.__setattr__(self, name, readonly(value))
 
     def __eq__(self, other: object) -> bool:
@@ -54,101 +55,84 @@ class ArrayValue:
         return True
 
 
-@dataclass(frozen=True)
-class FilteredSpace:
+def _groups(keys: np.ndarray, n_groups: int) -> tuple[tuple[int, ...], ...]:
+    """The positions of ``keys`` grouped by key value 0..n_groups-1, each
+    group in ascending order."""
+    order = np.argsort(keys, kind="stable").tolist()
+    ends = np.cumsum(np.bincount(keys, minlength=n_groups)).tolist()
+    return tuple(tuple(order[a:b]) for a, b in zip([0, *ends], ends))
+
+
+@dataclass(frozen=True, eq=False)
+class FilteredSpace(ArrayValue):
     """Finite probability space with an atom filtration.
 
-    ``levels[n]`` is the partition of leaf indices generating the n-th
-    sigma-algebra; ``levels[-1]`` must be the discrete partition.
-    Instances built via :func:`validate_filtration` or
-    :func:`build_dyadic_space` are guaranteed to satisfy all invariants.
+    ``probs[i]`` is the probability of leaf i and ``block_of[n, i]`` the
+    position of the level-n block holding leaf i, so row n is the partition
+    generating the n-th sigma-algebra; the last row must be the discrete
+    partition.  Instances built via :func:`validate_filtration` or the
+    builders are guaranteed to satisfy all invariants.
     """
 
-    leaf_probs: tuple[float, ...]
-    levels: tuple[Blocks, ...]
-
-    def __post_init__(self) -> None:
-        object.__setattr__(
-            self, "leaf_probs", tuple(float(p) for p in self.leaf_probs)
-        )
-        object.__setattr__(
-            self,
-            "levels",
-            tuple(
-                tuple(tuple(int(i) for i in block) for block in level)
-                for level in self.levels
-            ),
-        )
+    ARRAYS = {"probs": float, "block_of": np.intp}
+    probs: np.ndarray
+    block_of: np.ndarray
 
     @property
     def n_leaves(self) -> int:
-        return len(self.leaf_probs)
+        return self.probs.size
 
     @property
     def depth(self) -> int:
         """Index N of the terminal level."""
-        return len(self.levels) - 1
+        return self.block_of.shape[0] - 1
 
     @cached_property
-    def probs(self) -> np.ndarray:
-        return readonly(np.array(self.leaf_probs, dtype=float))
+    def n_blocks(self) -> tuple[int, ...]:
+        """Number of blocks of each level."""
+        return tuple((self.block_of.max(axis=1) + 1).tolist())
+
+    @property
+    def leaf_probs(self) -> tuple[float, ...]:
+        """The leaf probabilities as a tuple of Python floats."""
+        return tuple(self.probs.tolist())
+
+    @property
+    def levels(self) -> tuple[Blocks, ...]:
+        """Each level as a tuple of blocks of leaf indices, blocks by
+        position and leaves ascending inside a block."""
+        return tuple(map(_groups, self.block_of, self.n_blocks))
 
     @cached_property
-    def block_of(self) -> tuple[np.ndarray, ...]:
-        """Per level, the array mapping leaf index -> block position."""
-        out = []
-        for level in self.levels:
-            m = np.empty(self.n_leaves, dtype=np.intp)
-            for j, block in enumerate(level):
-                for leaf in block:
-                    m[leaf] = j
-            out.append(readonly(m))
-        return tuple(out)
+    def _stacked_blocks(self) -> tuple[np.ndarray, np.ndarray]:
+        """``block_of`` with blocks numbered consecutively across levels,
+        and the block probabilities in that numbering."""
+        offsets = np.cumsum((0,) + self.n_blocks[:-1])
+        ids = readonly(self.block_of + offsets[:, None])
+        probs = np.bincount(ids.ravel(), weights=np.tile(self.probs, self.depth + 1))
+        return ids, readonly(probs)
 
     @cached_property
     def block_probs(self) -> tuple[np.ndarray, ...]:
-        out = []
-        for n, level in enumerate(self.levels):
-            bp = np.bincount(
-                self.block_of[n], weights=self.probs, minlength=len(level)
-            )
-            out.append(readonly(bp))
-        return tuple(out)
+        """Per level, the probability of each block."""
+        return tuple(np.split(self._stacked_blocks[1], np.cumsum(self.n_blocks)[:-1]))
 
     @cached_property
     def children(self) -> tuple[tuple[tuple[int, ...], ...], ...]:
         """For each level n < N, block position -> child block positions
-        at level n+1."""
-        out = []
-        for n in range(self.depth):
-            kids: list[list[int]] = [[] for _ in self.levels[n]]
-            seen = set()
-            for j, block in enumerate(self.levels[n + 1]):
-                parent = int(self.block_of[n][block[0]])
-                if (parent, j) not in seen:
-                    seen.add((parent, j))
-                    kids[parent].append(j)
-            out.append(tuple(tuple(k) for k in kids))
-        return tuple(out)
+        at level n+1, ascending."""
+        return tuple(
+            _groups(coarse[np.unique(fine, return_index=True)[1]], k)
+            for coarse, fine, k in zip(self.block_of, self.block_of[1:], self.n_blocks)
+        )
 
     def block_average(self, values: Sequence[float], level: int) -> np.ndarray:
         """Conditional expectation of a leaf function at the given level,
         returned per leaf."""
         v = np.asarray(values, dtype=float)
         bo = self.block_of[level]
-        sums = np.bincount(bo, weights=self.probs * v,
-                           minlength=len(self.levels[level]))
+        sums = np.bincount(bo, weights=self.probs * v, minlength=self.n_blocks[level])
         return (sums / self.block_probs[level])[bo]
-
-    @cached_property
-    def _stacked_blocks(self) -> tuple[np.ndarray, np.ndarray]:
-        """Leaf -> block maps of all levels as one (N+1, n_leaves) array,
-        with blocks numbered consecutively across levels, and the block
-        probabilities in that numbering."""
-        sizes = [len(level) for level in self.levels]
-        offsets = np.cumsum([0] + sizes[:-1])[:, None]
-        ids = readonly(np.stack(self.block_of) + offsets)
-        return ids, readonly(np.concatenate(self.block_probs))
 
     def level_averages(self, rows: np.ndarray) -> np.ndarray:
         """Row n of the result is the block average of ``rows[n]`` at level
@@ -160,57 +144,64 @@ class FilteredSpace:
         return (sums / block_probs[: sums.size])[ids]
 
 
-@dataclass(frozen=True)
-class Exponent:
-    """Variable exponent p(.), one positive value per leaf.
+@dataclass(frozen=True, eq=False)
+class Exponent(ArrayValue):
+    """Variable exponent p(.), one positive value per leaf, as a read-only
+    float array.
 
     ``allow_infinite`` unlocks +inf entries, used only by the mixed-modular
     mode of the Luxemburg norm; ordinary operations reject such exponents.
     """
 
-    values: tuple[float, ...]
+    ARRAYS = {"vals": float}
+    vals: np.ndarray
     allow_infinite: bool = False
 
     def __post_init__(self) -> None:
-        vals = tuple(float(v) for v in self.values)
-        object.__setattr__(self, "values", vals)
-        for v in vals:
-            if math.isnan(v) or v <= 0:
-                raise ValidationError(f"exponent values must be positive, got {v}")
-            if math.isinf(v) and not self.allow_infinite:
-                raise ValidationError(
-                    "infinite exponent entries require allow_infinite=True"
-                )
+        try:
+            super().__post_init__()
+        except (TypeError, ValueError) as exc:
+            raise ValidationError(f"exponent values must be numbers: {exc}") from exc
+        v = self.vals
+        if v.ndim != 1:
+            raise ValidationError("exponent values must be a flat list of numbers")
+        if not v.min(initial=np.inf) > 0:  # NaN fails too
+            raise ValidationError(f"exponent values must be positive, got {v[~(v > 0)][0]}")
+        if not self.allow_infinite and v.max(initial=0.0) == np.inf:
+            raise ValidationError(
+                "infinite exponent entries require allow_infinite=True"
+            )
 
-    @cached_property
-    def vals(self) -> np.ndarray:
-        return readonly(np.array(self.values, dtype=float))
+    @property
+    def values(self) -> tuple[float, ...]:
+        """The exponent values as a tuple of Python floats."""
+        return tuple(self.vals.tolist())
 
     @cached_property
     def is_finite(self) -> bool:
         return bool(np.all(np.isfinite(self.vals)))
 
-    def p_minus(self, leaves: Iterable[int] | None = None) -> float:
-        v = self.vals if leaves is None else self.vals[list(leaves)]
+    def p_minus(self, leaves: Sequence[int] | np.ndarray | None = None) -> float:
+        v = self.vals if leaves is None else self.vals[np.asarray(leaves)]
         return float(v.min())
 
-    def p_plus(self, leaves: Iterable[int] | None = None) -> float:
-        v = self.vals if leaves is None else self.vals[list(leaves)]
+    def p_plus(self, leaves: Sequence[int] | np.ndarray | None = None) -> float:
+        v = self.vals if leaves is None else self.vals[np.asarray(leaves)]
         return float(v.max())
 
     def scaled(self, r: float) -> "Exponent":
-        return Exponent(tuple(r * v for v in self.values), self.allow_infinite)
+        return Exponent(r * self.vals, self.allow_infinite)
 
 
 def constant_exponent(space: FilteredSpace, p0: float) -> Exponent:
-    return Exponent((p0,) * space.n_leaves)
+    return Exponent(np.full(space.n_leaves, p0, dtype=float))
 
 
 def as_leaf_values(space: FilteredSpace, f: Sequence[float]) -> np.ndarray:
     try:
         v = np.asarray(f, dtype=float)
     except (TypeError, ValueError) as exc:
-        raise ValidationError(f"leaf values must be numbers: {exc}") from exc
+        raise ValidationError(f"leaf values must be finite numbers: {exc}") from exc
     if v.shape != (space.n_leaves,):
         raise ValidationError(
             f"expected {space.n_leaves} leaf values, got shape {v.shape}"
@@ -220,39 +211,70 @@ def as_leaf_values(space: FilteredSpace, f: Sequence[float]) -> np.ndarray:
     return v
 
 
-def build_dyadic_space(depth: int, max_depth: int = MAX_DYADIC_DEPTH) -> FilteredSpace:
+def _uniform_space(arity: int, depth: int) -> FilteredSpace:
+    """Uniform leaves, level n in arity^n equal blocks of consecutive
+    leaves.  Refused before any allocation when probs and block_of would
+    exceed MAX_SPACE_BYTES; a depth of at least the cap's bit length
+    exceeds it for any arity, and skipping the power keeps the check
+    cheap."""
+    if depth >= MAX_SPACE_BYTES.bit_length() or (
+        8 * (depth + 2) * arity**depth > MAX_SPACE_BYTES
+    ):
+        raise ResourceError(f"arity {arity}, depth {depth}: over {MAX_SPACE_BYTES} bytes")
+    leaves = arity**depth
+    widths = arity ** np.arange(depth, -1, -1)
+    block_of = np.arange(leaves) // widths[:, None]
+    return FilteredSpace(np.full(leaves, 1.0 / leaves), block_of)
+
+
+def build_dyadic_space(depth: int) -> FilteredSpace:
     """Dyadic filtration of depth N: level n has 2^n equal blocks of
     consecutive leaves, 2^N uniform leaves in total."""
     if depth < 0:
         raise ValidationError("depth must be nonnegative")
-    if depth > max_depth:
-        raise ResourceError(f"dyadic depth {depth} exceeds maximum {max_depth}")
-    leaves = 1 << depth
-    probs = (1.0 / leaves,) * leaves
-    levels = []
-    for n in range(depth + 1):
-        width = leaves >> n
-        levels.append(
-            tuple(tuple(range(j * width, (j + 1) * width)) for j in range(1 << n))
-        )
-    return FilteredSpace(probs, tuple(levels))
+    return _uniform_space(2, depth)
 
 
 def build_mary_space(arity: int, depth: int) -> FilteredSpace:
     """Uniform m-ary analogue of the dyadic construction."""
     if arity < 2 or depth < 0:
         raise ValidationError("arity must be >= 2 and depth nonnegative")
-    leaves = arity**depth
-    if leaves > (1 << MAX_DYADIC_DEPTH):
-        raise ResourceError("m-ary space too large")
-    probs = (1.0 / leaves,) * leaves
-    levels = []
-    for n in range(depth + 1):
-        width = arity ** (depth - n)
-        levels.append(
-            tuple(tuple(range(j * width, (j + 1) * width)) for j in range(arity**n))
+    return _uniform_space(arity, depth)
+
+
+def _level_block_of(k: int, level, n: int) -> np.ndarray:
+    """Leaf -> block position map of level k, given as a list of blocks of
+    integer leaf indices that must cover each of the n leaves once."""
+    try:
+        sizes = np.fromiter(map(len, level), dtype=np.intp)
+        leaves = np.array(list(chain.from_iterable(level)))
+    except (TypeError, ValueError) as exc:
+        raise ValidationError(
+            f"level {k} is not a list of blocks of leaf indices"
+        ) from exc
+    if leaves.ndim != 1 or (leaves.size and leaves.dtype.kind not in "iu"):
+        raise ValidationError(f"level {k}: leaf indices must be integers")
+    block = np.repeat(np.arange(sizes.size), sizes)
+    empty = np.flatnonzero(sizes == 0)
+    if empty.size:
+        raise ValidationError(f"level {k} block {empty[0]} is empty")
+    unknown = np.flatnonzero((leaves < 0) | (leaves >= n))
+    if unknown.size:
+        i = unknown[0]
+        raise ValidationError(
+            f"level {k} block {block[i]} references unknown leaf {leaves[i]}"
         )
-    return FilteredSpace(probs, tuple(levels))
+    counts = np.bincount(leaves.astype(np.intp), minlength=n)
+    if counts.max() > 1:
+        raise ValidationError(
+            f"level {k}: leaf {counts.argmax()} appears in two blocks"
+        )
+    if counts.min() == 0:
+        missing = np.flatnonzero(counts == 0).tolist()
+        raise ValidationError(f"level {k} does not cover leaves {missing}")
+    bo = np.empty(n, dtype=np.intp)
+    bo[leaves] = block
+    return bo
 
 
 def validate_filtration(
@@ -261,60 +283,48 @@ def validate_filtration(
 ) -> FilteredSpace:
     """Checked constructor: verifies normalization, positivity, that each
     level partitions the leaves, that consecutive levels refine, and that
-    the terminal level is discrete."""
-    probs = tuple(float(p) for p in leaf_probs)
-    n = len(probs)
+    the terminal level is discrete.  Blocks keep their input order."""
+    try:
+        probs = np.array(leaf_probs, dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise ValidationError(f"leaf probabilities must be numbers: {exc}") from exc
+    if probs.ndim != 1:
+        raise ValidationError("leaf probabilities must be a flat list of numbers")
+    n = probs.size
     if n == 0:
         raise ValidationError("empty leaf set")
-    for i, p in enumerate(probs):
-        if not (p > 0):
-            raise ValidationError(f"leaf_probs[{i}] = {p} is not positive")
-    if abs(sum(probs) - 1.0) > PROB_TOL:
+    nonpositive = np.flatnonzero(~(probs > 0))
+    if nonpositive.size:
+        i = int(nonpositive[0])
+        raise ValidationError(f"leaf_probs[{i}] = {float(probs[i])} is not positive")
+    total = float(probs.sum())
+    if abs(total - 1.0) > PROB_TOL:
         raise ValidationError(
-            f"leaf probabilities sum to {sum(probs)!r}, not 1 within {PROB_TOL}"
+            f"leaf probabilities sum to {total!r}, not 1 within {PROB_TOL}"
         )
+    if not isinstance(levels, (list, tuple)):
+        raise ValidationError("levels must be a list of levels")
     if not levels:
         raise ValidationError("filtration must have at least one level")
 
-    lv = tuple(
-        tuple(tuple(int(i) for i in block) for block in level) for level in levels
-    )
-    for k, level in enumerate(lv):
-        seen: set[int] = set()
-        for b, block in enumerate(level):
-            if not block:
-                raise ValidationError(f"level {k} block {b} is empty")
-            for leaf in block:
-                if leaf < 0 or leaf >= n:
-                    raise ValidationError(
-                        f"level {k} block {b} references unknown leaf {leaf}"
-                    )
-                if leaf in seen:
-                    raise ValidationError(
-                        f"level {k}: leaf {leaf} appears in two blocks"
-                    )
-                seen.add(leaf)
-        if len(seen) != n:
-            missing = sorted(set(range(n)) - seen)
-            raise ValidationError(f"level {k} does not cover leaves {missing}")
+    block_of = np.stack([_level_block_of(k, lv, n) for k, lv in enumerate(levels)])
 
-    for k in range(len(lv) - 1):
-        parent_of = {}
-        for b, block in enumerate(lv[k]):
-            for leaf in block:
-                parent_of[leaf] = b
-        for b, block in enumerate(lv[k + 1]):
-            parents = {parent_of[leaf] for leaf in block}
-            if len(parents) > 1:
-                raise ValidationError(
-                    f"level {k + 1} block {b} crosses blocks {sorted(parents)} "
-                    f"of level {k}: not a refinement"
-                )
+    for k in range(len(block_of) - 1):
+        coarse, fine = block_of[k], block_of[k + 1]
+        parent = coarse[np.unique(fine, return_index=True)[1]]
+        crossing = fine[coarse != parent[fine]]
+        if crossing.size:
+            b = int(crossing.min())
+            parents = np.unique(coarse[fine == b]).tolist()
+            raise ValidationError(
+                f"level {k + 1} block {b} crosses blocks {parents} "
+                f"of level {k}: not a refinement"
+            )
 
-    if any(len(block) != 1 for block in lv[-1]):
+    if block_of[-1].max() + 1 != n:
         raise ValidationError("terminal level must be the discrete partition")
 
-    return FilteredSpace(probs, lv)
+    return FilteredSpace(probs, block_of)
 
 
 @dataclass(frozen=True)
@@ -350,15 +360,20 @@ def condition_k(
     n = space.n_leaves
 
     if subsets == "blocks":
-        best, witness = 1.0, (int(np.argmin(probs)),)
-        for level in space.levels:
-            for block in level:
-                idx = list(block)
-                spread = float(pv[idx].max() - pv[idx].min())
-                val = float(probs[idx].sum()) ** (-spread)
-                if val > best:
-                    best, witness = val, tuple(block)
-        return ConditionKResult(best, witness, mode)
+        # all blocks of all levels at once, numbered level-major; argmax
+        # keeps the first largest value, as a scan with a strict > would
+        ids, block_probs = space._stacked_blocks
+        flat, pv_flat = ids.ravel(), np.tile(pv, space.depth + 1)
+        hi = np.full(block_probs.size, -np.inf)
+        lo = np.full(block_probs.size, np.inf)
+        np.maximum.at(hi, flat, pv_flat)
+        np.minimum.at(lo, flat, pv_flat)
+        vals = block_probs ** (lo - hi)
+        j = int(np.argmax(vals))
+        if vals[j] > 1.0:
+            leaves = np.flatnonzero(flat == j) % n
+            return ConditionKResult(float(vals[j]), tuple(leaves.tolist()), mode)
+        return ConditionKResult(1.0, (int(np.argmin(probs)),), mode)
     if subsets != "all":
         raise DomainError(f"unknown subsets option {subsets!r}")
 
@@ -423,15 +438,15 @@ def exponent_algebra(
     if op == "sum":
         if q is None:
             raise DomainError("sum requires a second exponent")
-        return Exponent(tuple(pv + q.vals))
+        return Exponent(pv + q.vals)
     if op == "reciprocal":
-        return Exponent(tuple(1.0 / pv))
+        return Exponent(1.0 / pv)
     if op == "conjugate":
         if p.p_minus() <= 1.0:
             raise DomainError("conjugate exponent requires p_- > 1")
-        return Exponent(tuple(pv / (pv - 1.0)))
+        return Exponent(pv / (pv - 1.0))
     if op == "harmonic-sum":
         if q is None:
             raise DomainError("harmonic-sum requires a second exponent")
-        return Exponent(tuple(1.0 / (1.0 / pv + 1.0 / q.vals)))
+        return Exponent(1.0 / (1.0 / pv + 1.0 / q.vals))
     raise DomainError(f"unknown exponent operation {op!r}")

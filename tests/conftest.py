@@ -34,6 +34,22 @@ def random_tree_space(rng: random.Random, max_leaves: int = 12, max_depth: int =
     return validate_filtration(levels, probs)
 
 
+def relabelled_levels(space, rng: random.Random):
+    """The space's levels and leaf probabilities as nested lists, with the
+    leaves renamed by a random permutation, so blocks are not runs of
+    consecutive leaves and their leaves are not listed in order, and with
+    each level's blocks listed in random order."""
+    perm = list(range(space.n_leaves))
+    rng.shuffle(perm)
+    levels = [[[perm[i] for i in b] for b in level] for level in space.levels]
+    for level in levels:
+        rng.shuffle(level)
+    probs = [0.0] * space.n_leaves
+    for i, p in enumerate(space.leaf_probs):
+        probs[perm[i]] = p
+    return levels, probs
+
+
 def random_exponent(rng: random.Random, n: int, lo: float = 1.1, hi: float = 3.0):
     return Exponent(tuple(rng.uniform(lo, hi) for _ in range(n)))
 

@@ -309,7 +309,7 @@ class TestExitCodes:
         assert code == 1
         capsys.readouterr()
 
-    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, "a"])
     def test_non_finite_function_exit_one(self, capsys, tmp_path, quad_inputs, bad):
         sp, pe, _ = quad_inputs
         fn = write_json(tmp_path / "bad_f.json", {"values": [bad, 1.0]})
@@ -317,7 +317,7 @@ class TestExitCodes:
         assert code == 1
         assert "finite" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, "a"])
     @pytest.mark.parametrize("key", ["terminal", "levels"])
     def test_non_finite_martingale_exit_one(self, capsys, tmp_path, quad_inputs,
                                             bad, key):
@@ -329,3 +329,25 @@ class TestExitCodes:
                     "--martingale", mg])
         assert code == 1
         assert "finite" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("bad", [["a", 1.0], [math.nan, 1.0], [0.0, 1.0],
+                                     [[1.0], [2.0]], "ab"])
+    def test_bad_exponent_exit_one(self, capsys, tmp_path, quad_inputs, bad):
+        sp, _, fn = quad_inputs
+        pe = write_json(tmp_path / "bad_p.json", {"values": bad})
+        code = run(["norm", "--space", sp, "--exponent", pe, "--function", fn])
+        assert code == 1
+        assert "exponent values" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("space", [
+        {"leaf_probs": ["a", 0.5], "levels": [[[0, 1]], [[0], [1]]]},
+        {"leaf_probs": [0.5, 0.5], "levels": [[[0, "1"]], [[0], [1]]]},
+        {"leaf_probs": [0.5, 0.5], "levels": [[0, 1], [[0], [1]]]},
+        {"leaf_probs": [0.5, 0.5], "levels": [[[0, 1.9]], [[0], [1.2]]]},
+    ])
+    def test_malformed_space_exit_one(self, capsys, tmp_path, quad_inputs, space):
+        _, pe, fn = quad_inputs
+        sp = write_json(tmp_path / "bad_space.json", space)
+        code = run(["norm", "--space", sp, "--exponent", pe, "--function", fn])
+        assert code == 1
+        assert "error:" in capsys.readouterr().err

@@ -26,9 +26,10 @@ from vexmart import (
     violation_33_search,
     weak_type_check,
 )
+from vexmart import condition_k, luxemburg_norm, validate_filtration
 from vexmart.experiments import _ns_h, default_lambda_grid
 
-from conftest import random_exponent
+from conftest import random_exponent, random_tree_space, relabelled_levels
 
 
 def config(depth=3, **kw):
@@ -175,6 +176,43 @@ class TestLemma34:
             rep = lemma34_check(f, p, sp)
             assert rep.max_ratio <= 1.0 + 1e-9
             assert 0 < rep.details["rescale"] <= 1.0
+
+
+def _lemma34_oracle(f, p, space):
+    """Ratios and witness of lemma34_check by a loop over levels and
+    leaves, each block sum taken over the block's own leaves."""
+    fv = np.abs(np.asarray(f, dtype=float))
+    norm = luxemburg_norm(space, fv, p).norm
+    if norm > 0.5:
+        fv = fv * (0.5 / norm)
+    k = condition_k(space, p).k
+    e = p.vals / p.p_minus()
+    ratios, witness, best = [], None, -1.0
+    for n, level in enumerate(space.levels):
+        av = space.block_average(fv, n)
+        for x in range(space.n_leaves):
+            block = next(list(b) for b in level if x in b)
+            avg_x = float(np.sum(space.probs[block] * fv[block] ** e[x])) / float(
+                space.probs[block].sum()
+            )
+            ratio = av[x] ** e[x] / (k * (avg_x + 1.0))
+            ratios.append(ratio)
+            if ratio > best:
+                best, witness = ratio, {"level": n, "leaf": x, "ratio": ratio}
+    return ratios, witness
+
+
+def test_lemma34_matches_leaf_loop():
+    rng = random.Random(61)
+    for _ in range(25):
+        sp = validate_filtration(*relabelled_levels(random_tree_space(rng), rng))
+        p = random_exponent(rng, sp.n_leaves, 1.0, 3.0)
+        f = [rng.gauss(0, 3) for _ in range(sp.n_leaves)]
+        want, witness = _lemma34_oracle(f, p, sp)
+        rep = lemma34_check(f, p, sp)
+        assert np.allclose(rep.ratios, want, rtol=1e-12, atol=0)
+        assert (rep.witness["level"], rep.witness["leaf"]) == (
+            witness["level"], witness["leaf"])
 
 
 class TestJnEquivalence:

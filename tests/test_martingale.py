@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from vexmart import (
     Martingale,
+    validate_filtration,
     ResourceError,
     StoppingTime,
     ValidationError,
@@ -25,7 +26,7 @@ from vexmart import (
 )
 from vexmart.martingale import enumerate_stopping_matrix, stopped_terminal_diffs
 
-from conftest import random_tree_space
+from conftest import random_tree_space, relabelled_levels
 
 INF = math.inf
 
@@ -392,3 +393,68 @@ def test_cond_square_matches_level_loop():
                 df = f.arrays[m] - f.arrays[m - 1]
                 acc += sp.block_average(df * df, m - 1)
             assert np.array_equal(cond_square(f, m), np.sqrt(acc))
+
+
+def _enumeration_oracle(space):
+    """The recursive enumeration over leaf lists that the tree-order one
+    replaced: the same rows in the same order."""
+    def node(level, b):
+        block = space.levels[level][b]
+        if level == space.depth:
+            return np.array([[float(level)], [INF]])
+        kids = space.children[level][b]
+        combo = node(level + 1, kids[0])
+        for child in kids[1:]:
+            part = node(level + 1, child)
+            m, k = combo.shape[0], part.shape[0]
+            combo = np.hstack([np.repeat(combo, k, axis=0), np.tile(part, (m, 1))])
+        leaves = [leaf for child in kids for leaf in space.levels[level + 1][child]]
+        combo = combo[:, np.argsort(leaves)]
+        return np.vstack([np.full((1, len(block)), float(level)), combo])
+
+    combo, cols = None, []
+    for b, block in enumerate(space.levels[0]):
+        part = node(0, b)
+        cols.extend(block)
+        if combo is None:
+            combo = part
+        else:
+            m, k = combo.shape[0], part.shape[0]
+            combo = np.hstack([np.repeat(combo, k, axis=0), np.tile(part, (m, 1))])
+    out = np.empty_like(combo)
+    out[:, cols] = combo
+    return out
+
+
+def _sampling_oracle(space, count, seed):
+    """The leaf-by-leaf descent that the block-flag sampler replaced."""
+    rng = random.Random(f"vexmart-stopping:{seed}")
+    out = [[0.0] * space.n_leaves, [INF] * space.n_leaves][:count]
+    while len(out) < count:
+        vals = [0.0] * space.n_leaves
+
+        def descend(level, b):
+            if rng.random() < 0.5:
+                for leaf in space.levels[level][b]:
+                    vals[leaf] = float(level)
+            elif level == space.depth:
+                for leaf in space.levels[level][b]:
+                    vals[leaf] = INF
+            else:
+                for child in space.children[level][b]:
+                    descend(level + 1, child)
+
+        for b in range(len(space.levels[0])):
+            descend(0, b)
+        out.append(vals)
+    return out
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(min_value=0, max_value=10**6))
+def test_enumeration_and_sampling_match_leaf_oracles(seed):
+    rng = random.Random(seed)
+    sp = validate_filtration(*relabelled_levels(random_tree_space(rng, max_leaves=7), rng))
+    assert np.array_equal(enumerate_stopping_matrix(sp), _enumeration_oracle(sp))
+    got = [t.stop_level for t in sample_stopping_times(sp, 12, seed)]
+    assert got == [tuple(v) for v in _sampling_oracle(sp, 12, seed)]

@@ -1,8 +1,11 @@
 import math
 import random
+from dataclasses import fields
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from vexmart import (
     DomainError,
@@ -18,7 +21,7 @@ from vexmart import (
     validate_filtration,
 )
 
-from conftest import random_exponent, random_tree_space
+from conftest import random_exponent, random_tree_space, relabelled_levels
 
 
 class TestDyadicConstruction:
@@ -249,3 +252,212 @@ class TestExponentAlgebra:
         assert p.values == (3.0, 3.0)
         r = exponent_algebra("reciprocal", Exponent((2.0, 4.0)))
         assert r.values == (0.5, 0.25)
+
+
+def _loop_validate(levels, leaf_probs):
+    """The per-leaf loop validator the vectorized one replaced: the
+    accepted (levels, leaf_probs), or ValidationError."""
+    probs = tuple(float(p) for p in leaf_probs)
+    n = len(probs)
+    if n == 0:
+        raise ValidationError("empty leaf set")
+    for i, p in enumerate(probs):
+        if not (p > 0):
+            raise ValidationError(f"leaf_probs[{i}] = {p} is not positive")
+    if abs(sum(probs) - 1.0) > 1e-12:
+        raise ValidationError("sum")
+    if not levels:
+        raise ValidationError("filtration must have at least one level")
+    lv = tuple(
+        tuple(tuple(int(i) for i in block) for block in level) for level in levels
+    )
+    for k, level in enumerate(lv):
+        seen = set()
+        for b, block in enumerate(level):
+            if not block:
+                raise ValidationError(f"level {k} block {b} is empty")
+            for leaf in block:
+                if leaf < 0 or leaf >= n:
+                    raise ValidationError(
+                        f"level {k} block {b} references unknown leaf {leaf}"
+                    )
+                if leaf in seen:
+                    raise ValidationError(
+                        f"level {k}: leaf {leaf} appears in two blocks"
+                    )
+                seen.add(leaf)
+        if len(seen) != n:
+            missing = sorted(set(range(n)) - seen)
+            raise ValidationError(f"level {k} does not cover leaves {missing}")
+    for k in range(len(lv) - 1):
+        parent_of = {}
+        for b, block in enumerate(lv[k]):
+            for leaf in block:
+                parent_of[leaf] = b
+        for b, block in enumerate(lv[k + 1]):
+            parents = {parent_of[leaf] for leaf in block}
+            if len(parents) > 1:
+                raise ValidationError(
+                    f"level {k + 1} block {b} crosses blocks {sorted(parents)} "
+                    f"of level {k}: not a refinement"
+                )
+    if any(len(block) != 1 for block in lv[-1]):
+        raise ValidationError("terminal level must be the discrete partition")
+    return lv, probs
+
+
+def _corrupt(levels, kind, rng):
+    """One random corruption of nested-list levels, in place."""
+    k = rng.randrange(len(levels))
+    level = levels[k]
+    full = [block for block in level if block]
+    if not full:
+        return
+    if kind == "move":
+        block = rng.choice(full)
+        rng.choice(level).append(block.pop(rng.randrange(len(block))))
+    elif kind == "duplicate":
+        rng.choice(level).append(rng.choice(rng.choice(full)))
+    elif kind == "drop":
+        block = rng.choice(full)
+        block.pop(rng.randrange(len(block)))
+    elif kind == "cross" and k > 0 and len(full) > 1:
+        b, c = rng.sample(full, 2)
+        i, j = rng.randrange(len(b)), rng.randrange(len(c))
+        b[i], c[j] = c[j], b[i]
+    elif kind == "coarse-terminal" and len(levels) > 1:
+        levels.pop()
+    elif kind == "unsorted":
+        for block in level:
+            rng.shuffle(block)
+    elif kind == "unknown":
+        rng.choice(level).append(rng.choice([-1, sum(map(len, level))]))
+
+
+@settings(max_examples=300, deadline=None)
+@given(seed=st.integers(min_value=0, max_value=10**6),
+       kinds=st.lists(st.sampled_from(
+           ["none", "move", "duplicate", "drop", "cross", "coarse-terminal",
+            "unsorted", "unknown"]), min_size=1, max_size=3))
+def test_validator_matches_loop_oracle(seed, kinds):
+    rng = random.Random(seed)
+    sp = random_tree_space(rng)
+    levels, probs = relabelled_levels(sp, rng)
+    for kind in kinds:
+        _corrupt(levels, kind, rng)
+    try:
+        want = _loop_validate(levels, probs)
+    except ValidationError:
+        with pytest.raises(ValidationError):
+            validate_filtration(levels, probs)
+        return
+    got = validate_filtration(levels, probs)
+    want_levels, want_probs = want
+    assert got.levels == tuple(
+        tuple(tuple(sorted(b)) for b in level) for level in want_levels
+    )
+    assert got.leaf_probs == want_probs
+
+
+@pytest.mark.parametrize("levels, probs, match", [
+    ([[[0, 1]], [[0], [1]]], ["a", 0.5], "numbers"),
+    ([[[0, 1]], [[0], [1]]], [[0.5], [0.5]], "flat"),
+    ([[[0, "1"]], [[0], [1]]], [0.5, 0.5], "integers"),
+    ([[[0, None]], [[0], [1]]], [0.5, 0.5], "integers"),
+    (5, [0.5, 0.5], "list of levels"),
+    ([[0, 1], [[0], [1]]], [0.5, 0.5], "not a list of blocks"),
+    ([[[0, [1]]], [[0], [1]]], [0.5, 0.5], "not a list of blocks"),
+    # leaf indices were once truncated: this read as leaves 0 and 1
+    ([[[0, 1.9]], [[0], [1.2]]], [0.5, 0.5], "integers"),
+    ([[[0, 1]], [[0.0], [1.0]]], [0.5, 0.5], "integers"),
+    ([[[0, 1]], [[0], [math.nan]]], [0.5, 0.5], "integers"),
+])
+def test_rejects_malformed_filtration(levels, probs, match):
+    with pytest.raises(ValidationError, match=match):
+        validate_filtration(levels, probs)
+
+
+@pytest.mark.parametrize("depth", range(0, 7))
+def test_builders_match_validated_levels(depth):
+    for arity in (2, 3):
+        if arity**depth > 800:
+            continue
+        want = tuple(
+            tuple(
+                tuple(range(j * arity ** (depth - n), (j + 1) * arity ** (depth - n)))
+                for j in range(arity**n)
+            )
+            for n in range(depth + 1)
+        )
+        n_leaves = arity**depth
+        sp = build_mary_space(arity, depth)
+        checked = validate_filtration(want, [1.0 / n_leaves] * n_leaves)
+        assert sp == checked
+        assert sp.levels == want
+        assert sp.leaf_probs == (1.0 / n_leaves,) * n_leaves
+        if arity == 2:
+            assert build_dyadic_space(depth) == checked
+
+
+def test_mary_byte_cap():
+    # 3^20 leaves over 21 levels would need about 28 GB
+    with pytest.raises(ResourceError):
+        build_mary_space(3, 20)
+    with pytest.raises(ResourceError):
+        build_mary_space(10**9, 10**9)
+
+
+class TestArrayFields:
+    def test_space_stores_two_arrays(self):
+        sp = build_dyadic_space(2)
+        assert [f.name for f in fields(sp)] == ["probs", "block_of"]
+        assert sp.block_of.dtype == np.intp and sp.probs.dtype == float
+        assert not sp.block_of.flags.writeable and not sp.probs.flags.writeable
+        assert sp.block_of.tolist() == [[0, 0, 0, 0], [0, 0, 1, 1], [0, 1, 2, 3]]
+        assert sp.n_blocks == (1, 2, 4)
+        assert sp.children == (((0, 1),), ((0, 1), (2, 3)))
+
+    def test_space_value_semantics(self):
+        a, b = build_dyadic_space(2), build_mary_space(2, 2)
+        assert a == b and a is not b
+        assert a != build_dyadic_space(3)
+        with pytest.raises(TypeError):
+            hash(a)
+
+    def test_exponent_stores_one_array(self):
+        p = Exponent((1.0, 2.5))
+        assert [f.name for f in fields(p)] == ["vals", "allow_infinite"]
+        assert not p.vals.flags.writeable
+        assert p.values == (1.0, 2.5)
+        assert p == Exponent(np.array([1.0, 2.5]))
+        assert p != Exponent((1.0, 2.5), allow_infinite=True)
+        with pytest.raises(TypeError):
+            hash(p)
+
+    @pytest.mark.parametrize("bad", [["a", 1.0], [[1.0], [2.0]], "ab", None])
+    def test_exponent_rejects_non_numbers(self, bad):
+        with pytest.raises(ValidationError):
+            Exponent(bad)
+
+    def test_extrema_accept_index_arrays(self):
+        p = Exponent((1.0, 3.0, 2.0))
+        assert p.p_minus(np.array([1, 2])) == 2.0
+        assert p.p_plus((0, 2)) == 2.0
+
+
+def test_block_condition_k_matches_block_loop():
+    rng = random.Random(59)
+    for _ in range(40):
+        sp = random_tree_space(rng, max_leaves=10)
+        p = random_exponent(rng, sp.n_leaves, 0.8, 3.0)
+        best, witness = 1.0, (int(np.argmin(sp.probs)),)
+        for level in sp.levels:
+            for block in level:
+                idx = list(block)
+                spread = float(p.vals[idx].max() - p.vals[idx].min())
+                val = float(sp.probs[idx].sum()) ** (-spread)
+                if val > best:
+                    best, witness = val, block
+        res = condition_k(sp, p, subsets="blocks")
+        assert res.k == pytest.approx(best, rel=1e-14)
+        assert res.witness == witness
