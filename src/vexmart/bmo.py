@@ -25,7 +25,7 @@ from .martingale import (
     enumerate_stopping_matrix,
     martingale_from_terminal,
     require_f0_zero,
-    sample_stopping_times,
+    sample_stopping_matrix,
     stopped_terminal_diffs,
 )
 from .space import Exponent, FilteredSpace, as_leaf_values
@@ -61,13 +61,28 @@ def candidate_matrix(
             f"{count} stopping times exceed cap {cap}; exhaustive mode refused"
         )
     else:
-        sampled = sample_stopping_times(space, samples, seed)
-        rows = [t.vals for t in sampled]
-        rows.extend(
-            np.full(space.n_leaves, float(n)) for n in range(space.depth + 1)
-        )
-        taus, achieved = np.unique(np.vstack(rows), axis=0), "sampled"
+        levels = np.arange(space.depth + 1, dtype=float)[:, None]
+        rows = np.vstack([
+            sample_stopping_matrix(space, samples, seed),
+            np.broadcast_to(levels, (space.depth + 1, space.n_leaves)),
+        ])
+        taus, achieved = rows[_distinct_rows(rows)[0]], "sampled"
     return taus[np.isfinite(taus).any(axis=1)], achieved
+
+
+def _distinct_rows(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """One index per distinct row of a 2-d array, rows ascending in
+    lexicographic order (first column most significant), and for every row
+    the position of its distinct row in that list.  The rows and order of
+    ``np.unique(a, axis=0)``, from one lexsort and one compare of
+    neighbouring sorted rows."""
+    order = np.lexsort(a.T[::-1])
+    ranked = a[order]
+    new = np.ones(order.size, dtype=bool)
+    new[1:] = (ranked[1:] != ranked[:-1]).any(axis=1)
+    which = np.empty(order.size, dtype=np.intp)
+    which[order] = np.cumsum(new) - 1
+    return order[new], which
 
 
 def indicator_norms(
@@ -75,11 +90,9 @@ def indicator_norms(
 ) -> np.ndarray:
     """Luxemburg norms of the rows of a boolean matrix read as indicators,
     with one solve per distinct row.  Rows are told apart by their packed
-    bits as one opaque key each, which sorts far faster than
-    ``np.unique(masks, axis=0)`` compares them column by column."""
-    packed = np.packbits(masks, axis=1)
-    keys = packed.view(f"V{packed.shape[1]}").ravel()
-    _, first, which = np.unique(keys, return_index=True, return_inverse=True)
+    bits, a few byte columns, whose lexicographic order is the byte order
+    of the packed rows."""
+    first, which = _distinct_rows(np.packbits(masks, axis=1))
     return norm_batch(probs, pvals, masks[first].astype(float), mixed=mixed)[which]
 
 

@@ -19,6 +19,7 @@ import numpy as np
 from .errors import DomainError, NumericalError, ResourceError, ValidationError
 from .bmo import bmo_norm, candidate_matrix, indicator_norms
 from .martingale import (
+    ENUMERATION_CAP,
     Martingale,
     martingale_from_terminal,
     maximal,
@@ -427,18 +428,25 @@ def exp_jn_curve(
                 )
     c2 = math.log(2.0) / (2.0 * c_hat)
 
+    # the envelope rows of a slice of the grid are solved in one call,
+    # with the slice sized so that at most ENUMERATION_CAP rows are stacked
     envelope = []
-    for t in grid:
-        lhs = indicator_norms(probs, p.vals, finite & (diffs >= t))
-        bound = 4.0 * math.exp(-c2 * t / b1) * dens
-        bad = lhs > bound + ASSERT_SLACK * max(1.0, float(dens.max()))
-        if np.any(bad):
-            j = int(np.argmax(lhs - bound))
-            raise NumericalError(
-                f"decay bound violated at t={t}: level norm {lhs[j]} > "
-                f"bound {bound[j]}"
-            )
-        envelope.append(float(np.max(lhs / dens)))
+    n_taus, n_leaves = diffs.shape
+    per_call = max(1, ENUMERATION_CAP // n_taus)
+    for start in range(0, len(grid), per_call):
+        ts = np.array(grid[start : start + per_call])
+        masks = finite & (diffs >= ts[:, None, None])
+        norms = indicator_norms(probs, p.vals, masks.reshape(-1, n_leaves))
+        for t, lhs in zip(ts.tolist(), norms.reshape(ts.size, n_taus)):
+            bound = 4.0 * math.exp(-c2 * t / b1) * dens
+            bad = lhs > bound + ASSERT_SLACK * max(1.0, float(dens.max()))
+            if np.any(bad):
+                j = int(np.argmax(lhs - bound))
+                raise NumericalError(
+                    f"decay bound violated at t={t}: level norm {lhs[j]} > "
+                    f"bound {bound[j]}"
+                )
+            envelope.append(float(np.max(lhs / dens)))
 
     for a, b in zip(envelope, envelope[1:]):
         if b > a + 1e-12:

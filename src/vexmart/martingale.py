@@ -288,39 +288,71 @@ def enumerate_stopping_times(
     return tuple(StoppingTime(row) for row in matrix)
 
 
+def _preorder(space: FilteredSpace) -> tuple[list[int], list[int]]:
+    """The blocks of all levels in preorder of the filtration tree (roots
+    in block order, children ascending), numbered level-major as in
+    ``space._stacked_blocks``, and for each preorder position the position
+    just past that block's subtree."""
+    offsets = np.cumsum((0,) + space.n_blocks[:-1]).tolist()
+    depth, children = space.depth, space.children
+    order: list[int] = []
+    skip: list[int] = []
+
+    def visit(level: int, block_pos: int) -> None:
+        at = len(order)
+        order.append(offsets[level] + block_pos)
+        skip.append(0)
+        if level < depth:
+            for child in children[level][block_pos]:
+                visit(level + 1, child)
+        skip[at] = len(order)
+
+    for b in range(space.n_blocks[0]):
+        visit(0, b)
+    return order, skip
+
+
+def sample_stopping_matrix(
+    space: FilteredSpace, count: int, seed: int = 0
+) -> np.ndarray:
+    """Seeded random stopping times as a (count, n_leaves) matrix of stop
+    levels; rows 0 and 1 are tau = 0 and tau = infinity.  Every other row
+    walks the tree from the roots and, at each block reached, stops there
+    with probability 1/2 or else continues into its children."""
+    if count < 1:
+        raise ValidationError("count must be >= 1")
+    rng = random.Random(f"vexmart-stopping:{seed}")
+    order, skip = _preorder(space)
+    total, draw = len(order), rng.random
+    # stopped blocks are flagged in one (all blocks, count) array, a column
+    # per sample, so that the gathers below take whole rows
+    stops = np.zeros((total, count), dtype=bool)
+    stops[: space.n_blocks[0], 0] = True
+    hits: list[int] = []
+    for s in range(2, count):
+        i = 0
+        while i < total:
+            if draw() < 0.5:
+                hits.append(order[i] * count + s)
+                i = skip[i]
+            else:
+                i += 1
+    stops.flat[hits] = True
+    # the stopped blocks of a sample form an antichain: a leaf lies in at
+    # most one, so the levels can be written in any order
+    out = np.full((space.n_leaves, count), INF)
+    for n, ids in enumerate(space._stacked_blocks[0]):
+        out[stops[ids]] = n
+    return out.T
+
+
 def sample_stopping_times(
     space: FilteredSpace, count: int, seed: int = 0
 ) -> tuple[StoppingTime, ...]:
     """Seeded random stopping times; always includes tau = 0 and
     tau = infinity first."""
-    if count < 1:
-        raise ValidationError("count must be >= 1")
-    rng = random.Random(f"vexmart-stopping:{seed}")
-    out = [
-        StoppingTime(np.zeros(space.n_leaves)),
-        StoppingTime(np.full(space.n_leaves, INF)),
-    ][:count]
-    # a stopped block is marked in one flag array over the blocks of all
-    # levels, numbered level-major as in space._stacked_blocks
-    ids, _ = space._stacked_blocks
-    offsets = np.cumsum((0,) + space.n_blocks[:-1])
-    level_of_row = np.arange(space.depth + 1, dtype=float)[:, None]
-    while len(out) < count:
-        stops = np.zeros(sum(space.n_blocks), dtype=bool)
-
-        def descend(level: int, block_pos: int) -> None:
-            if rng.random() < 0.5:
-                stops[offsets[level] + block_pos] = True
-            elif level < space.depth:
-                for child in space.children[level][block_pos]:
-                    descend(level + 1, child)
-
-        for b in range(space.n_blocks[0]):
-            descend(0, b)
-        # the stopped blocks form an antichain: a leaf lies in at most one
-        hit = stops[ids]
-        out.append(StoppingTime(np.where(hit, level_of_row, INF).min(axis=0)))
-    return tuple(out)
+    matrix = sample_stopping_matrix(space, count, seed)
+    return tuple(StoppingTime(row) for row in matrix)
 
 
 def stopped_terminal_diffs(

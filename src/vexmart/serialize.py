@@ -32,7 +32,15 @@ def space_to_json(space: FilteredSpace) -> dict:
     }
 
 
+def _require_object(obj: Any, what: str) -> None:
+    if not isinstance(obj, Mapping):
+        raise ValidationError(
+            f"{what} JSON must be an object, got {type(obj).__name__}"
+        )
+
+
 def space_from_json(obj: Mapping[str, Any]) -> FilteredSpace:
+    _require_object(obj, "space")
     try:
         return validate_filtration(obj["levels"], obj["leaf_probs"])
     except KeyError as exc:
@@ -44,6 +52,7 @@ def exponent_to_json(p: Exponent) -> dict:
 
 
 def exponent_from_json(obj: Mapping[str, Any]) -> Exponent:
+    _require_object(obj, "exponent")
     try:
         return Exponent(obj["values"])
     except KeyError as exc:
@@ -55,6 +64,7 @@ def function_to_json(values: Sequence[float]) -> dict:
 
 
 def function_from_json(obj: Mapping[str, Any]) -> list[float]:
+    _require_object(obj, "function")
     try:
         return [float(v) for v in obj["values"]]
     except KeyError as exc:
@@ -70,6 +80,7 @@ def martingale_to_json(f: Martingale, full: bool = False) -> dict:
 
 
 def martingale_from_json(space: FilteredSpace, obj: Mapping[str, Any]) -> Martingale:
+    _require_object(obj, "martingale")
     if "levels" in obj:
         return make_martingale(space, obj["levels"])
     if "terminal" in obj:
@@ -85,14 +96,25 @@ def stopping_time_to_json(tau: StoppingTime) -> dict:
     }
 
 
-def stopping_time_from_json(obj: Mapping[str, Any]) -> StoppingTime:
+def _stopping_time(space: FilteredSpace, raw: Any, what: str) -> StoppingTime:
+    """A JSON list of stop levels, "inf" read as never, through
+    :func:`validate_stopping_time`."""
+    if not isinstance(raw, list):
+        raise ValidationError(f"{what} must be a list, got {raw!r}")
+    return validate_stopping_time(space, [INF if v == "inf" else v for v in raw])
+
+
+def stopping_time_from_json(
+    space: FilteredSpace, obj: Mapping[str, Any]
+) -> StoppingTime:
+    """A stopping time validated against the space: finite entries are
+    levels in 0..N, "inf" means never, and {tau = n} is F_n-measurable."""
+    _require_object(obj, "stopping time")
     try:
         raw = obj["stop_level"]
     except KeyError as exc:
         raise ValidationError(f"stopping time JSON missing key {exc}") from exc
-    return StoppingTime(
-        tuple(INF if t == "inf" else float(t) for t in raw)
-    )
+    return _stopping_time(space, raw, "stop_level")
 
 
 def decomposition_to_json(dec: AtomicDecomposition) -> list:
@@ -120,12 +142,10 @@ def _term_from_json(space: FilteredSpace, t: Mapping[str, Any]) -> AtomTerm:
         math.isfinite(mu) and mu >= 0
     ):
         raise ValidationError(f"term mu must be finite and >= 0, got {mu!r}")
-    if not isinstance(tau, list):
-        raise ValidationError(f"term tau must be a list, got {tau!r}")
     return AtomTerm(
         k,
         float(mu),
-        validate_stopping_time(space, [INF if v == "inf" else v for v in tau]),
+        _stopping_time(space, tau, "term tau"),
         as_leaf_values(space, atom),
     )
 

@@ -3,6 +3,8 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from vexmart import (
     DomainError,
@@ -13,11 +15,13 @@ from vexmart import (
     constant_exponent,
     duality_pairing_ratio,
     lipschitz_norm,
+    luxemburg_norm,
     martingale_from_terminal,
     validate_filtration,
 )
+from vexmart.bmo import candidate_matrix, indicator_norms
 
-from conftest import random_exponent, random_tree_space
+from conftest import random_exponent, random_tree_space, relabelled_levels
 
 
 def centered(rng, space, scale=1.0):
@@ -218,3 +222,65 @@ class TestDualityPairing:
             except DomainError:
                 continue
         assert vals and max(vals) < math.inf
+
+
+def _sampled_candidates_oracle(space, samples, seed):
+    """Sampled candidates as first built: one recursive descent per sampled
+    stopping time, then the constant rows tau = n, deduplicated by
+    ``np.unique(axis=0)``, never-finite rows dropped."""
+    rng = random.Random(f"vexmart-stopping:{seed}")
+    n = space.n_leaves
+    rows = [[0.0] * n, [math.inf] * n][:samples]
+    while len(rows) < samples:
+        vals = [math.inf] * n
+
+        def descend(level, b):
+            if rng.random() < 0.5:
+                for leaf in space.levels[level][b]:
+                    vals[leaf] = float(level)
+            elif level < space.depth:
+                for child in space.children[level][b]:
+                    descend(level + 1, child)
+
+        for b in range(space.n_blocks[0]):
+            descend(0, b)
+        rows.append(vals)
+    rows.extend([float(level)] * n for level in range(space.depth + 1))
+    taus = np.unique(np.array(rows), axis=0)
+    return taus[np.isfinite(taus).any(axis=1)]
+
+
+@settings(max_examples=80, deadline=None)
+@given(seed=st.integers(min_value=0, max_value=10**6),
+       samples=st.sampled_from([1, 2, 3, 16, 64]))
+def test_sampled_candidates_match_recursive_oracle(seed, samples):
+    rng = random.Random(seed)
+    sp = validate_filtration(*relabelled_levels(random_tree_space(rng), rng))
+    taus, mode = candidate_matrix(sp, "sampled", seed=seed, samples=samples)
+    assert mode == "sampled"
+    assert np.array_equal(taus, _sampled_candidates_oracle(sp, samples, seed))
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(min_value=0, max_value=10**6), mixed=st.booleans())
+def test_indicator_norms_match_per_row_loop(seed, mixed):
+    rng = random.Random(seed)
+    sp = random_tree_space(rng, max_leaves=20)
+    n = sp.n_leaves
+    vals = [rng.uniform(0.5, 4.0) for _ in range(n)]
+    if mixed:
+        vals = [math.inf if rng.random() < 0.3 else v for v in vals]
+    elif rng.random() < 0.3:
+        vals = [vals[0]] * n  # the constant-exponent closed form
+    p = Exponent(vals, allow_infinite=mixed)
+    m = rng.randint(1, 40)
+    masks = np.array([[rng.random() < 0.5 for _ in range(n)] for _ in range(m)])
+    for _ in range(m // 3):  # duplicates and all-zero rows
+        masks[rng.randrange(m)] = masks[rng.randrange(m)]
+        masks[rng.randrange(m)] = False
+    got = indicator_norms(sp.probs, p.vals, masks, mixed=mixed)
+    want = np.array([
+        luxemburg_norm(sp, row.astype(float), p, mixed=mixed).norm for row in masks
+    ])
+    assert got.shape == want.shape
+    assert np.all(np.abs(got - want) <= 1e-12 * want)

@@ -22,6 +22,13 @@ from conftest import random_tree_space
 import random
 
 
+# four leaves; level 0 is {0}, {1}, {2, 3}
+STOPPING_SPACE = {
+    "leaf_probs": [0.25] * 4,
+    "levels": [[[0], [1], [2, 3]], [[0], [1], [2], [3]]],
+}
+
+
 def write_json(path, obj):
     path.write_text(json.dumps(obj))
     return str(path)
@@ -114,10 +121,26 @@ class TestSerializeRoundTrips:
             assert serialize.martingale_from_json(sp, obj).levels == f.levels
 
     def test_stopping_time(self):
+        sp = serialize.space_from_json(STOPPING_SPACE)
         tau = StoppingTime((0.0, 1.0, math.inf, math.inf))
         obj = serialize.stopping_time_to_json(tau)
         assert obj["stop_level"] == [0, 1, "inf", "inf"]
-        assert serialize.stopping_time_from_json(obj).stop_level == tau.stop_level
+        assert serialize.stopping_time_from_json(sp, obj).stop_level == tau.stop_level
+
+    @pytest.mark.parametrize("obj, match", [
+        ({"stop_level": [0, "x", "inf", "inf"]}, "numbers"),
+        ({"stop_level": [0.5, 1, "inf", "inf"]}, "stop level 0.5"),
+        ({"stop_level": [0, 7, "inf", "inf"]}, "stop level 7.0"),
+        ({"stop_level": [0, 1, 0, "inf"]}, "not measurable"),
+        ({"stop_level": [0, 1, "inf"]}, "expected 4 stop levels"),
+        ({"stop_level": "inf"}, "list"),
+        ({"levels": [0, 0, 0, 0]}, "missing key"),
+        ([0, 1, "inf", "inf"], "object"),
+    ])
+    def test_stopping_time_rejects(self, obj, match):
+        sp = serialize.space_from_json(STOPPING_SPACE)
+        with pytest.raises(ValidationError, match=match):
+            serialize.stopping_time_from_json(sp, obj)
 
     def test_decomposition(self):
         sp = build_dyadic_space(3)
@@ -344,6 +367,9 @@ class TestExitCodes:
         {"leaf_probs": [0.5, 0.5], "levels": [[[0, "1"]], [[0], [1]]]},
         {"leaf_probs": [0.5, 0.5], "levels": [[0, 1], [[0], [1]]]},
         {"leaf_probs": [0.5, 0.5], "levels": [[[0, 1.9]], [[0], [1.2]]]},
+        [1, 2],
+        "space",
+        None,
     ])
     def test_malformed_space_exit_one(self, capsys, tmp_path, quad_inputs, space):
         _, pe, fn = quad_inputs
@@ -351,3 +377,24 @@ class TestExitCodes:
         code = run(["norm", "--space", sp, "--exponent", pe, "--function", fn])
         assert code == 1
         assert "error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("value", [[1.0, 2.0], "x", 3, None])
+    @pytest.mark.parametrize("which", ["space", "exponent", "function"])
+    def test_non_object_json_exit_one(self, capsys, tmp_path, quad_inputs,
+                                      which, value):
+        files = dict(zip(("space", "exponent", "function"), quad_inputs))
+        files[which] = write_json(tmp_path / "bad.json", value)
+        code = run(["norm", "--space", files["space"], "--exponent",
+                    files["exponent"], "--function", files["function"]])
+        assert code == 1
+        assert f"{which} JSON must be an object" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("value", [[1.0, 2.0], 3])
+    def test_non_object_martingale_exit_one(self, capsys, tmp_path, quad_inputs,
+                                            value):
+        sp, pe, _ = quad_inputs
+        mg = write_json(tmp_path / "bad_m.json", value)
+        code = run(["decompose", "--space", sp, "--exponent", pe,
+                    "--martingale", mg])
+        assert code == 1
+        assert "martingale JSON must be an object" in capsys.readouterr().err

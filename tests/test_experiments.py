@@ -27,7 +27,9 @@ from vexmart import (
     weak_type_check,
 )
 from vexmart import condition_k, luxemburg_norm, validate_filtration
+from vexmart import experiments
 from vexmart.experiments import _ns_h, default_lambda_grid
+from vexmart.martingale import enumerate_stopping_matrix, stopped_terminal_diffs
 
 from conftest import random_exponent, random_tree_space, relabelled_levels
 
@@ -252,6 +254,52 @@ class TestExpJnCurve:
         assert rep.details["fit"]["C2"] > 0
         assert rep.details["proof_constants"]["C1"] == 4.0
         assert rep.details["proof_constants"]["C2"] > 0
+
+
+def _envelope_oracle(f, p, grid):
+    """max over stopping times of ||chi_{tau<inf, f - f_{tau-1} >= t}|| /
+    ||chi_{tau<inf}|| for each t in turn, with one scalar norm per distinct
+    indicator row (a dict keyed by the row's bytes)."""
+    sp = f.space
+    taus = enumerate_stopping_matrix(sp)
+    taus = taus[np.isfinite(taus).any(axis=1)]
+    finite = np.isfinite(taus)
+    diffs = stopped_terminal_diffs(f, taus, shift="minus-one")
+    cache = {}
+
+    def norm(row):
+        key = row.tobytes()
+        if key not in cache:
+            cache[key] = luxemburg_norm(sp, row.astype(float), p).norm
+        return cache[key]
+
+    dens = np.array([norm(row) for row in finite])
+    return [
+        max(norm(row) / d for row, d in zip(finite & (diffs >= t), dens))
+        for t in grid
+    ]
+
+
+@pytest.mark.parametrize("stack", [None, 1, 3])
+@pytest.mark.parametrize("depth, seed", [(2, 0), (2, 1), (3, 2), (3, 3)])
+def test_exp_jn_envelope_matches_per_t_loop(monkeypatch, depth, seed, stack):
+    """The envelope rows of several grid points are solved in one call;
+    ``stack`` grid points per call (by shrinking the row cap) exercises the
+    slicing of the grid, None keeps the default of one call."""
+    sp = build_dyadic_space(depth)
+    rng = random.Random(f"exp-jn-oracle:{depth}:{seed}")
+    v = np.array([rng.gauss(0.0, 1.0) for _ in range(sp.n_leaves)])
+    f = martingale_from_terminal(sp, v - v.mean())
+    p = random_exponent(rng, sp.n_leaves, 1.0, 3.0)
+    if stack is not None:
+        n_taus = enumerate_stopping_matrix(sp).shape[0] - 1
+        monkeypatch.setattr(experiments, "ENUMERATION_CAP", stack * n_taus)
+    curve = exp_jn_curve(f, p).details["curve"]
+    grid = [t for t, _ in curve]
+    assert len(grid) > 3
+    want = np.array(_envelope_oracle(f, p, grid))
+    got = np.array([y for _, y in curve])
+    assert np.all(np.abs(got - want) <= 1e-12 * want)
 
 
 class TestNakaiSadasue:
