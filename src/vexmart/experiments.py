@@ -17,27 +17,29 @@ from typing import Sequence
 import numpy as np
 
 from .errors import DomainError, NumericalError, ResourceError, ValidationError
-from .bmo import bmo_norm, candidate_matrix, indicator_norms
+from .bmo import candidate_matrix, indicator_norms
 from .martingale import (
     ENUMERATION_CAP,
     Martingale,
     martingale_from_terminal,
     maximal,
+    require_f0_zero,
     stopped_terminal_diffs,
 )
 from .space import (
+    MAX_SPACE_BYTES,
     Exponent,
     FilteredSpace,
     as_leaf_values,
     build_dyadic_space,
     build_mary_space,
     condition_k,
-    constant_exponent,
     validate_filtration,
 )
 from .varlp import luxemburg_norm, modular, norm_batch
 
 ASSERT_SLACK = 1e-9
+_T_GRID_POINTS = 64
 EXPONENT_LAWS = ("constant", "two-block", "iid-uniform", "block-structured")
 MARTINGALE_LAWS = ("normal", "uniform", "two-point")
 
@@ -278,6 +280,13 @@ def lemma34_check(
     (avg_B |f|)^{p(x)/p_-} <= K * (avg_B |f|^{p(x)/p_-} + 1) for every
     filtration block B and leaf x in B, after rescaling to ||f|| <= 1/2."""
     fv = np.abs(as_leaf_values(space, f))
+    # the (leaf, leaf) weight matrix below is the largest allocation
+    n_bytes = 8 * space.n_leaves**2
+    if n_bytes > MAX_SPACE_BYTES:
+        raise ResourceError(
+            f"lemma34 check on {space.n_leaves} leaves needs {n_bytes} bytes, "
+            f"over {MAX_SPACE_BYTES}"
+        )
     norm = luxemburg_norm(space, fv, p).norm
     scale = 1.0
     if norm > 0.5:
@@ -313,19 +322,26 @@ def lemma34_check(
 
 def jn_equivalence(config: TrialConfig, p: Exponent) -> ConstantReport:
     """Two-sided envelope of bmo_norm(f, p) / bmo_norm(f, 1) over random
-    martingales, both norms taken exhaustively."""
+    martingales, both norms taken exhaustively.  The stopping times and both
+    denominators depend only on (space, p), so they are built once, and the
+    two numerators of a trial share one stopped-difference gather."""
     if p.p_minus() < 1.0:
         raise DomainError("BMO norm equivalence requires p_- >= 1")
     space = config.space
-    one = constant_exponent(space, 1.0)
+    probs, ones = space.probs, np.ones(space.n_leaves)
+    taus, _ = candidate_matrix(space, "exhaustive")
+    finite = np.isfinite(taus)
+    dens1 = indicator_norms(probs, ones, finite)
+    densp = indicator_norms(probs, p.vals, finite)
     ratios = []
     witness = None
     best = -1.0
     skips = 0
     for i in range(config.trials):
         f = generate_martingale(config, i)
-        b1 = bmo_norm(f, one, mode="exhaustive").value
-        bp = bmo_norm(f, p, mode="exhaustive").value
+        diffs = stopped_terminal_diffs(f, taus, shift="minus-one")
+        b1 = float(np.max(norm_batch(probs, ones, diffs) / dens1))
+        bp = float(np.max(norm_batch(probs, p.vals, diffs) / densp))
         if b1 == 0.0 or bp == 0.0:
             skips += 1
             continue
@@ -348,7 +364,7 @@ def jn_equivalence(config: TrialConfig, p: Exponent) -> ConstantReport:
     return _report("BMO norm equivalence ratio", ratios, witness, details)
 
 
-def _t_grid_from_diffs(diffs: np.ndarray, max_points: int = 64) -> tuple[float, ...]:
+def _t_grid_from_diffs(diffs: np.ndarray) -> tuple[float, ...]:
     vals = np.unique(diffs[diffs > 0])
     if vals.size == 0:
         return (0.0,)
@@ -358,18 +374,13 @@ def _t_grid_from_diffs(diffs: np.ndarray, max_points: int = 64) -> tuple[float, 
         if i + 1 < vals.size:
             grid.append(0.5 * float(v + vals[i + 1]))
     grid.append(1.25 * float(vals[-1]))
-    if len(grid) > max_points:
-        idx = np.linspace(0, len(grid) - 1, max_points).astype(int)
+    if len(grid) > _T_GRID_POINTS:
+        idx = np.linspace(0, len(grid) - 1, _T_GRID_POINTS).astype(int)
         grid = [grid[j] for j in np.unique(idx)]
     return tuple(grid)
 
 
-def exp_jn_curve(
-    f: Martingale,
-    p: Exponent,
-    t_grid: Sequence[float] | None = None,
-    cap: int | None = None,
-) -> ConstantReport:
+def exp_jn_curve(f: Martingale, p: Exponent) -> ConstantReport:
     """Exponential decay of ||chi_{tau<inf, f - f_{tau-1} >= t}||_{p(.)} /
     ||chi_{tau<inf}||_{p(.)} in t, over the exhaustively enumerated stopping
     times.
@@ -379,32 +390,32 @@ def exp_jn_curve(
     C2 = ln2 / (2*C_hat) pointwise, where C_hat is the measured constant of
     the moment chain sup_r ||f||_{BMO_{r p(.)}} / ||f||_{BMO_1} over the r
     values the construction actually uses (a fixed point, since r depends on
-    C_hat through r = t / (2 * C_hat * ||f||_{BMO_1}))."""
+    C_hat through r = t / (2 * C_hat * ||f||_{BMO_1})).
+
+    One scan serves everything: ||f||_{BMO_1} is taken from the same
+    stopping times and stopped differences as the curve.  Off {tau < inf}
+    the differences are exactly 0."""
     space = f.space
-    one = constant_exponent(space, 1.0)
-    b1 = bmo_norm(f, one, mode="exhaustive").value
-    if b1 == 0.0:
-        raise DomainError("exponential decay curve requires a nonzero BMO_1 norm")
-    kwargs = {} if cap is None else {"cap": cap}
-    taus, _ = candidate_matrix(space, "exhaustive", **kwargs)
+    require_f0_zero(f, "exp_jn_curve requires f_0 = 0")
+    taus, _ = candidate_matrix(space, "exhaustive")
     finite = np.isfinite(taus)
     diffs = stopped_terminal_diffs(f, taus, shift="minus-one")
-    probs = space.probs
+    probs, ones = space.probs, np.ones(space.n_leaves)
+    b1 = float(np.max(
+        norm_batch(probs, ones, diffs) / indicator_norms(probs, ones, finite)
+    ))
+    if b1 == 0.0:
+        raise DomainError("exponential decay curve requires a nonzero BMO_1 norm")
     # the norm of an indicator in L^{r p(.)} is its L^{p(.)} norm to the
     # power 1/r, so these serve every moment r below
     dens = indicator_norms(probs, p.vals, finite)
-
-    grid = (
-        _t_grid_from_diffs(np.where(finite, diffs, -np.inf))
-        if t_grid is None
-        else tuple(float(t) for t in t_grid)
-    )
+    grid = _t_grid_from_diffs(diffs)
 
     cache: dict[float, float] = {}
 
     def moment_ratio(r: float) -> float:
         if r not in cache:
-            nums = norm_batch(probs, p.vals * r, np.where(finite, diffs, 0.0))
+            nums = norm_batch(probs, p.vals * r, diffs)
             cache[r] = float(np.max(nums / dens ** (1.0 / r))) / b1
         return cache[r]
 

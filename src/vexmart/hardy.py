@@ -179,10 +179,10 @@ def a_quantity(dec: AtomicDecomposition, p: Exponent) -> float:
     return luxemburg_norm(sp, acc ** (1.0 / p_under), p).norm
 
 
-def reconstruct(dec: AtomicDecomposition, space: FilteredSpace | None = None) -> Martingale:
+def reconstruct(dec: AtomicDecomposition) -> Martingale:
     """Sum of the weighted atom martingales; telescopes back to the
     decomposed martingale up to floating point."""
-    sp = space if space is not None else dec.space
+    sp = dec.space
     total = np.zeros((sp.depth + 1, sp.n_leaves))
     for term in dec.terms:
         atom = martingale_from_terminal(sp, term.atom_terminal)

@@ -48,7 +48,6 @@ class Martingale(ArrayValue):
 def make_martingale(
     space: FilteredSpace,
     levels: Sequence[Sequence[float]],
-    check: bool = True,
 ) -> Martingale:
     """Validated constructor: per-level measurability and the tower
     property E(f_{n+1} | F_n) = f_n within an absolute tolerance."""
@@ -63,20 +62,19 @@ def make_martingale(
         )
     if not np.isfinite(arr).all():
         raise ValidationError("martingale values must be finite")
-    if check:
-        tol = TOWER_TOL * max(1.0, float(np.abs(arr).max()))
-        proj = np.abs(space.level_averages(arr) - arr).max(axis=1)
-        bad = np.flatnonzero(proj > tol)
-        if bad.size:
-            raise ValidationError(
-                f"level {bad[0]} is not measurable with respect to its partition"
-            )
-        back = np.abs(space.level_averages(arr[1:]) - arr[:-1]).max(axis=1)
-        bad = np.flatnonzero(back > tol)
-        if bad.size:
-            raise ValidationError(
-                f"tower property fails between levels {bad[0]} and {bad[0] + 1}"
-            )
+    tol = TOWER_TOL * max(1.0, float(np.abs(arr).max()))
+    proj = np.abs(space.level_averages(arr) - arr).max(axis=1)
+    bad = np.flatnonzero(proj > tol)
+    if bad.size:
+        raise ValidationError(
+            f"level {bad[0]} is not measurable with respect to its partition"
+        )
+    back = np.abs(space.level_averages(arr[1:]) - arr[:-1]).max(axis=1)
+    bad = np.flatnonzero(back > tol)
+    if bad.size:
+        raise ValidationError(
+            f"tower property fails between levels {bad[0]} and {bad[0] + 1}"
+        )
     return Martingale(space, arr)
 
 
@@ -107,26 +105,24 @@ def martingale_from_terminal(
     )
 
 
-def maximal(f: Martingale, upto: int | None = None) -> np.ndarray:
-    """Doob maximal function: pointwise max of |f_n| over n <= upto."""
-    m = f.space.depth if upto is None else upto
-    return np.abs(f.arrays[: m + 1]).max(axis=0)
+def maximal(f: Martingale) -> np.ndarray:
+    """Doob maximal function: pointwise max of |f_n| over all levels."""
+    return np.abs(f.arrays).max(axis=0)
 
 
-def cond_square_levels(f: Martingale, upto: int | None = None) -> np.ndarray:
-    """Rows s_0(f), ..., s_upto(f) of the conditional square function:
+def cond_square_levels(f: Martingale) -> np.ndarray:
+    """Rows s_0(f), ..., s_N(f) of the conditional square function:
     square roots of the cumulative conditioned squared increments (the 0-th
     increment is zero since f_{-1} = f_0)."""
-    m = f.space.depth if upto is None else upto
-    df = np.diff(f.arrays[: m + 1], axis=0)
-    acc = np.zeros((m + 1, f.space.n_leaves))
+    df = np.diff(f.arrays, axis=0)
+    acc = np.zeros(f.arrays.shape)
     np.cumsum(f.space.level_averages(df * df), axis=0, out=acc[1:])
     return np.sqrt(acc)
 
 
-def cond_square(f: Martingale, upto: int | None = None) -> np.ndarray:
-    """Conditional square function s_upto(f), by default s(f) = s_N(f)."""
-    return cond_square_levels(f, upto)[-1]
+def cond_square(f: Martingale) -> np.ndarray:
+    """Conditional square function s(f) = s_N(f)."""
+    return cond_square_levels(f)[-1]
 
 
 @dataclass(frozen=True, eq=False)
@@ -213,28 +209,15 @@ def stop(f: Martingale, tau: StoppingTime, shift: str = "none") -> Martingale:
     return Martingale(f.space, _stopped_values(f, tau.vals, n, shift))
 
 
-def _count_node(space: FilteredSpace, level: int, block_pos: int, memo) -> int:
-    key = (level, block_pos)
-    if key in memo:
-        return memo[key]
-    if level == space.depth:
-        memo[key] = 2  # stop at N, or never
-        return 2
-    total = 1
-    for child in space.children[level][block_pos]:
-        total *= _count_node(space, level + 1, child, memo)
-    memo[key] = 1 + total
-    return 1 + total
-
-
 def count_stopping_times(space: FilteredSpace) -> int:
     """Number of stopping times of the filtration (antichains of the tree,
-    counting 'never stop' continuations)."""
-    memo: dict = {}
-    total = 1
-    for b in range(space.n_blocks[0]):
-        total *= _count_node(space, 0, b, memo)
-    return total
+    counting 'never stop' continuations), built bottom-up: a terminal block
+    counts 2 (stop at N, or never) and any other block 1 (stop here) plus
+    the product of its children's counts."""
+    counts = [2] * space.n_blocks[-1]
+    for kids in reversed(space.children):
+        counts = [1 + math.prod(counts[c] for c in ch) for ch in kids]
+    return math.prod(counts)
 
 
 def _product(parts: list[np.ndarray]) -> np.ndarray:

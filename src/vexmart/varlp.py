@@ -88,16 +88,14 @@ def _luxemburg_rows(
     pvals: np.ndarray,
     rows: np.ndarray,
     mixed: bool,
-    rel_tol: float = BISECT_REL_TOL,
-    max_iter: int = BISECT_MAX_ITER,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(norms, Newton steps, residuals) of the rows of a 2-d array.
 
     Newton runs on u = log(lambda / max|f|), where the modular terms are
     P(w) |f(w)/max|f||^{p(w)} e^{-p(w) u}, and stops at the first point
-    whose step is at most rel_tol; that point is returned, so the residual
-    is the one of the returned norm.  Steps below zero only arise from
-    rounding at the root and stop the iteration too.
+    whose step is at most BISECT_REL_TOL; that point is returned, so the
+    residual is the one of the returned norm.  Steps below zero only arise
+    from rounding at the root and stop the iteration too.
     """
     a = np.abs(rows)
     sup = None
@@ -126,10 +124,10 @@ def _luxemburg_rows(
             logw = np.log(probs) + pvals * np.log(h)
             g0, _ = _log_modular(logw, pvals, np.zeros(idx.size))
             u = g0 / np.where(h > 0, pvals, np.inf).min(axis=1)
-            for it in range(1, max_iter + 1):
+            for it in range(1, BISECT_MAX_ITER + 1):
                 g, slope = _log_modular(logw, pvals, u)
                 step = g / slope
-                done = step <= rel_tol
+                done = step <= BISECT_REL_TOL
                 if done.any():
                     k = idx[done]
                     norms[k] = top[k] * np.exp(u[done])
@@ -143,7 +141,7 @@ def _luxemburg_rows(
             else:
                 raise NumericalError(
                     f"Luxemburg Newton iteration did not converge in "
-                    f"{max_iter} steps on {idx.size} rows"
+                    f"{BISECT_MAX_ITER} steps on {idx.size} rows"
                 )
     if sup is not None:
         resid[sup >= norms] = 0.0
@@ -156,15 +154,11 @@ def luxemburg_norm(
     f: Sequence[float],
     p: Exponent,
     mixed: bool = False,
-    rel_tol: float = BISECT_REL_TOL,
-    max_iter: int = BISECT_MAX_ITER,
 ) -> NormResult:
     """Luxemburg norm inf{lambda > 0 : rho(f/lambda) <= 1}, as a one-row
     call of the batch kernel."""
     v = as_leaf_values(space, f)
-    norms, steps, resid = _luxemburg_rows(
-        space.probs, p.vals, v[None, :], mixed, rel_tol, max_iter
-    )
+    norms, steps, resid = _luxemburg_rows(space.probs, p.vals, v[None, :], mixed)
     return NormResult(float(norms[0]), int(steps[0]), float(resid[0]))
 
 

@@ -1,3 +1,4 @@
+import json
 import math
 import random
 
@@ -7,6 +8,7 @@ import pytest
 from vexmart import (
     DomainError,
     Exponent,
+    ResourceError,
     TrialConfig,
     ValidationError,
     build_dyadic_space,
@@ -26,8 +28,9 @@ from vexmart import (
     violation_33_search,
     weak_type_check,
 )
-from vexmart import condition_k, luxemburg_norm, validate_filtration
-from vexmart import experiments
+from vexmart import bmo_norm, condition_k, luxemburg_norm, validate_filtration
+from vexmart import bmo, experiments, serialize
+from vexmart.cli import run
 from vexmart.experiments import _ns_h, default_lambda_grid
 from vexmart.martingale import enumerate_stopping_matrix, stopped_terminal_diffs
 
@@ -180,6 +183,29 @@ class TestLemma34:
             assert 0 < rep.details["rescale"] <= 1.0
 
 
+def test_lemma34_refuses_matrix_over_byte_cap(monkeypatch, tmp_path, capsys):
+    sp = build_dyadic_space(4)
+    p = random_exponent(random.Random(2), sp.n_leaves, 1.0, 3.0)
+    f = [float(i % 3) for i in range(sp.n_leaves)]
+    need = 8 * sp.n_leaves**2
+    monkeypatch.setattr(experiments, "MAX_SPACE_BYTES", need)
+    lemma34_check(f, p, sp)
+    monkeypatch.setattr(experiments, "MAX_SPACE_BYTES", need - 1)
+    with pytest.raises(ResourceError):
+        lemma34_check(f, p, sp)
+    paths = {}
+    for name, obj in (("space", serialize.space_to_json(sp)),
+                      ("exponent", {"values": p.vals.tolist()}),
+                      ("function", {"values": f})):
+        paths[name] = tmp_path / f"{name}.json"
+        paths[name].write_text(json.dumps(obj))
+    code = run(["check", "lemma34", "--space", str(paths["space"]),
+                "--exponent", str(paths["exponent"]),
+                "--function", str(paths["function"])])
+    assert code == 2
+    assert "error:" in capsys.readouterr().err
+
+
 def _lemma34_oracle(f, p, space):
     """Ratios and witness of lemma34_check by a loop over levels and
     leaves, each block sum taken over the block's own leaves."""
@@ -234,6 +260,74 @@ class TestJnEquivalence:
         rep = jn_equivalence(cfg, p)
         assert rep.details["upper_envelope"] >= 1.0 - 1e-12
         assert 0.0 < rep.details["lower_envelope"] < math.inf
+
+
+def _jn_oracle(config, p):
+    """Ratios, skips and witness of jn_equivalence from two exhaustive
+    bmo_norm calls per trial."""
+    one = constant_exponent(config.space, 1.0)
+    ratios, skips, witness, best = [], 0, None, -1.0
+    for i in range(config.trials):
+        f = generate_martingale(config, i)
+        b1 = bmo_norm(f, one, mode="exhaustive").value
+        bp = bmo_norm(f, p, mode="exhaustive").value
+        if b1 == 0.0 or bp == 0.0:
+            skips += 1
+            continue
+        ratios.append(bp / b1)
+        if bp / b1 > best:
+            best = bp / b1
+            witness = {"trial": i, "ratio": best,
+                       "terminal": f.terminal.tolist(),
+                       "exponent": p.vals.tolist()}
+    return ratios, skips, witness
+
+
+def test_jn_equivalence_matches_per_trial_bmo_norms():
+    rng = random.Random(67)
+    spaces = [build_dyadic_space(d) for d in (0, 1, 2, 3)]
+    spaces += [random_tree_space(rng, max_leaves=8) for _ in range(6)]
+    for k, sp in enumerate(spaces):
+        cfg = TrialConfig(space=sp, seed=k, trials=6)
+        p = random_exponent(rng, sp.n_leaves, 1.0, 3.0)
+        rep = jn_equivalence(cfg, p)
+        ratios, skips, witness = _jn_oracle(cfg, p)
+        assert list(rep.ratios) == ratios
+        assert rep.details["skips"] == skips
+        assert rep.witness == witness
+    # the one-leaf space only has the zero martingale: every trial skips
+    assert jn_equivalence(TrialConfig(build_dyadic_space(0), trials=3),
+                          Exponent((2.0,))).details["skips"] == 3
+
+
+def test_exp_jn_bmo1_equals_exhaustive_bmo_norm():
+    rng = random.Random(71)
+    spaces = [build_dyadic_space(2), build_dyadic_space(3)]
+    spaces += [random_tree_space(rng, max_leaves=8) for _ in range(8)]
+    for sp in spaces:
+        v = np.array([rng.gauss(0.0, 1.0) for _ in range(sp.n_leaves)])
+        f = martingale_from_terminal(sp, v - sp.block_average(v, 0))
+        p = random_exponent(rng, sp.n_leaves, 1.0, 3.0)
+        want = bmo_norm(f, constant_exponent(sp, 1.0), mode="exhaustive").value
+        assert exp_jn_curve(f, p).details["bmo1"] == want
+
+
+def test_jn_calls_over_cap_fail_from_the_count(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("enumerated past the cap")
+
+    monkeypatch.setattr(bmo, "enumerate_stopping_matrix", refuse)
+    cfg = config(depth=5, trials=2)
+    p = constant_exponent(cfg.space, 2.0)
+    with pytest.raises(ResourceError, match="exhaustive mode refused"):
+        jn_equivalence(cfg, p)
+    f = generate_martingale(cfg, 0)
+    with pytest.raises(ResourceError, match="exhaustive mode refused"):
+        exp_jn_curve(f, p)
+    # f_0 != 0 is rejected before the size of the space is looked at
+    g = martingale_from_terminal(cfg.space, np.ones(cfg.space.n_leaves))
+    with pytest.raises(DomainError):
+        exp_jn_curve(g, p)
 
 
 class TestExpJnCurve:

@@ -11,7 +11,6 @@ from vexmart import (
     a_quantity,
     atomic_decompose,
     build_dyadic_space,
-    cond_square,
     constant_exponent,
     hmax_norm,
     hs_norm,
@@ -22,7 +21,7 @@ from vexmart import (
     stop,
 )
 from vexmart.hardy import AtomTerm
-from vexmart.martingale import Martingale
+from vexmart.martingale import Martingale, cond_square_levels
 
 from conftest import random_exponent, random_tree_space
 
@@ -39,7 +38,8 @@ def threshold_oracle(f, cut):
     """Per leaf, the first n with s_{n+1}(f) > cut (s_N past the last
     level), or inf."""
     depth = f.space.depth
-    s_next = [cond_square(f, min(n + 1, depth)) for n in range(depth + 1)]
+    s_levels = cond_square_levels(f)
+    s_next = [s_levels[min(n + 1, depth)] for n in range(depth + 1)]
     return StoppingTime([
         next((float(n) for n in range(depth + 1) if s_next[n][w] > cut), INF)
         for w in range(f.space.n_leaves)

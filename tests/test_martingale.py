@@ -13,6 +13,7 @@ from vexmart import (
     StoppingTime,
     ValidationError,
     build_dyadic_space,
+    build_mary_space,
     cond_expect,
     cond_square,
     count_stopping_times,
@@ -24,7 +25,11 @@ from vexmart import (
     stop,
     validate_stopping_time,
 )
-from vexmart.martingale import enumerate_stopping_matrix, stopped_terminal_diffs
+from vexmart.martingale import (
+    cond_square_levels,
+    enumerate_stopping_matrix,
+    stopped_terminal_diffs,
+)
 
 from conftest import random_tree_space, relabelled_levels
 
@@ -119,8 +124,7 @@ class TestMaximalAndSquare:
             sp = random_tree_space(rng)
             f = random_martingale(rng, sp)
             prev = np.zeros(sp.n_leaves)
-            for m in range(sp.depth + 1):
-                cur = cond_square(f, m)
+            for cur in cond_square_levels(f):
                 assert np.all(cur >= prev - 1e-12)
                 prev = cur
 
@@ -129,7 +133,7 @@ class TestMaximalAndSquare:
         sp = random_tree_space(rng)
         f = random_martingale(rng, sp)
         for m in range(1, sp.depth + 1):
-            s2 = cond_square(f, m) ** 2
+            s2 = cond_square_levels(f)[m] ** 2
             proj = sp.block_average(s2, m - 1)
             assert np.allclose(proj, s2, atol=1e-12)
 
@@ -221,6 +225,26 @@ class TestStoppingTimes:
             )
 
 
+def _count_oracle(space):
+    """The top-down memoized recursion over (level, block) that the
+    bottom-up count replaced."""
+    memo = {}
+
+    def node(level, block_pos):
+        key = (level, block_pos)
+        if key not in memo:
+            if level == space.depth:
+                memo[key] = 2
+            else:
+                total = 1
+                for child in space.children[level][block_pos]:
+                    total *= node(level + 1, child)
+                memo[key] = 1 + total
+        return memo[key]
+
+    return math.prod(node(0, b) for b in range(space.n_blocks[0]))
+
+
 class TestEnumeration:
     def test_single_leaf_count(self):
         assert count_stopping_times(build_dyadic_space(0)) == 2
@@ -256,6 +280,13 @@ class TestEnumeration:
                         except ValidationError:
                             pass
         assert valid == count_stopping_times(four_leaf) == 26
+
+    def test_count_matches_memoized_recursion(self):
+        spaces = [build_mary_space(3, d) for d in (1, 2, 3)]
+        rng = random.Random(43)
+        spaces += [random_tree_space(rng) for _ in range(40)]
+        for sp in spaces:
+            assert count_stopping_times(sp) == _count_oracle(sp)
 
     def test_cap_enforced(self):
         sp = build_dyadic_space(3)
@@ -392,7 +423,8 @@ def test_cond_square_matches_level_loop():
             if m:
                 df = f.arrays[m] - f.arrays[m - 1]
                 acc += sp.block_average(df * df, m - 1)
-            assert np.array_equal(cond_square(f, m), np.sqrt(acc))
+            assert np.array_equal(cond_square_levels(f)[m], np.sqrt(acc))
+        assert np.array_equal(cond_square(f), np.sqrt(acc))
 
 
 def _enumeration_oracle(space):
