@@ -17,7 +17,6 @@ import numpy as np
 
 from .errors import DomainError, ResourceError
 from .martingale import (
-    INF,
     ENUMERATION_CAP,
     Martingale,
     StoppingTime,
@@ -44,21 +43,22 @@ class SupNormResult:
 def candidate_matrix(
     space: FilteredSpace,
     mode: str = "auto",
-    cap: int = ENUMERATION_CAP,
     seed: int = 0,
     samples: int = 256,
 ) -> tuple[np.ndarray, str]:
     """Stopping times to scan, as a stop-level matrix, plus the achieved
-    mode.  Stopping times that are never finite contribute nothing to any
-    supremum over stopping times and are left out."""
+    mode.  Exhaustive mode is taken when at most ENUMERATION_CAP stopping
+    times exist.  Stopping times that are never finite contribute nothing
+    to any supremum over stopping times and are left out."""
     if mode not in ("auto", "exhaustive", "sampled"):
         raise DomainError(f"unknown supremum mode {mode!r}")
     count = count_stopping_times(space)
-    if mode in ("auto", "exhaustive") and count <= cap:
-        taus, achieved = enumerate_stopping_matrix(space, cap), "exhaustive"
+    if mode in ("auto", "exhaustive") and count <= ENUMERATION_CAP:
+        taus, achieved = enumerate_stopping_matrix(space), "exhaustive"
     elif mode == "exhaustive":
         raise ResourceError(
-            f"{count} stopping times exceed cap {cap}; exhaustive mode refused"
+            f"{count} stopping times exceed cap {ENUMERATION_CAP}; "
+            "exhaustive mode refused"
         )
     else:
         levels = np.arange(space.depth + 1, dtype=float)[:, None]
@@ -86,14 +86,14 @@ def _distinct_rows(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def indicator_norms(
-    probs: np.ndarray, pvals: np.ndarray, masks: np.ndarray, mixed: bool = False
+    probs: np.ndarray, pvals: np.ndarray, masks: np.ndarray
 ) -> np.ndarray:
     """Luxemburg norms of the rows of a boolean matrix read as indicators,
     with one solve per distinct row.  Rows are told apart by their packed
     bits, a few byte columns, whose lexicographic order is the byte order
     of the packed rows."""
     first, which = _distinct_rows(np.packbits(masks, axis=1))
-    return norm_batch(probs, pvals, masks[first].astype(float), mixed=mixed)[which]
+    return norm_batch(probs, pvals, masks[first].astype(float))[which]
 
 
 def _sup_result(
@@ -111,7 +111,6 @@ def bmo_norm(
     f: Martingale,
     p: Exponent,
     mode: str = "auto",
-    cap: int = ENUMERATION_CAP,
     seed: int = 0,
     samples: int = 256,
 ) -> SupNormResult:
@@ -120,7 +119,7 @@ def bmo_norm(
     are never finite contribute nothing."""
     space = f.space
     require_f0_zero(f, "bmo_norm requires f_0 = 0")
-    taus, achieved = candidate_matrix(space, mode, cap, seed, samples)
+    taus, achieved = candidate_matrix(space, mode, seed, samples)
     finite = np.isfinite(taus)
     diffs = stopped_terminal_diffs(f, taus, shift="minus-one")
     nums = norm_batch(space.probs, p.vals, diffs)
@@ -133,30 +132,27 @@ def lipschitz_norm(
     q: float,
     alpha: Exponent | Sequence[float],
     mode: str = "auto",
-    cap: int = ENUMERATION_CAP,
     seed: int = 0,
     samples: int = 256,
 ) -> SupNormResult:
     """sup over tau of ||chi||_{1/alpha(.)}^{-1} ||chi||_q^{-1}
-    ||f - f^tau||_q, where alpha(.) >= 0 and 1/alpha uses the mixed modular
-    (1/0 read as infinity)."""
+    ||f - f^tau||_q, where alpha(.) >= 0 and 1/alpha reads 1/0 as +inf,
+    where the Luxemburg norm applies its max rule."""
     if q < 1:
         raise DomainError("lipschitz_norm requires q >= 1")
     space = f.space
-    avals = alpha.vals if isinstance(alpha, Exponent) else as_leaf_values(space, alpha)
+    avals = as_leaf_values(space, alpha.vals if isinstance(alpha, Exponent) else alpha)
     if np.any(avals < 0):
         raise DomainError("alpha must be nonnegative")
-    with np.errstate(divide="ignore"):
-        inv = np.where(avals > 0, 1.0 / np.where(avals > 0, avals, 1.0), math.inf)
-    inv_alpha = Exponent(inv, allow_infinite=True)
+    inv_alpha = np.where(avals > 0, 1.0 / np.where(avals > 0, avals, 1.0), math.inf)
 
-    taus, achieved = candidate_matrix(space, mode, cap, seed, samples)
+    taus, achieved = candidate_matrix(space, mode, seed, samples)
     finite = np.isfinite(taus)
     diffs = np.abs(stopped_terminal_diffs(f, taus, shift="none"))
     nums = (diffs**q @ space.probs) ** (1.0 / q)
     pq = finite @ space.probs
     dens_q = pq ** (1.0 / q)
-    dens_alpha = indicator_norms(space.probs, inv_alpha.vals, finite, mixed=True)
+    dens_alpha = indicator_norms(space.probs, inv_alpha, finite)
     return _sup_result(taus, nums / (dens_q * dens_alpha), achieved)
 
 
@@ -176,7 +172,7 @@ def duality_pairing_ratio(
     pairing = abs(float(np.sum(space.probs * f.terminal * phi_v)))
     # remove the F_0 projection: it pairs to zero against f and makes the
     # Lipschitz norm's f_0 = 0 convention applicable
-    centered = phi_v - space.block_average(phi_v, 0)
+    centered = phi_v - space.level_averages(phi_v[None])[0]
     phi_mart = martingale_from_terminal(space, centered)
     alpha = 1.0 / p.vals - 1.0
     hs = hs_norm(f, p)

@@ -7,6 +7,7 @@ numerical failure.  Set VEXMART_OUT to prefix relative --output paths.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -28,7 +29,6 @@ from .experiments import (
     weak_type_check,
 )
 from .hardy import atomic_decompose
-from .martingale import martingale_from_terminal
 from .space import aoyama_c, build_dyadic_space, condition_k
 from .varlp import luxemburg_norm
 
@@ -103,7 +103,10 @@ def _add_config(sub) -> None:
     sub.add_argument("--f-law", default="normal")
 
 
+@functools.cache
 def build_parser() -> _Parser:
+    """The command-line parser, built on first use and shared by every
+    later call; callers must not modify it."""
     parser = _Parser(prog="vexmart")
     top = parser.add_subparsers(dest="command", required=True)
 

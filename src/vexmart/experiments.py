@@ -151,8 +151,17 @@ def generate_martingale(config: TrialConfig, index: int = 0) -> Martingale:
         v = np.array([rng.uniform(-1.0, 1.0) for _ in range(space.n_leaves)])
     else:
         v = np.array([rng.choice((-1.0, 1.0)) for _ in range(space.n_leaves)])
-    v = v - space.block_average(v, 0)
+    v = v - space.level_averages(v[None])[0]
     return martingale_from_terminal(space, v)
+
+
+def _with_midpoints(vals: np.ndarray) -> np.ndarray:
+    """Nonempty ascending values with the midpoint of each neighbouring
+    pair between them."""
+    out = np.empty(2 * vals.size - 1)
+    out[::2] = vals
+    out[1::2] = 0.5 * (vals[:-1] + vals[1:])
+    return out
 
 
 def default_lambda_grid(f: Martingale) -> tuple[float, ...]:
@@ -162,12 +171,7 @@ def default_lambda_grid(f: Martingale) -> tuple[float, ...]:
     vals = vals[vals > 0]
     if vals.size == 0:
         return ()
-    grid = [0.5 * float(vals[0])]
-    for i, v in enumerate(vals):
-        grid.append(float(v))
-        if i + 1 < vals.size:
-            grid.append(0.5 * float(v + vals[i + 1]))
-    return tuple(grid)
+    return (0.5 * float(vals[0]), *_with_midpoints(vals).tolist())
 
 
 def weak_type_check(
@@ -188,9 +192,6 @@ def weak_type_check(
             raise DomainError("lambda grid must be positive")
     mf = maximal(f)
     ratios, bounds, asserted = [], [], []
-    witness = None
-    best = -1.0
-    terminal, exponent = f.terminal.tolist(), p.vals.tolist()
     for lam in grid:
         a_mask = mf > lam
         pa = float(space.probs[a_mask].sum())
@@ -213,15 +214,18 @@ def weak_type_check(
         ratios.append(ratio)
         bounds.append(bound)
         asserted.append(check)
-        if ratio > best:
-            best = ratio
-            witness = {
-                "lambda": lam,
-                "ratio": ratio,
-                "bound": bound,
-                "terminal": terminal,
-                "exponent": exponent,
-            }
+    # the first largest ratio over the lambdas with P(Mf > lambda) > 0
+    kept = np.array(grid) < mf.max()
+    witness = None
+    if kept.any():
+        j = int(np.argmax(np.where(kept, ratios, -np.inf)))
+        witness = {
+            "lambda": grid[j],
+            "ratio": ratios[j],
+            "bound": bounds[j],
+            "terminal": f.terminal.tolist(),
+            "exponent": p.vals.tolist(),
+        }
     return _report(
         "weak-type proof-chain constant",
         ratios,
@@ -230,46 +234,60 @@ def weak_type_check(
     )
 
 
+def _trial_witness(
+    config: TrialConfig, p: Exponent, ratios: Sequence[float], kept: Sequence[int]
+) -> dict | None:
+    """The first kept trial of largest ratio, or None when no trial was
+    kept.  ``kept`` lists the trial index of each ratio; the witness trial's
+    martingale is generated again rather than held."""
+    if not len(ratios):
+        return None
+    j = int(np.argmax(ratios))
+    i = int(kept[j])
+    return {
+        "trial": i,
+        "ratio": float(ratios[j]),
+        "terminal": generate_martingale(config, i).terminal.tolist(),
+        "exponent": p.vals.tolist(),
+    }
+
+
 def doob_strong_check(config: TrialConfig, p: Exponent) -> ConstantReport:
     """Per trial: ||Mf||_{p(.)} / ||f_N||_{p(.)}, with a per-ratio scale
-    invariance check (f -> 10f agrees to 1e-6 relative)."""
+    invariance check (f -> 10f agrees to 1e-6 relative).  The four norms
+    of a trial are solved in one batch with those of other trials."""
     if p.p_minus() <= 1.0:
         raise DomainError("maximal-norm ratio requires p_- > 1")
-    space = config.space
-    ratios = []
-    witness = None
-    best = -1.0
-    skips = 0
-    for i in range(config.trials):
-        f = generate_martingale(config, i)
-        den = luxemburg_norm(space, f.terminal, p).norm
-        if den == 0.0:
-            skips += 1
-            continue
-        num = luxemburg_norm(space, maximal(f), p).norm
-        ratio = num / den
-        g = f.scaled(10.0)
-        den10 = luxemburg_norm(space, g.terminal, p).norm
-        ratio10 = luxemburg_norm(space, maximal(g), p).norm / den10
-        if abs(ratio10 - ratio) > 1e-6 * ratio:
-            raise NumericalError(
-                f"maximal-norm ratio not scale invariant: {ratio} vs {ratio10}"
-            )
-        ratios.append(ratio)
-        if ratio > best:
-            best = ratio
-            witness = {
-                "trial": i,
-                "ratio": ratio,
-                "terminal": f.terminal.tolist(),
-                "exponent": p.vals.tolist(),
-            }
+    space, n = config.space, config.space.n_leaves
+    # rows f_N, Mf, 10 f_N and 10 Mf per trial; a batch holds at most
+    # ENUMERATION_CAP entries, so memory does not grow with the trials
+    per_call = max(1, ENUMERATION_CAP // (4 * n))
+    norms = np.empty((config.trials, 4))
+    for start in range(0, config.trials, per_call):
+        rows = np.empty((min(per_call, config.trials - start), 4, n))
+        for i, row in enumerate(rows, start):
+            f = generate_martingale(config, i)
+            row[0], row[1] = f.terminal, maximal(f)
+        rows[:, 2:] = 10.0 * rows[:, :2]
+        norms[start : start + len(rows)] = norm_batch(
+            space.probs, p.vals, rows.reshape(-1, n)
+        ).reshape(-1, 4)
+    den, num, den10, num10 = norms.T
+    kept = np.flatnonzero(den != 0.0)
+    ratios = num[kept] / den[kept]
+    ratios10 = num10[kept] / den10[kept]
+    bad = np.flatnonzero(np.abs(ratios10 - ratios) > 1e-6 * ratios)
+    if bad.size:
+        j = bad[0]
+        raise NumericalError(
+            f"maximal-norm ratio not scale invariant: {ratios[j]} vs {ratios10[j]}"
+        )
     k = condition_k(space, p)
     return _report(
         "maximal-norm ratio envelope",
         ratios,
-        witness,
-        {"skips": skips, "condition_k": k.k},
+        _trial_witness(config, p, ratios, kept),
+        {"skips": config.trials - kept.size, "condition_k": k.k},
     )
 
 
@@ -298,12 +316,12 @@ def lemma34_check(
     # not the integration variable y, and does not depend on the level
     weighted = fv[None, :] ** e[:, None]
     weighted *= space.probs
+    lhs = space.level_averages(np.broadcast_to(fv, space.block_of.shape)) ** e
     ratios = np.empty((space.depth + 1, space.n_leaves))
     for n, bo in enumerate(space.block_of):
-        lhs = space.block_average(fv, n) ** e
         same_block = bo[:, None] == bo[None, :]
         avg = weighted.sum(axis=1, where=same_block) / space.block_probs[n][bo]
-        ratios[n] = lhs / (k * (avg + 1.0))
+        ratios[n] = lhs[n] / (k * (avg + 1.0))
     # first largest ratio in level-major, leaf-minor order
     n, x = divmod(int(np.argmax(ratios)), space.n_leaves)
     best = float(ratios[n, x])
@@ -333,31 +351,20 @@ def jn_equivalence(config: TrialConfig, p: Exponent) -> ConstantReport:
     finite = np.isfinite(taus)
     dens1 = indicator_norms(probs, ones, finite)
     densp = indicator_norms(probs, p.vals, finite)
-    ratios = []
-    witness = None
-    best = -1.0
-    skips = 0
+    ratios, kept = [], []
     for i in range(config.trials):
         f = generate_martingale(config, i)
         diffs = stopped_terminal_diffs(f, taus, shift="minus-one")
         b1 = float(np.max(norm_batch(probs, ones, diffs) / dens1))
         bp = float(np.max(norm_batch(probs, p.vals, diffs) / densp))
         if b1 == 0.0 or bp == 0.0:
-            skips += 1
             continue
-        ratio = bp / b1
-        ratios.append(ratio)
-        if ratio > best:
-            best = ratio
-            witness = {
-                "trial": i,
-                "ratio": ratio,
-                "terminal": f.terminal.tolist(),
-                "exponent": p.vals.tolist(),
-            }
-    arr = np.array(ratios) if ratios else np.array([])
+        ratios.append(bp / b1)
+        kept.append(i)
+    witness = _trial_witness(config, p, ratios, kept)
+    arr = np.array(ratios)
     details = {
-        "skips": skips,
+        "skips": config.trials - len(kept),
         "upper_envelope": float(arr.max()) if arr.size else 0.0,
         "lower_envelope": float((1.0 / arr).max()) if arr.size else 0.0,
     }
@@ -365,19 +372,17 @@ def jn_equivalence(config: TrialConfig, p: Exponent) -> ConstantReport:
 
 
 def _t_grid_from_diffs(diffs: np.ndarray) -> tuple[float, ...]:
+    """0, the distinct positive differences with their midpoints, and 1.25
+    times the largest, thinned to at most _T_GRID_POINTS evenly spaced
+    entries."""
     vals = np.unique(diffs[diffs > 0])
     if vals.size == 0:
         return (0.0,)
-    grid = [0.0]
-    for i, v in enumerate(vals):
-        grid.append(float(v))
-        if i + 1 < vals.size:
-            grid.append(0.5 * float(v + vals[i + 1]))
-    grid.append(1.25 * float(vals[-1]))
-    if len(grid) > _T_GRID_POINTS:
-        idx = np.linspace(0, len(grid) - 1, _T_GRID_POINTS).astype(int)
-        grid = [grid[j] for j in np.unique(idx)]
-    return tuple(grid)
+    grid = np.concatenate(([0.0], _with_midpoints(vals), [1.25 * vals[-1]]))
+    if grid.size > _T_GRID_POINTS:
+        idx = np.linspace(0, grid.size - 1, _T_GRID_POINTS).astype(int)
+        grid = grid[np.unique(idx)]
+    return tuple(grid.tolist())
 
 
 def exp_jn_curve(f: Martingale, p: Exponent) -> ConstantReport:
@@ -582,21 +587,28 @@ def _jensen_ratio(
     space: FilteredSpace, f: Sequence[float], p: Exponent
 ) -> tuple[float, dict]:
     """max over levels n and leaves w of |E(f|F_n)(w)|^{p(w)} /
-    E(|f|^{p(.)}|F_n)(w)."""
+    E(|f|^{p(.)}|F_n)(w), and the first (level, leaf) attaining it in
+    level-major order; (0.0, {}) when no ratio is positive."""
     fv = as_leaf_values(space, f)
-    best, info = 0.0, {}
-    for n in range(space.depth + 1):
-        num = np.abs(space.block_average(fv, n)) ** p.vals
-        den = space.block_average(np.abs(fv) ** p.vals, n)
-        ok = den > 0
-        if not np.any(ok):
-            continue
-        ratio = np.where(ok, num / np.where(ok, den, 1.0), 0.0)
-        j = int(np.argmax(ratio))
-        if ratio[j] > best:
-            best = float(ratio[j])
-            info = {"level": n, "leaf": j}
-    return best, info
+    shape = space.block_of.shape
+    num = np.abs(space.level_averages(np.broadcast_to(fv, shape))) ** p.vals
+    den = space.level_averages(np.broadcast_to(np.abs(fv) ** p.vals, shape))
+    ok = den > 0
+    ratio = np.where(ok, num / np.where(ok, den, 1.0), 0.0)
+    n, j = divmod(int(np.argmax(ratio)), space.n_leaves)
+    if ratio[n, j] > 0.0:
+        return float(ratio[n, j]), {"level": n, "leaf": j}
+    return 0.0, {}
+
+
+def _violation_draw(config: TrialConfig, i: int) -> tuple[list[float], Exponent]:
+    """Leaf values and exponent of random trial i of violation_33_search."""
+    rng = _rng("violation", config.seed, i)
+    fv = [rng.gauss(0.0, 1.0) for _ in range(config.space.n_leaves)]
+    p = generate_exponent(
+        config.space, config.exponent_law, config.p_range, seed=config.seed * 7919 + i
+    )
+    return fv, p
 
 
 def violation_33_search(config: TrialConfig) -> ConstantReport:
@@ -606,36 +618,31 @@ def violation_33_search(config: TrialConfig) -> ConstantReport:
     bound the variable-exponent conditional Jensen inequality."""
     two = validate_filtration([[[0, 1]], [[0], [1]]], [0.5, 0.5])
     p12 = Exponent((1.0, 2.0))
-    ratios = []
-    family = []
-    witness = None
-    best = -1.0
+    ratios, infos, family = [], [], []
     for c in (8.0, 100.0, 1e4):
         ratio, info = _jensen_ratio(two, (c, 0.0), p12)
         ratios.append(ratio)
+        infos.append(info)
         family.append({"c": c, "ratio": ratio})
-        if ratio > best:
-            best = ratio
-            witness = {"kind": "deterministic", "c": c, "ratio": ratio, **info}
-    space = config.space
     for i in range(config.trials):
-        rng = _rng("violation", config.seed, i)
-        fv = [rng.gauss(0.0, 1.0) for _ in range(space.n_leaves)]
-        p = generate_exponent(
-            space, config.exponent_law, config.p_range, seed=config.seed * 7919 + i
-        )
-        ratio, info = _jensen_ratio(space, fv, p)
+        ratio, info = _jensen_ratio(config.space, *_violation_draw(config, i))
         ratios.append(ratio)
-        if ratio > best:
-            best = ratio
-            witness = {
-                "kind": "random",
-                "trial": i,
-                "ratio": ratio,
-                "f": fv,
-                "exponent": p.vals.tolist(),
-                **info,
-            }
+        infos.append(info)
+    # the first largest ratio, the deterministic family first; a random
+    # witness trial is drawn again rather than held
+    j = int(np.argmax(ratios))
+    if j < len(family):
+        witness = {"kind": "deterministic", **family[j], **infos[j]}
+    else:
+        fv, p = _violation_draw(config, j - len(family))
+        witness = {
+            "kind": "random",
+            "trial": j - len(family),
+            "ratio": ratios[j],
+            "f": fv,
+            "exponent": p.vals.tolist(),
+            **infos[j],
+        }
     return _report(
         "conditional Jensen gap",
         ratios,

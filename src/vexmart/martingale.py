@@ -92,7 +92,8 @@ def cond_expect(
     """E(f | F_level): probability-weighted average on each block."""
     if not 0 <= level <= space.depth:
         raise ValidationError(f"level {level} outside 0..{space.depth}")
-    return space.block_average(as_leaf_values(space, f), level)
+    v = as_leaf_values(space, f)
+    return space.level_averages(np.broadcast_to(v, (level + 1, v.size)))[level]
 
 
 def martingale_from_terminal(
@@ -244,15 +245,14 @@ def _node_matrix(space: FilteredSpace, level: int, block_pos: int) -> np.ndarray
     return np.vstack([np.full((1, combo.shape[1]), float(level)), combo])
 
 
-def enumerate_stopping_matrix(
-    space: FilteredSpace, cap: int = ENUMERATION_CAP
-) -> np.ndarray:
+def enumerate_stopping_matrix(space: FilteredSpace) -> np.ndarray:
     """All stopping times as a (count, n_leaves) matrix of stop levels
-    (inf for 'never'), deterministic order.  Internal fast path."""
+    (inf for 'never'), deterministic order; refused over ENUMERATION_CAP.
+    Internal fast path."""
     count = count_stopping_times(space)
-    if count > cap:
+    if count > ENUMERATION_CAP:
         raise ResourceError(
-            f"{count} stopping times exceed cap {cap}; use sampling mode"
+            f"{count} stopping times exceed cap {ENUMERATION_CAP}; use sampling mode"
         )
     combo = _product([_node_matrix(space, 0, b) for b in range(space.n_blocks[0])])
     # tree order: leaves sorted by their block at level 0, then level 1, ...
@@ -262,12 +262,10 @@ def enumerate_stopping_matrix(
     return out
 
 
-def enumerate_stopping_times(
-    space: FilteredSpace, cap: int = ENUMERATION_CAP
-) -> tuple[StoppingTime, ...]:
+def enumerate_stopping_times(space: FilteredSpace) -> tuple[StoppingTime, ...]:
     """Exhaustive enumeration by recursive stop/continue labeling of the
-    filtration tree."""
-    matrix = enumerate_stopping_matrix(space, cap)
+    filtration tree, refused over ENUMERATION_CAP."""
+    matrix = enumerate_stopping_matrix(space)
     return tuple(StoppingTime(row) for row in matrix)
 
 

@@ -126,18 +126,12 @@ class FilteredSpace(ArrayValue):
             for coarse, fine, k in zip(self.block_of, self.block_of[1:], self.n_blocks)
         )
 
-    def block_average(self, values: Sequence[float], level: int) -> np.ndarray:
-        """Conditional expectation of a leaf function at the given level,
-        returned per leaf."""
-        v = np.asarray(values, dtype=float)
-        bo = self.block_of[level]
-        sums = np.bincount(bo, weights=self.probs * v, minlength=self.n_blocks[level])
-        return (sums / self.block_probs[level])[bo]
-
     def level_averages(self, rows: np.ndarray) -> np.ndarray:
         """Row n of the result is the block average of ``rows[n]`` at level
-        n, for the first len(rows) levels, from one weighted bincount.
-        Each row equals its :meth:`block_average` bit for bit."""
+        n, for the first len(rows) levels, from one weighted bincount: the
+        one implementation of conditional expectation.  A level's blocks
+        sum their leaves in leaf order, so a row does not depend on how
+        many rows are passed."""
         ids, block_probs = self._stacked_blocks
         ids = ids[: len(rows)]
         sums = np.bincount(ids.ravel(), weights=(self.probs * rows).ravel())
@@ -149,8 +143,9 @@ class Exponent(ArrayValue):
     """Variable exponent p(.), one positive value per leaf, as a read-only
     float array.
 
-    ``allow_infinite`` unlocks +inf entries, used only by the mixed-modular
-    mode of the Luxemburg norm; ordinary operations reject such exponents.
+    ``allow_infinite`` unlocks +inf entries, on which the Luxemburg norm
+    applies its max rule (see :mod:`vexmart.varlp`); operations that need a
+    finite exponent reject such exponents.
     """
 
     ARRAYS = {"vals": float}
@@ -422,11 +417,8 @@ def aoyama_c(space: FilteredSpace, p: Exponent) -> float:
     if not p.is_finite:
         raise DomainError("aoyama_c requires a finite exponent")
     recip = 1.0 / p.vals
-    c = 1.0
-    for n in range(space.depth + 1):
-        cond = space.block_average(recip, n)
-        c = max(c, float(np.max(recip / cond)))
-    return c
+    cond = space.level_averages(np.broadcast_to(recip, space.block_of.shape))
+    return max(1.0, float(np.max(recip / cond)))
 
 
 def exponent_algebra(

@@ -14,10 +14,11 @@ rho(f/lambda) <= 1.  Every norm comes from one batch kernel:
   search is needed.
 * A constant exponent takes the closed form (E|f|^p)^{1/p}.
 
-The mixed mode admits p(w) = +inf entries, where the modular instead imposes
-the constraint |f(w)| <= lambda; the norm is then the larger of
-max_{p = inf} |f| and the root of the finite part.  It exists only for the
-Lipschitz-space exponent 1/alpha(.) and is rejected everywhere else.
+Where p(w) = +inf (only an ``Exponent(allow_infinite=True)`` or a raw
+exponent array carries such entries), the modular instead imposes the
+constraint |f(w)| <= lambda, and the norm is the larger of max_{p = inf} |f|
+and the root of the finite part.  The Lipschitz-space exponent 1/alpha(.)
+is the one user of this max rule.
 """
 
 from __future__ import annotations
@@ -40,7 +41,7 @@ ASSERT_TOL = 1e-9
 class NormResult:
     """``iterations`` counts Newton steps, 0 for a closed form.
     ``residual`` is |rho(f/norm) - 1|, or 0 where a closed form or the
-    mixed-mode constraint max_{p = inf} |f| gives the norm."""
+    constraint max_{p = inf} |f| gives the norm."""
 
     norm: float
     iterations: int
@@ -52,17 +53,13 @@ def modular(
     f: Sequence[float],
     p: Exponent,
     lam: float,
-    mixed: bool = False,
 ) -> float:
-    """rho(f/lam).  In mixed mode, returns math.inf when |f| > lam somewhere
-    on {p = inf}."""
+    """rho(f/lam); math.inf when |f| > lam somewhere on {p = inf}."""
     if lam <= 0:
         raise DomainError("modular requires lambda > 0")
     v = np.abs(as_leaf_values(space, f)) / lam
     pv = p.vals
     if not p.is_finite:
-        if not mixed:
-            raise DomainError("infinite exponent entries require mixed mode")
         inf_mask = np.isinf(pv)
         if np.any(v[inf_mask] > 1.0):
             return math.inf
@@ -87,7 +84,6 @@ def _luxemburg_rows(
     probs: np.ndarray,
     pvals: np.ndarray,
     rows: np.ndarray,
-    mixed: bool,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(norms, Newton steps, residuals) of the rows of a 2-d array.
 
@@ -101,8 +97,6 @@ def _luxemburg_rows(
     sup = None
     inf = np.isinf(pvals)
     if inf.any():
-        if not mixed:
-            raise DomainError("infinite exponent entries require mixed mode")
         sup = a[:, inf].max(axis=1)
         a, probs, pvals = a[:, ~inf], probs[~inf], pvals[~inf]
     m = a.shape[0]
@@ -153,12 +147,11 @@ def luxemburg_norm(
     space: FilteredSpace,
     f: Sequence[float],
     p: Exponent,
-    mixed: bool = False,
 ) -> NormResult:
     """Luxemburg norm inf{lambda > 0 : rho(f/lambda) <= 1}, as a one-row
     call of the batch kernel."""
     v = as_leaf_values(space, f)
-    norms, steps, resid = _luxemburg_rows(space.probs, p.vals, v[None, :], mixed)
+    norms, steps, resid = _luxemburg_rows(space.probs, p.vals, v[None, :])
     return NormResult(float(norms[0]), int(steps[0]), float(resid[0]))
 
 
@@ -166,13 +159,12 @@ def norm_batch(
     probs: np.ndarray,
     pvals: np.ndarray,
     rows: np.ndarray,
-    mixed: bool = False,
 ) -> np.ndarray:
     """Luxemburg norms of many leaf functions sharing one (space, exponent),
     from the kernel of :func:`luxemburg_norm`.  Internal plumbing for the
     sup-over-stopping-times modules."""
     rows = np.atleast_2d(np.asarray(rows, dtype=float))
-    return _luxemburg_rows(probs, pvals, rows, mixed)[0]
+    return _luxemburg_rows(probs, pvals, rows)[0]
 
 
 def check_power_identity(

@@ -16,6 +16,7 @@ from vexmart import (
     bmo_norm,
     build_dyadic_space,
     condition_k,
+    cond_expect,
     constant_exponent,
     default_test_matrix,
     doob_strong_check,
@@ -44,7 +45,7 @@ from conftest import lp_norm, random_exponent, random_tree_space
 
 def centered(rng, space, scale=1.0):
     v = np.array([rng.gauss(0, scale) for _ in range(space.n_leaves)])
-    v -= space.block_average(v, 0)
+    v -= cond_expect(space, v, 0)
     return martingale_from_terminal(space, v)
 
 

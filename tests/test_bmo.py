@@ -12,6 +12,7 @@ from vexmart import (
     ResourceError,
     bmo_norm,
     build_dyadic_space,
+    cond_expect,
     constant_exponent,
     duality_pairing_ratio,
     lipschitz_norm,
@@ -19,6 +20,7 @@ from vexmart import (
     martingale_from_terminal,
     validate_filtration,
 )
+from vexmart import bmo
 from vexmart.bmo import candidate_matrix, indicator_norms
 
 from conftest import random_exponent, random_tree_space, relabelled_levels
@@ -26,7 +28,7 @@ from conftest import random_exponent, random_tree_space, relabelled_levels
 
 def centered(rng, space, scale=1.0):
     v = np.array([rng.gauss(0, scale) for _ in range(space.n_leaves)])
-    v -= space.block_average(v, 0)
+    v -= cond_expect(space, v, 0)
     return martingale_from_terminal(space, v)
 
 
@@ -48,11 +50,12 @@ class TestBmoNorm:
         with pytest.raises(DomainError):
             bmo_norm(f, constant_exponent(two_leaf, 1.0))
 
-    def test_exhaustive_over_cap(self):
+    def test_exhaustive_over_cap(self, monkeypatch):
+        monkeypatch.setattr(bmo, "ENUMERATION_CAP", 5)
         sp = build_dyadic_space(2)
         f = centered(random.Random(1), sp)
         with pytest.raises(ResourceError):
-            bmo_norm(f, constant_exponent(sp, 1.0), mode="exhaustive", cap=5)
+            bmo_norm(f, constant_exponent(sp, 1.0), mode="exhaustive")
 
     def test_exhaustive_dominates_sampled(self):
         rng = random.Random(3)
@@ -262,25 +265,23 @@ def test_sampled_candidates_match_recursive_oracle(seed, samples):
 
 
 @settings(max_examples=60, deadline=None)
-@given(seed=st.integers(min_value=0, max_value=10**6), mixed=st.booleans())
-def test_indicator_norms_match_per_row_loop(seed, mixed):
+@given(seed=st.integers(min_value=0, max_value=10**6), infinite=st.booleans())
+def test_indicator_norms_match_per_row_loop(seed, infinite):
     rng = random.Random(seed)
     sp = random_tree_space(rng, max_leaves=20)
     n = sp.n_leaves
     vals = [rng.uniform(0.5, 4.0) for _ in range(n)]
-    if mixed:
+    if infinite:
         vals = [math.inf if rng.random() < 0.3 else v for v in vals]
     elif rng.random() < 0.3:
         vals = [vals[0]] * n  # the constant-exponent closed form
-    p = Exponent(vals, allow_infinite=mixed)
+    p = Exponent(vals, allow_infinite=infinite)
     m = rng.randint(1, 40)
     masks = np.array([[rng.random() < 0.5 for _ in range(n)] for _ in range(m)])
     for _ in range(m // 3):  # duplicates and all-zero rows
         masks[rng.randrange(m)] = masks[rng.randrange(m)]
         masks[rng.randrange(m)] = False
-    got = indicator_norms(sp.probs, p.vals, masks, mixed=mixed)
-    want = np.array([
-        luxemburg_norm(sp, row.astype(float), p, mixed=mixed).norm for row in masks
-    ])
+    got = indicator_norms(sp.probs, p.vals, masks)
+    want = np.array([luxemburg_norm(sp, row.astype(float), p).norm for row in masks])
     assert got.shape == want.shape
     assert np.all(np.abs(got - want) <= 1e-12 * want)

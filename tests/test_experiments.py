@@ -8,10 +8,12 @@ import pytest
 from vexmart import (
     DomainError,
     Exponent,
+    NumericalError,
     ResourceError,
     TrialConfig,
     ValidationError,
     build_dyadic_space,
+    cond_expect,
     constant_exponent,
     default_test_matrix,
     doob_strong_check,
@@ -217,7 +219,7 @@ def _lemma34_oracle(f, p, space):
     e = p.vals / p.p_minus()
     ratios, witness, best = [], None, -1.0
     for n, level in enumerate(space.levels):
-        av = space.block_average(fv, n)
+        av = cond_expect(space, fv, n)
         for x in range(space.n_leaves):
             block = next(list(b) for b in level if x in b)
             avg_x = float(np.sum(space.probs[block] * fv[block] ** e[x])) / float(
@@ -306,7 +308,7 @@ def test_exp_jn_bmo1_equals_exhaustive_bmo_norm():
     spaces += [random_tree_space(rng, max_leaves=8) for _ in range(8)]
     for sp in spaces:
         v = np.array([rng.gauss(0.0, 1.0) for _ in range(sp.n_leaves)])
-        f = martingale_from_terminal(sp, v - sp.block_average(v, 0))
+        f = martingale_from_terminal(sp, v - cond_expect(sp, v, 0))
         p = random_exponent(rng, sp.n_leaves, 1.0, 3.0)
         want = bmo_norm(f, constant_exponent(sp, 1.0), mode="exhaustive").value
         assert exp_jn_curve(f, p).details["bmo1"] == want
@@ -465,3 +467,234 @@ class TestReportInvariants:
         cfg2 = TrialConfig(space=sp2, seed=2, trials=15)
         pert = doob_strong_check(cfg2, p).max_ratio
         assert pert == pytest.approx(base, rel=0.1)
+
+
+def _jensen_oracle(space, f, p):
+    """_jensen_ratio by a loop over levels keeping the best so far."""
+    fv = np.asarray(f, dtype=float)
+    best, info = 0.0, {}
+    for n in range(space.depth + 1):
+        num = np.abs(cond_expect(space, fv, n)) ** p.vals
+        den = cond_expect(space, np.abs(fv) ** p.vals, n)
+        ok = den > 0
+        if not np.any(ok):
+            continue
+        ratio = np.where(ok, num / np.where(ok, den, 1.0), 0.0)
+        j = int(np.argmax(ratio))
+        if ratio[j] > best:
+            best = float(ratio[j])
+            info = {"level": n, "leaf": j}
+    return best, info
+
+
+def test_jensen_ratio_matches_level_loop():
+    from vexmart.experiments import _jensen_ratio
+    rng = random.Random(73)
+    for i in range(60):
+        sp = random_tree_space(rng)
+        n = sp.n_leaves
+        # a constant exponent ties the leaves of a block, and a block kept
+        # at the next level ties two levels: the witness is the first
+        p = (constant_exponent(sp, rng.uniform(0.5, 4.0)) if i % 2
+             else random_exponent(rng, n, 0.3, 6.0))
+        f = [0.0 if rng.random() < 0.3 else rng.gauss(0, 1) for _ in range(n)]
+        assert _jensen_ratio(sp, f, p) == _jensen_oracle(sp, f, p)
+        assert _jensen_ratio(sp, [0.0] * n, p) == (0.0, {})
+
+
+def test_violation_witness_is_first_largest_ratio(monkeypatch):
+    from vexmart.experiments import _jensen_ratio
+    cases = [config(depth=d, seed=1, trials=20, p_range=(0.05, 60.0),
+                    exponent_law=law)
+             for d in (1, 2) for law in ("iid-uniform", "two-block")]
+    kinds = set()
+    for cfg in cases:
+        rep = violation_33_search(cfg)
+        # the best-so-far scan over the same ratios
+        two = validate_filtration([[[0, 1]], [[0], [1]]], [0.5, 0.5])
+        best, witness = -1.0, None
+        for c in (8.0, 100.0, 1e4):
+            ratio, info = _jensen_ratio(two, (c, 0.0), Exponent((1.0, 2.0)))
+            if ratio > best:
+                best = ratio
+                witness = {"kind": "deterministic", "c": c, "ratio": ratio, **info}
+        for i, ratio in enumerate(rep.ratios[3:]):
+            if ratio > best:
+                best, witness = ratio, {"kind": "random", "trial": i}
+        kinds.add(witness["kind"])
+        for key, value in witness.items():
+            assert rep.witness[key] == value
+        if witness["kind"] == "random":
+            # the witness replays: its f and exponent give its ratio
+            w = rep.witness
+            got = _jensen_ratio(cfg.space, w["f"], Exponent(w["exponent"]))
+            assert got == (w["ratio"], {"level": w["level"], "leaf": w["leaf"]})
+        assert list(rep.witness)[:2] == list(witness)[:2]
+    assert kinds == {"deterministic", "random"}
+    # every random trial ties the family's largest ratio: the earliest wins
+
+    def tied(space, f, p):
+        ratio, info = _jensen_ratio(space, f, p)
+        return (ratio if space.n_leaves == 2 else 5000.0), info
+
+    monkeypatch.setattr(experiments, "_jensen_ratio", tied)
+    rep = violation_33_search(config(depth=2, trials=4))
+    assert rep.ratios[2:] == (5000.0,) * 5
+    assert rep.witness["kind"] == "deterministic" and rep.witness["c"] == 1e4
+
+
+def _grid_with_midpoints_oracle(vals):
+    grid = []
+    for i, v in enumerate(vals):
+        grid.append(float(v))
+        if i + 1 < vals.size:
+            grid.append(0.5 * float(v + vals[i + 1]))
+    return grid
+
+
+def test_lambda_grid_matches_midpoint_loop():
+    rng = random.Random(79)
+    for _ in range(40):
+        sp = random_tree_space(rng)
+        v = np.array([rng.gauss(0, 1) for _ in range(sp.n_leaves)])
+        f = martingale_from_terminal(sp, v)
+        vals = np.unique(maximal(f))
+        vals = vals[vals > 0]
+        want = [0.5 * float(vals[0]), *_grid_with_midpoints_oracle(vals)]
+        assert default_lambda_grid(f) == tuple(want)
+    zero = martingale_from_terminal(sp, np.zeros(sp.n_leaves))
+    assert default_lambda_grid(zero) == ()
+
+
+def test_t_grid_matches_midpoint_loop():
+    from vexmart.experiments import _T_GRID_POINTS, _t_grid_from_diffs
+    rng = random.Random(83)
+    sizes = []
+    for size in (0, 1, 2, 5, 20, 31, 32, 33, 100, 400):
+        # repeats, zeros and negative entries, as stopped differences have
+        diffs = np.array([round(rng.gauss(0, 1), 2) for _ in range(size)])
+        vals = np.unique(diffs[diffs > 0])
+        want = (0.0,)
+        if vals.size:
+            grid = [0.0, *_grid_with_midpoints_oracle(vals), 1.25 * float(vals[-1])]
+            if len(grid) > _T_GRID_POINTS:
+                idx = np.linspace(0, len(grid) - 1, _T_GRID_POINTS).astype(int)
+                grid = [grid[j] for j in np.unique(idx)]
+            want = tuple(grid)
+        sizes.append(len(want))
+        assert _t_grid_from_diffs(diffs.reshape(-1, 1)) == want
+    assert min(sizes) == 1 and max(sizes) == _T_GRID_POINTS
+
+
+def _doob_oracle(cfg, p):
+    """doob_strong_check's ratios, skips and witness trial by one
+    luxemburg_norm call per norm and trial."""
+    ratios, skips, best, trial = [], 0, -1.0, None
+    for i in range(cfg.trials):
+        f = generate_martingale(cfg, i)
+        den = luxemburg_norm(cfg.space, f.terminal, p).norm
+        if den == 0.0:
+            skips += 1
+            continue
+        ratio = luxemburg_norm(cfg.space, maximal(f), p).norm / den
+        ratios.append(ratio)
+        if ratio > best:
+            best, trial = ratio, i
+    return ratios, skips, trial
+
+
+@pytest.mark.parametrize("stack", [None, 1, 3])
+def test_doob_matches_per_trial_norms(monkeypatch, stack):
+    """``stack`` trials per batch (by shrinking the entry cap) exercises the
+    slicing of the trials, None keeps the default of one batch."""
+    rng = random.Random(89)
+    cases = [config(depth=0, trials=3), config(depth=1, seed=2, trials=12,
+                                               martingale_law="two-point")]
+    cases += [config(depth=d, seed=d, trials=15) for d in (2, 3, 4)]
+    cases += [TrialConfig(random_tree_space(rng), seed=i, trials=10,
+                          martingale_law=("normal", "two-point")[i % 2])
+              for i in range(10)]
+    seen_skips = set()
+    for cfg in cases:
+        if stack is not None:
+            monkeypatch.setattr(experiments, "ENUMERATION_CAP",
+                                stack * 4 * cfg.space.n_leaves)
+        for p in (random_exponent(rng, cfg.space.n_leaves, 1.1, 4.0),
+                  constant_exponent(cfg.space, 2.0)):
+            rep = doob_strong_check(cfg, p)
+            ratios, skips, trial = _doob_oracle(cfg, p)
+            got = np.array(rep.ratios)
+            assert got.shape == (len(ratios),)
+            assert np.all(np.abs(got - ratios) <= 1e-14 * np.abs(ratios))
+            assert rep.details["skips"] == skips
+            assert (rep.witness and rep.witness["trial"]) == trial
+            seen_skips.add(0 < skips < cfg.trials)
+            if trial is not None:
+                f = generate_martingale(cfg, trial)
+                assert rep.witness["terminal"] == f.terminal.tolist()
+    assert seen_skips == {True, False}
+
+
+def test_doob_scale_check_reports_first_failing_trial(monkeypatch):
+    cfg = config(depth=2, seed=4, trials=6)
+    p = constant_exponent(cfg.space, 2.0)
+    real = experiments.norm_batch
+
+    def skewed(probs, pvals, rows):
+        norms = real(probs, pvals, rows).copy()
+        # rows f_N, Mf, 10 f_N, 10 Mf per trial: the 10 Mf norms of
+        # trials 2 and 4 come out doubled
+        norms[4 * np.array([2, 4]) + 3] *= 2.0
+        return norms
+
+    monkeypatch.setattr(experiments, "norm_batch", skewed)
+    f = generate_martingale(cfg, 2)
+    ratio = (luxemburg_norm(cfg.space, maximal(f), p).norm
+             / luxemburg_norm(cfg.space, f.terminal, p).norm)
+    with pytest.raises(NumericalError, match="not scale invariant") as info:
+        doob_strong_check(cfg, p)
+    first, second = map(float, str(info.value).split(": ")[1].split(" vs "))
+    assert first == pytest.approx(ratio, rel=1e-14)
+    assert second == pytest.approx(2.0 * ratio, rel=1e-14)
+
+
+def _weak_type_witness_oracle(f, p, grid):
+    """The best-so-far witness scan of weak_type_check."""
+    mf = maximal(f)
+    best, witness = -1.0, None
+    for lam in grid:
+        a_mask = mf > lam
+        pa = float(f.space.probs[a_mask].sum())
+        if pa == 0.0:
+            continue
+        ratio = pa / modular(f.space, f.terminal, p, lam)
+        if ratio > best:
+            best, witness = ratio, lam
+    return witness
+
+
+def test_weak_type_witness_is_first_largest_ratio():
+    rng = random.Random(97)
+    for i in range(30):
+        sp = random_tree_space(rng)
+        v = [2.0] + [rng.choice((-1.0, 0.0, 2.0)) for _ in range(sp.n_leaves - 1)]
+        f = martingale_from_terminal(sp, v)
+        p = (constant_exponent(sp, 1.5) if i % 2
+             else random_exponent(rng, sp.n_leaves, 0.5, 3.0))
+        top = float(maximal(f).max())
+        grid = [*default_lambda_grid(f), top, 2.0 * top + 1.0]
+        grid = grid[::-1] if i % 3 == 0 else grid
+        want = _weak_type_witness_oracle(f, p, grid)
+        rep = weak_type_check(f, p, grid)
+        assert (rep.witness and rep.witness["lambda"]) == want
+    # no lambda below max Mf: nothing to witness
+    assert weak_type_check(f, p, [top, top + 1.0]).witness is None
+    # p = 1 and Mf = (1.5, 0.8): lambda = 0.5 and 1 give the same ratio
+    # 0.5 / E|f_N| to the last bit, and the earlier lambda is the witness
+    two = validate_filtration([[[0, 1]], [[0], [1]]], [0.5, 0.5])
+    f = martingale_from_terminal(two, (1.5, -0.8))
+    p = constant_exponent(two, 1.0)
+    for grid in ([0.5, 1.0], [1.0, 0.5]):
+        rep = weak_type_check(f, p, grid)
+        assert rep.ratios[0] == rep.ratios[1]
+        assert rep.witness["lambda"] == grid[0]

@@ -11,6 +11,7 @@ from vexmart import (
     a_quantity,
     atomic_decompose,
     build_dyadic_space,
+    cond_expect,
     constant_exponent,
     hmax_norm,
     hs_norm,
@@ -30,7 +31,7 @@ INF = math.inf
 
 def centered_martingale(rng, space, scale=1.0):
     v = np.array([rng.gauss(0, scale) for _ in range(space.n_leaves)])
-    v -= space.block_average(v, 0)
+    v -= cond_expect(space, v, 0)
     return martingale_from_terminal(space, v)
 
 

@@ -25,6 +25,7 @@ from vexmart import (
     stop,
     validate_stopping_time,
 )
+from vexmart import martingale
 from vexmart.martingale import (
     cond_square_levels,
     enumerate_stopping_matrix,
@@ -134,7 +135,7 @@ class TestMaximalAndSquare:
         f = random_martingale(rng, sp)
         for m in range(1, sp.depth + 1):
             s2 = cond_square_levels(f)[m] ** 2
-            proj = sp.block_average(s2, m - 1)
+            proj = cond_expect(sp, s2, m - 1)
             assert np.allclose(proj, s2, atol=1e-12)
 
     def test_redundant_level_invariance(self, four_leaf):
@@ -288,10 +289,11 @@ class TestEnumeration:
         for sp in spaces:
             assert count_stopping_times(sp) == _count_oracle(sp)
 
-    def test_cap_enforced(self):
+    def test_cap_enforced(self, monkeypatch):
+        monkeypatch.setattr(martingale, "ENUMERATION_CAP", 10)
         sp = build_dyadic_space(3)
         with pytest.raises(ResourceError):
-            enumerate_stopping_times(sp, cap=10)
+            enumerate_stopping_times(sp)
 
     def test_sampling_deterministic_and_valid(self):
         rng = random.Random(37)
@@ -398,6 +400,14 @@ class TestArrayValues:
         assert not (f.arrays.flags.writeable or tau.vals.flags.writeable)
 
 
+def _block_average(space, values, level):
+    """Conditional expectation at one level by its own bincount."""
+    v = np.asarray(values, dtype=float)
+    bo = space.block_of[level]
+    sums = np.bincount(bo, weights=space.probs * v, minlength=space.n_blocks[level])
+    return (sums / space.block_probs[level])[bo]
+
+
 def test_level_averages_match_block_average():
     rng = random.Random(43)
     for _ in range(30):
@@ -408,7 +418,10 @@ def test_level_averages_match_block_average():
             got = sp.level_averages(rows[:r])
             assert got.shape == (r, sp.n_leaves)
             for n in range(r):
-                assert np.array_equal(got[n], sp.block_average(rows[n], n))
+                assert np.array_equal(got[n], _block_average(sp, rows[n], n))
+        for n in range(sp.depth + 1):
+            want = _block_average(sp, rows[n], n)
+            assert np.array_equal(cond_expect(sp, rows[n], n), want)
 
 
 def test_cond_square_matches_level_loop():
@@ -422,7 +435,7 @@ def test_cond_square_matches_level_loop():
         for m in range(sp.depth + 1):
             if m:
                 df = f.arrays[m] - f.arrays[m - 1]
-                acc += sp.block_average(df * df, m - 1)
+                acc += cond_expect(sp, df * df, m - 1)
             assert np.array_equal(cond_square_levels(f)[m], np.sqrt(acc))
         assert np.array_equal(cond_square(f), np.sqrt(acc))
 

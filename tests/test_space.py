@@ -15,6 +15,7 @@ from vexmart import (
     aoyama_c,
     build_dyadic_space,
     build_mary_space,
+    cond_expect,
     condition_k,
     constant_exponent,
     exponent_algebra,
@@ -87,9 +88,9 @@ class TestValidation:
         sp = random_tree_space(rng)
         v = np.array([rng.gauss(0, 1) for _ in range(sp.n_leaves)])
         for n in range(sp.depth + 1):
-            once = sp.block_average(v, n)
-            assert np.allclose(sp.block_average(once, n), once, atol=1e-14)
-        assert np.allclose(sp.block_average(v, sp.depth), v)
+            once = cond_expect(sp, v, n)
+            assert np.allclose(cond_expect(sp, once, n), once, atol=1e-14)
+        assert np.allclose(cond_expect(sp, v, sp.depth), v)
 
 
 class TestExponent:
@@ -220,6 +221,20 @@ class TestAoyama:
         for _ in range(30):
             sp = random_tree_space(rng)
             assert aoyama_c(sp, random_exponent(rng, sp.n_leaves)) >= 1.0
+
+    def test_matches_level_loop(self):
+        # the per-level loop aoyama_c once ran, one conditional expectation
+        # per level; the maximum is the same float
+        rng = random.Random(43)
+        spaces = [build_dyadic_space(d) for d in range(5)]
+        spaces += [random_tree_space(rng) for _ in range(40)]
+        for sp in spaces:
+            p = random_exponent(rng, sp.n_leaves, 0.5, 4.0)
+            recip = 1.0 / p.vals
+            want = 1.0
+            for n in range(sp.depth + 1):
+                want = max(want, float(np.max(recip / cond_expect(sp, recip, n))))
+            assert aoyama_c(sp, p) == want
 
 
 class TestExponentAlgebra:

@@ -148,20 +148,14 @@ def test_monotone_in_absolute_value(seed):
 
 def test_mixed_mode_all_infinite(two_leaf):
     p = Exponent((math.inf, math.inf), allow_infinite=True)
-    res = luxemburg_norm(two_leaf, (0.5, 2.0), p, mixed=True)
+    res = luxemburg_norm(two_leaf, (0.5, 2.0), p)
     assert res.norm == pytest.approx(2.0, rel=1e-11)
-
-
-def test_infinite_exponent_rejected_without_mixed(two_leaf):
-    p = Exponent((1.0, math.inf), allow_infinite=True)
-    with pytest.raises(DomainError):
-        modular(two_leaf, (1.0, 1.0), p, 1.0)
 
 
 def test_mixed_mode_partial_infinite(two_leaf):
     p = Exponent((2.0, math.inf), allow_infinite=True)
     # constraint |f| <= lam on leaf 1 binds at lam = 3; modular there < 1
-    res = luxemburg_norm(two_leaf, (1.0, 3.0), p, mixed=True)
+    res = luxemburg_norm(two_leaf, (1.0, 3.0), p)
     assert res.norm == pytest.approx(3.0)
 
 
@@ -213,26 +207,26 @@ def bisection_oracle(probs, pvals, f) -> float:
     p_hi=st.floats(min_value=0.3, max_value=6.0),
     log_scale=st.floats(min_value=-6.0, max_value=6.0),
     zero_frac=st.sampled_from([0.0, 0.3, 0.7]),
-    mixed=st.booleans(),
+    infinite=st.booleans(),
 )
 def test_kernel_matches_bisection_oracle(seed, p_lo, p_hi, log_scale, zero_frac,
-                                         mixed):
+                                         infinite):
     rng = random.Random(seed)
     sp = random_tree_space(rng)
     n = sp.n_leaves
     lo, hi = min(p_lo, p_hi), max(p_lo, p_hi)
     pv = [rng.uniform(lo, hi) for _ in range(n)]
-    if mixed:
+    if infinite:
         pv = [math.inf if rng.random() < 0.4 else x for x in pv]
-    p = Exponent(tuple(pv), allow_infinite=mixed)
+    p = Exponent(tuple(pv), allow_infinite=infinite)
     scale = 10.0**log_scale
     rows = np.array([[0.0 if rng.random() < zero_frac else scale * rng.gauss(0, 1)
                       for _ in range(n)] for _ in range(6)])
     rows[0] = 0.0
     with np.errstate(all="raise"):
         want = [bisection_oracle(sp.probs, p.vals, row) for row in rows]
-        batch = norm_batch(sp.probs, p.vals, rows, mixed=mixed)
-        single = [luxemburg_norm(sp, row, p, mixed=mixed) for row in rows]
+        batch = norm_batch(sp.probs, p.vals, rows)
+        single = [luxemburg_norm(sp, row, p) for row in rows]
     for w, b, res in zip(want, batch, single):
         assert b == pytest.approx(w, rel=1e-10, abs=0.0)
         assert res.norm == pytest.approx(w, rel=1e-10, abs=0.0)
