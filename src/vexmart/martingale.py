@@ -16,7 +16,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import DomainError, ResourceError, ValidationError
-from .space import ArrayValue, FilteredSpace, as_leaf_values
+from .space import MAX_SPACE_BYTES, ArrayValue, FilteredSpace, as_leaf_values
 
 INF = math.inf
 ENUMERATION_CAP = 10**6
@@ -210,87 +210,73 @@ def stop(f: Martingale, tau: StoppingTime, shift: str = "none") -> Martingale:
     return Martingale(f.space, _stopped_values(f, tau.vals, n, shift))
 
 
+def _path_counts(space: FilteredSpace) -> list[int]:
+    """For each preorder position i (see ``FilteredSpace.preorder``), the
+    number of stop/continue paths from i to the end of the preorder.  The
+    walk stops at the block at i, jumping past its subtree, or continues to
+    the next position; continuing at a terminal block means 'never' on its
+    leaf.  Each path from position 0 is one stopping time."""
+    skip = space.preorder[1].tolist()
+    paths = [1] * (len(skip) + 1)
+    for i in reversed(range(len(skip))):
+        paths[i] = paths[skip[i]] + paths[i + 1]
+    return paths
+
+
 def count_stopping_times(space: FilteredSpace) -> int:
-    """Number of stopping times of the filtration (antichains of the tree,
-    counting 'never stop' continuations), built bottom-up: a terminal block
-    counts 2 (stop at N, or never) and any other block 1 (stop here) plus
-    the product of its children's counts."""
-    counts = [2] * space.n_blocks[-1]
-    for kids in reversed(space.children):
-        counts = [1 + math.prod(counts[c] for c in ch) for ch in kids]
-    return math.prod(counts)
-
-
-def _product(parts: list[np.ndarray]) -> np.ndarray:
-    """Rows of the cartesian product of the parts' rows, first part
-    slowest, columns side by side."""
-    combo = parts[0]
-    for part in parts[1:]:
-        m, k = combo.shape[0], part.shape[0]
-        combo = np.hstack([np.repeat(combo, k, axis=0), np.tile(part, (m, 1))])
-    return combo
-
-
-def _node_matrix(space: FilteredSpace, level: int, block_pos: int) -> np.ndarray:
-    """All stop assignments for the leaves of one block, rows in a fixed
-    deterministic order: stop-here first, then the cartesian product of the
-    children's assignments.  Columns follow the leaves in tree order (see
-    :func:`enumerate_stopping_matrix`)."""
-    if level == space.depth:
-        return np.array([[float(level)], [INF]])
-    combo = _product([
-        _node_matrix(space, level + 1, child)
-        for child in space.children[level][block_pos]
-    ])
-    return np.vstack([np.full((1, combo.shape[1]), float(level)), combo])
+    """Number of stopping times of the filtration: the stop/continue paths
+    of one preorder walk over its blocks."""
+    return _path_counts(space)[0]
 
 
 def enumerate_stopping_matrix(space: FilteredSpace) -> np.ndarray:
     """All stopping times as a (count, n_leaves) matrix of stop levels
-    (inf for 'never'), deterministic order; refused over ENUMERATION_CAP.
-    Internal fast path."""
-    count = count_stopping_times(space)
-    if count > ENUMERATION_CAP:
+    (inf for 'never'), one row per stop/continue path of the preorder walk,
+    paths that stop before those that continue; refused over
+    ENUMERATION_CAP.  Internal fast path."""
+    paths = _path_counts(space)
+    if paths[0] > ENUMERATION_CAP:
         raise ResourceError(
-            f"{count} stopping times exceed cap {ENUMERATION_CAP}; use sampling mode"
+            f"{paths[0]} stopping times exceed cap {ENUMERATION_CAP}; use sampling mode"
         )
-    combo = _product([_node_matrix(space, 0, b) for b in range(space.n_blocks[0])])
-    # tree order: leaves sorted by their block at level 0, then level 1, ...
-    tree_order = np.lexsort(space.block_of[::-1])
-    out = np.empty_like(combo)
-    out[:, tree_order] = combo
-    return out
+    order, skip, first, rank = space.preorder
+    depth = space.depth
+    level = np.repeat(np.arange(depth + 1.0), space.n_blocks)[order].tolist()
+    skip, first = skip.tolist(), first.tolist()
+    # rows[j]: the paths from position j, over the tree-order leaves from
+    # first[j] on.  Continuing at a non-terminal block moves to its first
+    # child, so these are, down the chain of first children, the paths
+    # stopping at each, then inf on the chain's terminal leaf.  Chains
+    # start at 0 and after each terminal block (the skip targets), and
+    # their rows are kept until their last reader.
+    rows = {len(skip): np.empty((1, 0))}
+    readers = np.bincount(skip).tolist()
+    for j in reversed([0] + [k + 1 for k in range(len(skip) - 1) if level[k] == depth]):
+        out, r = np.empty((paths[j], space.n_leaves - first[j])), 0
+        for k in range(j, len(skip)):
+            # rest covers the leaves after block k's run
+            rest = rows[skip[k]]
+            c = out.shape[1] - rest.shape[1]
+            out[r : r + len(rest), :c] = level[k]
+            out[r : r + len(rest), c:] = rest
+            r += len(rest)
+            readers[skip[k]] -= 1
+            if not readers[skip[k]]:
+                del rows[skip[k]]
+            if level[k] == depth:
+                # a terminal block's subtree is itself: skip[k] = k + 1
+                out[r:, 0] = INF
+                out[r:, 1:] = rest
+                break
+        rows[j] = out
+    return np.take(rows[0], rank, axis=1)
 
 
 def enumerate_stopping_times(space: FilteredSpace) -> tuple[StoppingTime, ...]:
-    """Exhaustive enumeration by recursive stop/continue labeling of the
-    filtration tree, refused over ENUMERATION_CAP."""
+    """Exhaustive enumeration by the stop/continue walk of the filtration
+    tree's preorder, refused over ENUMERATION_CAP."""
     matrix = enumerate_stopping_matrix(space)
     return tuple(StoppingTime(row) for row in matrix)
-
-
-def _preorder(space: FilteredSpace) -> tuple[list[int], list[int]]:
-    """The blocks of all levels in preorder of the filtration tree (roots
-    in block order, children ascending), numbered level-major as in
-    ``space._stacked_blocks``, and for each preorder position the position
-    just past that block's subtree."""
-    offsets = np.cumsum((0,) + space.n_blocks[:-1]).tolist()
-    depth, children = space.depth, space.children
-    order: list[int] = []
-    skip: list[int] = []
-
-    def visit(level: int, block_pos: int) -> None:
-        at = len(order)
-        order.append(offsets[level] + block_pos)
-        skip.append(0)
-        if level < depth:
-            for child in children[level][block_pos]:
-                visit(level + 1, child)
-        skip[at] = len(order)
-
-    for b in range(space.n_blocks[0]):
-        visit(0, b)
-    return order, skip
 
 
 def sample_stopping_matrix(
@@ -298,13 +284,16 @@ def sample_stopping_matrix(
 ) -> np.ndarray:
     """Seeded random stopping times as a (count, n_leaves) matrix of stop
     levels; rows 0 and 1 are tau = 0 and tau = infinity.  Every other row
-    walks the tree from the roots and, at each block reached, stops there
-    with probability 1/2 or else continues into its children."""
+    is a random path of the preorder walk: at each block reached it stops
+    there with probability 1/2 or else continues into its children.
+    Refused when its arrays would exceed MAX_SPACE_BYTES."""
     if count < 1:
         raise ValidationError("count must be >= 1")
     rng = random.Random(f"vexmart-stopping:{seed}")
-    order, skip = _preorder(space)
+    order, skip = (a.tolist() for a in space.preorder[:2])
     total, draw = len(order), rng.random
+    if count * (total + 8 * space.n_leaves) > MAX_SPACE_BYTES:
+        raise ResourceError(f"{count} sampled stopping times over {MAX_SPACE_BYTES} bytes")
     # stopped blocks are flagged in one (all blocks, count) array, a column
     # per sample, so that the gathers below take whole rows
     stops = np.zeros((total, count), dtype=bool)

@@ -19,7 +19,8 @@ from .errors import DomainError, ResourceError, ValidationError
 
 Blocks = tuple[tuple[int, ...], ...]
 
-# largest probs + block_of a builder may allocate, in bytes
+# largest arrays a space builder, `check lemma34` or the stopping-time
+# sampler may allocate, in bytes
 MAX_SPACE_BYTES = 1 << 30
 BRUTE_FORCE_LEAF_LIMIT = 20
 PROB_TOL = 1e-12
@@ -118,13 +119,23 @@ class FilteredSpace(ArrayValue):
         return tuple(np.split(self._stacked_blocks[1], np.cumsum(self.n_blocks)[:-1]))
 
     @cached_property
-    def children(self) -> tuple[tuple[tuple[int, ...], ...], ...]:
-        """For each level n < N, block position -> child block positions
-        at level n+1, ascending."""
-        return tuple(
-            _groups(coarse[np.unique(fine, return_index=True)[1]], k)
-            for coarse, fine, k in zip(self.block_of, self.block_of[1:], self.n_blocks)
-        )
+    def preorder(self) -> tuple[np.ndarray, ...]:
+        """The blocks of all levels in preorder of the filtration tree
+        (roots in block order, children ascending), built by sorting, not
+        recursion.  Tree order sorts the leaves by their level-0 block,
+        then level-1 block, and so on, so each block's leaves form one run
+        of it.  Per preorder position: the block's level-major id as in
+        ``_stacked_blocks``, the position just past its subtree and the
+        tree-order rank of its first leaf; then each leaf's rank."""
+        n, ids = self.n_leaves, self._stacked_blocks[0].ravel()
+        rank = np.empty(n, dtype=np.intp)
+        rank[np.lexsort(self.block_of[::-1])] = np.arange(n)
+        level = np.repeat(np.arange(self.depth + 1), self.n_blocks)
+        first = np.full(level.size, n)
+        np.minimum.at(first, ids, np.tile(rank, self.depth + 1))
+        order = np.lexsort((level, first))
+        skip = np.searchsorted(first[order], (first + np.bincount(ids))[order])
+        return tuple(map(readonly, (order, skip, first[order], rank)))
 
     def level_averages(self, rows: np.ndarray) -> np.ndarray:
         """Row n of the result is the block average of ``rows[n]`` at level
@@ -348,6 +359,8 @@ def condition_k(
     ``subsets="blocks"`` restricts A to filtration blocks (the sets the
     maximal-inequality proof actually uses) instead of all leaf subsets.
     """
+    if mode not in ("exact-pairwise", "brute-force"):
+        raise DomainError(f"unknown condition_k mode {mode!r}")
     if not p.is_finite:
         raise DomainError("condition_k requires a finite exponent")
     pv = p.vals
@@ -385,31 +398,28 @@ def condition_k(
                 witness = (i, i + 1 + j)
         return ConditionKResult(best, witness, mode)
 
-    if mode == "brute-force":
-        if n > BRUTE_FORCE_LEAF_LIMIT:
-            raise ResourceError(
-                f"brute-force condition_k limited to {BRUTE_FORCE_LEAF_LIMIT} "
-                f"leaves, got {n}"
-            )
-        best = 1.0
-        witness = (0,)
-        total = 1 << n
-        chunk = 1 << 14
-        bits = np.arange(n)
-        for start in range(1, total, chunk):
-            idx = np.arange(start, min(start + chunk, total), dtype=np.uint32)
-            m = ((idx[:, None] >> bits) & 1).astype(bool)
-            pa = m @ probs
-            pmin = np.where(m, pv, np.inf).min(axis=1)
-            pmax = np.where(m, pv, -np.inf).max(axis=1)
-            vals = pa ** (pmin - pmax)
-            j = int(np.argmax(vals))
-            if vals[j] > best:
-                best = float(vals[j])
-                witness = tuple(int(b) for b in np.nonzero(m[j])[0])
-        return ConditionKResult(best, witness, mode)
-
-    raise DomainError(f"unknown condition_k mode {mode!r}")
+    if n > BRUTE_FORCE_LEAF_LIMIT:
+        raise ResourceError(
+            f"brute-force condition_k limited to {BRUTE_FORCE_LEAF_LIMIT} "
+            f"leaves, got {n}"
+        )
+    best = 1.0
+    witness = (0,)
+    total = 1 << n
+    chunk = 1 << 14
+    bits = np.arange(n)
+    for start in range(1, total, chunk):
+        idx = np.arange(start, min(start + chunk, total), dtype=np.uint32)
+        m = ((idx[:, None] >> bits) & 1).astype(bool)
+        pa = m @ probs
+        pmin = np.where(m, pv, np.inf).min(axis=1)
+        pmax = np.where(m, pv, -np.inf).max(axis=1)
+        vals = pa ** (pmin - pmax)
+        j = int(np.argmax(vals))
+        if vals[j] > best:
+            best = float(vals[j])
+            witness = tuple(int(b) for b in np.nonzero(m[j])[0])
+    return ConditionKResult(best, witness, mode)
 
 
 def aoyama_c(space: FilteredSpace, p: Exponent) -> float:

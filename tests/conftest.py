@@ -50,6 +50,23 @@ def relabelled_levels(space, rng: random.Random):
     return levels, probs
 
 
+def children_of(space):
+    """For each level n < N, block position -> child block positions at
+    level n+1, ascending, read off ``block_of``."""
+    return [
+        [sorted({int(c) for c, a in zip(fine, coarse) if a == b}) for b in range(k)]
+        for coarse, fine, k in zip(space.block_of, space.block_of[1:], space.n_blocks)
+    ]
+
+
+def drop_root_level(space):
+    """The space without its level 0: a filtration whose first level may
+    have several blocks, so the tree is a forest."""
+    return validate_filtration(
+        [list(map(list, level)) for level in space.levels[1:]], space.leaf_probs
+    )
+
+
 def random_exponent(rng: random.Random, n: int, lo: float = 1.1, hi: float = 3.0):
     return Exponent(tuple(rng.uniform(lo, hi) for _ in range(n)))
 

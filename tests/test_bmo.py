@@ -23,7 +23,7 @@ from vexmart import (
 from vexmart import bmo
 from vexmart.bmo import candidate_matrix, indicator_norms
 
-from conftest import random_exponent, random_tree_space, relabelled_levels
+from conftest import children_of, random_exponent, random_tree_space, relabelled_levels
 
 
 def centered(rng, space, scale=1.0):
@@ -231,6 +231,7 @@ def _sampled_candidates_oracle(space, samples, seed):
     """Sampled candidates as first built: one recursive descent per sampled
     stopping time, then the constant rows tau = n, deduplicated by
     ``np.unique(axis=0)``, never-finite rows dropped."""
+    children = children_of(space)
     rng = random.Random(f"vexmart-stopping:{seed}")
     n = space.n_leaves
     rows = [[0.0] * n, [math.inf] * n][:samples]
@@ -242,7 +243,7 @@ def _sampled_candidates_oracle(space, samples, seed):
                 for leaf in space.levels[level][b]:
                     vals[leaf] = float(level)
             elif level < space.depth:
-                for child in space.children[level][b]:
+                for child in children[level][b]:
                     descend(level + 1, child)
 
         for b in range(space.n_blocks[0]):

@@ -15,7 +15,7 @@ from vexmart import (
     martingale_from_terminal,
     reconstruct,
 )
-from vexmart import serialize
+from vexmart import martingale, serialize
 from vexmart.cli import run
 
 from conftest import random_tree_space
@@ -318,6 +318,31 @@ class TestExitCodes:
                     "--martingale", mg, "--mode", "exhaustive"])
         assert code == 2
         assert "error:" in capsys.readouterr().err
+
+    def test_sampler_memory_cap_exit_two(self, capsys, tmp_path, monkeypatch):
+        monkeypatch.setattr(martingale, "MAX_SPACE_BYTES", 1000)
+        sp = write_json(tmp_path / "s.json", serialize.space_to_json(build_dyadic_space(2)))
+        pe = write_json(tmp_path / "p.json", {"values": [1.5] * 4})
+        mg = write_json(tmp_path / "m.json", {"terminal": [1.0, -1.0, 2.0, -2.0]})
+        code = run(["bmo", "--space", sp, "--exponent", pe, "--martingale", mg,
+                    "--mode", "sampled", "--samples", "100"])
+        assert code == 2
+        assert "bytes" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("mode", ["auto", "sampled"])
+    def test_deep_filtration_bmo(self, capsys, tmp_path, mode):
+        # 1,500 levels: far deeper than the interpreter's recursion limit,
+        # with 1 + 1501**2 stopping times, so auto mode samples
+        sp = write_json(tmp_path / "s.json", {
+            "leaf_probs": [0.5, 0.5],
+            "levels": [[[0, 1]]] + [[[0], [1]]] * 1500,
+        })
+        pe = write_json(tmp_path / "p.json", {"values": [1.5, 2.5]})
+        mg = write_json(tmp_path / "m.json", {"terminal": [1.0, -1.0]})
+        code = run(["bmo", "--space", sp, "--exponent", pe, "--martingale", mg,
+                    "--mode", mode])
+        assert code == 0
+        assert json.loads(capsys.readouterr().out)["mode"] == "sampled"
 
     def test_bad_space_json_exit_one(self, capsys, tmp_path):
         # validation failure inside the space loader: bad refinement

@@ -32,7 +32,7 @@ from vexmart.martingale import (
     stopped_terminal_diffs,
 )
 
-from conftest import random_tree_space, relabelled_levels
+from conftest import children_of, drop_root_level, random_tree_space, relabelled_levels
 
 INF = math.inf
 
@@ -227,8 +227,9 @@ class TestStoppingTimes:
 
 
 def _count_oracle(space):
-    """The top-down memoized recursion over (level, block) that the
-    bottom-up count replaced."""
+    """The top-down memoized recursion over (level, block): a terminal
+    block counts 2, any other 1 plus the product of its children's counts."""
+    children = children_of(space)
     memo = {}
 
     def node(level, block_pos):
@@ -238,7 +239,7 @@ def _count_oracle(space):
                 memo[key] = 2
             else:
                 total = 1
-                for child in space.children[level][block_pos]:
+                for child in children[level][block_pos]:
                     total *= node(level + 1, child)
                 memo[key] = 1 + total
         return memo[key]
@@ -286,6 +287,7 @@ class TestEnumeration:
         spaces = [build_mary_space(3, d) for d in (1, 2, 3)]
         rng = random.Random(43)
         spaces += [random_tree_space(rng) for _ in range(40)]
+        spaces += list(_walk_test_spaces(61, 60, 12))
         for sp in spaces:
             assert count_stopping_times(sp) == _count_oracle(sp)
 
@@ -443,11 +445,13 @@ def test_cond_square_matches_level_loop():
 def _enumeration_oracle(space):
     """The recursive enumeration over leaf lists that the tree-order one
     replaced: the same rows in the same order."""
+    children = children_of(space)
+
     def node(level, b):
         block = space.levels[level][b]
         if level == space.depth:
             return np.array([[float(level)], [INF]])
-        kids = space.children[level][b]
+        kids = children[level][b]
         combo = node(level + 1, kids[0])
         for child in kids[1:]:
             part = node(level + 1, child)
@@ -473,6 +477,7 @@ def _enumeration_oracle(space):
 
 def _sampling_oracle(space, count, seed):
     """The leaf-by-leaf descent that the block-flag sampler replaced."""
+    children = children_of(space)
     rng = random.Random(f"vexmart-stopping:{seed}")
     out = [[0.0] * space.n_leaves, [INF] * space.n_leaves][:count]
     while len(out) < count:
@@ -486,13 +491,114 @@ def _sampling_oracle(space, count, seed):
                 for leaf in space.levels[level][b]:
                     vals[leaf] = INF
             else:
-                for child in space.children[level][b]:
+                for child in children[level][b]:
                     descend(level + 1, child)
 
         for b in range(len(space.levels[0])):
             descend(0, b)
         out.append(vals)
     return out
+
+
+def _tree_product(parts):
+    """Rows of the cartesian product of the parts' rows, first part
+    slowest, columns side by side."""
+    combo = parts[0]
+    for part in parts[1:]:
+        m, k = combo.shape[0], part.shape[0]
+        combo = np.hstack([np.repeat(combo, k, axis=0), np.tile(part, (m, 1))])
+    return combo
+
+
+def _recursive_enumeration(space):
+    """The recursive per-block enumeration that the preorder walk replaced:
+    stop here first, then the product of the children's assignments, with
+    columns in tree order scattered back to leaf order."""
+    children = children_of(space)
+
+    def node(level, b):
+        if level == space.depth:
+            return np.array([[float(level)], [INF]])
+        combo = _tree_product([node(level + 1, c) for c in children[level][b]])
+        return np.vstack([np.full((1, combo.shape[1]), float(level)), combo])
+
+    combo = _tree_product([node(0, b) for b in range(space.n_blocks[0])])
+    out = np.empty_like(combo)
+    out[:, np.lexsort(space.block_of[::-1])] = combo
+    return out
+
+
+def _recursive_preorder(space):
+    """The recursive visit that the cached preorder replaced: level-major
+    block ids in preorder, and the position just past each subtree."""
+    offsets = np.cumsum((0,) + space.n_blocks[:-1]).tolist()
+    children = children_of(space)
+    order, skip = [], []
+
+    def visit(level, b):
+        at = len(order)
+        order.append(offsets[level] + b)
+        skip.append(0)
+        if level < space.depth:
+            for c in children[level][b]:
+                visit(level + 1, c)
+        skip[at] = len(order)
+
+    for b in range(space.n_blocks[0]):
+        visit(0, b)
+    return order, skip
+
+
+def _walk_test_spaces(seed, count, max_leaves):
+    """Random trees, the same trees with relabelled leaves and shuffled
+    blocks, and the forests left by dropping their level 0."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        sp = random_tree_space(rng, max_leaves=max_leaves)
+        yield sp
+        yield validate_filtration(*relabelled_levels(sp, rng))
+        yield drop_root_level(sp)
+
+
+class TestPreorderWalk:
+    def test_preorder_matches_recursive_visit(self):
+        spaces = [build_mary_space(2, d) for d in range(1, 8)]
+        spaces += [build_mary_space(3, d) for d in (1, 2, 3)]
+        spaces += list(_walk_test_spaces(59, 60, 12))
+        for sp in spaces:
+            order, skip = sp.preorder[:2]
+            assert (order.tolist(), skip.tolist()) == _recursive_preorder(sp)
+
+    def test_enumeration_matches_recursive_oracle(self):
+        spaces = [build_dyadic_space(d) for d in (0, 1, 2, 3)]
+        spaces += [build_mary_space(3, 2)]
+        spaces += list(_walk_test_spaces(67, 60, 8))
+        for sp in spaces:
+            assert np.array_equal(enumerate_stopping_matrix(sp), _recursive_enumeration(sp))
+
+    def test_deep_single_leaf_enumeration(self):
+        # far deeper than the interpreter's recursion limit
+        sp = validate_filtration([[[0]]] * 1501, [1.0])
+        got = enumerate_stopping_matrix(sp)
+        assert got.shape == (1502, 1)
+        assert got[:, 0].tolist() == [*map(float, range(1501)), INF]
+        assert count_stopping_times(sp) == 1502
+
+    def test_deep_two_leaf_sampling(self):
+        sp = validate_filtration([[[0, 1]]] + [[[0], [1]]] * 1500, [0.5, 0.5])
+        assert count_stopping_times(sp) == 1 + 1501**2
+        for t in sample_stopping_times(sp, 8, seed=2):
+            validate_stopping_time(sp, t.stop_level)
+
+    def test_sampler_memory_cap(self, monkeypatch):
+        sp = build_dyadic_space(2)
+        # 7 block flags and 4 float leaves per sample
+        need = 10 * (7 + 8 * 4)
+        monkeypatch.setattr(martingale, "MAX_SPACE_BYTES", need)
+        assert martingale.sample_stopping_matrix(sp, 10).shape == (10, 4)
+        monkeypatch.setattr(martingale, "MAX_SPACE_BYTES", need - 1)
+        with pytest.raises(ResourceError):
+            martingale.sample_stopping_matrix(sp, 10)
 
 
 @settings(max_examples=60, deadline=None)

@@ -172,6 +172,12 @@ class TestConditionK:
             full = condition_k(sp, p).k
             assert blocks <= full + 1e-12
 
+    @pytest.mark.parametrize("subsets", ["all", "blocks"])
+    def test_unknown_mode_rejected(self, four_leaf, subsets):
+        with pytest.raises(DomainError, match="unknown condition_k mode 'nonsense'"):
+            condition_k(four_leaf, constant_exponent(four_leaf, 2.0),
+                        mode="nonsense", subsets=subsets)
+
     def test_brute_force_leaf_cap(self):
         sp = build_dyadic_space(5)
         with pytest.raises(ResourceError):
@@ -430,7 +436,11 @@ class TestArrayFields:
         assert not sp.block_of.flags.writeable and not sp.probs.flags.writeable
         assert sp.block_of.tolist() == [[0, 0, 0, 0], [0, 0, 1, 1], [0, 1, 2, 3]]
         assert sp.n_blocks == (1, 2, 4)
-        assert sp.children == (((0, 1),), ((0, 1), (2, 3)))
+        order, skip, first, rank = sp.preorder
+        assert rank.tolist() == [0, 1, 2, 3]
+        assert order.tolist() == [0, 1, 3, 4, 2, 5, 6]
+        assert skip.tolist() == [7, 4, 3, 4, 7, 6, 7]
+        assert first.tolist() == [0, 0, 0, 1, 2, 2, 3]
 
     def test_space_value_semantics(self):
         a, b = build_dyadic_space(2), build_mary_space(2, 2)
