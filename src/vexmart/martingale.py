@@ -16,10 +16,15 @@ from typing import Sequence
 import numpy as np
 
 from .errors import DomainError, ResourceError, ValidationError
-from .space import MAX_SPACE_BYTES, ArrayValue, FilteredSpace, as_leaf_values
+from .space import (
+    ENUMERATION_CAP,
+    MAX_SPACE_BYTES,
+    ArrayValue,
+    FilteredSpace,
+    as_leaf_values,
+)
 
 INF = math.inf
-ENUMERATION_CAP = 10**6
 TOWER_TOL = 1e-12
 
 
@@ -93,7 +98,7 @@ def cond_expect(
     if not 0 <= level <= space.depth:
         raise ValidationError(f"level {level} outside 0..{space.depth}")
     v = as_leaf_values(space, f)
-    return space.level_averages(np.broadcast_to(v, (level + 1, v.size)))[level]
+    return space.level_averages(v[None], start=level)[0]
 
 
 def martingale_from_terminal(
@@ -269,6 +274,8 @@ def enumerate_stopping_matrix(space: FilteredSpace) -> np.ndarray:
                 out[r:, 1:] = rest
                 break
         rows[j] = out
+    if np.array_equal(rank, np.arange(rank.size)):
+        return rows[0]
     return np.take(rows[0], rank, axis=1)
 
 

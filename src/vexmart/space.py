@@ -22,6 +22,9 @@ Blocks = tuple[tuple[int, ...], ...]
 # largest arrays a space builder, `check lemma34` or the stopping-time
 # sampler may allocate, in bytes
 MAX_SPACE_BYTES = 1 << 30
+# most stopping times an enumeration lists, and most pairs `condition_k`
+# scores at once
+ENUMERATION_CAP = 10**6
 BRUTE_FORCE_LEAF_LIMIT = 20
 PROB_TOL = 1e-12
 
@@ -137,14 +140,13 @@ class FilteredSpace(ArrayValue):
         skip = np.searchsorted(first[order], (first + np.bincount(ids))[order])
         return tuple(map(readonly, (order, skip, first[order], rank)))
 
-    def level_averages(self, rows: np.ndarray) -> np.ndarray:
-        """Row n of the result is the block average of ``rows[n]`` at level
-        n, for the first len(rows) levels, from one weighted bincount: the
-        one implementation of conditional expectation.  A level's blocks
-        sum their leaves in leaf order, so a row does not depend on how
-        many rows are passed."""
+    def level_averages(self, rows: np.ndarray, start: int = 0) -> np.ndarray:
+        """Row k of the result is the block average of ``rows[k]`` at level
+        start + k, from one weighted bincount: the one implementation of
+        conditional expectation.  A level's blocks sum their leaves in leaf
+        order, so a row does not depend on which other rows are passed."""
         ids, block_probs = self._stacked_blocks
-        ids = ids[: len(rows)]
+        ids = ids[start : start + len(rows)]
         sums = np.bincount(ids.ravel(), weights=(self.probs * rows).ravel())
         return (sums / block_probs[: sums.size])[ids]
 
@@ -340,6 +342,17 @@ class ConditionKResult:
     mode: str
 
 
+def _staircase(probs: np.ndarray, pv: np.ndarray) -> np.ndarray:
+    """The leaves k, ascending in p, that no other leaf beats with both
+    P <= P_k and p <= p_k; of equal points only the smallest leaf.  Sorted
+    by (p, P, leaf), a leaf is kept when its P is below every earlier P."""
+    order = np.lexsort((probs, pv))
+    sorted_probs = probs[order]
+    keep = np.ones(order.size, dtype=bool)
+    keep[1:] = sorted_probs[1:] < np.minimum.accumulate(sorted_probs)[:-1]
+    return order[keep]
+
+
 def condition_k(
     space: FilteredSpace,
     p: Exponent,
@@ -349,12 +362,24 @@ def condition_k(
     """Smallest constant K with P(A)^(p_-(A) - p_+(A)) <= K over nonempty
     measurable A, with a witness set.
 
-    The exact-pairwise algorithm is exact: for any A, let i attain the min
-    and j the max of p on A.  The pair {i, j} has the same exponent spread
-    as A and P({i,j}) <= P(A); since t -> t^(-spread) is nonincreasing on
-    (0, 1] for spread >= 0, the pair's value dominates A's.  Every pair is
-    itself an admissible A, so the pairwise maximum equals the full
-    supremum.  Brute-force mode is kept as its independent oracle.
+    Exact-pairwise mode reduces A to pairs and the pairs to two staircases.
+    For any A, let i attain the min and j the max of p on A: the pair {i, j}
+    has the same exponent spread and P({i, j}) <= P(A), and t -> t^(-spread)
+    is nonincreasing on (0, 1], so the pair's value dominates A's; every
+    pair is itself an admissible A.  In a pair with p_i <= p_j, a leaf k
+    with p_k <= p_i and P_k <= P_i is at least as good as i, and one with
+    p_k >= p_j and P_k <= P_j at least as good as j.  So the best pair joins
+    the lower staircase, the leaves that no other leaf beats with both
+    smaller P and smaller p, to the upper one, beaten by none with smaller P
+    and larger p: the maxima of a point set, each one sort and a running
+    minimum of P, with equal points kept at their smallest leaf.  The
+    staircase pairs are scored by the pairwise formula
+    (P_i + P_j)^(-|p_i - p_j|) in chunks of at most ENUMERATION_CAP; the
+    witness is the lexicographically first pair i < j of largest value, or
+    (0,) when no pair exceeds 1.  Pairs off the staircases are strictly
+    worse in exact arithmetic, so this is the maximum and first argmax over
+    all pairs unless rounding makes two values meet.  Brute-force mode is
+    kept as the independent oracle.
 
     ``subsets="blocks"`` restricts A to filtration blocks (the sets the
     maximal-inequality proof actually uses) instead of all leaf subsets.
@@ -386,16 +411,21 @@ def condition_k(
         raise DomainError(f"unknown subsets option {subsets!r}")
 
     if mode == "exact-pairwise":
-        best = 1.0
-        witness: tuple[int, ...] = (0,)
-        for i in range(n - 1):
-            s = probs[i] + probs[i + 1 :]
-            d = np.abs(pv[i] - pv[i + 1 :])
-            vals = s ** (-d)
-            j = int(np.argmax(vals))
-            if vals[j] > best:
-                best = float(vals[j])
-                witness = (i, i + 1 + j)
+        lower, upper = _staircase(probs, pv), _staircase(probs, -pv)
+        best, first = 1.0, None
+        step = max(1, ENUMERATION_CAP // upper.size)
+        for a in range(0, lower.size, step):
+            i = lower[a : a + step, None]
+            vals = (probs[i] + probs[upper]) ** -np.abs(pv[i] - pv[upper])
+            top = vals.max()
+            if top <= 1.0 or top < best:
+                continue
+            rows, cols = np.nonzero(vals == top)
+            x, y = i[rows, 0], upper[cols]
+            key = int(np.min(np.minimum(x, y) * n + np.maximum(x, y)))
+            first = key if top > best else min(first, key)
+            best = float(top)
+        witness = (0,) if first is None else divmod(first, n)
         return ConditionKResult(best, witness, mode)
 
     if n > BRUTE_FORCE_LEAF_LIMIT:

@@ -426,6 +426,16 @@ def test_level_averages_match_block_average():
             assert np.array_equal(cond_expect(sp, rows[n], n), want)
 
 
+def test_cond_expect_is_its_row_of_level_averages():
+    rng = random.Random(47)
+    for _ in range(30):
+        sp = random_tree_space(rng)
+        v = np.array([rng.gauss(0, 1) for _ in range(sp.n_leaves)])
+        rows = sp.level_averages(np.broadcast_to(v, sp.block_of.shape))
+        for n in range(sp.depth + 1):
+            assert np.array_equal(cond_expect(sp, v, n), rows[n])
+
+
 def test_cond_square_matches_level_loop():
     # the cumulative sum adds the conditioned increments in level order,
     # like this loop, so the results are equal bit for bit

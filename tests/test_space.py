@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from vexmart import space as space_module
 from vexmart import (
     DomainError,
     Exponent,
@@ -110,6 +111,30 @@ class TestExponent:
         assert p.p_minus([2]) == 2.0
 
 
+def _pairwise_condition_k(space, p):
+    """Oracle: every pair {i, j}, i < j, scored by one numpy row per i;
+    the first strictly larger value wins, so ties keep the
+    lexicographically first pair.  (K, witness), or (1.0, (0,)) when no
+    pair exceeds 1."""
+    probs, pv = space.probs, p.vals
+    best, witness = 1.0, (0,)
+    for i in range(space.n_leaves - 1):
+        vals = (probs[i] + probs[i + 1 :]) ** (-np.abs(pv[i] - pv[i + 1 :]))
+        j = int(np.argmax(vals))
+        if vals[j] > best:
+            best, witness = float(vals[j]), (i, i + 1 + j)
+    return best, witness
+
+
+# four leaves on which the pairs (0, 3) and (2, 3) both reach the largest
+# value 4 exactly, from two lower-staircase leaves: leaf 2 is scored before
+# leaf 0 in the first case and after it in the second
+TIED_PAIRS = [
+    ((0.125, 0.375, 0.375, 0.125), (2.0, 2.0, 1.0, 3.0)),
+    ((0.375, 0.375, 0.125, 0.125), (1.0, 2.0, 2.0, 3.0)),
+]
+
+
 class TestConditionK:
     def test_constant_exponent_gives_one(self):
         sp = build_dyadic_space(3)
@@ -171,6 +196,65 @@ class TestConditionK:
             blocks = condition_k(sp, p, subsets="blocks").k
             full = condition_k(sp, p).k
             assert blocks <= full + 1e-12
+
+    @settings(max_examples=200, deadline=None)
+    @given(seed=st.integers(min_value=0, max_value=10**6),
+           max_leaves=st.integers(min_value=2, max_value=40),
+           probs=st.sampled_from(["random", "uniform"]),
+           values=st.sampled_from(["iid", "repeated", "constant"]))
+    def test_staircase_matches_pairwise_and_brute_force(
+        self, seed, max_leaves, probs, values
+    ):
+        rng = random.Random(seed)
+        sp = random_tree_space(rng, max_leaves=max_leaves)
+        n = sp.n_leaves
+        if probs == "uniform":
+            sp = validate_filtration([list(map(list, lv)) for lv in sp.levels],
+                                     [1.0 / n] * n)
+        if values == "iid":
+            p = random_exponent(rng, n, 0.4, 4.0)
+        elif values == "repeated":
+            pool = [rng.uniform(0.4, 4.0) for _ in range(3)]
+            p = Exponent([rng.choice(pool) for _ in range(n)])
+        else:
+            p = constant_exponent(sp, rng.uniform(0.4, 4.0))
+        res = condition_k(sp, p)
+        assert (res.k, res.witness) == _pairwise_condition_k(sp, p)
+        if n <= 12:
+            slow = condition_k(sp, p, mode="brute-force").k
+            assert res.k == pytest.approx(slow, rel=1e-12)
+
+    @pytest.mark.parametrize("cap", [1, 10**6])
+    @pytest.mark.parametrize("probs, values", TIED_PAIRS)
+    def test_tied_maximum_keeps_first_pair(self, monkeypatch, cap, probs, values):
+        # with cap 1 each lower-staircase leaf is scored in its own chunk
+        monkeypatch.setattr(space_module, "ENUMERATION_CAP", cap)
+        sp = validate_filtration([[[0, 1, 2, 3]], [[0], [1], [2], [3]]], probs)
+        p = Exponent(values)
+        res = condition_k(sp, p)
+        assert (res.k, res.witness) == (4.0, (0, 3))
+        assert _pairwise_condition_k(sp, p) == (4.0, (0, 3))
+
+    def test_equal_points_keep_smallest_leaf(self):
+        sp = build_dyadic_space(3)
+        res = condition_k(sp, Exponent((2.0, 1.0) * 4))
+        assert (res.k, res.witness) == (4.0, (0, 1))
+
+    def test_two_antichains_score_in_several_chunks(self):
+        # 2,048 leaves whose p falls as P grows (all on the lower
+        # staircase) and 2,048 whose p grows with P (all on the upper one)
+        m = 2048
+        t = np.arange(m) / m
+        probs = np.tile(1.0 + t, 2) / (2 * (1.0 + t).sum())
+        n = 2 * m
+        sp = validate_filtration([[list(range(n))], [[i] for i in range(n)]], probs)
+        p = Exponent(np.concatenate([1.5 - t, 2.0 + t]))
+        lower = space_module._staircase(sp.probs, p.vals)
+        upper = space_module._staircase(sp.probs, -p.vals)
+        assert (lower.size, upper.size) == (m, m)
+        assert lower.size * upper.size > space_module.ENUMERATION_CAP
+        res = condition_k(sp, p)
+        assert (res.k, res.witness) == _pairwise_condition_k(sp, p)
 
     @pytest.mark.parametrize("subsets", ["all", "blocks"])
     def test_unknown_mode_rejected(self, four_leaf, subsets):
