@@ -4,7 +4,10 @@ Both norms scan a family of stopping times: the full (exhaustively
 enumerated) family when its size fits under the cap, otherwise a seeded
 sample that always contains tau = 0, tau = infinity and every constant-level
 tau = n.  Sampled values are lower bounds of the true supremum and the mode
-is reported so callers can pin exhaustive results only.
+is reported so callers can pin exhaustive results only.  The family depends
+on the filtration alone, so it is built once per space and cached there
+together with the index of its distinct {tau < inf} masks; a call only
+gathers its stopped differences and solves its norms.
 """
 
 from __future__ import annotations
@@ -27,7 +30,7 @@ from .martingale import (
     sample_stopping_matrix,
     stopped_terminal_diffs,
 )
-from .space import Exponent, FilteredSpace, as_leaf_values
+from .space import Exponent, FilteredSpace, as_leaf_values, readonly
 from .varlp import norm_batch
 from .hardy import hs_norm
 
@@ -40,34 +43,82 @@ class SupNormResult:
     candidates: int
 
 
+@dataclass(frozen=True, eq=False)
+class StoppingScan:
+    """A family of stopping times to scan, all arrays read-only: their stop
+    levels ``taus`` (rows that are finite somewhere), the masks ``finite``
+    of {tau < inf}, one row index ``first`` per distinct mask and, per row,
+    the position ``which`` of its mask in ``first``; and how the family
+    was made, "exhaustive" or "sampled"."""
+
+    taus: np.ndarray
+    finite: np.ndarray
+    first: np.ndarray
+    which: np.ndarray
+    mode: str
+
+    @classmethod
+    def of(cls, taus: np.ndarray, mode: str) -> "StoppingScan":
+        taus = taus[np.isfinite(taus).any(axis=1)]
+        finite = np.isfinite(taus)
+        first, which = _distinct_rows(_packed_rows(finite))
+        return cls(*map(readonly, (taus, finite, first, which)), mode)
+
+    def indicator_norms(self, probs: np.ndarray, pvals: np.ndarray) -> np.ndarray:
+        """||chi_{tau<inf}||_{p(.)} per row, one solve per distinct mask."""
+        distinct = self.finite[self.first].astype(float)
+        return norm_batch(probs, pvals, distinct)[self.which]
+
+
 def candidate_matrix(
     space: FilteredSpace,
     mode: str = "auto",
     seed: int = 0,
     samples: int = 256,
-) -> tuple[np.ndarray, str]:
-    """Stopping times to scan, as a stop-level matrix, plus the achieved
-    mode.  Exhaustive mode is taken when at most ENUMERATION_CAP stopping
-    times exist.  Stopping times that are never finite contribute nothing
-    to any supremum over stopping times and are left out."""
+) -> StoppingScan:
+    """The stopping times to scan.  Exhaustive mode is taken when at most
+    ENUMERATION_CAP stopping times exist, decided on every call from the
+    count; sampled mode takes ``samples`` seeded draws plus every
+    constant-level tau, deduplicated.  Stopping times that are never
+    finite contribute nothing to any supremum over stopping times and are
+    left out.  Each scan is built once and cached on the space: the
+    exhaustive one, and the sampled one of the latest (seed, samples)."""
     if mode not in ("auto", "exhaustive", "sampled"):
         raise DomainError(f"unknown supremum mode {mode!r}")
     count = count_stopping_times(space)
+    cache = space._scan_cache
     if mode in ("auto", "exhaustive") and count <= ENUMERATION_CAP:
-        taus, achieved = enumerate_stopping_matrix(space), "exhaustive"
-    elif mode == "exhaustive":
+        if "exhaustive" not in cache:
+            cache["exhaustive"] = StoppingScan.of(
+                enumerate_stopping_matrix(space), "exhaustive"
+            )
+        return cache["exhaustive"]
+    if mode == "exhaustive":
         raise ResourceError(
             f"{count} stopping times exceed cap {ENUMERATION_CAP}; "
             "exhaustive mode refused"
         )
-    else:
+    key, scan = cache.get("sampled", (None, None))
+    if key != (seed, samples):
         levels = np.arange(space.depth + 1, dtype=float)[:, None]
         rows = np.vstack([
             sample_stopping_matrix(space, samples, seed),
             np.broadcast_to(levels, (space.depth + 1, space.n_leaves)),
         ])
-        taus, achieved = rows[_distinct_rows(rows)[0]], "sampled"
-    return taus[np.isfinite(taus).any(axis=1)], achieved
+        scan = StoppingScan.of(rows[_distinct_rows(rows)[0]], "sampled")
+        cache["sampled"] = ((seed, samples), scan)
+    return scan
+
+
+def _packed_rows(masks: np.ndarray) -> np.ndarray:
+    """``np.packbits(masks, axis=1)`` of a boolean matrix, from one flat
+    pack of its rows padded with False to a multiple of 8 columns, which is
+    far faster than packing along an axis."""
+    rows, width = masks.shape
+    padded = -width % 8
+    if padded:
+        masks = np.concatenate([masks, np.zeros((rows, padded), dtype=bool)], axis=1)
+    return np.packbits(masks.ravel()).reshape(rows, (width + padded) // 8)
 
 
 def _distinct_rows(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -89,22 +140,21 @@ def indicator_norms(
     probs: np.ndarray, pvals: np.ndarray, masks: np.ndarray
 ) -> np.ndarray:
     """Luxemburg norms of the rows of a boolean matrix read as indicators,
-    with one solve per distinct row.  Rows are told apart by their packed
-    bits, a few byte columns, whose lexicographic order is the byte order
-    of the packed rows."""
-    first, which = _distinct_rows(np.packbits(masks, axis=1))
+    with one solve per distinct row.  Rows are told apart by their bits,
+    packed in one flat pass (``_packed_rows``) into a few byte columns,
+    whose lexicographic order is the byte order of the packed rows.  A
+    stopping-time scan keeps this index for its own masks
+    (``StoppingScan.indicator_norms``)."""
+    first, which = _distinct_rows(_packed_rows(masks))
     return norm_batch(probs, pvals, masks[first].astype(float))[which]
 
 
-def _sup_result(
-    taus: np.ndarray, ratios: np.ndarray, mode: str
-) -> SupNormResult:
+def _sup_result(scan: StoppingScan, ratios: np.ndarray) -> SupNormResult:
+    n = scan.taus.shape[0]
     if ratios.size == 0 or not np.any(np.isfinite(ratios)):
-        return SupNormResult(0.0, None, mode, taus.shape[0])
+        return SupNormResult(0.0, None, scan.mode, n)
     i = int(np.argmax(ratios))
-    return SupNormResult(
-        float(ratios[i]), StoppingTime(taus[i]), mode, taus.shape[0]
-    )
+    return SupNormResult(float(ratios[i]), StoppingTime(scan.taus[i]), scan.mode, n)
 
 
 def bmo_norm(
@@ -119,12 +169,10 @@ def bmo_norm(
     are never finite contribute nothing."""
     space = f.space
     require_f0_zero(f, "bmo_norm requires f_0 = 0")
-    taus, achieved = candidate_matrix(space, mode, seed, samples)
-    finite = np.isfinite(taus)
-    diffs = stopped_terminal_diffs(f, taus, shift="minus-one")
+    scan = candidate_matrix(space, mode, seed, samples)
+    diffs = stopped_terminal_diffs(f, scan.taus, shift="minus-one")
     nums = norm_batch(space.probs, p.vals, diffs)
-    dens = indicator_norms(space.probs, p.vals, finite)
-    return _sup_result(taus, nums / dens, achieved)
+    return _sup_result(scan, nums / scan.indicator_norms(space.probs, p.vals))
 
 
 def lipschitz_norm(
@@ -146,14 +194,13 @@ def lipschitz_norm(
         raise DomainError("alpha must be nonnegative")
     inv_alpha = np.where(avals > 0, 1.0 / np.where(avals > 0, avals, 1.0), math.inf)
 
-    taus, achieved = candidate_matrix(space, mode, seed, samples)
-    finite = np.isfinite(taus)
-    diffs = np.abs(stopped_terminal_diffs(f, taus, shift="none"))
+    scan = candidate_matrix(space, mode, seed, samples)
+    diffs = np.abs(stopped_terminal_diffs(f, scan.taus, shift="none"))
     nums = (diffs**q @ space.probs) ** (1.0 / q)
-    pq = finite @ space.probs
+    pq = scan.finite @ space.probs
     dens_q = pq ** (1.0 / q)
-    dens_alpha = indicator_norms(space.probs, inv_alpha, finite)
-    return _sup_result(taus, nums / (dens_q * dens_alpha), achieved)
+    dens_alpha = scan.indicator_norms(space.probs, inv_alpha)
+    return _sup_result(scan, nums / (dens_q * dens_alpha))
 
 
 def duality_pairing_ratio(

@@ -340,21 +340,21 @@ def lemma34_check(
 
 def jn_equivalence(config: TrialConfig, p: Exponent) -> ConstantReport:
     """Two-sided envelope of bmo_norm(f, p) / bmo_norm(f, 1) over random
-    martingales, both norms taken exhaustively.  The stopping times and both
-    denominators depend only on (space, p), so they are built once, and the
-    two numerators of a trial share one stopped-difference gather."""
+    martingales, both norms taken exhaustively.  The stopping times come
+    from the space's cached scan, both denominators are solved once per
+    call, and the two numerators of a trial share one stopped-difference
+    gather."""
     if p.p_minus() < 1.0:
         raise DomainError("BMO norm equivalence requires p_- >= 1")
     space = config.space
     probs, ones = space.probs, np.ones(space.n_leaves)
-    taus, _ = candidate_matrix(space, "exhaustive")
-    finite = np.isfinite(taus)
-    dens1 = indicator_norms(probs, ones, finite)
-    densp = indicator_norms(probs, p.vals, finite)
+    scan = candidate_matrix(space, "exhaustive")
+    dens1 = scan.indicator_norms(probs, ones)
+    densp = scan.indicator_norms(probs, p.vals)
     ratios, kept = [], []
     for i in range(config.trials):
         f = generate_martingale(config, i)
-        diffs = stopped_terminal_diffs(f, taus, shift="minus-one")
+        diffs = stopped_terminal_diffs(f, scan.taus, shift="minus-one")
         b1 = float(np.max(norm_batch(probs, ones, diffs) / dens1))
         bp = float(np.max(norm_batch(probs, p.vals, diffs) / densp))
         if b1 == 0.0 or bp == 0.0:
@@ -398,22 +398,22 @@ def exp_jn_curve(f: Martingale, p: Exponent) -> ConstantReport:
     C_hat through r = t / (2 * C_hat * ||f||_{BMO_1})).
 
     One scan serves everything: ||f||_{BMO_1} is taken from the same
-    stopping times and stopped differences as the curve.  Off {tau < inf}
-    the differences are exactly 0."""
+    stopping times (the space's cached scan) and stopped differences as the
+    curve.  Off {tau < inf} the differences are exactly 0."""
     space = f.space
     require_f0_zero(f, "exp_jn_curve requires f_0 = 0")
-    taus, _ = candidate_matrix(space, "exhaustive")
-    finite = np.isfinite(taus)
-    diffs = stopped_terminal_diffs(f, taus, shift="minus-one")
+    scan = candidate_matrix(space, "exhaustive")
+    finite = scan.finite
+    diffs = stopped_terminal_diffs(f, scan.taus, shift="minus-one")
     probs, ones = space.probs, np.ones(space.n_leaves)
     b1 = float(np.max(
-        norm_batch(probs, ones, diffs) / indicator_norms(probs, ones, finite)
+        norm_batch(probs, ones, diffs) / scan.indicator_norms(probs, ones)
     ))
     if b1 == 0.0:
         raise DomainError("exponential decay curve requires a nonzero BMO_1 norm")
     # the norm of an indicator in L^{r p(.)} is its L^{p(.)} norm to the
     # power 1/r, so these serve every moment r below
-    dens = indicator_norms(probs, p.vals, finite)
+    dens = scan.indicator_norms(probs, p.vals)
     grid = _t_grid_from_diffs(diffs)
 
     cache: dict[float, float] = {}
@@ -495,7 +495,7 @@ def exp_jn_curve(f: Martingale, p: Exponent) -> ConstantReport:
             "fit": fit,
             "proof_constants": {"C1": 4.0, "C2": c2, "C_hat": c_hat},
             "bmo1": b1,
-            "stopping_times": int(taus.shape[0]),
+            "stopping_times": n_taus,
         },
     )
 

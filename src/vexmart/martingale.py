@@ -230,8 +230,12 @@ def _path_counts(space: FilteredSpace) -> list[int]:
 
 def count_stopping_times(space: FilteredSpace) -> int:
     """Number of stopping times of the filtration: the stop/continue paths
-    of one preorder walk over its blocks."""
-    return _path_counts(space)[0]
+    of one preorder walk over its blocks.  Walked once per space; only the
+    total is kept, never the per-position counts."""
+    cache = space._scan_cache
+    if "count" not in cache:
+        cache["count"] = _path_counts(space)[0]
+    return cache["count"]
 
 
 def enumerate_stopping_matrix(space: FilteredSpace) -> np.ndarray:
@@ -239,11 +243,12 @@ def enumerate_stopping_matrix(space: FilteredSpace) -> np.ndarray:
     (inf for 'never'), one row per stop/continue path of the preorder walk,
     paths that stop before those that continue; refused over
     ENUMERATION_CAP.  Internal fast path."""
-    paths = _path_counts(space)
-    if paths[0] > ENUMERATION_CAP:
+    count = count_stopping_times(space)
+    if count > ENUMERATION_CAP:
         raise ResourceError(
-            f"{paths[0]} stopping times exceed cap {ENUMERATION_CAP}; use sampling mode"
+            f"{count} stopping times exceed cap {ENUMERATION_CAP}; use sampling mode"
         )
+    paths = _path_counts(space)
     order, skip, first, rank = space.preorder
     depth = space.depth
     level = np.repeat(np.arange(depth + 1.0), space.n_blocks)[order].tolist()

@@ -140,6 +140,14 @@ class FilteredSpace(ArrayValue):
         skip = np.searchsorted(first[order], (first + np.bincount(ids))[order])
         return tuple(map(readonly, (order, skip, first[order], rank)))
 
+    @cached_property
+    def _scan_cache(self) -> dict:
+        """Stopping-time data that depend on the filtration alone, filled
+        on first use by ``martingale`` (the count) and ``bmo`` (the
+        exhaustive scan and the latest sampled one) and kept while the
+        space lives.  Not part of the value: equality ignores it."""
+        return {}
+
     def level_averages(self, rows: np.ndarray, start: int = 0) -> np.ndarray:
         """Row k of the result is the block average of ``rows[k]`` at level
         start + k, from one weighted bincount: the one implementation of

@@ -260,9 +260,9 @@ def _sampled_candidates_oracle(space, samples, seed):
 def test_sampled_candidates_match_recursive_oracle(seed, samples):
     rng = random.Random(seed)
     sp = validate_filtration(*relabelled_levels(random_tree_space(rng), rng))
-    taus, mode = candidate_matrix(sp, "sampled", seed=seed, samples=samples)
-    assert mode == "sampled"
-    assert np.array_equal(taus, _sampled_candidates_oracle(sp, samples, seed))
+    scan = candidate_matrix(sp, "sampled", seed=seed, samples=samples)
+    assert scan.mode == "sampled"
+    assert np.array_equal(scan.taus, _sampled_candidates_oracle(sp, samples, seed))
 
 
 @settings(max_examples=60, deadline=None)
