@@ -49,7 +49,9 @@ class StoppingScan:
     levels ``taus`` (rows that are finite somewhere), the masks ``finite``
     of {tau < inf}, one row index ``first`` per distinct mask and, per row,
     the position ``which`` of its mask in ``first``; and how the family
-    was made, "exhaustive" or "sampled"."""
+    was made, "exhaustive" or "sampled".  Distinct masks ascend by their
+    bits read as a binary number c, leaf 0 on top; an exhaustive family has
+    every nonempty subset (tau = N on it), so there mask c is at c - 1."""
 
     taus: np.ndarray
     finite: np.ndarray
@@ -64,10 +66,10 @@ class StoppingScan:
         first, which = _distinct_rows(_packed_rows(finite))
         return cls(*map(readonly, (taus, finite, first, which)), mode)
 
-    def indicator_norms(self, probs: np.ndarray, pvals: np.ndarray) -> np.ndarray:
-        """||chi_{tau<inf}||_{p(.)} per row, one solve per distinct mask."""
-        distinct = self.finite[self.first].astype(float)
-        return norm_batch(probs, pvals, distinct)[self.which]
+    def mask_norms(self, probs: np.ndarray, pvals: np.ndarray) -> np.ndarray:
+        """||chi_{tau<inf}||_{p(.)} per distinct mask, in the order of
+        ``first``, one solve each; ``[which]`` of it gives them per row."""
+        return norm_batch(probs, pvals, self.finite[self.first].astype(float))
 
 
 def candidate_matrix(
@@ -136,19 +138,6 @@ def _distinct_rows(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return order[new], which
 
 
-def indicator_norms(
-    probs: np.ndarray, pvals: np.ndarray, masks: np.ndarray
-) -> np.ndarray:
-    """Luxemburg norms of the rows of a boolean matrix read as indicators,
-    with one solve per distinct row.  Rows are told apart by their bits,
-    packed in one flat pass (``_packed_rows``) into a few byte columns,
-    whose lexicographic order is the byte order of the packed rows.  A
-    stopping-time scan keeps this index for its own masks
-    (``StoppingScan.indicator_norms``)."""
-    first, which = _distinct_rows(_packed_rows(masks))
-    return norm_batch(probs, pvals, masks[first].astype(float))[which]
-
-
 def _sup_result(scan: StoppingScan, ratios: np.ndarray) -> SupNormResult:
     n = scan.taus.shape[0]
     if ratios.size == 0 or not np.any(np.isfinite(ratios)):
@@ -172,7 +161,8 @@ def bmo_norm(
     scan = candidate_matrix(space, mode, seed, samples)
     diffs = stopped_terminal_diffs(f, scan.taus, shift="minus-one")
     nums = norm_batch(space.probs, p.vals, diffs)
-    return _sup_result(scan, nums / scan.indicator_norms(space.probs, p.vals))
+    dens = scan.mask_norms(space.probs, p.vals)[scan.which]
+    return _sup_result(scan, nums / dens)
 
 
 def lipschitz_norm(
@@ -186,8 +176,8 @@ def lipschitz_norm(
     """sup over tau of ||chi||_{1/alpha(.)}^{-1} ||chi||_q^{-1}
     ||f - f^tau||_q, where alpha(.) >= 0 and 1/alpha reads 1/0 as +inf,
     where the Luxemburg norm applies its max rule."""
-    if q < 1:
-        raise DomainError("lipschitz_norm requires q >= 1")
+    if not (math.isfinite(q) and q >= 1):
+        raise DomainError(f"lipschitz_norm requires a finite q >= 1, got {q}")
     space = f.space
     avals = as_leaf_values(space, alpha.vals if isinstance(alpha, Exponent) else alpha)
     if np.any(avals < 0):
@@ -199,7 +189,7 @@ def lipschitz_norm(
     nums = (diffs**q @ space.probs) ** (1.0 / q)
     pq = scan.finite @ space.probs
     dens_q = pq ** (1.0 / q)
-    dens_alpha = scan.indicator_norms(space.probs, inv_alpha)
+    dens_alpha = scan.mask_norms(space.probs, inv_alpha)[scan.which]
     return _sup_result(scan, nums / (dens_q * dens_alpha))
 
 

@@ -17,7 +17,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import DomainError, NumericalError, ResourceError, ValidationError
-from .bmo import candidate_matrix, indicator_norms
+from .bmo import candidate_matrix
 from .martingale import (
     ENUMERATION_CAP,
     Martingale,
@@ -349,8 +349,8 @@ def jn_equivalence(config: TrialConfig, p: Exponent) -> ConstantReport:
     space = config.space
     probs, ones = space.probs, np.ones(space.n_leaves)
     scan = candidate_matrix(space, "exhaustive")
-    dens1 = scan.indicator_norms(probs, ones)
-    densp = scan.indicator_norms(probs, p.vals)
+    dens1 = scan.mask_norms(probs, ones)[scan.which]
+    densp = scan.mask_norms(probs, p.vals)[scan.which]
     ratios, kept = [], []
     for i in range(config.trials):
         f = generate_martingale(config, i)
@@ -407,13 +407,17 @@ def exp_jn_curve(f: Martingale, p: Exponent) -> ConstantReport:
     diffs = stopped_terminal_diffs(f, scan.taus, shift="minus-one")
     probs, ones = space.probs, np.ones(space.n_leaves)
     b1 = float(np.max(
-        norm_batch(probs, ones, diffs) / scan.indicator_norms(probs, ones)
+        norm_batch(probs, ones, diffs) / scan.mask_norms(probs, ones)[scan.which]
     ))
     if b1 == 0.0:
         raise DomainError("exponential decay curve requires a nonzero BMO_1 norm")
-    # the norm of an indicator in L^{r p(.)} is its L^{p(.)} norm to the
-    # power 1/r, so these serve every moment r below
-    dens = scan.indicator_norms(probs, p.vals)
+    # every indicator's norm by its mask's bits (see StoppingScan; at most
+    # 19 leaves under the cap), 0 for the empty mask; in L^{r p(.)} it is
+    # the power 1/r of the L^{p(.)} one
+    norms = scan.mask_norms(probs, p.vals)
+    dens = norms[scan.which]
+    norm_of_code = np.concatenate(([0.0], norms))
+    code = 1 << np.arange(space.n_leaves - 1, -1, -1)
     grid = _t_grid_from_diffs(diffs)
 
     cache: dict[float, float] = {}
@@ -444,25 +448,18 @@ def exp_jn_curve(f: Martingale, p: Exponent) -> ConstantReport:
                 )
     c2 = math.log(2.0) / (2.0 * c_hat)
 
-    # the envelope rows of a slice of the grid are solved in one call,
-    # with the slice sized so that at most ENUMERATION_CAP rows are stacked
     envelope = []
-    n_taus, n_leaves = diffs.shape
-    per_call = max(1, ENUMERATION_CAP // n_taus)
-    for start in range(0, len(grid), per_call):
-        ts = np.array(grid[start : start + per_call])
-        masks = finite & (diffs >= ts[:, None, None])
-        norms = indicator_norms(probs, p.vals, masks.reshape(-1, n_leaves))
-        for t, lhs in zip(ts.tolist(), norms.reshape(ts.size, n_taus)):
-            bound = 4.0 * math.exp(-c2 * t / b1) * dens
-            bad = lhs > bound + ASSERT_SLACK * max(1.0, float(dens.max()))
-            if np.any(bad):
-                j = int(np.argmax(lhs - bound))
-                raise NumericalError(
-                    f"decay bound violated at t={t}: level norm {lhs[j]} > "
-                    f"bound {bound[j]}"
-                )
-            envelope.append(float(np.max(lhs / dens)))
+    for t in grid:
+        lhs = norm_of_code[(finite & (diffs >= t)) @ code]
+        bound = 4.0 * math.exp(-c2 * t / b1) * dens
+        bad = lhs > bound + ASSERT_SLACK * max(1.0, float(dens.max()))
+        if np.any(bad):
+            j = int(np.argmax(lhs - bound))
+            raise NumericalError(
+                f"decay bound violated at t={t}: level norm {lhs[j]} > "
+                f"bound {bound[j]}"
+            )
+        envelope.append(float(np.max(lhs / dens)))
 
     for a, b in zip(envelope, envelope[1:]):
         if b > a + 1e-12:
@@ -495,7 +492,7 @@ def exp_jn_curve(f: Martingale, p: Exponent) -> ConstantReport:
             "fit": fit,
             "proof_constants": {"C1": 4.0, "C2": c2, "C_hat": c_hat},
             "bmo1": b1,
-            "stopping_times": n_taus,
+            "stopping_times": len(diffs),
         },
     )
 

@@ -238,50 +238,52 @@ def count_stopping_times(space: FilteredSpace) -> int:
     return cache["count"]
 
 
+def _product(parts: list[np.ndarray], stop: float | None = None) -> np.ndarray:
+    """Every combination of one row of each part, the first part slowest,
+    with the parts' columns side by side, after a first row of ``stop``
+    when one is given.  Each part is written straight into the result,
+    broadcast along the other axes of a view with one axis per part."""
+    lens = [len(part) for part in parts]
+    head = stop is not None
+    out = np.empty((head + math.prod(lens), sum(part.shape[1] for part in parts)))
+    if head:
+        out[0] = stop
+    view, col = out[head:].reshape(*lens, -1), 0
+    for k, part in enumerate(parts):
+        shape = [1] * len(parts)
+        shape[k] = lens[k]
+        view[..., col : col + part.shape[1]] = part.reshape(*shape, -1)
+        col += part.shape[1]
+    return out
+
+
 def enumerate_stopping_matrix(space: FilteredSpace) -> np.ndarray:
     """All stopping times as a (count, n_leaves) matrix of stop levels
-    (inf for 'never'), one row per stop/continue path of the preorder walk,
-    paths that stop before those that continue; refused over
-    ENUMERATION_CAP.  Internal fast path."""
+    (inf for 'never'), refused over ENUMERATION_CAP.  On a block's leaves
+    they are 'stop here', then every combination of its children's ('never'
+    under a terminal block), built backwards through the preorder."""
     count = count_stopping_times(space)
     if count > ENUMERATION_CAP:
         raise ResourceError(
             f"{count} stopping times exceed cap {ENUMERATION_CAP}; use sampling mode"
         )
-    paths = _path_counts(space)
-    order, skip, first, rank = space.preorder
-    depth = space.depth
-    level = np.repeat(np.arange(depth + 1.0), space.n_blocks)[order].tolist()
-    skip, first = skip.tolist(), first.tolist()
-    # rows[j]: the paths from position j, over the tree-order leaves from
-    # first[j] on.  Continuing at a non-terminal block moves to its first
-    # child, so these are, down the chain of first children, the paths
-    # stopping at each, then inf on the chain's terminal leaf.  Chains
-    # start at 0 and after each terminal block (the skip targets), and
-    # their rows are kept until their last reader.
-    rows = {len(skip): np.empty((1, 0))}
-    readers = np.bincount(skip).tolist()
-    for j in reversed([0] + [k + 1 for k in range(len(skip) - 1) if level[k] == depth]):
-        out, r = np.empty((paths[j], space.n_leaves - first[j])), 0
-        for k in range(j, len(skip)):
-            # rest covers the leaves after block k's run
-            rest = rows[skip[k]]
-            c = out.shape[1] - rest.shape[1]
-            out[r : r + len(rest), :c] = level[k]
-            out[r : r + len(rest), c:] = rest
-            r += len(rest)
-            readers[skip[k]] -= 1
-            if not readers[skip[k]]:
-                del rows[skip[k]]
-            if level[k] == depth:
-                # a terminal block's subtree is itself: skip[k] = k + 1
-                out[r:, 0] = INF
-                out[r:, 1:] = rest
-                break
-        rows[j] = out
+    order, skip, rank = space.preorder
+    level = np.repeat(np.arange(space.depth + 1.0), space.n_blocks)[order].tolist()
+    skip = skip.tolist()
+    # (preorder position, rows over its tree-order leaves) of the blocks
+    # whose parent is not built yet; a block's children are on top, first
+    # child topmost
+    built: list[tuple[int, np.ndarray]] = []
+    for i in reversed(range(len(skip))):
+        parts = []
+        while built and built[-1][0] < skip[i]:
+            parts.append(built.pop()[1])
+        built.append((i, _product(parts or [np.full((1, 1), INF)], level[i])))
+    roots = [rows for _, rows in reversed(built)]
+    out = roots[0] if len(roots) == 1 else _product(roots)
     if np.array_equal(rank, np.arange(rank.size)):
-        return rows[0]
-    return np.take(rows[0], rank, axis=1)
+        return out
+    return np.take(out, rank, axis=1)
 
 
 def enumerate_stopping_times(space: FilteredSpace) -> tuple[StoppingTime, ...]:

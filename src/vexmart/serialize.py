@@ -12,7 +12,7 @@ import json
 import math
 from typing import Any, Mapping, Sequence
 
-from .errors import ValidationError
+from .errors import NumericalError, ValidationError
 from .hardy import AtomTerm, AtomicDecomposition
 from .martingale import (
     INF,
@@ -160,9 +160,13 @@ def decomposition_from_json(
 
 
 def dumps(obj: Any) -> str:
-    """Deterministic JSON text: fixed key order as constructed, no spaces
-    lost to platform differences."""
-    return json.dumps(obj, indent=2, allow_nan=True)
+    """Deterministic, standard JSON text: fixed key order as constructed,
+    no spaces lost to platform differences.  A non-finite number can only
+    come from a computation gone wrong and raises NumericalError."""
+    try:
+        return json.dumps(obj, indent=2, allow_nan=False)
+    except ValueError as exc:
+        raise NumericalError(f"cannot encode as JSON: {exc}") from exc
 
 
 def report_to_csv(report_obj: Mapping[str, Any]) -> str:

@@ -128,8 +128,8 @@ class FilteredSpace(ArrayValue):
         recursion.  Tree order sorts the leaves by their level-0 block,
         then level-1 block, and so on, so each block's leaves form one run
         of it.  Per preorder position: the block's level-major id as in
-        ``_stacked_blocks``, the position just past its subtree and the
-        tree-order rank of its first leaf; then each leaf's rank."""
+        ``_stacked_blocks`` and the position just past its subtree; then
+        each leaf's tree-order rank."""
         n, ids = self.n_leaves, self._stacked_blocks[0].ravel()
         rank = np.empty(n, dtype=np.intp)
         rank[np.lexsort(self.block_of[::-1])] = np.arange(n)
@@ -138,7 +138,7 @@ class FilteredSpace(ArrayValue):
         np.minimum.at(first, ids, np.tile(rank, self.depth + 1))
         order = np.lexsort((level, first))
         skip = np.searchsorted(first[order], (first + np.bincount(ids))[order])
-        return tuple(map(readonly, (order, skip, first[order], rank)))
+        return tuple(map(readonly, (order, skip, rank)))
 
     @cached_property
     def _scan_cache(self) -> dict:

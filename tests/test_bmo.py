@@ -21,7 +21,7 @@ from vexmart import (
     validate_filtration,
 )
 from vexmart import bmo
-from vexmart.bmo import candidate_matrix, indicator_norms
+from vexmart.bmo import StoppingScan, candidate_matrix
 
 from conftest import children_of, random_exponent, random_tree_space, relabelled_levels
 
@@ -268,6 +268,10 @@ def test_sampled_candidates_match_recursive_oracle(seed, samples):
 @settings(max_examples=60, deadline=None)
 @given(seed=st.integers(min_value=0, max_value=10**6), infinite=st.booleans())
 def test_indicator_norms_match_per_row_loop(seed, infinite):
+    """A scan of the stopping times tau = N on random leaf subsets, with
+    duplicate and empty subsets: its distinct-mask norms gathered by
+    ``which`` are the per-row norms, and the empty mask, which the scan
+    leaves out, has norm 0."""
     rng = random.Random(seed)
     sp = random_tree_space(rng, max_leaves=20)
     n = sp.n_leaves
@@ -278,11 +282,16 @@ def test_indicator_norms_match_per_row_loop(seed, infinite):
         vals = [vals[0]] * n  # the constant-exponent closed form
     p = Exponent(vals, allow_infinite=infinite)
     m = rng.randint(1, 40)
-    masks = np.array([[rng.random() < 0.5 for _ in range(n)] for _ in range(m)])
-    for _ in range(m // 3):  # duplicates and all-zero rows
+    masks = np.array([[rng.random() < 0.5 for _ in range(n)] for _ in range(m + 1)])
+    masks[m] = False
+    for _ in range(m // 3):  # duplicates and more empty rows
         masks[rng.randrange(m)] = masks[rng.randrange(m)]
         masks[rng.randrange(m)] = False
-    got = indicator_norms(sp.probs, p.vals, masks)
+    scan = StoppingScan.of(np.where(masks, float(sp.depth), math.inf), "sampled")
+    nonempty = masks.any(axis=1)
+    assert np.array_equal(scan.finite, masks[nonempty])
+    got = np.zeros(m + 1)
+    got[nonempty] = scan.mask_norms(sp.probs, p.vals)[scan.which]
     want = np.array([luxemburg_norm(sp, row.astype(float), p).norm for row in masks])
-    assert got.shape == want.shape
+    assert np.all(want[~nonempty] == 0.0)
     assert np.all(np.abs(got - want) <= 1e-12 * want)

@@ -6,6 +6,7 @@ import pytest
 
 from vexmart import (
     Exponent,
+    NumericalError,
     StoppingTime,
     ValidationError,
     atomic_decompose,
@@ -423,3 +424,23 @@ class TestExitCodes:
                     "--martingale", mg])
         assert code == 1
         assert "martingale JSON must be an object" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("q", ["nan", "inf"])
+    def test_non_finite_lipschitz_q_exit_one(self, capsys, tmp_path, q):
+        sp = write_json(tmp_path / "s.json", serialize.space_to_json(build_dyadic_space(3)))
+        mg = write_json(tmp_path / "m.json", {"terminal": [1.0, -1.0, 2.5, -2.5] * 2})
+        al = write_json(tmp_path / "a.json", {"values": [0.2, 0.4] * 4})
+        code = run(["lipschitz", "--space", sp, "--martingale", mg, "--q", q,
+                    "--alpha", al])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert "finite q >= 1" in captured.err
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_dumps_refuses_non_finite_numbers(value):
+    with pytest.raises(NumericalError, match="JSON"):
+        serialize.dumps({"x": value})
+    with pytest.raises(NumericalError):
+        serialize.dumps({"curve": [[0.0, 1.0], [value, 0.5]]})

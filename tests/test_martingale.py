@@ -1,5 +1,6 @@
 import math
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -585,6 +586,19 @@ class TestPreorderWalk:
         spaces += list(_walk_test_spaces(67, 60, 8))
         for sp in spaces:
             assert np.array_equal(enumerate_stopping_matrix(sp), _recursive_enumeration(sp))
+
+    def test_enumeration_peak_is_its_result(self):
+        sp = build_dyadic_space(4)
+        count_stopping_times(sp)
+        sp.preorder
+        tracemalloc.start()
+        try:
+            got = enumerate_stopping_matrix(sp)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert got.shape == (458330, 16)
+        assert peak <= 1.05 * got.nbytes
 
     def test_deep_single_leaf_enumeration(self):
         # far deeper than the interpreter's recursion limit

@@ -28,7 +28,12 @@ from vexmart import bmo, martingale
 from vexmart.bmo import candidate_matrix
 from vexmart.martingale import enumerate_stopping_matrix, sample_stopping_matrix
 
-from conftest import random_exponent, random_tree_space, relabelled_levels
+from conftest import (
+    drop_root_level,
+    random_exponent,
+    random_tree_space,
+    relabelled_levels,
+)
 
 
 def centered(rng, space):
@@ -82,6 +87,22 @@ def test_cached_scans_match_fresh_enumeration_and_sampling(seed, samples):
             )
             assert np.array_equal(scan.first, first)
             assert np.array_equal(scan.which, which.ravel())
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(min_value=0, max_value=10**6))
+def test_exhaustive_masks_are_every_nonempty_subset_by_code(seed):
+    """The exhaustive scan's distinct {tau < inf} masks, their bits read as
+    a binary number with leaf 0 on top, are 1, 2, ..., 2**n - 1 in order:
+    tau = N on any leaf subset is a stopping time."""
+    rng = random.Random(seed)
+    tree = random_tree_space(rng, max_leaves=8)
+    relabelled = validate_filtration(*relabelled_levels(tree, rng))
+    for sp in (tree, relabelled, drop_root_level(tree)):
+        scan = candidate_matrix(sp, "exhaustive")
+        n = sp.n_leaves
+        codes = scan.finite[scan.first] @ (1 << np.arange(n - 1, -1, -1))
+        assert np.array_equal(codes, np.arange(1, 2**n))
 
 
 def test_cached_scan_arrays_are_read_only():
@@ -177,8 +198,8 @@ def test_second_call_enumerates_samples_and_walks_nothing(monkeypatch):
         return count_stopping_times(small), count_stopping_times(large)
 
     counts = calls_on(0)
-    # one count walk per space and one path walk inside the enumeration
-    assert calls == {"_path_counts": 3, "enumerate_stopping_matrix": 1,
+    # one count walk per space; the enumeration walks no paths
+    assert calls == {"_path_counts": 2, "enumerate_stopping_matrix": 1,
                      "sample_stopping_matrix": 2}
     calls.clear()
     assert calls_on(1) == counts
