@@ -15,6 +15,7 @@ from typing import Sequence
 
 import numpy as np
 
+from .errors import DomainError
 from .martingale import (
     INF,
     Martingale,
@@ -97,8 +98,6 @@ class AtomTerm(ArrayValue):
 class AtomicDecomposition:
     space: FilteredSpace
     terms: tuple[AtomTerm, ...]
-    k_min: int
-    k_max: int
 
 
 def _threshold_times(s_next: np.ndarray, cuts: np.ndarray) -> np.ndarray:
@@ -109,85 +108,77 @@ def _threshold_times(s_next: np.ndarray, cuts: np.ndarray) -> np.ndarray:
     return np.where(above.any(axis=1), above.argmax(axis=1), INF)
 
 
+def _ceil_log2(x: float) -> int:
+    """The least k with 2^k >= x, exact for every positive finite x: with
+    x = m * 2^e and 1/2 <= m < 1, x is 2^(e-1) or lies in (2^(e-1), 2^e)."""
+    m, e = math.frexp(x)
+    return e - (m == 0.5)
+
+
 def atomic_decompose(f: Martingale, p: Exponent) -> AtomicDecomposition:
     """Construct the threshold decomposition of a martingale with f_0 = 0.
 
-    Nonvanishing terms live in a finite window of k: above
-    ceil(log2(max s(f))) every tau_k is identically infinite, and once 2^k
-    falls below the smallest positive value of the square function the
-    stopped martingale f^{tau_k} is identically zero, so lower terms vanish.
+    Nonvanishing terms live in a finite window of k: from
+    k = ceil(log2(max s(f))) on every tau_k is identically infinite, and
+    once 2^k falls below the smallest positive value of the square function
+    the stopped martingale f^{tau_k} is identically zero, so lower terms
+    vanish.  A square function that overflows binary64 is refused.
     """
     space = f.space
     require_f0_zero(f, "atomic decomposition requires f_0 = 0")
 
-    s_by_level = cond_square_levels(f)
-    s_total = s_by_level[-1]
-    smax = float(s_total.max())
+    with np.errstate(over="ignore"):
+        s_by_level = cond_square_levels(f)
+    smax = float(s_by_level[-1].max())
+    if not math.isfinite(smax):
+        raise DomainError("square function s(f) overflows binary64")
     if smax <= 0.0:
-        return AtomicDecomposition(space, (), 0, -1)
+        return AtomicDecomposition(space, ())
 
     # s_next[n] = s_{n+1}(f); past the terminal level s stays s_N
     s_next = np.vstack([s_by_level[1:], s_by_level[-1:]])
-    positive = s_next[s_next > ZERO_TOL * smax]
-    vmin = float(positive.min())
-
-    k_hi = math.ceil(math.log2(smax))
-    while 2.0**k_hi < smax:
-        k_hi += 1
-    while k_hi - 1 >= -1074 and 2.0 ** (k_hi - 1) >= smax:
-        k_hi -= 1
-    k_lo = math.floor(math.log2(vmin))
-    while 2.0**k_lo >= vmin:
-        k_lo -= 1
+    vmin = float(s_next[s_next > ZERO_TOL * smax].min())
+    k_hi, k_lo = _ceil_log2(smax), _ceil_log2(vmin) - 1
 
     # row i is tau_{k_lo + i}; the atom of k is f^{tau_{k+1}}_N - f^{tau_k}_N
-    taus = _threshold_times(
-        s_next, np.array([2.0**k for k in range(k_lo, k_hi + 1)])
-    )
+    cuts = np.ldexp(1.0, np.arange(k_lo, k_hi + 1))
+    taus = _threshold_times(s_next, cuts)
     stopped = _stopped_values(f, taus, float(space.depth))
     diffs = stopped[1:] - stopped[:-1]
     fscale = max(1.0, float(np.abs(f.terminal).max()))
     # zero atoms contribute nothing
     rows = np.flatnonzero(np.abs(diffs).max(axis=1) > 1e-14 * fscale)
-    if rows.size == 0:
-        return AtomicDecomposition(space, (), 0, -1)
     finite = np.isfinite(taus[rows]).astype(float)
-    chi_norms = norm_batch(space.probs, p.vals, finite)
-    terms = []
-    for i, chi_norm in zip(rows.tolist(), chi_norms.tolist()):
-        k = k_lo + i
-        mu = 3.0 * 2.0**k * chi_norm
-        terms.append(AtomTerm(k, mu, StoppingTime(taus[i]), diffs[i] / mu))
-    return AtomicDecomposition(
-        space, tuple(terms), terms[0].k, terms[-1].k
-    )
+    mus = 3.0 * cuts[rows] * norm_batch(space.probs, p.vals, finite)
+    return AtomicDecomposition(space, tuple(
+        AtomTerm(k_lo + i, mu, StoppingTime(taus[i]), diffs[i] / mu)
+        for i, mu in zip(rows.tolist(), mus.tolist())
+    ))
 
 
 def a_quantity(dec: AtomicDecomposition, p: Exponent) -> float:
     """Luxemburg norm of the l^{p_underline} aggregate of the weighted,
-    normalized indicator profile of the decomposition's stopping sets."""
-    if not dec.terms:
-        return 0.0
+    normalized indicator profile of the decomposition's stopping sets.
+    Each chi is 0 or 1, so (mu chi / ||chi||)^p_ = (mu / ||chi||)^p_ chi
+    and the aggregate is one weight-vector times mask-matrix product."""
     p_under = min(p.p_minus(), 1.0)
     sp = dec.space
     terms = [t for t in dec.terms if t.mu != 0.0]
     chis = np.array([t.tau.finite_mask for t in terms], dtype=float)
     chis = chis.reshape(-1, sp.n_leaves)
-    acc = np.zeros(sp.n_leaves)
-    for term, chi, chi_norm in zip(terms, chis, norm_batch(sp.probs, p.vals, chis)):
-        acc += (term.mu * chi / chi_norm) ** p_under
-    return luxemburg_norm(sp, acc ** (1.0 / p_under), p).norm
+    mus = np.array([t.mu for t in terms])
+    weights = (mus / norm_batch(sp.probs, p.vals, chis)) ** p_under
+    return luxemburg_norm(sp, (weights @ chis) ** (1.0 / p_under), p).norm
 
 
 def reconstruct(dec: AtomicDecomposition) -> Martingale:
-    """Sum of the weighted atom martingales; telescopes back to the
-    decomposed martingale up to floating point."""
+    """The martingale of the weighted sum of the atoms' terminals, which
+    by linearity of conditional expectation is the sum of the weighted
+    atom martingales; telescopes back to the decomposed martingale up to
+    floating point."""
     sp = dec.space
-    total = np.zeros((sp.depth + 1, sp.n_leaves))
-    for term in dec.terms:
-        atom = martingale_from_terminal(sp, term.atom_terminal)
-        total += term.mu * atom.arrays
-    return Martingale(sp, total)
+    atoms = np.array([t.atom_terminal for t in dec.terms]).reshape(-1, sp.n_leaves)
+    return martingale_from_terminal(sp, np.array([t.mu for t in dec.terms]) @ atoms)
 
 
 @dataclass(frozen=True)

@@ -281,9 +281,14 @@ def enumerate_stopping_matrix(space: FilteredSpace) -> np.ndarray:
         built.append((i, _product(parts or [np.full((1, 1), INF)], level[i])))
     roots = [rows for _, rows in reversed(built)]
     out = roots[0] if len(roots) == 1 else _product(roots)
-    if np.array_equal(rank, np.arange(rank.size)):
-        return out
-    return np.take(out, rank, axis=1)
+    if not np.array_equal(rank, np.arange(rank.size)):
+        # leaves back to their own numbering, in place about 1 MB of rows
+        # at a time, so the peak stays near the result
+        step = max(1, (1 << 20) // out[0].nbytes)
+        for start in range(0, len(out), step):
+            block = out[start : start + step]
+            block[:] = block[:, rank]
+    return out
 
 
 def enumerate_stopping_times(space: FilteredSpace) -> tuple[StoppingTime, ...]:

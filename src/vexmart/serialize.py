@@ -153,10 +153,7 @@ def _term_from_json(space: FilteredSpace, t: Mapping[str, Any]) -> AtomTerm:
 def decomposition_from_json(
     space: FilteredSpace, obj: Sequence[Mapping[str, Any]]
 ) -> AtomicDecomposition:
-    terms = tuple(_term_from_json(space, t) for t in obj)
-    if terms:
-        return AtomicDecomposition(space, terms, terms[0].k, terms[-1].k)
-    return AtomicDecomposition(space, (), 0, -1)
+    return AtomicDecomposition(space, tuple(_term_from_json(space, t) for t in obj))
 
 
 def dumps(obj: Any) -> str:

@@ -1,5 +1,6 @@
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -414,6 +415,20 @@ class TestExitCodes:
                     files["exponent"], "--function", files["function"]])
         assert code == 1
         assert f"{which} JSON must be an object" in capsys.readouterr().err
+
+    def test_decompose_square_function_overflow_exit_one(self, capsys, tmp_path,
+                                                         quad_inputs):
+        sp, _, _ = quad_inputs
+        pe = write_json(tmp_path / "p2.json", {"values": [2.0, 2.0]})
+        mg = write_json(tmp_path / "m.json", {"terminal": [1e160, -1e160]})
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = run(["decompose", "--space", sp, "--exponent", pe,
+                        "--martingale", mg])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert captured.err.startswith("error:") and "overflows" in captured.err
 
     @pytest.mark.parametrize("value", [[1.0, 2.0], 3])
     def test_non_object_martingale_exit_one(self, capsys, tmp_path, quad_inputs,

@@ -16,13 +16,15 @@ from vexmart import (
     hmax_norm,
     hs_norm,
     is_atom,
+    luxemburg_norm,
     martingale_from_terminal,
     prop41_bounds,
     reconstruct,
     stop,
 )
-from vexmart.hardy import AtomTerm
-from vexmart.martingale import Martingale, cond_square_levels
+from vexmart import serialize
+from vexmart.hardy import AtomTerm, AtomicDecomposition, _ceil_log2
+from vexmart.martingale import Martingale, cond_square_levels, sample_stopping_times
 
 from conftest import random_exponent, random_tree_space
 
@@ -270,6 +272,93 @@ class TestAtomicDecomposition:
             assert np.all(lhs[mask] <= factor * sup[mask] + 1e-9)
 
     def test_reconstruct_empty_is_zero(self, four_leaf):
-        from vexmart.hardy import AtomicDecomposition
-        dec = AtomicDecomposition(four_leaf, (), 0, -1)
+        dec = AtomicDecomposition(four_leaf, ())
         assert np.all(reconstruct(dec).arrays == 0.0)
+
+
+def window_oracle(smax, vmin):
+    """The threshold window by log2 and correction loops: the least k with
+    2^k >= smax and the greatest k with 2^k < vmin."""
+    k_hi = math.ceil(math.log2(smax))
+    while 2.0**k_hi < smax:
+        k_hi += 1
+    while k_hi - 1 >= -1074 and 2.0 ** (k_hi - 1) >= smax:
+        k_hi -= 1
+    k_lo = math.floor(math.log2(vmin))
+    while 2.0**k_lo >= vmin:
+        k_lo -= 1
+    return k_hi, k_lo
+
+
+def reconstruct_oracle(dec):
+    """One martingale per term, weighted and summed."""
+    sp = dec.space
+    total = np.zeros((sp.depth + 1, sp.n_leaves))
+    for term in dec.terms:
+        total += term.mu * martingale_from_terminal(sp, term.atom_terminal).arrays
+    return total
+
+
+def a_quantity_oracle(dec, p):
+    """The l^{p_underline} aggregate accumulated term by term."""
+    if not dec.terms:
+        return 0.0
+    p_under = min(p.p_minus(), 1.0)
+    sp = dec.space
+    acc = np.zeros(sp.n_leaves)
+    for term in dec.terms:
+        if term.mu != 0.0:
+            chi = term.tau.finite_mask.astype(float)
+            chi_norm = luxemburg_norm(sp, chi, p).norm
+            acc += (term.mu * chi / chi_norm) ** p_under
+    return luxemburg_norm(sp, acc ** (1.0 / p_under), p).norm
+
+
+class TestWholeArrayOracles:
+    def test_window_matches_log2_loops(self):
+        powers = [2.0**k for k in range(-1074, 1024)]
+        values = powers + [math.nextafter(v, d) for v in powers for d in (0.0, INF)]
+        rng = random.Random(37)
+        values += [math.ldexp(rng.random(), rng.randint(-1074, 1023)) for _ in range(20000)]
+        # past 2^1023 the loops overflow computing 2.0**1024; a finite s(f)
+        # stays below 2^512
+        for x in (v for v in values if 0.0 < v <= 2.0**1023):
+            assert (_ceil_log2(x), _ceil_log2(x) - 1) == window_oracle(x, x), x
+        assert _ceil_log2(math.nextafter(2.0**1023, INF)) == 1024
+
+    def test_reconstruct_matches_per_term_sum(self):
+        rng = random.Random(41)
+        for _ in range(100):
+            sp = random_tree_space(rng)
+            f = centered_martingale(rng, sp, scale=rng.choice([0.01, 1.0, 100.0]))
+            p = random_exponent(rng, sp.n_leaves, 0.5, 3.0)
+            dec = atomic_decompose(f, p)
+            got = reconstruct(dec).arrays
+            tol = 1e-12 * max(1e-30, float(np.abs(f.arrays).max()))
+            assert np.abs(got - reconstruct_oracle(dec)).max() <= tol
+
+    def test_a_quantity_matches_per_term_loop(self):
+        rng = random.Random(43)
+        for _ in range(60):
+            sp = random_tree_space(rng)
+            p = random_exponent(rng, sp.n_leaves, 0.3, 3.0)
+            dec = atomic_decompose(centered_martingale(rng, sp), p)
+            assert a_quantity(dec, p) == pytest.approx(a_quantity_oracle(dec, p), rel=1e-12)
+
+    def test_a_quantity_matches_per_term_loop_from_json(self):
+        # arbitrary weights, zeros among them, on sampled stopping times
+        # finite somewhere (a never-finite one has a zero indicator norm)
+        rng = random.Random(47)
+        for trial in range(60):
+            sp = random_tree_space(rng)
+            p = random_exponent(rng, sp.n_leaves, 0.3, 3.0)
+            taus = [t for t in sample_stopping_times(sp, 12, seed=trial)
+                    if t.finite_mask.any()]
+            obj = [{
+                "k": rng.randint(-5, 5),
+                "mu": rng.choice([0.0, rng.uniform(0.0, 10.0), rng.expovariate(0.01)]),
+                "tau": serialize.stopping_time_to_json(t)["stop_level"],
+                "atom_terminal": [rng.gauss(0, 1) for _ in range(sp.n_leaves)],
+            } for t in rng.sample(taus, rng.randint(0, len(taus)))]
+            dec = serialize.decomposition_from_json(sp, obj)
+            assert a_quantity(dec, p) == pytest.approx(a_quantity_oracle(dec, p), rel=1e-12)

@@ -600,6 +600,30 @@ class TestPreorderWalk:
         assert got.shape == (458330, 16)
         assert peak <= 1.05 * got.nbytes
 
+    def test_relabelled_enumeration_peak_is_its_result(self):
+        # leaves out of tree order: the columns are permuted in place
+        levels, probs = relabelled_levels(build_dyadic_space(4), random.Random(1))
+        sp = validate_filtration(levels, probs)
+        count_stopping_times(sp)
+        rank = sp.preorder[2]
+        tracemalloc.start()
+        try:
+            got = enumerate_stopping_matrix(sp)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert got.shape == (458330, 16)
+        assert peak <= 1.05 * got.nbytes
+        # leaf w renamed to its tree-order rank: the same preorder, with
+        # tree-order columns, gives the rows before their permutation
+        in_tree_order = validate_filtration(
+            [[[int(rank[w]) for w in b] for b in level] for level in levels],
+            [probs[w] for w in np.argsort(rank)],
+        )
+        assert np.array_equal(
+            got, np.take(enumerate_stopping_matrix(in_tree_order), rank, axis=1)
+        )
+
     def test_deep_single_leaf_enumeration(self):
         # far deeper than the interpreter's recursion limit
         sp = validate_filtration([[[0]]] * 1501, [1.0])
