@@ -13,6 +13,12 @@ rho(f/lambda) <= 1.  Every norm comes from one batch kernel:
   ||f|| >= ||f||_inf * rho(f/||f||_inf)^{1/p_-(supp f)}, so no bracket
   search is needed.
 * A constant exponent takes the closed form (E|f|^p)^{1/p}.
+* Every reduction runs along the batch's longer axis, chosen from its
+  shape alone: a batch with more rows than leaves (the stopping-time scans)
+  is solved on its leaves x rows transpose, any other batch (a one-row
+  call included) row by row.  The two layouts sum in different orders, so
+  the last bit of a row's norm can depend on its batch's shape; tall rows
+  agree with their one-row solves to about 1e-15 relative.
 
 Where p(w) = +inf (only an ``Exponent(allow_infinite=True)`` or a raw
 exponent array carries such entries), the modular instead imposes the
@@ -32,8 +38,8 @@ import numpy as np
 from .errors import DomainError, NumericalError
 from .space import Exponent, FilteredSpace, as_leaf_values
 
-BISECT_REL_TOL = 1e-12
-BISECT_MAX_ITER = 200
+NEWTON_REL_TOL = 1e-12
+NEWTON_MAX_ITER = 200
 ASSERT_TOL = 1e-9
 
 
@@ -68,16 +74,27 @@ def modular(
     return float(np.sum(space.probs * v**pv))
 
 
+# Broadcast index tuples (per-leaf, per-row) for a batch whose leaf axis
+# is 1 (rows x leaves) or 0 (leaves x rows).
+_SPREAD = (
+    ((slice(None), None), (None, slice(None))),
+    ((None, slice(None)), (slice(None), None)),
+)
+
+
 def _log_modular(
-    logw: np.ndarray, pvals: np.ndarray, u: np.ndarray
+    logw: np.ndarray, pvals: np.ndarray, u: np.ndarray, ax: int
 ) -> tuple[np.ndarray, np.ndarray]:
     """Per row, g(u) = log sum_w exp(logw - p u) and the slope -g'(u),
-    which is the mean of p under the weights exp(logw - p u)."""
-    e = logw - pvals * u[:, None]
-    top = e.max(axis=1)
-    w = np.exp(e - top[:, None])
-    total = w.sum(axis=1)
-    return top + np.log(total), (w @ pvals) / total
+    which is the mean of p under the weights exp(logw - p u).  ``ax`` is
+    the leaf axis of ``logw``."""
+    leaf, row = _SPREAD[ax]
+    e = logw - pvals[leaf] * u[row]
+    top = e.max(axis=ax)
+    e -= top[row]
+    w = np.exp(e, out=e)
+    total = w.sum(axis=ax)
+    return top + np.log(total), (w @ pvals if ax else pvals @ w) / total
 
 
 def _luxemburg_rows(
@@ -89,21 +106,26 @@ def _luxemburg_rows(
 
     Newton runs on u = log(lambda / max|f|), where the modular terms are
     P(w) |f(w)/max|f||^{p(w)} e^{-p(w) u}, and stops at the first point
-    whose step is at most BISECT_REL_TOL; that point is returned, so the
+    whose step is at most NEWTON_REL_TOL; that point is returned, so the
     residual is the one of the returned norm.  Steps below zero only arise
     from rounding at the root and stop the iteration too.
     """
-    a = np.abs(rows)
+    # the leaf axis: 0 when a batch has more rows than leaves and is solved
+    # on its leaves x rows transpose, so that every reduction runs along
+    # the longer axis
+    ax = int(rows.shape[0] <= rows.shape[1])
+    a = np.abs(rows) if ax else np.abs(rows.T, order="C")
+    leaf, row = _SPREAD[ax]
     sup = None
     inf = np.isinf(pvals)
     if inf.any():
-        sup = a[:, inf].max(axis=1)
-        a, probs, pvals = a[:, ~inf], probs[~inf], pvals[~inf]
-    m = a.shape[0]
+        sup = np.compress(inf, a, axis=ax).max(axis=ax)
+        a, probs, pvals = np.compress(~inf, a, axis=ax), probs[~inf], pvals[~inf]
+    m = rows.shape[0]
     norms = np.zeros(m)
     steps = np.zeros(m, dtype=np.intp)
     resid = np.zeros(m)
-    top = a.max(axis=1, initial=0.0)
+    top = a.max(axis=ax, initial=0.0)
     live = top > 0
     # log(0) = -inf marks a zero entry; terms far below the row maximum
     # may underflow to 0
@@ -111,17 +133,22 @@ def _luxemburg_rows(
         if pvals.size and np.all(pvals == pvals[0]):
             scale = np.where(live, top, 1.0)
             p0 = pvals[0]
-            norms = scale * ((a / scale[:, None]) ** p0 @ probs) ** (1.0 / p0)
+            terms = (a / scale[row]) ** p0
+            norms = scale * (terms @ probs if ax else probs @ terms) ** (1.0 / p0)
         elif live.any():
             idx = np.flatnonzero(live)
-            h = (a if idx.size == m else a[idx]) / top[idx, None]
-            logw = np.log(probs) + pvals * np.log(h)
-            g0, _ = _log_modular(logw, pvals, np.zeros(idx.size))
-            u = g0 / np.where(h > 0, pvals, np.inf).min(axis=1)
-            for it in range(1, BISECT_MAX_ITER + 1):
-                g, slope = _log_modular(logw, pvals, u)
+            h = a if idx.size == m else np.take(a, idx, axis=1 - ax)
+            h = h / top[idx][row]
+            logw = np.log(probs)[leaf] + pvals[leaf] * np.log(h)
+            g0, _ = _log_modular(logw, pvals, np.zeros(idx.size), ax)
+            u = g0 / np.where(h > 0, pvals[leaf], np.inf).min(axis=ax)
+            # the loop reads only logw: free two batch-sized arrays before it
+            # allocates its own
+            del a, h
+            for it in range(1, NEWTON_MAX_ITER + 1):
+                g, slope = _log_modular(logw, pvals, u, ax)
                 step = g / slope
-                done = step <= BISECT_REL_TOL
+                done = step <= NEWTON_REL_TOL
                 if done.any():
                     k = idx[done]
                     norms[k] = top[k] * np.exp(u[done])
@@ -130,12 +157,13 @@ def _luxemburg_rows(
                     if done.all():
                         break
                     keep = ~done
-                    idx, logw, u, step = idx[keep], logw[keep], u[keep], step[keep]
+                    idx, u, step = idx[keep], u[keep], step[keep]
+                    logw = np.compress(keep, logw, axis=1 - ax)
                 u = u + step
             else:
                 raise NumericalError(
                     f"Luxemburg Newton iteration did not converge in "
-                    f"{BISECT_MAX_ITER} steps on {idx.size} rows"
+                    f"{NEWTON_MAX_ITER} steps on {idx.size} rows"
                 )
     if sup is not None:
         resid[sup >= norms] = 0.0

@@ -84,3 +84,29 @@ def four_leaf():
 def lp_norm(probs, values, p0: float) -> float:
     """Independent closed-form constant-exponent norm."""
     return float((np.abs(np.asarray(values)) ** p0 @ np.asarray(probs)) ** (1 / p0))
+
+
+def bisection_oracle(probs, pvals, f) -> float:
+    """Plain bisection on lambda -> rho(f/lambda), independent of the
+    package's kernel; +inf entries of p impose |f| <= lambda instead."""
+    v = np.abs(np.asarray(f, dtype=float))
+    if not v.any():
+        return 0.0
+    inf = np.isinf(pvals)
+
+    def feasible(lam):
+        if np.any(v[inf] > lam):
+            return False
+        return float(np.sum(probs[~inf] * (v[~inf] / lam) ** pvals[~inf])) <= 1.0
+
+    hi = float(v.max())  # feasible on a probability space
+    lo = hi
+    while feasible(lo):
+        lo *= 0.5
+    while hi - lo > 1e-15 * hi:
+        mid = 0.5 * (lo + hi)
+        if feasible(mid):
+            hi = mid
+        else:
+            lo = mid
+    return hi

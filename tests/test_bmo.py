@@ -23,7 +23,13 @@ from vexmart import (
 from vexmart import bmo
 from vexmart.bmo import StoppingScan, candidate_matrix
 
-from conftest import children_of, random_exponent, random_tree_space, relabelled_levels
+from conftest import (
+    bisection_oracle,
+    children_of,
+    random_exponent,
+    random_tree_space,
+    relabelled_levels,
+)
 
 
 def centered(rng, space, scale=1.0):
@@ -183,6 +189,32 @@ class TestLipschitzNorm:
         a = lipschitz_norm(f, 2.0, alpha).value
         b = lipschitz_norm(f.scaled(3.0), 2.0, alpha).value
         assert b == pytest.approx(3.0 * a, rel=1e-9)
+
+    def test_mixed_alpha_exhaustive_matches_brute_force(self):
+        # alpha = 0 leaves are +inf entries of 1/alpha among finite ones, in
+        # a batch of 255 masks on 8 leaves
+        from vexmart import enumerate_stopping_times, stop
+        sp = build_dyadic_space(3)
+        rng = random.Random(41)
+        alphas = [(0.0, 0.4) * 4] + [
+            tuple(0.0 if rng.random() < 0.4 else rng.uniform(0.05, 1.5)
+                  for _ in range(8)) for _ in range(3)]
+        for alpha in alphas:
+            f = martingale_from_terminal(sp, [rng.gauss(0, 1) for _ in range(8)])
+            inv_alpha = np.array([math.inf if a == 0 else 1 / a for a in alpha])
+            res = lipschitz_norm(f, 2.0, alpha, mode="exhaustive")
+            best = 0.0
+            for tau in enumerate_stopping_times(sp):
+                chi = tau.finite_mask.astype(float)
+                if not chi.any():
+                    continue
+                diff = f.terminal - stop(f, tau).terminal
+                num = float((diff**2 @ sp.probs) ** 0.5)
+                den = float(chi @ sp.probs) ** 0.5 * bisection_oracle(
+                    sp.probs, inv_alpha, chi)
+                best = max(best, num / den)
+            assert res.mode == "exhaustive" and res.candidates == 676
+            assert res.value == pytest.approx(best, rel=1e-10)
 
 
 class TestDualityPairing:

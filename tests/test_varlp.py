@@ -22,7 +22,7 @@ from vexmart import (
 )
 from vexmart.varlp import norm_batch
 
-from conftest import lp_norm, random_exponent, random_tree_space
+from conftest import bisection_oracle, lp_norm, random_exponent, random_tree_space
 
 
 def test_modular_unit_function(two_leaf):
@@ -174,32 +174,6 @@ def test_norm_batch_matches_scalar():
             assert got == pytest.approx(want, rel=1e-9, abs=1e-12)
 
 
-def bisection_oracle(probs, pvals, f) -> float:
-    """Plain bisection on lambda -> rho(f/lambda), independent of the
-    package's kernel; +inf entries of p impose |f| <= lambda instead."""
-    v = np.abs(np.asarray(f, dtype=float))
-    if not v.any():
-        return 0.0
-    inf = np.isinf(pvals)
-
-    def feasible(lam):
-        if np.any(v[inf] > lam):
-            return False
-        return float(np.sum(probs[~inf] * (v[~inf] / lam) ** pvals[~inf])) <= 1.0
-
-    hi = float(v.max())  # feasible on a probability space
-    lo = hi
-    while feasible(lo):
-        lo *= 0.5
-    while hi - lo > 1e-15 * hi:
-        mid = 0.5 * (lo + hi)
-        if feasible(mid):
-            hi = mid
-        else:
-            lo = mid
-    return hi
-
-
 @settings(max_examples=150, deadline=None)
 @given(
     seed=st.integers(min_value=0, max_value=10**6),
@@ -208,21 +182,28 @@ def bisection_oracle(probs, pvals, f) -> float:
     log_scale=st.floats(min_value=-6.0, max_value=6.0),
     zero_frac=st.sampled_from([0.0, 0.3, 0.7]),
     infinite=st.booleans(),
+    constant=st.booleans(),
+    shape=st.sampled_from(["one", "square", "tall"]),
 )
 def test_kernel_matches_bisection_oracle(seed, p_lo, p_hi, log_scale, zero_frac,
-                                         infinite):
+                                         infinite, constant, shape):
+    # one row and n rows are solved row by row, n + 5 rows leaf by leaf
     rng = random.Random(seed)
     sp = random_tree_space(rng)
     n = sp.n_leaves
     lo, hi = min(p_lo, p_hi), max(p_lo, p_hi)
     pv = [rng.uniform(lo, hi) for _ in range(n)]
+    if constant:
+        pv = [pv[0]] * n
     if infinite:
         pv = [math.inf if rng.random() < 0.4 else x for x in pv]
     p = Exponent(tuple(pv), allow_infinite=infinite)
     scale = 10.0**log_scale
+    m = {"one": 1, "square": n, "tall": n + 5}[shape]
     rows = np.array([[0.0 if rng.random() < zero_frac else scale * rng.gauss(0, 1)
-                      for _ in range(n)] for _ in range(6)])
-    rows[0] = 0.0
+                      for _ in range(n)] for _ in range(m)])
+    if m > 1:
+        rows[0] = 0.0
     with np.errstate(all="raise"):
         want = [bisection_oracle(sp.probs, p.vals, row) for row in rows]
         batch = norm_batch(sp.probs, p.vals, rows)
@@ -231,6 +212,27 @@ def test_kernel_matches_bisection_oracle(seed, p_lo, p_hi, log_scale, zero_frac,
         assert b == pytest.approx(w, rel=1e-10, abs=0.0)
         assert res.norm == pytest.approx(w, rel=1e-10, abs=0.0)
         assert res.residual <= 1e-9
+
+
+@pytest.mark.parametrize("tall", [False, True])
+def test_batch_layout_changes_only_rounding(tall):
+    # a batch with more rows than leaves is reduced along its leaf axis, a
+    # one-row call along its row: the two differ in summation order only
+    rng = random.Random(23 + tall)
+    for _ in range(40):
+        sp = random_tree_space(rng)
+        n = sp.n_leaves
+        pv = [rng.uniform(0.4, 5.0) for _ in range(n)]
+        pv[0] = math.inf if rng.random() < 0.3 else pv[0]
+        p = Exponent(tuple(pv), allow_infinite=True)
+        m = rng.randint(n + 1, 3 * n) if tall else rng.randint(1, n)
+        rows = np.array([[0.0 if rng.random() < 0.3 else
+                          rng.gauss(0, 1) * 10.0 ** rng.uniform(-4, 4)
+                          for _ in range(n)] for _ in range(m)])
+        batch = norm_batch(sp.probs, p.vals, rows)
+        for row, got in zip(rows, batch):
+            want = luxemburg_norm(sp, row, p).norm
+            assert got == pytest.approx(want, rel=1e-14, abs=0.0)
 
 
 def test_power_identity():
