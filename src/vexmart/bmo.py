@@ -6,14 +6,17 @@ sample that always contains tau = 0, tau = infinity and every constant-level
 tau = n.  Sampled values are lower bounds of the true supremum and the mode
 is reported so callers can pin exhaustive results only.  The family depends
 on the filtration alone, so it is built once per space and cached there
-together with the index of its distinct {tau < inf} masks; a call only
-gathers its stopped differences and solves its norms.
+together with the index of its distinct {tau < inf} masks.  The norms of
+those masks depend on the exponent too, and the scan keeps them per
+exponent under a byte budget, so a call gathers its stopped differences
+and solves its numerators, and solves its denominators only for an
+exponent the scan has not kept.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
@@ -34,6 +37,9 @@ from .space import Exponent, FilteredSpace, as_leaf_values, readonly
 from .varlp import norm_batch
 from .hardy import hs_norm
 
+# bytes of mask norms, keys included, that one scan keeps
+_MASK_NORM_BUDGET = 16 << 20
+
 
 @dataclass(frozen=True)
 class SupNormResult:
@@ -51,13 +57,19 @@ class StoppingScan:
     the position ``which`` of its mask in ``first``; and how the family
     was made, "exhaustive" or "sampled".  Distinct masks ascend by their
     bits read as a binary number c, leaf 0 on top; an exhaustive family has
-    every nonempty subset (tau = N on it), so there mask c is at c - 1."""
+    every nonempty subset (tau = N on it), so there mask c is at c - 1.
+
+    The mask norms of each (probs, exponent) are solved once and kept,
+    read-only, under their bytes; at most _MASK_NORM_BUDGET bytes of them,
+    keys included, the oldest given up first.  A kept value is the array
+    the solve returned, so it equals a fresh solve bit for bit."""
 
     taus: np.ndarray
     finite: np.ndarray
     first: np.ndarray
     which: np.ndarray
     mode: str
+    _norms: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @classmethod
     def of(cls, taus: np.ndarray, mode: str) -> "StoppingScan":
@@ -68,8 +80,25 @@ class StoppingScan:
 
     def mask_norms(self, probs: np.ndarray, pvals: np.ndarray) -> np.ndarray:
         """||chi_{tau<inf}||_{p(.)} per distinct mask, in the order of
-        ``first``, one solve each; ``[which]`` of it gives them per row."""
-        return norm_batch(probs, pvals, self.finite[self.first].astype(float))
+        ``first``, read-only; ``[which]`` of it gives them per row.  One
+        batch solves them for each (probs, pvals) the scan has not kept."""
+        key = (probs.tobytes(), pvals.tobytes())
+        norms = self._norms.get(key)
+        if norms is None:
+            masks = self.finite[self.first].astype(float)
+            norms = readonly(norm_batch(probs, pvals, masks))
+            size = _entry_bytes(key, norms)
+            if size <= _MASK_NORM_BUDGET:
+                held = sum(map(_entry_bytes, self._norms, self._norms.values()))
+                while held + size > _MASK_NORM_BUDGET:
+                    oldest = next(iter(self._norms))
+                    held -= _entry_bytes(oldest, self._norms.pop(oldest))
+                self._norms[key] = norms
+        return norms
+
+
+def _entry_bytes(key: tuple[bytes, bytes], norms: np.ndarray) -> int:
+    return len(key[0]) + len(key[1]) + norms.nbytes
 
 
 def candidate_matrix(

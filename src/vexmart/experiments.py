@@ -341,9 +341,10 @@ def lemma34_check(
 def jn_equivalence(config: TrialConfig, p: Exponent) -> ConstantReport:
     """Two-sided envelope of bmo_norm(f, p) / bmo_norm(f, 1) over random
     martingales, both norms taken exhaustively.  The stopping times come
-    from the space's cached scan, both denominators are solved once per
-    call, and the two numerators of a trial share one stopped-difference
-    gather."""
+    from the space's cached scan, both denominators (p = 1 and p(.)) are
+    read from the scan's kept mask norms, solved only on the first call
+    with each exponent, and the two numerators of a trial share one
+    stopped-difference gather."""
     if p.p_minus() < 1.0:
         raise DomainError("BMO norm equivalence requires p_- >= 1")
     space = config.space
@@ -444,7 +445,9 @@ def exp_jn_curve(f: Martingale, p: Exponent) -> ConstantReport:
             r = t / (2.0 * c0)
             if moment_ratio(r) > c_hat * (1.0 + ASSERT_SLACK):
                 raise NumericalError(
-                    "moment-chain constant fixed point failed to stabilize"
+                    "moment-chain constant fixed point failed to stabilize: "
+                    f"r={r!r} has moment ratio {moment_ratio(r)!r} > "
+                    f"C_hat {c_hat!r}"
                 )
     c2 = math.log(2.0) / (2.0 * c_hat)
 

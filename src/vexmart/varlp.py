@@ -161,9 +161,11 @@ def _luxemburg_rows(
                     logw = np.compress(keep, logw, axis=1 - ax)
                 u = u + step
             else:
+                lam = float(top[idx[0]] * np.exp(u[0]))
                 raise NumericalError(
                     f"Luxemburg Newton iteration did not converge in "
-                    f"{NEWTON_MAX_ITER} steps on {idx.size} rows"
+                    f"{NEWTON_MAX_ITER} steps on {idx.size} rows; the first, "
+                    f"row {idx[0]} of the batch, was last at lambda {lam!r}"
                 )
     if sup is not None:
         resid[sup >= norms] = 0.0

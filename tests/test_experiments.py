@@ -1,6 +1,7 @@
 import json
 import math
 import random
+import re
 
 import numpy as np
 import pytest
@@ -350,6 +351,28 @@ class TestExpJnCurve:
         assert rep.details["fit"]["C2"] > 0
         assert rep.details["proof_constants"]["C1"] == 4.0
         assert rep.details["proof_constants"]["C2"] > 0
+
+    def test_unsettled_fixed_point_names_its_witness(self, monkeypatch):
+        """Every numerator solve in exp_jn_curve reads a little larger than
+        the one before, so the moment-chain constant never settles; the
+        error names the r whose moment ratio exceeds C_hat, and both."""
+        sp = build_dyadic_space(3)
+        f = martingale_from_terminal(sp, np.array([7.0] + [-1.0] * 7))
+        p = Exponent((1.0, 1.5, 2.0, 2.5, 3.0, 1.2, 1.7, 2.2))
+        solve, calls = experiments.norm_batch, []
+
+        def growing(probs, pvals, rows):
+            calls.append(None)
+            return solve(probs, pvals, rows) * (1.0 + 1e-6 * len(calls))
+
+        monkeypatch.setattr(experiments, "norm_batch", growing)
+        with pytest.raises(NumericalError, match="failed to stabilize") as info:
+            exp_jn_curve(f, p)
+        m = re.search(r"r=(\S+) has moment ratio (\S+) > C_hat (\S+)$",
+                      str(info.value))
+        r, ratio, c_hat = map(float, m.groups())
+        assert r >= 1.0
+        assert ratio > c_hat * (1.0 + experiments.ASSERT_SLACK)
 
 
 def _envelope_oracle(f, p, grid):

@@ -1,9 +1,12 @@
 """The stopping-time scan cached on the space: its bit packing, its oracle
 equality with a fresh enumeration or sample, its read-only arrays, and that
 warm and cold spaces give the same suprema while the cap is still checked
-on every call."""
+on every call.  The mask norms each scan keeps per exponent: equal bit for
+bit to a fresh solve, read-only, never solved twice and bounded by bytes."""
 
+import math
 import random
+import sys
 from collections import Counter
 
 import numpy as np
@@ -25,8 +28,9 @@ from vexmart import (
     validate_filtration,
 )
 from vexmart import bmo, martingale
-from vexmart.bmo import candidate_matrix
+from vexmart.bmo import StoppingScan, candidate_matrix
 from vexmart.martingale import enumerate_stopping_matrix, sample_stopping_matrix
+from vexmart.varlp import norm_batch
 
 from conftest import (
     drop_root_level,
@@ -107,9 +111,14 @@ def test_exhaustive_masks_are_every_nonempty_subset_by_code(seed):
 
 def test_cached_scan_arrays_are_read_only():
     sp = build_dyadic_space(2)
+    p = np.array([1.5, 2.5, 1.2, 3.0])
     for scan in (candidate_matrix(sp, "exhaustive"),
                  candidate_matrix(sp, "sampled", samples=8)):
-        for a in (scan.taus, scan.finite, scan.first, scan.which):
+        # the mask norms as solved, then as kept
+        solved = scan.mask_norms(sp.probs, p)
+        kept = scan.mask_norms(sp.probs, p)
+        assert kept is solved
+        for a in (scan.taus, scan.finite, scan.first, scan.which, kept):
             corner = (0,) * a.ndim
             with pytest.raises(ValueError):
                 a[corner] = a[corner]
@@ -183,6 +192,15 @@ def test_second_call_enumerates_samples_and_walks_nothing(monkeypatch):
     counting(martingale, "_path_counts")
     counting(bmo, "enumerate_stopping_matrix")
     counting(bmo, "sample_stopping_matrix")
+    mask_solves = Counter()
+    solve = bmo.norm_batch
+
+    def counted_solve(probs, pvals, rows):
+        if sys._getframe(1).f_code.co_name == "mask_norms":
+            mask_solves[pvals.tobytes()] += 1
+        return solve(probs, pvals, rows)
+
+    monkeypatch.setattr(bmo, "norm_batch", counted_solve)
     small, large = build_dyadic_space(3), build_dyadic_space(6)
 
     def calls_on(seed):
@@ -201,9 +219,102 @@ def test_second_call_enumerates_samples_and_walks_nothing(monkeypatch):
     # one count walk per space; the enumeration walks no paths
     assert calls == {"_path_counts": 2, "enumerate_stopping_matrix": 1,
                      "sample_stopping_matrix": 2}
+    # the masks of p (then kept for exp_jn_curve and jn_equivalence) and of
+    # p = 1 on the exhaustive scan, of 1/alpha and q on the sampled ones
+    assert sorted(mask_solves.values()) == [1, 1, 1, 1]
     calls.clear()
+    mask_solves.clear()
     assert calls_on(1) == counts
     assert not calls
+    # only the new p and q
+    assert sorted(mask_solves.values()) == [1, 1]
+    mask_solves.clear()
+    # the same exponents again: nothing is solved twice
+    assert calls_on(1) == counts
+    assert not calls and not mask_solves
     # only the total is kept, never the per-position path counts
     assert type(small._scan_cache["count"]) is int
     assert not any(isinstance(v, list) for v in small._scan_cache.values())
+
+
+def _fresh_mask_norms(scan, probs, pvals):
+    return norm_batch(probs, pvals, scan.finite[scan.first].astype(float))
+
+
+@pytest.mark.parametrize("make", [
+    lambda: build_dyadic_space(3),
+    lambda: random_tree_space(random.Random(7), max_leaves=9),
+    lambda: random_tree_space(random.Random(8), max_leaves=9),
+])
+def test_kept_mask_norms_equal_fresh_solves(make):
+    """Calls with a constant, a variable, the unit and a Lipschitz exponent
+    1/alpha with +inf entries, interleaved on the exhaustive and a sampled
+    scan, each return exactly what a fresh solve returns."""
+    sp = make()
+    n = sp.n_leaves
+    rng = random.Random(n)
+    alpha = np.array([0.0 if i % 3 == 0 else rng.uniform(0.1, 0.5) for i in range(n)])
+    exponents = [
+        np.full(n, 2.0),
+        random_exponent(rng, n, 1.0, 3.0).vals,
+        np.ones(n),
+        np.where(alpha > 0, 1.0 / np.where(alpha > 0, alpha, 1.0), math.inf),
+        random_exponent(rng, n, 0.5, 4.0).vals,
+    ]
+    scans = [candidate_matrix(sp, "exhaustive"),
+             candidate_matrix(sp, "sampled", seed=3, samples=16)]
+    for _ in range(3):
+        for pvals in rng.sample(exponents, len(exponents)):
+            for scan in scans:
+                got = scan.mask_norms(sp.probs, pvals)
+                assert np.array_equal(got, _fresh_mask_norms(scan, sp.probs, pvals))
+
+
+def test_mask_norms_are_kept_per_probs_too():
+    """A scan made on its own can be read with another space's leaf
+    probabilities: the same exponent under other probabilities is another
+    solve, not the kept one."""
+    sp = build_dyadic_space(3)
+    scan = StoppingScan.of(enumerate_stopping_matrix(sp), "exhaustive")
+    pvals = random_exponent(random.Random(4), sp.n_leaves, 1.0, 3.0).vals
+    other = np.arange(1.0, sp.n_leaves + 1.0)
+    other /= other.sum()
+    for _ in range(2):
+        for probs in (sp.probs, other):
+            got = scan.mask_norms(probs, pvals)
+            assert np.array_equal(got, _fresh_mask_norms(scan, probs, pvals))
+    assert not np.array_equal(scan.mask_norms(sp.probs, pvals),
+                              scan.mask_norms(other, pvals))
+
+
+def _held_bytes(scan):
+    return sum(len(a) + len(b) + norms.nbytes for (a, b), norms in scan._norms.items())
+
+
+def test_kept_mask_norms_stay_under_the_byte_budget(monkeypatch):
+    """Under a budget of three entries, six exponents keep the last three,
+    the oldest given up first; an evicted exponent solves again to the
+    same bits, and a solve larger than the whole budget is not kept."""
+    sp = build_dyadic_space(2)
+    scan = StoppingScan.of(enumerate_stopping_matrix(sp), "exhaustive")
+    exponents = [np.full(4, 1.0 + k / 4) for k in range(6)]
+    entry = 2 * sp.probs.nbytes + scan.first.size * 8
+    budget = 3 * entry + entry // 2
+    monkeypatch.setattr(bmo, "_MASK_NORM_BUDGET", budget)
+    first = []
+    for pvals in exponents:
+        first.append(scan.mask_norms(sp.probs, pvals))
+        assert _held_bytes(scan) <= budget
+    kept = [pvals.tobytes() for pvals in exponents[3:]]
+    assert [b for _, b in scan._norms] == kept
+    again = scan.mask_norms(sp.probs, exponents[0])
+    assert again is not first[0]
+    assert np.array_equal(again, first[0])
+    assert _held_bytes(scan) <= budget
+    assert [b for _, b in scan._norms] == kept[1:] + [exponents[0].tobytes()]
+
+    monkeypatch.setattr(bmo, "_MASK_NORM_BUDGET", entry - 1)
+    fresh = StoppingScan.of(enumerate_stopping_matrix(sp), "exhaustive")
+    got = fresh.mask_norms(sp.probs, exponents[1])
+    assert np.array_equal(got, first[1])
+    assert not fresh._norms

@@ -20,6 +20,7 @@ from vexmart import (
     modular,
     norm_modular_bridge,
 )
+from vexmart import NumericalError, varlp
 from vexmart.varlp import norm_batch
 
 from conftest import bisection_oracle, lp_norm, random_exponent, random_tree_space
@@ -233,6 +234,25 @@ def test_batch_layout_changes_only_rounding(tall):
         for row, got in zip(rows, batch):
             want = luxemburg_norm(sp, row, p).norm
             assert got == pytest.approx(want, rel=1e-14, abs=0.0)
+
+
+
+@pytest.mark.parametrize("tall", [False, True])
+def test_newton_failure_names_first_unconverged_row(monkeypatch, tall):
+    """With one Newton step allowed, the error names the batch index of the
+    first row still short of its root (row 0 is zero and has converged)
+    and the lambda it reached, which lies below its norm: Newton climbs to
+    the root from the left."""
+    sp = build_dyadic_space(2)
+    p = Exponent((1.2, 2.8, 1.5, 3.5))
+    rows = np.array([[0.0] * 4, [1.0, -2.0, 0.5, 3.0], [2.0, 0.0, -1.0, 1.0]]
+                    + [[1.0, 0.5, 0.25, 2.0]] * (3 if tall else 0))
+    norms = norm_batch(sp.probs, p.vals, rows)
+    monkeypatch.setattr(varlp, "NEWTON_MAX_ITER", 1)
+    with pytest.raises(NumericalError, match=r"row 1 of the batch") as info:
+        norm_batch(sp.probs, p.vals, rows)
+    lam = float(str(info.value).rsplit("lambda ", 1)[1])
+    assert 0.0 < lam < norms[1]
 
 
 def test_power_identity():
