@@ -36,7 +36,7 @@ from .space import (
     condition_k,
     validate_filtration,
 )
-from .varlp import luxemburg_norm, modular, norm_batch
+from .varlp import luxemburg_norm, modular_grid, norm_batch
 
 ASSERT_SLACK = 1e-9
 _T_GRID_POINTS = 64
@@ -102,11 +102,8 @@ def _report(
     r = [float(x) for x in ratios]
     if r:
         arr = np.array(r)
-        quantiles = {
-            "q50": float(np.quantile(arr, 0.5)),
-            "q90": float(np.quantile(arr, 0.9)),
-            "q100": float(arr.max()),
-        }
+        q50, q90 = np.quantile(arr, [0.5, 0.9]).tolist()
+        quantiles = {"q50": q50, "q90": q90, "q100": float(arr.max())}
         mx, mean = float(arr.max()), float(arr.mean())
     else:
         quantiles, mx, mean = {}, 0.0, 0.0
@@ -184,45 +181,48 @@ def weak_type_check(
 
     The constant is proved through Young's inequality, which needs p >= 1
     on A; the bound is asserted exactly there and only reported elsewhere.
+
+    The sets A are nested: with the leaves sorted by decreasing Mf, each A
+    is a prefix, so P(A), p_-(A) and p_+(A) are read from one running sum,
+    minimum and maximum at the prefix length of each lambda.
     """
     space = f.space
-    grid = default_lambda_grid(f) if lambda_grid is None else tuple(lambda_grid)
-    for lam in grid:
-        if lam <= 0:
-            raise DomainError("lambda grid must be positive")
+    grid = np.asarray(
+        default_lambda_grid(f) if lambda_grid is None else lambda_grid, dtype=float
+    )
+    if not np.all(grid > 0):
+        raise DomainError("lambda grid must be positive")
     mf = maximal(f)
-    ratios, bounds, asserted = [], [], []
-    for lam in grid:
-        a_mask = mf > lam
-        pa = float(space.probs[a_mask].sum())
-        if pa == 0.0:
-            ratios.append(0.0)
-            bounds.append(1.0)
-            asserted.append(False)
-            continue
-        rho = modular(space, f.terminal, p, lam)
-        ratio = pa / rho
-        idx = np.nonzero(a_mask)[0]
-        p_lo = p.p_minus(idx)
-        bound = p.p_plus(idx) / p_lo
-        check = p_lo >= 1.0
-        if check and ratio > bound + ASSERT_SLACK:
-            raise NumericalError(
-                f"weak-type ratio {ratio} exceeds proof-chain constant "
-                f"{bound} at lambda={lam}"
-            )
-        ratios.append(ratio)
-        bounds.append(bound)
-        asserted.append(check)
+    order = np.argsort(-mf, kind="stable")
+    # |A| for each lambda: the count of leaves with -Mf < -lambda
+    size = np.searchsorted(-mf[order], -grid)
+    live = size > 0
+    last = size[live] - 1
+    pv = p.vals[order]
+    p_lo = np.minimum.accumulate(pv)[last]
+    ratios = np.zeros(grid.size)
+    bounds = np.ones(grid.size)
+    asserted = np.zeros(grid.size, dtype=bool)
+    ratios[live] = np.cumsum(space.probs[order])[last] / modular_grid(
+        space.probs, p.vals, f.terminal, grid[live]
+    )
+    bounds[live] = np.maximum.accumulate(pv)[last] / p_lo
+    asserted[live] = p_lo >= 1.0
+    bad = np.flatnonzero(asserted & (ratios > bounds + ASSERT_SLACK))
+    if bad.size:
+        j = bad[0]
+        raise NumericalError(
+            f"weak-type ratio {ratios[j]} exceeds proof-chain constant "
+            f"{bounds[j]} at lambda={grid[j]}"
+        )
     # the first largest ratio over the lambdas with P(Mf > lambda) > 0
-    kept = np.array(grid) < mf.max()
     witness = None
-    if kept.any():
-        j = int(np.argmax(np.where(kept, ratios, -np.inf)))
+    if live.any():
+        j = int(np.argmax(np.where(live, ratios, -np.inf)))
         witness = {
-            "lambda": grid[j],
-            "ratio": ratios[j],
-            "bound": bounds[j],
+            "lambda": float(grid[j]),
+            "ratio": float(ratios[j]),
+            "bound": float(bounds[j]),
             "terminal": f.terminal.tolist(),
             "exponent": p.vals.tolist(),
         }
@@ -230,7 +230,11 @@ def weak_type_check(
         "weak-type proof-chain constant",
         ratios,
         witness,
-        {"lambda_grid": list(grid), "bounds": bounds, "asserted": asserted},
+        {
+            "lambda_grid": grid.tolist(),
+            "bounds": bounds.tolist(),
+            "asserted": asserted.tolist(),
+        },
     )
 
 
@@ -464,9 +468,14 @@ def exp_jn_curve(f: Martingale, p: Exponent) -> ConstantReport:
             )
         envelope.append(float(np.max(lhs / dens)))
 
-    for a, b in zip(envelope, envelope[1:]):
-        if b > a + 1e-12:
-            raise NumericalError("decay curve is not nonincreasing")
+    env = np.array(envelope)
+    rise = np.flatnonzero(env[1:] > env[:-1] + 1e-12)
+    if rise.size:
+        j = int(rise[0])
+        raise NumericalError(
+            f"decay curve is not nonincreasing: envelope {envelope[j + 1]!r} "
+            f"at t={grid[j + 1]!r} exceeds {envelope[j]!r} at t={grid[j]!r}"
+        )
 
     pos = [(t, y) for t, y in zip(grid, envelope) if y > 0 and t > 0]
     fit = None
@@ -546,8 +555,13 @@ def nakai_sadasue(max_n: int) -> ConstantReport:
     inc = np.diff(h)
     m = np.arange(1, depth)
     inc_bound = 2.0 / ((m + 1) * math.log(2.0))
-    if not (np.all(inc > 0) and np.all(inc <= inc_bound)):
-        raise NumericalError("h increment bounds violated")
+    bad = np.flatnonzero(~((inc > 0) & (inc <= inc_bound)))
+    if bad.size:
+        j = int(bad[0])
+        raise NumericalError(
+            f"h increment bounds violated at m={j + 1}: h_(m+1) - h_m = "
+            f"{float(inc[j])!r} is not in (0, {float(inc_bound[j])!r}]"
+        )
 
     # suffix extrema of sin(h_m) over rings m >= N give g_+/g_- on B_N
     suf_max = np.maximum.accumulate(sines[::-1])[::-1]

@@ -1,8 +1,10 @@
 """Modular and Luxemburg quasi-norm of L^{p(.)} on a finite space.
 
 The modular is the finite weighted sum  rho(f/lambda) = sum_w P(w) *
-(|f(w)|/lambda)^{p(w)}.  The Luxemburg norm is the infimal lambda with
-rho(f/lambda) <= 1.  Every norm comes from one batch kernel:
+(|f(w)|/lambda)^{p(w)}, computed for a whole grid of lambdas by one
+function, of which the scalar modular is a one-lambda call.  The Luxemburg
+norm is the infimal lambda with rho(f/lambda) <= 1.  Every norm comes from
+one batch kernel:
 
 * In s = log(lambda), g(s) = log rho(f e^{-s}) is a log-sum-exp of affine
   functions of s, hence convex and strictly decreasing for f != 0, and the
@@ -60,18 +62,38 @@ def modular(
     p: Exponent,
     lam: float,
 ) -> float:
-    """rho(f/lam); math.inf when |f| > lam somewhere on {p = inf}."""
+    """rho(f/lam); math.inf when |f| > lam somewhere on {p = inf}.  A
+    one-lambda call of :func:`modular_grid`."""
     if lam <= 0:
         raise DomainError("modular requires lambda > 0")
-    v = np.abs(as_leaf_values(space, f)) / lam
-    pv = p.vals
-    if not p.is_finite:
-        inf_mask = np.isinf(pv)
-        if np.any(v[inf_mask] > 1.0):
-            return math.inf
-        fin = ~inf_mask
-        return float(np.sum(space.probs[fin] * v[fin] ** pv[fin]))
-    return float(np.sum(space.probs * v**pv))
+    v = as_leaf_values(space, f)
+    return float(modular_grid(space.probs, p.vals, v, [lam])[0])
+
+
+def modular_grid(
+    probs: np.ndarray,
+    pvals: np.ndarray,
+    f: np.ndarray,
+    lams: Sequence[float] | np.ndarray,
+) -> np.ndarray:
+    """rho(f/lam) for every lam of a positive 1-d array, +inf where |f| >
+    lam somewhere on {p = inf}.  The (lambda, leaf) terms are made about
+    1 MB at a time, so memory does not grow with the grid.  Internal
+    plumbing for the weak-type check, like :func:`norm_batch`."""
+    lams = np.asarray(lams, dtype=float)
+    a = np.abs(f)
+    step = max(1, (1 << 20) // a.nbytes)
+    # the leaves are split before the division, so that each block of terms
+    # is C-ordered and its rows are summed exactly as a one-lambda call sums
+    fin = np.isfinite(pvals)
+    a, a_inf, probs, pvals = a[fin], a[~fin], probs[fin], pvals[fin]
+    out = np.empty(lams.size)
+    for start in range(0, lams.size, step):
+        lam = lams[start : start + step, None]
+        rho = np.sum(probs * (a / lam) ** pvals, axis=1)
+        rho[(a_inf / lam > 1.0).any(axis=1)] = math.inf
+        out[start : start + step] = rho
+    return out
 
 
 # Broadcast index tuples (per-leaf, per-row) for a batch whose leaf axis
@@ -210,6 +232,15 @@ def check_power_identity(
     return left, right
 
 
+def _require_reciprocals(
+    lhs: np.ndarray | float, rhs: np.ndarray | float, message: str
+) -> None:
+    """The exponent relation lhs = rhs between sums of reciprocals, to
+    1e-12 at every leaf; DomainError(message) otherwise."""
+    if np.max(np.abs(lhs - rhs)) > 1e-12:
+        raise DomainError(message)
+
+
 def check_holder(
     space: FilteredSpace,
     f: Sequence[float],
@@ -219,10 +250,10 @@ def check_holder(
     r: Exponent,
 ) -> tuple[float, float, float]:
     """(||fg||_p, ||f||_q, ||g||_r) for 1/p = 1/q + 1/r pointwise."""
-    lhs_recip = 1.0 / p.vals
-    rhs_recip = 1.0 / q.vals + 1.0 / r.vals
-    if np.max(np.abs(lhs_recip - rhs_recip)) > 1e-12:
-        raise DomainError("exponents violate 1/p = 1/q + 1/r")
+    _require_reciprocals(
+        1.0 / p.vals, 1.0 / q.vals + 1.0 / r.vals,
+        "exponents violate 1/p = 1/q + 1/r",
+    )
     fv = as_leaf_values(space, f)
     gv = as_leaf_values(space, g)
     return (
@@ -324,14 +355,17 @@ def indicator_product_ratio(
     chi = np.zeros(space.n_leaves)
     chi[idx] = 1.0
     if mode == "conjugate":
-        if np.max(np.abs(1.0 / p.vals + 1.0 / q.vals - 1.0)) > 1e-12:
-            raise DomainError("exponents are not pointwise conjugate")
+        _require_reciprocals(
+            1.0 / p.vals + 1.0 / q.vals, 1.0, "exponents are not pointwise conjugate"
+        )
         target = float(space.probs[idx].sum())
     elif mode == "harmonic":
         if r is None:
             raise DomainError("harmonic mode requires the target exponent r")
-        if np.max(np.abs(1.0 / p.vals + 1.0 / q.vals - 1.0 / r.vals)) > 1e-12:
-            raise DomainError("exponents violate 1/r = 1/p + 1/q")
+        _require_reciprocals(
+            1.0 / p.vals + 1.0 / q.vals, 1.0 / r.vals,
+            "exponents violate 1/r = 1/p + 1/q",
+        )
         target = luxemburg_norm(space, chi, r).norm
     else:
         raise DomainError(f"unknown indicator ratio mode {mode!r}")

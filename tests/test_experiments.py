@@ -2,6 +2,7 @@ import json
 import math
 import random
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -36,6 +37,7 @@ from vexmart import bmo, experiments, serialize
 from vexmart.cli import run
 from vexmart.experiments import _ns_h, default_lambda_grid
 from vexmart.martingale import enumerate_stopping_matrix, stopped_terminal_diffs
+from vexmart.varlp import modular_grid
 
 from conftest import random_exponent, random_tree_space, relabelled_levels
 
@@ -374,6 +376,27 @@ class TestExpJnCurve:
         assert r >= 1.0
         assert ratio > c_hat * (1.0 + experiments.ASSERT_SLACK)
 
+    def test_rising_curve_names_its_grid_points(self, monkeypatch):
+        """A t grid handed over in descending order makes the envelope rise;
+        the error names the first two neighbouring grid points where it
+        rises, with their envelope values, which are those of the curve on
+        the ascending grid."""
+        cfg = config(depth=3, seed=9)
+        f = generate_martingale(cfg, 0)
+        p = generate_exponent(f.space, "iid-uniform", (1.0, 2.5), 4)
+        curve = exp_jn_curve(f, p).details["curve"][::-1]
+        j = next(i for i in range(len(curve) - 1)
+                 if curve[i + 1][1] > curve[i][1] + 1e-12)
+        grid_of = experiments._t_grid_from_diffs
+        monkeypatch.setattr(experiments, "_t_grid_from_diffs",
+                            lambda diffs: grid_of(diffs)[::-1])
+        with pytest.raises(NumericalError, match="not nonincreasing") as info:
+            exp_jn_curve(f, p)
+        m = re.search(r"envelope (\S+) at t=(\S+) exceeds (\S+) at t=(\S+)$",
+                      str(info.value))
+        y1, t1, y0, t0 = map(float, m.groups())
+        assert [[t0, y0], [t1, y1]] == curve[j : j + 2]
+
 
 def _envelope_oracle(f, p, grid):
     """max over stopping times of ||chi_{tau<inf, f - f_{tau-1} >= t}|| /
@@ -442,6 +465,23 @@ class TestNakaiSadasue:
     def test_caps_max_n(self):
         with pytest.raises(DomainError):
             nakai_sadasue(31)
+
+    def test_bad_increment_names_its_m(self, monkeypatch):
+        """h_5 = h_4 makes the step at m = 4 zero, not positive; the error
+        names m, the step and its bound 2/((m+1) ln 2)."""
+        def flat(depth):
+            h = _ns_h(depth)
+            h[4] = h[3]
+            return h
+
+        monkeypatch.setattr(experiments, "_ns_h", flat)
+        with pytest.raises(NumericalError, match="increment bounds") as info:
+            nakai_sadasue(1)
+        m = re.search(r"at m=(\d+): h_\(m\+1\) - h_m = (\S+) is not in "
+                      r"\(0, (\S+)\]$", str(info.value))
+        assert int(m.group(1)) == 4
+        assert float(m.group(2)) == 0.0
+        assert float(m.group(3)) == 2.0 / (5 * math.log(2.0))
 
 
 class TestViolationSearch:
@@ -721,3 +761,186 @@ def test_weak_type_witness_is_first_largest_ratio():
         rep = weak_type_check(f, p, grid)
         assert rep.ratios[0] == rep.ratios[1]
         assert rep.witness["lambda"] == grid[0]
+
+
+def _weak_type_oracle(f, p, grid):
+    """The former per-lambda loop of weak_type_check: a masked sum, a scalar
+    modular and the exponent extrema of A = {Mf > lambda} for each lambda in
+    turn.  (ratios, bounds, asserted), and the first lambda whose asserted
+    bound is exceeded, or None."""
+    mf = maximal(f)
+    ratios, bounds, asserted, failed = [], [], [], None
+    for lam in grid:
+        a_mask = mf > lam
+        pa = float(f.space.probs[a_mask].sum())
+        if pa == 0.0:
+            ratios.append(0.0)
+            bounds.append(1.0)
+            asserted.append(False)
+            continue
+        idx = np.nonzero(a_mask)[0]
+        ratio = pa / modular(f.space, f.terminal, p, lam)
+        bound = p.p_plus(idx) / p.p_minus(idx)
+        check = p.p_minus(idx) >= 1.0
+        if failed is None and check and ratio > bound + experiments.ASSERT_SLACK:
+            failed = lam
+        ratios.append(ratio)
+        bounds.append(bound)
+        asserted.append(check)
+    return ratios, bounds, asserted, failed
+
+
+def _weak_type_grids(f, rng):
+    """The default grid with max Mf and a lambda above it appended, and a
+    shuffled copy of it with some lambdas repeated."""
+    top = float(maximal(f).max())
+    grid = [*default_lambda_grid(f), top, 2.0 * top + 1.0]
+    mixed = grid + rng.sample(grid, len(grid) // 2)
+    rng.shuffle(mixed)
+    return grid, mixed
+
+
+def _assert_weak_type_matches(f, p, grid, rel):
+    ratios, bounds, asserted, failed = _weak_type_oracle(f, p, grid)
+    assert failed is None
+    rep = weak_type_check(f, p, grid)
+    got, want = np.array(rep.ratios), np.array(ratios)
+    assert np.all(np.abs(got - want) <= rel * want)
+    assert rep.details["lambda_grid"] == grid
+    np.testing.assert_array_equal(rep.details["bounds"], bounds)
+    assert rep.details["asserted"] == asserted
+    return rep
+
+
+def test_weak_type_matches_per_lambda_loop():
+    """Random trees, exponents in [0.5, 3] so that p < 1 on part of some
+    sets A, and unsorted grids with repeats and lambdas >= max Mf.  P(A) is
+    a prefix sum over the leaves by decreasing Mf instead of a masked sum,
+    so a ratio may move in its last bits."""
+    rng = random.Random(151)
+    for _ in range(60):
+        sp = random_tree_space(rng)
+        v = [rng.gauss(0.0, 1.0) for _ in range(sp.n_leaves)]
+        f = martingale_from_terminal(sp, v)
+        p = random_exponent(rng, sp.n_leaves, 0.5, 3.0)
+        for grid in _weak_type_grids(f, rng):
+            _assert_weak_type_matches(f, p, grid, 1e-14)
+
+
+@pytest.mark.parametrize("law", ["constant", "two-block", "iid-uniform"])
+@pytest.mark.parametrize("depth", [1, 2, 4, 6])
+def test_weak_type_matches_per_lambda_loop_bitwise_on_dyadic(depth, law):
+    """Every partial sum of 2^-depth is exact, so on dyadic spaces the
+    whole report equals the loop's bit for bit."""
+    rng = random.Random(f"weak-type:{depth}:{law}")
+    cfg = config(depth=depth, seed=depth)
+    f = generate_martingale(cfg, 0)
+    p = generate_exponent(f.space, law, (0.8, 3.0), depth)
+    for grid in _weak_type_grids(f, rng):
+        rep = _assert_weak_type_matches(f, p, grid, 0.0)
+        loop = _weak_type_oracle(f, p, grid)[0]
+        assert rep.ratios == tuple(loop)
+        top = float(maximal(f).max())
+        best = max(r for r, lam in zip(loop, grid) if lam < top)
+        assert rep.witness["ratio"] == best
+        assert rep.witness["lambda"] == grid[loop.index(best)]
+
+
+def test_weak_type_matches_per_lambda_loop_with_infinite_exponent():
+    """+inf exponent entries: rho(f/lambda) = +inf, and the ratio 0, at
+    every lambda below max |f_N| on {p = inf}; a bound over a set A inside
+    {p = inf} is inf/inf."""
+    rng = random.Random(67)
+    infinite = 0
+    for _ in range(40):
+        sp = random_tree_space(rng)
+        v = [rng.gauss(0.0, 1.0) for _ in range(sp.n_leaves)]
+        f = martingale_from_terminal(sp, v)
+        vals = [math.inf if rng.random() < 0.4 else rng.uniform(1.0, 3.0)
+                for _ in range(sp.n_leaves)]
+        p = Exponent(vals, allow_infinite=True)
+        for grid in _weak_type_grids(f, rng):
+            with np.errstate(invalid="ignore"):
+                rep = _assert_weak_type_matches(f, p, grid, 1e-14)
+            infinite += sum(
+                modular(sp, f.terminal, p, lam) == math.inf for lam in grid
+            )
+            top = float(maximal(f).max())
+            assert rep.ratios.count(0.0) >= sum(lam >= top for lam in grid)
+    assert infinite > 0
+
+
+def test_weak_type_failure_names_first_failing_lambda(monkeypatch):
+    """With every modular read ten times too small, the ratios exceed their
+    bounds; the error names the first such lambda in grid order, as the
+    loop does."""
+    rng = random.Random(5)
+    f = generate_martingale(config(depth=4, seed=2), 0)
+    p = generate_exponent(f.space, "iid-uniform", (0.8, 3.0), 2)
+    # ascending: the smallest lambdas have p < 1 on A and assert nothing
+    grid = _weak_type_grids(f, rng)[0]
+    real = experiments.modular_grid
+    monkeypatch.setattr(experiments, "modular_grid",
+                        lambda *args: real(*args) / 10.0)
+    failed = None
+    mf = maximal(f)
+    for lam in grid:
+        idx = np.nonzero(mf > lam)[0]
+        if idx.size and p.p_minus(idx) >= 1.0:
+            pa = float(f.space.probs[idx].sum())
+            ratio = pa / (modular(f.space, f.terminal, p, lam) / 10.0)
+            if ratio > p.p_plus(idx) / p.p_minus(idx) + experiments.ASSERT_SLACK:
+                failed = lam
+                break
+    assert failed is not None and failed != grid[0]
+    with pytest.raises(NumericalError, match="exceeds proof-chain") as info:
+        weak_type_check(f, p, grid)
+    assert str(info.value).endswith(f"at lambda={failed}")
+
+
+def _modular_oracle(probs, pvals, f, lam):
+    """The former scalar modular: the finite terms' sum, or +inf where
+    |f|/lambda > 1 on {p = inf}."""
+    v = np.abs(f) / lam
+    inf = np.isinf(pvals)
+    if np.any(v[inf] > 1.0):
+        return math.inf
+    return float(np.sum(probs[~inf] * v[~inf] ** pvals[~inf]))
+
+
+def test_modular_grid_matches_one_lambda_calls():
+    """Bit for bit, +inf entries included, across the 1 MB blocks of a
+    2048-leaf grid."""
+    rng = random.Random(29)
+    spaces = [random_tree_space(rng) for _ in range(30)] + [build_dyadic_space(11)]
+    for sp in spaces:
+        n = sp.n_leaves
+        v = np.array([rng.gauss(0.0, 1.0) for _ in range(n)])
+        for share in (0.0, 0.3):
+            vals = [math.inf if rng.random() < share else rng.uniform(0.5, 3.0)
+                    for _ in range(n)]
+            p = Exponent(vals, allow_infinite=True)
+            lams = np.concatenate((
+                np.abs(v[: min(n, 50)]),
+                [rng.uniform(0.01, 4.0) for _ in range(150)],
+            ))
+            got = modular_grid(sp.probs, p.vals, v, lams)
+            one = [modular(sp, v, p, lam) for lam in lams]
+            want = [_modular_oracle(sp.probs, p.vals, v, lam) for lam in lams]
+            assert got.tolist() == one == want
+
+
+def test_weak_type_memory_is_bounded_on_2048_leaves():
+    """About 4,000 lambdas on 2048 leaves: all (lambda, leaf) terms at once
+    would hold 62 MB per temporary; made 1 MB at a time the call peaks
+    far lower."""
+    f = generate_martingale(config(depth=11, seed=1), 0)
+    p = generate_exponent(f.space, "iid-uniform", (1.2, 2.8), 0)
+    tracemalloc.start()
+    try:
+        rep = weak_type_check(f, p)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(rep.ratios) > 3000
+    assert peak < 16 * 2**20
