@@ -36,7 +36,6 @@ from .martingale import (
     cond_expect,
     cond_square,
     count_stopping_times,
-    enumerate_stopping_times,
     make_martingale,
     martingale_from_terminal,
     maximal,
@@ -84,7 +83,7 @@ __all__ = [
     "Martingale", "StoppingTime", "make_martingale",
     "martingale_from_terminal", "cond_expect", "cond_square", "maximal",
     "stop", "validate_stopping_time", "count_stopping_times",
-    "enumerate_stopping_times", "sample_stopping_times",
+    "sample_stopping_times",
     "AtomicDecomposition", "atomic_decompose", "a_quantity", "reconstruct",
     "is_atom", "hs_norm", "hmax_norm", "prop41_bounds",
     "bmo_norm", "lipschitz_norm", "duality_pairing_ratio",

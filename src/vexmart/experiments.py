@@ -186,6 +186,8 @@ def weak_type_check(
     is a prefix, so P(A), p_-(A) and p_+(A) are read from one running sum,
     minimum and maximum at the prefix length of each lambda.
     """
+    if not p.is_finite:
+        raise DomainError("weak_type_check requires a finite exponent")
     space = f.space
     grid = np.asarray(
         default_lambda_grid(f) if lambda_grid is None else lambda_grid, dtype=float

@@ -38,11 +38,6 @@ class Martingale(ArrayValue):
     arrays: np.ndarray
 
     @property
-    def levels(self) -> tuple[tuple[float, ...], ...]:
-        """The level values as nested tuples of Python floats."""
-        return tuple(map(tuple, self.arrays.tolist()))
-
-    @property
     def terminal(self) -> np.ndarray:
         return self.arrays[-1]
 
@@ -140,11 +135,6 @@ class StoppingTime(ArrayValue):
     vals: np.ndarray
 
     @property
-    def stop_level(self) -> tuple[float, ...]:
-        """The stop levels as a tuple of Python floats."""
-        return tuple(self.vals.tolist())
-
-    @property
     def finite_mask(self) -> np.ndarray:
         return np.isfinite(self.vals)
 
@@ -159,7 +149,7 @@ def validate_stopping_time(
         raise ValidationError(f"stop levels must be numbers: {exc}") from exc
     if vals.shape != (space.n_leaves,):
         raise ValidationError(
-            f"expected {space.n_leaves} stop levels, got {vals.size}"
+            f"expected {space.n_leaves} stop levels, got shape {vals.shape}"
         )
     ok = np.isposinf(vals) | (
         (vals >= 0) & (vals <= space.depth) & (vals == np.floor(vals))
@@ -289,13 +279,6 @@ def enumerate_stopping_matrix(space: FilteredSpace) -> np.ndarray:
             block = out[start : start + step]
             block[:] = block[:, rank]
     return out
-
-
-def enumerate_stopping_times(space: FilteredSpace) -> tuple[StoppingTime, ...]:
-    """Exhaustive enumeration by the stop/continue walk of the filtration
-    tree's preorder, refused over ENUMERATION_CAP."""
-    matrix = enumerate_stopping_matrix(space)
-    return tuple(StoppingTime(row) for row in matrix)
 
 
 def sample_stopping_matrix(

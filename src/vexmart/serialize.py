@@ -12,6 +12,8 @@ import json
 import math
 from typing import Any, Mapping, Sequence
 
+import numpy as np
+
 from .errors import NumericalError, ValidationError
 from .hardy import AtomTerm, AtomicDecomposition
 from .martingale import (
@@ -26,10 +28,15 @@ from .space import Exponent, FilteredSpace, as_leaf_values, validate_filtration
 
 
 def space_to_json(space: FilteredSpace) -> dict:
-    return {
-        "leaf_probs": space.probs.tolist(),
-        "levels": [[list(b) for b in level] for level in space.levels],
-    }
+    """Each level as a list of blocks of leaf indices, blocks by position
+    and leaves ascending inside a block: one stable sort of the level's
+    block positions, cut at the running block sizes."""
+    levels = []
+    for row in space.block_of:
+        order = np.argsort(row, kind="stable").tolist()
+        ends = np.cumsum(np.bincount(row)).tolist()
+        levels.append([order[a:b] for a, b in zip([0, *ends], ends)])
+    return {"leaf_probs": space.probs.tolist(), "levels": levels}
 
 
 def _require_object(obj: Any, what: str) -> None:

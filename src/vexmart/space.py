@@ -17,8 +17,6 @@ import numpy as np
 
 from .errors import DomainError, ResourceError, ValidationError
 
-Blocks = tuple[tuple[int, ...], ...]
-
 # largest arrays a space builder, `check lemma34` or the stopping-time
 # sampler may allocate, in bytes
 MAX_SPACE_BYTES = 1 << 30
@@ -59,14 +57,6 @@ class ArrayValue:
         return True
 
 
-def _groups(keys: np.ndarray, n_groups: int) -> tuple[tuple[int, ...], ...]:
-    """The positions of ``keys`` grouped by key value 0..n_groups-1, each
-    group in ascending order."""
-    order = np.argsort(keys, kind="stable").tolist()
-    ends = np.cumsum(np.bincount(keys, minlength=n_groups)).tolist()
-    return tuple(tuple(order[a:b]) for a, b in zip([0, *ends], ends))
-
-
 @dataclass(frozen=True, eq=False)
 class FilteredSpace(ArrayValue):
     """Finite probability space with an atom filtration.
@@ -95,17 +85,6 @@ class FilteredSpace(ArrayValue):
     def n_blocks(self) -> tuple[int, ...]:
         """Number of blocks of each level."""
         return tuple((self.block_of.max(axis=1) + 1).tolist())
-
-    @property
-    def leaf_probs(self) -> tuple[float, ...]:
-        """The leaf probabilities as a tuple of Python floats."""
-        return tuple(self.probs.tolist())
-
-    @property
-    def levels(self) -> tuple[Blocks, ...]:
-        """Each level as a tuple of blocks of leaf indices, blocks by
-        position and leaves ascending inside a block."""
-        return tuple(map(_groups, self.block_of, self.n_blocks))
 
     @cached_property
     def _stacked_blocks(self) -> tuple[np.ndarray, np.ndarray]:
@@ -187,11 +166,6 @@ class Exponent(ArrayValue):
             raise ValidationError(
                 "infinite exponent entries require allow_infinite=True"
             )
-
-    @property
-    def values(self) -> tuple[float, ...]:
-        """The exponent values as a tuple of Python floats."""
-        return tuple(self.vals.tolist())
 
     @cached_property
     def is_finite(self) -> bool:

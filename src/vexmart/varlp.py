@@ -37,7 +37,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import DomainError, NumericalError
+from .errors import DomainError, NumericalError, ValidationError
 from .space import Exponent, FilteredSpace, as_leaf_values
 
 NEWTON_REL_TOL = 1e-12
@@ -320,17 +320,40 @@ class IndicatorProfile:
     max_ratio: float
 
 
+def _indicator(
+    space: FilteredSpace, leaves: Sequence[int], what: str
+) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct leaves of a nonempty set B, ascending, and chi_B.
+    Leaves must be integers (integral floats included) in 0..n-1."""
+    try:
+        items = list(leaves)
+        raw = np.array(items, dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise ValidationError(f"{what} leaves must be integers: {exc}") from exc
+    if raw.ndim != 1:
+        raise ValidationError(f"{what} leaves must be a flat list of integers")
+    ok = (raw >= 0) & (raw < space.n_leaves) & (raw == np.floor(raw))
+    bad = np.flatnonzero(~ok)
+    if bad.size:
+        raise ValidationError(
+            f"{what}: leaf {items[bad[0]]!r} is not an integer "
+            f"in 0..{space.n_leaves - 1}"
+        )
+    if not raw.size:
+        raise DomainError(f"{what} requires a nonempty set")
+    idx = np.unique(raw.astype(np.intp))
+    chi = np.zeros(space.n_leaves)
+    chi[idx] = 1.0
+    return idx, chi
+
+
 def indicator_norm_profile(
     space: FilteredSpace, leaves: Sequence[int], p: Exponent
 ) -> IndicatorProfile:
     """P(B)^{1/p_-(B)}, P(B)^{1/p_+(B)}, ||chi_B||_{p(.)} and the max
     pairwise ratio of the three; the norm always lies in the sandwich."""
-    idx = sorted(set(int(i) for i in leaves))
-    if not idx:
-        raise DomainError("indicator profile requires a nonempty set")
+    idx, chi = _indicator(space, leaves, "indicator profile")
     pb = float(space.probs[idx].sum())
-    chi = np.zeros(space.n_leaves)
-    chi[idx] = 1.0
     lower = pb ** (1.0 / p.p_minus(idx))
     upper = pb ** (1.0 / p.p_plus(idx))
     norm = luxemburg_norm(space, chi, p).norm
@@ -349,11 +372,7 @@ def indicator_product_ratio(
     """||chi_B||_target / (||chi_B||_p * ||chi_B||_q), target = L^1 for
     conjugate mode (1/p + 1/q = 1) or L^{r(.)} for harmonic mode
     (1/r = 1/p + 1/q)."""
-    idx = sorted(set(int(i) for i in leaves))
-    if not idx:
-        raise DomainError("indicator ratio requires a nonempty set")
-    chi = np.zeros(space.n_leaves)
-    chi[idx] = 1.0
+    idx, chi = _indicator(space, leaves, "indicator ratio")
     if mode == "conjugate":
         _require_reciprocals(
             1.0 / p.vals + 1.0 / q.vals, 1.0, "exponents are not pointwise conjugate"

@@ -3,7 +3,7 @@ import random
 import numpy as np
 import pytest
 
-from vexmart import Exponent, build_dyadic_space, validate_filtration
+from vexmart import Exponent, build_dyadic_space, serialize, validate_filtration
 
 
 def random_tree_space(rng: random.Random, max_leaves: int = 12, max_depth: int = 4):
@@ -41,11 +41,14 @@ def relabelled_levels(space, rng: random.Random):
     each level's blocks listed in random order."""
     perm = list(range(space.n_leaves))
     rng.shuffle(perm)
-    levels = [[[perm[i] for i in b] for b in level] for level in space.levels]
+    levels = [
+        [[perm[i] for i in b] for b in level]
+        for level in serialize.space_to_json(space)["levels"]
+    ]
     for level in levels:
         rng.shuffle(level)
     probs = [0.0] * space.n_leaves
-    for i, p in enumerate(space.leaf_probs):
+    for i, p in enumerate(space.probs.tolist()):
         probs[perm[i]] = p
     return levels, probs
 
@@ -62,9 +65,8 @@ def children_of(space):
 def drop_root_level(space):
     """The space without its level 0: a filtration whose first level may
     have several blocks, so the tree is a forest."""
-    return validate_filtration(
-        [list(map(list, level)) for level in space.levels[1:]], space.leaf_probs
-    )
+    obj = serialize.space_to_json(space)
+    return validate_filtration(obj["levels"][1:], obj["leaf_probs"])
 
 
 def random_exponent(rng: random.Random, n: int, lo: float = 1.1, hi: float = 3.0):

@@ -37,6 +37,7 @@ from vexmart import (
     weak_type_check,
     TrialConfig,
 )
+from vexmart import serialize
 from vexmart.cli import run
 from vexmart.experiments import _ns_h
 
@@ -146,11 +147,11 @@ def test_06_maximal_norm_ratio_gate():
 
     # +-10% stability under a 1e-6 relative probability perturbation
     rng = random.Random(11)
-    probs = np.array(sp.leaf_probs)
+    probs = sp.probs.copy()
     probs *= 1.0 + np.array([rng.uniform(-1e-6, 1e-6) for _ in probs])
     probs /= probs.sum()
     probs[-1] = 1.0 - probs[:-1].sum()
-    sp2 = validate_filtration(sp.levels, tuple(probs))
+    sp2 = validate_filtration(serialize.space_to_json(sp)["levels"], tuple(probs))
     pert = doob_strong_check(TrialConfig(space=sp2, seed=5, trials=100), p)
     assert pert.max_ratio == pytest.approx(base.max_ratio, rel=0.1)
 
@@ -210,7 +211,7 @@ def test_10_bmo_norm_equivalence_envelopes():
     # refinement stability: split every leaf in two equal halves and lift
     levels = [
         [[2 * i for i in b] + [2 * i + 1 for i in b] for b in level]
-        for level in sp.levels
+        for level in serialize.space_to_json(sp)["levels"]
     ]
     levels.append([[i] for i in range(8)])
     fine = validate_filtration(

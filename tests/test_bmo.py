@@ -20,7 +20,7 @@ from vexmart import (
     martingale_from_terminal,
     validate_filtration,
 )
-from vexmart import bmo
+from vexmart import bmo, serialize
 from vexmart.bmo import StoppingScan, candidate_matrix
 
 from conftest import (
@@ -130,7 +130,7 @@ class TestBmoNorm:
         sp = build_dyadic_space(2)
         levels = [
             [[2 * i for i in b] + [2 * i + 1 for i in b] for b in level]
-            for level in sp.levels
+            for level in serialize.space_to_json(sp)["levels"]
         ]
         levels.append([[i] for i in range(8)])
         fine = validate_filtration(
@@ -193,7 +193,8 @@ class TestLipschitzNorm:
     def test_mixed_alpha_exhaustive_matches_brute_force(self):
         # alpha = 0 leaves are +inf entries of 1/alpha among finite ones, in
         # a batch of 255 masks on 8 leaves
-        from vexmart import enumerate_stopping_times, stop
+        from vexmart import StoppingTime, stop
+        from vexmart.martingale import enumerate_stopping_matrix
         sp = build_dyadic_space(3)
         rng = random.Random(41)
         alphas = [(0.0, 0.4) * 4] + [
@@ -204,7 +205,8 @@ class TestLipschitzNorm:
             inv_alpha = np.array([math.inf if a == 0 else 1 / a for a in alpha])
             res = lipschitz_norm(f, 2.0, alpha, mode="exhaustive")
             best = 0.0
-            for tau in enumerate_stopping_times(sp):
+            for row in enumerate_stopping_matrix(sp):
+                tau = StoppingTime(row)
                 chi = tau.finite_mask.astype(float)
                 if not chi.any():
                     continue
@@ -272,7 +274,7 @@ def _sampled_candidates_oracle(space, samples, seed):
 
         def descend(level, b):
             if rng.random() < 0.5:
-                for leaf in space.levels[level][b]:
+                for leaf in np.flatnonzero(space.block_of[level] == b).tolist():
                     vals[leaf] = float(level)
             elif level < space.depth:
                 for child in children[level][b]:

@@ -5,8 +5,11 @@ import warnings
 import numpy as np
 import pytest
 
+import vexmart
 from vexmart import (
     Exponent,
+    FilteredSpace,
+    Martingale,
     NumericalError,
     StoppingTime,
     ValidationError,
@@ -16,11 +19,12 @@ from vexmart import (
     constant_exponent,
     martingale_from_terminal,
     reconstruct,
+    validate_filtration,
 )
-from vexmart import martingale, serialize
+from vexmart import martingale, serialize, space
 from vexmart.cli import run
 
-from conftest import random_tree_space
+from conftest import drop_root_level, random_tree_space, relabelled_levels
 import random
 
 
@@ -98,15 +102,30 @@ class TestSerializeRoundTrips:
             sp2 = serialize.space_from_json(
                 json.loads(serialize.dumps(serialize.space_to_json(sp)))
             )
-            assert sp2.levels == sp.levels
-            assert sp2.leaf_probs == sp.leaf_probs
+            assert sp2 == sp
+
+    def test_space_levels_group_block_of(self):
+        # each level's blocks by position, leaves ascending inside a block,
+        # against a per-block loop, on trees, relabelled trees and forests
+        rng = random.Random(5)
+        for _ in range(20):
+            base = random_tree_space(rng)
+            relabelled = validate_filtration(*relabelled_levels(base, rng))
+            for sp in (base, relabelled, drop_root_level(base), build_mary_space(3, 2)):
+                obj = serialize.space_to_json(sp)
+                assert obj["levels"] == [
+                    [np.flatnonzero(bo == b).tolist() for b in range(k)]
+                    for bo, k in zip(sp.block_of, sp.n_blocks)
+                ]
+                assert obj["leaf_probs"] == sp.probs.tolist()
+                assert serialize.space_from_json(obj) == sp
 
     def test_exponent_and_function(self):
         p = Exponent((1.25, 17.5, 2.0))
         back = serialize.exponent_from_json(
             json.loads(serialize.dumps(serialize.exponent_to_json(p)))
         )
-        assert back.values == p.values
+        assert back == p
         vals = [0.1, -3.7, 0.0]
         assert serialize.function_from_json(
             json.loads(serialize.dumps(serialize.function_to_json(vals)))
@@ -120,14 +139,14 @@ class TestSerializeRoundTrips:
         )
         for full in (False, True):
             obj = json.loads(serialize.dumps(serialize.martingale_to_json(f, full)))
-            assert serialize.martingale_from_json(sp, obj).levels == f.levels
+            assert serialize.martingale_from_json(sp, obj) == f
 
     def test_stopping_time(self):
         sp = serialize.space_from_json(STOPPING_SPACE)
         tau = StoppingTime((0.0, 1.0, math.inf, math.inf))
         obj = serialize.stopping_time_to_json(tau)
         assert obj["stop_level"] == [0, 1, "inf", "inf"]
-        assert serialize.stopping_time_from_json(sp, obj).stop_level == tau.stop_level
+        assert serialize.stopping_time_from_json(sp, obj) == tau
 
     @pytest.mark.parametrize("obj, match", [
         ({"stop_level": [0, "x", "inf", "inf"]}, "numbers"),
@@ -138,6 +157,7 @@ class TestSerializeRoundTrips:
         ({"stop_level": "inf"}, "list"),
         ({"levels": [0, 0, 0, 0]}, "missing key"),
         ([0, 1, "inf", "inf"], "object"),
+        ({"stop_level": [[0, 0, 1, 1]]}, r"expected 4 stop levels, got shape \(1, 4\)"),
     ])
     def test_stopping_time_rejects(self, obj, match):
         sp = serialize.space_from_json(STOPPING_SPACE)
@@ -459,3 +479,24 @@ def test_dumps_refuses_non_finite_numbers(value):
         serialize.dumps({"x": value})
     with pytest.raises(NumericalError):
         serialize.dumps({"curve": [[0.0, 1.0], [value, 0.5]]})
+
+
+def test_tuple_views_are_removed():
+    # values are arrays only: no tuple views and no StoppingTime wrapper
+    # around the enumerated matrix
+    for cls, name in (
+        (FilteredSpace, "leaf_probs"),
+        (FilteredSpace, "levels"),
+        (Exponent, "values"),
+        (Martingale, "levels"),
+        (StoppingTime, "stop_level"),
+    ):
+        assert not hasattr(cls, name), name
+    for module, name in (
+        (vexmart, "enumerate_stopping_times"),
+        (martingale, "enumerate_stopping_times"),
+        (space, "_groups"),
+        (space, "Blocks"),
+    ):
+        assert not hasattr(module, name), name
+    assert "enumerate_stopping_times" not in vexmart.__all__

@@ -123,7 +123,7 @@ class TestAtomicDecomposition:
         term = dec.terms[0]
         assert term.k == -1
         assert term.mu == pytest.approx(1.5, rel=1e-12)
-        assert term.tau.stop_level == (0.0, 0.0)
+        assert term.tau.vals.tolist() == [0.0, 0.0]
         assert term.atom_terminal == pytest.approx((2 / 3, -2 / 3), rel=1e-12)
         assert a_quantity(dec, p) == pytest.approx(1.5, rel=1e-9)
         rep = prop41_bounds(dec, p)

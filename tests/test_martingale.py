@@ -18,7 +18,6 @@ from vexmart import (
     cond_expect,
     cond_square,
     count_stopping_times,
-    enumerate_stopping_times,
     make_martingale,
     martingale_from_terminal,
     maximal,
@@ -26,7 +25,7 @@ from vexmart import (
     stop,
     validate_stopping_time,
 )
-from vexmart import martingale
+from vexmart import martingale, serialize
 from vexmart.martingale import (
     cond_square_levels,
     enumerate_stopping_matrix,
@@ -141,9 +140,8 @@ class TestMaximalAndSquare:
 
     def test_redundant_level_invariance(self, four_leaf):
         # duplicating the discrete terminal level changes nothing
-        levels = list(four_leaf.levels) + [four_leaf.levels[-1]]
-        from vexmart import validate_filtration
-        sp2 = validate_filtration(levels, four_leaf.leaf_probs)
+        levels = serialize.space_to_json(four_leaf)["levels"]
+        sp2 = validate_filtration(levels + [levels[-1]], four_leaf.probs)
         v = (0.5, -1.0, 2.0, -1.5)
         f = martingale_from_terminal(four_leaf, v)
         g = martingale_from_terminal(sp2, v)
@@ -261,12 +259,12 @@ class TestEnumeration:
         rng = random.Random(31)
         for _ in range(10):
             sp = random_tree_space(rng, max_leaves=6)
-            taus = enumerate_stopping_times(sp)
-            assert len(taus) == count_stopping_times(sp)
-            seen = {t.stop_level for t in taus}
-            assert len(seen) == len(taus)
-            for t in taus:
-                validate_stopping_time(sp, t.stop_level)
+            rows = enumerate_stopping_matrix(sp)
+            assert len(rows) == count_stopping_times(sp)
+            seen = set(map(tuple, rows.tolist()))
+            assert len(seen) == len(rows)
+            for row in rows:
+                validate_stopping_time(sp, row)
 
     def test_enumeration_matches_brute_filter(self, four_leaf):
         # oracle: filter every assignment in {0,1,2,inf}^4 through the
@@ -296,7 +294,7 @@ class TestEnumeration:
         monkeypatch.setattr(martingale, "ENUMERATION_CAP", 10)
         sp = build_dyadic_space(3)
         with pytest.raises(ResourceError):
-            enumerate_stopping_times(sp)
+            enumerate_stopping_matrix(sp)
 
     def test_sampling_deterministic_and_valid(self):
         rng = random.Random(37)
@@ -304,10 +302,10 @@ class TestEnumeration:
         a = sample_stopping_times(sp, 20, seed=4)
         b = sample_stopping_times(sp, 20, seed=4)
         assert a == b
-        assert a[0].stop_level == (0.0,) * sp.n_leaves
-        assert a[1].stop_level == (INF,) * sp.n_leaves
+        assert a[0].vals.tolist() == [0.0] * sp.n_leaves
+        assert a[1].vals.tolist() == [INF] * sp.n_leaves
         for t in a:
-            validate_stopping_time(sp, t.stop_level)
+            validate_stopping_time(sp, t.vals)
 
     def test_sampling_count_two(self, four_leaf):
         a = sample_stopping_times(four_leaf, 2, seed=0)
@@ -375,7 +373,7 @@ class TestArrayValues:
         levels[2, 0] = 99.0  # the caller keeps its array writeable
         assert f.arrays[2, 0] == 2.0
         assert not f.arrays.flags.writeable
-        assert f.levels[2] == (2.0, 0.0, -1.0, -1.0)
+        assert f.arrays[2].tolist() == [2.0, 0.0, -1.0, -1.0]
         assert f.scaled(2.0) == Martingale(four_leaf, 2.0 * f.arrays)
 
     def test_stopping_time_value_semantics(self):
@@ -385,7 +383,7 @@ class TestArrayValues:
         assert tau != StoppingTime((0.0, 1.0, INF, 2.0))
         assert tau != StoppingTime((0.0, 1.0))
         vals[0] = 2.0
-        assert tau.stop_level == (0.0, 1.0, INF, INF)
+        assert tau.vals.tolist() == [0.0, 1.0, INF, INF]
         assert not tau.vals.flags.writeable
         assert vals.flags.writeable
         with pytest.raises(ValueError):
@@ -398,8 +396,8 @@ class TestArrayValues:
         tau = validate_stopping_time(four_leaf, stop_levels)
         levels[:] = 0.0
         stop_levels[:] = 0.0
-        assert f.levels[1] == (1.0, 1.0, -1.0, -1.0)
-        assert tau.stop_level == (1.0, 1.0, INF, INF)
+        assert f.arrays[1].tolist() == [1.0, 1.0, -1.0, -1.0]
+        assert tau.vals.tolist() == [1.0, 1.0, INF, INF]
         assert not (f.arrays.flags.writeable or tau.vals.flags.writeable)
 
 
@@ -459,7 +457,6 @@ def _enumeration_oracle(space):
     children = children_of(space)
 
     def node(level, b):
-        block = space.levels[level][b]
         if level == space.depth:
             return np.array([[float(level)], [INF]])
         kids = children[level][b]
@@ -468,14 +465,16 @@ def _enumeration_oracle(space):
             part = node(level + 1, child)
             m, k = combo.shape[0], part.shape[0]
             combo = np.hstack([np.repeat(combo, k, axis=0), np.tile(part, (m, 1))])
-        leaves = [leaf for child in kids for leaf in space.levels[level + 1][child]]
+        leaves = np.concatenate(
+            [np.flatnonzero(space.block_of[level + 1] == child) for child in kids]
+        )
         combo = combo[:, np.argsort(leaves)]
-        return np.vstack([np.full((1, len(block)), float(level)), combo])
+        return np.vstack([np.full((1, leaves.size), float(level)), combo])
 
     combo, cols = None, []
-    for b, block in enumerate(space.levels[0]):
+    for b in range(space.n_blocks[0]):
         part = node(0, b)
-        cols.extend(block)
+        cols.extend(np.flatnonzero(space.block_of[0] == b).tolist())
         if combo is None:
             combo = part
         else:
@@ -496,16 +495,16 @@ def _sampling_oracle(space, count, seed):
 
         def descend(level, b):
             if rng.random() < 0.5:
-                for leaf in space.levels[level][b]:
+                for leaf in np.flatnonzero(space.block_of[level] == b).tolist():
                     vals[leaf] = float(level)
             elif level == space.depth:
-                for leaf in space.levels[level][b]:
+                for leaf in np.flatnonzero(space.block_of[level] == b).tolist():
                     vals[leaf] = INF
             else:
                 for child in children[level][b]:
                     descend(level + 1, child)
 
-        for b in range(len(space.levels[0])):
+        for b in range(space.n_blocks[0]):
             descend(0, b)
         out.append(vals)
     return out
@@ -636,7 +635,7 @@ class TestPreorderWalk:
         sp = validate_filtration([[[0, 1]]] + [[[0], [1]]] * 1500, [0.5, 0.5])
         assert count_stopping_times(sp) == 1 + 1501**2
         for t in sample_stopping_times(sp, 8, seed=2):
-            validate_stopping_time(sp, t.stop_level)
+            validate_stopping_time(sp, t.vals)
 
     def test_sampler_memory_cap(self, monkeypatch):
         sp = build_dyadic_space(2)
@@ -655,5 +654,5 @@ def test_enumeration_and_sampling_match_leaf_oracles(seed):
     rng = random.Random(seed)
     sp = validate_filtration(*relabelled_levels(random_tree_space(rng, max_leaves=7), rng))
     assert np.array_equal(enumerate_stopping_matrix(sp), _enumeration_oracle(sp))
-    got = [t.stop_level for t in sample_stopping_times(sp, 12, seed)]
-    assert got == [tuple(v) for v in _sampling_oracle(sp, 12, seed)]
+    got = [t.vals.tolist() for t in sample_stopping_times(sp, 12, seed)]
+    assert got == _sampling_oracle(sp, 12, seed)

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from vexmart import serialize
 from vexmart import space as space_module
 from vexmart import (
     DomainError,
@@ -30,20 +31,21 @@ class TestDyadicConstruction:
     def test_depth_zero_degenerate(self):
         sp = build_dyadic_space(0)
         assert sp.n_leaves == 1
-        assert sp.leaf_probs == (1.0,)
-        assert sp.levels == (((0,),),)
+        assert sp.probs.tolist() == [1.0]
+        assert serialize.space_to_json(sp)["levels"] == [[[0]]]
 
     def test_depth_two_blocks(self):
         sp = build_dyadic_space(2)
         assert sp.n_leaves == 4
-        assert all(p == 0.25 for p in sp.leaf_probs)
-        assert sp.levels[1] == ((0, 1), (2, 3))
-        assert sp.levels[2] == ((0,), (1,), (2,), (3,))
+        assert sp.probs.tolist() == [0.25] * 4
+        levels = serialize.space_to_json(sp)["levels"]
+        assert levels[1] == [[0, 1], [2, 3]]
+        assert levels[2] == [[0], [1], [2], [3]]
 
     def test_depth_three_indexing(self):
         sp = build_dyadic_space(3)
-        block = next(b for b in sp.levels[2] if 5 in b)
-        assert block == (4, 5)
+        bo = sp.block_of[2]
+        assert np.flatnonzero(bo == bo[5]).tolist() == [4, 5]
 
     def test_depth_cap(self):
         with pytest.raises(ResourceError):
@@ -52,15 +54,15 @@ class TestDyadicConstruction:
     def test_mary(self):
         sp = build_mary_space(3, 2)
         assert sp.n_leaves == 9
-        assert len(sp.levels[1]) == 3
-        assert sum(sp.leaf_probs) == pytest.approx(1.0, abs=1e-15)
+        assert sp.n_blocks[1] == 3
+        assert sum(sp.probs.tolist()) == pytest.approx(1.0, abs=1e-15)
 
 
 class TestValidation:
     def test_accepts_dyadic_levels(self):
         sp = build_dyadic_space(2)
-        again = validate_filtration(sp.levels, sp.leaf_probs)
-        assert again.levels == sp.levels
+        again = validate_filtration(serialize.space_to_json(sp)["levels"], sp.probs)
+        assert again == sp
 
     def test_rejects_crossing_blocks(self):
         levels = [[[0, 1], [2, 3]], [[0, 2], [1, 3]],
@@ -181,9 +183,9 @@ class TestConditionK:
             [[[perm.index(i) for i in range(4)]],
              [[perm.index(0), perm.index(1)], [perm.index(2), perm.index(3)]],
              [[0], [1], [2], [3]]],
-            [sp.leaf_probs[perm.index(i)] for i in range(4)],
+            [sp.probs[perm.index(i)] for i in range(4)],
         )
-        p2 = Exponent(tuple(p.values[perm.index(i)] for i in range(4)))
+        p2 = Exponent([p.vals[perm.index(i)] for i in range(4)])
         assert condition_k(sp, p).k == pytest.approx(
             condition_k(sp2, p2).k, rel=1e-12
         )
@@ -209,7 +211,7 @@ class TestConditionK:
         sp = random_tree_space(rng, max_leaves=max_leaves)
         n = sp.n_leaves
         if probs == "uniform":
-            sp = validate_filtration([list(map(list, lv)) for lv in sp.levels],
+            sp = validate_filtration(serialize.space_to_json(sp)["levels"],
                                      [1.0 / n] * n)
         if values == "iid":
             p = random_exponent(rng, n, 0.4, 4.0)
@@ -330,11 +332,11 @@ class TestAoyama:
 class TestExponentAlgebra:
     def test_conjugate_of_two(self):
         p = exponent_algebra("conjugate", Exponent((2.0, 2.0)))
-        assert p.values == (2.0, 2.0)
+        assert p.vals.tolist() == [2.0, 2.0]
 
     def test_conjugate_swaps(self):
         p = exponent_algebra("conjugate", Exponent((1.5, 3.0)))
-        assert p.values == pytest.approx((3.0, 1.5))
+        assert p.vals.tolist() == pytest.approx([3.0, 1.5])
 
     def test_conjugate_identity(self):
         rng = random.Random(43)
@@ -350,13 +352,13 @@ class TestExponentAlgebra:
         r = exponent_algebra(
             "harmonic-sum", Exponent((2.0, 2.0)), Exponent((2.0, 2.0))
         )
-        assert r.values == (1.0, 1.0)
+        assert r.vals.tolist() == [1.0, 1.0]
 
     def test_sum_and_reciprocal(self):
         p = exponent_algebra("sum", Exponent((1.0, 2.0)), Exponent((2.0, 1.0)))
-        assert p.values == (3.0, 3.0)
+        assert p.vals.tolist() == [3.0, 3.0]
         r = exponent_algebra("reciprocal", Exponent((2.0, 4.0)))
-        assert r.values == (0.5, 0.25)
+        assert r.vals.tolist() == [0.5, 0.25]
 
 
 def _loop_validate(levels, leaf_probs):
@@ -458,10 +460,10 @@ def test_validator_matches_loop_oracle(seed, kinds):
         return
     got = validate_filtration(levels, probs)
     want_levels, want_probs = want
-    assert got.levels == tuple(
-        tuple(tuple(sorted(b)) for b in level) for level in want_levels
-    )
-    assert got.leaf_probs == want_probs
+    assert serialize.space_to_json(got)["levels"] == [
+        [sorted(b) for b in level] for level in want_levels
+    ]
+    assert got.probs.tolist() == list(want_probs)
 
 
 @pytest.mark.parametrize("levels, probs, match", [
@@ -487,19 +489,19 @@ def test_builders_match_validated_levels(depth):
     for arity in (2, 3):
         if arity**depth > 800:
             continue
-        want = tuple(
-            tuple(
-                tuple(range(j * arity ** (depth - n), (j + 1) * arity ** (depth - n)))
+        want = [
+            [
+                list(range(j * arity ** (depth - n), (j + 1) * arity ** (depth - n)))
                 for j in range(arity**n)
-            )
+            ]
             for n in range(depth + 1)
-        )
+        ]
         n_leaves = arity**depth
         sp = build_mary_space(arity, depth)
         checked = validate_filtration(want, [1.0 / n_leaves] * n_leaves)
         assert sp == checked
-        assert sp.levels == want
-        assert sp.leaf_probs == (1.0 / n_leaves,) * n_leaves
+        assert serialize.space_to_json(sp)["levels"] == want
+        assert sp.probs.tolist() == [1.0 / n_leaves] * n_leaves
         if arity == 2:
             assert build_dyadic_space(depth) == checked
 
@@ -536,7 +538,7 @@ class TestArrayFields:
         p = Exponent((1.0, 2.5))
         assert [f.name for f in fields(p)] == ["vals", "allow_infinite"]
         assert not p.vals.flags.writeable
-        assert p.values == (1.0, 2.5)
+        assert p.vals.tolist() == [1.0, 2.5]
         assert p == Exponent(np.array([1.0, 2.5]))
         assert p != Exponent((1.0, 2.5), allow_infinite=True)
         with pytest.raises(TypeError):
@@ -559,13 +561,13 @@ def test_block_condition_k_matches_block_loop():
         sp = random_tree_space(rng, max_leaves=10)
         p = random_exponent(rng, sp.n_leaves, 0.8, 3.0)
         best, witness = 1.0, (int(np.argmin(sp.probs)),)
-        for level in sp.levels:
-            for block in level:
-                idx = list(block)
+        for bo, k in zip(sp.block_of, sp.n_blocks):
+            for b in range(k):
+                idx = np.flatnonzero(bo == b)
                 spread = float(p.vals[idx].max() - p.vals[idx].min())
                 val = float(sp.probs[idx].sum()) ** (-spread)
                 if val > best:
-                    best, witness = val, block
+                    best, witness = val, tuple(idx.tolist())
         res = condition_k(sp, p, subsets="blocks")
         assert res.k == pytest.approx(best, rel=1e-14)
         assert res.witness == witness

@@ -20,7 +20,7 @@ from vexmart import (
     modular,
     norm_modular_bridge,
 )
-from vexmart import NumericalError, varlp
+from vexmart import NumericalError, ValidationError, varlp
 from vexmart.varlp import norm_batch
 
 from conftest import bisection_oracle, lp_norm, random_exponent, random_tree_space
@@ -76,7 +76,7 @@ def test_constant_exponent_closed_form():
         p0 = rng.uniform(0.3, 5.0)
         f = [rng.gauss(0, 2) for _ in range(sp.n_leaves)]
         got = luxemburg_norm(sp, f, constant_exponent(sp, p0)).norm
-        assert got == pytest.approx(lp_norm(sp.leaf_probs, f, p0), rel=1e-10)
+        assert got == pytest.approx(lp_norm(sp.probs, f, p0), rel=1e-10)
 
 
 def test_indicator_constant_exponent_closed_form(four_leaf):
@@ -383,6 +383,29 @@ def test_indicator_profile_sandwich_random():
 def test_indicator_profile_rejects_empty(four_leaf):
     with pytest.raises(DomainError):
         indicator_norm_profile(four_leaf, [], Exponent((1.0,) * 4))
+
+
+@pytest.mark.parametrize("leaves, match", [
+    ([-1], "leaf -1 is not an integer in 0..3"),
+    ([0.5], "leaf 0.5 is not an integer in 0..3"),
+    ([4], "leaf 4 is not an integer in 0..3"),
+    ([math.nan], "leaf nan is not an integer"),
+    (["a"], "must be integers"),
+    ([[0, 1]], "flat list"),
+])
+def test_indicator_rejects_bad_leaves(four_leaf, leaves, match):
+    p = constant_exponent(four_leaf, 2.0)
+    with pytest.raises(ValidationError, match=match):
+        indicator_norm_profile(four_leaf, leaves, p)
+    with pytest.raises(ValidationError, match=match):
+        indicator_product_ratio(four_leaf, leaves, p, p)
+
+
+def test_indicator_accepts_integral_floats_and_repeats(four_leaf):
+    p = Exponent((1.0, 1.0, 2.0, 2.0))
+    assert indicator_norm_profile(four_leaf, [2.0, 0, 2], p) == indicator_norm_profile(
+        four_leaf, [0, 2], p
+    )
 
 
 def test_indicator_product_constant_conjugate(four_leaf):
