@@ -39,6 +39,8 @@ from .space import (
 from .varlp import luxemburg_norm, modular_grid, norm_batch
 
 ASSERT_SLACK = 1e-9
+# bytes of a row block of a stopping-time scan walked in blocks
+_BLOCK_BYTES = 1 << 20
 _T_GRID_POINTS = 64
 EXPONENT_LAWS = ("constant", "two-block", "iid-uniform", "block-structured")
 MARTINGALE_LAWS = ("normal", "uniform", "two-point")
@@ -392,6 +394,51 @@ def _t_grid_from_diffs(diffs: np.ndarray) -> tuple[float, ...]:
     return tuple(grid.tolist())
 
 
+def _level_leaf_diffs(f: Martingale) -> np.ndarray:
+    """f_N - f_{n-1} (f_{-1} = 0) at every (level n, leaf) in rows
+    n = 0..N, and the row of tau = inf, which is exactly 0.  Every stopped
+    difference of a stopping time is one entry of this table, taken by
+    the same function, so it is the same float bit for bit."""
+    n = f.space.n_leaves
+    levels = np.append(np.arange(f.space.depth + 1.0), math.inf)
+    taus = np.broadcast_to(levels[:, None], (levels.size, n))
+    return stopped_terminal_diffs(f, taus, shift="minus-one")
+
+
+def _decay_segments(
+    taus: np.ndarray, counts: np.ndarray, norm_of_code: np.ndarray
+):
+    """The decay envelope's indicator norms as step functions of the grid
+    index j, in row blocks of about _BLOCK_BYTES of the scan ``taus``.
+
+    ``counts[n, x]`` is the number of grid points <= the stopped difference
+    at (level n, leaf x), and 0 in the last row (tau = inf).  A cell with
+    count k lies in the indicator at grid index j exactly when j < k, so
+    with a row's cells sorted by decreasing k the indicator at j is a
+    prefix: the first i cells on j in [k_(i+1), k_(i)), where k_(n+1) = 0.
+    Yields, per block, the row, lo, hi and norm (by the mask's bits, as in
+    ``StoppingScan``) of every nonempty segment [lo, hi); a row's norm is 0
+    off its segments."""
+    n_rows, n = taus.shape
+    code = 1 << np.arange(n - 1, -1, -1)
+    bits = (1 << n) - 1
+    # each cell's count above its bit, negated so that an ascending sort
+    # puts a row's cells in order of decreasing count
+    neg_key = -((counts << n) | code).ravel()
+    never = counts.shape[0] - 1
+    leaf = np.arange(n)
+    step = max(1, _BLOCK_BYTES // (8 * n))
+    for start in range(0, n_rows, step):
+        cell = np.minimum(taus[start : start + step], never) * n + leaf
+        key = -np.sort(neg_key[cell.astype(np.intp)], axis=1)
+        hi = key >> n
+        lo = np.zeros_like(hi)
+        lo[:, :-1] = hi[:, 1:]
+        keep = lo < hi
+        lhs = norm_of_code[np.cumsum(key & bits, axis=1)[keep]]
+        yield np.nonzero(keep)[0] + start, lo[keep], hi[keep], lhs
+
+
 def exp_jn_curve(f: Martingale, p: Exponent) -> ConstantReport:
     """Exponential decay of ||chi_{tau<inf, f - f_{tau-1} >= t}||_{p(.)} /
     ||chi_{tau<inf}||_{p(.)} in t, over the exhaustively enumerated stopping
@@ -406,11 +453,16 @@ def exp_jn_curve(f: Martingale, p: Exponent) -> ConstantReport:
 
     One scan serves everything: ||f||_{BMO_1} is taken from the same
     stopping times (the space's cached scan) and stopped differences as the
-    curve.  Off {tau < inf} the differences are exactly 0."""
+    curve.  Off {tau < inf} the differences are exactly 0.
+
+    No pass is made per grid point.  Each stopping time's numerator is a
+    step function of t with at most one step per leaf (see
+    ``_decay_segments``), read in one pass over the scan: the envelope at
+    each t is the largest segment value over t, and the decay bound is
+    checked once per segment against its least bound over its range."""
     space = f.space
     require_f0_zero(f, "exp_jn_curve requires f_0 = 0")
     scan = candidate_matrix(space, "exhaustive")
-    finite = scan.finite
     diffs = stopped_terminal_diffs(f, scan.taus, shift="minus-one")
     probs, ones = space.probs, np.ones(space.n_leaves)
     b1 = float(np.max(
@@ -424,8 +476,10 @@ def exp_jn_curve(f: Martingale, p: Exponent) -> ConstantReport:
     norms = scan.mask_norms(probs, p.vals)
     dens = norms[scan.which]
     norm_of_code = np.concatenate(([0.0], norms))
-    code = 1 << np.arange(space.n_leaves - 1, -1, -1)
-    grid = _t_grid_from_diffs(diffs)
+    # the scan holds every constant tau = n, so the table has exactly the
+    # positive values of the scan's differences, and the same grid
+    table = _level_leaf_diffs(f)
+    grid = _t_grid_from_diffs(table)
 
     cache: dict[float, float] = {}
 
@@ -457,20 +511,55 @@ def exp_jn_curve(f: Martingale, p: Exponent) -> ConstantReport:
                 )
     c2 = math.log(2.0) / (2.0 * c_hat)
 
-    envelope = []
-    for t in grid:
-        lhs = norm_of_code[(finite & (diffs >= t)) @ code]
+    # grid index j below is a position on the ascending grid ts
+    order = np.argsort(grid, kind="stable")
+    ts = np.array(grid)[order]
+    g = ts.size
+    counts = np.searchsorted(ts, table, side="right")
+    counts[-1] = 0
+    factors = np.array([4.0 * math.exp(-c2 * t / b1) for t in ts.tolist()])
+    # least[lo, hi - 1]: the least factor over grid indices lo..hi-1; the
+    # bound fl(fl(factor * den) + slack) is monotone in the factor, so a
+    # segment breaks it somewhere on its range exactly when it breaks it
+    # at the least factor
+    span = np.arange(g)
+    least = np.minimum.accumulate(
+        np.where(span[None, :] >= span[:, None], factors, np.inf), axis=1
+    )
+    slack = ASSERT_SLACK * max(1.0, float(dens.max()))
+    # top[lo * (g + 1) + hi]: the largest value lhs / den of the segments
+    # on [lo, hi)
+    top = np.zeros((g + 1) ** 2)
+    broken = np.zeros(g, dtype=bool)
+    for rows, lo, hi, lhs in _decay_segments(scan.taus, counts, norm_of_code):
+        den = dens[rows]
+        np.maximum.at(top, lo * (g + 1) + hi, lhs / den)
+        over = np.flatnonzero(lhs > least[lo, hi - 1] * den + slack)
+        if over.size:
+            on = (span >= lo[over, None]) & (span < hi[over, None])
+            bound = factors * den[over, None] + slack
+            broken |= (on & (lhs[over, None] > bound)).any(axis=0)
+    if broken.any():
+        # the first broken grid point in grid order, and its row of largest
+        # excess, from the segments on it
+        j = int(np.flatnonzero(broken)[np.argmin(order[broken])])
+        t = grid[order[j]]
+        lhs_at = np.zeros(dens.size)
+        for rows, lo, hi, lhs in _decay_segments(scan.taus, counts, norm_of_code):
+            on = (lo <= j) & (j < hi)
+            lhs_at[rows[on]] = lhs[on]
         bound = 4.0 * math.exp(-c2 * t / b1) * dens
-        bad = lhs > bound + ASSERT_SLACK * max(1.0, float(dens.max()))
-        if np.any(bad):
-            j = int(np.argmax(lhs - bound))
-            raise NumericalError(
-                f"decay bound violated at t={t}: level norm {lhs[j]} > "
-                f"bound {bound[j]}"
-            )
-        envelope.append(float(np.max(lhs / dens)))
-
-    env = np.array(envelope)
+        i = int(np.argmax(lhs_at - bound))
+        raise NumericalError(
+            f"decay bound violated at t={t}: level norm {lhs_at[i]} > "
+            f"bound {bound[i]}"
+        )
+    # the envelope at j is the largest value over lo <= j < hi
+    top = np.maximum.accumulate(top.reshape(g + 1, g + 1), axis=0)
+    top = np.maximum.accumulate(top[:, ::-1], axis=1)[:, ::-1]
+    env = np.empty(g)
+    env[order] = top[span, span + 1]
+    envelope = env.tolist()
     rise = np.flatnonzero(env[1:] > env[:-1] + 1e-12)
     if rise.size:
         j = int(rise[0])

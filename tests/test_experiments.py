@@ -15,6 +15,7 @@ from vexmart import (
     TrialConfig,
     ValidationError,
     build_dyadic_space,
+    build_mary_space,
     cond_expect,
     constant_exponent,
     default_test_matrix,
@@ -423,26 +424,162 @@ def _envelope_oracle(f, p, grid):
     ]
 
 
+def _per_t_envelope(f, p, grid, c2, b1):
+    """The envelope and decay-bound check by one pass over the scan per
+    grid point t, in grid order, as the reference: the indicator
+    of each stopping time at t read by its mask's bits from the same kept
+    mask norms, against the bound 4 exp(-C2 t / ||f||_{BMO_1}) times its
+    denominator.  Returns the envelope and, for the first t where some
+    stopping time breaks the bound, (t, its level norm, its bound) at the
+    stopping time of largest excess, or None."""
+    sp = f.space
+    scan = bmo.candidate_matrix(sp, "exhaustive")
+    diffs = stopped_terminal_diffs(f, scan.taus, shift="minus-one")
+    norms = scan.mask_norms(sp.probs, p.vals)
+    dens = norms[scan.which]
+    norm_of_code = np.concatenate(([0.0], norms))
+    code = 1 << np.arange(sp.n_leaves - 1, -1, -1)
+    slack = experiments.ASSERT_SLACK * max(1.0, float(dens.max()))
+    envelope, broken = [], None
+    for t in grid:
+        lhs = norm_of_code[(scan.finite & (diffs >= t)) @ code]
+        bound = 4.0 * math.exp(-c2 * t / b1) * dens
+        if broken is None and np.any(lhs > bound + slack):
+            j = int(np.argmax(lhs - bound))
+            broken = (t, float(lhs[j]), float(bound[j]))
+        envelope.append(float(np.max(lhs / dens)))
+    return envelope, broken
+
+
+def _jn_instance(space, rng, law="variable"):
+    v = np.array([rng.gauss(0.0, 1.0) for _ in range(space.n_leaves)])
+    f = martingale_from_terminal(space, v - cond_expect(space, v, 0))
+    if law == "constant":
+        return f, constant_exponent(space, 2.0)
+    return f, random_exponent(rng, space.n_leaves, 1.0, 3.0)
+
+
+def _assert_envelope_is_per_t_loop(f, p, rep):
+    curve = rep.details["curve"]
+    grid = [t for t, _ in curve]
+    constants = rep.details["proof_constants"]
+    want, broken = _per_t_envelope(f, p, grid, constants["C2"], rep.details["bmo1"])
+    assert broken is None
+    assert [y for _, y in curve] == want
+    return grid, want
+
+
 @pytest.mark.parametrize("stack", [None, 1, 3])
 @pytest.mark.parametrize("depth, seed", [(2, 0), (2, 1), (3, 2), (3, 3)])
 def test_exp_jn_envelope_matches_per_t_loop(monkeypatch, depth, seed, stack):
-    """The envelope rows of several grid points are solved in one call;
-    ``stack`` grid points per call (by shrinking the row cap) exercises the
-    slicing of the grid, None keeps the default of one call."""
+    """The envelope equals the per-t loop bit for bit, and a scalar solve
+    of every indicator to 1e-12.  ``stack`` rows per row block (by
+    shrinking the block bytes) walks the scan in many blocks, None keeps
+    the default of one block."""
     sp = build_dyadic_space(depth)
     rng = random.Random(f"exp-jn-oracle:{depth}:{seed}")
     v = np.array([rng.gauss(0.0, 1.0) for _ in range(sp.n_leaves)])
     f = martingale_from_terminal(sp, v - v.mean())
     p = random_exponent(rng, sp.n_leaves, 1.0, 3.0)
     if stack is not None:
-        n_taus = enumerate_stopping_matrix(sp).shape[0] - 1
-        monkeypatch.setattr(experiments, "ENUMERATION_CAP", stack * n_taus)
-    curve = exp_jn_curve(f, p).details["curve"]
-    grid = [t for t, _ in curve]
+        monkeypatch.setattr(experiments, "_BLOCK_BYTES", stack * 8 * sp.n_leaves)
+    grid, got = _assert_envelope_is_per_t_loop(f, p, exp_jn_curve(f, p))
     assert len(grid) > 3
     want = np.array(_envelope_oracle(f, p, grid))
-    got = np.array([y for _, y in curve])
-    assert np.all(np.abs(got - want) <= 1e-12 * want)
+    assert np.all(np.abs(np.array(got) - want) <= 1e-12 * want)
+
+
+def _uneven_space(kind, rng):
+    if kind == "3ary":
+        return build_mary_space(3, 2)
+    sp = random_tree_space(rng, max_leaves=9)
+    if kind == "relabelled":
+        sp = validate_filtration(*relabelled_levels(sp, rng))
+    return sp
+
+
+@pytest.mark.parametrize("law", ["constant", "variable"])
+@pytest.mark.parametrize("kind", ["random-tree", "3ary", "relabelled"])
+def test_exp_jn_envelope_is_per_t_loop_on_uneven_spaces(kind, law):
+    """Unequal leaf probabilities, three children per block, leaves not
+    numbered in tree order, constant and variable exponents: the envelope
+    is the per-t loop's, bit for bit."""
+    rng = random.Random(f"exp-jn-uneven:{kind}:{law}")
+    for _ in range(4):
+        sp = _uneven_space(kind, rng)
+        f, p = _jn_instance(sp, rng, law)
+        _assert_envelope_is_per_t_loop(f, p, exp_jn_curve(f, p))
+
+
+def test_level_leaf_table_gives_the_scan_grid():
+    """Every stopped difference of the exhaustive scan is the (level, leaf)
+    table's entry at its stop level, bit for bit, and the t grid from the
+    table is the one from the scan's differences."""
+    rng = random.Random("exp-jn-table")
+    spaces = [build_dyadic_space(3), build_mary_space(3, 2)]
+    for _ in range(12):
+        sp = random_tree_space(rng, max_leaves=10)
+        spaces += [sp, validate_filtration(*relabelled_levels(sp, rng))]
+    for sp in spaces:
+        f, _ = _jn_instance(sp, rng)
+        scan = bmo.candidate_matrix(sp, "exhaustive")
+        diffs = stopped_terminal_diffs(f, scan.taus, shift="minus-one")
+        table = experiments._level_leaf_diffs(f)
+        lev = np.where(scan.finite, scan.taus, sp.depth + 1).astype(int)
+        cells = table[lev, np.arange(sp.n_leaves)]
+        assert cells.tobytes() == diffs.tobytes()
+        assert not table[-1].any()
+        grid = experiments._t_grid_from_diffs(diffs)
+        assert experiments._t_grid_from_diffs(table) == grid
+
+
+@pytest.mark.parametrize("block_rows", [None, 50])
+@pytest.mark.parametrize("descending", [False, True])
+@pytest.mark.parametrize("depth", [1, 3])
+def test_decay_bound_violation_names_the_first_broken_grid_point(
+    monkeypatch, depth, descending, block_rows
+):
+    """With every solve in a non-unit exponent shrunk a thousandfold, the
+    moment-chain constant C_hat is tiny and C2 huge, so the decay bound
+    fails.  The error names the first broken grid point in grid order
+    (the grid handed over ascending or descending), and the level norm and
+    bound there of the stopping time of largest excess, as the per-t loop
+    finds them, also when the scan is walked in many row blocks.  On two
+    leaves every indicator is one segment from t = 0, where the bound
+    holds, up to t = 1, where it fails: the bound is checked inside a
+    segment's range, not only where it starts."""
+    sp = build_dyadic_space(depth)
+    if depth == 1:
+        f = martingale_from_terminal(sp, np.array([1.0, -1.0]))
+        p = Exponent((1.5, 2.5))
+    else:
+        f, p = _jn_instance(sp, random.Random("exp-jn-broken"))
+    solve = experiments.norm_batch
+
+    def shrunk(probs, pvals, rows):
+        out = solve(probs, pvals, rows)
+        return out if np.all(pvals == 1.0) else 1e-3 * out
+
+    monkeypatch.setattr(experiments, "norm_batch", shrunk)
+    # with the slack opened up the same run reports its constants
+    with monkeypatch.context() as m:
+        m.setattr(experiments, "ASSERT_SLACK", 1e300)
+        rep = exp_jn_curve(f, p)
+    grid = [t for t, _ in rep.details["curve"]]
+    if descending:
+        grid_of = experiments._t_grid_from_diffs
+        monkeypatch.setattr(experiments, "_t_grid_from_diffs",
+                            lambda diffs: grid_of(diffs)[::-1])
+        grid = grid[::-1]
+    if block_rows is not None:
+        monkeypatch.setattr(experiments, "_BLOCK_BYTES", block_rows * 8 * sp.n_leaves)
+    constants = rep.details["proof_constants"]
+    _, want = _per_t_envelope(f, p, grid, constants["C2"], rep.details["bmo1"])
+    assert want is not None and want[0] not in (grid[0], grid[-1])
+    with pytest.raises(NumericalError, match="decay bound violated") as info:
+        exp_jn_curve(f, p)
+    m = re.search(r"at t=(\S+): level norm (\S+) > bound (\S+)$", str(info.value))
+    assert tuple(map(float, m.groups())) == want
 
 
 class TestNakaiSadasue:
