@@ -34,7 +34,7 @@ from .martingale import (
     stopped_terminal_diffs,
 )
 from .space import Exponent, FilteredSpace, as_leaf_values, readonly
-from .varlp import norm_batch
+from .varlp import max_norm_ratio, norm_batch
 from .hardy import hs_norm
 
 # bytes of mask norms, keys included, that one scan keeps
@@ -70,6 +70,8 @@ class StoppingScan:
     which: np.ndarray
     mode: str
     _norms: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    # bytes of the entries of _norms, kept beside it so that a miss is O(1)
+    _held: int = field(default=0, init=False, repr=False, compare=False)
 
     @classmethod
     def of(cls, taus: np.ndarray, mode: str) -> "StoppingScan":
@@ -89,11 +91,12 @@ class StoppingScan:
             norms = readonly(norm_batch(probs, pvals, masks))
             size = _entry_bytes(key, norms)
             if size <= _MASK_NORM_BUDGET:
-                held = sum(map(_entry_bytes, self._norms, self._norms.values()))
+                held = self._held
                 while held + size > _MASK_NORM_BUDGET:
                     oldest = next(iter(self._norms))
                     held -= _entry_bytes(oldest, self._norms.pop(oldest))
                 self._norms[key] = norms
+                object.__setattr__(self, "_held", held + size)
         return norms
 
 
@@ -167,12 +170,9 @@ def _distinct_rows(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return order[new], which
 
 
-def _sup_result(scan: StoppingScan, ratios: np.ndarray) -> SupNormResult:
+def _sup_result(scan: StoppingScan, value: float, i: int) -> SupNormResult:
     n = scan.taus.shape[0]
-    if ratios.size == 0 or not np.any(np.isfinite(ratios)):
-        return SupNormResult(0.0, None, scan.mode, n)
-    i = int(np.argmax(ratios))
-    return SupNormResult(float(ratios[i]), StoppingTime(scan.taus[i]), scan.mode, n)
+    return SupNormResult(value, StoppingTime(scan.taus[i]), scan.mode, n)
 
 
 def bmo_norm(
@@ -189,9 +189,8 @@ def bmo_norm(
     require_f0_zero(f, "bmo_norm requires f_0 = 0")
     scan = candidate_matrix(space, mode, seed, samples)
     diffs = stopped_terminal_diffs(f, scan.taus, shift="minus-one")
-    nums = norm_batch(space.probs, p.vals, diffs)
     dens = scan.mask_norms(space.probs, p.vals)[scan.which]
-    return _sup_result(scan, nums / dens)
+    return _sup_result(scan, *max_norm_ratio(space.probs, p.vals, diffs, dens))
 
 
 def lipschitz_norm(
@@ -219,7 +218,9 @@ def lipschitz_norm(
     pq = scan.finite @ space.probs
     dens_q = pq ** (1.0 / q)
     dens_alpha = scan.mask_norms(space.probs, inv_alpha)[scan.which]
-    return _sup_result(scan, nums / (dens_q * dens_alpha))
+    ratios = nums / (dens_q * dens_alpha)
+    i = int(np.argmax(ratios))
+    return _sup_result(scan, float(ratios[i]), i)
 
 
 def duality_pairing_ratio(

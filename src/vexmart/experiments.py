@@ -36,7 +36,7 @@ from .space import (
     condition_k,
     validate_filtration,
 )
-from .varlp import luxemburg_norm, modular_grid, norm_batch
+from .varlp import luxemburg_norm, max_norm_ratio, modular_grid, norm_batch
 
 ASSERT_SLACK = 1e-9
 # bytes of a row block of a stopping-time scan walked in blocks
@@ -364,8 +364,8 @@ def jn_equivalence(config: TrialConfig, p: Exponent) -> ConstantReport:
     for i in range(config.trials):
         f = generate_martingale(config, i)
         diffs = stopped_terminal_diffs(f, scan.taus, shift="minus-one")
-        b1 = float(np.max(norm_batch(probs, ones, diffs) / dens1))
-        bp = float(np.max(norm_batch(probs, p.vals, diffs) / densp))
+        b1 = max_norm_ratio(probs, ones, diffs, dens1)[0]
+        bp = max_norm_ratio(probs, p.vals, diffs, densp)[0]
         if b1 == 0.0 or bp == 0.0:
             continue
         ratios.append(bp / b1)
@@ -465,9 +465,8 @@ def exp_jn_curve(f: Martingale, p: Exponent) -> ConstantReport:
     scan = candidate_matrix(space, "exhaustive")
     diffs = stopped_terminal_diffs(f, scan.taus, shift="minus-one")
     probs, ones = space.probs, np.ones(space.n_leaves)
-    b1 = float(np.max(
-        norm_batch(probs, ones, diffs) / scan.mask_norms(probs, ones)[scan.which]
-    ))
+    dens1 = scan.mask_norms(probs, ones)[scan.which]
+    b1 = max_norm_ratio(probs, ones, diffs, dens1)[0]
     if b1 == 0.0:
         raise DomainError("exponential decay curve requires a nonzero BMO_1 norm")
     # every indicator's norm by its mask's bits (see StoppingScan; at most
@@ -485,8 +484,8 @@ def exp_jn_curve(f: Martingale, p: Exponent) -> ConstantReport:
 
     def moment_ratio(r: float) -> float:
         if r not in cache:
-            nums = norm_batch(probs, p.vals * r, diffs)
-            cache[r] = float(np.max(nums / dens ** (1.0 / r))) / b1
+            best, _ = max_norm_ratio(probs, p.vals * r, diffs, dens ** (1.0 / r))
+            cache[r] = best / b1
         return cache[r]
 
     # fixed point for C_hat: the r values used depend on C_hat and vice

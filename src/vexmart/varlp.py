@@ -8,12 +8,26 @@ one batch kernel:
 
 * In s = log(lambda), g(s) = log rho(f e^{-s}) is a log-sum-exp of affine
   functions of s, hence convex and strictly decreasing for f != 0, and the
-  norm is its root.  Newton's method started left of the root climbs to it
-  monotonically.  g is evaluated with the row maximum shifted out, so no
-  power overflows.
-* The start is the closed-form left bracket of the norm-modular bridge,
-  ||f|| >= ||f||_inf * rho(f/||f||_inf)^{1/p_-(supp f)}, so no bracket
-  search is needed.
+  norm is its root.  Its slope -g' is the mean of p under the modular's
+  weights, so it lies in [p_-, p_+].  g is evaluated with the row maximum
+  shifted out, so no power overflows, and weights below e^-600 are raised
+  to it, far under the last bit of the sums, so exp never meets -inf
+  (zero entries) or underflow, which are many times slower.
+* On a probability space rho(f/||f||_inf) <= 1, so the root lies at or
+  left of t = log ||f||_inf, and Newton starts at the zero of g's tangent
+  there, which convexity puts left of the root; the slope comes from the
+  same pass as g(t).  Newton's method started left of the root climbs to
+  it monotonically.
+* Brackets: left of the root, Newton's step stays left of it, and -g' is
+  at least its value at t, so the root lies in [s + g/(-g'(s)),
+  s + g/(-g'(t))]; at t it lies in [t + g/(-g'(t)), t + g/p_+].
+  A supremum of norm / den over many rows (:func:`max_norm_ratio`, the
+  BMO norm and the John-Nirenberg moment ratios) gives a row up once the
+  upper end of its bracket, over its den, is below (1 - PRUNE_MARGIN)
+  times a ratio some row is known to reach: a finished row's ratio, the
+  lower end of a running row's bracket, or a max-rule floor (below).
+  Such a row is strictly below the maximum, so the value and the first
+  row attaining it come from rows solved exactly as in :func:`norm_batch`.
 * A constant exponent takes the closed form (E|f|^p)^{1/p}.
 * Every reduction runs along the batch's longer axis, chosen from its
   shape alone: a batch with more rows than leaves (the stopping-time scans)
@@ -25,8 +39,8 @@ one batch kernel:
 Where p(w) = +inf (only an ``Exponent(allow_infinite=True)`` or a raw
 exponent array carries such entries), the modular instead imposes the
 constraint |f(w)| <= lambda, and the norm is the larger of max_{p = inf} |f|
-and the root of the finite part.  The Lipschitz-space exponent 1/alpha(.)
-is the one user of this max rule.
+and the root of the finite part; so is the upper end of a pruning bracket.
+The Lipschitz-space exponent 1/alpha(.) is the one user of this max rule.
 """
 
 from __future__ import annotations
@@ -42,6 +56,9 @@ from .space import Exponent, FilteredSpace, as_leaf_values
 
 NEWTON_REL_TOL = 1e-12
 NEWTON_MAX_ITER = 200
+# relative slack of the pruned suprema, far above NEWTON_REL_TOL
+PRUNE_MARGIN = 1e-9
+_LOG_KEEP = math.log1p(-PRUNE_MARGIN)
 ASSERT_TOL = 1e-9
 
 
@@ -64,7 +81,7 @@ def modular(
 ) -> float:
     """rho(f/lam); math.inf when |f| > lam somewhere on {p = inf}.  A
     one-lambda call of :func:`modular_grid`."""
-    if lam <= 0:
+    if not lam > 0:
         raise DomainError("modular requires lambda > 0")
     v = as_leaf_values(space, f)
     return float(modular_grid(space.probs, p.vals, v, [lam])[0])
@@ -96,6 +113,8 @@ def modular_grid(
     return out
 
 
+_LOG_WEIGHT_FLOOR = -600.0
+
 # Broadcast index tuples (per-leaf, per-row) for a batch whose leaf axis
 # is 1 (rows x leaves) or 0 (leaves x rows).
 _SPREAD = (
@@ -114,6 +133,10 @@ def _log_modular(
     e = logw - pvals[leaf] * u[row]
     top = e.max(axis=ax)
     e -= top[row]
+    # each row's largest weight is exactly 1, so weights below e^-600 are
+    # far under the last bit of both sums; raised to it, zero entries
+    # (-inf) and underflow skip exp's slow path
+    np.maximum(e, _LOG_WEIGHT_FLOOR, out=e)
     w = np.exp(e, out=e)
     total = w.sum(axis=ax)
     return top + np.log(total), (w @ pvals if ax else pvals @ w) / total
@@ -123,6 +146,7 @@ def _luxemburg_rows(
     probs: np.ndarray,
     pvals: np.ndarray,
     rows: np.ndarray,
+    dens: np.ndarray | None = None,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(norms, Newton steps, residuals) of the rows of a 2-d array.
 
@@ -131,6 +155,12 @@ def _luxemburg_rows(
     whose step is at most NEWTON_REL_TOL; that point is returned, so the
     residual is the one of the returned norm.  Steps below zero only arise
     from rounding at the root and stop the iteration too.
+
+    With positive ``dens``, one per row, a row leaves the iteration as soon
+    as its bracket shows that its norm / den is below (1 - PRUNE_MARGIN)
+    times a ratio that some row is known to reach; its norm is NaN and its
+    step count 0.  A row attaining the largest ratio is never dropped, and
+    every row that finishes is solved exactly as without ``dens``.
     """
     # the leaf axis: 0 when a batch has more rows than leaves and is solved
     # on its leaves x rows transpose, so that every reduction runs along
@@ -138,12 +168,13 @@ def _luxemburg_rows(
     ax = int(rows.shape[0] <= rows.shape[1])
     a = np.abs(rows) if ax else np.abs(rows.T, order="C")
     leaf, row = _SPREAD[ax]
-    sup = None
+    m = rows.shape[0]
+    # the max rule's floor max_{p = inf} |f|, 0 without such leaves
+    sup = np.zeros(m)
     inf = np.isinf(pvals)
     if inf.any():
         sup = np.compress(inf, a, axis=ax).max(axis=ax)
         a, probs, pvals = np.compress(~inf, a, axis=ax), probs[~inf], pvals[~inf]
-    m = rows.shape[0]
     norms = np.zeros(m)
     steps = np.zeros(m, dtype=np.intp)
     resid = np.zeros(m)
@@ -162,26 +193,52 @@ def _luxemburg_rows(
             h = a if idx.size == m else np.take(a, idx, axis=1 - ax)
             h = h / top[idx][row]
             logw = np.log(probs)[leaf] + pvals[leaf] * np.log(h)
-            g0, _ = _log_modular(logw, pvals, np.zeros(idx.size), ax)
-            u = g0 / np.where(h > 0, pvals[leaf], np.inf).min(axis=ax)
-            # the loop reads only logw: free two batch-sized arrays before it
-            # allocates its own
+            # the rest reads only logw: free two batch-sized arrays before
+            # the passes allocate their own
             del a, h
+            # g is convex, so its tangent at u = 0 meets zero left of the root
+            g0, slope0 = _log_modular(logw, pvals, np.zeros(idx.size), ax)
+            u = g0 / slope0
+            if dens is not None:
+                # in logs, the ratio a row reaches at e^u is lgain + u, and
+                # never below lfloor; the root r lies in
+                # [g0 / slope0, g0 / max p], as slope0 <= -g' <= max p on
+                # [r, 0], so the row that reaches best is kept
+                lgain = np.log(top[idx] / dens[idx])
+                lfloor = np.log(sup[idx] / dens[idx])
+                norms[idx] = np.nan
+                best = max(lfloor.max(), (lgain + u).max())
+                keep = np.maximum(lgain + g0 / pvals.max(), lfloor) >= best + _LOG_KEEP
+                if not keep.all():
+                    idx, u, slope0 = idx[keep], u[keep], slope0[keep]
+                    lgain, lfloor = lgain[keep], lfloor[keep]
+                    logw = np.compress(keep, logw, axis=1 - ax)
             for it in range(1, NEWTON_MAX_ITER + 1):
                 g, slope = _log_modular(logw, pvals, u, ax)
                 step = g / slope
                 done = step <= NEWTON_REL_TOL
+                keep = ~done
                 if done.any():
                     k = idx[done]
                     norms[k] = top[k] * np.exp(u[done])
                     steps[k] = it
                     resid[k] = np.abs(np.expm1(g[done]))
-                    if done.all():
-                        break
-                    keep = ~done
-                    idx, u, step = idx[keep], u[keep], step[keep]
+                nxt = u + step
+                if dens is not None:
+                    # Newton's step stays left of the root, and -g' >= slope0
+                    # left of it: r lies in [u + g / slope, u + g / slope0]
+                    best = max(best, (lgain + np.where(done, u, nxt)).max())
+                    upper = np.maximum(lgain + u + g / slope0, lfloor)
+                    keep &= upper >= best + _LOG_KEEP
+                if not keep.any():
+                    break
+                u = nxt
+                if not keep.all():
+                    idx, u = idx[keep], u[keep]
                     logw = np.compress(keep, logw, axis=1 - ax)
-                u = u + step
+                    if dens is not None:
+                        slope0 = slope0[keep]
+                        lgain, lfloor = lgain[keep], lfloor[keep]
             else:
                 lam = float(top[idx[0]] * np.exp(u[0]))
                 raise NumericalError(
@@ -189,10 +246,8 @@ def _luxemburg_rows(
                     f"{NEWTON_MAX_ITER} steps on {idx.size} rows; the first, "
                     f"row {idx[0]} of the batch, was last at lambda {lam!r}"
                 )
-    if sup is not None:
-        resid[sup >= norms] = 0.0
-        norms = np.maximum(norms, sup)
-    return norms, steps, resid
+    resid[sup >= norms] = 0.0
+    return np.maximum(norms, sup), steps, resid
 
 
 def luxemburg_norm(
@@ -219,12 +274,30 @@ def norm_batch(
     return _luxemburg_rows(probs, pvals, rows)[0]
 
 
+def max_norm_ratio(
+    probs: np.ndarray,
+    pvals: np.ndarray,
+    rows: np.ndarray,
+    dens: np.ndarray,
+) -> tuple[float, int]:
+    """The largest ||row_i||_{p(.)} / dens_i over the rows of a nonempty
+    2-d array and the first i attaining it; ``dens`` must be positive and
+    ``probs`` a probability vector.  Rows that provably fall short of the
+    largest ratio are given up before they are solved to the end, so the
+    value and i are those of the full :func:`norm_batch`.  Internal
+    plumbing for the suprema over stopping times."""
+    # given-up rows are NaN, which fmax passes over
+    ratios = _luxemburg_rows(probs, pvals, rows, dens)[0] / dens
+    best = np.fmax.reduce(ratios)
+    return float(best), int(np.argmax(ratios == best))
+
+
 def check_power_identity(
     space: FilteredSpace, f: Sequence[float], p: Exponent, r: float
 ) -> tuple[float, float]:
     """Both sides of || |f|^r ||_{p(.)} = ||f||_{rp(.)}^r (stated for
     p_- >= 1), computed by two independent norm evaluations."""
-    if r <= 0:
+    if not r > 0:
         raise DomainError("power identity requires r > 0")
     v = np.abs(as_leaf_values(space, f))
     left = luxemburg_norm(space, v**r, p).norm

@@ -363,13 +363,14 @@ class TestExpJnCurve:
         sp = build_dyadic_space(3)
         f = martingale_from_terminal(sp, np.array([7.0] + [-1.0] * 7))
         p = Exponent((1.0, 1.5, 2.0, 2.5, 3.0, 1.2, 1.7, 2.2))
-        solve, calls = experiments.norm_batch, []
+        solve, calls = experiments.max_norm_ratio, []
 
-        def growing(probs, pvals, rows):
+        def growing(probs, pvals, rows, dens):
             calls.append(None)
-            return solve(probs, pvals, rows) * (1.0 + 1e-6 * len(calls))
+            value, i = solve(probs, pvals, rows, dens)
+            return value * (1.0 + 1e-6 * len(calls)), i
 
-        monkeypatch.setattr(experiments, "norm_batch", growing)
+        monkeypatch.setattr(experiments, "max_norm_ratio", growing)
         with pytest.raises(NumericalError, match="failed to stabilize") as info:
             exp_jn_curve(f, p)
         m = re.search(r"r=(\S+) has moment ratio (\S+) > C_hat (\S+)$",
@@ -554,13 +555,13 @@ def test_decay_bound_violation_names_the_first_broken_grid_point(
         p = Exponent((1.5, 2.5))
     else:
         f, p = _jn_instance(sp, random.Random("exp-jn-broken"))
-    solve = experiments.norm_batch
+    solve = experiments.max_norm_ratio
 
-    def shrunk(probs, pvals, rows):
-        out = solve(probs, pvals, rows)
-        return out if np.all(pvals == 1.0) else 1e-3 * out
+    def shrunk(probs, pvals, rows, dens):
+        value, i = solve(probs, pvals, rows, dens)
+        return (value, i) if np.all(pvals == 1.0) else (1e-3 * value, i)
 
-    monkeypatch.setattr(experiments, "norm_batch", shrunk)
+    monkeypatch.setattr(experiments, "max_norm_ratio", shrunk)
     # with the slack opened up the same run reports its constants
     with monkeypatch.context() as m:
         m.setattr(experiments, "ASSERT_SLACK", 1e300)

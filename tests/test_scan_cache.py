@@ -294,7 +294,9 @@ def _held_bytes(scan):
 def test_kept_mask_norms_stay_under_the_byte_budget(monkeypatch):
     """Under a budget of three entries, six exponents keep the last three,
     the oldest given up first; an evicted exponent solves again to the
-    same bits, and a solve larger than the whole budget is not kept."""
+    same bits, and a solve larger than the whole budget is not kept.  The
+    running byte total is the sum over the kept entries after every miss
+    and eviction."""
     sp = build_dyadic_space(2)
     scan = StoppingScan.of(enumerate_stopping_matrix(sp), "exhaustive")
     exponents = [np.full(4, 1.0 + k / 4) for k in range(6)]
@@ -304,17 +306,17 @@ def test_kept_mask_norms_stay_under_the_byte_budget(monkeypatch):
     first = []
     for pvals in exponents:
         first.append(scan.mask_norms(sp.probs, pvals))
-        assert _held_bytes(scan) <= budget
+        assert scan._held == _held_bytes(scan) <= budget
     kept = [pvals.tobytes() for pvals in exponents[3:]]
     assert [b for _, b in scan._norms] == kept
     again = scan.mask_norms(sp.probs, exponents[0])
     assert again is not first[0]
     assert np.array_equal(again, first[0])
-    assert _held_bytes(scan) <= budget
+    assert scan._held == _held_bytes(scan) <= budget
     assert [b for _, b in scan._norms] == kept[1:] + [exponents[0].tobytes()]
 
     monkeypatch.setattr(bmo, "_MASK_NORM_BUDGET", entry - 1)
     fresh = StoppingScan.of(enumerate_stopping_matrix(sp), "exhaustive")
     got = fresh.mask_norms(sp.probs, exponents[1])
     assert np.array_equal(got, first[1])
-    assert not fresh._norms
+    assert not fresh._norms and fresh._held == 0

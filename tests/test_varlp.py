@@ -21,7 +21,7 @@ from vexmart import (
     norm_modular_bridge,
 )
 from vexmart import NumericalError, ValidationError, varlp
-from vexmart.varlp import norm_batch
+from vexmart.varlp import max_norm_ratio, norm_batch
 
 from conftest import bisection_oracle, lp_norm, random_exponent, random_tree_space
 
@@ -42,6 +42,8 @@ def test_modular_zero(two_leaf):
 def test_modular_requires_positive_lambda(two_leaf):
     with pytest.raises(DomainError):
         modular(two_leaf, (1.0, 1.0), Exponent((1.0, 2.0)), 0.0)
+    with pytest.raises(DomainError, match="lambda > 0"):
+        modular(two_leaf, (1.0, 1.0), Exponent((1.0, 2.0)), math.nan)
 
 
 def test_modular_strictly_decreasing_in_lambda(two_leaf):
@@ -237,6 +239,52 @@ def test_batch_layout_changes_only_rounding(tall):
 
 
 
+@settings(max_examples=300, deadline=None)
+@given(
+    seed=st.integers(min_value=0, max_value=10**6),
+    law=st.sampled_from(["constant", "variable", "infinite"]),
+    tall=st.booleans(),
+)
+def test_max_norm_ratio_matches_the_full_batch(seed, law, tall):
+    """The supremum that gives rows up is max(norm_batch / dens) to 1e-14,
+    and no row before its index beats that index's full-batch ratio by
+    more, with all-zero rows, copies of earlier rows (den included) that
+    tie exactly and rows whose den puts them a hair below the largest
+    ratio, on batches wide and tall."""
+    rng = random.Random(seed)
+    sp = random_tree_space(rng)
+    n = sp.n_leaves
+    pv = [rng.uniform(0.5, 4.0) for _ in range(n)]
+    if law == "constant":
+        pv = [pv[0]] * n
+    elif law == "infinite":
+        pv = [math.inf if rng.random() < 0.4 else x for x in pv]
+    pvals = np.array(pv)
+    m = rng.randint(n + 1, 4 * n) if tall else rng.randint(1, n)
+    rows = np.array([[0.0 if rng.random() < 0.3 else
+                      rng.gauss(0, 1) * 10.0 ** rng.uniform(-1, 1)
+                      for _ in range(n)] for _ in range(m)])
+    dens = np.array([rng.uniform(0.5, 2.0) for _ in range(m)])
+    for i in range(m):
+        pick = rng.random()
+        if pick < 0.1:
+            rows[i] = 0.0
+        elif pick < 0.3 and i:
+            j = rng.randrange(i)
+            rows[i], dens[i] = rows[j], dens[j]
+    norms = norm_batch(sp.probs, pvals, rows)
+    best = np.max(norms / dens)
+    for j in np.flatnonzero(norms):
+        if rng.random() < 0.3:
+            dens[j] = norms[j] / (best * (1.0 - 10.0 ** -rng.uniform(3, 9)))
+    value, i = max_norm_ratio(sp.probs, pvals, rows, dens)
+    full = norms / dens
+    best = full.max()
+    assert value == pytest.approx(best, rel=1e-14, abs=0.0)
+    assert full[i] >= best * (1.0 - 1e-14)
+    assert np.all(full[:i] <= full[i] * (1.0 + 1e-14))
+
+
 @pytest.mark.parametrize("tall", [False, True])
 def test_newton_failure_names_first_unconverged_row(monkeypatch, tall):
     """With one Newton step allowed, the error names the batch index of the
@@ -264,6 +312,12 @@ def test_power_identity():
         f = [rng.gauss(0, 1) for _ in range(sp.n_leaves)]
         left, right = check_power_identity(sp, f, p, r)
         assert left == pytest.approx(right, rel=1e-9, abs=1e-12)
+
+
+@pytest.mark.parametrize("r", [0.0, math.nan])
+def test_power_identity_requires_positive_r(two_leaf, r):
+    with pytest.raises(DomainError, match="r > 0"):
+        check_power_identity(two_leaf, (1.0, 2.0), Exponent((1.0, 2.0)), r)
 
 
 def test_power_identity_trivial_cases(two_leaf):
