@@ -29,7 +29,7 @@ from .experiments import (
     weak_type_check,
 )
 from .hardy import atomic_decompose
-from .space import aoyama_c, build_dyadic_space, condition_k
+from .space import aoyama_c, as_leaf_exponent, build_dyadic_space, condition_k
 from .varlp import luxemburg_norm
 
 
@@ -71,8 +71,10 @@ def _space_from(args):
     return serialize.space_from_json(_load(args.space))
 
 
-def _exponent_from(args):
-    return serialize.exponent_from_json(_load(args.exponent))
+def _exponent_from(args, space):
+    p = serialize.exponent_from_json(_load(args.exponent))
+    as_leaf_exponent(space, p)
+    return p
 
 
 def _config_from(args, space) -> TrialConfig:
@@ -202,7 +204,7 @@ def _experiment_space(args):
 
 def _experiment_exponent(args, space):
     if getattr(args, "exponent", None):
-        return serialize.exponent_from_json(_load(args.exponent))
+        return _exponent_from(args, space)
     return generate_exponent(space, args.p_law, (args.p_lo, args.p_hi), args.seed)
 
 
@@ -220,21 +222,21 @@ def _dispatch(args) -> None:
 
     elif args.command == "norm":
         space = _space_from(args)
-        p = _exponent_from(args)
+        p = _exponent_from(args, space)
         f = serialize.function_from_json(_load(args.function))
         result = luxemburg_norm(space, f, p)
         _emit(f"{result.norm:.12g}", args.output)
 
     elif args.command == "decompose":
         space = _space_from(args)
-        p = _exponent_from(args)
+        p = _exponent_from(args, space)
         f = serialize.martingale_from_json(space, _load(args.martingale))
         dec = atomic_decompose(f, p)
         _emit(serialize.dumps(serialize.decomposition_to_json(dec)), args.output)
 
     elif args.command == "check":
         space = _space_from(args)
-        p = _exponent_from(args)
+        p = _exponent_from(args, space)
         if args.check_cmd == "condition-k":
             res = condition_k(space, p, mode=args.mode, subsets=args.subsets)
             _emit(serialize.dumps(
@@ -248,7 +250,7 @@ def _dispatch(args) -> None:
 
     elif args.command == "bmo":
         space = _space_from(args)
-        p = _exponent_from(args)
+        p = _exponent_from(args, space)
         f = serialize.martingale_from_json(space, _load(args.martingale))
         res = bmo_norm(f, p, mode=args.mode, seed=args.seed, samples=args.samples)
         _emit(serialize.dumps(_sup_result_json(res)), args.output)

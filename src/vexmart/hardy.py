@@ -15,7 +15,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DomainError, ValidationError
 from .martingale import (
     INF,
     Martingale,
@@ -27,8 +27,8 @@ from .martingale import (
     maximal,
     require_f0_zero,
 )
-from .space import ArrayValue, Exponent, FilteredSpace, as_leaf_values
-from .varlp import luxemburg_norm, norm_batch
+from .space import ArrayValue, Exponent, FilteredSpace, as_leaf_exponent, as_leaf_values
+from .varlp import indicator_norm, luxemburg_norm
 
 ATOM_MEAN_TOL = 1e-10
 ATOM_SIZE_TOL = 1e-9
@@ -68,6 +68,12 @@ def is_atom(
     {tau >= n} for every n, (2) ||s(a)||_inf <= ||chi_{tau<inf}||^{-1}.
     A stopping time that is never finite forces a = 0."""
     a = as_leaf_values(space, a_terminal)
+    pvals = as_leaf_exponent(space, p)
+    if tau.vals.shape != (space.n_leaves,):
+        raise ValidationError(
+            f"expected a stopping time on {space.n_leaves} leaves, "
+            f"got shape {tau.vals.shape}"
+        )
     scale = max(1.0, float(np.abs(a).max()))
     finite = tau.finite_mask
     if not finite.any():
@@ -78,7 +84,7 @@ def is_atom(
     worst = float(np.abs(mart.arrays[on_continue]).max(initial=0.0))
     mean_ok = worst <= ATOM_MEAN_TOL * scale
     s_sup = float(cond_square(mart).max())
-    bound = 1.0 / luxemburg_norm(space, finite.astype(float), p).norm
+    bound = 1.0 / indicator_norm(space.probs, pvals, finite)
     size_ok = s_sup <= bound * (1.0 + ATOM_SIZE_TOL)
     return AtomCheck(mean_ok and size_ok, mean_ok, size_ok, worst, s_sup, bound)
 
@@ -125,6 +131,7 @@ def atomic_decompose(f: Martingale, p: Exponent) -> AtomicDecomposition:
     vanish.  A square function that overflows binary64 is refused.
     """
     space = f.space
+    pvals = as_leaf_exponent(space, p)
     require_f0_zero(f, "atomic decomposition requires f_0 = 0")
 
     with np.errstate(over="ignore"):
@@ -148,8 +155,8 @@ def atomic_decompose(f: Martingale, p: Exponent) -> AtomicDecomposition:
     fscale = max(1.0, float(np.abs(f.terminal).max()))
     # zero atoms contribute nothing
     rows = np.flatnonzero(np.abs(diffs).max(axis=1) > 1e-14 * fscale)
-    finite = np.isfinite(taus[rows]).astype(float)
-    mus = 3.0 * cuts[rows] * norm_batch(space.probs, p.vals, finite)
+    norms = [indicator_norm(space.probs, pvals, m) for m in np.isfinite(taus[rows])]
+    mus = 3.0 * cuts[rows] * norms
     return AtomicDecomposition(space, tuple(
         AtomTerm(k_lo + i, mu, StoppingTime(taus[i]), diffs[i] / mu)
         for i, mu in zip(rows.tolist(), mus.tolist())
@@ -163,12 +170,13 @@ def a_quantity(dec: AtomicDecomposition, p: Exponent) -> float:
     and the aggregate is one weight-vector times mask-matrix product."""
     p_under = min(p.p_minus(), 1.0)
     sp = dec.space
+    pvals = as_leaf_exponent(sp, p)
     terms = [t for t in dec.terms if t.mu != 0.0]
-    chis = np.array([t.tau.finite_mask for t in terms], dtype=float)
-    chis = chis.reshape(-1, sp.n_leaves)
+    masks = np.array([t.tau.finite_mask for t in terms]).reshape(-1, sp.n_leaves)
     mus = np.array([t.mu for t in terms])
-    weights = (mus / norm_batch(sp.probs, p.vals, chis)) ** p_under
-    return luxemburg_norm(sp, (weights @ chis) ** (1.0 / p_under), p).norm
+    norms = np.array([indicator_norm(sp.probs, pvals, m) for m in masks])
+    weights = (mus / norms) ** p_under
+    return luxemburg_norm(sp, (weights @ masks) ** (1.0 / p_under), p).norm
 
 
 def reconstruct(dec: AtomicDecomposition) -> Martingale:

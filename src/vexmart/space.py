@@ -201,6 +201,15 @@ def as_leaf_values(space: FilteredSpace, f: Sequence[float]) -> np.ndarray:
     return v
 
 
+def as_leaf_exponent(space: FilteredSpace, p: Exponent) -> np.ndarray:
+    """``p.vals``, once it holds one value per leaf of the space."""
+    if p.vals.shape != (space.n_leaves,):
+        raise ValidationError(
+            f"expected {space.n_leaves} exponent values, got shape {p.vals.shape}"
+        )
+    return p.vals
+
+
 def _uniform_space(arity: int, depth: int) -> FilteredSpace:
     """Uniform leaves, level n in arity^n equal blocks of consecutive
     leaves.  Refused before any allocation when probs and block_of would

@@ -29,6 +29,10 @@ one batch kernel:
   Such a row is strictly below the maximum, so the value and the first
   row attaining it come from rows solved exactly as in :func:`norm_batch`.
 * A constant exponent takes the closed form (E|f|^p)^{1/p}.
+* An indicator norm ||chi_E|| (:func:`indicator_norm`: the atomic
+  decomposition's weights and atom bounds, the indicator profiles) is
+  solved on E alone: P(E)^{1/p} where p is constant on E, else scalar
+  Newton on log sum_E P lambda^{-p} from the tangent at lambda = 1.
 * Every reduction runs along the batch's longer axis, chosen from its
   shape alone: a batch with more rows than leaves (the stopping-time scans)
   is solved on its leaves x rows transpose, any other batch (a one-row
@@ -52,7 +56,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import DomainError, NumericalError, ValidationError
-from .space import Exponent, FilteredSpace, as_leaf_values
+from .space import Exponent, FilteredSpace, as_leaf_exponent, as_leaf_values
 
 NEWTON_REL_TOL = 1e-12
 NEWTON_MAX_ITER = 200
@@ -84,7 +88,7 @@ def modular(
     if not lam > 0:
         raise DomainError("modular requires lambda > 0")
     v = as_leaf_values(space, f)
-    return float(modular_grid(space.probs, p.vals, v, [lam])[0])
+    return float(modular_grid(space.probs, as_leaf_exponent(space, p), v, [lam])[0])
 
 
 def modular_grid(
@@ -258,7 +262,8 @@ def luxemburg_norm(
     """Luxemburg norm inf{lambda > 0 : rho(f/lambda) <= 1}, as a one-row
     call of the batch kernel."""
     v = as_leaf_values(space, f)
-    norms, steps, resid = _luxemburg_rows(space.probs, p.vals, v[None, :])
+    pvals = as_leaf_exponent(space, p)
+    norms, steps, resid = _luxemburg_rows(space.probs, pvals, v[None, :])
     return NormResult(float(norms[0]), int(steps[0]), float(resid[0]))
 
 
@@ -290,6 +295,45 @@ def max_norm_ratio(
     ratios = _luxemburg_rows(probs, pvals, rows, dens)[0] / dens
     best = np.fmax.reduce(ratios)
     return float(best), int(np.argmax(ratios == best))
+
+
+def indicator_norm(probs: np.ndarray, pvals: np.ndarray, mask: np.ndarray) -> float:
+    """||chi_E||_{p(.)} for the leaf set E = {mask}, solved on E alone,
+    where the modular of chi_E / lambda is G(lambda) = sum_E P lambda^{-p}.
+
+    An empty E has norm 0.  Where E meets {p = inf}, the max rule gives
+    max(1, r) for the root r of the finite part, and r <= 1 as G(1) <=
+    P(E) <= 1, so the norm is 1.  Where p is constant on E it is
+    P(E)^{1/p}.  Otherwise Newton runs on g(u) = log G(e^u), shifted by
+    its largest term, with the kernel's stopping rule; it starts from the
+    zero of the tangent at u = 0, where g = log P(E) and the slope -g' is
+    the P-mean of p on E, which convexity puts left of the root.
+    Internal plumbing for the atomic decomposition and the indicator
+    profiles.
+    """
+    pe, q = probs[mask], pvals[mask]
+    if not q.size:
+        return 0.0
+    if np.isinf(q).any():
+        return 1.0
+    total = float(pe.sum())
+    if np.all(q == q[0]):
+        return total ** (1.0 / float(q[0]))
+    logw = np.log(pe)
+    u = math.log(total) * total / float(pe @ q)
+    for _ in range(NEWTON_MAX_ITER):
+        e = logw - q * u
+        top = e.max()
+        w = np.exp(np.subtract(e, top, out=e), out=e)
+        total = float(w.sum())
+        step = (top + math.log(total)) * total / float(w @ q)
+        if step <= NEWTON_REL_TOL:
+            return math.exp(u)
+        u += step
+    raise NumericalError(
+        f"indicator Newton iteration did not converge in {NEWTON_MAX_ITER} "
+        f"steps on a set of {q.size} leaves, last at lambda {math.exp(u)!r}"
+    )
 
 
 def check_power_identity(
@@ -396,8 +440,8 @@ class IndicatorProfile:
 def _indicator(
     space: FilteredSpace, leaves: Sequence[int], what: str
 ) -> tuple[np.ndarray, np.ndarray]:
-    """The distinct leaves of a nonempty set B, ascending, and chi_B.
-    Leaves must be integers (integral floats included) in 0..n-1."""
+    """The distinct leaves of a nonempty set B, ascending, and its leaf
+    mask.  Leaves must be integers (integral floats included) in 0..n-1."""
     try:
         items = list(leaves)
         raw = np.array(items, dtype=float)
@@ -415,9 +459,9 @@ def _indicator(
     if not raw.size:
         raise DomainError(f"{what} requires a nonempty set")
     idx = np.unique(raw.astype(np.intp))
-    chi = np.zeros(space.n_leaves)
-    chi[idx] = 1.0
-    return idx, chi
+    mask = np.zeros(space.n_leaves, dtype=bool)
+    mask[idx] = True
+    return idx, mask
 
 
 def indicator_norm_profile(
@@ -425,11 +469,11 @@ def indicator_norm_profile(
 ) -> IndicatorProfile:
     """P(B)^{1/p_-(B)}, P(B)^{1/p_+(B)}, ||chi_B||_{p(.)} and the max
     pairwise ratio of the three; the norm always lies in the sandwich."""
-    idx, chi = _indicator(space, leaves, "indicator profile")
+    idx, mask = _indicator(space, leaves, "indicator profile")
     pb = float(space.probs[idx].sum())
     lower = pb ** (1.0 / p.p_minus(idx))
     upper = pb ** (1.0 / p.p_plus(idx))
-    norm = luxemburg_norm(space, chi, p).norm
+    norm = indicator_norm(space.probs, as_leaf_exponent(space, p), mask)
     vals = (lower, upper, norm)
     return IndicatorProfile(lower, upper, norm, max(vals) / min(vals))
 
@@ -445,22 +489,23 @@ def indicator_product_ratio(
     """||chi_B||_target / (||chi_B||_p * ||chi_B||_q), target = L^1 for
     conjugate mode (1/p + 1/q = 1) or L^{r(.)} for harmonic mode
     (1/r = 1/p + 1/q)."""
-    idx, chi = _indicator(space, leaves, "indicator ratio")
+    idx, mask = _indicator(space, leaves, "indicator ratio")
+    pvals, qvals = as_leaf_exponent(space, p), as_leaf_exponent(space, q)
     if mode == "conjugate":
         _require_reciprocals(
-            1.0 / p.vals + 1.0 / q.vals, 1.0, "exponents are not pointwise conjugate"
+            1.0 / pvals + 1.0 / qvals, 1.0, "exponents are not pointwise conjugate"
         )
         target = float(space.probs[idx].sum())
     elif mode == "harmonic":
         if r is None:
             raise DomainError("harmonic mode requires the target exponent r")
+        rvals = as_leaf_exponent(space, r)
         _require_reciprocals(
-            1.0 / p.vals + 1.0 / q.vals, 1.0 / r.vals,
-            "exponents violate 1/r = 1/p + 1/q",
+            1.0 / pvals + 1.0 / qvals, 1.0 / rvals, "exponents violate 1/r = 1/p + 1/q"
         )
-        target = luxemburg_norm(space, chi, r).norm
+        target = indicator_norm(space.probs, rvals, mask)
     else:
         raise DomainError(f"unknown indicator ratio mode {mode!r}")
-    np_ = luxemburg_norm(space, chi, p).norm
-    nq = luxemburg_norm(space, chi, q).norm
-    return target / (np_ * nq)
+    return target / (
+        indicator_norm(space.probs, pvals, mask) * indicator_norm(space.probs, qvals, mask)
+    )

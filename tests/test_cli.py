@@ -450,6 +450,32 @@ class TestExitCodes:
         assert captured.out == ""
         assert captured.err.startswith("error:") and "overflows" in captured.err
 
+    @pytest.mark.parametrize("values", [[3.0] * 3, [1.5, 2.5, 2.0]])
+    @pytest.mark.parametrize("command", [
+        ["norm", "--function", "f"], ["decompose", "--martingale", "m"],
+        ["check", "condition-k"], ["check", "aoyama"],
+        ["check", "lemma34", "--function", "f"], ["bmo", "--martingale", "m"],
+        ["experiment", "weak-type", "--martingale", "m"],
+        ["experiment", "doob", "--trials", "2"],
+    ])
+    def test_exponent_of_the_wrong_length_exit_one(self, capsys, tmp_path,
+                                                   values, command):
+        # three exponent values on four leaves, constant or variable
+        paths = {
+            "--space": write_json(tmp_path / "s.json",
+                                  serialize.space_to_json(build_dyadic_space(2))),
+            "--exponent": write_json(tmp_path / "p.json", {"values": values}),
+            "f": write_json(tmp_path / "f.json", {"values": [1.0, -2.0, 0.5, 3.0]}),
+            "m": write_json(tmp_path / "m.json", {"terminal": [1.0, -1.0, 2.5, -2.5]}),
+        }
+        argv = [paths.get(a, a) for a in command]
+        code = run([*argv, "--space", paths["--space"],
+                    "--exponent", paths["--exponent"]])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert captured.err.startswith("error: expected 4 exponent values")
+
     @pytest.mark.parametrize("value", [[1.0, 2.0], 3])
     def test_non_object_martingale_exit_one(self, capsys, tmp_path, quad_inputs,
                                             value):

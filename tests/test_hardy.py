@@ -7,6 +7,7 @@ import pytest
 from vexmart import (
     DomainError,
     Exponent,
+    ValidationError,
     StoppingTime,
     a_quantity,
     atomic_decompose,
@@ -95,6 +96,15 @@ class TestIsAtom:
         p = constant_exponent(two_leaf, 1.0)
         chk = is_atom(two_leaf, (2 / 3, -2 / 3), StoppingTime((1.0, 1.0)), p)
         assert not chk.ok and not chk.mean_ok
+
+    def test_rejects_wrong_lengths(self, four_leaf):
+        a = (1.0, -1.0, 0.0, 0.0)
+        tau = StoppingTime((0.0, 0.0, 0.0, 0.0))
+        with pytest.raises(ValidationError, match="stopping time on 4 leaves"):
+            is_atom(four_leaf, a, StoppingTime((0.0, 0.0)), constant_exponent(four_leaf, 2.0))
+        for p in (Exponent((2.0, 2.0, 2.0)), Exponent((1.5, 2.5, 2.0))):
+            with pytest.raises(ValidationError, match="expected 4 exponent values"):
+                is_atom(four_leaf, a, tau, p)
 
     def test_never_finite_requires_zero(self, two_leaf):
         p = constant_exponent(two_leaf, 1.0)
@@ -206,6 +216,21 @@ class TestAtomicDecomposition:
             chi = term.tau.finite_mask.astype(float)
             want = 3.0 * 2.0 ** term.k * luxemburg_norm(sp, chi, p).norm
             assert term.mu == pytest.approx(want, rel=1e-12)
+
+    def test_weights_and_atom_bounds_share_one_indicator_solve(self):
+        # mu_k = 3 * 2^k * ||chi|| and the atom bound 1 / ||chi|| come from
+        # the same solve of the same chi, so their product is 3 * 2^k up to
+        # the rounding of the two products and the reciprocal
+        rng = random.Random(53)
+        for trial in range(60):
+            sp = random_tree_space(rng, max_leaves=24)
+            lo, hi = (0.5, 3.0) if trial % 3 else (1.7, 1.7)
+            p = random_exponent(rng, sp.n_leaves, lo, hi)
+            f = centered_martingale(rng, sp, 10.0 ** rng.uniform(-2, 2))
+            for term in atomic_decompose(f, p).terms:
+                check = is_atom(sp, term.atom_terminal, term.tau, p)
+                want = 3.0 * 2.0**term.k
+                assert abs(term.mu * check.s_bound - want) <= 4 * math.ulp(want)
 
     def test_converse_norm_bound(self):
         rng = random.Random(17)

@@ -21,7 +21,7 @@ from vexmart import (
     norm_modular_bridge,
 )
 from vexmart import NumericalError, ValidationError, varlp
-from vexmart.varlp import max_norm_ratio, norm_batch
+from vexmart.varlp import indicator_norm, max_norm_ratio, norm_batch
 
 from conftest import bisection_oracle, lp_norm, random_exponent, random_tree_space
 
@@ -301,6 +301,61 @@ def test_newton_failure_names_first_unconverged_row(monkeypatch, tall):
         norm_batch(sp.probs, p.vals, rows)
     lam = float(str(info.value).rsplit("lambda ", 1)[1])
     assert 0.0 < lam < norms[1]
+
+
+@settings(max_examples=400, deadline=None)
+@given(
+    seed=st.integers(min_value=0, max_value=10**6),
+    law=st.sampled_from(["constant-on-E", "two-valued", "iid", "infinite"]),
+    frac=st.one_of(st.just(0.0), st.floats(min_value=0.0, max_value=1.0)),
+)
+def test_indicator_norm_matches_the_kernel(seed, law, frac):
+    """The solve on E alone is the kernel's norm of chi_E to 1e-13, on
+    spaces with unequal leaf probabilities and exponents in [0.3, 6].
+    Where p is finite on E, chi_E over it has modular 1 to the stopping
+    rule's own bound: the last Newton step in log lambda is at most
+    NEWTON_REL_TOL, so log rho is at most p_+(E) times that."""
+    rng = random.Random(seed)
+    sp = random_tree_space(rng, max_leaves=40)
+    n = sp.n_leaves
+    mask = np.array([rng.random() < frac for _ in range(n)])
+    pv = [rng.uniform(0.3, 6.0) for _ in range(n)]
+    if law == "constant-on-E":
+        pv = [pv[0] if m else x for m, x in zip(mask, pv)]
+    elif law == "two-valued":
+        pv = [rng.choice(pv[:2]) for _ in range(n)]
+    elif law == "infinite":
+        pv = [math.inf if rng.random() < 0.3 else x for x in pv]
+    p = Exponent(pv, allow_infinite=True)
+    got = indicator_norm(sp.probs, p.vals, mask)
+    assert got == pytest.approx(luxemburg_norm(sp, mask, p).norm, rel=1e-13, abs=0.0)
+    if mask.any() and np.isfinite(p.vals[mask]).all():
+        tol = varlp.NEWTON_REL_TOL * p.p_plus(mask) + 1e-14
+        assert abs(modular(sp, mask / got, p, 1.0) - 1.0) <= tol
+
+
+def test_indicator_norm_closed_forms():
+    """0 on the empty set, 1 on a set meeting {p = inf}, P(E)^{1/p} where p
+    is constant on E, also when p varies off E."""
+    probs = np.array([0.1, 0.2, 0.3, 0.4])
+    pvals = np.array([2.0, 2.0, 5.0, math.inf])
+    assert indicator_norm(probs, pvals, np.zeros(4, dtype=bool)) == 0.0
+    assert indicator_norm(probs, pvals, np.array([True, False, False, True])) == 1.0
+    assert indicator_norm(probs, pvals, np.array([True, True, False, False])) == (
+        (0.1 + 0.2) ** 0.5)
+
+
+def test_indicator_norm_failure_names_its_set(monkeypatch):
+    """With one Newton step allowed, the error names the size of E and a
+    lambda below the norm: Newton climbs to the root from the left."""
+    probs, pvals = np.full(4, 0.25), np.array([0.5, 6.0, 1.5, 3.0])
+    mask = np.array([True, True, False, True])
+    want = indicator_norm(probs, pvals, mask)
+    monkeypatch.setattr(varlp, "NEWTON_MAX_ITER", 1)
+    with pytest.raises(NumericalError, match=r"a set of 3 leaves") as info:
+        indicator_norm(probs, pvals, mask)
+    lam = float(str(info.value).rsplit("lambda ", 1)[1])
+    assert 0.0 < lam < want
 
 
 def test_power_identity():
