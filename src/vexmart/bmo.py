@@ -33,7 +33,7 @@ from .martingale import (
     sample_stopping_matrix,
     stopped_terminal_diffs,
 )
-from .space import Exponent, FilteredSpace, as_leaf_values, readonly
+from .space import Exponent, FilteredSpace, as_leaf_exponent, as_leaf_values, readonly
 from .varlp import max_norm_ratio, norm_batch
 from .hardy import hs_norm
 
@@ -187,10 +187,11 @@ def bmo_norm(
     are never finite contribute nothing."""
     space = f.space
     require_f0_zero(f, "bmo_norm requires f_0 = 0")
+    pv = as_leaf_exponent(space, p)
     scan = candidate_matrix(space, mode, seed, samples)
     diffs = stopped_terminal_diffs(f, scan.taus, shift="minus-one")
-    dens = scan.mask_norms(space.probs, p.vals)[scan.which]
-    return _sup_result(scan, *max_norm_ratio(space.probs, p.vals, diffs, dens))
+    dens = scan.mask_norms(space.probs, pv)[scan.which]
+    return _sup_result(scan, *max_norm_ratio(space.probs, pv, diffs, dens))
 
 
 def lipschitz_norm(

@@ -50,6 +50,56 @@ def _rng(*parts) -> random.Random:
     return random.Random("vexmart:" + ":".join(str(x) for x in parts))
 
 
+# The bulk draws below give the floats of n per-element calls bit for bit,
+# read from one getrandbits call on the same MT19937 stream, whose 32-bit
+# words come least significant first in the order they are generated.
+
+
+def _words(rng: random.Random, n: int) -> np.ndarray:
+    return np.frombuffer(rng.getrandbits(32 * n).to_bytes(4 * n, "little"), "<u4")
+
+
+def _randoms(rng: random.Random, n: int) -> np.ndarray:
+    """n values of rng.random(), as CPython forms each from two words."""
+    w = _words(rng, 2 * n).reshape(n, 2)
+    return ((w[:, 0] >> 5) * 67108864.0 + (w[:, 1] >> 6)) * 2.0**-53
+
+
+def _gausses(rng: random.Random, n: int) -> np.ndarray:
+    """n values of rng.gauss(0.0, 1.0): Box-Muller on pairs of uniforms in
+    CPython's order, with libm's log, cos and sin through ``math``.  A
+    pending value is used first and an odd draw leaves one pending."""
+    if not n:
+        return np.empty(0)
+    head = [] if rng.gauss_next is None else [rng.gauss_next]
+    rng.gauss_next = None
+    u = _randoms(rng, (n - len(head) + 1) // 2 * 2).reshape(-1, 2)
+
+    def libm(f, x):
+        return np.fromiter(map(f, x), float, len(x))
+
+    x2pi = (u[:, 0] * (2.0 * math.pi)).tolist()
+    g2rad = np.sqrt(-2.0 * libm(math.log, (1.0 - u[:, 1]).tolist()))
+    z = np.empty((len(x2pi), 2))
+    z[:, 0] = libm(math.cos, x2pi) * g2rad
+    z[:, 1] = libm(math.sin, x2pi) * g2rad
+    z = np.concatenate((head, z.ravel()))
+    if z.size > n:
+        rng.gauss_next = float(z[-1])
+    return 0.0 + z[:n] * 1.0
+
+
+def _signs(rng: random.Random, n: int) -> np.ndarray:
+    """n values of rng.choice((-1.0, 1.0)): each is a 2-bit getrandbits,
+    the word's top bits, redrawn while 2 or more.  Words are drawn ahead,
+    so the generator is left further on than by the per-element calls."""
+    idx = np.empty(0, np.uint32)
+    while idx.size < n:
+        top = _words(rng, 2 * (n - idx.size) + 16) >> 30
+        idx = np.concatenate((idx, top[top < 2]))
+    return np.array((-1.0, 1.0))[idx[:n]]
+
+
 @dataclass(frozen=True)
 class TrialConfig:
     space: FilteredSpace
@@ -129,11 +179,11 @@ def generate_exponent(
         half = max(1, n // 2)
         vals = [lo] * half + [hi] * (n - half)
     elif law == "iid-uniform":
-        vals = [rng.uniform(lo, hi) for _ in range(n)]
+        vals = lo + (hi - lo) * _randoms(rng, n)
     elif law == "block-structured":
         level = min(1, space.depth)
-        draws = [rng.uniform(lo, hi) for _ in range(space.n_blocks[level])]
-        vals = np.array(draws)[space.block_of[level]]
+        draws = lo + (hi - lo) * _randoms(rng, space.n_blocks[level])
+        vals = draws[space.block_of[level]]
     else:
         raise DomainError(f"unknown exponent law {law!r}")
     return Exponent(vals)
@@ -144,12 +194,13 @@ def generate_martingale(config: TrialConfig, index: int = 0) -> Martingale:
     block so f_0 = 0."""
     space = config.space
     rng = _rng("martingale", config.martingale_law, config.seed, index)
+    n = space.n_leaves
     if config.martingale_law == "normal":
-        v = np.array([rng.gauss(0.0, 1.0) for _ in range(space.n_leaves)])
+        v = _gausses(rng, n)
     elif config.martingale_law == "uniform":
-        v = np.array([rng.uniform(-1.0, 1.0) for _ in range(space.n_leaves)])
+        v = -1.0 + 2.0 * _randoms(rng, n)
     else:
-        v = np.array([rng.choice((-1.0, 1.0)) for _ in range(space.n_leaves)])
+        v = _signs(rng, n)
     v = v - space.level_averages(v[None])[0]
     return martingale_from_terminal(space, v)
 
@@ -705,10 +756,9 @@ def _jensen_ratio(
     return 0.0, {}
 
 
-def _violation_draw(config: TrialConfig, i: int) -> tuple[list[float], Exponent]:
+def _violation_draw(config: TrialConfig, i: int) -> tuple[np.ndarray, Exponent]:
     """Leaf values and exponent of random trial i of violation_33_search."""
-    rng = _rng("violation", config.seed, i)
-    fv = [rng.gauss(0.0, 1.0) for _ in range(config.space.n_leaves)]
+    fv = _gausses(_rng("violation", config.seed, i), config.space.n_leaves)
     p = generate_exponent(
         config.space, config.exponent_law, config.p_range, seed=config.seed * 7919 + i
     )
@@ -743,7 +793,7 @@ def violation_33_search(config: TrialConfig) -> ConstantReport:
             "kind": "random",
             "trial": j - len(family),
             "ratio": ratios[j],
-            "f": fv,
+            "f": fv.tolist(),
             "exponent": p.vals.tolist(),
             **infos[j],
         }

@@ -379,7 +379,7 @@ def condition_k(
         raise DomainError(f"unknown condition_k mode {mode!r}")
     if not p.is_finite:
         raise DomainError("condition_k requires a finite exponent")
-    pv = p.vals
+    pv = as_leaf_exponent(space, p)
     probs = space.probs
     n = space.n_leaves
 
@@ -447,7 +447,7 @@ def aoyama_c(space: FilteredSpace, p: Exponent) -> float:
     """Minimal C with 1/p <= C * E(1/p | F_n) over all levels n."""
     if not p.is_finite:
         raise DomainError("aoyama_c requires a finite exponent")
-    recip = 1.0 / p.vals
+    recip = 1.0 / as_leaf_exponent(space, p)
     cond = space.level_averages(np.broadcast_to(recip, space.block_of.shape))
     return max(1.0, float(np.max(recip / cond)))
 

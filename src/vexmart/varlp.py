@@ -367,10 +367,8 @@ def check_holder(
     r: Exponent,
 ) -> tuple[float, float, float]:
     """(||fg||_p, ||f||_q, ||g||_r) for 1/p = 1/q + 1/r pointwise."""
-    _require_reciprocals(
-        1.0 / p.vals, 1.0 / q.vals + 1.0 / r.vals,
-        "exponents violate 1/p = 1/q + 1/r",
-    )
+    pv, qv, rv = (as_leaf_exponent(space, e) for e in (p, q, r))
+    _require_reciprocals(1.0 / pv, 1.0 / qv + 1.0 / rv, "exponents violate 1/p = 1/q + 1/r")
     fv = as_leaf_values(space, f)
     gv = as_leaf_values(space, g)
     return (

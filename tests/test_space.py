@@ -16,11 +16,15 @@ from vexmart import (
     ValidationError,
     aoyama_c,
     build_dyadic_space,
+    bmo_norm,
     build_mary_space,
+    check_holder,
     cond_expect,
     condition_k,
     constant_exponent,
     exponent_algebra,
+    lipschitz_norm,
+    martingale_from_terminal,
     validate_filtration,
 )
 
@@ -111,6 +115,29 @@ class TestExponent:
         assert p.p_minus() == 1.0
         assert p.p_plus([1, 2]) == 3.0
         assert p.p_minus([2]) == 2.0
+
+
+# library entry points that take an exponent, each called on the 4-leaf
+# dyadic space with the given exponent in one exponent slot
+_V4 = (1.0, -1.0, 2.0, -2.0)
+EXPONENT_ENTRY_POINTS = {
+    "bmo_norm": lambda sp, p: bmo_norm(martingale_from_terminal(sp, _V4), p),
+    "lipschitz_norm": lambda sp, p: lipschitz_norm(
+        martingale_from_terminal(sp, _V4), 2.0, p
+    ),
+    "condition_k": condition_k,
+    "aoyama_c": aoyama_c,
+    "check_holder": lambda sp, p: check_holder(
+        sp, _V4, _V4, constant_exponent(sp, 1.0), constant_exponent(sp, 2.0), p
+    ),
+}
+
+
+@pytest.mark.parametrize("vals", [(2.0, 2.0, 2.0), (1.5, 2.5, 2.0)])
+@pytest.mark.parametrize("entry", sorted(EXPONENT_ENTRY_POINTS))
+def test_entry_points_refuse_exponent_of_the_wrong_length(entry, vals):
+    with pytest.raises(ValidationError, match="expected 4 "):
+        EXPONENT_ENTRY_POINTS[entry](build_dyadic_space(2), Exponent(vals))
 
 
 def _pairwise_condition_k(space, p):
