@@ -203,23 +203,29 @@ def lipschitz_norm(
     samples: int = 256,
 ) -> SupNormResult:
     """sup over tau of ||chi||_{1/alpha(.)}^{-1} ||chi||_q^{-1}
-    ||f - f^tau||_q, where alpha(.) >= 0 and 1/alpha reads 1/0 as +inf,
-    where the Luxemburg norm applies its max rule."""
+    ||f - f^tau||_q, chi = chi_{tau<inf}, where alpha(.) >= 0 and 1/alpha
+    reads 1/0 as +inf.  On {1/alpha = inf} the modular asks |chi| <= lambda,
+    so an indicator meeting {alpha = 0} has norm at least 1, and exactly 1,
+    as the modular of the rest at lambda = 1 is at most P(tau < inf).  Any
+    other indicator vanishes on {alpha = 0}, where a finite value of
+    1/alpha is put in place of +inf."""
     if not (math.isfinite(q) and q >= 1):
         raise DomainError(f"lipschitz_norm requires a finite q >= 1, got {q}")
     space = f.space
     avals = as_leaf_values(space, alpha.vals if isinstance(alpha, Exponent) else alpha)
     if np.any(avals < 0):
         raise DomainError("alpha must be nonnegative")
-    inv_alpha = np.where(avals > 0, 1.0 / np.where(avals > 0, avals, 1.0), math.inf)
+    pos = avals > 0
+    inv_alpha = 1.0 / np.where(pos, avals, avals.max() or 1.0)
 
     scan = candidate_matrix(space, mode, seed, samples)
     diffs = np.abs(stopped_terminal_diffs(f, scan.taus, shift="none"))
     nums = (diffs**q @ space.probs) ** (1.0 / q)
     pq = scan.finite @ space.probs
     dens_q = pq ** (1.0 / q)
-    dens_alpha = scan.mask_norms(space.probs, inv_alpha)[scan.which]
-    ratios = nums / (dens_q * dens_alpha)
+    meets_zero = (scan.finite[scan.first] & ~pos).any(axis=1)
+    dens_alpha = np.where(meets_zero, 1.0, scan.mask_norms(space.probs, inv_alpha))
+    ratios = nums / (dens_q * dens_alpha[scan.which])
     i = int(np.argmax(ratios))
     return _sup_result(scan, float(ratios[i]), i)
 

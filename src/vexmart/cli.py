@@ -78,31 +78,39 @@ def _exponent_from(args, space):
 
 
 def _config_from(args, space) -> TrialConfig:
+    # weak-type and exp-jn draw one martingale and violation-33 none, so
+    # they take no --trials or no --f-law
     return TrialConfig(
         space=space,
         seed=args.seed,
-        trials=args.trials,
+        trials=getattr(args, "trials", 1),
         p_range=(args.p_lo, args.p_hi),
         exponent_law=args.p_law,
-        martingale_law=args.f_law,
+        martingale_law=getattr(args, "f_law", "normal"),
     )
 
 
 def _add_io(sub) -> None:
     sub.add_argument("--output", default=None, help="write here instead of stdout")
+
+
+def _add_report_io(sub) -> None:
+    _add_io(sub)
     sub.add_argument("--format", choices=("json", "csv"), default="json")
 
 
-def _add_config(sub) -> None:
+def _add_config(sub, name: str) -> None:
     sub.add_argument("--space", default=None, help="space JSON path")
     sub.add_argument("--depth", type=int, default=3,
                      help="dyadic depth when --space is omitted")
     sub.add_argument("--seed", type=int, default=0)
-    sub.add_argument("--trials", type=int, default=100)
+    if name not in ("weak-type", "exp-jn"):
+        sub.add_argument("--trials", type=int, default=100)
     sub.add_argument("--p-law", default="iid-uniform")
     sub.add_argument("--p-lo", type=float, default=1.1)
     sub.add_argument("--p-hi", type=float, default=3.0)
-    sub.add_argument("--f-law", default="normal")
+    if name != "violation-33":
+        sub.add_argument("--f-law", default="normal")
 
 
 @functools.cache
@@ -145,7 +153,7 @@ def build_parser() -> _Parser:
     lm.add_argument("--space", required=True)
     lm.add_argument("--exponent", required=True)
     lm.add_argument("--function", required=True)
-    _add_io(lm)
+    _add_report_io(lm)
 
     bm = top.add_parser("bmo")
     bm.add_argument("--space", required=True)
@@ -171,16 +179,16 @@ def build_parser() -> _Parser:
     exp = top.add_parser("experiment").add_subparsers(dest="exp_cmd", required=True)
     for name in ("weak-type", "doob", "jn", "exp-jn", "violation-33"):
         e = exp.add_parser(name)
-        _add_config(e)
+        _add_config(e, name)
         if name in ("weak-type", "exp-jn"):
             e.add_argument("--exponent", default=None)
             e.add_argument("--martingale", default=None)
         if name in ("doob", "jn"):
             e.add_argument("--exponent", default=None)
-        _add_io(e)
+        _add_report_io(e)
     ns = exp.add_parser("nakai-sadasue")
     ns.add_argument("--max-n", type=int, required=True)
-    _add_io(ns)
+    _add_report_io(ns)
     return parser
 
 

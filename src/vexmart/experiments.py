@@ -30,6 +30,7 @@ from .space import (
     MAX_SPACE_BYTES,
     Exponent,
     FilteredSpace,
+    as_leaf_exponent,
     as_leaf_values,
     build_dyadic_space,
     build_mary_space,
@@ -239,9 +240,8 @@ def weak_type_check(
     is a prefix, so P(A), p_-(A) and p_+(A) are read from one running sum,
     minimum and maximum at the prefix length of each lambda.
     """
-    if not p.is_finite:
-        raise DomainError("weak_type_check requires a finite exponent")
     space = f.space
+    pvals = as_leaf_exponent(space, p)
     grid = np.asarray(
         default_lambda_grid(f) if lambda_grid is None else lambda_grid, dtype=float
     )
@@ -253,13 +253,13 @@ def weak_type_check(
     size = np.searchsorted(-mf[order], -grid)
     live = size > 0
     last = size[live] - 1
-    pv = p.vals[order]
+    pv = pvals[order]
     p_lo = np.minimum.accumulate(pv)[last]
     ratios = np.zeros(grid.size)
     bounds = np.ones(grid.size)
     asserted = np.zeros(grid.size, dtype=bool)
     ratios[live] = np.cumsum(space.probs[order])[last] / modular_grid(
-        space.probs, p.vals, f.terminal, grid[live]
+        space.probs, pvals, f.terminal, grid[live]
     )
     bounds[live] = np.maximum.accumulate(pv)[last] / p_lo
     asserted[live] = p_lo >= 1.0
@@ -315,9 +315,10 @@ def doob_strong_check(config: TrialConfig, p: Exponent) -> ConstantReport:
     """Per trial: ||Mf||_{p(.)} / ||f_N||_{p(.)}, with a per-ratio scale
     invariance check (f -> 10f agrees to 1e-6 relative).  The four norms
     of a trial are solved in one batch with those of other trials."""
+    space, n = config.space, config.space.n_leaves
+    pvals = as_leaf_exponent(space, p)
     if p.p_minus() <= 1.0:
         raise DomainError("maximal-norm ratio requires p_- > 1")
-    space, n = config.space, config.space.n_leaves
     # rows f_N, Mf, 10 f_N and 10 Mf per trial; a batch holds at most
     # ENUMERATION_CAP entries, so memory does not grow with the trials
     per_call = max(1, ENUMERATION_CAP // (4 * n))
@@ -329,7 +330,7 @@ def doob_strong_check(config: TrialConfig, p: Exponent) -> ConstantReport:
             row[0], row[1] = f.terminal, maximal(f)
         rows[:, 2:] = 10.0 * rows[:, :2]
         norms[start : start + len(rows)] = norm_batch(
-            space.probs, p.vals, rows.reshape(-1, n)
+            space.probs, pvals, rows.reshape(-1, n)
         ).reshape(-1, 4)
     den, num, den10, num10 = norms.T
     kept = np.flatnonzero(den != 0.0)
@@ -404,19 +405,20 @@ def jn_equivalence(config: TrialConfig, p: Exponent) -> ConstantReport:
     read from the scan's kept mask norms, solved only on the first call
     with each exponent, and the two numerators of a trial share one
     stopped-difference gather."""
+    space = config.space
+    pvals = as_leaf_exponent(space, p)
     if p.p_minus() < 1.0:
         raise DomainError("BMO norm equivalence requires p_- >= 1")
-    space = config.space
     probs, ones = space.probs, np.ones(space.n_leaves)
     scan = candidate_matrix(space, "exhaustive")
     dens1 = scan.mask_norms(probs, ones)[scan.which]
-    densp = scan.mask_norms(probs, p.vals)[scan.which]
+    densp = scan.mask_norms(probs, pvals)[scan.which]
     ratios, kept = [], []
     for i in range(config.trials):
         f = generate_martingale(config, i)
         diffs = stopped_terminal_diffs(f, scan.taus, shift="minus-one")
         b1 = max_norm_ratio(probs, ones, diffs, dens1)[0]
-        bp = max_norm_ratio(probs, p.vals, diffs, densp)[0]
+        bp = max_norm_ratio(probs, pvals, diffs, densp)[0]
         if b1 == 0.0 or bp == 0.0:
             continue
         ratios.append(bp / b1)
@@ -510,8 +512,10 @@ def exp_jn_curve(f: Martingale, p: Exponent) -> ConstantReport:
     step function of t with at most one step per leaf (see
     ``_decay_segments``), read in one pass over the scan: the envelope at
     each t is the largest segment value over t, and the decay bound is
-    checked once per segment against its least bound over its range."""
+    checked once per segment against the least bound up to its end, then
+    per grid point only on the segments that break that one."""
     space = f.space
+    pvals = as_leaf_exponent(space, p)
     require_f0_zero(f, "exp_jn_curve requires f_0 = 0")
     scan = candidate_matrix(space, "exhaustive")
     diffs = stopped_terminal_diffs(f, scan.taus, shift="minus-one")
@@ -523,7 +527,7 @@ def exp_jn_curve(f: Martingale, p: Exponent) -> ConstantReport:
     # every indicator's norm by its mask's bits (see StoppingScan; at most
     # 19 leaves under the cap), 0 for the empty mask; in L^{r p(.)} it is
     # the power 1/r of the L^{p(.)} one
-    norms = scan.mask_norms(probs, p.vals)
+    norms = scan.mask_norms(probs, pvals)
     dens = norms[scan.which]
     norm_of_code = np.concatenate(([0.0], norms))
     # the scan holds every constant tau = n, so the table has exactly the
@@ -535,7 +539,7 @@ def exp_jn_curve(f: Martingale, p: Exponent) -> ConstantReport:
 
     def moment_ratio(r: float) -> float:
         if r not in cache:
-            best, _ = max_norm_ratio(probs, p.vals * r, diffs, dens ** (1.0 / r))
+            best, _ = max_norm_ratio(probs, pvals * r, diffs, dens ** (1.0 / r))
             cache[r] = best / b1
         return cache[r]
 
@@ -568,14 +572,12 @@ def exp_jn_curve(f: Martingale, p: Exponent) -> ConstantReport:
     counts = np.searchsorted(ts, table, side="right")
     counts[-1] = 0
     factors = np.array([4.0 * math.exp(-c2 * t / b1) for t in ts.tolist()])
-    # least[lo, hi - 1]: the least factor over grid indices lo..hi-1; the
-    # bound fl(fl(factor * den) + slack) is monotone in the factor, so a
-    # segment breaks it somewhere on its range exactly when it breaks it
-    # at the least factor
+    # least[hi - 1], the least factor on grid indices 0..hi-1, is at most
+    # every factor on a segment [lo, hi); the bound fl(fl(factor * den) +
+    # slack) is monotone in the factor, so a segment that breaks it
+    # somewhere on its range breaks it at least[hi - 1]
     span = np.arange(g)
-    least = np.minimum.accumulate(
-        np.where(span[None, :] >= span[:, None], factors, np.inf), axis=1
-    )
+    least = np.minimum.accumulate(factors)
     slack = ASSERT_SLACK * max(1.0, float(dens.max()))
     # top[lo * (g + 1) + hi]: the largest value lhs / den of the segments
     # on [lo, hi)
@@ -584,7 +586,7 @@ def exp_jn_curve(f: Martingale, p: Exponent) -> ConstantReport:
     for rows, lo, hi, lhs in _decay_segments(scan.taus, counts, norm_of_code):
         den = dens[rows]
         np.maximum.at(top, lo * (g + 1) + hi, lhs / den)
-        over = np.flatnonzero(lhs > least[lo, hi - 1] * den + slack)
+        over = np.flatnonzero(lhs > least[hi - 1] * den + slack)
         if over.size:
             on = (span >= lo[over, None]) & (span < hi[over, None])
             bound = factors * den[over, None] + slack

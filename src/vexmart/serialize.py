@@ -98,7 +98,7 @@ def martingale_from_json(space: FilteredSpace, obj: Mapping[str, Any]) -> Martin
 def stopping_time_to_json(tau: StoppingTime) -> dict:
     return {
         "stop_level": [
-            "inf" if math.isinf(t) else int(t) for t in tau.vals.tolist()
+            "inf" if t == INF else int(t) for t in tau.vals.tolist()
         ]
     }
 

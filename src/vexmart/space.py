@@ -140,17 +140,11 @@ class FilteredSpace(ArrayValue):
 
 @dataclass(frozen=True, eq=False)
 class Exponent(ArrayValue):
-    """Variable exponent p(.), one positive value per leaf, as a read-only
-    float array.
-
-    ``allow_infinite`` unlocks +inf entries, on which the Luxemburg norm
-    applies its max rule (see :mod:`vexmart.varlp`); operations that need a
-    finite exponent reject such exponents.
-    """
+    """Variable exponent p(.), one positive finite value per leaf, as a
+    read-only float array."""
 
     ARRAYS = {"vals": float}
     vals: np.ndarray
-    allow_infinite: bool = False
 
     def __post_init__(self) -> None:
         try:
@@ -162,14 +156,8 @@ class Exponent(ArrayValue):
             raise ValidationError("exponent values must be a flat list of numbers")
         if not v.min(initial=np.inf) > 0:  # NaN fails too
             raise ValidationError(f"exponent values must be positive, got {v[~(v > 0)][0]}")
-        if not self.allow_infinite and v.max(initial=0.0) == np.inf:
-            raise ValidationError(
-                "infinite exponent entries require allow_infinite=True"
-            )
-
-    @cached_property
-    def is_finite(self) -> bool:
-        return bool(np.all(np.isfinite(self.vals)))
+        if v.max(initial=0.0) == np.inf:
+            raise ValidationError("exponent values must be finite")
 
     def p_minus(self, leaves: Sequence[int] | np.ndarray | None = None) -> float:
         v = self.vals if leaves is None else self.vals[np.asarray(leaves)]
@@ -180,7 +168,7 @@ class Exponent(ArrayValue):
         return float(v.max())
 
     def scaled(self, r: float) -> "Exponent":
-        return Exponent(r * self.vals, self.allow_infinite)
+        return Exponent(r * self.vals)
 
 
 def constant_exponent(space: FilteredSpace, p0: float) -> Exponent:
@@ -377,8 +365,6 @@ def condition_k(
     """
     if mode not in ("exact-pairwise", "brute-force"):
         raise DomainError(f"unknown condition_k mode {mode!r}")
-    if not p.is_finite:
-        raise DomainError("condition_k requires a finite exponent")
     pv = as_leaf_exponent(space, p)
     probs = space.probs
     n = space.n_leaves
@@ -445,8 +431,6 @@ def condition_k(
 
 def aoyama_c(space: FilteredSpace, p: Exponent) -> float:
     """Minimal C with 1/p <= C * E(1/p | F_n) over all levels n."""
-    if not p.is_finite:
-        raise DomainError("aoyama_c requires a finite exponent")
     recip = 1.0 / as_leaf_exponent(space, p)
     cond = space.level_averages(np.broadcast_to(recip, space.block_of.shape))
     return max(1.0, float(np.max(recip / cond)))

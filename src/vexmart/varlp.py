@@ -24,8 +24,8 @@ one batch kernel:
   A supremum of norm / den over many rows (:func:`max_norm_ratio`, the
   BMO norm and the John-Nirenberg moment ratios) gives a row up once the
   upper end of its bracket, over its den, is below (1 - PRUNE_MARGIN)
-  times a ratio some row is known to reach: a finished row's ratio, the
-  lower end of a running row's bracket, or a max-rule floor (below).
+  times a ratio some row is known to reach: a finished row's ratio or the
+  lower end of a running row's bracket.
   Such a row is strictly below the maximum, so the value and the first
   row attaining it come from rows solved exactly as in :func:`norm_batch`.
 * A constant exponent takes the closed form (E|f|^p)^{1/p}.
@@ -40,11 +40,10 @@ one batch kernel:
   the last bit of a row's norm can depend on its batch's shape; tall rows
   agree with their one-row solves to about 1e-15 relative.
 
-Where p(w) = +inf (only an ``Exponent(allow_infinite=True)`` or a raw
-exponent array carries such entries), the modular instead imposes the
-constraint |f(w)| <= lambda, and the norm is the larger of max_{p = inf} |f|
-and the root of the finite part; so is the upper end of a pruning bracket.
-The Lipschitz-space exponent 1/alpha(.) is the one user of this max rule.
+Exponents are finite, as an :class:`Exponent` guarantees.  The one +inf
+exponent of the theory, 1/alpha(.) on {alpha = 0} in the Lipschitz norm,
+meets only indicators, and :func:`vexmart.bmo.lipschitz_norm` finds their
+norms without passing it here.
 """
 
 from __future__ import annotations
@@ -69,8 +68,8 @@ ASSERT_TOL = 1e-9
 @dataclass(frozen=True)
 class NormResult:
     """``iterations`` counts Newton steps, 0 for a closed form.
-    ``residual`` is |rho(f/norm) - 1|, or 0 where a closed form or the
-    constraint max_{p = inf} |f| gives the norm."""
+    ``residual`` is |rho(f/norm) - 1|, or 0 where a closed form gives the
+    norm."""
 
     norm: float
     iterations: int
@@ -83,8 +82,7 @@ def modular(
     p: Exponent,
     lam: float,
 ) -> float:
-    """rho(f/lam); math.inf when |f| > lam somewhere on {p = inf}.  A
-    one-lambda call of :func:`modular_grid`."""
+    """rho(f/lam), a one-lambda call of :func:`modular_grid`."""
     if not lam > 0:
         raise DomainError("modular requires lambda > 0")
     v = as_leaf_values(space, f)
@@ -97,23 +95,18 @@ def modular_grid(
     f: np.ndarray,
     lams: Sequence[float] | np.ndarray,
 ) -> np.ndarray:
-    """rho(f/lam) for every lam of a positive 1-d array, +inf where |f| >
-    lam somewhere on {p = inf}.  The (lambda, leaf) terms are made about
-    1 MB at a time, so memory does not grow with the grid.  Internal
-    plumbing for the weak-type check, like :func:`norm_batch`."""
+    """rho(f/lam) for every lam of a positive 1-d array.  The (lambda,
+    leaf) terms are made about 1 MB at a time, so memory does not grow
+    with the grid, and each block's rows are summed exactly as a
+    one-lambda call sums.  Internal plumbing for the weak-type check, like
+    :func:`norm_batch`."""
     lams = np.asarray(lams, dtype=float)
     a = np.abs(f)
     step = max(1, (1 << 20) // a.nbytes)
-    # the leaves are split before the division, so that each block of terms
-    # is C-ordered and its rows are summed exactly as a one-lambda call sums
-    fin = np.isfinite(pvals)
-    a, a_inf, probs, pvals = a[fin], a[~fin], probs[fin], pvals[fin]
     out = np.empty(lams.size)
     for start in range(0, lams.size, step):
         lam = lams[start : start + step, None]
-        rho = np.sum(probs * (a / lam) ** pvals, axis=1)
-        rho[(a_inf / lam > 1.0).any(axis=1)] = math.inf
-        out[start : start + step] = rho
+        out[start : start + step] = np.sum(probs * (a / lam) ** pvals, axis=1)
     return out
 
 
@@ -173,12 +166,6 @@ def _luxemburg_rows(
     a = np.abs(rows) if ax else np.abs(rows.T, order="C")
     leaf, row = _SPREAD[ax]
     m = rows.shape[0]
-    # the max rule's floor max_{p = inf} |f|, 0 without such leaves
-    sup = np.zeros(m)
-    inf = np.isinf(pvals)
-    if inf.any():
-        sup = np.compress(inf, a, axis=ax).max(axis=ax)
-        a, probs, pvals = np.compress(~inf, a, axis=ax), probs[~inf], pvals[~inf]
     norms = np.zeros(m)
     steps = np.zeros(m, dtype=np.intp)
     resid = np.zeros(m)
@@ -187,7 +174,7 @@ def _luxemburg_rows(
     # log(0) = -inf marks a zero entry; terms far below the row maximum
     # may underflow to 0
     with np.errstate(divide="ignore", under="ignore"):
-        if pvals.size and np.all(pvals == pvals[0]):
+        if np.all(pvals == pvals[0]):
             scale = np.where(live, top, 1.0)
             p0 = pvals[0]
             terms = (a / scale[row]) ** p0
@@ -204,18 +191,17 @@ def _luxemburg_rows(
             g0, slope0 = _log_modular(logw, pvals, np.zeros(idx.size), ax)
             u = g0 / slope0
             if dens is not None:
-                # in logs, the ratio a row reaches at e^u is lgain + u, and
-                # never below lfloor; the root r lies in
-                # [g0 / slope0, g0 / max p], as slope0 <= -g' <= max p on
-                # [r, 0], so the row that reaches best is kept
+                # in logs, the ratio a row reaches at e^u is lgain + u; the
+                # root r lies in [g0 / slope0, g0 / max p], as
+                # slope0 <= -g' <= max p on [r, 0], so the row that reaches
+                # best is kept
                 lgain = np.log(top[idx] / dens[idx])
-                lfloor = np.log(sup[idx] / dens[idx])
                 norms[idx] = np.nan
-                best = max(lfloor.max(), (lgain + u).max())
-                keep = np.maximum(lgain + g0 / pvals.max(), lfloor) >= best + _LOG_KEEP
+                best = (lgain + u).max()
+                keep = lgain + g0 / pvals.max() >= best + _LOG_KEEP
                 if not keep.all():
-                    idx, u, slope0 = idx[keep], u[keep], slope0[keep]
-                    lgain, lfloor = lgain[keep], lfloor[keep]
+                    idx, u, lgain = idx[keep], u[keep], lgain[keep]
+                    slope0 = slope0[keep]
                     logw = np.compress(keep, logw, axis=1 - ax)
             for it in range(1, NEWTON_MAX_ITER + 1):
                 g, slope = _log_modular(logw, pvals, u, ax)
@@ -232,8 +218,7 @@ def _luxemburg_rows(
                     # Newton's step stays left of the root, and -g' >= slope0
                     # left of it: r lies in [u + g / slope, u + g / slope0]
                     best = max(best, (lgain + np.where(done, u, nxt)).max())
-                    upper = np.maximum(lgain + u + g / slope0, lfloor)
-                    keep &= upper >= best + _LOG_KEEP
+                    keep &= lgain + u + g / slope0 >= best + _LOG_KEEP
                 if not keep.any():
                     break
                 u = nxt
@@ -241,8 +226,7 @@ def _luxemburg_rows(
                     idx, u = idx[keep], u[keep]
                     logw = np.compress(keep, logw, axis=1 - ax)
                     if dens is not None:
-                        slope0 = slope0[keep]
-                        lgain, lfloor = lgain[keep], lfloor[keep]
+                        slope0, lgain = slope0[keep], lgain[keep]
             else:
                 lam = float(top[idx[0]] * np.exp(u[0]))
                 raise NumericalError(
@@ -250,8 +234,7 @@ def _luxemburg_rows(
                     f"{NEWTON_MAX_ITER} steps on {idx.size} rows; the first, "
                     f"row {idx[0]} of the batch, was last at lambda {lam!r}"
                 )
-    resid[sup >= norms] = 0.0
-    return np.maximum(norms, sup), steps, resid
+    return norms, steps, resid
 
 
 def luxemburg_norm(
@@ -301,21 +284,17 @@ def indicator_norm(probs: np.ndarray, pvals: np.ndarray, mask: np.ndarray) -> fl
     """||chi_E||_{p(.)} for the leaf set E = {mask}, solved on E alone,
     where the modular of chi_E / lambda is G(lambda) = sum_E P lambda^{-p}.
 
-    An empty E has norm 0.  Where E meets {p = inf}, the max rule gives
-    max(1, r) for the root r of the finite part, and r <= 1 as G(1) <=
-    P(E) <= 1, so the norm is 1.  Where p is constant on E it is
-    P(E)^{1/p}.  Otherwise Newton runs on g(u) = log G(e^u), shifted by
-    its largest term, with the kernel's stopping rule; it starts from the
-    zero of the tangent at u = 0, where g = log P(E) and the slope -g' is
-    the P-mean of p on E, which convexity puts left of the root.
+    An empty E has norm 0.  Where p is constant on E it is P(E)^{1/p}.
+    Otherwise Newton runs on g(u) = log G(e^u), shifted by its largest
+    term, with the kernel's stopping rule; it starts from the zero of the
+    tangent at u = 0, where g = log P(E) and the slope -g' is the P-mean
+    of p on E, which convexity puts left of the root.
     Internal plumbing for the atomic decomposition and the indicator
     profiles.
     """
     pe, q = probs[mask], pvals[mask]
     if not q.size:
         return 0.0
-    if np.isinf(q).any():
-        return 1.0
     total = float(pe.sum())
     if np.all(q == q[0]):
         return total ** (1.0 / float(q[0]))

@@ -191,32 +191,41 @@ class TestLipschitzNorm:
         assert b == pytest.approx(3.0 * a, rel=1e-9)
 
     def test_mixed_alpha_exhaustive_matches_brute_force(self):
-        # alpha = 0 leaves are +inf entries of 1/alpha among finite ones, in
-        # a batch of 255 masks on 8 leaves
+        # alpha = 0 leaves are +inf entries of 1/alpha, which the bisection
+        # reads as |chi| <= lambda: on dyadic depth 3 (255 masks on 8
+        # leaves) and on trees with unequal leaf probabilities, with no, some
+        # and only zero alphas, for q = 1, 2, 3
         from vexmart import StoppingTime, stop
         from vexmart.martingale import enumerate_stopping_matrix
-        sp = build_dyadic_space(3)
         rng = random.Random(41)
-        alphas = [(0.0, 0.4) * 4] + [
-            tuple(0.0 if rng.random() < 0.4 else rng.uniform(0.05, 1.5)
-                  for _ in range(8)) for _ in range(3)]
-        for alpha in alphas:
-            f = martingale_from_terminal(sp, [rng.gauss(0, 1) for _ in range(8)])
-            inv_alpha = np.array([math.inf if a == 0 else 1 / a for a in alpha])
-            res = lipschitz_norm(f, 2.0, alpha, mode="exhaustive")
-            best = 0.0
-            for row in enumerate_stopping_matrix(sp):
-                tau = StoppingTime(row)
-                chi = tau.finite_mask.astype(float)
-                if not chi.any():
-                    continue
-                diff = f.terminal - stop(f, tau).terminal
-                num = float((diff**2 @ sp.probs) ** 0.5)
-                den = float(chi @ sp.probs) ** 0.5 * bisection_oracle(
-                    sp.probs, inv_alpha, chi)
-                best = max(best, num / den)
-            assert res.mode == "exhaustive" and res.candidates == 676
-            assert res.value == pytest.approx(best, rel=1e-10)
+        spaces = [build_dyadic_space(3)] + [
+            random_tree_space(rng, max_leaves=7) for _ in range(4)]
+        for sp in spaces:
+            n = sp.n_leaves
+            taus = [StoppingTime(row) for row in enumerate_stopping_matrix(sp)]
+            taus = [tau for tau in taus if tau.finite_mask.any()]
+            alphas = [[0.0 if rng.random() < share else rng.uniform(0.05, 1.5)
+                       for _ in range(n)] for share in (0.0, 0.3, 1.0)]
+            if n == 8:
+                alphas.append([0.0, 0.4] * 4)
+            for alpha in alphas:
+                f = martingale_from_terminal(sp, [rng.gauss(0, 1) for _ in range(n)])
+                inv_alpha = np.array([math.inf if a == 0 else 1 / a for a in alpha])
+                oracle = {}
+                cases = []
+                for tau in taus:
+                    chi = tau.finite_mask.astype(float)
+                    key = chi.tobytes()
+                    if key not in oracle:
+                        oracle[key] = bisection_oracle(sp.probs, inv_alpha, chi)
+                    diff = np.abs(f.terminal - stop(f, tau).terminal)
+                    cases.append((diff, float(chi @ sp.probs), oracle[key]))
+                for q in (1.0, 2.0, 3.0):
+                    res = lipschitz_norm(f, q, alpha, mode="exhaustive")
+                    best = max(float(diff**q @ sp.probs) ** (1 / q) / (pq ** (1 / q) * den)
+                               for diff, pq, den in cases)
+                    assert res.mode == "exhaustive" and res.candidates == len(taus)
+                    assert res.value == pytest.approx(best, rel=1e-10)
 
 
 class TestDualityPairing:
@@ -300,8 +309,8 @@ def test_sampled_candidates_match_recursive_oracle(seed, samples):
 
 
 @settings(max_examples=60, deadline=None)
-@given(seed=st.integers(min_value=0, max_value=10**6), infinite=st.booleans())
-def test_indicator_norms_match_per_row_loop(seed, infinite):
+@given(seed=st.integers(min_value=0, max_value=10**6))
+def test_indicator_norms_match_per_row_loop(seed):
     """A scan of the stopping times tau = N on random leaf subsets, with
     duplicate and empty subsets: its distinct-mask norms gathered by
     ``which`` are the per-row norms, and the empty mask, which the scan
@@ -310,11 +319,9 @@ def test_indicator_norms_match_per_row_loop(seed, infinite):
     sp = random_tree_space(rng, max_leaves=20)
     n = sp.n_leaves
     vals = [rng.uniform(0.5, 4.0) for _ in range(n)]
-    if infinite:
-        vals = [math.inf if rng.random() < 0.3 else v for v in vals]
-    elif rng.random() < 0.3:
+    if rng.random() < 0.3:
         vals = [vals[0]] * n  # the constant-exponent closed form
-    p = Exponent(vals, allow_infinite=infinite)
+    p = Exponent(vals)
     m = rng.randint(1, 40)
     masks = np.array([[rng.random() < 0.5 for _ in range(n)] for _ in range(m + 1)])
     masks[m] = False

@@ -401,7 +401,7 @@ class TestExitCodes:
         assert "finite" in capsys.readouterr().err
 
     @pytest.mark.parametrize("bad", [["a", 1.0], [math.nan, 1.0], [0.0, 1.0],
-                                     [[1.0], [2.0]], "ab"])
+                                     [[1.0], [2.0]], "ab", [math.inf, 1.0]])
     def test_bad_exponent_exit_one(self, capsys, tmp_path, quad_inputs, bad):
         sp, _, fn = quad_inputs
         pe = write_json(tmp_path / "bad_p.json", {"values": bad})
@@ -457,6 +457,8 @@ class TestExitCodes:
         ["check", "lemma34", "--function", "f"], ["bmo", "--martingale", "m"],
         ["experiment", "weak-type", "--martingale", "m"],
         ["experiment", "doob", "--trials", "2"],
+        ["experiment", "jn", "--trials", "2"],
+        ["experiment", "exp-jn", "--martingale", "m"],
     ])
     def test_exponent_of_the_wrong_length_exit_one(self, capsys, tmp_path,
                                                    values, command):
@@ -475,6 +477,42 @@ class TestExitCodes:
         assert code == 1
         assert captured.out == ""
         assert captured.err.startswith("error: expected 4 exponent values")
+
+    @pytest.mark.parametrize("command, option", [
+        (["space", "gen-dyadic", "--depth", "1"], ["--format", "csv"]),
+        (["norm", "--exponent", "p", "--function", "f"], ["--format", "csv"]),
+        (["decompose", "--exponent", "p", "--martingale", "m"], ["--format", "csv"]),
+        (["check", "condition-k", "--exponent", "p"], ["--format", "csv"]),
+        (["check", "aoyama", "--exponent", "p"], ["--format", "csv"]),
+        (["bmo", "--exponent", "p", "--martingale", "m"], ["--format", "csv"]),
+        (["lipschitz", "--martingale", "m", "--q", "2", "--alpha", "a"],
+         ["--format", "csv"]),
+        (["experiment", "weak-type"], ["--trials", "7"]),
+        (["experiment", "exp-jn"], ["--trials", "7"]),
+        (["experiment", "violation-33", "--trials", "2"], ["--f-law", "uniform"]),
+    ])
+    def test_option_the_command_does_not_read_exit_one(self, capsys, tmp_path,
+                                                       command, option):
+        # each command runs without the option and is refused with it
+        paths = {
+            "s": write_json(tmp_path / "s.json",
+                            serialize.space_to_json(build_dyadic_space(2))),
+            "p": write_json(tmp_path / "p.json", {"values": [1.5, 2.5, 2.0, 3.0]}),
+            "f": write_json(tmp_path / "f.json", {"values": [1.0, -2.0, 0.5, 3.0]}),
+            "m": write_json(tmp_path / "m.json", {"terminal": [1.0, -1.0, 2.5, -2.5]}),
+            "a": write_json(tmp_path / "a.json", {"values": [0.0, 0.4, 0.2, 0.0]}),
+        }
+        argv = [paths.get(a, a) for a in command]
+        if command[0] == "experiment":
+            argv += ["--depth", "2"]
+        elif command[0] != "space":
+            argv += ["--space", paths["s"]]
+        assert run(argv) == 0
+        capsys.readouterr()
+        assert run(argv + option) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: unrecognized arguments: {' '.join(option)}\n"
 
     @pytest.mark.parametrize("value", [[1.0, 2.0], 3])
     def test_non_object_martingale_exit_one(self, capsys, tmp_path, quad_inputs,

@@ -986,17 +986,6 @@ def test_weak_type_matches_per_lambda_loop_bitwise_on_dyadic(depth, law):
         assert rep.witness["lambda"] == grid[loop.index(best)]
 
 
-def test_weak_type_refuses_infinite_exponent():
-    """The proof-chain constant p_+(A)/p_-(A) needs p_+ < inf: a set A
-    inside {p = inf} would get the bound inf/inf, which no ratio can
-    exceed, so an exponent with +inf entries is refused."""
-    sp = build_dyadic_space(2)
-    f = martingale_from_terminal(sp, [1.0, -1.0, 2.0, -2.0])
-    p = Exponent([2.0, math.inf, 1.5, 3.0], allow_infinite=True)
-    with pytest.raises(DomainError, match="finite exponent"):
-        weak_type_check(f, p)
-
-
 def test_weak_type_failure_names_first_failing_lambda(monkeypatch):
     """With every modular read ten times too small, the ratios exceed their
     bounds; the error names the first such lambda in grid order, as the
@@ -1026,35 +1015,26 @@ def test_weak_type_failure_names_first_failing_lambda(monkeypatch):
 
 
 def _modular_oracle(probs, pvals, f, lam):
-    """The former scalar modular: the finite terms' sum, or +inf where
-    |f|/lambda > 1 on {p = inf}."""
-    v = np.abs(f) / lam
-    inf = np.isinf(pvals)
-    if np.any(v[inf] > 1.0):
-        return math.inf
-    return float(np.sum(probs[~inf] * v[~inf] ** pvals[~inf]))
+    """The former scalar modular: one sum of the leaves' terms."""
+    return float(np.sum(probs * (np.abs(f) / lam) ** pvals))
 
 
 def test_modular_grid_matches_one_lambda_calls():
-    """Bit for bit, +inf entries included, across the 1 MB blocks of a
-    2048-leaf grid."""
+    """Bit for bit, across the 1 MB blocks of a 2048-leaf grid."""
     rng = random.Random(29)
     spaces = [random_tree_space(rng) for _ in range(30)] + [build_dyadic_space(11)]
     for sp in spaces:
         n = sp.n_leaves
         v = np.array([rng.gauss(0.0, 1.0) for _ in range(n)])
-        for share in (0.0, 0.3):
-            vals = [math.inf if rng.random() < share else rng.uniform(0.5, 3.0)
-                    for _ in range(n)]
-            p = Exponent(vals, allow_infinite=True)
-            lams = np.concatenate((
-                np.abs(v[: min(n, 50)]),
-                [rng.uniform(0.01, 4.0) for _ in range(150)],
-            ))
-            got = modular_grid(sp.probs, p.vals, v, lams)
-            one = [modular(sp, v, p, lam) for lam in lams]
-            want = [_modular_oracle(sp.probs, p.vals, v, lam) for lam in lams]
-            assert got.tolist() == one == want
+        p = Exponent([rng.uniform(0.5, 3.0) for _ in range(n)])
+        lams = np.concatenate((
+            np.abs(v[: min(n, 50)]),
+            [rng.uniform(0.01, 4.0) for _ in range(150)],
+        ))
+        got = modular_grid(sp.probs, p.vals, v, lams)
+        one = [modular(sp, v, p, lam) for lam in lams]
+        want = [_modular_oracle(sp.probs, p.vals, v, lam) for lam in lams]
+        assert got.tolist() == one == want
 
 
 def test_weak_type_memory_is_bounded_on_2048_leaves():

@@ -4,7 +4,6 @@ warm and cold spaces give the same suprema while the cap is still checked
 on every call.  The mask norms each scan keeps per exponent: equal bit for
 bit to a fresh solve, read-only, never solved twice and bounded by bytes."""
 
-import math
 import random
 import sys
 from collections import Counter
@@ -248,8 +247,9 @@ def _fresh_mask_norms(scan, probs, pvals):
 ])
 def test_kept_mask_norms_equal_fresh_solves(make):
     """Calls with a constant, a variable, the unit and a Lipschitz exponent
-    1/alpha with +inf entries, interleaved on the exhaustive and a sampled
-    scan, each return exactly what a fresh solve returns."""
+    1/alpha with the finite value lipschitz_norm puts on {alpha = 0},
+    interleaved on the exhaustive and a sampled scan, each return exactly
+    what a fresh solve returns."""
     sp = make()
     n = sp.n_leaves
     rng = random.Random(n)
@@ -258,7 +258,7 @@ def test_kept_mask_norms_equal_fresh_solves(make):
         np.full(n, 2.0),
         random_exponent(rng, n, 1.0, 3.0).vals,
         np.ones(n),
-        np.where(alpha > 0, 1.0 / np.where(alpha > 0, alpha, 1.0), math.inf),
+        1.0 / np.where(alpha > 0, alpha, alpha.max()),
         random_exponent(rng, n, 0.5, 4.0).vals,
     ]
     scans = [candidate_matrix(sp, "exhaustive"),

@@ -13,6 +13,7 @@ from vexmart import (
     DomainError,
     Exponent,
     ResourceError,
+    TrialConfig,
     ValidationError,
     aoyama_c,
     build_dyadic_space,
@@ -22,10 +23,14 @@ from vexmart import (
     cond_expect,
     condition_k,
     constant_exponent,
+    doob_strong_check,
+    exp_jn_curve,
     exponent_algebra,
+    jn_equivalence,
     lipschitz_norm,
     martingale_from_terminal,
     validate_filtration,
+    weak_type_check,
 )
 
 from conftest import random_exponent, random_tree_space, relabelled_levels
@@ -106,9 +111,11 @@ class TestExponent:
             Exponent((1.0, 0.0))
 
     def test_rejects_infinite_by_default(self):
-        with pytest.raises(ValidationError):
-            Exponent((1.0, math.inf))
-        assert not Exponent((1.0, math.inf), allow_infinite=True).is_finite
+        for vals in [(1.0, math.inf), (math.inf,), (math.inf, math.inf)]:
+            with pytest.raises(ValidationError, match="finite"):
+                Exponent(vals)
+        with pytest.raises(TypeError):
+            Exponent((1.0, 2.0), allow_infinite=True)
 
     def test_restricted_extrema(self):
         p = Exponent((1.0, 3.0, 2.0))
@@ -130,10 +137,18 @@ EXPONENT_ENTRY_POINTS = {
     "check_holder": lambda sp, p: check_holder(
         sp, _V4, _V4, constant_exponent(sp, 1.0), constant_exponent(sp, 2.0), p
     ),
+    "weak_type_check": lambda sp, p: weak_type_check(
+        martingale_from_terminal(sp, _V4), p
+    ),
+    "doob_strong_check": lambda sp, p: doob_strong_check(TrialConfig(sp, trials=2), p),
+    "jn_equivalence": lambda sp, p: jn_equivalence(TrialConfig(sp, trials=2), p),
+    "exp_jn_curve": lambda sp, p: exp_jn_curve(martingale_from_terminal(sp, _V4), p),
 }
 
 
-@pytest.mark.parametrize("vals", [(2.0, 2.0, 2.0), (1.5, 2.5, 2.0)])
+@pytest.mark.parametrize("vals", [
+    (2.0, 2.0, 2.0), (1.5, 2.5, 2.0), (1.5, 2.5, 2.0, 3.0, 1.2),
+])
 @pytest.mark.parametrize("entry", sorted(EXPONENT_ENTRY_POINTS))
 def test_entry_points_refuse_exponent_of_the_wrong_length(entry, vals):
     with pytest.raises(ValidationError, match="expected 4 "):
@@ -563,11 +578,11 @@ class TestArrayFields:
 
     def test_exponent_stores_one_array(self):
         p = Exponent((1.0, 2.5))
-        assert [f.name for f in fields(p)] == ["vals", "allow_infinite"]
+        assert [f.name for f in fields(p)] == ["vals"]
         assert not p.vals.flags.writeable
         assert p.vals.tolist() == [1.0, 2.5]
         assert p == Exponent(np.array([1.0, 2.5]))
-        assert p != Exponent((1.0, 2.5), allow_infinite=True)
+        assert p != Exponent((1.0, 2.0))
         with pytest.raises(TypeError):
             hash(p)
 

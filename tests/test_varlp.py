@@ -149,19 +149,6 @@ def test_monotone_in_absolute_value(seed):
     )
 
 
-def test_mixed_mode_all_infinite(two_leaf):
-    p = Exponent((math.inf, math.inf), allow_infinite=True)
-    res = luxemburg_norm(two_leaf, (0.5, 2.0), p)
-    assert res.norm == pytest.approx(2.0, rel=1e-11)
-
-
-def test_mixed_mode_partial_infinite(two_leaf):
-    p = Exponent((2.0, math.inf), allow_infinite=True)
-    # constraint |f| <= lam on leaf 1 binds at lam = 3; modular there < 1
-    res = luxemburg_norm(two_leaf, (1.0, 3.0), p)
-    assert res.norm == pytest.approx(3.0)
-
-
 def test_norm_batch_matches_scalar():
     rng = random.Random(19)
     for _ in range(20):
@@ -184,12 +171,11 @@ def test_norm_batch_matches_scalar():
     p_hi=st.floats(min_value=0.3, max_value=6.0),
     log_scale=st.floats(min_value=-6.0, max_value=6.0),
     zero_frac=st.sampled_from([0.0, 0.3, 0.7]),
-    infinite=st.booleans(),
     constant=st.booleans(),
     shape=st.sampled_from(["one", "square", "tall"]),
 )
 def test_kernel_matches_bisection_oracle(seed, p_lo, p_hi, log_scale, zero_frac,
-                                         infinite, constant, shape):
+                                         constant, shape):
     # one row and n rows are solved row by row, n + 5 rows leaf by leaf
     rng = random.Random(seed)
     sp = random_tree_space(rng)
@@ -198,9 +184,7 @@ def test_kernel_matches_bisection_oracle(seed, p_lo, p_hi, log_scale, zero_frac,
     pv = [rng.uniform(lo, hi) for _ in range(n)]
     if constant:
         pv = [pv[0]] * n
-    if infinite:
-        pv = [math.inf if rng.random() < 0.4 else x for x in pv]
-    p = Exponent(tuple(pv), allow_infinite=infinite)
+    p = Exponent(tuple(pv))
     scale = 10.0**log_scale
     m = {"one": 1, "square": n, "tall": n + 5}[shape]
     rows = np.array([[0.0 if rng.random() < zero_frac else scale * rng.gauss(0, 1)
@@ -225,9 +209,7 @@ def test_batch_layout_changes_only_rounding(tall):
     for _ in range(40):
         sp = random_tree_space(rng)
         n = sp.n_leaves
-        pv = [rng.uniform(0.4, 5.0) for _ in range(n)]
-        pv[0] = math.inf if rng.random() < 0.3 else pv[0]
-        p = Exponent(tuple(pv), allow_infinite=True)
+        p = Exponent(tuple(rng.uniform(0.4, 5.0) for _ in range(n)))
         m = rng.randint(n + 1, 3 * n) if tall else rng.randint(1, n)
         rows = np.array([[0.0 if rng.random() < 0.3 else
                           rng.gauss(0, 1) * 10.0 ** rng.uniform(-4, 4)
@@ -242,7 +224,7 @@ def test_batch_layout_changes_only_rounding(tall):
 @settings(max_examples=300, deadline=None)
 @given(
     seed=st.integers(min_value=0, max_value=10**6),
-    law=st.sampled_from(["constant", "variable", "infinite"]),
+    law=st.sampled_from(["constant", "variable"]),
     tall=st.booleans(),
 )
 def test_max_norm_ratio_matches_the_full_batch(seed, law, tall):
@@ -257,8 +239,6 @@ def test_max_norm_ratio_matches_the_full_batch(seed, law, tall):
     pv = [rng.uniform(0.5, 4.0) for _ in range(n)]
     if law == "constant":
         pv = [pv[0]] * n
-    elif law == "infinite":
-        pv = [math.inf if rng.random() < 0.4 else x for x in pv]
     pvals = np.array(pv)
     m = rng.randint(n + 1, 4 * n) if tall else rng.randint(1, n)
     rows = np.array([[0.0 if rng.random() < 0.3 else
@@ -306,14 +286,14 @@ def test_newton_failure_names_first_unconverged_row(monkeypatch, tall):
 @settings(max_examples=400, deadline=None)
 @given(
     seed=st.integers(min_value=0, max_value=10**6),
-    law=st.sampled_from(["constant-on-E", "two-valued", "iid", "infinite"]),
+    law=st.sampled_from(["constant-on-E", "two-valued", "iid"]),
     frac=st.one_of(st.just(0.0), st.floats(min_value=0.0, max_value=1.0)),
 )
 def test_indicator_norm_matches_the_kernel(seed, law, frac):
     """The solve on E alone is the kernel's norm of chi_E to 1e-13, on
     spaces with unequal leaf probabilities and exponents in [0.3, 6].
-    Where p is finite on E, chi_E over it has modular 1 to the stopping
-    rule's own bound: the last Newton step in log lambda is at most
+    On a nonempty E, chi_E over it has modular 1 to the stopping rule's
+    own bound: the last Newton step in log lambda is at most
     NEWTON_REL_TOL, so log rho is at most p_+(E) times that."""
     rng = random.Random(seed)
     sp = random_tree_space(rng, max_leaves=40)
@@ -324,23 +304,20 @@ def test_indicator_norm_matches_the_kernel(seed, law, frac):
         pv = [pv[0] if m else x for m, x in zip(mask, pv)]
     elif law == "two-valued":
         pv = [rng.choice(pv[:2]) for _ in range(n)]
-    elif law == "infinite":
-        pv = [math.inf if rng.random() < 0.3 else x for x in pv]
-    p = Exponent(pv, allow_infinite=True)
+    p = Exponent(pv)
     got = indicator_norm(sp.probs, p.vals, mask)
     assert got == pytest.approx(luxemburg_norm(sp, mask, p).norm, rel=1e-13, abs=0.0)
-    if mask.any() and np.isfinite(p.vals[mask]).all():
+    if mask.any():
         tol = varlp.NEWTON_REL_TOL * p.p_plus(mask) + 1e-14
         assert abs(modular(sp, mask / got, p, 1.0) - 1.0) <= tol
 
 
 def test_indicator_norm_closed_forms():
-    """0 on the empty set, 1 on a set meeting {p = inf}, P(E)^{1/p} where p
-    is constant on E, also when p varies off E."""
+    """0 on the empty set, P(E)^{1/p} where p is constant on E, also when
+    p varies off E."""
     probs = np.array([0.1, 0.2, 0.3, 0.4])
-    pvals = np.array([2.0, 2.0, 5.0, math.inf])
+    pvals = np.array([2.0, 2.0, 5.0, 3.0])
     assert indicator_norm(probs, pvals, np.zeros(4, dtype=bool)) == 0.0
-    assert indicator_norm(probs, pvals, np.array([True, False, False, True])) == 1.0
     assert indicator_norm(probs, pvals, np.array([True, True, False, False])) == (
         (0.1 + 0.2) ** 0.5)
 
