@@ -6,11 +6,10 @@ sample that always contains tau = 0, tau = infinity and every constant-level
 tau = n.  Sampled values are lower bounds of the true supremum and the mode
 is reported so callers can pin exhaustive results only.  The family depends
 on the filtration alone, so it is built once per space and cached there
-together with the index of its distinct {tau < inf} masks.  The norms of
-those masks depend on the exponent too, and the scan keeps them per
-exponent under a byte budget, so a call gathers its stopped differences
-and solves its numerators, and solves its denominators only for an
-exponent the scan has not kept.
+together with its distinct {tau < inf} masks.  The norms of those masks
+depend on the exponent too, and the scan keeps them per exponent under a
+byte budget, so a call gathers its stopped differences from one table and
+solves its numerators, and its denominators only for a new exponent.
 """
 
 from __future__ import annotations
@@ -24,6 +23,7 @@ import numpy as np
 from .errors import DomainError, ResourceError
 from .martingale import (
     ENUMERATION_CAP,
+    INF,
     Martingale,
     StoppingTime,
     count_stopping_times,
@@ -44,29 +44,30 @@ _MASK_NORM_BUDGET = 16 << 20
 @dataclass(frozen=True)
 class SupNormResult:
     value: float
-    argmax_tau: StoppingTime | None
+    argmax_tau: StoppingTime
     mode: str  # "exhaustive" | "sampled"
     candidates: int
 
 
 @dataclass(frozen=True, eq=False)
 class StoppingScan:
-    """A family of stopping times to scan, all arrays read-only: their stop
-    levels ``taus`` (rows that are finite somewhere), the masks ``finite``
-    of {tau < inf}, one row index ``first`` per distinct mask and, per row,
-    the position ``which`` of its mask in ``first``; and how the family
-    was made, "exhaustive" or "sampled".  Distinct masks ascend by their
-    bits read as a binary number c, leaf 0 on top; an exhaustive family has
-    every nonempty subset (tau = N on it), so there mask c is at c - 1.
+    """A family of stopping times to scan, all arrays read-only: per row
+    (a tau finite somewhere) and leaf x, ``cells`` holds the position
+    min(tau(x), N+1) * n_leaves + x of its difference in the table of
+    ``stopped_terminal_diffs``; ``masks`` holds the distinct masks of
+    {tau < inf}, ``which`` the position of each row's mask there, and
+    ``mode`` how the family was made, "exhaustive" or "sampled".  Masks
+    ascend by their bits read as a binary number c, leaf 0 on top; an
+    exhaustive family has every nonempty subset (tau = N on it), so there
+    mask c is at c - 1.
 
     The mask norms of each (probs, exponent) are solved once and kept,
     read-only, under their bytes; at most _MASK_NORM_BUDGET bytes of them,
     keys included, the oldest given up first.  A kept value is the array
     the solve returned, so it equals a fresh solve bit for bit."""
 
-    taus: np.ndarray
-    finite: np.ndarray
-    first: np.ndarray
+    cells: np.ndarray
+    masks: np.ndarray
     which: np.ndarray
     mode: str
     _norms: dict = field(default_factory=dict, init=False, repr=False, compare=False)
@@ -74,21 +75,24 @@ class StoppingScan:
     _held: int = field(default=0, init=False, repr=False, compare=False)
 
     @classmethod
-    def of(cls, taus: np.ndarray, mode: str) -> "StoppingScan":
-        taus = taus[np.isfinite(taus).any(axis=1)]
+    def of(cls, taus: np.ndarray, depth: int, mode: str) -> "StoppingScan":
         finite = np.isfinite(taus)
-        first, which = _distinct_rows(_packed_rows(finite))
-        return cls(*map(readonly, (taus, finite, first, which)), mode)
+        kept = finite.any(axis=1)
+        finite = finite[kept]
+        first, which = _distinct_rows(finite)
+        cells = np.minimum(taus[kept], depth + 1).astype(np.intp)
+        cells *= cells.shape[1]
+        cells += np.arange(cells.shape[1])
+        return cls(*map(readonly, (cells, finite[first], which)), mode)
 
     def mask_norms(self, probs: np.ndarray, pvals: np.ndarray) -> np.ndarray:
         """||chi_{tau<inf}||_{p(.)} per distinct mask, in the order of
-        ``first``, read-only; ``[which]`` of it gives them per row.  One
+        ``masks``, read-only; ``[which]`` of it gives them per row.  One
         batch solves them for each (probs, pvals) the scan has not kept."""
         key = (probs.tobytes(), pvals.tobytes())
         norms = self._norms.get(key)
         if norms is None:
-            masks = self.finite[self.first].astype(float)
-            norms = readonly(norm_batch(probs, pvals, masks))
+            norms = readonly(norm_batch(probs, pvals, self.masks.astype(float)))
             size = _entry_bytes(key, norms)
             if size <= _MASK_NORM_BUDGET:
                 held = self._held
@@ -124,7 +128,7 @@ def candidate_matrix(
     if mode in ("auto", "exhaustive") and count <= ENUMERATION_CAP:
         if "exhaustive" not in cache:
             cache["exhaustive"] = StoppingScan.of(
-                enumerate_stopping_matrix(space), "exhaustive"
+                enumerate_stopping_matrix(space), space.depth, "exhaustive"
             )
         return cache["exhaustive"]
     if mode == "exhaustive":
@@ -139,20 +143,9 @@ def candidate_matrix(
             sample_stopping_matrix(space, samples, seed),
             np.broadcast_to(levels, (space.depth + 1, space.n_leaves)),
         ])
-        scan = StoppingScan.of(rows[_distinct_rows(rows)[0]], "sampled")
+        scan = StoppingScan.of(rows[_distinct_rows(rows)[0]], space.depth, "sampled")
         cache["sampled"] = ((seed, samples), scan)
     return scan
-
-
-def _packed_rows(masks: np.ndarray) -> np.ndarray:
-    """``np.packbits(masks, axis=1)`` of a boolean matrix, from one flat
-    pack of its rows padded with False to a multiple of 8 columns, which is
-    far faster than packing along an axis."""
-    rows, width = masks.shape
-    padded = -width % 8
-    if padded:
-        masks = np.concatenate([masks, np.zeros((rows, padded), dtype=bool)], axis=1)
-    return np.packbits(masks.ravel()).reshape(rows, (width + padded) // 8)
 
 
 def _distinct_rows(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -171,8 +164,9 @@ def _distinct_rows(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _sup_result(scan: StoppingScan, value: float, i: int) -> SupNormResult:
-    n = scan.taus.shape[0]
-    return SupNormResult(value, StoppingTime(scan.taus[i]), scan.mode, n)
+    rows, n = scan.cells.shape
+    tau = np.where(scan.masks[scan.which[i]], scan.cells[i] // n, INF)
+    return SupNormResult(value, StoppingTime(tau), scan.mode, rows)
 
 
 def bmo_norm(
@@ -189,7 +183,7 @@ def bmo_norm(
     require_f0_zero(f, "bmo_norm requires f_0 = 0")
     pv = as_leaf_exponent(space, p)
     scan = candidate_matrix(space, mode, seed, samples)
-    diffs = stopped_terminal_diffs(f, scan.taus, shift="minus-one")
+    diffs = np.take(stopped_terminal_diffs(f, shift="minus-one"), scan.cells)
     dens = scan.mask_norms(space.probs, pv)[scan.which]
     return _sup_result(scan, *max_norm_ratio(space.probs, pv, diffs, dens))
 
@@ -219,11 +213,11 @@ def lipschitz_norm(
     inv_alpha = 1.0 / np.where(pos, avals, avals.max() or 1.0)
 
     scan = candidate_matrix(space, mode, seed, samples)
-    diffs = np.abs(stopped_terminal_diffs(f, scan.taus, shift="none"))
+    diffs = np.abs(np.take(stopped_terminal_diffs(f, shift="none"), scan.cells))
     nums = (diffs**q @ space.probs) ** (1.0 / q)
-    pq = scan.finite @ space.probs
+    pq = scan.masks[scan.which] @ space.probs
     dens_q = pq ** (1.0 / q)
-    meets_zero = (scan.finite[scan.first] & ~pos).any(axis=1)
+    meets_zero = (scan.masks & ~pos).any(axis=1)
     dens_alpha = np.where(meets_zero, 1.0, scan.mask_norms(space.probs, inv_alpha))
     ratios = nums / (dens_q * dens_alpha[scan.which])
     i = int(np.argmax(ratios))

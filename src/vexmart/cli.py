@@ -77,17 +77,36 @@ def _exponent_from(args, space):
     return p
 
 
+def _given(value, default):
+    return default if value is None else value
+
+
 def _config_from(args, space) -> TrialConfig:
     # weak-type and exp-jn draw one martingale and violation-33 none, so
     # they take no --trials or no --f-law
     return TrialConfig(
         space=space,
-        seed=args.seed,
+        seed=_given(args.seed, 0),
         trials=getattr(args, "trials", 1),
-        p_range=(args.p_lo, args.p_hi),
-        exponent_law=args.p_law,
-        martingale_law=getattr(args, "f_law", "normal"),
+        p_range=(_given(args.p_lo, 1.1), _given(args.p_hi, 3.0)),
+        exponent_law=_given(args.p_law, "iid-uniform"),
+        martingale_law=_given(getattr(args, "f_law", None), "normal"),
     )
+
+
+# input files -> the options that generate what they replace
+_REPLACED_BY = {("exponent",): ("p_law", "p_lo", "p_hi"), ("martingale",): ("f_law",),
+                ("exponent", "martingale"): ("seed",)}
+
+
+def _refuse_unread(args) -> None:
+    """Refuse an experiment option that a given input file leaves unread,
+    as argparse refuses --depth beside --space."""
+    for files, options in _REPLACED_BY.items():
+        given = [name for name in options if getattr(args, name, None) is not None]
+        if given and all(getattr(args, name, None) is not None for name in files):
+            flag, beside = given[0].replace("_", "-"), " and --".join(files)
+            raise ValidationError(f"--{flag} is not read beside --{beside}")
 
 
 def _add_io(sub) -> None:
@@ -100,17 +119,19 @@ def _add_report_io(sub) -> None:
 
 
 def _add_config(sub, name: str) -> None:
-    sub.add_argument("--space", default=None, help="space JSON path")
-    sub.add_argument("--depth", type=int, default=3,
-                     help="dyadic depth when --space is omitted")
-    sub.add_argument("--seed", type=int, default=0)
+    # options left out are None here and take their defaults where read
+    where = sub.add_mutually_exclusive_group()
+    where.add_argument("--space", default=None, help="space JSON path")
+    where.add_argument("--depth", type=int, default=None,
+                       help="dyadic depth of the space (default 3)")
+    sub.add_argument("--seed", type=int, default=None)
     if name not in ("weak-type", "exp-jn"):
         sub.add_argument("--trials", type=int, default=100)
-    sub.add_argument("--p-law", default="iid-uniform")
-    sub.add_argument("--p-lo", type=float, default=1.1)
-    sub.add_argument("--p-hi", type=float, default=3.0)
+    sub.add_argument("--p-law", default=None)
+    sub.add_argument("--p-lo", type=float, default=None)
+    sub.add_argument("--p-hi", type=float, default=None)
     if name != "violation-33":
-        sub.add_argument("--f-law", default="normal")
+        sub.add_argument("--f-law", default=None)
 
 
 @functools.cache
@@ -193,12 +214,9 @@ def build_parser() -> _Parser:
 
 
 def _sup_result_json(res) -> dict:
-    tau = None
-    if res.argmax_tau is not None:
-        tau = serialize.stopping_time_to_json(res.argmax_tau)["stop_level"]
     return {
         "value": res.value,
-        "argmax_tau": tau,
+        "argmax_tau": serialize.stopping_time_to_json(res.argmax_tau)["stop_level"],
         "mode": res.mode,
         "candidates": res.candidates,
     }
@@ -207,17 +225,17 @@ def _sup_result_json(res) -> dict:
 def _experiment_space(args):
     if args.space is not None:
         return serialize.space_from_json(_load(args.space))
-    return build_dyadic_space(args.depth)
+    return build_dyadic_space(_given(args.depth, 3))
 
 
-def _experiment_exponent(args, space):
-    if getattr(args, "exponent", None):
+def _experiment_exponent(args, space, config):
+    if getattr(args, "exponent", None) is not None:
         return _exponent_from(args, space)
-    return generate_exponent(space, args.p_law, (args.p_lo, args.p_hi), args.seed)
+    return generate_exponent(space, config.exponent_law, config.p_range, config.seed)
 
 
 def _experiment_martingale(args, space, config):
-    if getattr(args, "martingale", None):
+    if getattr(args, "martingale", None) is not None:
         return serialize.martingale_from_json(space, _load(args.martingale))
     return generate_martingale(config, 0)
 
@@ -275,20 +293,21 @@ def _dispatch(args) -> None:
         _emit_report(nakai_sadasue(args.max_n), args)
 
     else:
+        _refuse_unread(args)
         space = _experiment_space(args)
         config = _config_from(args, space)
         if args.exp_cmd == "weak-type":
-            p = _experiment_exponent(args, space)
+            p = _experiment_exponent(args, space, config)
             f = _experiment_martingale(args, space, config)
             _emit_report(weak_type_check(f, p), args)
         elif args.exp_cmd == "doob":
-            p = _experiment_exponent(args, space)
+            p = _experiment_exponent(args, space, config)
             _emit_report(doob_strong_check(config, p), args)
         elif args.exp_cmd == "jn":
-            p = _experiment_exponent(args, space)
+            p = _experiment_exponent(args, space, config)
             _emit_report(jn_equivalence(config, p), args)
         elif args.exp_cmd == "exp-jn":
-            p = _experiment_exponent(args, space)
+            p = _experiment_exponent(args, space, config)
             f = _experiment_martingale(args, space, config)
             _emit_report(exp_jn_curve(f, p), args)
         else:

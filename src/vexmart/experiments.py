@@ -416,7 +416,7 @@ def jn_equivalence(config: TrialConfig, p: Exponent) -> ConstantReport:
     ratios, kept = [], []
     for i in range(config.trials):
         f = generate_martingale(config, i)
-        diffs = stopped_terminal_diffs(f, scan.taus, shift="minus-one")
+        diffs = np.take(stopped_terminal_diffs(f), scan.cells)
         b1 = max_norm_ratio(probs, ones, diffs, dens1)[0]
         bp = max_norm_ratio(probs, pvals, diffs, densp)[0]
         if b1 == 0.0 or bp == 0.0:
@@ -436,7 +436,7 @@ def jn_equivalence(config: TrialConfig, p: Exponent) -> ConstantReport:
 def _t_grid_from_diffs(diffs: np.ndarray) -> tuple[float, ...]:
     """0, the distinct positive differences with their midpoints, and 1.25
     times the largest, thinned to at most _T_GRID_POINTS evenly spaced
-    entries."""
+    entries: an ascending grid."""
     vals = np.unique(diffs[diffs > 0])
     if vals.size == 0:
         return (0.0,)
@@ -447,43 +447,30 @@ def _t_grid_from_diffs(diffs: np.ndarray) -> tuple[float, ...]:
     return tuple(grid.tolist())
 
 
-def _level_leaf_diffs(f: Martingale) -> np.ndarray:
-    """f_N - f_{n-1} (f_{-1} = 0) at every (level n, leaf) in rows
-    n = 0..N, and the row of tau = inf, which is exactly 0.  Every stopped
-    difference of a stopping time is one entry of this table, taken by
-    the same function, so it is the same float bit for bit."""
-    n = f.space.n_leaves
-    levels = np.append(np.arange(f.space.depth + 1.0), math.inf)
-    taus = np.broadcast_to(levels[:, None], (levels.size, n))
-    return stopped_terminal_diffs(f, taus, shift="minus-one")
-
-
 def _decay_segments(
-    taus: np.ndarray, counts: np.ndarray, norm_of_code: np.ndarray
+    cells: np.ndarray, counts: np.ndarray, norm_of_code: np.ndarray
 ):
     """The decay envelope's indicator norms as step functions of the grid
-    index j, in row blocks of about _BLOCK_BYTES of the scan ``taus``.
+    index j, in row blocks of about _BLOCK_BYTES of the scan's ``cells``.
 
-    ``counts[n, x]`` is the number of grid points <= the stopped difference
-    at (level n, leaf x), and 0 in the last row (tau = inf).  A cell with
-    count k lies in the indicator at grid index j exactly when j < k, so
-    with a row's cells sorted by decreasing k the indicator at j is a
-    prefix: the first i cells on j in [k_(i+1), k_(i)), where k_(n+1) = 0.
+    ``counts``, which the cells index as the table of stopped differences,
+    is at (level n, leaf x) the number of grid points <= that difference,
+    and 0 in the last row (tau = inf).  A cell with count k lies in the
+    indicator at grid index j exactly when j < k, so with a row's cells
+    sorted by decreasing k the indicator at j is a prefix: the first i
+    cells on j in [k_(i+1), k_(i)), where k_(n+1) = 0.
     Yields, per block, the row, lo, hi and norm (by the mask's bits, as in
     ``StoppingScan``) of every nonempty segment [lo, hi); a row's norm is 0
     off its segments."""
-    n_rows, n = taus.shape
+    n_rows, n = cells.shape
     code = 1 << np.arange(n - 1, -1, -1)
     bits = (1 << n) - 1
     # each cell's count above its bit, negated so that an ascending sort
     # puts a row's cells in order of decreasing count
     neg_key = -((counts << n) | code).ravel()
-    never = counts.shape[0] - 1
-    leaf = np.arange(n)
     step = max(1, _BLOCK_BYTES // (8 * n))
     for start in range(0, n_rows, step):
-        cell = np.minimum(taus[start : start + step], never) * n + leaf
-        key = -np.sort(neg_key[cell.astype(np.intp)], axis=1)
+        key = -np.sort(neg_key[cells[start : start + step]], axis=1)
         hi = key >> n
         lo = np.zeros_like(hi)
         lo[:, :-1] = hi[:, 1:]
@@ -506,7 +493,8 @@ def exp_jn_curve(f: Martingale, p: Exponent) -> ConstantReport:
 
     One scan serves everything: ||f||_{BMO_1} is taken from the same
     stopping times (the space's cached scan) and stopped differences as the
-    curve.  Off {tau < inf} the differences are exactly 0.
+    curve, gathered at the scan's cells from one table that also gives the
+    ascending t grid.  Off {tau < inf} the differences are exactly 0.
 
     No pass is made per grid point.  Each stopping time's numerator is a
     step function of t with at most one step per leaf (see
@@ -518,7 +506,10 @@ def exp_jn_curve(f: Martingale, p: Exponent) -> ConstantReport:
     pvals = as_leaf_exponent(space, p)
     require_f0_zero(f, "exp_jn_curve requires f_0 = 0")
     scan = candidate_matrix(space, "exhaustive")
-    diffs = stopped_terminal_diffs(f, scan.taus, shift="minus-one")
+    # the scan holds every constant tau = n, so the table has exactly the
+    # positive values of the scan's differences, and the same grid
+    table = stopped_terminal_diffs(f)
+    diffs = np.take(table, scan.cells)
     probs, ones = space.probs, np.ones(space.n_leaves)
     dens1 = scan.mask_norms(probs, ones)[scan.which]
     b1 = max_norm_ratio(probs, ones, diffs, dens1)[0]
@@ -530,9 +521,6 @@ def exp_jn_curve(f: Martingale, p: Exponent) -> ConstantReport:
     norms = scan.mask_norms(probs, pvals)
     dens = norms[scan.which]
     norm_of_code = np.concatenate(([0.0], norms))
-    # the scan holds every constant tau = n, so the table has exactly the
-    # positive values of the scan's differences, and the same grid
-    table = _level_leaf_diffs(f)
     grid = _t_grid_from_diffs(table)
 
     cache: dict[float, float] = {}
@@ -565,13 +553,11 @@ def exp_jn_curve(f: Martingale, p: Exponent) -> ConstantReport:
                 )
     c2 = math.log(2.0) / (2.0 * c_hat)
 
-    # grid index j below is a position on the ascending grid ts
-    order = np.argsort(grid, kind="stable")
-    ts = np.array(grid)[order]
-    g = ts.size
-    counts = np.searchsorted(ts, table, side="right")
+    # grid index j below is a position on the ascending grid
+    g = len(grid)
+    counts = np.searchsorted(grid, table, side="right")
     counts[-1] = 0
-    factors = np.array([4.0 * math.exp(-c2 * t / b1) for t in ts.tolist()])
+    factors = np.array([4.0 * math.exp(-c2 * t / b1) for t in grid])
     # least[hi - 1], the least factor on grid indices 0..hi-1, is at most
     # every factor on a segment [lo, hi); the bound fl(fl(factor * den) +
     # slack) is monotone in the factor, so a segment that breaks it
@@ -583,7 +569,7 @@ def exp_jn_curve(f: Martingale, p: Exponent) -> ConstantReport:
     # on [lo, hi)
     top = np.zeros((g + 1) ** 2)
     broken = np.zeros(g, dtype=bool)
-    for rows, lo, hi, lhs in _decay_segments(scan.taus, counts, norm_of_code):
+    for rows, lo, hi, lhs in _decay_segments(scan.cells, counts, norm_of_code):
         den = dens[rows]
         np.maximum.at(top, lo * (g + 1) + hi, lhs / den)
         over = np.flatnonzero(lhs > least[hi - 1] * den + slack)
@@ -592,25 +578,23 @@ def exp_jn_curve(f: Martingale, p: Exponent) -> ConstantReport:
             bound = factors * den[over, None] + slack
             broken |= (on & (lhs[over, None] > bound)).any(axis=0)
     if broken.any():
-        # the first broken grid point in grid order, and its row of largest
-        # excess, from the segments on it
-        j = int(np.flatnonzero(broken)[np.argmin(order[broken])])
-        t = grid[order[j]]
+        # the first broken grid point, and its row of largest excess, from
+        # the segments on it
+        j = int(np.flatnonzero(broken)[0])
         lhs_at = np.zeros(dens.size)
-        for rows, lo, hi, lhs in _decay_segments(scan.taus, counts, norm_of_code):
+        for rows, lo, hi, lhs in _decay_segments(scan.cells, counts, norm_of_code):
             on = (lo <= j) & (j < hi)
             lhs_at[rows[on]] = lhs[on]
-        bound = 4.0 * math.exp(-c2 * t / b1) * dens
+        bound = factors[j] * dens
         i = int(np.argmax(lhs_at - bound))
         raise NumericalError(
-            f"decay bound violated at t={t}: level norm {lhs_at[i]} > "
+            f"decay bound violated at t={grid[j]}: level norm {lhs_at[i]} > "
             f"bound {bound[i]}"
         )
     # the envelope at j is the largest value over lo <= j < hi
     top = np.maximum.accumulate(top.reshape(g + 1, g + 1), axis=0)
     top = np.maximum.accumulate(top[:, ::-1], axis=1)[:, ::-1]
-    env = np.empty(g)
-    env[order] = top[span, span + 1]
+    env = top[span, span + 1]
     envelope = env.tolist()
     rise = np.flatnonzero(env[1:] > env[:-1] + 1e-12)
     if rise.size:

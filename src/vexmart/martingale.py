@@ -327,11 +327,11 @@ def sample_stopping_times(
     return tuple(StoppingTime(row) for row in matrix)
 
 
-def stopped_terminal_diffs(
-    f: Martingale, tau_matrix: np.ndarray, shift: str = "minus-one"
-) -> np.ndarray:
-    """(f - f^{tau-1})_N (or unshifted f - f^tau) per leaf, for a whole
-    matrix of stopping times at once."""
-    return f.terminal[None, :] - _stopped_values(
-        f, tau_matrix, float(f.space.depth), shift
-    )
+def stopped_terminal_diffs(f: Martingale, shift: str = "minus-one") -> np.ndarray:
+    """The (N+2, n_leaves) table of stopped terminal differences: row n
+    holds (f - f^{n-1})_N with f_{-1} = 0, or (f - f^n)_N for shift="none",
+    and row N+1, the row of tau = inf, is exactly 0.  The difference of a
+    stopping time tau at leaf x is the entry at row min(tau(x), N+1), so a
+    scan takes all of its differences with one gather from this table."""
+    levels = np.append(np.arange(f.space.depth + 1.0), INF)[:, None]
+    return f.terminal - _stopped_values(f, levels, float(f.space.depth), shift)

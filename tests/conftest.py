@@ -1,9 +1,11 @@
+import math
 import random
 
 import numpy as np
 import pytest
 
 from vexmart import Exponent, build_dyadic_space, serialize, validate_filtration
+from vexmart.martingale import _stopped_values
 
 
 def random_tree_space(rng: random.Random, max_leaves: int = 12, max_depth: int = 4):
@@ -67,6 +69,24 @@ def drop_root_level(space):
     have several blocks, so the tree is a forest."""
     obj = serialize.space_to_json(space)
     return validate_filtration(obj["levels"][1:], obj["leaf_probs"])
+
+
+def stopped_diffs_oracle(f, taus, shift="minus-one"):
+    """(f - f^{tau-1})_N, or (f - f^tau)_N for shift "none", per row of a
+    matrix of stop levels, gathered at the row's own levels."""
+    return f.terminal - _stopped_values(f, taus, float(f.space.depth), shift)
+
+
+def scan_levels(scan, depth):
+    """The stop levels of a scan's rows (inf for 'never'), read back from
+    its cells and masks, after checking that every cell lies at its own
+    leaf, and in the row of tau = inf exactly off the row's mask."""
+    n = scan.cells.shape[1]
+    level, leaf = np.divmod(scan.cells, n)
+    assert np.array_equal(leaf, np.broadcast_to(np.arange(n), leaf.shape))
+    finite = scan.masks[scan.which]
+    assert np.array_equal(level == depth + 1, ~finite)
+    return np.where(finite, level, math.inf)
 
 
 def random_exponent(rng: random.Random, n: int, lo: float = 1.1, hi: float = 3.0):

@@ -29,6 +29,7 @@ from conftest import (
     random_exponent,
     random_tree_space,
     relabelled_levels,
+    scan_levels,
 )
 
 
@@ -305,7 +306,8 @@ def test_sampled_candidates_match_recursive_oracle(seed, samples):
     sp = validate_filtration(*relabelled_levels(random_tree_space(rng), rng))
     scan = candidate_matrix(sp, "sampled", seed=seed, samples=samples)
     assert scan.mode == "sampled"
-    assert np.array_equal(scan.taus, _sampled_candidates_oracle(sp, samples, seed))
+    want = _sampled_candidates_oracle(sp, samples, seed)
+    assert np.array_equal(scan_levels(scan, sp.depth), want)
 
 
 @settings(max_examples=60, deadline=None)
@@ -328,9 +330,10 @@ def test_indicator_norms_match_per_row_loop(seed):
     for _ in range(m // 3):  # duplicates and more empty rows
         masks[rng.randrange(m)] = masks[rng.randrange(m)]
         masks[rng.randrange(m)] = False
-    scan = StoppingScan.of(np.where(masks, float(sp.depth), math.inf), "sampled")
+    taus = np.where(masks, float(sp.depth), math.inf)
+    scan = StoppingScan.of(taus, sp.depth, "sampled")
     nonempty = masks.any(axis=1)
-    assert np.array_equal(scan.finite, masks[nonempty])
+    assert np.array_equal(scan.masks[scan.which], masks[nonempty])
     got = np.zeros(m + 1)
     got[nonempty] = scan.mask_norms(sp.probs, p.vals)[scan.which]
     want = np.array([luxemburg_norm(sp, row.astype(float), p).norm for row in masks])

@@ -514,6 +514,69 @@ class TestExitCodes:
         assert captured.out == ""
         assert captured.err == f"error: unrecognized arguments: {' '.join(option)}\n"
 
+    @pytest.mark.parametrize("command, option", [
+        (["experiment", "doob", "--trials", "2"], ["--depth", "2"]),
+        (["experiment", "violation-33", "--trials", "2"], ["--depth", "2"]),
+        (["experiment", "weak-type", "--exponent", "p", "--martingale", "m"],
+         ["--p-law", "constant"]),
+        (["experiment", "doob", "--exponent", "p", "--trials", "2"],
+         ["--p-lo", "2.9"]),
+        (["experiment", "jn", "--exponent", "p", "--trials", "2"],
+         ["--p-hi", "2.0"]),
+        (["experiment", "exp-jn", "--exponent", "p"], ["--p-law", "two-block"]),
+        (["experiment", "weak-type", "--martingale", "m"], ["--f-law", "two-point"]),
+        (["experiment", "exp-jn", "--martingale", "m"], ["--f-law", "uniform"]),
+        (["experiment", "weak-type", "--exponent", "p", "--martingale", "m"],
+         ["--seed", "5"]),
+        (["experiment", "exp-jn", "--exponent", "p", "--martingale", "m"],
+         ["--seed", "5"]),
+    ])
+    def test_option_a_given_file_leaves_unread_exit_one(self, capsys, tmp_path,
+                                                        command, option):
+        # --depth beside --space, the exponent law and range beside
+        # --exponent, the martingale law beside --martingale and the seed
+        # beside both: each command runs without the option and is refused
+        # with it
+        paths = {
+            "p": write_json(tmp_path / "p.json", {"values": [1.5, 2.5, 2.0, 3.0]}),
+            "m": write_json(tmp_path / "m.json", {"terminal": [1.0, -1.0, 2.5, -2.5]}),
+        }
+        space = write_json(tmp_path / "s.json",
+                           serialize.space_to_json(build_dyadic_space(2)))
+        argv = [paths.get(a, a) for a in command] + ["--space", space]
+        assert run(argv) == 0
+        capsys.readouterr()
+        assert run(argv + option) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: argument {option[0]}: not allowed"
+                                       if option[0] == "--depth" else
+                                       f"error: {option[0]} is not read beside --")
+
+    @pytest.mark.parametrize("command, option", [
+        (["doob", "--exponent", "p", "--trials", "2"], ["--seed", "5"]),
+        (["jn", "--exponent", "p", "--trials", "2"], ["--f-law", "uniform"]),
+        (["weak-type", "--martingale", "m"], ["--seed", "5"]),
+        (["weak-type", "--exponent", "p"], ["--f-law", "two-point"]),
+        (["weak-type", "--martingale", "m"], ["--p-lo", "2.5"]),
+        (["exp-jn"], ["--depth", "2"]),
+    ])
+    def test_option_read_beside_a_file_changes_the_report(self, capsys, tmp_path,
+                                                          command, option):
+        # what a given file leaves to be generated still reads its options
+        paths = {
+            "p": write_json(tmp_path / "p.json", {"values": [1.5, 2.5, 2.0, 3.0]}),
+            "m": write_json(tmp_path / "m.json", {"terminal": [1.0, -1.0, 2.5, -2.5]}),
+        }
+        argv = ["experiment", *(paths.get(a, a) for a in command)]
+        if option[0] != "--depth":
+            argv += ["--depth", "2"]
+        outs = []
+        for extra in ([], option):
+            assert run(argv + extra) == 0
+            outs.append(capsys.readouterr().out)
+        assert outs[0] != outs[1]
+
     @pytest.mark.parametrize("value", [[1.0, 2.0], 3])
     def test_non_object_martingale_exit_one(self, capsys, tmp_path, quad_inputs,
                                             value):

@@ -40,7 +40,12 @@ from vexmart.experiments import _ns_h, default_lambda_grid
 from vexmart.martingale import enumerate_stopping_matrix, stopped_terminal_diffs
 from vexmart.varlp import modular_grid
 
-from conftest import random_exponent, random_tree_space, relabelled_levels
+from conftest import (
+    random_exponent,
+    random_tree_space,
+    relabelled_levels,
+    stopped_diffs_oracle,
+)
 
 
 def config(depth=3, **kw):
@@ -380,25 +385,34 @@ class TestExpJnCurve:
         assert ratio > c_hat * (1.0 + experiments.ASSERT_SLACK)
 
     def test_rising_curve_names_its_grid_points(self, monkeypatch):
-        """A t grid handed over in descending order makes the envelope rise;
-        the error names the first two neighbouring grid points where it
-        rises, with their envelope values, which are those of the curve on
-        the ascending grid."""
+        """Segments that start past grid index 0 raised a millionfold (with
+        the slack opened, so the decay bound holds) make the envelope rise
+        where the first of them starts, at grid index k; the error names
+        grid points k - 1 and k, with the envelope at k - 1, which no
+        raised segment reaches, as the curve has it, and a larger one at
+        k."""
         cfg = config(depth=3, seed=9)
         f = generate_martingale(cfg, 0)
         p = generate_exponent(f.space, "iid-uniform", (1.0, 2.5), 4)
-        curve = exp_jn_curve(f, p).details["curve"][::-1]
-        j = next(i for i in range(len(curve) - 1)
-                 if curve[i + 1][1] > curve[i][1] + 1e-12)
-        grid_of = experiments._t_grid_from_diffs
-        monkeypatch.setattr(experiments, "_t_grid_from_diffs",
-                            lambda diffs: grid_of(diffs)[::-1])
+        curve = exp_jn_curve(f, p).details["curve"]
+        segments_of = experiments._decay_segments
+        starts = []
+
+        def raised(cells, counts, norm_of_code):
+            for rows, lo, hi, lhs in segments_of(cells, counts, norm_of_code):
+                starts.extend(lo[lo > 0].tolist())
+                yield rows, lo, hi, np.where(lo > 0, 1e6 * lhs, lhs)
+
+        monkeypatch.setattr(experiments, "_decay_segments", raised)
+        monkeypatch.setattr(experiments, "ASSERT_SLACK", 1e300)
         with pytest.raises(NumericalError, match="not nonincreasing") as info:
             exp_jn_curve(f, p)
         m = re.search(r"envelope (\S+) at t=(\S+) exceeds (\S+) at t=(\S+)$",
                       str(info.value))
         y1, t1, y0, t0 = map(float, m.groups())
-        assert [[t0, y0], [t1, y1]] == curve[j : j + 2]
+        k = min(starts)
+        assert [t0, y0] == curve[k - 1]
+        assert t1 == curve[k][0] and y1 > y0
 
 
 def _envelope_oracle(f, p, grid):
@@ -409,7 +423,7 @@ def _envelope_oracle(f, p, grid):
     taus = enumerate_stopping_matrix(sp)
     taus = taus[np.isfinite(taus).any(axis=1)]
     finite = np.isfinite(taus)
-    diffs = stopped_terminal_diffs(f, taus, shift="minus-one")
+    diffs = stopped_diffs_oracle(f, taus)
     cache = {}
 
     def norm(row):
@@ -426,24 +440,27 @@ def _envelope_oracle(f, p, grid):
 
 
 def _per_t_envelope(f, p, grid, c2, b1):
-    """The envelope and decay-bound check by one pass over the scan per
-    grid point t, in grid order, as the reference: the indicator
-    of each stopping time at t read by its mask's bits from the same kept
-    mask norms, against the bound 4 exp(-C2 t / ||f||_{BMO_1}) times its
-    denominator.  Returns the envelope and, for the first t where some
-    stopping time breaks the bound, (t, its level norm, its bound) at the
-    stopping time of largest excess, or None."""
+    """The envelope and decay-bound check by one pass over the enumerated
+    stopping times per grid point t, in grid order, as the reference: the
+    indicator of each stopping time at t read by its mask's bits from the
+    exhaustive scan's kept mask norms, against the bound
+    4 exp(-C2 t / ||f||_{BMO_1}) times its denominator.  Returns the
+    envelope and, for the first t where some stopping time breaks the
+    bound, (t, its level norm, its bound) at the stopping time of largest
+    excess, or None."""
     sp = f.space
-    scan = bmo.candidate_matrix(sp, "exhaustive")
-    diffs = stopped_terminal_diffs(f, scan.taus, shift="minus-one")
-    norms = scan.mask_norms(sp.probs, p.vals)
-    dens = norms[scan.which]
+    taus = enumerate_stopping_matrix(sp)
+    taus = taus[np.isfinite(taus).any(axis=1)]
+    finite = np.isfinite(taus)
+    diffs = stopped_diffs_oracle(f, taus)
+    norms = bmo.candidate_matrix(sp, "exhaustive").mask_norms(sp.probs, p.vals)
     norm_of_code = np.concatenate(([0.0], norms))
     code = 1 << np.arange(sp.n_leaves - 1, -1, -1)
+    dens = norm_of_code[finite @ code]
     slack = experiments.ASSERT_SLACK * max(1.0, float(dens.max()))
     envelope, broken = [], None
     for t in grid:
-        lhs = norm_of_code[(scan.finite & (diffs >= t)) @ code]
+        lhs = norm_of_code[(finite & (diffs >= t)) @ code]
         bound = 4.0 * math.exp(-c2 * t / b1) * dens
         if broken is None and np.any(lhs > bound + slack):
             j = int(np.argmax(lhs - bound))
@@ -513,9 +530,10 @@ def test_exp_jn_envelope_is_per_t_loop_on_uneven_spaces(kind, law):
 
 
 def test_level_leaf_table_gives_the_scan_grid():
-    """Every stopped difference of the exhaustive scan is the (level, leaf)
-    table's entry at its stop level, bit for bit, and the t grid from the
-    table is the one from the scan's differences."""
+    """Every stopped difference of the exhaustive scan, gathered from the
+    (level, leaf) table at the scan's cells, is its row's own difference
+    bit for bit, and the t grid from the table is the one from those
+    differences."""
     rng = random.Random("exp-jn-table")
     spaces = [build_dyadic_space(3), build_mary_space(3, 2)]
     for _ in range(12):
@@ -523,11 +541,10 @@ def test_level_leaf_table_gives_the_scan_grid():
         spaces += [sp, validate_filtration(*relabelled_levels(sp, rng))]
     for sp in spaces:
         f, _ = _jn_instance(sp, rng)
-        scan = bmo.candidate_matrix(sp, "exhaustive")
-        diffs = stopped_terminal_diffs(f, scan.taus, shift="minus-one")
-        table = experiments._level_leaf_diffs(f)
-        lev = np.where(scan.finite, scan.taus, sp.depth + 1).astype(int)
-        cells = table[lev, np.arange(sp.n_leaves)]
+        taus = enumerate_stopping_matrix(sp)
+        diffs = stopped_diffs_oracle(f, taus[np.isfinite(taus).any(axis=1)])
+        table = stopped_terminal_diffs(f)
+        cells = np.take(table, bmo.candidate_matrix(sp, "exhaustive").cells)
         assert cells.tobytes() == diffs.tobytes()
         assert not table[-1].any()
         grid = experiments._t_grid_from_diffs(diffs)
@@ -535,16 +552,14 @@ def test_level_leaf_table_gives_the_scan_grid():
 
 
 @pytest.mark.parametrize("block_rows", [None, 50])
-@pytest.mark.parametrize("descending", [False, True])
 @pytest.mark.parametrize("depth", [1, 3])
 def test_decay_bound_violation_names_the_first_broken_grid_point(
-    monkeypatch, depth, descending, block_rows
+    monkeypatch, depth, block_rows
 ):
     """With every solve in a non-unit exponent shrunk a thousandfold, the
     moment-chain constant C_hat is tiny and C2 huge, so the decay bound
-    fails.  The error names the first broken grid point in grid order
-    (the grid handed over ascending or descending), and the level norm and
-    bound there of the stopping time of largest excess, as the per-t loop
+    fails.  The error names the first broken grid point in grid order,
+    and the level norm and bound there of the stopping time of largest excess, as the per-t loop
     finds them, also when the scan is walked in many row blocks.  On two
     leaves every indicator is one segment from t = 0, where the bound
     holds, up to t = 1, where it fails: the bound is checked inside a
@@ -567,11 +582,6 @@ def test_decay_bound_violation_names_the_first_broken_grid_point(
         m.setattr(experiments, "ASSERT_SLACK", 1e300)
         rep = exp_jn_curve(f, p)
     grid = [t for t, _ in rep.details["curve"]]
-    if descending:
-        grid_of = experiments._t_grid_from_diffs
-        monkeypatch.setattr(experiments, "_t_grid_from_diffs",
-                            lambda diffs: grid_of(diffs)[::-1])
-        grid = grid[::-1]
     if block_rows is not None:
         monkeypatch.setattr(experiments, "_BLOCK_BYTES", block_rows * 8 * sp.n_leaves)
     constants = rep.details["proof_constants"]

@@ -312,15 +312,19 @@ class TestEnumeration:
         assert len(a) == 2
 
     def test_batched_diffs_match_stop(self):
+        """The table's entry at (min(tau, N+1), leaf) is the stopped
+        difference of every enumerated tau."""
         rng = random.Random(41)
         sp = random_tree_space(rng, max_leaves=6)
         f = random_martingale(rng, sp)
         matrix = enumerate_stopping_matrix(sp)
+        rows = np.minimum(matrix, sp.depth + 1).astype(int)
         for shift in ("none", "minus-one"):
-            batch = stopped_terminal_diffs(f, matrix, shift=shift)
-            for row, diff in zip(matrix, batch):
-                want = f.terminal - stop(f, StoppingTime(tuple(row)), shift).terminal
-                assert np.allclose(diff, want, atol=1e-12)
+            table = stopped_terminal_diffs(f, shift=shift)
+            assert table.shape == (sp.depth + 2, sp.n_leaves)
+            for row, tau in zip(rows, matrix):
+                want = f.terminal - stop(f, StoppingTime(tuple(tau)), shift).terminal
+                assert np.allclose(table[row, np.arange(sp.n_leaves)], want, atol=1e-12)
 
 
 def stop_oracle(f, stop_levels, shift):
@@ -347,9 +351,10 @@ def test_stop_matches_per_leaf_oracle(seed, shift):
     levels = [rng.choice([*range(sp.depth + 1), INF]) for _ in range(sp.n_leaves)]
     want = stop_oracle(f, levels, shift)
     assert np.array_equal(stop(f, StoppingTime(levels), shift).arrays, want)
-    matrix = np.array([levels, [INF] * sp.n_leaves, [0.0] * sp.n_leaves])
-    diffs = stopped_terminal_diffs(f, matrix, shift=shift)
-    assert np.array_equal(diffs[0], f.terminal - want[-1])
+    table = stopped_terminal_diffs(f, shift=shift)
+    rows = [sp.depth + 1 if t == INF else t for t in levels]
+    assert np.array_equal(table[rows, np.arange(sp.n_leaves)], f.terminal - want[-1])
+    assert not table[-1].any()
 
 
 def test_unknown_shift_rejected(four_leaf):
@@ -358,7 +363,7 @@ def test_unknown_shift_rejected(four_leaf):
     with pytest.raises(ValidationError, match="shift"):
         stop(f, tau, shift="plus-one")
     with pytest.raises(ValidationError, match="shift"):
-        stopped_terminal_diffs(f, tau.vals[None, :], shift="plus-one")
+        stopped_terminal_diffs(f, shift="plus-one")
 
 
 class TestArrayValues:

@@ -1,5 +1,6 @@
-"""The stopping-time scan cached on the space: its bit packing, its oracle
-equality with a fresh enumeration or sample, its read-only arrays, and that
+"""The stopping-time scan cached on the space: its oracle equality with a
+fresh enumeration or sample, its cells in the table of stopped
+differences, its read-only arrays, and that
 warm and cold spaces give the same suprema while the cap is still checked
 on every call.  The mask norms each scan keeps per exponent: equal bit for
 bit to a fresh solve, read-only, never solved twice and bounded by bytes."""
@@ -28,7 +29,11 @@ from vexmart import (
 )
 from vexmart import bmo, martingale
 from vexmart.bmo import StoppingScan, candidate_matrix
-from vexmart.martingale import enumerate_stopping_matrix, sample_stopping_matrix
+from vexmart.martingale import (
+    enumerate_stopping_matrix,
+    sample_stopping_matrix,
+    stopped_terminal_diffs,
+)
 from vexmart.varlp import norm_batch
 
 from conftest import (
@@ -36,23 +41,14 @@ from conftest import (
     random_exponent,
     random_tree_space,
     relabelled_levels,
+    scan_levels,
+    stopped_diffs_oracle,
 )
 
 
 def centered(rng, space):
     v = np.array([rng.gauss(0.0, 1.0) for _ in range(space.n_leaves)])
     return martingale_from_terminal(space, v - cond_expect(space, v, 0))
-
-
-def test_flat_packing_matches_packbits_along_rows():
-    rng = np.random.default_rng(0)
-    for width in range(1, 41):
-        for rows in (0, 1, 7, 50):
-            m = rng.random((rows, width)) < 0.5
-            want = np.packbits(m, axis=1)
-            assert np.array_equal(bmo._packed_rows(m), want), (rows, width)
-            # a non-contiguous view packs the same
-            assert np.array_equal(bmo._packed_rows(np.asfortranarray(m)), want)
 
 
 def _fresh_exhaustive(sp):
@@ -83,13 +79,35 @@ def test_cached_scans_match_fresh_enumeration_and_sampling(seed, samples):
         for mode, taus in want.items():
             scan = candidate_matrix(sp, mode, seed=seed, samples=samples)
             assert scan.mode == mode
-            assert np.array_equal(scan.taus, taus)
-            assert np.array_equal(scan.finite, np.isfinite(taus))
-            _, first, which = np.unique(
-                scan.finite, axis=0, return_index=True, return_inverse=True
-            )
-            assert np.array_equal(scan.first, first)
+            assert np.array_equal(scan_levels(scan, sp.depth), taus)
+            masks, which = np.unique(np.isfinite(taus), axis=0, return_inverse=True)
+            assert np.array_equal(scan.masks, masks)
             assert np.array_equal(scan.which, which.ravel())
+
+
+@settings(max_examples=30, deadline=None)
+@given(seed=st.integers(min_value=0, max_value=10**6),
+       samples=st.sampled_from([1, 2, 16, 64]))
+def test_cells_gather_each_rows_own_differences(seed, samples):
+    """On random trees, relabelled ones and ones without their root level,
+    for the exhaustive and a sampled scan and both shifts: the table of
+    stopped differences gathered at the scan's cells is, byte for byte,
+    the differences of the freshly made rows taken one row at a time, and
+    the witness the scan rebuilds for each row is that row."""
+    rng = random.Random(seed)
+    tree = random_tree_space(rng, max_leaves=7)
+    relabelled = validate_filtration(*relabelled_levels(tree, rng))
+    for sp in (tree, relabelled, drop_root_level(tree)):
+        f = centered(rng, sp)
+        fresh = {"exhaustive": _fresh_exhaustive(sp),
+                 "sampled": _fresh_sampled(sp, samples, seed)}
+        for mode, taus in fresh.items():
+            scan = candidate_matrix(sp, mode, seed=seed, samples=samples)
+            for shift in ("none", "minus-one"):
+                got = np.take(stopped_terminal_diffs(f, shift), scan.cells)
+                assert got.tobytes() == stopped_diffs_oracle(f, taus, shift).tobytes()
+            for i, row in enumerate(taus):
+                assert np.array_equal(bmo._sup_result(scan, 0.0, i).argmax_tau.vals, row)
 
 
 @settings(max_examples=60, deadline=None)
@@ -104,7 +122,7 @@ def test_exhaustive_masks_are_every_nonempty_subset_by_code(seed):
     for sp in (tree, relabelled, drop_root_level(tree)):
         scan = candidate_matrix(sp, "exhaustive")
         n = sp.n_leaves
-        codes = scan.finite[scan.first] @ (1 << np.arange(n - 1, -1, -1))
+        codes = scan.masks @ (1 << np.arange(n - 1, -1, -1))
         assert np.array_equal(codes, np.arange(1, 2**n))
 
 
@@ -117,7 +135,7 @@ def test_cached_scan_arrays_are_read_only():
         solved = scan.mask_norms(sp.probs, p)
         kept = scan.mask_norms(sp.probs, p)
         assert kept is solved
-        for a in (scan.taus, scan.finite, scan.first, scan.which, kept):
+        for a in (scan.cells, scan.masks, scan.which, kept):
             corner = (0,) * a.ndim
             with pytest.raises(ValueError):
                 a[corner] = a[corner]
@@ -237,7 +255,7 @@ def test_second_call_enumerates_samples_and_walks_nothing(monkeypatch):
 
 
 def _fresh_mask_norms(scan, probs, pvals):
-    return norm_batch(probs, pvals, scan.finite[scan.first].astype(float))
+    return norm_batch(probs, pvals, scan.masks.astype(float))
 
 
 @pytest.mark.parametrize("make", [
@@ -275,7 +293,7 @@ def test_mask_norms_are_kept_per_probs_too():
     probabilities: the same exponent under other probabilities is another
     solve, not the kept one."""
     sp = build_dyadic_space(3)
-    scan = StoppingScan.of(enumerate_stopping_matrix(sp), "exhaustive")
+    scan = StoppingScan.of(enumerate_stopping_matrix(sp), sp.depth, "exhaustive")
     pvals = random_exponent(random.Random(4), sp.n_leaves, 1.0, 3.0).vals
     other = np.arange(1.0, sp.n_leaves + 1.0)
     other /= other.sum()
@@ -298,9 +316,9 @@ def test_kept_mask_norms_stay_under_the_byte_budget(monkeypatch):
     running byte total is the sum over the kept entries after every miss
     and eviction."""
     sp = build_dyadic_space(2)
-    scan = StoppingScan.of(enumerate_stopping_matrix(sp), "exhaustive")
+    scan = StoppingScan.of(enumerate_stopping_matrix(sp), sp.depth, "exhaustive")
     exponents = [np.full(4, 1.0 + k / 4) for k in range(6)]
-    entry = 2 * sp.probs.nbytes + scan.first.size * 8
+    entry = 2 * sp.probs.nbytes + len(scan.masks) * 8
     budget = 3 * entry + entry // 2
     monkeypatch.setattr(bmo, "_MASK_NORM_BUDGET", budget)
     first = []
@@ -316,7 +334,7 @@ def test_kept_mask_norms_stay_under_the_byte_budget(monkeypatch):
     assert [b for _, b in scan._norms] == kept[1:] + [exponents[0].tobytes()]
 
     monkeypatch.setattr(bmo, "_MASK_NORM_BUDGET", entry - 1)
-    fresh = StoppingScan.of(enumerate_stopping_matrix(sp), "exhaustive")
+    fresh = StoppingScan.of(enumerate_stopping_matrix(sp), sp.depth, "exhaustive")
     got = fresh.mask_norms(sp.probs, exponents[1])
     assert np.array_equal(got, first[1])
     assert not fresh._norms and fresh._held == 0
