@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -28,6 +28,7 @@ from .martingale import (
 )
 from .space import (
     MAX_SPACE_BYTES,
+    ArrayValue,
     Exponent,
     FilteredSpace,
     as_leaf_exponent,
@@ -124,45 +125,44 @@ class TrialConfig:
             )
 
 
-@dataclass(frozen=True)
-class ConstantReport:
+@dataclass(frozen=True, eq=False)
+class ConstantReport(ArrayValue):
+    """What one experiment measured: its ratios as one read-only float
+    array, the witness of the largest and experiment-specific details,
+    both JSON-ready.  The max, mean and quantiles are read from the
+    ratios on request; with no ratios they are 0.0, 0.0 and {}."""
+
+    ARRAYS = {"ratios": float}
     name: str
-    ratios: tuple[float, ...]
-    max_ratio: float
-    mean_ratio: float
-    quantiles: dict[str, float]
+    ratios: np.ndarray
     witness: dict | None
-    details: dict = field(default_factory=dict)
+    details: dict
+
+    @property
+    def max_ratio(self) -> float:
+        return float(self.ratios.max()) if self.ratios.size else 0.0
+
+    @property
+    def mean_ratio(self) -> float:
+        return float(self.ratios.mean()) if self.ratios.size else 0.0
+
+    @property
+    def quantiles(self) -> dict[str, float]:
+        if not self.ratios.size:
+            return {}
+        q50, q90 = np.quantile(self.ratios, [0.5, 0.9]).tolist()
+        return {"q50": q50, "q90": q90, "q100": self.max_ratio}
 
     def as_dict(self) -> dict:
         return {
             "name": self.name,
-            "ratios": list(self.ratios),
+            "ratios": self.ratios.tolist(),
             "max": self.max_ratio,
             "mean": self.mean_ratio,
-            "quantiles": dict(self.quantiles),
+            "quantiles": self.quantiles,
             "witness": self.witness,
             "details": self.details,
         }
-
-
-def _report(
-    name: str,
-    ratios: Sequence[float],
-    witness: dict | None,
-    details: dict | None = None,
-) -> ConstantReport:
-    r = [float(x) for x in ratios]
-    if r:
-        arr = np.array(r)
-        q50, q90 = np.quantile(arr, [0.5, 0.9]).tolist()
-        quantiles = {"q50": q50, "q90": q90, "q100": float(arr.max())}
-        mx, mean = float(arr.max()), float(arr.mean())
-    else:
-        quantiles, mx, mean = {}, 0.0, 0.0
-    return ConstantReport(
-        name, tuple(r), mx, mean, quantiles, witness, details or {}
-    )
 
 
 def generate_exponent(
@@ -207,22 +207,20 @@ def generate_martingale(config: TrialConfig, index: int = 0) -> Martingale:
 
 
 def _with_midpoints(vals: np.ndarray) -> np.ndarray:
-    """Nonempty ascending values with the midpoint of each neighbouring
-    pair between them."""
-    out = np.empty(2 * vals.size - 1)
-    out[::2] = vals
+    """Ascending values with the midpoint of each neighbouring pair between
+    them; none for none."""
+    out = np.repeat(vals, 2)[:-1]
     out[1::2] = 0.5 * (vals[:-1] + vals[1:])
     return out
 
 
-def default_lambda_grid(f: Martingale) -> tuple[float, ...]:
-    """Distinct positive values of Mf (the only levels where the weak-type
-    ratio changes) plus midpoints, plus half the smallest."""
+def default_lambda_grid(f: Martingale) -> np.ndarray:
+    """Half the smallest positive value of Mf, then the distinct positive
+    values of Mf (the only levels where the weak-type ratio changes) with
+    their midpoints: an ascending float array, empty when Mf = 0."""
     vals = np.unique(maximal(f))
     vals = vals[vals > 0]
-    if vals.size == 0:
-        return ()
-    return (0.5 * float(vals[0]), *_with_midpoints(vals).tolist())
+    return np.concatenate((0.5 * vals[:1], _with_midpoints(vals)))
 
 
 def weak_type_check(
@@ -281,7 +279,7 @@ def weak_type_check(
             "terminal": f.terminal.tolist(),
             "exponent": p.vals.tolist(),
         }
-    return _report(
+    return ConstantReport(
         "weak-type proof-chain constant",
         ratios,
         witness,
@@ -343,7 +341,7 @@ def doob_strong_check(config: TrialConfig, p: Exponent) -> ConstantReport:
             f"maximal-norm ratio not scale invariant: {ratios[j]} vs {ratios10[j]}"
         )
     k = condition_k(space, p)
-    return _report(
+    return ConstantReport(
         "maximal-norm ratio envelope",
         ratios,
         _trial_witness(config, p, ratios, kept),
@@ -390,9 +388,9 @@ def lemma34_check(
         raise NumericalError(
             f"pointwise block-average inequality violated: max ratio {best}"
         )
-    return _report(
+    return ConstantReport(
         "block-average pointwise inequality",
-        ratios.ravel().tolist(),
+        ratios.ravel(),
         witness,
         {"condition_k": k, "rescale": scale},
     )
@@ -430,21 +428,20 @@ def jn_equivalence(config: TrialConfig, p: Exponent) -> ConstantReport:
         "upper_envelope": float(arr.max()) if arr.size else 0.0,
         "lower_envelope": float((1.0 / arr).max()) if arr.size else 0.0,
     }
-    return _report("BMO norm equivalence ratio", ratios, witness, details)
+    return ConstantReport("BMO norm equivalence ratio", ratios, witness, details)
 
 
-def _t_grid_from_diffs(diffs: np.ndarray) -> tuple[float, ...]:
+def _t_grid_from_diffs(diffs: np.ndarray) -> np.ndarray:
     """0, the distinct positive differences with their midpoints, and 1.25
     times the largest, thinned to at most _T_GRID_POINTS evenly spaced
-    entries: an ascending grid."""
+    entries: an ascending float array, [0.0] when no difference is
+    positive."""
     vals = np.unique(diffs[diffs > 0])
-    if vals.size == 0:
-        return (0.0,)
-    grid = np.concatenate(([0.0], _with_midpoints(vals), [1.25 * vals[-1]]))
+    grid = np.concatenate(([0.0], _with_midpoints(vals), 1.25 * vals[-1:]))
     if grid.size > _T_GRID_POINTS:
         idx = np.linspace(0, grid.size - 1, _T_GRID_POINTS).astype(int)
         grid = grid[np.unique(idx)]
-    return tuple(grid.tolist())
+    return grid
 
 
 def _decay_segments(
@@ -485,7 +482,8 @@ def exp_jn_curve(f: Martingale, p: Exponent) -> ConstantReport:
     times.
 
     Asserts the envelope curve is nonincreasing, fits (C1, C2) by log-linear
-    regression with C2 > 0, and checks the explicit construction C1 = 4,
+    regression with C2 > 0 (no fit for a flat curve or one numpy finds
+    rank-deficient), and checks the explicit construction C1 = 4,
     C2 = ln2 / (2*C_hat) pointwise, where C_hat is the measured constant of
     the moment chain sup_r ||f||_{BMO_{r p(.)}} / ||f||_{BMO_1} over the r
     values the construction actually uses (a fixed point, since r depends on
@@ -533,31 +531,31 @@ def exp_jn_curve(f: Martingale, p: Exponent) -> ConstantReport:
 
     # fixed point for C_hat: the r values used depend on C_hat and vice
     # versa; the iteration is monotone nondecreasing and verified after
+    def used_rs(c_hat: float) -> list[float]:
+        c0 = c_hat * b1
+        return (grid[grid >= 2.0 * c0] / (2.0 * c0)).tolist()
+
     c_hat = max(moment_ratio(1.0), 1e-12)
     for _ in range(60):
-        c0 = c_hat * b1
-        rs = [t / (2.0 * c0) for t in grid if t >= 2.0 * c0]
-        new = max((moment_ratio(r) for r in rs), default=c_hat)
+        new = max(map(moment_ratio, used_rs(c_hat)), default=c_hat)
         if new <= c_hat * (1.0 + 1e-12):
             break
         c_hat = new
-    c0 = c_hat * b1
-    for t in grid:
-        if t >= 2.0 * c0:
-            r = t / (2.0 * c0)
-            if moment_ratio(r) > c_hat * (1.0 + ASSERT_SLACK):
-                raise NumericalError(
-                    "moment-chain constant fixed point failed to stabilize: "
-                    f"r={r!r} has moment ratio {moment_ratio(r)!r} > "
-                    f"C_hat {c_hat!r}"
-                )
+    for r in used_rs(c_hat):
+        if moment_ratio(r) > c_hat * (1.0 + ASSERT_SLACK):
+            raise NumericalError(
+                "moment-chain constant fixed point failed to stabilize: "
+                f"r={r!r} has moment ratio {moment_ratio(r)!r} > "
+                f"C_hat {c_hat!r}"
+            )
     c2 = math.log(2.0) / (2.0 * c_hat)
 
     # grid index j below is a position on the ascending grid
-    g = len(grid)
+    g = grid.size
     counts = np.searchsorted(grid, table, side="right")
     counts[-1] = 0
-    factors = np.array([4.0 * math.exp(-c2 * t / b1) for t in grid])
+    # libm's exp through math, which numpy's may differ from in the last bit
+    factors = 4.0 * np.array(list(map(math.exp, (-c2 * grid / b1).tolist())))
     # least[hi - 1], the least factor on grid indices 0..hi-1, is at most
     # every factor on a segment [lo, hi); the bound fl(fl(factor * den) +
     # slack) is monotone in the factor, so a segment that breaks it
@@ -588,46 +586,47 @@ def exp_jn_curve(f: Martingale, p: Exponent) -> ConstantReport:
         bound = factors[j] * dens
         i = int(np.argmax(lhs_at - bound))
         raise NumericalError(
-            f"decay bound violated at t={grid[j]}: level norm {lhs_at[i]} > "
+            f"decay bound violated at t={float(grid[j])}: level norm {lhs_at[i]} > "
             f"bound {bound[i]}"
         )
     # the envelope at j is the largest value over lo <= j < hi
     top = np.maximum.accumulate(top.reshape(g + 1, g + 1), axis=0)
     top = np.maximum.accumulate(top[:, ::-1], axis=1)[:, ::-1]
     env = top[span, span + 1]
-    envelope = env.tolist()
+    curve = np.column_stack((grid, env)).tolist()
     rise = np.flatnonzero(env[1:] > env[:-1] + 1e-12)
     if rise.size:
-        j = int(rise[0])
+        (t0, y0), (t1, y1) = curve[rise[0] : rise[0] + 2]
         raise NumericalError(
-            f"decay curve is not nonincreasing: envelope {envelope[j + 1]!r} "
-            f"at t={grid[j + 1]!r} exceeds {envelope[j]!r} at t={grid[j]!r}"
+            f"decay curve is not nonincreasing: envelope {y1!r} "
+            f"at t={t1!r} exceeds {y0!r} at t={t0!r}"
         )
 
-    pos = [(t, y) for t, y in zip(grid, envelope) if y > 0 and t > 0]
+    pos = (env > 0) & (grid > 0)
+    ts, ys = grid[pos], env[pos]
     fit = None
-    if len(pos) >= 2 and len({y for _, y in pos}) >= 2:
-        xs = np.array([t / b1 for t, _ in pos])
-        ys = np.log(np.array([y for _, y in pos]))
-        slope, intercept = np.polyfit(xs, ys, 1)
-        fit = {"C1": float(math.exp(intercept)), "C2": float(-slope)}
+    if ts.size >= 2 and ys.max() > ys.min():
+        logs = np.log(ys)
+        (slope, intercept), _, rank, _, _ = np.polyfit(ts / b1, logs, 1, full=True)
+        # numpy finds rank 1 when the positive t lie within a few ulp of
+        # each other: a line through them measures nothing
+        if rank == 2:
+            fit = {"C1": float(math.exp(intercept)), "C2": float(-slope)}
         # a curve flat up to round-off fits an arbitrarily-signed tiny
         # slope; only a genuine decay pins the sign
-        if ys.max() - ys.min() > 1e-9 and fit["C2"] <= 0:
-            raise NumericalError(
-                f"fitted decay rate is not positive: {fit['C2']}"
-            )
+        if fit and logs.max() - logs.min() > 1e-9 and fit["C2"] <= 0:
+            raise NumericalError(f"fitted decay rate is not positive: {fit['C2']}")
     witness = {
-        "t_max_positive": pos[-1][0] if pos else 0.0,
-        "ratio": envelope[0] if envelope else 0.0,
+        "t_max_positive": float(ts[-1]) if ts.size else 0.0,
+        "ratio": float(env[0]),
         "bmo1": b1,
     }
-    return _report(
+    return ConstantReport(
         "exponential decay envelope",
-        envelope,
+        env,
         witness,
         {
-            "curve": [[t, y] for t, y in zip(grid, envelope)],
+            "curve": curve,
             "fit": fit,
             "proof_constants": {"C1": 4.0, "C2": c2, "C_hat": c_hat},
             "bmo1": b1,
@@ -711,7 +710,7 @@ def nakai_sadasue(max_n: int) -> ConstantReport:
                 "y_ring": int(big_n - 1 + np.argmax(sines[big_n - 1 :]) + 1),
                 "z_ring": int(big_n - 1 + np.argmin(sines[big_n - 1 :]) + 1),
             }
-    return _report(
+    return ConstantReport(
         "dyadic counterexample margin",
         ratios,
         witness,
@@ -783,7 +782,7 @@ def violation_33_search(config: TrialConfig) -> ConstantReport:
             "exponent": p.vals.tolist(),
             **infos[j],
         }
-    return _report(
+    return ConstantReport(
         "conditional Jensen gap",
         ratios,
         witness,

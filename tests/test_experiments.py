@@ -2,12 +2,17 @@ import json
 import math
 import random
 import re
+import struct
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from vexmart import (
+    ConstantReport,
     DomainError,
     Exponent,
     NumericalError,
@@ -36,7 +41,7 @@ from vexmart import (
 from vexmart import bmo_norm, condition_k, luxemburg_norm, validate_filtration
 from vexmart import bmo, experiments, serialize
 from vexmart.cli import run
-from vexmart.experiments import _ns_h, default_lambda_grid
+from vexmart.experiments import EXPONENT_LAWS, _ns_h, default_lambda_grid
 from vexmart.martingale import enumerate_stopping_matrix, stopped_terminal_diffs
 from vexmart.varlp import modular_grid
 
@@ -106,7 +111,7 @@ class TestWeakType:
         p = constant_exponent(f.space, 2.0)
         big = float(maximal(f).max()) * 2.0
         rep = weak_type_check(f, p, [big])
-        assert rep.ratios == (0.0,)
+        assert rep.ratios.tolist() == [0.0]
 
     def test_two_leaf_hand_value(self, two_leaf):
         f = martingale_from_terminal(two_leaf, (1.0, -1.0))
@@ -361,6 +366,36 @@ class TestExpJnCurve:
         assert rep.details["proof_constants"]["C1"] == 4.0
         assert rep.details["proof_constants"]["C2"] > 0
 
+    @pytest.mark.parametrize("law", EXPONENT_LAWS)
+    @pytest.mark.parametrize("seed", [0, 11, 16, 26])
+    def test_rank_deficient_fit_is_no_fit(self, monkeypatch, seed, law):
+        """On these depth-1 martingales the positive grid points t / b1 lie
+        within a few ulp of 1, so numpy finds the fit rank-deficient: the
+        report has no fit and raises no warning, and the rest of it is the
+        one a fit taken as full rank gives."""
+        cfg = config(depth=1, seed=seed)
+        f = generate_martingale(cfg, 0)
+        p = generate_exponent(f.space, law, cfg.p_range, seed)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rep = exp_jn_curve(f, p).as_dict()
+        assert rep["details"]["fit"] is None
+        b1 = rep["details"]["bmo1"]
+        xs = [t / b1 for t, y in rep["details"]["curve"] if t > 0 and y > 0]
+        assert len(xs) >= 2 and max(xs) - min(xs) <= 8 * np.spacing(max(xs))
+
+        polyfit = np.polyfit
+
+        def full_rank(*args, **kwargs):
+            c, resids, _, sv, rcond = polyfit(*args, **kwargs)
+            return c, resids, 2, sv, rcond
+
+        monkeypatch.setattr(np, "polyfit", full_rank)
+        plain = exp_jn_curve(f, p).as_dict()
+        assert plain["details"].pop("fit") is not None
+        rep["details"].pop("fit")
+        assert serialize.dumps(rep) == serialize.dumps(plain)
+
     def test_unsettled_fixed_point_names_its_witness(self, monkeypatch):
         """Every numerator solve in exp_jn_curve reads a little larger than
         the one before, so the moment-chain constant never settles; the
@@ -548,7 +583,7 @@ def test_level_leaf_table_gives_the_scan_grid():
         assert cells.tobytes() == diffs.tobytes()
         assert not table[-1].any()
         grid = experiments._t_grid_from_diffs(diffs)
-        assert experiments._t_grid_from_diffs(table) == grid
+        assert np.array_equal(experiments._t_grid_from_diffs(table), grid)
 
 
 @pytest.mark.parametrize("block_rows", [None, 50])
@@ -655,7 +690,57 @@ class TestViolationSearch:
         cfg = config(depth=2, seed=21, trials=10)
         a = violation_33_search(cfg)
         b = violation_33_search(cfg)
-        assert a.ratios == b.ratios
+        assert np.array_equal(a.ratios, b.ratios)
+        assert a == b
+
+
+def _report_oracle(ratios):
+    """The max, mean and quantiles as a report computed them when it stored
+    them beside a tuple of its ratios."""
+    r = [float(x) for x in ratios]
+    if r:
+        arr = np.array(r)
+        q50, q90 = np.quantile(arr, [0.5, 0.9]).tolist()
+        quantiles = {"q50": q50, "q90": q90, "q100": float(arr.max())}
+        mx, mean = float(arr.max()), float(arr.mean())
+    else:
+        quantiles, mx, mean = {}, 0.0, 0.0
+    return mx, mean, quantiles
+
+
+def _bits(x):
+    return struct.pack("<d", x)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.floats(-1e300, 1e300), max_size=50), st.booleans())
+def test_report_statistics_match_stored_formula(ratios, as_array):
+    """max, mean and quantiles read from the ratios array are the floats of
+    the stored formula, bit for bit, from a list or an array."""
+    rep = ConstantReport("r", np.array(ratios) if as_array else ratios, None, {})
+    mx, mean, quantiles = _report_oracle(ratios)
+    assert isinstance(rep.ratios, np.ndarray) and not rep.ratios.flags.writeable
+    assert type(rep.max_ratio) is float and type(rep.mean_ratio) is float
+    assert (_bits(rep.max_ratio), _bits(rep.mean_ratio)) == (_bits(mx), _bits(mean))
+    assert list(rep.quantiles) == list(quantiles)
+    assert list(map(_bits, rep.quantiles.values())) == list(map(_bits, quantiles.values()))
+    assert rep.as_dict()["ratios"] == [float(x) for x in ratios]
+
+
+def test_empty_reports():
+    """A zero martingale has an empty lambda grid and a one-leaf space
+    skips every BMO trial: both reports list no ratio."""
+    sp = build_dyadic_space(3)
+    zero = martingale_from_terminal(sp, np.zeros(sp.n_leaves))
+    reps = [weak_type_check(zero, constant_exponent(sp, 2.0)),
+            jn_equivalence(config(depth=0, trials=3), Exponent((2.0,)))]
+    for rep in reps:
+        got = rep.as_dict()
+        assert got["ratios"] == [] and got["quantiles"] == {}
+        assert (got["max"], got["mean"]) == (0.0, 0.0)
+        assert rep.ratios.shape == (0,) and got["witness"] is None
+    assert reps[0].details["lambda_grid"] == []
+    assert reps[1].details["skips"] == 3
 
 
 class TestReportInvariants:
@@ -752,7 +837,7 @@ def test_violation_witness_is_first_largest_ratio(monkeypatch):
 
     monkeypatch.setattr(experiments, "_jensen_ratio", tied)
     rep = violation_33_search(config(depth=2, trials=4))
-    assert rep.ratios[2:] == (5000.0,) * 5
+    assert rep.ratios[2:].tolist() == [5000.0] * 5
     assert rep.witness["kind"] == "deterministic" and rep.witness["c"] == 1e4
 
 
@@ -774,9 +859,9 @@ def test_lambda_grid_matches_midpoint_loop():
         vals = np.unique(maximal(f))
         vals = vals[vals > 0]
         want = [0.5 * float(vals[0]), *_grid_with_midpoints_oracle(vals)]
-        assert default_lambda_grid(f) == tuple(want)
+        assert default_lambda_grid(f).tolist() == want
     zero = martingale_from_terminal(sp, np.zeros(sp.n_leaves))
-    assert default_lambda_grid(zero) == ()
+    assert default_lambda_grid(zero).tolist() == []
 
 
 def test_t_grid_matches_midpoint_loop():
@@ -787,15 +872,15 @@ def test_t_grid_matches_midpoint_loop():
         # repeats, zeros and negative entries, as stopped differences have
         diffs = np.array([round(rng.gauss(0, 1), 2) for _ in range(size)])
         vals = np.unique(diffs[diffs > 0])
-        want = (0.0,)
+        want = [0.0]
         if vals.size:
             grid = [0.0, *_grid_with_midpoints_oracle(vals), 1.25 * float(vals[-1])]
             if len(grid) > _T_GRID_POINTS:
                 idx = np.linspace(0, len(grid) - 1, _T_GRID_POINTS).astype(int)
                 grid = [grid[j] for j in np.unique(idx)]
-            want = tuple(grid)
+            want = grid
         sizes.append(len(want))
-        assert _t_grid_from_diffs(diffs.reshape(-1, 1)) == want
+        assert _t_grid_from_diffs(diffs.reshape(-1, 1)).tolist() == want
     assert min(sizes) == 1 and max(sizes) == _T_GRID_POINTS
 
 
@@ -989,7 +1074,7 @@ def test_weak_type_matches_per_lambda_loop_bitwise_on_dyadic(depth, law):
     for grid in _weak_type_grids(f, rng):
         rep = _assert_weak_type_matches(f, p, grid, 0.0)
         loop = _weak_type_oracle(f, p, grid)[0]
-        assert rep.ratios == tuple(loop)
+        assert rep.ratios.tolist() == loop
         top = float(maximal(f).max())
         best = max(r for r, lam in zip(loop, grid) if lam < top)
         assert rep.witness["ratio"] == best
