@@ -74,16 +74,19 @@ def is_atom(
             f"expected a stopping time on {space.n_leaves} leaves, "
             f"got shape {tau.vals.shape}"
         )
-    scale = max(1.0, float(np.abs(a).max()))
+    amax = float(np.abs(a).max())
     finite = tau.finite_mask
     if not finite.any():
-        zero = bool(np.abs(a).max() <= ATOM_MEAN_TOL)
-        return AtomCheck(zero, zero, zero, float(np.abs(a).max()), 0.0, math.inf)
-    mart = martingale_from_terminal(space, a)
+        zero = amax <= ATOM_MEAN_TOL
+        return AtomCheck(zero, zero, zero, amax, 0.0, math.inf)
+    # rows a_0, ..., a_N of the martingale a_n = E(a | F_n)
+    levels = space.level_averages(a[None].repeat(space.depth + 1, axis=0))
     on_continue = tau.vals >= np.arange(space.depth + 1)[:, None]
-    worst = float(np.abs(mart.arrays[on_continue]).max(initial=0.0))
-    mean_ok = worst <= ATOM_MEAN_TOL * scale
-    s_sup = float(cond_square(mart).max())
+    worst = float(np.abs(levels[on_continue]).max(initial=0.0))
+    mean_ok = worst <= ATOM_MEAN_TOL * max(1.0, amax)
+    # s(a)^2 sums the conditioned squared increments over the levels
+    d = levels[1:] - levels[:-1]
+    s_sup = math.sqrt(space.level_averages(d * d).sum(axis=0).max())
     bound = 1.0 / indicator_norm(space.probs, pvals, finite)
     size_ok = s_sup <= bound * (1.0 + ATOM_SIZE_TOL)
     return AtomCheck(mean_ok and size_ok, mean_ok, size_ok, worst, s_sup, bound)

@@ -3,8 +3,8 @@
 The modular is the finite weighted sum  rho(f/lambda) = sum_w P(w) *
 (|f(w)|/lambda)^{p(w)}, computed for a whole grid of lambdas by one
 function, of which the scalar modular is a one-lambda call.  The Luxemburg
-norm is the infimal lambda with rho(f/lambda) <= 1.  Every norm comes from
-one batch kernel:
+norm is the infimal lambda with rho(f/lambda) <= 1, solved by one kernel
+for a batch of rows and by its iteration on a 1-d array for one row or set:
 
 * In s = log(lambda), g(s) = log rho(f e^{-s}) is a log-sum-exp of affine
   functions of s, hence convex and strictly decreasing for f != 0, and the
@@ -29,16 +29,16 @@ one batch kernel:
   Such a row is strictly below the maximum, so the value and the first
   row attaining it come from rows solved exactly as in :func:`norm_batch`.
 * A constant exponent takes the closed form (E|f|^p)^{1/p}.
-* An indicator norm ||chi_E|| (:func:`indicator_norm`: the atomic
-  decomposition's weights and atom bounds, the indicator profiles) is
-  solved on E alone: P(E)^{1/p} where p is constant on E, else scalar
-  Newton on log sum_E P lambda^{-p} from the tangent at lambda = 1.
-* Every reduction runs along the batch's longer axis, chosen from its
-  shape alone: a batch with more rows than leaves (the stopping-time scans)
-  is solved on its leaves x rows transpose, any other batch (a one-row
-  call included) row by row.  The two layouts sum in different orders, so
-  the last bit of a row's norm can depend on its batch's shape; tall rows
-  agree with their one-row solves to about 1e-15 relative.
+* One row (:func:`luxemburg_norm`) is solved on the support of f and an
+  indicator norm ||chi_E|| (:func:`indicator_norm`: the atomic
+  decomposition's weights and atom bounds, the indicator profiles) on E
+  alone, P(E)^{1/p} where p is constant on E, else from the tangent at
+  lambda = 1: one scalar loop, free of the batch's bookkeeping.
+* The kernel reduces along the batch's longer axis, chosen from its shape
+  alone: a batch with more rows than leaves (the stopping-time scans) is
+  solved on its leaves x rows transpose, any other row by row.  Each
+  layout, and a support alone, sums in its own order, so a norm agrees
+  across them to about one unit in the last place of log(norm / max|f|).
 
 Exponents are finite, as an :class:`Exponent` guarantees.  The one +inf
 exponent of the theory, 1/alpha(.) on {alpha = 0} in the Lipschitz norm,
@@ -237,17 +237,59 @@ def _luxemburg_rows(
     return norms, steps, resid
 
 
+def _newton_root(
+    logw: np.ndarray, q: np.ndarray, u: float | None, what: str, scale: float = 1.0
+) -> tuple[float, int, float]:
+    """The kernel's iteration on one 1-d array, g(u) = log sum exp(logw -
+    q u), from a start u left of the root, or where u is None from the
+    zero of the tangent at u = 0, as the kernel starts: the first u whose
+    step is at most NEWTON_REL_TOL, the steps taken and g there.  A failure
+    to converge names ``what`` and its size, and the last lambda,
+    scale * e^u."""
+    first = int(u is None)
+    u = 0.0 if first else u
+    for it in range(1 - first, NEWTON_MAX_ITER + 1):
+        e = logw - q * u
+        top = e.max()
+        e -= top
+        np.maximum(e, _LOG_WEIGHT_FLOOR, out=e)
+        w = np.exp(e, out=e)
+        total = float(w.sum())
+        g = top + math.log(total)
+        step = g * total / float(w @ q)
+        # the step from u = 0, right of the root, is not a stopping test
+        if it and step <= NEWTON_REL_TOL:
+            return u, it, g
+        u += step
+    raise NumericalError(
+        f"Newton iteration did not converge in {NEWTON_MAX_ITER} steps on "
+        f"{what} of {q.size} leaves, last at lambda {scale * math.exp(u)!r}"
+    )
+
+
 def luxemburg_norm(
     space: FilteredSpace,
     f: Sequence[float],
     p: Exponent,
 ) -> NormResult:
-    """Luxemburg norm inf{lambda > 0 : rho(f/lambda) <= 1}, as a one-row
-    call of the batch kernel."""
-    v = as_leaf_values(space, f)
+    """Luxemburg norm inf{lambda > 0 : rho(f/lambda) <= 1}: the kernel's
+    closed form, or its Newton iteration run on the support of f alone."""
+    a = np.abs(as_leaf_values(space, f))
     pvals = as_leaf_exponent(space, p)
-    norms, steps, resid = _luxemburg_rows(space.probs, pvals, v[None, :])
-    return NormResult(float(norms[0]), int(steps[0]), float(resid[0]))
+    top = float(a.max())
+    if top == 0.0:
+        return NormResult(0.0, 0, 0.0)
+    with np.errstate(divide="ignore", under="ignore"):
+        if (pvals == pvals[0]).all():
+            p0 = pvals[0]
+            norm = top * float((a / top) ** p0 @ space.probs) ** (1.0 / p0)
+            return NormResult(float(norm), 0, 0.0)
+        live = a > 0
+        q = pvals[live]
+        logw = np.log(space.probs[live]) + q * np.log(a[live] / top)
+        # g is convex, so its tangent at u = 0 meets zero left of the root
+        u, steps, g = _newton_root(logw, q, None, "the support of f, a set", top)
+    return NormResult(top * math.exp(u), steps, abs(math.expm1(g)))
 
 
 def norm_batch(
@@ -256,8 +298,8 @@ def norm_batch(
     rows: np.ndarray,
 ) -> np.ndarray:
     """Luxemburg norms of many leaf functions sharing one (space, exponent),
-    from the kernel of :func:`luxemburg_norm`.  Internal plumbing for the
-    sup-over-stopping-times modules."""
+    from the batch kernel, whose iteration :func:`luxemburg_norm` runs on
+    one row.  Internal plumbing for the sup-over-stopping-times modules."""
     rows = np.atleast_2d(np.asarray(rows, dtype=float))
     return _luxemburg_rows(probs, pvals, rows)[0]
 
@@ -296,23 +338,10 @@ def indicator_norm(probs: np.ndarray, pvals: np.ndarray, mask: np.ndarray) -> fl
     if not q.size:
         return 0.0
     total = float(pe.sum())
-    if np.all(q == q[0]):
+    if (q == q[0]).all():
         return total ** (1.0 / float(q[0]))
-    logw = np.log(pe)
     u = math.log(total) * total / float(pe @ q)
-    for _ in range(NEWTON_MAX_ITER):
-        e = logw - q * u
-        top = e.max()
-        w = np.exp(np.subtract(e, top, out=e), out=e)
-        total = float(w.sum())
-        step = (top + math.log(total)) * total / float(w @ q)
-        if step <= NEWTON_REL_TOL:
-            return math.exp(u)
-        u += step
-    raise NumericalError(
-        f"indicator Newton iteration did not converge in {NEWTON_MAX_ITER} "
-        f"steps on a set of {q.size} leaves, last at lambda {math.exp(u)!r}"
-    )
+    return math.exp(_newton_root(np.log(pe), q, u, "the indicator of a set")[0])
 
 
 def check_power_identity(

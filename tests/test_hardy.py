@@ -24,8 +24,21 @@ from vexmart import (
     stop,
 )
 from vexmart import serialize
-from vexmart.hardy import AtomTerm, AtomicDecomposition, _ceil_log2
-from vexmart.martingale import Martingale, cond_square_levels, sample_stopping_times
+from vexmart.hardy import (
+    ATOM_MEAN_TOL,
+    ATOM_SIZE_TOL,
+    AtomCheck,
+    AtomicDecomposition,
+    AtomTerm,
+    _ceil_log2,
+)
+from vexmart.martingale import (
+    Martingale,
+    cond_square,
+    cond_square_levels,
+    sample_stopping_times,
+)
+from vexmart.varlp import indicator_norm
 
 from conftest import random_exponent, random_tree_space
 
@@ -110,6 +123,45 @@ class TestIsAtom:
         p = constant_exponent(two_leaf, 1.0)
         assert is_atom(two_leaf, (0.0, 0.0), StoppingTime((INF, INF)), p)
         assert not is_atom(two_leaf, (1.0, -1.0), StoppingTime((INF, INF)), p)
+
+    def test_matches_the_martingale_path(self):
+        """Bit for bit the check read from the Martingale of a and its
+        square function, on decomposition terms, on random a and tau, on
+        depth 0 and with a tau that is never finite."""
+        rng = random.Random(167)
+        for trial in range(90):
+            sp = build_dyadic_space(0) if trial % 9 == 0 else random_tree_space(rng)
+            n = sp.n_leaves
+            p = random_exponent(rng, n, 0.5, 3.0)
+            f = centered_martingale(rng, sp, 10.0 ** rng.uniform(-2, 2))
+            cases = [(t.atom_terminal, t.tau) for t in atomic_decompose(f, p).terms]
+            a = np.array([rng.gauss(0, 1) for _ in range(n)])
+            levels = [0.0, float(sp.depth), INF]
+            cases += [
+                (a, StoppingTime([rng.choice(levels) for _ in range(n)])),
+                (f.terminal, StoppingTime([rng.choice(levels) for _ in range(n)])),
+                (a * 10.0 ** rng.choice([-12, 0]), StoppingTime([INF] * n)),
+            ]
+            for a, tau in cases:
+                assert repr(is_atom(sp, a, tau, p)) == repr(_martingale_path(sp, a, tau, p))
+
+
+def _martingale_path(space, a, tau, p):
+    """is_atom as computed from martingale_from_terminal and cond_square."""
+    pvals = p.vals
+    scale = max(1.0, float(np.abs(a).max()))
+    finite = tau.finite_mask
+    if not finite.any():
+        zero = bool(np.abs(a).max() <= ATOM_MEAN_TOL)
+        return AtomCheck(zero, zero, zero, float(np.abs(a).max()), 0.0, math.inf)
+    mart = martingale_from_terminal(space, a)
+    on_continue = tau.vals >= np.arange(space.depth + 1)[:, None]
+    worst = float(np.abs(mart.arrays[on_continue]).max(initial=0.0))
+    mean_ok = worst <= ATOM_MEAN_TOL * scale
+    s_sup = float(cond_square(mart).max())
+    bound = 1.0 / indicator_norm(space.probs, pvals, finite)
+    size_ok = s_sup <= bound * (1.0 + ATOM_SIZE_TOL)
+    return AtomCheck(mean_ok and size_ok, mean_ok, size_ok, worst, s_sup, bound)
 
 
 class TestAtomicDecomposition:

@@ -312,6 +312,103 @@ def test_indicator_norm_matches_the_kernel(seed, law, frac):
         assert abs(modular(sp, mask / got, p, 1.0) - 1.0) <= tol
 
 
+def _one_row_kernel(probs, pvals, f):
+    """(norm, Newton steps, residual) of f as the batch kernel solves a
+    one-row batch: Newton over every leaf, zero entries floored at e^-600,
+    from the tangent at lambda = max|f|."""
+    a = np.abs(np.asarray(f, dtype=float))[None]
+    top = a.max(axis=1)
+    if not top[0] > 0:
+        return 0.0, 0, 0.0
+    with np.errstate(divide="ignore", under="ignore"):
+        if np.all(pvals == pvals[0]):
+            p0 = pvals[0]
+            return float((top * ((a / top) ** p0 @ probs) ** (1.0 / p0))[0]), 0, 0.0
+        logw = np.log(probs) + pvals * np.log(a / top)
+    u = np.zeros(1)
+    for it in range(varlp.NEWTON_MAX_ITER + 1):
+        e = logw - pvals * u
+        m = e.max(axis=1)
+        w = np.exp(np.maximum(e - m, -600.0))
+        total = w.sum(axis=1)
+        g = m + np.log(total)
+        step = g / ((w @ pvals) / total)
+        if it and step[0] <= varlp.NEWTON_REL_TOL:
+            return float((top * np.exp(u))[0]), it, float(np.abs(np.expm1(g))[0])
+        u = u + step
+    raise AssertionError("the one-row kernel did not converge")
+
+
+def _norm_cases(rng, count):
+    """(space, f, exponent) on random trees with unequal probabilities, p in
+    (0.3, 6): rows with zero entries, a single nonzero leaf, and entries
+    1e-300 beside entries near 1."""
+    for i in range(count):
+        sp = random_tree_space(rng, max_leaves=40, max_depth=6)
+        n = sp.n_leaves
+        lo, hi = sorted(rng.uniform(0.3, 6.0) for _ in range(2))
+        pv = [rng.uniform(lo, hi) for _ in range(n)]
+        if i % 7 == 0:
+            pv = [pv[0]] * n
+        law = ("zeros", "single", "tiny")[i % 3]
+        if law == "zeros":
+            frac = rng.choice([0.0, 0.3, 0.8])
+            f = [0.0 if rng.random() < frac else rng.gauss(0, 1) * 10.0 ** rng.uniform(-5, 5)
+                 for _ in range(n)]
+        elif law == "single":
+            f = [0.0] * n
+            f[rng.randrange(n)] = rng.uniform(-3.0, 3.0)
+        else:
+            f = [rng.choice([1e-300, -1e-300, rng.uniform(0.5, 1.0), 0.0]) for _ in range(n)]
+        yield sp, np.array(f), Exponent(pv)
+
+
+def test_luxemburg_norm_matches_the_one_row_kernel():
+    """The solve on the support of f takes the kernel's steps to its norm.
+    Both iterate on u = log(lambda / max|f|) and return max|f| e^u, and the
+    support alone is summed in another order, which can round u the other
+    way by one unit in its last place: the norms agree to 1e-15 relative
+    beyond that."""
+    rng = random.Random(157)
+    for sp, f, p in _norm_cases(rng, 900):
+        want, steps, _ = _one_row_kernel(sp.probs, p.vals, f)
+        got = luxemburg_norm(sp, f, p)
+        if not want:
+            assert (got.norm, got.iterations, got.residual) == (0.0, 0, 0.0)
+            continue
+        u = math.log(want / np.abs(f).max())
+        assert abs(got.norm - want) <= want * (1e-15 + math.ulp(u)), (f, p.vals)
+        assert got.iterations == steps
+
+
+def test_luxemburg_norm_residual_is_the_modular_gap():
+    """``residual`` is |rho(f / norm) - 1| as :func:`modular` computes it,
+    0 for a closed form or a zero row."""
+    rng = random.Random(163)
+    for sp, f, p in _norm_cases(rng, 300):
+        res = luxemburg_norm(sp, f, p)
+        if not res.iterations:
+            assert res.residual == 0.0
+            continue
+        want = abs(modular(sp, f, p, res.norm) - 1.0)
+        assert abs(res.residual - want) <= 1e-14
+
+
+def test_luxemburg_norm_failure_names_its_support(monkeypatch):
+    """With one Newton step allowed, the error names the size of the support
+    of f and a lambda below the norm: Newton climbs to the root from the
+    left."""
+    sp = build_dyadic_space(3)
+    p = Exponent((1.2, 2.8, 1.5, 3.5, 0.6, 2.0, 4.5, 1.1))
+    f = (1.0, 0.0, -2.0, 0.5, 0.0, 3.0, 0.25, -1.5)
+    want = luxemburg_norm(sp, f, p).norm
+    monkeypatch.setattr(varlp, "NEWTON_MAX_ITER", 1)
+    with pytest.raises(NumericalError, match=r"support of f, a set of 6 leaves") as info:
+        luxemburg_norm(sp, f, p)
+    lam = float(str(info.value).rsplit("lambda ", 1)[1])
+    assert 0.0 < lam < want
+
+
 def test_indicator_norm_closed_forms():
     """0 on the empty set, P(E)^{1/p} where p is constant on E, also when
     p varies off E."""
