@@ -76,11 +76,10 @@ class StoppingScan:
 
     @classmethod
     def of(cls, taus: np.ndarray, depth: int, mode: str) -> "StoppingScan":
+        """The scan of the rows of ``taus``, each finite somewhere."""
         finite = np.isfinite(taus)
-        kept = finite.any(axis=1)
-        finite = finite[kept]
         first, which = _distinct_rows(finite)
-        cells = np.minimum(taus[kept], depth + 1).astype(np.intp)
+        cells = np.minimum(taus, depth + 1).astype(np.intp)
         cells *= cells.shape[1]
         cells += np.arange(cells.shape[1])
         return cls(*map(readonly, (cells, finite[first], which)), mode)
@@ -127,8 +126,9 @@ def candidate_matrix(
     cache = space._scan_cache
     if mode in ("auto", "exhaustive") and count <= ENUMERATION_CAP:
         if "exhaustive" not in cache:
+            # the enumeration's last row, tau = inf, is its only never-finite one
             cache["exhaustive"] = StoppingScan.of(
-                enumerate_stopping_matrix(space), space.depth, "exhaustive"
+                enumerate_stopping_matrix(space)[:-1], space.depth, "exhaustive"
             )
         return cache["exhaustive"]
     if mode == "exhaustive":
@@ -143,6 +143,8 @@ def candidate_matrix(
             sample_stopping_matrix(space, samples, seed),
             np.broadcast_to(levels, (space.depth + 1, space.n_leaves)),
         ])
+        # row 1, tau = inf, and any walk that never stopped
+        rows = rows[np.isfinite(rows).any(axis=1)]
         scan = StoppingScan.of(rows[_distinct_rows(rows)[0]], space.depth, "sampled")
         cache["sampled"] = ((seed, samples), scan)
     return scan

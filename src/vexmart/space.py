@@ -127,6 +127,14 @@ class FilteredSpace(ArrayValue):
         space lives.  Not part of the value: equality ignores it."""
         return {}
 
+    @cached_property
+    def _chi_norms(self) -> list:
+        """The indicator norms ||chi_E||_{p(.)} that ``hardy`` solved on
+        this space for its latest exponent: [the exponent's bytes, {E's
+        packed bits: norm}].  A new exponent replaces both; see
+        ``hardy._chi_norm``.  Not part of the value: equality ignores it."""
+        return [b"", {}]
+
     def level_averages(self, rows: np.ndarray, start: int = 0) -> np.ndarray:
         """Row k of the result is the block average of ``rows[k]`` at level
         start + k, from one weighted bincount: the one implementation of

@@ -315,8 +315,8 @@ def test_sampled_candidates_match_recursive_oracle(seed, samples):
 def test_indicator_norms_match_per_row_loop(seed):
     """A scan of the stopping times tau = N on random leaf subsets, with
     duplicate and empty subsets: its distinct-mask norms gathered by
-    ``which`` are the per-row norms, and the empty mask, which the scan
-    leaves out, has norm 0."""
+    ``which`` are the per-row norms, and the empty mask, which the scan's
+    callers leave out before ``StoppingScan.of``, has norm 0."""
     rng = random.Random(seed)
     sp = random_tree_space(rng, max_leaves=20)
     n = sp.n_leaves
@@ -331,8 +331,8 @@ def test_indicator_norms_match_per_row_loop(seed):
         masks[rng.randrange(m)] = masks[rng.randrange(m)]
         masks[rng.randrange(m)] = False
     taus = np.where(masks, float(sp.depth), math.inf)
-    scan = StoppingScan.of(taus, sp.depth, "sampled")
     nonempty = masks.any(axis=1)
+    scan = StoppingScan.of(taus[nonempty], sp.depth, "sampled")
     assert np.array_equal(scan.masks[scan.which], masks[nonempty])
     got = np.zeros(m + 1)
     got[nonempty] = scan.mask_norms(sp.probs, p.vals)[scan.which]

@@ -1,8 +1,11 @@
 import math
 import random
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from vexmart import (
     DomainError,
@@ -23,7 +26,7 @@ from vexmart import (
     reconstruct,
     stop,
 )
-from vexmart import serialize
+from vexmart import hardy, serialize
 from vexmart.hardy import (
     ATOM_MEAN_TOL,
     ATOM_SIZE_TOL,
@@ -31,6 +34,7 @@ from vexmart.hardy import (
     AtomicDecomposition,
     AtomTerm,
     _ceil_log2,
+    _chi_norm,
 )
 from vexmart.martingale import (
     Martingale,
@@ -40,7 +44,7 @@ from vexmart.martingale import (
 )
 from vexmart.varlp import indicator_norm
 
-from conftest import random_exponent, random_tree_space
+from conftest import drop_root_level, random_exponent, random_tree_space
 
 INF = math.inf
 
@@ -439,3 +443,92 @@ class TestWholeArrayOracles:
             } for t in rng.sample(taus, rng.randint(0, len(taus)))]
             dec = serialize.decomposition_from_json(sp, obj)
             assert a_quantity(dec, p) == pytest.approx(a_quantity_oracle(dec, p), rel=1e-12)
+
+
+def fresh_space(sp):
+    """An equal space that has kept no indicator norm."""
+    return serialize.space_from_json(serialize.space_to_json(sp))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(min_value=0, max_value=10**6),
+    budget=st.sampled_from([0, 100, 400, hardy._CHI_NORM_BYTES]),
+)
+def test_kept_chi_norms_equal_fresh_solves(seed, budget):
+    """Every norm kept on a tree or a forest is the float a fresh solve
+    returns, for the latest exponent only, across exponent switches and
+    the clears that a small byte budget forces; the keys and values of all
+    kept entries but the newest stay within the budget."""
+    rng = random.Random(seed)
+    sp = random_tree_space(rng, max_leaves=24)
+    if rng.random() < 0.5:
+        sp = drop_root_level(sp)
+    n = sp.n_leaves
+    exponents = [random_exponent(rng, n, 0.3, 4.0), constant_exponent(sp, rng.uniform(0.3, 4.0))]
+    masks = [np.array([rng.random() < 0.6 for _ in range(n)]) for _ in range(6)]
+    with mock.patch.object(hardy, "_CHI_NORM_BYTES", budget):
+        for _ in range(40):
+            pvals = rng.choice(exponents).vals
+            mask = rng.choice(masks)
+            got = _chi_norm(sp, pvals, mask)
+            assert got.hex() == indicator_norm(sp.probs, pvals, mask).hex()
+            key, norms = sp._chi_norms
+            assert key == pvals.tobytes()
+            entry = len(np.packbits(mask).tobytes()) + 8
+            assert (len(norms) - 1) * entry <= budget
+            for bits, norm in norms.items():
+                m = np.unpackbits(np.frombuffer(bits, np.uint8), count=n).astype(bool)
+                assert norm.hex() == indicator_norm(sp.probs, pvals, m).hex()
+
+
+def test_pipeline_solves_each_distinct_set_once(monkeypatch):
+    """atomic_decompose, is_atom on every term and a_quantity solve each
+    distinct {tau_k < inf} of a variable exponent once between them."""
+    calls = []
+
+    def counting(probs, pvals, mask):
+        calls.append(mask.tobytes())
+        return indicator_norm(probs, pvals, mask)
+
+    monkeypatch.setattr(hardy, "indicator_norm", counting)
+    rng = random.Random(61)
+    terms = distinct = 0
+    for trial in range(40):
+        sp = build_dyadic_space(rng.choice([3, 5])) if trial % 2 else random_tree_space(rng)
+        p = random_exponent(rng, sp.n_leaves, 0.5, 3.0)
+        calls.clear()
+        dec = atomic_decompose(centered_martingale(rng, sp, rng.choice([0.1, 10.0])), p)
+        assert all(is_atom(sp, t.atom_terminal, t.tau, p) for t in dec.terms)
+        a_quantity(dec, p)
+        masks = {t.tau.finite_mask.tobytes() for t in dec.terms}
+        assert sorted(calls) == sorted(masks)
+        terms, distinct = terms + len(dec.terms), distinct + len(masks)
+    # some sets repeat within a decomposition, and each term was solved
+    # three times before the norms were kept
+    assert terms > distinct
+
+
+def test_a_quantity_from_json_under_a_second_exponent():
+    """A decomposition read from JSON carries no exponent: a_quantity with
+    one exponent, then another, then the first again equals the per-term
+    loop and, bit for bit, a call on a space that has kept nothing."""
+    rng = random.Random(71)
+    for trial in range(40):
+        sp = random_tree_space(rng)
+        if trial % 2:
+            sp = drop_root_level(sp)
+        taus = [t for t in sample_stopping_times(sp, 12, seed=trial) if t.finite_mask.any()]
+        obj = [{
+            "k": rng.randint(-5, 5),
+            "mu": rng.uniform(0.0, 10.0),
+            "tau": serialize.stopping_time_to_json(t)["stop_level"],
+            "atom_terminal": [rng.gauss(0, 1) for _ in range(sp.n_leaves)],
+        } for t in rng.sample(taus, rng.randint(1, len(taus)))]
+        dec = serialize.decomposition_from_json(sp, obj)
+        p, q = (random_exponent(rng, sp.n_leaves, 0.3, 3.0) for _ in range(2))
+        for e in (p, q, p):
+            got = a_quantity(dec, e)
+            assert got == pytest.approx(a_quantity_oracle(dec, e), rel=1e-12)
+            cold = a_quantity(serialize.decomposition_from_json(fresh_space(sp), obj), e)
+            assert got.hex() == cold.hex()

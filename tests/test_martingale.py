@@ -591,6 +591,15 @@ class TestPreorderWalk:
         for sp in spaces:
             assert np.array_equal(enumerate_stopping_matrix(sp), _recursive_enumeration(sp))
 
+    def test_tau_inf_is_only_the_last_row(self):
+        # the exhaustive scan drops the last row, not every never-finite one
+        spaces = [build_dyadic_space(d) for d in (0, 1, 2, 3, 4)]
+        spaces += [build_mary_space(3, 2)]
+        spaces += list(_walk_test_spaces(71, 40, 8))
+        for sp in spaces:
+            never = ~np.isfinite(enumerate_stopping_matrix(sp)).any(axis=1)
+            assert np.flatnonzero(never).tolist() == [never.size - 1]
+
     def test_enumeration_peak_is_its_result(self):
         sp = build_dyadic_space(4)
         count_stopping_times(sp)

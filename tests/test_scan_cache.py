@@ -293,7 +293,7 @@ def test_mask_norms_are_kept_per_probs_too():
     probabilities: the same exponent under other probabilities is another
     solve, not the kept one."""
     sp = build_dyadic_space(3)
-    scan = StoppingScan.of(enumerate_stopping_matrix(sp), sp.depth, "exhaustive")
+    scan = StoppingScan.of(enumerate_stopping_matrix(sp)[:-1], sp.depth, "exhaustive")
     pvals = random_exponent(random.Random(4), sp.n_leaves, 1.0, 3.0).vals
     other = np.arange(1.0, sp.n_leaves + 1.0)
     other /= other.sum()
@@ -316,7 +316,7 @@ def test_kept_mask_norms_stay_under_the_byte_budget(monkeypatch):
     running byte total is the sum over the kept entries after every miss
     and eviction."""
     sp = build_dyadic_space(2)
-    scan = StoppingScan.of(enumerate_stopping_matrix(sp), sp.depth, "exhaustive")
+    scan = StoppingScan.of(enumerate_stopping_matrix(sp)[:-1], sp.depth, "exhaustive")
     exponents = [np.full(4, 1.0 + k / 4) for k in range(6)]
     entry = 2 * sp.probs.nbytes + len(scan.masks) * 8
     budget = 3 * entry + entry // 2
@@ -334,7 +334,7 @@ def test_kept_mask_norms_stay_under_the_byte_budget(monkeypatch):
     assert [b for _, b in scan._norms] == kept[1:] + [exponents[0].tobytes()]
 
     monkeypatch.setattr(bmo, "_MASK_NORM_BUDGET", entry - 1)
-    fresh = StoppingScan.of(enumerate_stopping_matrix(sp), sp.depth, "exhaustive")
+    fresh = StoppingScan.of(enumerate_stopping_matrix(sp)[:-1], sp.depth, "exhaustive")
     got = fresh.mask_norms(sp.probs, exponents[1])
     assert np.array_equal(got, first[1])
     assert not fresh._norms and fresh._held == 0
