@@ -354,14 +354,25 @@ def lemma34_check(
 ) -> ConstantReport:
     """Pointwise block-average inequality with K = condition_k:
     (avg_B |f|)^{p(x)/p_-} <= K * (avg_B |f|^{p(x)/p_-} + 1) for every
-    filtration block B and leaf x in B, after rescaling to ||f|| <= 1/2."""
+    filtration block B and leaf x in B, after rescaling to ||f|| <= 1/2.
+
+    The right side's exponent follows the evaluation point x, so every
+    pair (x, y) of leaves is one power P(y) |f(y)|^{e_x}.  Rows x run in
+    blocks through one buffer whose columns are the leaves in level-N
+    block order, and a block's sums go bottom-up: level N is the entries
+    themselves, and each coarser level is one bincount over (row, parent)
+    of the level below, with index arrays built once.  A block has
+    _BLOCK_BYTES / (8 * the blocks of all levels) rows, so the buffer and
+    the index arrays each take at most about _BLOCK_BYTES, whatever n and
+    the depth; each row reads its own block's sum at every level."""
     fv = np.abs(as_leaf_values(space, f))
-    # the (leaf, leaf) weight matrix below is the largest allocation
-    n_bytes = 8 * space.n_leaves**2
-    if n_bytes > MAX_SPACE_BYTES:
+    n = space.n_leaves
+    # the cap bounds the time, n^2 powers: a pair counts the 8 bytes it
+    # would take in an n x n matrix
+    if 8 * n**2 > MAX_SPACE_BYTES:
         raise ResourceError(
-            f"lemma34 check on {space.n_leaves} leaves needs {n_bytes} bytes, "
-            f"over {MAX_SPACE_BYTES}"
+            f"lemma34 check on {n} leaves evaluates {n**2} leaf pairs, "
+            f"over {MAX_SPACE_BYTES // 8}"
         )
     norm = luxemburg_norm(space, fv, p).norm
     scale = 1.0
@@ -370,20 +381,38 @@ def lemma34_check(
         fv = fv * scale
     k = condition_k(space, p).k
     e = p.vals / p.p_minus()
-    # row x: P(y) |f(y)|^{e_x}; the exponent tracks the evaluation point x,
-    # not the integration variable y, and does not depend on the level
-    weighted = fv[None, :] ** e[:, None]
-    weighted *= space.probs
     lhs = space.level_averages(np.broadcast_to(fv, space.block_of.shape)) ** e
-    ratios = np.empty((space.depth + 1, space.n_leaves))
-    for n, bo in enumerate(space.block_of):
-        same_block = bo[:, None] == bo[None, :]
-        avg = weighted.sum(axis=1, where=same_block) / space.block_probs[n][bo]
-        ratios[n] = lhs[n] / (k * (avg + 1.0))
+    ratios = np.empty((space.depth + 1, n))
+    cols = np.argsort(space.block_of[-1])
+    fcols, pcols = fv[cols], space.probs[cols]
+    nb = space.n_blocks
+    step = min(n, max(1, _BLOCK_BYTES // (8 * sum(nb))))
+    buf = np.empty((step, n))
+    row = np.arange(step)
+    # per level m >= 1, each level-m sum's (row, parent) position in the
+    # level-(m-1) sums, row-major
+    up = [
+        (row[:, None] * nb[m - 1] + par).ravel()
+        for m, par in enumerate(space.parents, 1)
+    ]
+    for start in range(0, n, step):
+        x = slice(start, start + step)
+        r = e[x].size
+        # row x: P(y) |f(y)|^{e_x}; the exponent tracks the evaluation
+        # point x, not the integration variable y
+        sums = np.power(fcols, e[x, None], out=buf[:r])
+        sums *= pcols
+        sums = sums.ravel()
+        for m in range(space.depth, -1, -1):
+            bo = space.block_of[m][x]
+            avg = sums[row[:r] * nb[m] + bo] / space.block_probs[m][bo]
+            ratios[m, x] = lhs[m, x] / (k * (avg + 1.0))
+            if m:
+                sums = np.bincount(up[m - 1][: r * nb[m]], sums, r * nb[m - 1])
     # first largest ratio in level-major, leaf-minor order
-    n, x = divmod(int(np.argmax(ratios)), space.n_leaves)
-    best = float(ratios[n, x])
-    witness = {"level": n, "leaf": x, "ratio": best}
+    level, leaf = divmod(int(np.argmax(ratios)), n)
+    best = float(ratios[level, leaf])
+    witness = {"level": level, "leaf": leaf, "ratio": best}
     if best > 1.0 + ASSERT_SLACK:
         raise NumericalError(
             f"pointwise block-average inequality violated: max ratio {best}"

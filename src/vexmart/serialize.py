@@ -163,12 +163,44 @@ def decomposition_from_json(
     return AtomicDecomposition(space, tuple(_term_from_json(space, t) for t in obj))
 
 
+# exact types that json's C encoder writes as json's indenting encoder does
+_SCALARS = frozenset({str, int, float, bool, type(None)})
+
+
+def _dumps(obj: Any, indent: str) -> str:
+    """``json.dumps(obj, indent=2, allow_nan=False)`` for a value whose
+    first line sits at ``indent``.  Python's encoder is in C only without
+    an indent, so a list of plain scalars is written in one C call whose
+    item separator carries the newline and indent; dicts with str keys and
+    the other lists and tuples recurse, and any other value (non-str keys,
+    subclasses) goes to the indenting encoder, re-indented.  No string in
+    JSON text holds a raw newline, so re-indenting is a replace."""
+    kind = type(obj)
+    if kind in _SCALARS:
+        return json.dumps(obj, allow_nan=False)
+    inner = indent + "  "
+    sep = ",\n" + inner
+    if kind is dict and obj and all(type(key) is str for key in obj):
+        items = [f"{json.dumps(k)}: {_dumps(v, inner)}" for k, v in obj.items()]
+        body = sep.join(items)
+        return "{\n" + inner + body + "\n" + indent + "}"
+    if (kind is list or kind is tuple) and obj:
+        if set(map(type, obj)) <= _SCALARS:
+            body = json.dumps(obj, separators=(sep, ": "), allow_nan=False)[1:-1]
+        else:
+            body = sep.join([_dumps(v, inner) for v in obj])
+        return "[\n" + inner + body + "\n" + indent + "]"
+    return json.dumps(obj, indent=2, allow_nan=False).replace("\n", "\n" + indent)
+
+
 def dumps(obj: Any) -> str:
     """Deterministic, standard JSON text: fixed key order as constructed,
-    no spaces lost to platform differences.  A non-finite number can only
-    come from a computation gone wrong and raises NumericalError."""
+    no spaces lost to platform differences; byte for byte
+    ``json.dumps(obj, indent=2, allow_nan=False)``, written mostly by
+    json's C encoder (see ``_dumps``).  A non-finite number can only come
+    from a computation gone wrong and raises NumericalError."""
     try:
-        return json.dumps(obj, indent=2, allow_nan=False)
+        return _dumps(obj, "")
     except ValueError as exc:
         raise NumericalError(f"cannot encode as JSON: {exc}") from exc
 

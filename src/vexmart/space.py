@@ -17,8 +17,9 @@ import numpy as np
 
 from .errors import DomainError, ResourceError, ValidationError
 
-# largest arrays a space builder, `check lemma34` or the stopping-time
-# sampler may allocate, in bytes
+# largest arrays a space builder or the stopping-time sampler may
+# allocate, in bytes; `check lemma34` evaluates at most one eighth of it in
+# leaf pairs (the bytes of an n x n matrix), holding one row block at a time
 MAX_SPACE_BYTES = 1 << 30
 # most stopping times an enumeration lists, and most pairs `condition_k`
 # scores at once
@@ -99,6 +100,18 @@ class FilteredSpace(ArrayValue):
     def block_probs(self) -> tuple[np.ndarray, ...]:
         """Per level, the probability of each block."""
         return tuple(np.split(self._stacked_blocks[1], np.cumsum(self.n_blocks)[:-1]))
+
+    @cached_property
+    def parents(self) -> tuple[np.ndarray, ...]:
+        """Per level n >= 1, at index n - 1: the position of the level-(n-1)
+        block holding each level-n block, so that
+        ``parents[n - 1][block_of[n]] == block_of[n - 1]``."""
+        out = []
+        for n in range(1, self.depth + 1):
+            par = np.empty(self.n_blocks[n], dtype=np.intp)
+            par[self.block_of[n]] = self.block_of[n - 1]
+            out.append(readonly(par))
+        return tuple(out)
 
     @cached_property
     def preorder(self) -> tuple[np.ndarray, ...]:

@@ -96,17 +96,22 @@ def modular_grid(
     lams: Sequence[float] | np.ndarray,
 ) -> np.ndarray:
     """rho(f/lam) for every lam of a positive 1-d array.  The (lambda,
-    leaf) terms are made about 1 MB at a time, so memory does not grow
-    with the grid, and each block's rows are summed exactly as a
-    one-lambda call sums.  Internal plumbing for the weak-type check, like
-    :func:`norm_batch`."""
+    leaf) terms are made in one reused buffer of about 1 MB, block after
+    block, so memory does not grow with the grid and no block is allocated
+    afresh; each term takes the one-lambda operations in the same order,
+    and each block's rows are summed exactly as a one-lambda call sums.
+    Internal plumbing for the weak-type check, like :func:`norm_batch`."""
     lams = np.asarray(lams, dtype=float)
     a = np.abs(f)
     step = max(1, (1 << 20) // a.nbytes)
+    buf = np.empty((min(step, lams.size), a.size))
     out = np.empty(lams.size)
     for start in range(0, lams.size, step):
         lam = lams[start : start + step, None]
-        out[start : start + step] = np.sum(probs * (a / lam) ** pvals, axis=1)
+        terms = np.divide(a, lam, out=buf[: lam.size])
+        np.power(terms, pvals, out=terms)
+        np.multiply(probs, terms, out=terms)
+        np.sum(terms, axis=1, out=out[start : start + step])
     return out
 
 

@@ -4,6 +4,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import vexmart
 from vexmart import (
@@ -606,6 +608,34 @@ def test_dumps_refuses_non_finite_numbers(value):
         serialize.dumps({"x": value})
     with pytest.raises(NumericalError):
         serialize.dumps({"curve": [[0.0, 1.0], [value, 0.5]]})
+
+
+_JSON_SCALARS = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(),
+    st.integers(min_value=-(10**40), max_value=10**40),
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.sampled_from([0.0, -0.0, 1e-320, 5e-324, 1.7976931348623157e308]),
+    st.text(),
+    st.sampled_from(["inf", "a\"b\\c\n\t", "\x00\x1f", "é☃\U0001f600"]),
+)
+_JSON_VALUES = st.recursive(
+    _JSON_SCALARS | st.lists(st.one_of(st.integers(0, 20), st.just("inf"))),
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=5),
+        st.lists(inner, max_size=5).map(tuple),
+        st.dictionaries(st.text(max_size=5), inner, max_size=5),
+        st.dictionaries(st.one_of(st.integers(), st.text(max_size=3)), inner, max_size=3),
+    ),
+    max_leaves=30,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_JSON_VALUES)
+def test_dumps_is_json_dumps_with_indent(obj):
+    assert serialize.dumps(obj) == json.dumps(obj, indent=2, allow_nan=False)
 
 
 def test_tuple_views_are_removed():

@@ -46,6 +46,7 @@ from vexmart.martingale import enumerate_stopping_matrix, stopped_terminal_diffs
 from vexmart.varlp import modular_grid
 
 from conftest import (
+    drop_root_level,
     random_exponent,
     random_tree_space,
     relabelled_levels,
@@ -258,6 +259,47 @@ def test_lemma34_matches_leaf_loop():
         assert np.allclose(rep.ratios, want, rtol=1e-12, atol=0)
         assert (rep.witness["level"], rep.witness["leaf"]) == (
             witness["level"], witness["leaf"])
+
+
+def test_lemma34_matches_leaf_loop_across_row_blocks(monkeypatch):
+    """Rows in blocks of 3, so every space splits into several blocks with
+    a partial last one, on trees, forests and relabelled trees."""
+    rng = random.Random(67)
+    partial = 0
+    for i in range(30):
+        tree = random_tree_space(rng, max_leaves=20, max_depth=5)
+        sp = (tree, drop_root_level(tree),
+              validate_filtration(*relabelled_levels(tree, rng)))[i % 3]
+        partial += sp.n_leaves > 3 and sp.n_leaves % 3 > 0
+        assert len(sp.parents) == sp.depth
+        for n, par in enumerate(sp.parents, 1):
+            assert par.dtype == np.intp and not par.flags.writeable
+            assert np.array_equal(par[sp.block_of[n]], sp.block_of[n - 1])
+        monkeypatch.setattr(experiments, "_BLOCK_BYTES", 3 * 8 * sum(sp.n_blocks))
+        p = random_exponent(rng, sp.n_leaves, 1.0, 3.0)
+        f = [rng.gauss(0, 3) for _ in range(sp.n_leaves)]
+        want, witness = _lemma34_oracle(f, p, sp)
+        rep = lemma34_check(f, p, sp)
+        assert np.allclose(rep.ratios, want, rtol=1e-12, atol=0)
+        assert (rep.witness["level"], rep.witness["leaf"]) == (
+            witness["level"], witness["leaf"])
+    assert partial >= 10
+
+
+def test_lemma34_memory_is_one_row_block_on_2048_leaves():
+    """Its n x n weight matrix alone would take 32 MiB."""
+    sp = build_dyadic_space(11)
+    rng = random.Random(11)
+    p = random_exponent(rng, sp.n_leaves, 1.0, 3.0)
+    f = [rng.gauss(0, 3) for _ in range(sp.n_leaves)]
+    tracemalloc.start()
+    try:
+        rep = lemma34_check(f, p, sp)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rep.ratios.size == 12 * 2048
+    assert peak < 8 * 2**20
 
 
 class TestJnEquivalence:
