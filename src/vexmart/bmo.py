@@ -7,15 +7,16 @@ tau = n.  Sampled values are lower bounds of the true supremum and the mode
 is reported so callers can pin exhaustive results only.  The family depends
 on the filtration alone, so it is built once per space and cached there
 together with its distinct {tau < inf} masks.  The norms of those masks
-depend on the exponent too, and the scan keeps them per exponent under a
-byte budget, so a call gathers its stopped differences from one table and
-solves its numerators, and its denominators only for a new exponent.
+depend on the exponent too, and the space keeps them per exponent under a
+byte budget (``varlp.kept_indicator_norms``), so a call gathers its
+stopped differences from one table and solves its numerators, and its
+denominators only for an exponent the space has not kept.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -34,11 +35,8 @@ from .martingale import (
     stopped_terminal_diffs,
 )
 from .space import Exponent, FilteredSpace, as_leaf_exponent, as_leaf_values, readonly
-from .varlp import max_norm_ratio, norm_batch
+from .varlp import kept_indicator_norms, max_norm_ratio
 from .hardy import hs_norm
-
-# bytes of mask norms, keys included, that one scan keeps
-_MASK_NORM_BUDGET = 16 << 20
 
 
 @dataclass(frozen=True)
@@ -59,20 +57,13 @@ class StoppingScan:
     ``mode`` how the family was made, "exhaustive" or "sampled".  Masks
     ascend by their bits read as a binary number c, leaf 0 on top; an
     exhaustive family has every nonempty subset (tau = N on it), so there
-    mask c is at c - 1.
-
-    The mask norms of each (probs, exponent) are solved once and kept,
-    read-only, under their bytes; at most _MASK_NORM_BUDGET bytes of them,
-    keys included, the oldest given up first.  A kept value is the array
-    the solve returned, so it equals a fresh solve bit for bit."""
+    mask c is at c - 1.  The norms of the masks are kept on the space (see
+    ``varlp.kept_indicator_norms``)."""
 
     cells: np.ndarray
     masks: np.ndarray
     which: np.ndarray
     mode: str
-    _norms: dict = field(default_factory=dict, init=False, repr=False, compare=False)
-    # bytes of the entries of _norms, kept beside it so that a miss is O(1)
-    _held: int = field(default=0, init=False, repr=False, compare=False)
 
     @classmethod
     def of(cls, taus: np.ndarray, depth: int, mode: str) -> "StoppingScan":
@@ -83,28 +74,6 @@ class StoppingScan:
         cells *= cells.shape[1]
         cells += np.arange(cells.shape[1])
         return cls(*map(readonly, (cells, finite[first], which)), mode)
-
-    def mask_norms(self, probs: np.ndarray, pvals: np.ndarray) -> np.ndarray:
-        """||chi_{tau<inf}||_{p(.)} per distinct mask, in the order of
-        ``masks``, read-only; ``[which]`` of it gives them per row.  One
-        batch solves them for each (probs, pvals) the scan has not kept."""
-        key = (probs.tobytes(), pvals.tobytes())
-        norms = self._norms.get(key)
-        if norms is None:
-            norms = readonly(norm_batch(probs, pvals, self.masks.astype(float)))
-            size = _entry_bytes(key, norms)
-            if size <= _MASK_NORM_BUDGET:
-                held = self._held
-                while held + size > _MASK_NORM_BUDGET:
-                    oldest = next(iter(self._norms))
-                    held -= _entry_bytes(oldest, self._norms.pop(oldest))
-                self._norms[key] = norms
-                object.__setattr__(self, "_held", held + size)
-        return norms
-
-
-def _entry_bytes(key: tuple[bytes, bytes], norms: np.ndarray) -> int:
-    return len(key[0]) + len(key[1]) + norms.nbytes
 
 
 def candidate_matrix(
@@ -186,7 +155,7 @@ def bmo_norm(
     pv = as_leaf_exponent(space, p)
     scan = candidate_matrix(space, mode, seed, samples)
     diffs = np.take(stopped_terminal_diffs(f, shift="minus-one"), scan.cells)
-    dens = scan.mask_norms(space.probs, pv)[scan.which]
+    dens = kept_indicator_norms(space, pv, scan.masks)[scan.which]
     return _sup_result(scan, *max_norm_ratio(space.probs, pv, diffs, dens))
 
 
@@ -220,7 +189,8 @@ def lipschitz_norm(
     pq = scan.masks[scan.which] @ space.probs
     dens_q = pq ** (1.0 / q)
     meets_zero = (scan.masks & ~pos).any(axis=1)
-    dens_alpha = np.where(meets_zero, 1.0, scan.mask_norms(space.probs, inv_alpha))
+    norms = kept_indicator_norms(space, inv_alpha, scan.masks)
+    dens_alpha = np.where(meets_zero, 1.0, norms)
     ratios = nums / (dens_q * dens_alpha[scan.which])
     i = int(np.argmax(ratios))
     return _sup_result(scan, float(ratios[i]), i)

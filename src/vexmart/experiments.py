@@ -38,7 +38,13 @@ from .space import (
     condition_k,
     validate_filtration,
 )
-from .varlp import luxemburg_norm, max_norm_ratio, modular_grid, norm_batch
+from .varlp import (
+    kept_indicator_norms,
+    luxemburg_norm,
+    max_norm_ratio,
+    modular_grid,
+    norm_batch,
+)
 
 ASSERT_SLACK = 1e-9
 # bytes of a row block of a stopping-time scan walked in blocks
@@ -429,7 +435,7 @@ def jn_equivalence(config: TrialConfig, p: Exponent) -> ConstantReport:
     """Two-sided envelope of bmo_norm(f, p) / bmo_norm(f, 1) over random
     martingales, both norms taken exhaustively.  The stopping times come
     from the space's cached scan, both denominators (p = 1 and p(.)) are
-    read from the scan's kept mask norms, solved only on the first call
+    read from the norms the space keeps, solved only on the first call
     with each exponent, and the two numerators of a trial share one
     stopped-difference gather."""
     space = config.space
@@ -438,8 +444,8 @@ def jn_equivalence(config: TrialConfig, p: Exponent) -> ConstantReport:
         raise DomainError("BMO norm equivalence requires p_- >= 1")
     probs, ones = space.probs, np.ones(space.n_leaves)
     scan = candidate_matrix(space, "exhaustive")
-    dens1 = scan.mask_norms(probs, ones)[scan.which]
-    densp = scan.mask_norms(probs, pvals)[scan.which]
+    dens1 = kept_indicator_norms(space, ones, scan.masks)[scan.which]
+    densp = kept_indicator_norms(space, pvals, scan.masks)[scan.which]
     ratios, kept = [], []
     for i in range(config.trials):
         f = generate_martingale(config, i)
@@ -538,14 +544,14 @@ def exp_jn_curve(f: Martingale, p: Exponent) -> ConstantReport:
     table = stopped_terminal_diffs(f)
     diffs = np.take(table, scan.cells)
     probs, ones = space.probs, np.ones(space.n_leaves)
-    dens1 = scan.mask_norms(probs, ones)[scan.which]
+    dens1 = kept_indicator_norms(space, ones, scan.masks)[scan.which]
     b1 = max_norm_ratio(probs, ones, diffs, dens1)[0]
     if b1 == 0.0:
         raise DomainError("exponential decay curve requires a nonzero BMO_1 norm")
     # every indicator's norm by its mask's bits (see StoppingScan; at most
     # 19 leaves under the cap), 0 for the empty mask; in L^{r p(.)} it is
     # the power 1/r of the L^{p(.)} one
-    norms = scan.mask_norms(probs, pvals)
+    norms = kept_indicator_norms(space, pvals, scan.masks)
     dens = norms[scan.which]
     norm_of_code = np.concatenate(([0.0], norms))
     grid = _t_grid_from_diffs(table)

@@ -5,8 +5,10 @@ two: tau_k is the first level n with s_{n+1}(f) > 2^k (strict, ties do not
 trigger), atoms are the normalized stopped differences between consecutive
 thresholds, and the weights are mu_k = 3 * 2^k * ||chi_{tau_k < inf}||_{p(.)}.
 On a finite space the sum over k telescopes exactly back to f.  The weights,
-the atom bounds and A(mu, tau) read ||chi_{tau < inf}|| from ``_chi_norm``,
-which solves each set once per space and exponent.
+the atom bounds and A(mu, tau) read each ||chi_{tau < inf}|| one set at a
+time from ``varlp.kept_indicator_norms``, which keeps the solved norms on
+the space, so each set is solved once per space and exponent while the
+space's byte budget holds.
 """
 
 from __future__ import annotations
@@ -30,30 +32,11 @@ from .martingale import (
     require_f0_zero,
 )
 from .space import ArrayValue, Exponent, FilteredSpace, as_leaf_exponent, as_leaf_values
-from .varlp import indicator_norm, luxemburg_norm
+from .varlp import kept_indicator_norms, luxemburg_norm
 
 ATOM_MEAN_TOL = 1e-10
 ATOM_SIZE_TOL = 1e-9
 ZERO_TOL = 1e-13
-# bytes of mask keys and norms that one space keeps for its latest exponent
-_CHI_NORM_BYTES = 1 << 18
-
-
-def _chi_norm(space: FilteredSpace, pvals: np.ndarray, mask: np.ndarray) -> float:
-    """||chi_E||_{p(.)} for E = {mask}, the one path by which this module
-    gets an indicator norm.  The norms of the latest exponent are kept on
-    the space by E's packed bits, and given up once their keys and values
-    pass _CHI_NORM_BYTES; a kept norm is the float the solve returned."""
-    kept, bits = space._chi_norms, np.packbits(mask).tobytes()
-    if kept[0] != (key := pvals.tobytes()):
-        kept[:] = [key, {}]
-    norms = kept[1]
-    norm = norms.get(bits)
-    if norm is None:
-        if len(norms) * (len(bits) + 8) >= _CHI_NORM_BYTES:
-            norms.clear()
-        norm = norms[bits] = indicator_norm(space.probs, pvals, mask)
-    return norm
 
 
 def hs_norm(f: Martingale, p: Exponent) -> float:
@@ -87,7 +70,7 @@ def is_atom(
 ) -> AtomCheck:
     """Check the two atom clauses against tau: (1) E(a | F_n) vanishes on
     {tau >= n} for every n, (2) ||s(a)||_inf <= ||chi_{tau<inf}||^{-1},
-    with the norm from ``_chi_norm``.  A stopping time that is never
+    with the norm kept on the space.  A stopping time that is never
     finite forces a = 0."""
     a = as_leaf_values(space, a_terminal)
     pvals = as_leaf_exponent(space, p)
@@ -109,7 +92,7 @@ def is_atom(
     # s(a)^2 sums the conditioned squared increments over the levels
     d = levels[1:] - levels[:-1]
     s_sup = math.sqrt(space.level_averages(d * d).sum(axis=0).max())
-    bound = 1.0 / _chi_norm(space, pvals, finite)
+    bound = 1.0 / kept_indicator_norms(space, pvals, finite)
     size_ok = s_sup <= bound * (1.0 + ATOM_SIZE_TOL)
     return AtomCheck(mean_ok and size_ok, mean_ok, size_ok, worst, s_sup, bound)
 
@@ -180,7 +163,7 @@ def atomic_decompose(f: Martingale, p: Exponent) -> AtomicDecomposition:
     fscale = max(1.0, float(np.abs(f.terminal).max()))
     # zero atoms contribute nothing
     rows = np.flatnonzero(np.abs(diffs).max(axis=1) > 1e-14 * fscale)
-    norms = [_chi_norm(space, pvals, m) for m in np.isfinite(taus[rows])]
+    norms = [kept_indicator_norms(space, pvals, m) for m in np.isfinite(taus[rows])]
     mus = 3.0 * cuts[rows] * norms
     return AtomicDecomposition(space, tuple(
         AtomTerm(k_lo + i, mu, StoppingTime(taus[i]), diffs[i] / mu)
@@ -193,14 +176,14 @@ def a_quantity(dec: AtomicDecomposition, p: Exponent) -> float:
     normalized indicator profile of the decomposition's stopping sets.
     Each chi is 0 or 1, so (mu chi / ||chi||)^p_ = (mu / ||chi||)^p_ chi
     and the aggregate is one weight-vector times mask-matrix product, with
-    each ||chi|| from ``_chi_norm``."""
+    each ||chi|| kept on the space."""
     p_under = min(p.p_minus(), 1.0)
     sp = dec.space
     pvals = as_leaf_exponent(sp, p)
     terms = [t for t in dec.terms if t.mu != 0.0]
     masks = np.array([t.tau.finite_mask for t in terms]).reshape(-1, sp.n_leaves)
     mus = np.array([t.mu for t in terms])
-    norms = np.array([_chi_norm(sp, pvals, m) for m in masks])
+    norms = np.array([kept_indicator_norms(sp, pvals, m) for m in masks])
     weights = (mus / norms) ** p_under
     return luxemburg_norm(sp, (weights @ masks) ** (1.0 / p_under), p).norm
 

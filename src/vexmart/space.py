@@ -141,12 +141,12 @@ class FilteredSpace(ArrayValue):
         return {}
 
     @cached_property
-    def _chi_norms(self) -> list:
-        """The indicator norms ||chi_E||_{p(.)} that ``hardy`` solved on
-        this space for its latest exponent: [the exponent's bytes, {E's
-        packed bits: norm}].  A new exponent replaces both; see
-        ``hardy._chi_norm``.  Not part of the value: equality ignores it."""
-        return [b"", {}]
+    def _kept_norms(self) -> list:
+        """The indicator norms ||chi_E||_{p(.)} kept on this space by
+        ``varlp.kept_indicator_norms``: [bytes held, {exponent bytes:
+        {(mask shape, packed mask bits): norm}}].  Not part of the value:
+        equality ignores it."""
+        return [0, {}]
 
     def level_averages(self, rows: np.ndarray, start: int = 0) -> np.ndarray:
         """Row k of the result is the block average of ``rows[k]`` at level

@@ -3,8 +3,8 @@
 The modular is the finite weighted sum  rho(f/lambda) = sum_w P(w) *
 (|f(w)|/lambda)^{p(w)}, computed for a whole grid of lambdas by one
 function, of which the scalar modular is a one-lambda call.  The Luxemburg
-norm is the infimal lambda with rho(f/lambda) <= 1, solved by one kernel
-for a batch of rows and by its iteration on a 1-d array for one row or set:
+norm is the infimal lambda with rho(f/lambda) <= 1, solved by one Newton
+pass, run by the batch loop on rows and by a scalar loop on one row or set:
 
 * In s = log(lambda), g(s) = log rho(f e^{-s}) is a log-sum-exp of affine
   functions of s, hence convex and strictly decreasing for f != 0, and the
@@ -30,10 +30,12 @@ for a batch of rows and by its iteration on a 1-d array for one row or set:
   row attaining it come from rows solved exactly as in :func:`norm_batch`.
 * A constant exponent takes the closed form (E|f|^p)^{1/p}.
 * One row (:func:`luxemburg_norm`) is solved on the support of f and an
-  indicator norm ||chi_E|| (:func:`indicator_norm`: the atomic
-  decomposition's weights and atom bounds, the indicator profiles) on E
-  alone, P(E)^{1/p} where p is constant on E, else from the tangent at
-  lambda = 1: one scalar loop, free of the batch's bookkeeping.
+  indicator norm ||chi_E|| (:func:`indicator_norm`) on E alone, P(E)^{1/p}
+  where p is constant on E, else from the tangent at lambda = 1: a scalar
+  loop, free of the batch's bookkeeping.
+* The norms ||chi_{tau<inf}|| that the BMO and Lipschitz denominators and
+  the atomic decomposition divide by are kept on the space, one store per
+  space under one byte budget (:func:`kept_indicator_norms`).
 * The kernel reduces along the batch's longer axis, chosen from its shape
   alone: a batch with more rows than leaves (the stopping-time scans) is
   solved on its leaves x rows transpose, any other row by row.  Each
@@ -55,7 +57,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import DomainError, NumericalError, ValidationError
-from .space import Exponent, FilteredSpace, as_leaf_exponent, as_leaf_values
+from .space import Exponent, FilteredSpace, as_leaf_exponent, as_leaf_values, readonly
 
 NEWTON_REL_TOL = 1e-12
 NEWTON_MAX_ITER = 200
@@ -63,6 +65,11 @@ NEWTON_MAX_ITER = 200
 PRUNE_MARGIN = 1e-9
 _LOG_KEEP = math.log1p(-PRUNE_MARGIN)
 ASSERT_TOL = 1e-9
+# bytes of indicator norms that one space keeps: keys, values and
+# _ENTRY_BYTES per kept norm or exponent, about what Python's objects and
+# dict slots add to each (170-210 bytes in all per kept float, measured)
+_KEPT_NORM_BUDGET = 1 << 19
+_ENTRY_BYTES = 160
 
 
 @dataclass(frozen=True)
@@ -126,12 +133,13 @@ _SPREAD = (
 
 
 def _log_modular(
-    logw: np.ndarray, pvals: np.ndarray, u: np.ndarray, ax: int
+    logw: np.ndarray, pvals: np.ndarray, u: np.ndarray | np.float64, ax: int = 0
 ) -> tuple[np.ndarray, np.ndarray]:
     """Per row, g(u) = log sum_w exp(logw - p u) and the slope -g'(u),
     which is the mean of p under the weights exp(logw - p u).  ``ax`` is
-    the leaf axis of ``logw``."""
-    leaf, row = _SPREAD[ax]
+    the leaf axis of a 2-d ``logw``; a 1-d ``logw`` is one row, with a
+    scalar u."""
+    leaf, row = _SPREAD[ax] if logw.ndim > 1 else ((), ())
     e = logw - pvals[leaf] * u[row]
     top = e.max(axis=ax)
     e -= top[row]
@@ -245,23 +253,17 @@ def _luxemburg_rows(
 def _newton_root(
     logw: np.ndarray, q: np.ndarray, u: float | None, what: str, scale: float = 1.0
 ) -> tuple[float, int, float]:
-    """The kernel's iteration on one 1-d array, g(u) = log sum exp(logw -
-    q u), from a start u left of the root, or where u is None from the
-    zero of the tangent at u = 0, as the kernel starts: the first u whose
-    step is at most NEWTON_REL_TOL, the steps taken and g there.  A failure
-    to converge names ``what`` and its size, and the last lambda,
-    scale * e^u."""
+    """The kernel's iteration on one 1-d array, with g(u) = log sum
+    exp(logw - q u) from the kernel's own pass :func:`_log_modular`, from
+    a start u left of the root, or where u is None from the zero of the
+    tangent at u = 0, as the kernel starts: the first u whose step is at
+    most NEWTON_REL_TOL, the steps taken and g there.  A failure to
+    converge names ``what`` and its size, and the last lambda, scale * e^u."""
     first = int(u is None)
-    u = 0.0 if first else u
+    u = np.float64(0.0 if first else u)
     for it in range(1 - first, NEWTON_MAX_ITER + 1):
-        e = logw - q * u
-        top = e.max()
-        e -= top
-        np.maximum(e, _LOG_WEIGHT_FLOOR, out=e)
-        w = np.exp(e, out=e)
-        total = float(w.sum())
-        g = top + math.log(total)
-        step = g * total / float(w @ q)
+        g, slope = _log_modular(logw, q, u)
+        step = g / slope
         # the step from u = 0, right of the root, is not a stopping test
         if it and step <= NEWTON_REL_TOL:
             return u, it, g
@@ -347,6 +349,43 @@ def indicator_norm(probs: np.ndarray, pvals: np.ndarray, mask: np.ndarray) -> fl
         return total ** (1.0 / float(q[0]))
     u = math.log(total) * total / float(pe @ q)
     return math.exp(_newton_root(np.log(pe), q, u, "the indicator of a set")[0])
+
+
+def kept_indicator_norms(
+    space: FilteredSpace, pvals: np.ndarray, masks: np.ndarray
+) -> float | np.ndarray:
+    """||chi_E||_{p(.)} for E = {mask}: a float for a 1-d mask, solved on E
+    by :func:`indicator_norm`, or the read-only norms of a 2-d mask array's
+    rows from one :func:`norm_batch`.  Kept on the space by the exponent's
+    bytes, then by the masks' shape and flat packed bits, so the two paths
+    never share a key; a kept value is the solve's own.  A value that
+    would take the space past _KEPT_NORM_BUDGET bytes gives up every kept
+    one first, and is not kept if it alone passes the budget."""
+    held, by_exponent = store = space._kept_norms
+    pkey = pvals.tobytes()
+    key = (masks.shape, np.packbits(masks).tobytes())
+    kept = by_exponent.get(pkey)
+    norm = None if kept is None else kept.get(key)
+    if norm is None:
+        if masks.ndim == 1:
+            norm, size = indicator_norm(space.probs, pvals, masks), 8
+        else:
+            norm = readonly(norm_batch(space.probs, pvals, masks))
+            size = norm.nbytes
+        size += _ENTRY_BYTES + len(key[1])
+        # what the exponent's own entry adds while it has none
+        grow = _ENTRY_BYTES + len(pkey)
+        if held + size + (kept is None) * grow > _KEPT_NORM_BUDGET:
+            by_exponent.clear()
+            held, kept = 0, None
+        if kept is None:
+            kept, size = {}, size + grow
+        if size <= _KEPT_NORM_BUDGET:
+            kept[key] = norm
+            by_exponent[pkey] = kept
+            held += size
+        store[0] = held
+    return norm
 
 
 def check_power_identity(

@@ -22,6 +22,7 @@ from vexmart import (
 )
 from vexmart import bmo, serialize
 from vexmart.bmo import StoppingScan, candidate_matrix
+from vexmart.varlp import kept_indicator_norms
 
 from conftest import (
     bisection_oracle,
@@ -335,7 +336,7 @@ def test_indicator_norms_match_per_row_loop(seed):
     scan = StoppingScan.of(taus[nonempty], sp.depth, "sampled")
     assert np.array_equal(scan.masks[scan.which], masks[nonempty])
     got = np.zeros(m + 1)
-    got[nonempty] = scan.mask_norms(sp.probs, p.vals)[scan.which]
+    got[nonempty] = kept_indicator_norms(sp, p.vals, scan.masks)[scan.which]
     want = np.array([luxemburg_norm(sp, row.astype(float), p).norm for row in masks])
     assert np.all(want[~nonempty] == 0.0)
     assert np.all(np.abs(got - want) <= 1e-12 * want)

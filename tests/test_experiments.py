@@ -43,7 +43,7 @@ from vexmart import bmo, experiments, serialize
 from vexmart.cli import run
 from vexmart.experiments import EXPONENT_LAWS, _ns_h, default_lambda_grid
 from vexmart.martingale import enumerate_stopping_matrix, stopped_terminal_diffs
-from vexmart.varlp import modular_grid
+from vexmart.varlp import kept_indicator_norms, modular_grid
 
 from conftest import (
     drop_root_level,
@@ -520,7 +520,7 @@ def _per_t_envelope(f, p, grid, c2, b1):
     """The envelope and decay-bound check by one pass over the enumerated
     stopping times per grid point t, in grid order, as the reference: the
     indicator of each stopping time at t read by its mask's bits from the
-    exhaustive scan's kept mask norms, against the bound
+    norms the space keeps for the exhaustive scan's masks, against the bound
     4 exp(-C2 t / ||f||_{BMO_1}) times its denominator.  Returns the
     envelope and, for the first t where some stopping time breaks the
     bound, (t, its level norm, its bound) at the stopping time of largest
@@ -530,7 +530,7 @@ def _per_t_envelope(f, p, grid, c2, b1):
     taus = taus[np.isfinite(taus).any(axis=1)]
     finite = np.isfinite(taus)
     diffs = stopped_diffs_oracle(f, taus)
-    norms = bmo.candidate_matrix(sp, "exhaustive").mask_norms(sp.probs, p.vals)
+    norms = kept_indicator_norms(sp, p.vals, bmo.candidate_matrix(sp, "exhaustive").masks)
     norm_of_code = np.concatenate(([0.0], norms))
     code = 1 << np.arange(sp.n_leaves - 1, -1, -1)
     dens = norm_of_code[finite @ code]

@@ -26,7 +26,7 @@ from vexmart import (
     reconstruct,
     stop,
 )
-from vexmart import hardy, serialize
+from vexmart import serialize, varlp
 from vexmart.hardy import (
     ATOM_MEAN_TOL,
     ATOM_SIZE_TOL,
@@ -34,7 +34,6 @@ from vexmart.hardy import (
     AtomicDecomposition,
     AtomTerm,
     _ceil_log2,
-    _chi_norm,
 )
 from vexmart.martingale import (
     Martingale,
@@ -42,7 +41,7 @@ from vexmart.martingale import (
     cond_square_levels,
     sample_stopping_times,
 )
-from vexmart.varlp import indicator_norm
+from vexmart.varlp import indicator_norm, kept_indicator_norms
 
 from conftest import drop_root_level, random_exponent, random_tree_space
 
@@ -453,13 +452,12 @@ def fresh_space(sp):
 @settings(max_examples=60, deadline=None)
 @given(
     seed=st.integers(min_value=0, max_value=10**6),
-    budget=st.sampled_from([0, 100, 400, hardy._CHI_NORM_BYTES]),
+    budget=st.sampled_from([0, 100, 400, varlp._KEPT_NORM_BUDGET]),
 )
 def test_kept_chi_norms_equal_fresh_solves(seed, budget):
-    """Every norm kept on a tree or a forest is the float a fresh solve
-    returns, for the latest exponent only, across exponent switches and
-    the clears that a small byte budget forces; the keys and values of all
-    kept entries but the newest stay within the budget."""
+    """Every {tau < inf} norm kept on a tree or a forest is the float a
+    fresh solve returns, across exponent switches and the clears that a
+    small byte budget forces; the bytes held stay within the budget."""
     rng = random.Random(seed)
     sp = random_tree_space(rng, max_leaves=24)
     if rng.random() < 0.5:
@@ -467,19 +465,19 @@ def test_kept_chi_norms_equal_fresh_solves(seed, budget):
     n = sp.n_leaves
     exponents = [random_exponent(rng, n, 0.3, 4.0), constant_exponent(sp, rng.uniform(0.3, 4.0))]
     masks = [np.array([rng.random() < 0.6 for _ in range(n)]) for _ in range(6)]
-    with mock.patch.object(hardy, "_CHI_NORM_BYTES", budget):
+    with mock.patch.object(varlp, "_KEPT_NORM_BUDGET", budget):
         for _ in range(40):
             pvals = rng.choice(exponents).vals
             mask = rng.choice(masks)
-            got = _chi_norm(sp, pvals, mask)
+            got = kept_indicator_norms(sp, pvals, mask)
             assert got.hex() == indicator_norm(sp.probs, pvals, mask).hex()
-            key, norms = sp._chi_norms
-            assert key == pvals.tobytes()
-            entry = len(np.packbits(mask).tobytes()) + 8
-            assert (len(norms) - 1) * entry <= budget
-            for bits, norm in norms.items():
-                m = np.unpackbits(np.frombuffer(bits, np.uint8), count=n).astype(bool)
-                assert norm.hex() == indicator_norm(sp.probs, pvals, m).hex()
+            held, kept = sp._kept_norms
+            assert held <= budget
+            for pkey, norms in kept.items():
+                for (shape, bits), norm in norms.items():
+                    assert shape == (n,)
+                    m = np.unpackbits(np.frombuffer(bits, np.uint8), count=n).astype(bool)
+                    assert norm.hex() == indicator_norm(sp.probs, np.frombuffer(pkey), m).hex()
 
 
 def test_pipeline_solves_each_distinct_set_once(monkeypatch):
@@ -491,7 +489,8 @@ def test_pipeline_solves_each_distinct_set_once(monkeypatch):
         calls.append(mask.tobytes())
         return indicator_norm(probs, pvals, mask)
 
-    monkeypatch.setattr(hardy, "indicator_norm", counting)
+    # the store's one solve of a single set
+    monkeypatch.setattr(varlp, "indicator_norm", counting)
     rng = random.Random(61)
     terms = distinct = 0
     for trial in range(40):
@@ -507,6 +506,36 @@ def test_pipeline_solves_each_distinct_set_once(monkeypatch):
     # some sets repeat within a decomposition, and each term was solved
     # three times before the norms were kept
     assert terms > distinct
+
+
+def test_interleaved_exponents_solve_each_exponent_and_set_once(monkeypatch):
+    """Three exponents interleaved through atomic_decompose, is_atom on
+    every term and a_quantity on one space: each distinct (exponent, set)
+    is solved once while the space stays within its budget, however many
+    other exponents ran in between."""
+    calls = []
+
+    def counting(probs, pvals, mask):
+        calls.append((pvals.tobytes(), mask.tobytes()))
+        return indicator_norm(probs, pvals, mask)
+
+    monkeypatch.setattr(varlp, "indicator_norm", counting)
+    rng = random.Random(67)
+    sp = build_dyadic_space(5)
+    exponents = [random_exponent(rng, sp.n_leaves, 0.5, 3.0) for _ in range(3)]
+    used, again = set(), 0
+    for trial in range(30):
+        p = exponents[trial % 3]
+        dec = atomic_decompose(centered_martingale(rng, sp, rng.choice([0.1, 10.0])), p)
+        assert all(is_atom(sp, t.atom_terminal, t.tau, p) for t in dec.terms)
+        a_quantity(dec, p)
+        sets = {(p.vals.tobytes(), t.tau.finite_mask.tobytes()) for t in dec.terms}
+        again += len(sets & used)
+        used |= sets
+    assert sorted(calls) == sorted(used)
+    # sets met again after another exponent ran, still not solved again
+    assert again
+    assert sp._kept_norms[0] <= varlp._KEPT_NORM_BUDGET
 
 
 def test_a_quantity_from_json_under_a_second_exponent():

@@ -2,12 +2,14 @@
 fresh enumeration or sample, its cells in the table of stopped
 differences, its read-only arrays, and that
 warm and cold spaces give the same suprema while the cap is still checked
-on every call.  The mask norms each scan keeps per exponent: equal bit for
-bit to a fresh solve, read-only, never solved twice and bounded by bytes."""
+on every call.  The indicator norms each space keeps per exponent, for one
+mask and for a scan's masks: equal bit for bit to a fresh solve on the
+path of their shape, read-only, never solved twice and bounded by bytes."""
 
+import math
 import random
-import sys
 from collections import Counter
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -27,14 +29,14 @@ from vexmart import (
     martingale_from_terminal,
     validate_filtration,
 )
-from vexmart import bmo, martingale
-from vexmart.bmo import StoppingScan, candidate_matrix
+from vexmart import bmo, martingale, varlp
+from vexmart.bmo import candidate_matrix
 from vexmart.martingale import (
     enumerate_stopping_matrix,
     sample_stopping_matrix,
     stopped_terminal_diffs,
 )
-from vexmart.varlp import norm_batch
+from vexmart.varlp import indicator_norm, kept_indicator_norms, norm_batch
 
 from conftest import (
     drop_root_level,
@@ -132,8 +134,8 @@ def test_cached_scan_arrays_are_read_only():
     for scan in (candidate_matrix(sp, "exhaustive"),
                  candidate_matrix(sp, "sampled", samples=8)):
         # the mask norms as solved, then as kept
-        solved = scan.mask_norms(sp.probs, p)
-        kept = scan.mask_norms(sp.probs, p)
+        solved = kept_indicator_norms(sp, p, scan.masks)
+        kept = kept_indicator_norms(sp, p, scan.masks)
         assert kept is solved
         for a in (scan.cells, scan.masks, scan.which, kept):
             corner = (0,) * a.ndim
@@ -210,14 +212,14 @@ def test_second_call_enumerates_samples_and_walks_nothing(monkeypatch):
     counting(bmo, "enumerate_stopping_matrix")
     counting(bmo, "sample_stopping_matrix")
     mask_solves = Counter()
-    solve = bmo.norm_batch
+    solve = varlp.norm_batch
 
     def counted_solve(probs, pvals, rows):
-        if sys._getframe(1).f_code.co_name == "mask_norms":
-            mask_solves[pvals.tobytes()] += 1
+        mask_solves[pvals.tobytes()] += 1
         return solve(probs, pvals, rows)
 
-    monkeypatch.setattr(bmo, "norm_batch", counted_solve)
+    # the store's one batch solve of a scan's masks
+    monkeypatch.setattr(varlp, "norm_batch", counted_solve)
     small, large = build_dyadic_space(3), build_dyadic_space(6)
 
     def calls_on(seed):
@@ -254,8 +256,12 @@ def test_second_call_enumerates_samples_and_walks_nothing(monkeypatch):
     assert not any(isinstance(v, list) for v in small._scan_cache.values())
 
 
-def _fresh_mask_norms(scan, probs, pvals):
-    return norm_batch(probs, pvals, scan.masks.astype(float))
+def _fresh(sp, pvals, masks):
+    """What ``kept_indicator_norms`` solves, on the path of the masks'
+    shape."""
+    if masks.ndim == 1:
+        return indicator_norm(sp.probs, pvals, masks)
+    return norm_batch(sp.probs, pvals, masks.astype(float))
 
 
 @pytest.mark.parametrize("make", [
@@ -266,8 +272,8 @@ def _fresh_mask_norms(scan, probs, pvals):
 def test_kept_mask_norms_equal_fresh_solves(make):
     """Calls with a constant, a variable, the unit and a Lipschitz exponent
     1/alpha with the finite value lipschitz_norm puts on {alpha = 0},
-    interleaved on the exhaustive and a sampled scan, each return exactly
-    what a fresh solve returns."""
+    interleaved on the exhaustive and a sampled scan's masks, each return
+    exactly what a fresh solve returns."""
     sp = make()
     n = sp.n_leaves
     rng = random.Random(n)
@@ -284,57 +290,145 @@ def test_kept_mask_norms_equal_fresh_solves(make):
     for _ in range(3):
         for pvals in rng.sample(exponents, len(exponents)):
             for scan in scans:
-                got = scan.mask_norms(sp.probs, pvals)
-                assert np.array_equal(got, _fresh_mask_norms(scan, sp.probs, pvals))
+                got = kept_indicator_norms(sp, pvals, scan.masks)
+                assert np.array_equal(got, _fresh(sp, pvals, scan.masks))
 
 
-def test_mask_norms_are_kept_per_probs_too():
-    """A scan made on its own can be read with another space's leaf
-    probabilities: the same exponent under other probabilities is another
-    solve, not the kept one."""
-    sp = build_dyadic_space(3)
-    scan = StoppingScan.of(enumerate_stopping_matrix(sp)[:-1], sp.depth, "exhaustive")
-    pvals = random_exponent(random.Random(4), sp.n_leaves, 1.0, 3.0).vals
-    other = np.arange(1.0, sp.n_leaves + 1.0)
-    other /= other.sum()
-    for _ in range(2):
-        for probs in (sp.probs, other):
-            got = scan.mask_norms(probs, pvals)
-            assert np.array_equal(got, _fresh_mask_norms(scan, probs, pvals))
-    assert not np.array_equal(scan.mask_norms(sp.probs, pvals),
-                              scan.mask_norms(other, pvals))
+def _held_bytes(sp):
+    """The bytes of the norms kept on the space, counted from the store."""
+    over = varlp._ENTRY_BYTES
+    return sum(
+        over + len(pkey) + sum(over + len(bits) + 8 * np.size(norm)
+                               for (_, bits), norm in norms.items())
+        for pkey, norms in sp._kept_norms[1].items()
+    )
 
 
-def _held_bytes(scan):
-    return sum(len(a) + len(b) + norms.nbytes for (a, b), norms in scan._norms.items())
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(min_value=0, max_value=10**6),
+       budget=st.sampled_from([0, 600, varlp._KEPT_NORM_BUDGET]))
+def test_kept_indicator_norms_equal_fresh_solves(seed, budget):
+    """On a tree or a forest, calls with single masks and with mask arrays
+    (the exhaustive scan's, a sampled scan's and a random one's),
+    interleaved over a constant, two variable, the unit and a Lipschitz
+    exponent 1/alpha with the finite value lipschitz_norm puts on
+    {alpha = 0}, each return exactly what a fresh solve on the path of
+    their shape returns, across the clears that a budget of zero or a
+    small one forces.  Every kept value is that fresh solve, arrays are
+    read-only, and the held bytes are the kept entries' and within the
+    budget."""
+    rng = random.Random(seed)
+    sp = random_tree_space(rng, max_leaves=9)
+    if rng.random() < 0.5:
+        sp = drop_root_level(sp)
+    n = sp.n_leaves
+    alpha = np.array([0.0 if i % 3 == 0 else rng.uniform(0.1, 0.5) for i in range(n)])
+    exponents = [
+        np.full(n, rng.uniform(0.3, 4.0)),
+        random_exponent(rng, n, 1.0, 3.0).vals,
+        random_exponent(rng, n, 0.3, 4.0).vals,
+        np.ones(n),
+        1.0 / np.where(alpha > 0, alpha, alpha.max()),
+    ]
+    masks = [np.array([rng.random() < 0.6 for _ in range(n)]) for _ in range(4)]
+    masks += [candidate_matrix(sp, "exhaustive").masks,
+              candidate_matrix(sp, "sampled", seed=3, samples=16).masks,
+              np.array([[rng.random() < 0.5 for _ in range(n)] for _ in range(3)])]
+    with mock.patch.object(varlp, "_KEPT_NORM_BUDGET", budget):
+        for _ in range(40):
+            pvals, m = rng.choice(exponents), rng.choice(masks)
+            got, want = kept_indicator_norms(sp, pvals, m), _fresh(sp, pvals, m)
+            if m.ndim == 1:
+                assert type(got) is float and got.hex() == want.hex()
+            else:
+                assert np.array_equal(got, want) and not got.flags.writeable
+            held, kept = sp._kept_norms
+            assert held == _held_bytes(sp) <= budget
+            for pkey, norms in kept.items():
+                for (shape, bits), norm in norms.items():
+                    m = np.unpackbits(np.frombuffer(bits, np.uint8), count=math.prod(shape))
+                    m = m.astype(bool).reshape(shape)
+                    assert np.array_equal(norm, _fresh(sp, np.frombuffer(pkey), m))
 
 
 def test_kept_mask_norms_stay_under_the_byte_budget(monkeypatch):
-    """Under a budget of three entries, six exponents keep the last three,
-    the oldest given up first; an evicted exponent solves again to the
-    same bits, and a solve larger than the whole budget is not kept.  The
-    running byte total is the sum over the kept entries after every miss
-    and eviction."""
+    """Under a budget of three exponents' scan entries, a fourth exponent
+    gives up every kept norm at once and is then kept alone; a norm given
+    up solves again to the same bits, and one larger than the whole budget
+    is not kept and leaves the store empty.  The held bytes are the kept
+    entries' after every miss and clear."""
     sp = build_dyadic_space(2)
-    scan = StoppingScan.of(enumerate_stopping_matrix(sp)[:-1], sp.depth, "exhaustive")
+    masks = candidate_matrix(sp, "exhaustive").masks
     exponents = [np.full(4, 1.0 + k / 4) for k in range(6)]
-    entry = 2 * sp.probs.nbytes + len(scan.masks) * 8
+    entry = (2 * varlp._ENTRY_BYTES + exponents[0].nbytes
+             + len(np.packbits(masks).tobytes()) + 8 * len(masks))
     budget = 3 * entry + entry // 2
-    monkeypatch.setattr(bmo, "_MASK_NORM_BUDGET", budget)
+    monkeypatch.setattr(varlp, "_KEPT_NORM_BUDGET", budget)
     first = []
-    for pvals in exponents:
-        first.append(scan.mask_norms(sp.probs, pvals))
-        assert scan._held == _held_bytes(scan) <= budget
-    kept = [pvals.tobytes() for pvals in exponents[3:]]
-    assert [b for _, b in scan._norms] == kept
-    again = scan.mask_norms(sp.probs, exponents[0])
+    for k, pvals in enumerate(exponents):
+        first.append(kept_indicator_norms(sp, pvals, masks))
+        held, kept = sp._kept_norms
+        assert held == _held_bytes(sp) <= budget
+        assert list(kept) == [e.tobytes() for e in exponents[k - k % 3 : k + 1]]
+    again = kept_indicator_norms(sp, exponents[0], masks)
     assert again is not first[0]
     assert np.array_equal(again, first[0])
-    assert scan._held == _held_bytes(scan) <= budget
-    assert [b for _, b in scan._norms] == kept[1:] + [exponents[0].tobytes()]
+    assert list(sp._kept_norms[1]) == [exponents[0].tobytes()]
+    assert sp._kept_norms[0] == _held_bytes(sp) == entry
 
-    monkeypatch.setattr(bmo, "_MASK_NORM_BUDGET", entry - 1)
-    fresh = StoppingScan.of(enumerate_stopping_matrix(sp)[:-1], sp.depth, "exhaustive")
-    got = fresh.mask_norms(sp.probs, exponents[1])
+    monkeypatch.setattr(varlp, "_KEPT_NORM_BUDGET", entry - 1)
+    fresh = build_dyadic_space(2)
+    got = kept_indicator_norms(fresh, exponents[1], masks)
     assert np.array_equal(got, first[1])
-    assert not fresh._norms and fresh._held == 0
+    assert fresh._kept_norms == [0, {}]
+
+
+def test_a_mask_and_its_one_row_matrix_keep_their_own_paths():
+    """A mask and the same mask as a 1-row matrix are two keys: each call
+    returns its own path's value, in either order, although the two paths
+    differ in the last bits on some sets."""
+    rng = random.Random(29)
+    differ = 0
+    for trial in range(200):
+        sp = random_tree_space(rng, max_leaves=24)
+        pvals = random_exponent(rng, sp.n_leaves, 0.3, 4.0).vals
+        mask = np.array([rng.random() < 0.6 for _ in range(sp.n_leaves)])
+        calls = [mask, mask[None]] if trial % 2 else [mask[None], mask]
+        for _ in range(2):
+            for m in calls:
+                got = kept_indicator_norms(sp, pvals, m)
+                assert np.array_equal(got, _fresh(sp, pvals, m))
+                assert type(got) is float if m.ndim == 1 else got.shape == (1,)
+        one, row = (kept_indicator_norms(sp, pvals, m) for m in (mask, mask[None]))
+        differ += one != row[0]
+    assert differ
+
+
+def test_an_exponent_is_held_once_for_all_its_entries():
+    """Single masks and a scan's masks under one exponent sit under one
+    exponent key, whose bytes the held total counts once."""
+    sp = build_dyadic_space(3)
+    pvals = random_exponent(random.Random(31), sp.n_leaves).vals
+    masks = candidate_matrix(sp, "exhaustive").masks
+    for m in (masks, masks[0], masks[-1], masks[:1]):
+        kept_indicator_norms(sp, pvals, m)
+    held, kept = sp._kept_norms
+    assert list(kept) == [pvals.tobytes()]
+    assert len(kept[pvals.tobytes()]) == 4
+    assert held == _held_bytes(sp)
+
+
+def test_each_space_clears_only_its_own_norms(monkeypatch):
+    """The budget is per space: a space that passes it gives up its own
+    norms and leaves another space's kept."""
+    a, b = build_dyadic_space(2), build_dyadic_space(2)
+    pvals = [np.full(4, 1.0 + k / 4) for k in range(3)]
+    mask = np.array([True, False, True, True])
+    entry = 2 * varlp._ENTRY_BYTES + pvals[0].nbytes + 1 + 8
+    monkeypatch.setattr(varlp, "_KEPT_NORM_BUDGET", 2 * entry)
+    kept_b = kept_indicator_norms(b, pvals[0], mask)
+    for p in pvals:
+        kept_indicator_norms(a, p, mask)
+    assert list(a._kept_norms[1]) == [pvals[2].tobytes()]
+    key = ((4,), np.packbits(mask).tobytes())
+    assert b._kept_norms == [entry, {pvals[0].tobytes(): {key: kept_b}}]
