@@ -4,13 +4,18 @@ Both norms scan a family of stopping times: the full (exhaustively
 enumerated) family when its size fits under the cap, otherwise a seeded
 sample that always contains tau = 0, tau = infinity and every constant-level
 tau = n.  Sampled values are lower bounds of the true supremum and the mode
-is reported so callers can pin exhaustive results only.  The family depends
+is reported so callers can pin exact results only.  The family depends
 on the filtration alone, so it is built once per space and cached there
 together with its distinct {tau < inf} masks.  The norms of those masks
 depend on the exponent too, and the space keeps them per exponent under a
 byte budget (``varlp.kept_indicator_norms``), so a call gathers its
 stopped differences from one table and solves its numerators, and its
 denominators only for an exponent the space has not kept.
+
+For a constant exponent the BMO norm has a third mode, "dp", exact and
+with no scan: the ratio's power p0 is linear-fractional over the
+filtration tree, and ``martingale.tree_argmax`` maximizes it in a few
+bottom-up passes.
 """
 
 from __future__ import annotations
@@ -33,17 +38,21 @@ from .martingale import (
     require_f0_zero,
     sample_stopping_matrix,
     stopped_terminal_diffs,
+    tree_argmax,
 )
 from .space import Exponent, FilteredSpace, as_leaf_exponent, as_leaf_values, readonly
 from .varlp import kept_indicator_norms, max_norm_ratio
 from .hardy import hs_norm
+
+AUTO_EXHAUSTIVE_CAP = 10**4
 
 
 @dataclass(frozen=True)
 class SupNormResult:
     value: float
     argmax_tau: StoppingTime
-    mode: str  # "exhaustive" | "sampled"
+    mode: str  # "exhaustive" | "sampled" | "dp"
+    # the scanned stopping times, or for "dp" the Dinkelbach passes
     candidates: int
 
 
@@ -149,12 +158,40 @@ def bmo_norm(
 ) -> SupNormResult:
     """sup over tau of ||f - f^{tau-1}||_{p(.)} / ||chi_{tau<inf}||_{p(.)},
     with the terminal-level difference and f_{-1} = 0; stopping times that
-    are never finite contribute nothing."""
+    are never finite contribute nothing.
+
+    Modes: "exhaustive" scans every stopping time (refused past
+    ENUMERATION_CAP of them), "sampled" a seeded sample (a lower bound),
+    and "dp", for a constant exponent p0 only, maximizes the p0-th power of
+    the ratio, sum over {tau<inf} of P |f - f^{tau-1}|^p0 over
+    P(tau < inf), with ``tree_argmax``; its ``candidates`` counts that
+    kernel's passes.  "auto" scans exhaustively up to AUTO_EXHAUSTIVE_CAP
+    stopping times, runs dp from there up to ENUMERATION_CAP where the
+    exponent is constant, and otherwise scans exhaustively up to the cap
+    and samples past it."""
     space = f.space
     require_f0_zero(f, "bmo_norm requires f_0 = 0")
     pv = as_leaf_exponent(space, p)
+    if mode == "auto":
+        count = count_stopping_times(space)
+        if AUTO_EXHAUSTIVE_CAP < count <= ENUMERATION_CAP and (pv == pv[0]).all():
+            mode = "dp"
+    table = stopped_terminal_diffs(f, shift="minus-one")
+    if mode == "dp":
+        if not (pv == pv[0]).all():
+            raise DomainError("dp mode requires a constant exponent")
+        # the p0-th powers of numerator and denominator are sums over the
+        # blocks at which tau stops; the differences are scaled exactly by a
+        # power of two into [0, 1), so no power overflows and only powers
+        # negligible beside the largest can underflow
+        p0, e = float(pv[0]), math.frexp(float(np.abs(table).max()))[1]
+        weights = space.probs * np.abs(np.ldexp(table[:-1], -e)) ** p0
+        gains = np.bincount(space._stacked_blocks[0].ravel(), weights.ravel())
+        ratio, tau, passes = tree_argmax(space, gains)
+        value = math.ldexp(ratio ** (1.0 / p0), e)
+        return SupNormResult(value, StoppingTime(tau), "dp", passes)
     scan = candidate_matrix(space, mode, seed, samples)
-    diffs = np.take(stopped_terminal_diffs(f, shift="minus-one"), scan.cells)
+    diffs = np.take(table, scan.cells)
     dens = kept_indicator_norms(space, pv, scan.masks)[scan.which]
     return _sup_result(scan, *max_norm_ratio(space.probs, pv, diffs, dens))
 

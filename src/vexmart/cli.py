@@ -180,7 +180,7 @@ def build_parser() -> _Parser:
     bm.add_argument("--space", required=True)
     bm.add_argument("--exponent", required=True)
     bm.add_argument("--martingale", required=True)
-    bm.add_argument("--mode", choices=("auto", "exhaustive", "sampled"),
+    bm.add_argument("--mode", choices=("auto", "exhaustive", "sampled", "dp"),
                     default="auto")
     bm.add_argument("--seed", type=int, default=0)
     bm.add_argument("--samples", type=int, default=256)

@@ -332,6 +332,73 @@ def stopped_terminal_diffs(f: Martingale, shift: str = "minus-one") -> np.ndarra
     holds (f - f^{n-1})_N with f_{-1} = 0, or (f - f^n)_N for shift="none",
     and row N+1, the row of tau = inf, is exactly 0.  The difference of a
     stopping time tau at leaf x is the entry at row min(tau(x), N+1), so a
-    scan takes all of its differences with one gather from this table."""
-    levels = np.append(np.arange(f.space.depth + 1.0), INF)[:, None]
-    return f.terminal - _stopped_values(f, levels, float(f.space.depth), shift)
+    scan takes all of its differences with one gather from this table, and
+    ``tree_argmax``'s gains are sums over its rows.  Built as f_N minus the
+    levels stacked one row down under a row of zeros (f_{-1}, ..., f_N), or
+    stacked with f_N repeated below them (f_0, ..., f_N, f_N)."""
+    if shift not in ("none", "minus-one"):
+        raise ValidationError(f"unknown shift mode {shift!r}")
+    arrays = f.arrays
+    out = np.empty((arrays.shape[0] + 1, arrays.shape[1]))
+    if shift == "minus-one":
+        out[0] = 0.0
+        out[1:] = arrays
+    else:
+        out[:-1] = arrays
+        out[-1] = arrays[-1]
+    return np.subtract(arrays[-1], out, out=out)
+
+
+def tree_argmax(
+    space: FilteredSpace, gains: np.ndarray
+) -> tuple[float, np.ndarray, int]:
+    """The largest ratio G(tau) / P(tau < inf) over the stopping times tau
+    finite somewhere, where G(tau) sums the nonnegative ``gains`` (one per
+    block, numbered level-major as in ``FilteredSpace._stacked_blocks``)
+    over the blocks at which tau stops; with the stop levels of a tau
+    attaining it and the number of passes made.
+
+    Dinkelbach's method (Management Science 13(7), 1967) starts at the
+    best constant tau = n.  Each pass maximizes G(tau) - lam P(tau < inf)
+    over all stopping times in one bottom-up walk of ``parents``: a block
+    is worth the larger of its own gain less lam times its probability
+    (stop here) and the summed worth of its children (0 below level N),
+    and it stops only where stopping is strictly better; P(tau < inf) of
+    the chosen branch is carried up beside the worth.  A pass of positive
+    worth V and probability B finds a tau of ratio lam + V / B, which
+    becomes the next lam for as long as lam rises.  The witness is read
+    top-down from the last pass that raised lam, or is the start."""
+    depth, n_blocks = space.depth, space.n_blocks
+    probs = space._stacked_blocks[1]
+    starts = np.cumsum((0,) + n_blocks[:-1])
+    level = [slice(a, a + k) for a, k in zip(starts.tolist(), n_blocks)]
+    constant = np.add.reduceat(gains, starts) / np.add.reduceat(probs, starts)
+    start = int(np.argmax(constant))
+    lam, best, passes = float(constant[start]), None, 0
+    while True:
+        passes += 1
+        worth = gains - lam * probs
+        stops = worth > 0.0
+        here = level[depth]
+        w = np.where(stops[here], worth[here], 0.0)
+        b = np.where(stops[here], probs[here], 0.0)
+        for n in reversed(range(depth)):
+            par, here = space.parents[n], level[n]
+            below = np.bincount(par, weights=w, minlength=n_blocks[n])
+            stops[here] = stop = worth[here] > below
+            w = np.where(stop, worth[here], below)
+            b = np.where(stop, probs[here], np.bincount(par, b, n_blocks[n]))
+        gain, mass = float(w.sum()), float(b.sum())
+        if not (gain > 0.0 and lam + gain / mass > lam):
+            break
+        lam, best = lam + gain / mass, stops
+    if best is None:
+        return lam, np.full(space.n_leaves, float(start)), passes
+    tau = np.full(space.n_leaves, INF)
+    live = np.ones(n_blocks[0], dtype=bool)
+    for n in range(depth + 1):
+        stop = live & best[level[n]]
+        tau[stop[space.block_of[n]]] = n
+        if n < depth:
+            live = (live & ~stop)[space.parents[n]]
+    return lam, tau, passes

@@ -12,13 +12,16 @@ from vexmart import (
     ResourceError,
     bmo_norm,
     build_dyadic_space,
+    build_mary_space,
     cond_expect,
     constant_exponent,
     duality_pairing_ratio,
     lipschitz_norm,
     luxemburg_norm,
     martingale_from_terminal,
+    stop,
     validate_filtration,
+    validate_stopping_time,
 )
 from vexmart import bmo, serialize
 from vexmart.bmo import StoppingScan, candidate_matrix
@@ -27,6 +30,8 @@ from vexmart.varlp import kept_indicator_norms
 from conftest import (
     bisection_oracle,
     children_of,
+    drop_root_level,
+    lp_norm,
     random_exponent,
     random_tree_space,
     relabelled_levels,
@@ -151,6 +156,123 @@ class TestBmoNorm:
             # the fine space has strictly more stopping times, but none can
             # separate the duplicated leaves profitably beyond round-off
             assert r_fine == pytest.approx(r, rel=0.1)
+
+
+def dp_space(rng, shape):
+    """A random tree, the same tree relabelled, or the forest left by
+    dropping its level 0, or a one-leaf space."""
+    if shape == "one-leaf":
+        return validate_filtration([[[0]]] * rng.randint(1, 4), [1.0])
+    sp = random_tree_space(rng, max_leaves=8)
+    if shape == "relabelled":
+        return validate_filtration(*relabelled_levels(sp, rng))
+    return drop_root_level(sp) if shape == "forest" else sp
+
+
+def dp_martingale(rng, space, law):
+    """A centred Gaussian martingale, f = 0, or the centred spike at one
+    leaf."""
+    v = np.zeros(space.n_leaves)
+    if law == "gauss":
+        v = np.array([rng.gauss(0, 1) for _ in range(space.n_leaves)])
+    elif law == "spike":
+        v[rng.randrange(space.n_leaves)] = rng.uniform(0.5, 3.0)
+    return martingale_from_terminal(space, v - cond_expect(space, v, 0))
+
+
+@settings(max_examples=120, deadline=None)
+@given(seed=st.integers(min_value=0, max_value=10**6),
+       shape=st.sampled_from(["tree", "forest", "relabelled", "one-leaf"]),
+       law=st.sampled_from(["gauss", "gauss", "zero", "spike"]),
+       p0=st.sampled_from([0.5, 1.0, 1.5, 2.0, 3.0]))
+def test_dp_matches_exhaustive(seed, shape, law, p0):
+    """The tree DP is the exhaustive supremum, and its witness is a
+    stopping time finite somewhere whose own ratio, from ``stop`` and
+    closed-form norms, is the DP's value."""
+    rng = random.Random(seed)
+    sp = dp_space(rng, shape)
+    f = dp_martingale(rng, sp, law)
+    p = constant_exponent(sp, p0)
+    full = bmo_norm(f, p, mode="exhaustive").value
+    res = bmo_norm(f, p, mode="dp")
+    assert res.mode == "dp" and res.candidates >= 1
+    assert abs(res.value - full) <= 1e-12 * full
+    tau = validate_stopping_time(sp, res.argmax_tau.vals)
+    chi = tau.finite_mask
+    assert chi.any()
+    diff = f.terminal - stop(f, tau, shift="minus-one").terminal
+    own = lp_norm(sp.probs, diff, p0) / lp_norm(sp.probs, chi, p0)
+    assert abs(own - res.value) <= 1e-12 * res.value
+
+
+class TestDpMode:
+    def test_dp_dominates_sampled(self):
+        rng = random.Random(47)
+        sp = build_dyadic_space(6)
+        for law in (2.0, 1.0, 1.5):
+            p = constant_exponent(sp, law)
+            for _ in range(4):
+                f = centered(rng, sp)
+                exact = bmo_norm(f, p, mode="dp").value
+                assert exact >= bmo_norm(f, p, mode="sampled").value * (1 - 1e-12)
+
+    def test_dp_at_extreme_scales(self):
+        """Powers of differences near 1e160 or 1e-160 leave binary64, but
+        the DP scales them and stays the exhaustive supremum."""
+        rng = random.Random(71)
+        sp = random_tree_space(rng, max_leaves=7)
+        f = centered(rng, sp)
+        for p0 in (0.5, 3.0):
+            p = constant_exponent(sp, p0)
+            one = bmo_norm(f, p, mode="dp").value
+            for c in (1e160, 1e-160):
+                got = bmo_norm(f.scaled(c), p, mode="dp").value
+                full = bmo_norm(f.scaled(c), p, mode="exhaustive").value
+                assert abs(got - full) <= 1e-12 * full
+                assert abs(got - c * one) <= 1e-12 * c * one
+
+    def test_variable_exponent_refused(self):
+        rng = random.Random(53)
+        sp = build_dyadic_space(2)
+        f = centered(rng, sp)
+        with pytest.raises(DomainError, match="constant exponent"):
+            bmo_norm(f, Exponent([1.5, 2.0, 1.5, 2.0]), mode="dp")
+
+    def test_lipschitz_refuses_dp(self):
+        sp = build_dyadic_space(2)
+        f = centered(random.Random(59), sp)
+        with pytest.raises(DomainError):
+            lipschitz_norm(f, 2.0, [0.5] * 4, mode="dp")
+
+    def test_auto_bands(self):
+        """auto scans up to AUTO_EXHAUSTIVE_CAP stopping times (dyadic 3:
+        677; 3-ary 2: 730), runs the DP past it up to the cap (dyadic 4:
+        458,330) and samples past the cap (dyadic 6)."""
+        rng = random.Random(61)
+        for sp, mode in ((build_dyadic_space(3), "exhaustive"),
+                         (build_mary_space(3, 2), "exhaustive"),
+                         (build_dyadic_space(4), "dp"),
+                         (build_dyadic_space(6), "sampled")):
+            f = centered(rng, sp)
+            res = bmo_norm(f, constant_exponent(sp, 2.0))
+            assert res.mode == mode
+            if mode == "exhaustive":
+                assert res == bmo_norm(f, constant_exponent(sp, 2.0), mode="exhaustive")
+
+    def test_auto_dp_band_matches_exhaustive(self, monkeypatch):
+        """Dyadic 4 is exact either way, and a variable exponent there is
+        scanned; with the cap lowered past it, auto samples again."""
+        rng = random.Random(67)
+        sp = build_dyadic_space(4)
+        f = centered(rng, sp)
+        p = constant_exponent(sp, 1.5)
+        auto = bmo_norm(f, p)
+        full = bmo_norm(f, p, mode="exhaustive")
+        assert auto.mode == "dp"
+        assert abs(auto.value - full.value) <= 1e-12 * full.value
+        assert bmo_norm(f, random_exponent(rng, 16)).mode == "exhaustive"
+        monkeypatch.setattr(bmo, "ENUMERATION_CAP", 10**5)
+        assert bmo_norm(f, p).mode == "sampled"
 
 
 class TestLipschitzNorm:

@@ -343,6 +343,25 @@ class TestExitCodes:
         assert code == 2
         assert "error:" in capsys.readouterr().err
 
+    def test_dp_mode(self, capsys, tmp_path):
+        # the tree DP on dyadic 5 (2 * 10^11 stopping times) with a constant
+        # exponent; a variable one is refused with exit 1
+        sp = write_json(tmp_path / "s.json", serialize.space_to_json(build_dyadic_space(5)))
+        term = [1.0 if i % 3 == 0 else -0.5 for i in range(32)]
+        term = [t - sum(term) / 32 for t in term]
+        mg = write_json(tmp_path / "m.json", {"terminal": term})
+        pc = write_json(tmp_path / "pc.json", {"values": [1.5] * 32})
+        pv = write_json(tmp_path / "pv.json", {"values": [1.5, 2.5] * 16})
+        code = run(["bmo", "--space", sp, "--exponent", pc, "--martingale", mg,
+                    "--mode", "dp"])
+        out = json.loads(capsys.readouterr().out)
+        assert code == 0 and out["mode"] == "dp" and out["candidates"] >= 1
+        assert out["value"] > 0 and len(out["argmax_tau"]) == 32
+        code = run(["bmo", "--space", sp, "--exponent", pv, "--martingale", mg,
+                    "--mode", "dp"])
+        assert code == 1
+        assert "constant exponent" in capsys.readouterr().err
+
     def test_sampler_memory_cap_exit_two(self, capsys, tmp_path, monkeypatch):
         monkeypatch.setattr(martingale, "MAX_SPACE_BYTES", 1000)
         sp = write_json(tmp_path / "s.json", serialize.space_to_json(build_dyadic_space(2)))

@@ -32,7 +32,13 @@ from vexmart.martingale import (
     stopped_terminal_diffs,
 )
 
-from conftest import children_of, drop_root_level, random_tree_space, relabelled_levels
+from conftest import (
+    children_of,
+    drop_root_level,
+    random_tree_space,
+    relabelled_levels,
+    stopped_diffs_oracle,
+)
 
 INF = math.inf
 
@@ -344,9 +350,12 @@ def stop_oracle(f, stop_levels, shift):
 @given(seed=st.integers(min_value=0, max_value=10**6),
        shift=st.sampled_from(["none", "minus-one"]))
 def test_stop_matches_per_leaf_oracle(seed, shift):
-    # any per-leaf level in {0..N, inf}: stop() gathers without validating
+    # any per-leaf level in {0..N, inf}: stop() gathers without validating;
+    # on a tree or on the forest left by dropping its level 0
     rng = random.Random(seed)
     sp = random_tree_space(rng)
+    if seed % 2:
+        sp = drop_root_level(sp)
     f = random_martingale(rng, sp)
     levels = [rng.choice([*range(sp.depth + 1), INF]) for _ in range(sp.n_leaves)]
     want = stop_oracle(f, levels, shift)
@@ -355,6 +364,25 @@ def test_stop_matches_per_leaf_oracle(seed, shift):
     rows = [sp.depth + 1 if t == INF else t for t in levels]
     assert np.array_equal(table[rows, np.arange(sp.n_leaves)], f.terminal - want[-1])
     assert not table[-1].any()
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(min_value=0, max_value=10**6),
+       shift=st.sampled_from(["none", "minus-one"]))
+def test_table_is_the_stopped_gather_bit_for_bit(seed, shift):
+    """The table built from the stacked levels holds the very bits of the
+    per-leaf gather at every constant level, signed zeros included."""
+    rng = random.Random(seed)
+    sp = random_tree_space(rng)
+    if seed % 3 == 0:
+        sp = drop_root_level(sp)
+    v = np.array([rng.gauss(0, 1) for _ in range(sp.n_leaves)])
+    v[rng.randrange(sp.n_leaves)] = -0.0
+    f = martingale_from_terminal(sp, v)
+    levels = np.append(np.arange(sp.depth + 1.0), INF)[:, None]
+    taus = np.broadcast_to(levels, (sp.depth + 2, sp.n_leaves))
+    want = stopped_diffs_oracle(f, taus, shift)
+    assert stopped_terminal_diffs(f, shift).tobytes() == want.tobytes()
 
 
 def test_unknown_shift_rejected(four_leaf):
