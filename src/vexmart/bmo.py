@@ -213,6 +213,9 @@ def lipschitz_norm(
     1/alpha is put in place of +inf."""
     if not (math.isfinite(q) and q >= 1):
         raise DomainError(f"lipschitz_norm requires a finite q >= 1, got {q}")
+    if mode == "dp":
+        raise DomainError("dp mode applies to bmo_norm only: the Lipschitz "
+                          "ratio is not a ratio of block sums")
     space = f.space
     avals = as_leaf_values(space, alpha.vals if isinstance(alpha, Exponent) else alpha)
     if np.any(avals < 0):

@@ -29,7 +29,7 @@ from .experiments import (
     weak_type_check,
 )
 from .hardy import atomic_decompose
-from .space import aoyama_c, as_leaf_exponent, build_dyadic_space, condition_k
+from .space import aoyama_c, build_dyadic_space, condition_k
 from .varlp import luxemburg_norm
 
 
@@ -71,10 +71,8 @@ def _space_from(args):
     return serialize.space_from_json(_load(args.space))
 
 
-def _exponent_from(args, space):
-    p = serialize.exponent_from_json(_load(args.exponent))
-    as_leaf_exponent(space, p)
-    return p
+def _exponent_from(args):
+    return serialize.exponent_from_json(_load(args.exponent))
 
 
 def _given(value, default):
@@ -230,7 +228,7 @@ def _experiment_space(args):
 
 def _experiment_exponent(args, space, config):
     if getattr(args, "exponent", None) is not None:
-        return _exponent_from(args, space)
+        return _exponent_from(args)
     return generate_exponent(space, config.exponent_law, config.p_range, config.seed)
 
 
@@ -248,21 +246,21 @@ def _dispatch(args) -> None:
 
     elif args.command == "norm":
         space = _space_from(args)
-        p = _exponent_from(args, space)
+        p = _exponent_from(args)
         f = serialize.function_from_json(_load(args.function))
         result = luxemburg_norm(space, f, p)
         _emit(f"{result.norm:.12g}", args.output)
 
     elif args.command == "decompose":
         space = _space_from(args)
-        p = _exponent_from(args, space)
+        p = _exponent_from(args)
         f = serialize.martingale_from_json(space, _load(args.martingale))
         dec = atomic_decompose(f, p)
         _emit(serialize.dumps(serialize.decomposition_to_json(dec)), args.output)
 
     elif args.command == "check":
         space = _space_from(args)
-        p = _exponent_from(args, space)
+        p = _exponent_from(args)
         if args.check_cmd == "condition-k":
             res = condition_k(space, p, mode=args.mode, subsets=args.subsets)
             _emit(serialize.dumps(
@@ -276,7 +274,7 @@ def _dispatch(args) -> None:
 
     elif args.command == "bmo":
         space = _space_from(args)
-        p = _exponent_from(args, space)
+        p = _exponent_from(args)
         f = serialize.martingale_from_json(space, _load(args.martingale))
         res = bmo_norm(f, p, mode=args.mode, seed=args.seed, samples=args.samples)
         _emit(serialize.dumps(_sup_result_json(res)), args.output)

@@ -17,7 +17,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import DomainError, NumericalError, ResourceError, ValidationError
-from .bmo import candidate_matrix
+from .bmo import bmo_norm, candidate_matrix
 from .martingale import (
     ENUMERATION_CAP,
     Martingale,
@@ -36,6 +36,7 @@ from .space import (
     build_dyadic_space,
     build_mary_space,
     condition_k,
+    constant_exponent,
     validate_filtration,
 )
 from .varlp import (
@@ -433,25 +434,19 @@ def lemma34_check(
 
 def jn_equivalence(config: TrialConfig, p: Exponent) -> ConstantReport:
     """Two-sided envelope of bmo_norm(f, p) / bmo_norm(f, 1) over random
-    martingales, both norms taken exhaustively.  The stopping times come
-    from the space's cached scan, both denominators (p = 1 and p(.)) are
-    read from the norms the space keeps, solved only on the first call
-    with each exponent, and the two numerators of a trial share one
-    stopped-difference gather."""
+    martingales, both norms taken exhaustively by ``bmo_norm``, which
+    reads the space's cached scan and the denominators the space keeps
+    for each exponent."""
     space = config.space
-    pvals = as_leaf_exponent(space, p)
+    as_leaf_exponent(space, p)
     if p.p_minus() < 1.0:
         raise DomainError("BMO norm equivalence requires p_- >= 1")
-    probs, ones = space.probs, np.ones(space.n_leaves)
-    scan = candidate_matrix(space, "exhaustive")
-    dens1 = kept_indicator_norms(space, ones, scan.masks)[scan.which]
-    densp = kept_indicator_norms(space, pvals, scan.masks)[scan.which]
+    ones = constant_exponent(space, 1.0)
     ratios, kept = [], []
     for i in range(config.trials):
         f = generate_martingale(config, i)
-        diffs = np.take(stopped_terminal_diffs(f), scan.cells)
-        b1 = max_norm_ratio(probs, ones, diffs, dens1)[0]
-        bp = max_norm_ratio(probs, pvals, diffs, densp)[0]
+        b1 = bmo_norm(f, ones, "exhaustive").value
+        bp = bmo_norm(f, p, "exhaustive").value
         if b1 == 0.0 or bp == 0.0:
             continue
         ratios.append(bp / b1)

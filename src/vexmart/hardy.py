@@ -24,9 +24,9 @@ from .martingale import (
     INF,
     Martingale,
     StoppingTime,
-    _stopped_values,
     cond_square,
     cond_square_levels,
+    level_stack,
     martingale_from_terminal,
     maximal,
     require_f0_zero,
@@ -158,7 +158,8 @@ def atomic_decompose(f: Martingale, p: Exponent) -> AtomicDecomposition:
     # row i is tau_{k_lo + i}; the atom of k is f^{tau_{k+1}}_N - f^{tau_k}_N
     cuts = np.ldexp(1.0, np.arange(k_lo, k_hi + 1))
     taus = _threshold_times(s_next, cuts)
-    stopped = _stopped_values(f, taus, float(space.depth))
+    at = np.minimum(taus, space.depth + 1).astype(np.intp)
+    stopped = np.take_along_axis(level_stack(f), at, axis=0)
     diffs = stopped[1:] - stopped[:-1]
     fscale = max(1.0, float(np.abs(f.terminal).max()))
     # zero atoms contribute nothing

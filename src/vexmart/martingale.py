@@ -4,6 +4,9 @@ square functions, and stopping times on atom filtrations.
 Conventions: the maximal and square functions use f_{-1} = f_0 (so the 0-th
 increment vanishes); the shifted stop used by the BMO module uses f_{-1} = 0,
 the only choice under which ||f - f^{tau-1}|| controls f on {tau = 0}.
+
+Every stopped value (``stop``, the BMO and Lipschitz differences and the
+atoms' f^{tau_k}) is gathered from one (N+2)-row stack, ``level_stack``.
 """
 
 from __future__ import annotations
@@ -139,10 +142,9 @@ class StoppingTime(ArrayValue):
         return np.isfinite(self.vals)
 
 
-def validate_stopping_time(
-    space: FilteredSpace, stop_level: Sequence[float]
-) -> StoppingTime:
-    """Accepts iff {tau = n} is a union of level-n blocks for every n."""
+def _stop_levels(space: FilteredSpace, stop_level: Sequence[float]) -> np.ndarray:
+    """The stop levels as a float array, once there is one per leaf and
+    each lies in {0, ..., N} or is infinity."""
     try:
         vals = np.array(stop_level, dtype=float)
     except (TypeError, ValueError) as exc:
@@ -159,6 +161,14 @@ def validate_stopping_time(
             f"stop level {float(vals[~ok][0])} outside "
             f"{{0..{space.depth}}} and infinity"
         )
+    return vals
+
+
+def validate_stopping_time(
+    space: FilteredSpace, stop_level: Sequence[float]
+) -> StoppingTime:
+    """Accepts iff {tau = n} is a union of level-n blocks for every n."""
+    vals = _stop_levels(space, stop_level)
     for n in range(space.depth + 1):
         hit = vals == n
         if not hit.any():
@@ -175,34 +185,36 @@ def validate_stopping_time(
     return StoppingTime(vals)
 
 
-def _stopped_values(
-    f: Martingale,
-    tau_vals: np.ndarray,
-    upto: float | np.ndarray,
-    shift: str = "none",
-) -> np.ndarray:
-    """f_{min(upto, tau)} at every leaf, or f_{min(upto, tau - 1)} with
-    f_{-1} = 0 for shift="minus-one".  ``tau_vals`` and ``upto`` broadcast
-    against a trailing leaf axis."""
+def level_stack(f: Martingale, shift: str = "none") -> np.ndarray:
+    """The (N+2, n_leaves) stack of levels that every stopped value is
+    gathered from: (f_{-1}, f_0, ..., f_N) with f_{-1} = 0 for
+    shift="minus-one", or (f_0, ..., f_N, f_N) for shift="none".  At a
+    leaf x its row min(tau(x), N+1) holds f_{tau-1} or f_tau, and f_N
+    where tau = inf."""
     if shift not in ("none", "minus-one"):
         raise ValidationError(f"unknown shift mode {shift!r}")
-    t = tau_vals if shift == "none" else tau_vals - 1.0
-    idx = np.minimum(t, upto)
-    leaf = np.arange(f.space.n_leaves)
-    return np.where(
-        idx < 0, 0.0, f.arrays[np.maximum(idx, 0.0).astype(np.intp), leaf]
-    )
+    arrays = f.arrays
+    out = np.empty((arrays.shape[0] + 1, arrays.shape[1]))
+    if shift == "minus-one":
+        out[0] = 0.0
+        out[1:] = arrays
+    else:
+        out[:-1] = arrays
+        out[-1] = arrays[-1]
+    return out
 
 
 def stop(f: Martingale, tau: StoppingTime, shift: str = "none") -> Martingale:
     """Stopped martingale f^tau, or the shifted variant f^{tau-1} used by
-    the BMO norm (shift="minus-one", value 0 where tau = 0).
-
-    The shifted sequence is adapted but generally fails the tower property,
-    since tau - 1 is not a stopping time; no validation is applied.
-    """
-    n = np.arange(f.space.depth + 1, dtype=float)[:, None]
-    return Martingale(f.space, _stopped_values(f, tau.vals, n, shift))
+    the BMO norm (shift="minus-one", value 0 where tau = 0): level n is row
+    min(tau, n), or min(tau, n + 1), of ``level_stack``.  Per-leaf levels
+    in {0, ..., N} and infinity are gathered, measurable or not; others are
+    refused.  The shifted sequence is adapted but generally fails the tower
+    property, since tau - 1 is not a stopping time."""
+    vals = _stop_levels(f.space, tau.vals)
+    top = np.arange(f.space.depth + 1) + (shift == "minus-one")
+    rows = np.minimum(vals, top[:, None]).astype(np.intp)
+    return Martingale(f.space, np.take_along_axis(level_stack(f, shift), rows, axis=0))
 
 
 def _path_counts(space: FilteredSpace) -> list[int]:
@@ -328,25 +340,15 @@ def sample_stopping_times(
 
 
 def stopped_terminal_diffs(f: Martingale, shift: str = "minus-one") -> np.ndarray:
-    """The (N+2, n_leaves) table of stopped terminal differences: row n
-    holds (f - f^{n-1})_N with f_{-1} = 0, or (f - f^n)_N for shift="none",
-    and row N+1, the row of tau = inf, is exactly 0.  The difference of a
-    stopping time tau at leaf x is the entry at row min(tau(x), N+1), so a
-    scan takes all of its differences with one gather from this table, and
-    ``tree_argmax``'s gains are sums over its rows.  Built as f_N minus the
-    levels stacked one row down under a row of zeros (f_{-1}, ..., f_N), or
-    stacked with f_N repeated below them (f_0, ..., f_N, f_N)."""
-    if shift not in ("none", "minus-one"):
-        raise ValidationError(f"unknown shift mode {shift!r}")
-    arrays = f.arrays
-    out = np.empty((arrays.shape[0] + 1, arrays.shape[1]))
-    if shift == "minus-one":
-        out[0] = 0.0
-        out[1:] = arrays
-    else:
-        out[:-1] = arrays
-        out[-1] = arrays[-1]
-    return np.subtract(arrays[-1], out, out=out)
+    """The (N+2, n_leaves) table of stopped terminal differences, f_N
+    minus ``level_stack``: row n holds (f - f^{n-1})_N with f_{-1} = 0, or
+    (f - f^n)_N for shift="none", and row N+1, the row of tau = inf, is
+    exactly 0.  The difference of a stopping time tau at leaf x is the
+    entry at row min(tau(x), N+1), so a scan takes all of its differences
+    with one gather from this table, and ``tree_argmax``'s gains are sums
+    over its rows."""
+    stack = level_stack(f, shift)
+    return np.subtract(f.terminal, stack, out=stack)
 
 
 def tree_argmax(

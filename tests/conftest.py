@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 
 from vexmart import Exponent, build_dyadic_space, serialize, validate_filtration
-from vexmart.martingale import _stopped_values
 
 
 def random_tree_space(rng: random.Random, max_leaves: int = 12, max_depth: int = 4):
@@ -72,9 +71,18 @@ def drop_root_level(space):
 
 
 def stopped_diffs_oracle(f, taus, shift="minus-one"):
-    """(f - f^{tau-1})_N, or (f - f^tau)_N for shift "none", per row of a
-    matrix of stop levels, gathered at the row's own levels."""
-    return f.terminal - _stopped_values(f, taus, float(f.space.depth), shift)
+    """(f - f^{tau-1})_N with f_{-1} = 0, or (f - f^tau)_N for shift
+    "none", per row of a matrix of stop levels: leaf by leaf, f_N minus
+    the leaf's own value at level min(tau - 1, N) or min(tau, N)."""
+    taus = np.asarray(taus, dtype=float)
+    back = 1.0 if shift == "minus-one" else 0.0
+    out = np.empty(taus.shape)
+    for x in range(f.space.n_leaves):
+        path = f.arrays[:, x]
+        level = np.minimum(taus[:, x] - back, f.space.depth)
+        stopped = np.where(level < 0, 0.0, path[np.maximum(level, 0).astype(int)])
+        out[:, x] = path[-1] - stopped
+    return out
 
 
 def scan_levels(scan, depth):

@@ -241,8 +241,11 @@ class TestDpMode:
     def test_lipschitz_refuses_dp(self):
         sp = build_dyadic_space(2)
         f = centered(random.Random(59), sp)
-        with pytest.raises(DomainError):
+        with pytest.raises(DomainError, match="bmo_norm only"):
             lipschitz_norm(f, 2.0, [0.5] * 4, mode="dp")
+        with pytest.raises(DomainError, match="bmo_norm only"):
+            duality_pairing_ratio(f, [1.0, -1.0, 0.5, 0.0],
+                                  constant_exponent(sp, 0.8), mode="dp")
 
     def test_auto_bands(self):
         """auto scans up to AUTO_EXHAUSTIVE_CAP stopping times (dyadic 3:

@@ -385,6 +385,18 @@ def test_table_is_the_stopped_gather_bit_for_bit(seed, shift):
     assert stopped_terminal_diffs(f, shift).tobytes() == want.tobytes()
 
 
+@pytest.mark.parametrize("levels", [
+    (0.0,) * 3, (0.0,) * 5, (0.0, -1.0, 1.0, 2.0), (0.5, 0.0, 0.0, 0.0),
+    (INF, INF, math.nan, INF), (3.0, 0.0, 0.0, 0.0), (-INF,) * 4,
+])
+@pytest.mark.parametrize("shift", ["none", "minus-one"])
+def test_stop_refuses_levels_it_cannot_gather(four_leaf, levels, shift):
+    # one level per leaf, each in {0, 1, 2} or infinity
+    f = random_martingale(random.Random(1), four_leaf)
+    with pytest.raises(ValidationError, match="stop level"):
+        stop(f, StoppingTime(levels), shift)
+
+
 def test_unknown_shift_rejected(four_leaf):
     f = random_martingale(random.Random(1), four_leaf)
     tau = StoppingTime((0.0,) * 4)
