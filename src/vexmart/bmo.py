@@ -172,14 +172,16 @@ def bmo_norm(
     space = f.space
     require_f0_zero(f, "bmo_norm requires f_0 = 0")
     pv = as_leaf_exponent(space, p)
-    if mode == "auto":
-        count = count_stopping_times(space)
-        if AUTO_EXHAUSTIVE_CAP < count <= ENUMERATION_CAP and (pv == pv[0]).all():
+    if mode == "dp" or (
+        mode == "auto"
+        and AUTO_EXHAUSTIVE_CAP < count_stopping_times(space) <= ENUMERATION_CAP
+    ):
+        if (pv == pv[0]).all():
             mode = "dp"
+        elif mode == "dp":
+            raise DomainError("dp mode requires a constant exponent")
     table = stopped_terminal_diffs(f, shift="minus-one")
     if mode == "dp":
-        if not (pv == pv[0]).all():
-            raise DomainError("dp mode requires a constant exponent")
         # the p0-th powers of numerator and denominator are sums over the
         # blocks at which tau stops; the differences are scaled exactly by a
         # power of two into [0, 1), so no power overflows and only powers

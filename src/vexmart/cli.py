@@ -38,6 +38,18 @@ class _Parser(argparse.ArgumentParser):
         raise ValidationError(message)
 
 
+def _positive_int(text: str) -> int:
+    """argparse type of --samples: an integer of at least 1, refused at
+    parse time in every mode, whether or not the run samples."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
+
+
 def _load(path: str):
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -181,7 +193,7 @@ def build_parser() -> _Parser:
     bm.add_argument("--mode", choices=("auto", "exhaustive", "sampled", "dp"),
                     default="auto")
     bm.add_argument("--seed", type=int, default=0)
-    bm.add_argument("--samples", type=int, default=256)
+    bm.add_argument("--samples", type=_positive_int, default=256)
     _add_io(bm)
 
     lp = top.add_parser("lipschitz")
@@ -192,7 +204,7 @@ def build_parser() -> _Parser:
     lp.add_argument("--mode", choices=("auto", "exhaustive", "sampled"),
                     default="auto")
     lp.add_argument("--seed", type=int, default=0)
-    lp.add_argument("--samples", type=int, default=256)
+    lp.add_argument("--samples", type=_positive_int, default=256)
     _add_io(lp)
 
     exp = top.add_parser("experiment").add_subparsers(dest="exp_cmd", required=True)

@@ -299,8 +299,9 @@ def sample_stopping_matrix(
     """Seeded random stopping times as a (count, n_leaves) matrix of stop
     levels; rows 0 and 1 are tau = 0 and tau = infinity.  Every other row
     is a random path of the preorder walk: at each block reached it stops
-    there with probability 1/2 or else continues into its children.
-    Refused when its arrays would exceed MAX_SPACE_BYTES."""
+    there with probability 1/2 or else continues into its children; the
+    flagged blocks become levels in ``_tree_witness``.  Refused when its
+    arrays would exceed MAX_SPACE_BYTES."""
     if count < 1:
         raise ValidationError("count must be >= 1")
     rng = random.Random(f"vexmart-stopping:{seed}")
@@ -309,9 +310,9 @@ def sample_stopping_matrix(
     if count * (total + 8 * space.n_leaves) > MAX_SPACE_BYTES:
         raise ResourceError(f"{count} sampled stopping times over {MAX_SPACE_BYTES} bytes")
     # stopped blocks are flagged in one (all blocks, count) array, a column
-    # per sample, so that the gathers below take whole rows
+    # per sample, so that the witness's gathers take whole rows
     stops = np.zeros((total, count), dtype=bool)
-    stops[: space.n_blocks[0], 0] = True
+    stops[space.level_slices[0], 0] = True
     hits: list[int] = []
     for s in range(2, count):
         i = 0
@@ -322,12 +323,7 @@ def sample_stopping_matrix(
             else:
                 i += 1
     stops.flat[hits] = True
-    # the stopped blocks of a sample form an antichain: a leaf lies in at
-    # most one, so the levels can be written in any order
-    out = np.full((space.n_leaves, count), INF)
-    for n, ids in enumerate(space._stacked_blocks[0]):
-        out[stops[ids]] = n
-    return out.T
+    return _tree_witness(space, stops.T)
 
 
 def sample_stopping_times(
@@ -351,56 +347,74 @@ def stopped_terminal_diffs(f: Martingale, shift: str = "minus-one") -> np.ndarra
     return np.subtract(f.terminal, stack, out=stack)
 
 
+def _tree_witness(space: FilteredSpace, stops: np.ndarray) -> np.ndarray:
+    """(K, n_leaves) stop levels from (K, all blocks) stop flags numbered
+    as in ``level_slices``: each leaf stops at the level of the first
+    flagged block on its path from the root, or never (inf), so the flags
+    need not be an antichain.  The top-down walk gathers rows of
+    ``stops.T``, so flags held a column per stopping time are passed as a
+    transposed view."""
+    flags, level = stops.T, space.level_slices
+    first = np.where(flags[level[0]], 0.0, INF)
+    for n in range(1, space.depth + 1):
+        first = first[space.parents[n - 1]]
+        first[flags[level[n]] & (first == INF)] = n
+    # the terminal blocks are the leaves
+    return first[space.block_of[-1]].T
+
+
+def _tree_pass(
+    space: FilteredSpace, worth: np.ndarray, carry: np.ndarray
+) -> tuple[float, float, np.ndarray]:
+    """The largest total ``worth`` of the blocks at which a stopping time
+    stops (numbered as in ``level_slices``), the sum of ``carry`` over
+    those blocks, and their stop flags.  One bottom-up walk of
+    ``parents``: a block is worth the larger of its own worth (stop here)
+    and its children's sum (0 below level N), and is flagged where
+    stopping is strictly better; flags below a stop are stale, and
+    ``_tree_witness`` skips them."""
+    n_blocks, level = space.n_blocks, space.level_slices
+    stops = worth > 0.0
+    here = level[-1]
+    w = np.where(stops[here], worth[here], 0.0)
+    b = np.where(stops[here], carry[here], 0.0)
+    for n in reversed(range(space.depth)):
+        par, here = space.parents[n], level[n]
+        below = np.bincount(par, weights=w, minlength=n_blocks[n])
+        stops[here] = stop = worth[here] > below
+        w = np.where(stop, worth[here], below)
+        b = np.where(stop, carry[here], np.bincount(par, b, n_blocks[n]))
+    return float(w.sum()), float(b.sum()), stops
+
+
 def tree_argmax(
     space: FilteredSpace, gains: np.ndarray
 ) -> tuple[float, np.ndarray, int]:
     """The largest ratio G(tau) / P(tau < inf) over the stopping times tau
     finite somewhere, where G(tau) sums the nonnegative ``gains`` (one per
-    block, numbered level-major as in ``FilteredSpace._stacked_blocks``)
-    over the blocks at which tau stops; with the stop levels of a tau
-    attaining it and the number of passes made.
+    block, numbered level-major as in ``FilteredSpace.level_slices``) over
+    the blocks at which tau stops; with the stop levels of a tau attaining
+    it and the number of passes made.
 
     Dinkelbach's method (Management Science 13(7), 1967) starts at the
     best constant tau = n.  Each pass maximizes G(tau) - lam P(tau < inf)
-    over all stopping times in one bottom-up walk of ``parents``: a block
-    is worth the larger of its own gain less lam times its probability
-    (stop here) and the summed worth of its children (0 below level N),
-    and it stops only where stopping is strictly better; P(tau < inf) of
-    the chosen branch is carried up beside the worth.  A pass of positive
-    worth V and probability B finds a tau of ratio lam + V / B, which
-    becomes the next lam for as long as lam rises.  The witness is read
-    top-down from the last pass that raised lam, or is the start."""
-    depth, n_blocks = space.depth, space.n_blocks
+    over all stopping times with one ``_tree_pass``, carrying the
+    probabilities of the chosen blocks beside their worth.  A pass of
+    positive worth V and probability B finds a tau of ratio lam + V / B,
+    which becomes the next lam for as long as lam rises.  The witness is
+    read by ``_tree_witness`` from the flags of the last pass that raised
+    lam, or is the start."""
     probs = space._stacked_blocks[1]
-    starts = np.cumsum((0,) + n_blocks[:-1])
-    level = [slice(a, a + k) for a, k in zip(starts.tolist(), n_blocks)]
+    starts = [level.start for level in space.level_slices]
     constant = np.add.reduceat(gains, starts) / np.add.reduceat(probs, starts)
     start = int(np.argmax(constant))
     lam, best, passes = float(constant[start]), None, 0
     while True:
         passes += 1
-        worth = gains - lam * probs
-        stops = worth > 0.0
-        here = level[depth]
-        w = np.where(stops[here], worth[here], 0.0)
-        b = np.where(stops[here], probs[here], 0.0)
-        for n in reversed(range(depth)):
-            par, here = space.parents[n], level[n]
-            below = np.bincount(par, weights=w, minlength=n_blocks[n])
-            stops[here] = stop = worth[here] > below
-            w = np.where(stop, worth[here], below)
-            b = np.where(stop, probs[here], np.bincount(par, b, n_blocks[n]))
-        gain, mass = float(w.sum()), float(b.sum())
+        gain, mass, stops = _tree_pass(space, gains - lam * probs, probs)
         if not (gain > 0.0 and lam + gain / mass > lam):
             break
         lam, best = lam + gain / mass, stops
     if best is None:
         return lam, np.full(space.n_leaves, float(start)), passes
-    tau = np.full(space.n_leaves, INF)
-    live = np.ones(n_blocks[0], dtype=bool)
-    for n in range(depth + 1):
-        stop = live & best[level[n]]
-        tau[stop[space.block_of[n]]] = n
-        if n < depth:
-            live = (live & ~stop)[space.parents[n]]
-    return lam, tau, passes
+    return lam, _tree_witness(space, best[None])[0], passes

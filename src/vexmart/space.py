@@ -88,10 +88,18 @@ class FilteredSpace(ArrayValue):
         return tuple((self.block_of.max(axis=1) + 1).tolist())
 
     @cached_property
+    def level_slices(self) -> tuple[slice, ...]:
+        """Per level, the slice of its blocks in the level-major numbering
+        of ``_stacked_blocks``, which numbers the blocks of all levels
+        consecutively, level 0 first."""
+        ends = np.cumsum(self.n_blocks).tolist()
+        return tuple(slice(end - k, end) for end, k in zip(ends, self.n_blocks))
+
+    @cached_property
     def _stacked_blocks(self) -> tuple[np.ndarray, np.ndarray]:
         """``block_of`` with blocks numbered consecutively across levels,
         and the block probabilities in that numbering."""
-        offsets = np.cumsum((0,) + self.n_blocks[:-1])
+        offsets = np.array([level.start for level in self.level_slices])
         ids = readonly(self.block_of + offsets[:, None])
         probs = np.bincount(ids.ravel(), weights=np.tile(self.probs, self.depth + 1))
         return ids, readonly(probs)
@@ -99,7 +107,7 @@ class FilteredSpace(ArrayValue):
     @cached_property
     def block_probs(self) -> tuple[np.ndarray, ...]:
         """Per level, the probability of each block."""
-        return tuple(np.split(self._stacked_blocks[1], np.cumsum(self.n_blocks)[:-1]))
+        return tuple(self._stacked_blocks[1][level] for level in self.level_slices)
 
     @cached_property
     def parents(self) -> tuple[np.ndarray, ...]:

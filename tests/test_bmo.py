@@ -25,6 +25,7 @@ from vexmart import (
 )
 from vexmart import bmo, serialize
 from vexmart.bmo import StoppingScan, candidate_matrix
+from vexmart.martingale import _tree_witness
 from vexmart.varlp import kept_indicator_norms
 
 from conftest import (
@@ -203,6 +204,40 @@ def test_dp_matches_exhaustive(seed, shape, law, p0):
     diff = f.terminal - stop(f, tau, shift="minus-one").terminal
     own = lp_norm(sp.probs, diff, p0) / lp_norm(sp.probs, chi, p0)
     assert abs(own - res.value) <= 1e-12 * res.value
+
+
+def first_flagged_oracle(space, stops):
+    """Per row of (K, all blocks) stop flags and per leaf, the level of the
+    first flagged block met walking down the leaf's blocks ``block_of[n,
+    x]`` from the root, or inf; one leaf at a time."""
+    offsets = [sum(space.n_blocks[:n]) for n in range(space.depth + 1)]
+    out = np.full((len(stops), space.n_leaves), math.inf)
+    for k, row in enumerate(stops):
+        for x in range(space.n_leaves):
+            for n in range(space.depth + 1):
+                if row[offsets[n] + space.block_of[n, x]]:
+                    out[k, x] = n
+                    break
+    return out
+
+
+@settings(max_examples=120, deadline=None)
+@given(seed=st.integers(min_value=0, max_value=10**6),
+       shape=st.sampled_from(["tree", "forest", "relabelled", "one-leaf"]),
+       k=st.sampled_from([1, 3, 17]),
+       density=st.sampled_from([0.0, 0.1, 0.4, 1.0]))
+def test_tree_witness_takes_first_flagged_ancestor(seed, shape, k, density):
+    """``_tree_witness`` reads arbitrary flags, antichains or not, as the
+    first flagged level on each leaf's path; a caller's (blocks, K) array
+    passed as a transposed view reads the same."""
+    rng = random.Random(seed)
+    sp = dp_space(rng, shape)
+    stops = np.array([[rng.random() < density for _ in range(sum(sp.n_blocks))]
+                      for _ in range(k)])
+    got = _tree_witness(sp, stops)
+    assert got.shape == (k, sp.n_leaves)
+    assert np.array_equal(got, first_flagged_oracle(sp, stops))
+    assert np.array_equal(_tree_witness(sp, np.ascontiguousarray(stops.T).T), got)
 
 
 class TestDpMode:

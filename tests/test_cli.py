@@ -362,6 +362,27 @@ class TestExitCodes:
         assert code == 1
         assert "constant exponent" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["bmo", "lipschitz"])
+    @pytest.mark.parametrize("mode", ["auto", "exhaustive", "dp"])
+    @pytest.mark.parametrize("samples", ["0", "-7"])
+    def test_nonpositive_samples_refused_in_every_mode(
+        self, capsys, tmp_path, command, mode, samples
+    ):
+        # dyadic 3 scans exhaustively, so none of these runs samples; the
+        # count is refused at parse time all the same (lipschitz has no dp
+        # mode, and --samples is read before --mode)
+        sp = write_json(tmp_path / "s.json", serialize.space_to_json(build_dyadic_space(3)))
+        mg = write_json(tmp_path / "m.json", {"terminal": [1.0, -1.0, 2.5, -2.5] * 2})
+        vals = write_json(tmp_path / "v.json", {"values": [1.5] * 8})
+        inputs = (["--exponent", vals] if command == "bmo"
+                  else ["--q", "2", "--alpha", vals])
+        code = run([command, "--space", sp, "--martingale", mg, *inputs,
+                    "--samples", samples, "--mode", mode])
+        assert code == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"argument --samples: must be >= 1, got {samples}" in captured.err
+
     def test_sampler_memory_cap_exit_two(self, capsys, tmp_path, monkeypatch):
         monkeypatch.setattr(martingale, "MAX_SPACE_BYTES", 1000)
         sp = write_json(tmp_path / "s.json", serialize.space_to_json(build_dyadic_space(2)))

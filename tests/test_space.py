@@ -33,7 +33,12 @@ from vexmart import (
     weak_type_check,
 )
 
-from conftest import random_exponent, random_tree_space, relabelled_levels
+from conftest import (
+    drop_root_level,
+    random_exponent,
+    random_tree_space,
+    relabelled_levels,
+)
 
 
 class TestDyadicConstruction:
@@ -546,6 +551,34 @@ def test_builders_match_validated_levels(depth):
         assert sp.probs.tolist() == [1.0 / n_leaves] * n_leaves
         if arity == 2:
             assert build_dyadic_space(depth) == checked
+
+
+def _level_numbering_spaces():
+    rng = random.Random(83)
+    tree = random_tree_space(rng, max_leaves=9)
+    return [build_dyadic_space(0), build_dyadic_space(3), build_mary_space(3, 2),
+            tree, drop_root_level(tree),
+            validate_filtration(*relabelled_levels(tree, rng))]
+
+
+@pytest.mark.parametrize("sp", _level_numbering_spaces())
+def test_level_slices_partition_the_block_numbering(sp):
+    """The level slices tile 0..(all blocks) in level order, each as long
+    as its level, and hold exactly the stacked ids of their level; the
+    per-level block probabilities are each level's own bincount, byte for
+    byte."""
+    slices = sp.level_slices
+    assert len(slices) == sp.depth + 1
+    assert [s.stop - s.start for s in slices] == list(sp.n_blocks)
+    assert slices[0].start == 0
+    assert all(a.stop == b.start for a, b in zip(slices, slices[1:]))
+    ids, probs = sp._stacked_blocks
+    assert slices[-1].stop == probs.size
+    for n, s in enumerate(slices):
+        assert np.array_equal(np.unique(ids[n]), np.arange(s.start, s.stop))
+        own = np.bincount(sp.block_of[n], weights=sp.probs)
+        assert sp.block_probs[n].tobytes() == own.tobytes()
+        assert sp.block_probs[n].tobytes() == probs[s].tobytes()
 
 
 def test_mary_byte_cap():
