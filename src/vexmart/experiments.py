@@ -466,11 +466,18 @@ def _t_grid_from_diffs(diffs: np.ndarray) -> np.ndarray:
     times the largest, thinned to at most _T_GRID_POINTS evenly spaced
     entries: an ascending float array, [0.0] when no difference is
     positive."""
-    vals = np.unique(diffs[diffs > 0])
+    vals = diffs[diffs > 0]
+    vals.sort()
+    # each value where it first appears in the sorted run
+    first = np.empty(vals.size, dtype=bool)
+    first[:1] = True
+    np.not_equal(vals[1:], vals[:-1], out=first[1:])
+    vals = vals[first]
     grid = np.concatenate(([0.0], _with_midpoints(vals), 1.25 * vals[-1:]))
     if grid.size > _T_GRID_POINTS:
-        idx = np.linspace(0, grid.size - 1, _T_GRID_POINTS).astype(int)
-        grid = grid[np.unique(idx)]
+        # the indices step by (grid.size - 1) / (_T_GRID_POINTS - 1) > 1,
+        # so they are distinct and ascending
+        grid = grid[np.linspace(0, grid.size - 1, _T_GRID_POINTS).astype(int)]
     return grid
 
 
@@ -488,7 +495,14 @@ def _decay_segments(
     cells on j in [k_(i+1), k_(i)), where k_(n+1) = 0.
     Yields, per block, the row, lo, hi and norm (by the mask's bits, as in
     ``StoppingScan``) of every nonempty segment [lo, hi); a row's norm is 0
-    off its segments."""
+    off its segments.
+
+    Each block's keys are gathered into one buffer reused across blocks and
+    sorted there row by row; after that the block is walked flat, cell k
+    of the block at row k // n: lo is hi shifted down by one cell with each
+    row's last cell set to 0, and a row's prefix codes are one running sum
+    over the block less i * (2^n - 1) at block row i, since every row holds
+    each leaf, and so each bit, once.  The sums are integers, so exact."""
     n_rows, n = cells.shape
     code = 1 << np.arange(n - 1, -1, -1)
     bits = (1 << n) - 1
@@ -496,14 +510,24 @@ def _decay_segments(
     # puts a row's cells in order of decreasing count
     neg_key = -((counts << n) | code).ravel()
     step = max(1, _BLOCK_BYTES // (8 * n))
+    buf = np.empty(min(step, n_rows) * n, dtype=neg_key.dtype)
     for start in range(0, n_rows, step):
-        key = -np.sort(neg_key[cells[start : start + step]], axis=1)
+        block = cells[start : start + step]
+        key = buf[: block.size]
+        # the cells index the table by construction (see StoppingScan), so
+        # "clip" clips nothing; it only spares numpy a bounds-checked copy
+        np.take(neg_key, block, out=key.reshape(block.shape), mode="clip")
+        key.reshape(block.shape).sort(axis=1)
+        np.negative(key, out=key)
         hi = key >> n
-        lo = np.zeros_like(hi)
-        lo[:, :-1] = hi[:, 1:]
-        keep = lo < hi
-        lhs = norm_of_code[np.cumsum(key & bits, axis=1)[keep]]
-        yield np.nonzero(keep)[0] + start, lo[keep], hi[keep], lhs
+        lo = np.empty_like(hi)
+        lo[:-1] = hi[1:]
+        lo[n - 1 :: n] = 0
+        at = np.flatnonzero(lo < hi)
+        row = at // n
+        key &= bits
+        lhs = norm_of_code[np.cumsum(key)[at] - row * bits]
+        yield row + start, lo[at], hi[at], lhs
 
 
 def exp_jn_curve(f: Martingale, p: Exponent) -> ConstantReport:
@@ -620,9 +644,10 @@ def exp_jn_curve(f: Martingale, p: Exponent) -> ConstantReport:
             f"bound {bound[i]}"
         )
     # the envelope at j is the largest value over lo <= j < hi
-    top = np.maximum.accumulate(top.reshape(g + 1, g + 1), axis=0)
-    top = np.maximum.accumulate(top[:, ::-1], axis=1)[:, ::-1]
-    env = top[span, span + 1]
+    top = top.reshape(g + 1, g + 1)
+    np.maximum.accumulate(top, axis=0, out=top)
+    np.maximum.accumulate(top[:, ::-1], axis=1, out=top[:, ::-1])
+    env = top.diagonal(1).copy()
     curve = np.column_stack((grid, env)).tolist()
     rise = np.flatnonzero(env[1:] > env[:-1] + 1e-12)
     if rise.size:

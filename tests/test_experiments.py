@@ -564,22 +564,46 @@ def _assert_envelope_is_per_t_loop(f, p, rep):
     return grid, want
 
 
+def _tied_terminal(sp, law):
+    """A centred terminal on a dyadic space whose stopped differences tie:
+    a balanced two-point +-1, or 3/4 and -3/4 on the two level-1 blocks
+    (so every difference past level 1 is 0).  Short dyadic fractions, so
+    that f_0 sums to exactly 0."""
+    if law == "two-point":
+        half = sp.n_leaves // 2
+        rng = random.Random(f"exp-jn-ties:{sp.depth}")
+        return np.array(rng.sample([1.0, -1.0] * half, 2 * half))
+    return np.where(sp.block_of[1] == 0, 0.75, -0.75)
+
+
 @pytest.mark.parametrize("stack", [None, 1, 3])
-@pytest.mark.parametrize("depth, seed", [(2, 0), (2, 1), (3, 2), (3, 3)])
+@pytest.mark.parametrize(
+    "depth, seed",
+    [(2, 0), (2, 1), (3, 2), (3, 3), (2, "two-point"), (3, "two-point"), (3, "level-1")],
+)
 def test_exp_jn_envelope_matches_per_t_loop(monkeypatch, depth, seed, stack):
     """The envelope equals the per-t loop bit for bit, and a scalar solve
     of every indicator to 1e-12.  ``stack`` rows per row block (by
     shrinking the block bytes) walks the scan in many blocks, None keeps
-    the default of one block."""
+    the default of one block.  A named ``seed`` takes a tied terminal
+    (see ``_tied_terminal``) in place of Gaussian draws, so that rows hold
+    equal counts and counts of 0 side by side."""
     sp = build_dyadic_space(depth)
     rng = random.Random(f"exp-jn-oracle:{depth}:{seed}")
-    v = np.array([rng.gauss(0.0, 1.0) for _ in range(sp.n_leaves)])
-    f = martingale_from_terminal(sp, v - v.mean())
+    if isinstance(seed, str):
+        f = martingale_from_terminal(sp, _tied_terminal(sp, seed))
+        table = stopped_terminal_diffs(f)
+        pos = table[table > 0]
+        assert np.unique(pos).size < pos.size and (table[:-1] <= 0).any()
+    else:
+        v = np.array([rng.gauss(0.0, 1.0) for _ in range(sp.n_leaves)])
+        f = martingale_from_terminal(sp, v - v.mean())
     p = random_exponent(rng, sp.n_leaves, 1.0, 3.0)
     if stack is not None:
         monkeypatch.setattr(experiments, "_BLOCK_BYTES", stack * 8 * sp.n_leaves)
     grid, got = _assert_envelope_is_per_t_loop(f, p, exp_jn_curve(f, p))
-    assert len(grid) > 3
+    # a tied terminal may have one positive difference: grid 0, d, 1.25 d
+    assert len(grid) > 3 or isinstance(seed, str)
     want = np.array(_envelope_oracle(f, p, grid))
     assert np.all(np.abs(np.array(got) - want) <= 1e-12 * want)
 
@@ -909,10 +933,26 @@ def test_lambda_grid_matches_midpoint_loop():
 def test_t_grid_matches_midpoint_loop():
     from vexmart.experiments import _T_GRID_POINTS, _t_grid_from_diffs
     rng = random.Random(83)
+    # repeats, zeros and negative entries, as stopped differences have
+    cases = [
+        np.array([round(rng.gauss(0, 1), 2) for _ in range(size)])
+        for size in (0, 1, 2, 5, 20, 31, 32, 33, 100, 400)
+    ]
+    x = 0.3
+    up = np.nextafter(x, np.inf)
+    cases += [
+        # exact repeats only
+        np.array([0.5, 0.5, 0.5, 1.0, 1.0, -1.0, 0.0, 1.0]),
+        # ulp neighbours, whose midpoints round onto one of them
+        np.array([x, up, np.nextafter(up, np.inf), np.nextafter(x, -np.inf), x]),
+        # one positive value among zeros, signed zeros and negatives
+        np.array([0.0, -2.0, 0.7, -0.0, -0.7, 0.7]),
+        # more distinct values than grid points, repeated and shuffled
+        rng.sample(list(np.arange(1, 3 * _T_GRID_POINTS) / 7) * 2, 6 * _T_GRID_POINTS - 2),
+    ]
     sizes = []
-    for size in (0, 1, 2, 5, 20, 31, 32, 33, 100, 400):
-        # repeats, zeros and negative entries, as stopped differences have
-        diffs = np.array([round(rng.gauss(0, 1), 2) for _ in range(size)])
+    for diffs in cases:
+        diffs = np.asarray(diffs, dtype=float)
         vals = np.unique(diffs[diffs > 0])
         want = [0.0]
         if vals.size:
@@ -924,6 +964,8 @@ def test_t_grid_matches_midpoint_loop():
         sizes.append(len(want))
         assert _t_grid_from_diffs(diffs.reshape(-1, 1)).tolist() == want
     assert min(sizes) == 1 and max(sizes) == _T_GRID_POINTS
+    # the single positive value: 0, itself and 1.25 times it
+    assert sizes[-2] == 3
 
 
 def _doob_oracle(cfg, p):
