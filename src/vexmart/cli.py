@@ -17,16 +17,8 @@ from . import serialize
 from .bmo import bmo_norm, lipschitz_norm
 from .errors import ValidationError, VexmartError
 from .experiments import (
-    TrialConfig,
-    exp_jn_curve,
-    doob_strong_check,
-    generate_exponent,
-    generate_martingale,
-    jn_equivalence,
-    lemma34_check,
-    nakai_sadasue,
-    violation_33_search,
-    weak_type_check,
+    TrialConfig, doob_strong_check, exp_jn_curve, generate_exponent, generate_martingale,
+    jn_equivalence, lemma34_check, nakai_sadasue, violation_33_search, weak_type_check,
 )
 from .hardy import atomic_decompose
 from .space import aoyama_c, build_dyadic_space, condition_k
@@ -60,88 +52,150 @@ def _load(path: str):
         raise ValidationError(f"{path} is not valid JSON: {exc}") from exc
 
 
-def _emit(text: str, output: str | None) -> None:
-    if output is None:
-        sys.stdout.write(text + "\n")
-        return
-    base = os.environ.get("VEXMART_OUT")
-    if base and not os.path.isabs(output):
-        output = os.path.join(base, output)
-    with open(output, "w", encoding="utf-8") as fh:
-        fh.write(text + "\n")
+# each input file option -> how its JSON is read, given the space read
+# before it; a command's inputs are read in this order
+_READERS = {
+    "space": lambda obj, space: serialize.space_from_json(obj),
+    "exponent": lambda obj, space: serialize.exponent_from_json(obj),
+    "function": lambda obj, space: serialize.function_from_json(obj),
+    "martingale": lambda obj, space: serialize.martingale_from_json(space, obj),
+    "alpha": lambda obj, space: serialize.function_from_json(obj),
+}
+_HELP = {"alpha": "JSON with per-leaf values"}
 
 
-def _emit_report(report, args) -> None:
-    obj = report.as_dict()
-    if args.format == "csv":
-        _emit(serialize.report_to_csv(obj).rstrip("\n"), args.output)
-    else:
-        _emit(serialize.dumps(obj), args.output)
+def _inputs(args, names):
+    """Yield the inputs ``names`` in the order of _READERS, each read from
+    its file when it is asked for.  One whose option is not given is None,
+    but the space is then the dyadic one of --depth (default 3)."""
+    space = None
+    for name, read in _READERS.items():
+        if name in names:
+            path = getattr(args, name)
+            value = None if path is None else read(_load(path), space)
+            if name == "space":
+                space = value = value if value is not None else build_dyadic_space(
+                    3 if args.depth is None else args.depth)
+            yield value
 
 
-def _space_from(args):
-    return serialize.space_from_json(_load(args.space))
+# the experiment options in parser order: dest, argparse type and the
+# TrialConfig field it sets, where p_lo and p_hi set p_range together
+_CONFIG_OPTIONS = (("seed", int, "seed"), ("trials", int, "trials"),
+                   ("p_law", None, "exponent_law"), ("p_lo", float, None),
+                   ("p_hi", float, None), ("f_law", None, "martingale_law"))
+
+# each draw an experiment makes -> the options it reads
+_DRAWS = {
+    "exponent": ("seed", "p_law", "p_lo", "p_hi"),
+    "martingale": ("seed", "f_law"),
+    "trial martingales": ("seed", "trials", "f_law"),
+    "trial instances": ("seed", "trials", "p_law", "p_lo", "p_hi"),
+}
+
+# experiment -> (its draws, its run on the TrialConfig and the inputs:
+# the draws named after an input file option, which a given file replaces)
+_EXPERIMENTS = {
+    "weak-type": (("exponent", "martingale"), lambda c, p, f: weak_type_check(f, p)),
+    "doob": (("exponent", "trial martingales"), lambda c, p: doob_strong_check(c, p)),
+    "jn": (("exponent", "trial martingales"), lambda c, p: jn_equivalence(c, p)),
+    "exp-jn": (("exponent", "martingale"), lambda c, p, f: exp_jn_curve(f, p)),
+    "violation-33": (("trial instances",), lambda c: violation_33_search(c)),
+}
 
 
-def _exponent_from(args):
-    return serialize.exponent_from_json(_load(args.exponent))
+def _experiment(name: str, args):
+    """Run experiment ``name`` on the TrialConfig of the options given, so
+    each one left out takes TrialConfig's default.  An option that only
+    draws replaced by given files read is refused, as --depth beside --space."""
+    draws, run = _EXPERIMENTS[name]
+    given = {key: value for key, value in vars(args).items() if value is not None}
+    unread = {}
+    for dest, _, _ in _CONFIG_OPTIONS:
+        readers = [draw for draw in draws if dest in _DRAWS[draw]]
+        if dest in given and all(draw in given for draw in readers):
+            unread[dest] = readers
+    if unread:
+        # an option one file leaves unread is named before one that two do
+        dest = min(unread, key=lambda d: len(unread[d]))
+        beside = " and --".join(unread[dest])
+        raise ValidationError(f"--{dest.replace('_', '-')} is not read beside --{beside}")
+    files = [draw for draw in draws if draw in _READERS]
+    inputs = _inputs(args, ("space", *files))
+    space = next(inputs)
+    fields = {field: given[dest] for dest, _, field in _CONFIG_OPTIONS
+              if field and dest in given}
+    if "p_lo" in given or "p_hi" in given:
+        lo, hi = TrialConfig.p_range
+        fields["p_range"] = (given.get("p_lo", lo), given.get("p_hi", hi))
+    config = TrialConfig(space, **fields)
+    generate = {"exponent": lambda: generate_exponent(space, config.exponent_law,
+                                                      config.p_range, config.seed),
+                "martingale": lambda: generate_martingale(config, 0)}
+    # each input is read or generated in turn, the exponent first
+    return run(config, *(generate[draw]() if value is None else value
+                         for draw, value in zip(files, inputs)))
 
 
-def _given(value, default):
-    return default if value is None else value
+def _sup_json(res) -> dict:
+    return {"value": res.value,
+            "argmax_tau": serialize.stopping_time_to_json(res.argmax_tau)["stop_level"],
+            "mode": res.mode, "candidates": res.candidates}
 
 
-def _config_from(args, space) -> TrialConfig:
-    # weak-type and exp-jn draw one martingale and violation-33 none, so
-    # they take no --trials or no --f-law
-    return TrialConfig(
-        space=space,
-        seed=_given(args.seed, 0),
-        trials=getattr(args, "trials", 1),
-        p_range=(_given(args.p_lo, 1.1), _given(args.p_hi, 3.0)),
-        exponent_law=_given(args.p_law, "iid-uniform"),
-        martingale_law=_given(getattr(args, "f_law", None), "normal"),
-    )
+def _choice(flag: str, *choices: str) -> tuple:
+    return (flag, {"choices": choices, "default": choices[0]})
 
 
-# input files -> the options that generate what they replace
-_REPLACED_BY = {("exponent",): ("p_law", "p_lo", "p_hi"), ("martingale",): ("f_law",),
-                ("exponent", "martingale"): ("seed",)}
+_SAMPLING = (("--seed", {"type": int, "default": 0}),
+             ("--samples", {"type": _positive_int, "default": 256}))
 
-
-def _refuse_unread(args) -> None:
-    """Refuse an experiment option that a given input file leaves unread,
-    as argparse refuses --depth beside --space."""
-    for files, options in _REPLACED_BY.items():
-        given = [name for name in options if getattr(args, name, None) is not None]
-        if given and all(getattr(args, name, None) is not None for name in files):
-            flag, beside = given[0].replace("_", "-"), " and --".join(files)
-            raise ValidationError(f"--{flag} is not read beside --{beside}")
-
-
-def _add_io(sub) -> None:
-    sub.add_argument("--output", default=None, help="write here instead of stdout")
-
-
-def _add_report_io(sub) -> None:
-    _add_io(sub)
-    sub.add_argument("--format", choices=("json", "csv"), default="json")
-
-
-def _add_config(sub, name: str) -> None:
-    # options left out are None here and take their defaults where read
-    where = sub.add_mutually_exclusive_group()
-    where.add_argument("--space", default=None, help="space JSON path")
-    where.add_argument("--depth", type=int, default=None,
-                       help="dyadic depth of the space (default 3)")
-    sub.add_argument("--seed", type=int, default=None)
-    if name not in ("weak-type", "exp-jn"):
-        sub.add_argument("--trials", type=int, default=100)
-    sub.add_argument("--p-law", default=None)
-    sub.add_argument("--p-lo", type=float, default=None)
-    sub.add_argument("--p-hi", type=float, default=None)
-    if name != "violation-33":
-        sub.add_argument("--f-law", default=None)
+# command path -> (its options in parser order, whether it prints a
+# report, its run).  A bare string is a required input file option and a
+# list a group of mutually exclusive options.  The run takes the parsed
+# args and those files' inputs and returns the text to print, a report
+# (printed by --format) or a JSON value.  It names library functions in
+# its body, so each is looked up as a module global when called.
+_COMMANDS = {
+    ("space", "gen-dyadic"): (
+        (("--depth", {"type": int, "required": True}),), False,
+        lambda a: serialize.space_to_json(build_dyadic_space(a.depth))),
+    ("norm",): (("space", "exponent", "function"), False,
+                lambda a, space, p, f: f"{luxemburg_norm(space, f, p).norm:.12g}"),
+    ("decompose",): (
+        ("space", "exponent", "martingale"), False,
+        lambda a, space, p, f: serialize.decomposition_to_json(atomic_decompose(f, p))),
+    ("check", "condition-k"): (
+        ("space", "exponent", _choice("--mode", "exact-pairwise", "brute-force"),
+         _choice("--subsets", "all", "blocks")), False,
+        lambda a, space, p: vars(condition_k(space, p, mode=a.mode, subsets=a.subsets))),
+    ("check", "aoyama"): (("space", "exponent"), False,
+                          lambda a, space, p: {"c": aoyama_c(space, p)}),
+    ("check", "lemma34"): (("space", "exponent", "function"), True,
+                           lambda a, space, p, f: lemma34_check(f, p, space)),
+    ("bmo",): (
+        ("space", "exponent", "martingale",
+         _choice("--mode", "auto", "exhaustive", "sampled", "dp"), *_SAMPLING), False,
+        lambda a, space, p, f: _sup_json(
+            bmo_norm(f, p, mode=a.mode, seed=a.seed, samples=a.samples))),
+    ("lipschitz",): (
+        ("space", "martingale", ("--q", {"type": float, "required": True}), "alpha",
+         _choice("--mode", "auto", "exhaustive", "sampled"), *_SAMPLING), False,
+        lambda a, space, f, alpha: _sup_json(lipschitz_norm(
+            f, a.q, alpha, mode=a.mode, seed=a.seed, samples=a.samples))),
+    # an experiment takes the options its draws read, and files for them
+    **{("experiment", name): (
+        ([("--space", {"help": "space JSON path"}),
+          ("--depth", {"type": int, "help": "dyadic depth of the space (default 3)"})],
+         *(("--" + dest.replace("_", "-"), {"type": kind}) for dest, kind, _
+           in _CONFIG_OPTIONS if any(dest in _DRAWS[draw] for draw in draws)),
+         *(("--" + draw, {}) for draw in draws if draw in _READERS)),
+        True, functools.partial(_experiment, name))
+       for name, (draws, _) in _EXPERIMENTS.items()},
+    ("experiment", "nakai-sadasue"): (
+        (("--max-n", {"type": int, "required": True}),), True,
+        lambda a: nakai_sadasue(a.max_n)),
+}
 
 
 @functools.cache
@@ -149,185 +203,48 @@ def build_parser() -> _Parser:
     """The command-line parser, built on first use and shared by every
     later call; callers must not modify it."""
     parser = _Parser(prog="vexmart")
-    top = parser.add_subparsers(dest="command", required=True)
-
-    sp = top.add_parser("space").add_subparsers(dest="space_cmd", required=True)
-    gen = sp.add_parser("gen-dyadic")
-    gen.add_argument("--depth", type=int, required=True)
-    _add_io(gen)
-
-    norm = top.add_parser("norm")
-    norm.add_argument("--space", required=True)
-    norm.add_argument("--exponent", required=True)
-    norm.add_argument("--function", required=True)
-    _add_io(norm)
-
-    dec = top.add_parser("decompose")
-    dec.add_argument("--space", required=True)
-    dec.add_argument("--exponent", required=True)
-    dec.add_argument("--martingale", required=True)
-    _add_io(dec)
-
-    chk = top.add_parser("check").add_subparsers(dest="check_cmd", required=True)
-    ck = chk.add_parser("condition-k")
-    ck.add_argument("--space", required=True)
-    ck.add_argument("--exponent", required=True)
-    ck.add_argument("--mode", choices=("exact-pairwise", "brute-force"),
-                    default="exact-pairwise")
-    ck.add_argument("--subsets", choices=("all", "blocks"), default="all")
-    _add_io(ck)
-    ao = chk.add_parser("aoyama")
-    ao.add_argument("--space", required=True)
-    ao.add_argument("--exponent", required=True)
-    _add_io(ao)
-    lm = chk.add_parser("lemma34")
-    lm.add_argument("--space", required=True)
-    lm.add_argument("--exponent", required=True)
-    lm.add_argument("--function", required=True)
-    _add_report_io(lm)
-
-    bm = top.add_parser("bmo")
-    bm.add_argument("--space", required=True)
-    bm.add_argument("--exponent", required=True)
-    bm.add_argument("--martingale", required=True)
-    bm.add_argument("--mode", choices=("auto", "exhaustive", "sampled", "dp"),
-                    default="auto")
-    bm.add_argument("--seed", type=int, default=0)
-    bm.add_argument("--samples", type=_positive_int, default=256)
-    _add_io(bm)
-
-    lp = top.add_parser("lipschitz")
-    lp.add_argument("--space", required=True)
-    lp.add_argument("--martingale", required=True)
-    lp.add_argument("--q", type=float, required=True)
-    lp.add_argument("--alpha", required=True, help="JSON with per-leaf values")
-    lp.add_argument("--mode", choices=("auto", "exhaustive", "sampled"),
-                    default="auto")
-    lp.add_argument("--seed", type=int, default=0)
-    lp.add_argument("--samples", type=_positive_int, default=256)
-    _add_io(lp)
-
-    exp = top.add_parser("experiment").add_subparsers(dest="exp_cmd", required=True)
-    for name in ("weak-type", "doob", "jn", "exp-jn", "violation-33"):
-        e = exp.add_parser(name)
-        _add_config(e, name)
-        if name in ("weak-type", "exp-jn"):
-            e.add_argument("--exponent", default=None)
-            e.add_argument("--martingale", default=None)
-        if name in ("doob", "jn"):
-            e.add_argument("--exponent", default=None)
-        _add_report_io(e)
-    ns = exp.add_parser("nakai-sadasue")
-    ns.add_argument("--max-n", type=int, required=True)
-    _add_report_io(ns)
+    groups = {(): parser.add_subparsers(dest="command", required=True)}
+    for path, (options, report, _) in _COMMANDS.items():
+        if path[:-1] not in groups:
+            # argparse names a missing subcommand by the dest of its group
+            dest = {"space": "space_cmd", "check": "check_cmd", "experiment": "exp_cmd"}
+            groups[path[:-1]] = groups[()].add_parser(path[0]).add_subparsers(
+                dest=dest[path[0]], required=True)
+        sub = groups[path[:-1]].add_parser(path[-1])
+        sub.set_defaults(path=path)
+        for option in options:
+            if isinstance(option, str):
+                sub.add_argument("--" + option, required=True, help=_HELP.get(option))
+            elif isinstance(option, list):
+                exclusive = sub.add_mutually_exclusive_group()
+                for flag, kwargs in option:
+                    exclusive.add_argument(flag, **kwargs)
+            else:
+                sub.add_argument(option[0], **option[1])
+        sub.add_argument("--output", default=None, help="write here instead of stdout")
+        if report:
+            sub.add_argument("--format", choices=("json", "csv"), default="json")
     return parser
-
-
-def _sup_result_json(res) -> dict:
-    return {
-        "value": res.value,
-        "argmax_tau": serialize.stopping_time_to_json(res.argmax_tau)["stop_level"],
-        "mode": res.mode,
-        "candidates": res.candidates,
-    }
-
-
-def _experiment_space(args):
-    if args.space is not None:
-        return serialize.space_from_json(_load(args.space))
-    return build_dyadic_space(_given(args.depth, 3))
-
-
-def _experiment_exponent(args, space, config):
-    if getattr(args, "exponent", None) is not None:
-        return _exponent_from(args)
-    return generate_exponent(space, config.exponent_law, config.p_range, config.seed)
-
-
-def _experiment_martingale(args, space, config):
-    if getattr(args, "martingale", None) is not None:
-        return serialize.martingale_from_json(space, _load(args.martingale))
-    return generate_martingale(config, 0)
-
-
-def _dispatch(args) -> None:
-    if args.command == "space":
-        _emit(serialize.dumps(
-            serialize.space_to_json(build_dyadic_space(args.depth))
-        ), args.output)
-
-    elif args.command == "norm":
-        space = _space_from(args)
-        p = _exponent_from(args)
-        f = serialize.function_from_json(_load(args.function))
-        result = luxemburg_norm(space, f, p)
-        _emit(f"{result.norm:.12g}", args.output)
-
-    elif args.command == "decompose":
-        space = _space_from(args)
-        p = _exponent_from(args)
-        f = serialize.martingale_from_json(space, _load(args.martingale))
-        dec = atomic_decompose(f, p)
-        _emit(serialize.dumps(serialize.decomposition_to_json(dec)), args.output)
-
-    elif args.command == "check":
-        space = _space_from(args)
-        p = _exponent_from(args)
-        if args.check_cmd == "condition-k":
-            res = condition_k(space, p, mode=args.mode, subsets=args.subsets)
-            _emit(serialize.dumps(
-                {"k": res.k, "witness": list(res.witness), "mode": res.mode}
-            ), args.output)
-        elif args.check_cmd == "aoyama":
-            _emit(serialize.dumps({"c": aoyama_c(space, p)}), args.output)
-        else:
-            f = serialize.function_from_json(_load(args.function))
-            _emit_report(lemma34_check(f, p, space), args)
-
-    elif args.command == "bmo":
-        space = _space_from(args)
-        p = _exponent_from(args)
-        f = serialize.martingale_from_json(space, _load(args.martingale))
-        res = bmo_norm(f, p, mode=args.mode, seed=args.seed, samples=args.samples)
-        _emit(serialize.dumps(_sup_result_json(res)), args.output)
-
-    elif args.command == "lipschitz":
-        space = _space_from(args)
-        f = serialize.martingale_from_json(space, _load(args.martingale))
-        alpha = serialize.function_from_json(_load(args.alpha))
-        res = lipschitz_norm(f, args.q, alpha, mode=args.mode,
-                             seed=args.seed, samples=args.samples)
-        _emit(serialize.dumps(_sup_result_json(res)), args.output)
-
-    elif args.exp_cmd == "nakai-sadasue":
-        _emit_report(nakai_sadasue(args.max_n), args)
-
-    else:
-        _refuse_unread(args)
-        space = _experiment_space(args)
-        config = _config_from(args, space)
-        if args.exp_cmd == "weak-type":
-            p = _experiment_exponent(args, space, config)
-            f = _experiment_martingale(args, space, config)
-            _emit_report(weak_type_check(f, p), args)
-        elif args.exp_cmd == "doob":
-            p = _experiment_exponent(args, space, config)
-            _emit_report(doob_strong_check(config, p), args)
-        elif args.exp_cmd == "jn":
-            p = _experiment_exponent(args, space, config)
-            _emit_report(jn_equivalence(config, p), args)
-        elif args.exp_cmd == "exp-jn":
-            p = _experiment_exponent(args, space, config)
-            f = _experiment_martingale(args, space, config)
-            _emit_report(exp_jn_curve(f, p), args)
-        else:
-            _emit_report(violation_33_search(config), args)
 
 
 def run(argv: Sequence[str]) -> int:
     try:
         args = build_parser().parse_args(list(argv))
-        _dispatch(args)
+        options, report, command = _COMMANDS[args.path]
+        files = [option for option in options if isinstance(option, str)]
+        result = command(args, *_inputs(args, files))
+        if report:
+            result = result.as_dict()
+            if args.format == "csv":
+                result = serialize.report_to_csv(result).rstrip("\n")
+        text = (result if isinstance(result, str) else serialize.dumps(result)) + "\n"
+        if args.output is None:
+            sys.stdout.write(text)
+        else:
+            # VEXMART_OUT prefixes a relative --output path
+            out = os.path.join(os.environ.get("VEXMART_OUT", ""), args.output)
+            with open(out, "w", encoding="utf-8") as fh:
+                fh.write(text)
     except VexmartError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.exit_code

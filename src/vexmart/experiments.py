@@ -27,6 +27,7 @@ from .martingale import (
     stopped_terminal_diffs,
 )
 from .space import (
+    BLOCK_BYTES,
     MAX_SPACE_BYTES,
     ArrayValue,
     Exponent,
@@ -48,8 +49,6 @@ from .varlp import (
 )
 
 ASSERT_SLACK = 1e-9
-# bytes of a row block of a stopping-time scan walked in blocks
-_BLOCK_BYTES = 1 << 20
 _T_GRID_POINTS = 64
 EXPONENT_LAWS = ("constant", "two-block", "iid-uniform", "block-structured")
 MARTINGALE_LAWS = ("normal", "uniform", "two-point")
@@ -369,8 +368,8 @@ def lemma34_check(
     block order, and a block's sums go bottom-up: level N is the entries
     themselves, and each coarser level is one bincount over (row, parent)
     of the level below, with index arrays built once.  A block has
-    _BLOCK_BYTES / (8 * the blocks of all levels) rows, so the buffer and
-    the index arrays each take at most about _BLOCK_BYTES, whatever n and
+    BLOCK_BYTES / (8 * the blocks of all levels) rows, so the buffer and
+    the index arrays each take at most about BLOCK_BYTES, whatever n and
     the depth; each row reads its own block's sum at every level."""
     fv = np.abs(as_leaf_values(space, f))
     n = space.n_leaves
@@ -393,7 +392,7 @@ def lemma34_check(
     cols = np.argsort(space.block_of[-1])
     fcols, pcols = fv[cols], space.probs[cols]
     nb = space.n_blocks
-    step = min(n, max(1, _BLOCK_BYTES // (8 * sum(nb))))
+    step = min(n, max(1, BLOCK_BYTES // (8 * sum(nb))))
     buf = np.empty((step, n))
     row = np.arange(step)
     # per level m >= 1, each level-m sum's (row, parent) position in the
@@ -485,7 +484,7 @@ def _decay_segments(
     cells: np.ndarray, counts: np.ndarray, norm_of_code: np.ndarray
 ):
     """The decay envelope's indicator norms as step functions of the grid
-    index j, in row blocks of about _BLOCK_BYTES of the scan's ``cells``.
+    index j, in row blocks of about BLOCK_BYTES of the scan's ``cells``.
 
     ``counts``, which the cells index as the table of stopped differences,
     is at (level n, leaf x) the number of grid points <= that difference,
@@ -509,7 +508,7 @@ def _decay_segments(
     # each cell's count above its bit, negated so that an ascending sort
     # puts a row's cells in order of decreasing count
     neg_key = -((counts << n) | code).ravel()
-    step = max(1, _BLOCK_BYTES // (8 * n))
+    step = max(1, BLOCK_BYTES // (8 * n))
     buf = np.empty(min(step, n_rows) * n, dtype=neg_key.dtype)
     for start in range(0, n_rows, step):
         block = cells[start : start + step]

@@ -20,6 +20,7 @@ import numpy as np
 
 from .errors import DomainError, ResourceError, ValidationError
 from .space import (
+    BLOCK_BYTES,
     ENUMERATION_CAP,
     MAX_SPACE_BYTES,
     ArrayValue,
@@ -284,9 +285,9 @@ def enumerate_stopping_matrix(space: FilteredSpace) -> np.ndarray:
     roots = [rows for _, rows in reversed(built)]
     out = roots[0] if len(roots) == 1 else _product(roots)
     if not np.array_equal(rank, np.arange(rank.size)):
-        # leaves back to their own numbering, in place about 1 MB of rows
-        # at a time, so the peak stays near the result
-        step = max(1, (1 << 20) // out[0].nbytes)
+        # leaves back to their own numbering, in place a row block at a
+        # time, so the peak stays near the result
+        step = max(1, BLOCK_BYTES // out[0].nbytes)
         for start in range(0, len(out), step):
             block = out[start : start + step]
             block[:] = block[:, rank]

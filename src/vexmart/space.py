@@ -21,6 +21,9 @@ from .errors import DomainError, ResourceError, ValidationError
 # allocate, in bytes; `check lemma34` evaluates at most one eighth of it in
 # leaf pairs (the bytes of an n x n matrix), holding one row block at a time
 MAX_SPACE_BYTES = 1 << 30
+# bytes of one row block where a long array is made or walked a block at
+# a time, so that memory does not grow with the number of rows
+BLOCK_BYTES = 1 << 20
 # most stopping times an enumeration lists, and most pairs `condition_k`
 # scores at once
 ENUMERATION_CAP = 10**6

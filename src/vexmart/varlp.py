@@ -57,7 +57,14 @@ from typing import Sequence
 import numpy as np
 
 from .errors import DomainError, NumericalError, ValidationError
-from .space import Exponent, FilteredSpace, as_leaf_exponent, as_leaf_values, readonly
+from .space import (
+    BLOCK_BYTES,
+    Exponent,
+    FilteredSpace,
+    as_leaf_exponent,
+    as_leaf_values,
+    readonly,
+)
 
 NEWTON_REL_TOL = 1e-12
 NEWTON_MAX_ITER = 200
@@ -103,14 +110,15 @@ def modular_grid(
     lams: Sequence[float] | np.ndarray,
 ) -> np.ndarray:
     """rho(f/lam) for every lam of a positive 1-d array.  The (lambda,
-    leaf) terms are made in one reused buffer of about 1 MB, block after
-    block, so memory does not grow with the grid and no block is allocated
-    afresh; each term takes the one-lambda operations in the same order,
-    and each block's rows are summed exactly as a one-lambda call sums.
+    leaf) terms are made in one reused buffer of about BLOCK_BYTES, block
+    after block, so memory does not grow with the grid and no block is
+    allocated afresh; each term takes the one-lambda operations in the
+    same order, and each block's rows are summed exactly as a one-lambda
+    call sums.
     Internal plumbing for the weak-type check, like :func:`norm_batch`."""
     lams = np.asarray(lams, dtype=float)
     a = np.abs(f)
-    step = max(1, (1 << 20) // a.nbytes)
+    step = max(1, BLOCK_BYTES // a.nbytes)
     buf = np.empty((min(step, lams.size), a.size))
     out = np.empty(lams.size)
     for start in range(0, lams.size, step):
@@ -157,20 +165,20 @@ def _luxemburg_rows(
     pvals: np.ndarray,
     rows: np.ndarray,
     dens: np.ndarray | None = None,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(norms, Newton steps, residuals) of the rows of a 2-d array.
+) -> np.ndarray:
+    """The Luxemburg norms of the rows of a 2-d array.
 
     Newton runs on u = log(lambda / max|f|), where the modular terms are
     P(w) |f(w)/max|f||^{p(w)} e^{-p(w) u}, and stops at the first point
-    whose step is at most NEWTON_REL_TOL; that point is returned, so the
-    residual is the one of the returned norm.  Steps below zero only arise
-    from rounding at the root and stop the iteration too.
+    whose step is at most NEWTON_REL_TOL; that point is returned.  Steps
+    below zero only arise from rounding at the root and stop the
+    iteration too.
 
     With positive ``dens``, one per row, a row leaves the iteration as soon
     as its bracket shows that its norm / den is below (1 - PRUNE_MARGIN)
-    times a ratio that some row is known to reach; its norm is NaN and its
-    step count 0.  A row attaining the largest ratio is never dropped, and
-    every row that finishes is solved exactly as without ``dens``.
+    times a ratio that some row is known to reach; its norm is NaN.  A row
+    attaining the largest ratio is never dropped, and every row that
+    finishes is solved exactly as without ``dens``.
     """
     # the leaf axis: 0 when a batch has more rows than leaves and is solved
     # on its leaves x rows transpose, so that every reduction runs along
@@ -180,8 +188,6 @@ def _luxemburg_rows(
     leaf, row = _SPREAD[ax]
     m = rows.shape[0]
     norms = np.zeros(m)
-    steps = np.zeros(m, dtype=np.intp)
-    resid = np.zeros(m)
     top = a.max(axis=ax, initial=0.0)
     live = top > 0
     # log(0) = -inf marks a zero entry; terms far below the row maximum
@@ -216,7 +222,7 @@ def _luxemburg_rows(
                     idx, u, lgain = idx[keep], u[keep], lgain[keep]
                     slope0 = slope0[keep]
                     logw = np.compress(keep, logw, axis=1 - ax)
-            for it in range(1, NEWTON_MAX_ITER + 1):
+            for _ in range(NEWTON_MAX_ITER):
                 g, slope = _log_modular(logw, pvals, u, ax)
                 step = g / slope
                 done = step <= NEWTON_REL_TOL
@@ -224,8 +230,6 @@ def _luxemburg_rows(
                 if done.any():
                     k = idx[done]
                     norms[k] = top[k] * np.exp(u[done])
-                    steps[k] = it
-                    resid[k] = np.abs(np.expm1(g[done]))
                 nxt = u + step
                 if dens is not None:
                     # Newton's step stays left of the root, and -g' >= slope0
@@ -247,7 +251,7 @@ def _luxemburg_rows(
                     f"{NEWTON_MAX_ITER} steps on {idx.size} rows; the first, "
                     f"row {idx[0]} of the batch, was last at lambda {lam!r}"
                 )
-    return norms, steps, resid
+    return norms
 
 
 def _newton_root(
@@ -308,7 +312,7 @@ def norm_batch(
     from the batch kernel, whose iteration :func:`luxemburg_norm` runs on
     one row.  Internal plumbing for the sup-over-stopping-times modules."""
     rows = np.atleast_2d(np.asarray(rows, dtype=float))
-    return _luxemburg_rows(probs, pvals, rows)[0]
+    return _luxemburg_rows(probs, pvals, rows)
 
 
 def max_norm_ratio(
@@ -324,7 +328,7 @@ def max_norm_ratio(
     value and i are those of the full :func:`norm_batch`.  Internal
     plumbing for the suprema over stopping times."""
     # given-up rows are NaN, which fmax passes over
-    ratios = _luxemburg_rows(probs, pvals, rows, dens)[0] / dens
+    ratios = _luxemburg_rows(probs, pvals, rows, dens) / dens
     best = np.fmax.reduce(ratios)
     return float(best), int(np.argmax(ratios == best))
 

@@ -25,6 +25,16 @@ from vexmart import (
 )
 from vexmart import martingale, serialize, space
 from vexmart.cli import run
+from vexmart.experiments import (
+    TrialConfig,
+    doob_strong_check,
+    exp_jn_curve,
+    generate_exponent,
+    generate_martingale,
+    jn_equivalence,
+    violation_33_search,
+    weak_type_check,
+)
 
 from conftest import drop_root_level, random_tree_space, relabelled_levels
 import random
@@ -220,6 +230,28 @@ class TestDeterminism:
         assert run(argv + ["--output", str(b)]) == 0
         assert a.read_bytes() == b.read_bytes()
         json.loads(a.read_text())  # stays valid JSON
+
+    @pytest.mark.parametrize("name", ["weak-type", "doob", "jn", "exp-jn", "violation-33"])
+    def test_experiment_defaults_are_trial_configs(self, capsys, name):
+        # an experiment option left out takes TrialConfig's default: the
+        # report is the library call's on TrialConfig(space, trials=2) and
+        # the exponent drawn by TrialConfig's law, range and seed
+        argv = ["experiment", name, "--depth", "2"]
+        if name in ("doob", "jn", "violation-33"):
+            argv += ["--trials", "2"]
+        assert run(argv) == 0
+        sp = build_dyadic_space(2)
+        config = TrialConfig(sp, trials=2)
+        p = generate_exponent(sp, TrialConfig.exponent_law, TrialConfig.p_range,
+                              TrialConfig.seed)
+        report = {
+            "weak-type": lambda: weak_type_check(generate_martingale(config), p),
+            "doob": lambda: doob_strong_check(config, p),
+            "jn": lambda: jn_equivalence(config, p),
+            "exp-jn": lambda: exp_jn_curve(generate_martingale(config), p),
+            "violation-33": lambda: violation_33_search(config),
+        }[name]()
+        assert capsys.readouterr().out == serialize.dumps(report.as_dict()) + "\n"
 
     def test_violation_json_has_family(self, capsys):
         assert run(["experiment", "violation-33", "--depth", "1",

@@ -275,7 +275,7 @@ def test_lemma34_matches_leaf_loop_across_row_blocks(monkeypatch):
         for n, par in enumerate(sp.parents, 1):
             assert par.dtype == np.intp and not par.flags.writeable
             assert np.array_equal(par[sp.block_of[n]], sp.block_of[n - 1])
-        monkeypatch.setattr(experiments, "_BLOCK_BYTES", 3 * 8 * sum(sp.n_blocks))
+        monkeypatch.setattr(experiments, "BLOCK_BYTES", 3 * 8 * sum(sp.n_blocks))
         p = random_exponent(rng, sp.n_leaves, 1.0, 3.0)
         f = [rng.gauss(0, 3) for _ in range(sp.n_leaves)]
         want, witness = _lemma34_oracle(f, p, sp)
@@ -600,7 +600,7 @@ def test_exp_jn_envelope_matches_per_t_loop(monkeypatch, depth, seed, stack):
         f = martingale_from_terminal(sp, v - v.mean())
     p = random_exponent(rng, sp.n_leaves, 1.0, 3.0)
     if stack is not None:
-        monkeypatch.setattr(experiments, "_BLOCK_BYTES", stack * 8 * sp.n_leaves)
+        monkeypatch.setattr(experiments, "BLOCK_BYTES", stack * 8 * sp.n_leaves)
     grid, got = _assert_envelope_is_per_t_loop(f, p, exp_jn_curve(f, p))
     # a tied terminal may have one positive difference: grid 0, d, 1.25 d
     assert len(grid) > 3 or isinstance(seed, str)
@@ -684,7 +684,7 @@ def test_decay_bound_violation_names_the_first_broken_grid_point(
         rep = exp_jn_curve(f, p)
     grid = [t for t, _ in rep.details["curve"]]
     if block_rows is not None:
-        monkeypatch.setattr(experiments, "_BLOCK_BYTES", block_rows * 8 * sp.n_leaves)
+        monkeypatch.setattr(experiments, "BLOCK_BYTES", block_rows * 8 * sp.n_leaves)
     constants = rep.details["proof_constants"]
     _, want = _per_t_envelope(f, p, grid, constants["C2"], rep.details["bmo1"])
     assert want is not None and want[0] not in (grid[0], grid[-1])
