@@ -76,9 +76,10 @@ class StoppingScan:
 
     @classmethod
     def of(cls, taus: np.ndarray, depth: int, mode: str) -> "StoppingScan":
-        """The scan of the rows of ``taus``, each finite somewhere."""
+        """The scan of the rows of ``taus``, each finite somewhere.  Masks are
+        told apart by their packed bits, which sort as the masks do."""
         finite = np.isfinite(taus)
-        first, which = _distinct_rows(finite)
+        first, which = _distinct_rows(np.packbits(finite, axis=1))
         cells = np.minimum(taus, depth + 1).astype(np.intp)
         cells *= cells.shape[1]
         cells += np.arange(cells.shape[1])

@@ -218,26 +218,35 @@ def stop(f: Martingale, tau: StoppingTime, shift: str = "none") -> Martingale:
     return Martingale(f.space, np.take_along_axis(level_stack(f, shift), rows, axis=0))
 
 
-def _path_counts(space: FilteredSpace) -> list[int]:
-    """For each preorder position i (see ``FilteredSpace.preorder``), the
-    number of stop/continue paths from i to the end of the preorder.  The
-    walk stops at the block at i, jumping past its subtree, or continues to
-    the next position; continuing at a terminal block means 'never' on its
-    leaf.  Each path from position 0 is one stopping time."""
-    skip = space.preorder[1].tolist()
-    paths = [1] * (len(skip) + 1)
-    for i in reversed(range(len(skip))):
-        paths[i] = paths[skip[i]] + paths[i + 1]
-    return paths
+def _children(space: FilteredSpace) -> list[list[int]]:
+    """Each block's children, ascending, in the level-major numbering of
+    ``level_slices``, read off ``parents``; a child's number exceeds its
+    parent's, so a walk down the numbers meets children first."""
+    level = space.level_slices
+    kids: list[list[int]] = [[] for _ in range(level[-1].stop)]
+    for n, par in enumerate(space.parents):
+        here = kids[level[n]]  # the same lists, by level-n position
+        for child, b in enumerate(par.tolist(), level[n + 1].start):
+            here[b].append(child)
+    return kids
+
+
+def _count_walk(space: FilteredSpace) -> int:
+    """The number of stopping times in Python ints: 1 + the product of the
+    children's counts per block (stop here, or any combination of theirs;
+    2 at a terminal block), multiplied over the roots."""
+    kids = _children(space)
+    paths = [2] * len(kids)
+    for b in reversed(range(space.level_slices[-1].start)):
+        paths[b] = 1 + math.prod(map(paths.__getitem__, kids[b]))
+    return math.prod(paths[: space.n_blocks[0]])
 
 
 def count_stopping_times(space: FilteredSpace) -> int:
-    """Number of stopping times of the filtration: the stop/continue paths
-    of one preorder walk over its blocks.  Walked once per space; only the
-    total is kept, never the per-position counts."""
+    """Number of stopping times, walked once per space and kept as one int."""
     cache = space._scan_cache
     if "count" not in cache:
-        cache["count"] = _path_counts(space)[0]
+        cache["count"] = _count_walk(space)
     return cache["count"]
 
 
@@ -264,26 +273,23 @@ def enumerate_stopping_matrix(space: FilteredSpace) -> np.ndarray:
     """All stopping times as a (count, n_leaves) matrix of stop levels
     (inf for 'never'), refused over ENUMERATION_CAP.  On a block's leaves
     they are 'stop here', then every combination of its children's ('never'
-    under a terminal block), built backwards through the preorder."""
+    under a terminal block), built children first over the leaves in tree
+    order: by level-0 block, then level-1 block, and so on."""
     count = count_stopping_times(space)
     if count > ENUMERATION_CAP:
         raise ResourceError(
             f"{count} stopping times exceed cap {ENUMERATION_CAP}; use sampling mode"
         )
-    order, skip, rank = space.preorder
-    level = np.repeat(np.arange(space.depth + 1.0), space.n_blocks)[order].tolist()
-    skip = skip.tolist()
-    # (preorder position, rows over its tree-order leaves) of the blocks
-    # whose parent is not built yet; a block's children are on top, first
-    # child topmost
-    built: list[tuple[int, np.ndarray]] = []
-    for i in reversed(range(len(skip))):
-        parts = []
-        while built and built[-1][0] < skip[i]:
-            parts.append(built.pop()[1])
-        built.append((i, _product(parts or [np.full((1, 1), INF)], level[i])))
-    roots = [rows for _, rows in reversed(built)]
+    kids = _children(space)
+    level = np.repeat(np.arange(space.depth + 1.0), space.n_blocks).tolist()
+    never = [np.full((1, 1), INF)]
+    # the rows of the blocks whose parent is not built yet
+    built: dict[int, np.ndarray] = {}
+    for b in reversed(range(len(kids))):
+        built[b] = _product([built.pop(c) for c in kids[b]] or never, level[b])
+    roots = [built.pop(b) for b in range(space.n_blocks[0])]
     out = roots[0] if len(roots) == 1 else _product(roots)
+    rank = np.argsort(np.lexsort(space.block_of[::-1]))
     if not np.array_equal(rank, np.arange(rank.size)):
         # leaves back to their own numbering, in place a row block at a
         # time, so the peak stays near the result
@@ -299,30 +305,30 @@ def sample_stopping_matrix(
 ) -> np.ndarray:
     """Seeded random stopping times as a (count, n_leaves) matrix of stop
     levels; rows 0 and 1 are tau = 0 and tau = infinity.  Every other row
-    is a random path of the preorder walk: at each block reached it stops
-    there with probability 1/2 or else continues into its children; the
-    flagged blocks become levels in ``_tree_witness``.  Refused when its
-    arrays would exceed MAX_SPACE_BYTES."""
+    is a depth-first walk, roots and children ascending, that stops at each
+    block reached with probability 1/2 or else continues into its children;
+    the flagged blocks become levels in ``_tree_witness``.  Refused when
+    its arrays would exceed MAX_SPACE_BYTES."""
     if count < 1:
         raise ValidationError("count must be >= 1")
     rng = random.Random(f"vexmart-stopping:{seed}")
-    order, skip = (a.tolist() for a in space.preorder[:2])
-    total, draw = len(order), rng.random
+    total, draw = space.level_slices[-1].stop, rng.random
     if count * (total + 8 * space.n_leaves) > MAX_SPACE_BYTES:
         raise ResourceError(f"{count} sampled stopping times over {MAX_SPACE_BYTES} bytes")
+    kids = [c[::-1] for c in _children(space)]
     # stopped blocks are flagged in one (all blocks, count) array, a column
     # per sample, so that the witness's gathers take whole rows
     stops = np.zeros((total, count), dtype=bool)
     stops[space.level_slices[0], 0] = True
-    hits: list[int] = []
+    roots, hits = [*reversed(range(space.n_blocks[0]))], []
     for s in range(2, count):
-        i = 0
-        while i < total:
+        todo = roots[:]
+        while todo:
+            b = todo.pop()
             if draw() < 0.5:
-                hits.append(order[i] * count + s)
-                i = skip[i]
+                hits.append(b * count + s)
             else:
-                i += 1
+                todo += kids[b]
     stops.flat[hits] = True
     return _tree_witness(space, stops.T)
 

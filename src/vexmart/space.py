@@ -125,25 +125,6 @@ class FilteredSpace(ArrayValue):
         return tuple(out)
 
     @cached_property
-    def preorder(self) -> tuple[np.ndarray, ...]:
-        """The blocks of all levels in preorder of the filtration tree
-        (roots in block order, children ascending), built by sorting, not
-        recursion.  Tree order sorts the leaves by their level-0 block,
-        then level-1 block, and so on, so each block's leaves form one run
-        of it.  Per preorder position: the block's level-major id as in
-        ``_stacked_blocks`` and the position just past its subtree; then
-        each leaf's tree-order rank."""
-        n, ids = self.n_leaves, self._stacked_blocks[0].ravel()
-        rank = np.empty(n, dtype=np.intp)
-        rank[np.lexsort(self.block_of[::-1])] = np.arange(n)
-        level = np.repeat(np.arange(self.depth + 1), self.n_blocks)
-        first = np.full(level.size, n)
-        np.minimum.at(first, ids, np.tile(rank, self.depth + 1))
-        order = np.lexsort((level, first))
-        skip = np.searchsorted(first[order], (first + np.bincount(ids))[order])
-        return tuple(map(readonly, (order, skip, rank)))
-
-    @cached_property
     def _scan_cache(self) -> dict:
         """Stopping-time data that depend on the filtration alone, filled
         on first use by ``martingale`` (the count) and ``bmo`` (the

@@ -464,11 +464,12 @@ def _sampled_candidates_oracle(space, samples, seed):
        samples=st.sampled_from([1, 2, 3, 16, 64]))
 def test_sampled_candidates_match_recursive_oracle(seed, samples):
     rng = random.Random(seed)
-    sp = validate_filtration(*relabelled_levels(random_tree_space(rng), rng))
-    scan = candidate_matrix(sp, "sampled", seed=seed, samples=samples)
-    assert scan.mode == "sampled"
-    want = _sampled_candidates_oracle(sp, samples, seed)
-    assert np.array_equal(scan_levels(scan, sp.depth), want)
+    tree = validate_filtration(*relabelled_levels(random_tree_space(rng), rng))
+    for sp in (tree, drop_root_level(tree)):
+        scan = candidate_matrix(sp, "sampled", seed=seed, samples=samples)
+        assert scan.mode == "sampled"
+        want = _sampled_candidates_oracle(sp, samples, seed)
+        assert np.array_equal(scan_levels(scan, sp.depth), want)
 
 
 @settings(max_examples=60, deadline=None)

@@ -566,7 +566,7 @@ def _tree_product(parts):
 
 
 def _recursive_enumeration(space):
-    """The recursive per-block enumeration that the preorder walk replaced:
+    """The recursive per-block enumeration that the block walk replaced:
     stop here first, then the product of the children's assignments, with
     columns in tree order scattered back to leaf order."""
     children = children_of(space)
@@ -583,27 +583,6 @@ def _recursive_enumeration(space):
     return out
 
 
-def _recursive_preorder(space):
-    """The recursive visit that the cached preorder replaced: level-major
-    block ids in preorder, and the position just past each subtree."""
-    offsets = np.cumsum((0,) + space.n_blocks[:-1]).tolist()
-    children = children_of(space)
-    order, skip = [], []
-
-    def visit(level, b):
-        at = len(order)
-        order.append(offsets[level] + b)
-        skip.append(0)
-        if level < space.depth:
-            for c in children[level][b]:
-                visit(level + 1, c)
-        skip[at] = len(order)
-
-    for b in range(space.n_blocks[0]):
-        visit(0, b)
-    return order, skip
-
-
 def _walk_test_spaces(seed, count, max_leaves):
     """Random trees, the same trees with relabelled leaves and shuffled
     blocks, and the forests left by dropping their level 0."""
@@ -616,13 +595,21 @@ def _walk_test_spaces(seed, count, max_leaves):
 
 
 class TestPreorderWalk:
-    def test_preorder_matches_recursive_visit(self):
+    def test_children_match_block_of(self):
+        # the walks' children map, level-major, against the per-level
+        # children read off block_of; terminal blocks have none
         spaces = [build_mary_space(2, d) for d in range(1, 8)]
         spaces += [build_mary_space(3, d) for d in (1, 2, 3)]
         spaces += list(_walk_test_spaces(59, 60, 12))
         for sp in spaces:
-            order, skip = sp.preorder[:2]
-            assert (order.tolist(), skip.tolist()) == _recursive_preorder(sp)
+            offsets = [level.start for level in sp.level_slices]
+            want = [
+                [offsets[n + 1] + c for c in kids]
+                for n, level in enumerate(children_of(sp))
+                for kids in level
+            ]
+            want += [[] for _ in range(sp.n_blocks[-1])]
+            assert martingale._children(sp) == want
 
     def test_enumeration_matches_recursive_oracle(self):
         spaces = [build_dyadic_space(d) for d in (0, 1, 2, 3)]
@@ -643,7 +630,6 @@ class TestPreorderWalk:
     def test_enumeration_peak_is_its_result(self):
         sp = build_dyadic_space(4)
         count_stopping_times(sp)
-        sp.preorder
         tracemalloc.start()
         try:
             got = enumerate_stopping_matrix(sp)
@@ -658,7 +644,7 @@ class TestPreorderWalk:
         levels, probs = relabelled_levels(build_dyadic_space(4), random.Random(1))
         sp = validate_filtration(levels, probs)
         count_stopping_times(sp)
-        rank = sp.preorder[2]
+        rank = np.argsort(np.lexsort(sp.block_of[::-1]))
         tracemalloc.start()
         try:
             got = enumerate_stopping_matrix(sp)
@@ -667,7 +653,7 @@ class TestPreorderWalk:
             tracemalloc.stop()
         assert got.shape == (458330, 16)
         assert peak <= 1.05 * got.nbytes
-        # leaf w renamed to its tree-order rank: the same preorder, with
+        # leaf w renamed to its tree-order rank: the same tree, with
         # tree-order columns, gives the rows before their permutation
         in_tree_order = validate_filtration(
             [[[int(rank[w]) for w in b] for b in level] for level in levels],
@@ -691,6 +677,13 @@ class TestPreorderWalk:
         for t in sample_stopping_times(sp, 8, seed=2):
             validate_stopping_time(sp, t.vals)
 
+    def test_deep_two_root_sampling(self):
+        # a forest: the walk starts from both roots
+        sp = validate_filtration([[[0], [1]]] * 1501, [0.5, 0.5])
+        assert count_stopping_times(sp) == 1502**2
+        for t in sample_stopping_times(sp, 8, seed=2):
+            validate_stopping_time(sp, t.vals)
+
     def test_sampler_memory_cap(self, monkeypatch):
         sp = build_dyadic_space(2)
         # 7 block flags and 4 float leaves per sample
@@ -706,7 +699,8 @@ class TestPreorderWalk:
 @given(seed=st.integers(min_value=0, max_value=10**6))
 def test_enumeration_and_sampling_match_leaf_oracles(seed):
     rng = random.Random(seed)
-    sp = validate_filtration(*relabelled_levels(random_tree_space(rng, max_leaves=7), rng))
-    assert np.array_equal(enumerate_stopping_matrix(sp), _enumeration_oracle(sp))
-    got = [t.vals.tolist() for t in sample_stopping_times(sp, 12, seed)]
-    assert got == _sampling_oracle(sp, 12, seed)
+    tree = validate_filtration(*relabelled_levels(random_tree_space(rng, max_leaves=7), rng))
+    for sp in (tree, drop_root_level(tree)):
+        assert np.array_equal(enumerate_stopping_matrix(sp), _enumeration_oracle(sp))
+        got = [t.vals.tolist() for t in sample_stopping_times(sp, 12, seed)]
+        assert got == _sampling_oracle(sp, 12, seed)

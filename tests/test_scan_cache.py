@@ -208,7 +208,7 @@ def test_second_call_enumerates_samples_and_walks_nothing(monkeypatch):
 
         monkeypatch.setattr(module, name, wrapped)
 
-    counting(martingale, "_path_counts")
+    counting(martingale, "_count_walk")
     counting(bmo, "enumerate_stopping_matrix")
     counting(bmo, "sample_stopping_matrix")
     mask_solves = Counter()
@@ -236,7 +236,7 @@ def test_second_call_enumerates_samples_and_walks_nothing(monkeypatch):
 
     counts = calls_on(0)
     # one count walk per space; the enumeration walks no paths
-    assert calls == {"_path_counts": 2, "enumerate_stopping_matrix": 1,
+    assert calls == {"_count_walk": 2, "enumerate_stopping_matrix": 1,
                      "sample_stopping_matrix": 2}
     # the masks of p (then kept for exp_jn_curve and jn_equivalence) and of
     # p = 1 on the exhaustive scan, of 1/alpha and q on the sampled ones
@@ -251,7 +251,7 @@ def test_second_call_enumerates_samples_and_walks_nothing(monkeypatch):
     # the same exponents again: nothing is solved twice
     assert calls_on(1) == counts
     assert not calls and not mask_solves
-    # only the total is kept, never the per-position path counts
+    # only the total is kept, never the per-block counts
     assert type(small._scan_cache["count"]) is int
     assert not any(isinstance(v, list) for v in small._scan_cache.values())
 

@@ -597,10 +597,6 @@ class TestArrayFields:
         assert not sp.block_of.flags.writeable and not sp.probs.flags.writeable
         assert sp.block_of.tolist() == [[0, 0, 0, 0], [0, 0, 1, 1], [0, 1, 2, 3]]
         assert sp.n_blocks == (1, 2, 4)
-        order, skip, rank = sp.preorder
-        assert rank.tolist() == [0, 1, 2, 3]
-        assert order.tolist() == [0, 1, 3, 4, 2, 5, 6]
-        assert skip.tolist() == [7, 4, 3, 4, 7, 6, 7]
 
     def test_space_value_semantics(self):
         a, b = build_dyadic_space(2), build_mary_space(2, 2)
