@@ -13,9 +13,12 @@ stopped differences from one table and solves its numerators, and its
 denominators only for an exponent the space has not kept.
 
 For a constant exponent the BMO norm has a third mode, "dp", exact and
-with no scan: the ratio's power p0 is linear-fractional over the
-filtration tree, and ``martingale.tree_argmax`` maximizes it in a few
-bottom-up passes.
+with no scan.  A stopping time tau stops on disjoint blocks B_j, and the
+ratio's power p0 is sum_j a_j / sum_j b_j, with a_j the integral of
+|f - f_{n-1}|^p0 over a block B_j of level n and b_j = P(B_j).  By the
+mediant inequality that is at most max_j a_j / b_j, which the tau that
+stops on the best block alone attains; so the supremum is a maximum over
+the blocks, the first in level-major order (the coarsest) on a tie.
 """
 
 from __future__ import annotations
@@ -38,7 +41,6 @@ from .martingale import (
     require_f0_zero,
     sample_stopping_matrix,
     stopped_terminal_diffs,
-    tree_argmax,
 )
 from .space import Exponent, FilteredSpace, as_leaf_exponent, as_leaf_values, readonly
 from .varlp import kept_indicator_norms, max_norm_ratio
@@ -52,7 +54,7 @@ class SupNormResult:
     value: float
     argmax_tau: StoppingTime
     mode: str  # "exhaustive" | "sampled" | "dp"
-    # the scanned stopping times, or for "dp" the Dinkelbach passes
+    # the scanned stopping times, or for "dp" the blocks compared
     candidates: int
 
 
@@ -165,11 +167,14 @@ def bmo_norm(
     ENUMERATION_CAP of them), "sampled" a seeded sample (a lower bound),
     and "dp", for a constant exponent p0 only, maximizes the p0-th power of
     the ratio, sum over {tau<inf} of P |f - f^{tau-1}|^p0 over
-    P(tau < inf), with ``tree_argmax``; its ``candidates`` counts that
-    kernel's passes.  "auto" scans exhaustively up to AUTO_EXHAUSTIVE_CAP
-    stopping times, runs dp from there up to ENUMERATION_CAP where the
-    exponent is constant, and otherwise scans exhaustively up to the cap
-    and samples past it."""
+    P(tau < inf).  Both are sums over the blocks at which tau stops, and by
+    the mediant inequality the ratio of two such sums is at most the best
+    ratio of one block's terms, so dp returns the tau that stops on that
+    block alone, the first in level-major order (the coarsest level) on a
+    tie; its ``candidates`` counts the blocks compared.  "auto" scans
+    exhaustively up to AUTO_EXHAUSTIVE_CAP stopping times, runs dp from
+    there up to ENUMERATION_CAP where the exponent is constant, and
+    otherwise scans exhaustively up to the cap and samples past it."""
     space = f.space
     require_f0_zero(f, "bmo_norm requires f_0 = 0")
     pv = as_leaf_exponent(space, p)
@@ -189,10 +194,13 @@ def bmo_norm(
         # negligible beside the largest can underflow
         p0, e = float(pv[0]), math.frexp(float(np.abs(table).max()))[1]
         weights = space.probs * np.abs(np.ldexp(table[:-1], -e)) ** p0
-        gains = np.bincount(space._stacked_blocks[0].ravel(), weights.ravel())
-        ratio, tau, passes = tree_argmax(space, gains)
-        value = math.ldexp(ratio ** (1.0 / p0), e)
-        return SupNormResult(value, StoppingTime(tau), "dp", passes)
+        ids, probs = space._stacked_blocks
+        ratios = np.bincount(ids.ravel(), weights.ravel()) / probs
+        b = int(np.argmax(ratios))
+        n = next(n for n, level in enumerate(space.level_slices) if b < level.stop)
+        tau = StoppingTime(np.where(ids[n] == b, float(n), INF))
+        value = math.ldexp(float(ratios[b]) ** (1.0 / p0), e)
+        return SupNormResult(value, tau, "dp", ratios.size)
     scan = candidate_matrix(space, mode, seed, samples)
     diffs = np.take(table, scan.cells)
     dens = kept_indicator_norms(space, pv, scan.masks)[scan.which]

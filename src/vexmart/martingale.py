@@ -348,8 +348,8 @@ def stopped_terminal_diffs(f: Martingale, shift: str = "minus-one") -> np.ndarra
     (f - f^n)_N for shift="none", and row N+1, the row of tau = inf, is
     exactly 0.  The difference of a stopping time tau at leaf x is the
     entry at row min(tau(x), N+1), so a scan takes all of its differences
-    with one gather from this table, and ``tree_argmax``'s gains are sums
-    over its rows."""
+    with one gather from this table, and the block sums of ``bmo_norm``'s
+    dp mode are sums over its rows."""
     stack = level_stack(f, shift)
     return np.subtract(f.terminal, stack, out=stack)
 
@@ -369,59 +369,3 @@ def _tree_witness(space: FilteredSpace, stops: np.ndarray) -> np.ndarray:
     # the terminal blocks are the leaves
     return first[space.block_of[-1]].T
 
-
-def _tree_pass(
-    space: FilteredSpace, worth: np.ndarray, carry: np.ndarray
-) -> tuple[float, float, np.ndarray]:
-    """The largest total ``worth`` of the blocks at which a stopping time
-    stops (numbered as in ``level_slices``), the sum of ``carry`` over
-    those blocks, and their stop flags.  One bottom-up walk of
-    ``parents``: a block is worth the larger of its own worth (stop here)
-    and its children's sum (0 below level N), and is flagged where
-    stopping is strictly better; flags below a stop are stale, and
-    ``_tree_witness`` skips them."""
-    n_blocks, level = space.n_blocks, space.level_slices
-    stops = worth > 0.0
-    here = level[-1]
-    w = np.where(stops[here], worth[here], 0.0)
-    b = np.where(stops[here], carry[here], 0.0)
-    for n in reversed(range(space.depth)):
-        par, here = space.parents[n], level[n]
-        below = np.bincount(par, weights=w, minlength=n_blocks[n])
-        stops[here] = stop = worth[here] > below
-        w = np.where(stop, worth[here], below)
-        b = np.where(stop, carry[here], np.bincount(par, b, n_blocks[n]))
-    return float(w.sum()), float(b.sum()), stops
-
-
-def tree_argmax(
-    space: FilteredSpace, gains: np.ndarray
-) -> tuple[float, np.ndarray, int]:
-    """The largest ratio G(tau) / P(tau < inf) over the stopping times tau
-    finite somewhere, where G(tau) sums the nonnegative ``gains`` (one per
-    block, numbered level-major as in ``FilteredSpace.level_slices``) over
-    the blocks at which tau stops; with the stop levels of a tau attaining
-    it and the number of passes made.
-
-    Dinkelbach's method (Management Science 13(7), 1967) starts at the
-    best constant tau = n.  Each pass maximizes G(tau) - lam P(tau < inf)
-    over all stopping times with one ``_tree_pass``, carrying the
-    probabilities of the chosen blocks beside their worth.  A pass of
-    positive worth V and probability B finds a tau of ratio lam + V / B,
-    which becomes the next lam for as long as lam rises.  The witness is
-    read by ``_tree_witness`` from the flags of the last pass that raised
-    lam, or is the start."""
-    probs = space._stacked_blocks[1]
-    starts = [level.start for level in space.level_slices]
-    constant = np.add.reduceat(gains, starts) / np.add.reduceat(probs, starts)
-    start = int(np.argmax(constant))
-    lam, best, passes = float(constant[start]), None, 0
-    while True:
-        passes += 1
-        gain, mass, stops = _tree_pass(space, gains - lam * probs, probs)
-        if not (gain > 0.0 and lam + gain / mass > lam):
-            break
-        lam, best = lam + gain / mass, stops
-    if best is None:
-        return lam, np.full(space.n_leaves, float(start)), passes
-    return lam, _tree_witness(space, best[None])[0], passes

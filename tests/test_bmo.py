@@ -187,20 +187,28 @@ def dp_martingale(rng, space, law):
        law=st.sampled_from(["gauss", "gauss", "zero", "spike"]),
        p0=st.sampled_from([0.5, 1.0, 1.5, 2.0, 3.0]))
 def test_dp_matches_exhaustive(seed, shape, law, p0):
-    """The tree DP is the exhaustive supremum, and its witness is a
-    stopping time finite somewhere whose own ratio, from ``stop`` and
-    closed-form norms, is the DP's value."""
+    """The block maximum is the exhaustive supremum, after comparing every
+    block once, and its witness is a stopping time that stops on one block
+    alone (block 0 of level 0 when every ratio ties, as for f = 0) whose
+    own ratio, from ``stop`` and closed-form norms, is the dp value."""
     rng = random.Random(seed)
     sp = dp_space(rng, shape)
     f = dp_martingale(rng, sp, law)
     p = constant_exponent(sp, p0)
     full = bmo_norm(f, p, mode="exhaustive").value
     res = bmo_norm(f, p, mode="dp")
-    assert res.mode == "dp" and res.candidates >= 1
+    assert res.mode == "dp" and res.candidates == sum(sp.n_blocks)
     assert abs(res.value - full) <= 1e-12 * full
     tau = validate_stopping_time(sp, res.argmax_tau.vals)
     chi = tau.finite_mask
-    assert chi.any()
+    levels = np.unique(tau.vals[chi])
+    assert levels.size == 1
+    n = int(levels[0])
+    blocks = np.unique(sp.block_of[n, chi])
+    assert blocks.size == 1
+    assert np.array_equal(chi, sp.block_of[n] == blocks[0])
+    if law == "zero":
+        assert (n, blocks[0]) == (0, 0)
     diff = f.terminal - stop(f, tau, shift="minus-one").terminal
     own = lp_norm(sp.probs, diff, p0) / lp_norm(sp.probs, chi, p0)
     assert abs(own - res.value) <= 1e-12 * res.value

@@ -376,8 +376,8 @@ class TestExitCodes:
         assert "error:" in capsys.readouterr().err
 
     def test_dp_mode(self, capsys, tmp_path):
-        # the tree DP on dyadic 5 (2 * 10^11 stopping times) with a constant
-        # exponent; a variable one is refused with exit 1
+        # the block maximum on dyadic 5 (2 * 10^11 stopping times, 63 blocks)
+        # with a constant exponent; a variable one is refused with exit 1
         sp = write_json(tmp_path / "s.json", serialize.space_to_json(build_dyadic_space(5)))
         term = [1.0 if i % 3 == 0 else -0.5 for i in range(32)]
         term = [t - sum(term) / 32 for t in term]
@@ -387,7 +387,7 @@ class TestExitCodes:
         code = run(["bmo", "--space", sp, "--exponent", pc, "--martingale", mg,
                     "--mode", "dp"])
         out = json.loads(capsys.readouterr().out)
-        assert code == 0 and out["mode"] == "dp" and out["candidates"] >= 1
+        assert code == 0 and out["mode"] == "dp" and out["candidates"] == 63
         assert out["value"] > 0 and len(out["argmax_tau"]) == 32
         code = run(["bmo", "--space", sp, "--exponent", pv, "--martingale", mg,
                     "--mode", "dp"])
