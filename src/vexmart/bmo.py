@@ -1,6 +1,6 @@
 """BMO and Lipschitz norms as suprema over stopping times.
 
-Both norms scan a family of stopping times: the full (exhaustively
+The scan modes take a family of stopping times: the full (exhaustively
 enumerated) family when its size fits under the cap, otherwise a seeded
 sample that always contains tau = 0, tau = infinity and every constant-level
 tau = n.  Sampled values are lower bounds of the true supremum and the mode
@@ -12,13 +12,19 @@ byte budget (``varlp.kept_indicator_norms``), so a call gathers its
 stopped differences from one table and solves its numerators, and its
 denominators only for an exponent the space has not kept.
 
-For a constant exponent the BMO norm has a third mode, "dp", exact and
-with no scan.  A stopping time tau stops on disjoint blocks B_j, and the
-ratio's power p0 is sum_j a_j / sum_j b_j, with a_j the integral of
-|f - f_{n-1}|^p0 over a block B_j of level n and b_j = P(B_j).  By the
-mediant inequality that is at most max_j a_j / b_j, which the tau that
-stops on the best block alone attains; so the supremum is a maximum over
-the blocks, the first in level-major order (the coarsest) on a tie.
+For a constant exponent both norms have a third mode, "dp", exact and
+with no scan, which "auto" takes at every size.  A stopping time tau
+stops on disjoint blocks B_j, and each ratio is built from per-block sums
+a_j and b_j = P(B_j).  The BMO ratio's power p0 is sum_j a_j / sum_j b_j,
+with a_j the integral of |f - f_{n-1}|^p0 over a block B_j of level n; by
+the mediant inequality that is at most max_j a_j / b_j.  The Lipschitz
+ratio's power q, for a constant alpha, is sum_j a_j / (sum_j b_j)^s with
+a_j the integral of |f - f_n|^q over B_j and s = 1 + alpha q >= 1; as
+(sum_j b_j)^s >= sum_j b_j^s, that is at most max_j a_j / b_j^s.  Either
+bound is attained by the tau that stops on the best block alone, so the
+supremum is a maximum over the blocks, the first in level-major order
+(the coarsest) on a tie.  A variable exponent takes the scan in "auto":
+exhaustive up to the cap, sampled past it.
 """
 
 from __future__ import annotations
@@ -45,8 +51,6 @@ from .martingale import (
 from .space import Exponent, FilteredSpace, as_leaf_exponent, as_leaf_values, readonly
 from .varlp import kept_indicator_norms, max_norm_ratio
 from .hardy import hs_norm
-
-AUTO_EXHAUSTIVE_CAP = 10**4
 
 
 @dataclass(frozen=True)
@@ -152,6 +156,35 @@ def _sup_result(scan: StoppingScan, value: float, i: int) -> SupNormResult:
     return SupNormResult(value, StoppingTime(tau), scan.mode, rows)
 
 
+def _block_max(
+    space: FilteredSpace, table: np.ndarray, p0: float, s: float = 1.0
+) -> tuple[float, int]:
+    """The largest (sum_B P |T_n|^p0 / P(B)^s)^(1/p0) over the blocks B of
+    every level n, with T_n row n of a table of ``stopped_terminal_diffs``,
+    and its block in the level-major numbering of ``level_slices``, the
+    first (the coarsest) on a tie.  The rows are first scaled exactly by a
+    power of two into [0, 1), so no power overflows and only powers
+    negligible beside the largest can underflow."""
+    e = math.frexp(float(np.abs(table).max()))[1]
+    weights = space.probs * np.abs(np.ldexp(table[:-1], -e)) ** p0
+    ids, probs = space._stacked_blocks
+    ratios = np.bincount(ids.ravel(), weights.ravel()) / (probs if s == 1.0 else probs**s)
+    b = int(np.argmax(ratios))
+    return math.ldexp(float(ratios[b]) ** (1.0 / p0), e), b
+
+
+def _block_result(
+    space: FilteredSpace, table: np.ndarray, p0: float, s: float = 1.0
+) -> SupNormResult:
+    """``_block_max`` as a "dp" result: its witness stops on the best
+    block alone, at the block's level, and never elsewhere."""
+    value, b = _block_max(space, table, p0, s)
+    ids, probs = space._stacked_blocks
+    n = next(n for n, level in enumerate(space.level_slices) if b < level.stop)
+    tau = StoppingTime(np.where(ids[n] == b, float(n), INF))
+    return SupNormResult(value, tau, "dp", probs.size)
+
+
 def bmo_norm(
     f: Martingale,
     p: Exponent,
@@ -171,36 +204,19 @@ def bmo_norm(
     the mediant inequality the ratio of two such sums is at most the best
     ratio of one block's terms, so dp returns the tau that stops on that
     block alone, the first in level-major order (the coarsest level) on a
-    tie; its ``candidates`` counts the blocks compared.  "auto" scans
-    exhaustively up to AUTO_EXHAUSTIVE_CAP stopping times, runs dp from
-    there up to ENUMERATION_CAP where the exponent is constant, and
-    otherwise scans exhaustively up to the cap and samples past it."""
+    tie; its ``candidates`` counts the blocks compared.  "auto" takes dp
+    for a constant exponent, at every size; otherwise it scans
+    exhaustively up to ENUMERATION_CAP stopping times and samples past
+    it."""
     space = f.space
     require_f0_zero(f, "bmo_norm requires f_0 = 0")
     pv = as_leaf_exponent(space, p)
-    if mode == "dp" or (
-        mode == "auto"
-        and AUTO_EXHAUSTIVE_CAP < count_stopping_times(space) <= ENUMERATION_CAP
-    ):
-        if (pv == pv[0]).all():
-            mode = "dp"
-        elif mode == "dp":
-            raise DomainError("dp mode requires a constant exponent")
+    constant = bool((pv == pv[0]).all())
+    if mode == "dp" and not constant:
+        raise DomainError("dp mode requires a constant exponent")
     table = stopped_terminal_diffs(f, shift="minus-one")
-    if mode == "dp":
-        # the p0-th powers of numerator and denominator are sums over the
-        # blocks at which tau stops; the differences are scaled exactly by a
-        # power of two into [0, 1), so no power overflows and only powers
-        # negligible beside the largest can underflow
-        p0, e = float(pv[0]), math.frexp(float(np.abs(table).max()))[1]
-        weights = space.probs * np.abs(np.ldexp(table[:-1], -e)) ** p0
-        ids, probs = space._stacked_blocks
-        ratios = np.bincount(ids.ravel(), weights.ravel()) / probs
-        b = int(np.argmax(ratios))
-        n = next(n for n, level in enumerate(space.level_slices) if b < level.stop)
-        tau = StoppingTime(np.where(ids[n] == b, float(n), INF))
-        value = math.ldexp(float(ratios[b]) ** (1.0 / p0), e)
-        return SupNormResult(value, tau, "dp", ratios.size)
+    if mode == "dp" or (mode == "auto" and constant):
+        return _block_result(space, table, float(pv[0]))
     scan = candidate_matrix(space, mode, seed, samples)
     diffs = np.take(table, scan.cells)
     dens = kept_indicator_norms(space, pv, scan.masks)[scan.which]
@@ -221,21 +237,32 @@ def lipschitz_norm(
     so an indicator meeting {alpha = 0} has norm at least 1, and exactly 1,
     as the modular of the rest at lambda = 1 is at most P(tau < inf).  Any
     other indicator vanishes on {alpha = 0}, where a finite value of
-    1/alpha is put in place of +inf."""
+    1/alpha is put in place of +inf.
+
+    The modes are ``bmo_norm``'s.  For a constant alpha the ratio's power q
+    is sum_j a_j / (sum_j b_j)^s over the blocks B_j at which tau stops,
+    with a_j = sum_{B_j} P |f - f^tau|^q, b_j = P(B_j) and s = 1 + alpha q
+    >= 1 (alpha = 0 gives s = 1, as ||chi||_inf = 1); that is at most
+    max_j a_j / b_j^s, so "dp", which "auto" takes for a constant alpha, is
+    the block maximum.  A variable alpha refuses "dp"."""
     if not (math.isfinite(q) and q >= 1):
         raise DomainError(f"lipschitz_norm requires a finite q >= 1, got {q}")
-    if mode == "dp":
-        raise DomainError("dp mode applies to bmo_norm only: the Lipschitz "
-                          "ratio is not a ratio of block sums")
     space = f.space
     avals = as_leaf_values(space, alpha.vals if isinstance(alpha, Exponent) else alpha)
     if np.any(avals < 0):
         raise DomainError("alpha must be nonnegative")
+    constant = bool((avals == avals[0]).all())
+    if mode == "dp" and not constant:
+        raise DomainError("dp mode requires a constant alpha: for a variable "
+                          "alpha the Lipschitz ratio is not a ratio of block sums")
+    table = stopped_terminal_diffs(f, shift="none")
+    if mode == "dp" or (mode == "auto" and constant):
+        return _block_result(space, table, q, 1.0 + float(avals[0]) * q)
     pos = avals > 0
     inv_alpha = 1.0 / np.where(pos, avals, avals.max() or 1.0)
 
     scan = candidate_matrix(space, mode, seed, samples)
-    diffs = np.abs(np.take(stopped_terminal_diffs(f, shift="none"), scan.cells))
+    diffs = np.abs(np.take(table, scan.cells))
     nums = (diffs**q @ space.probs) ** (1.0 / q)
     pq = scan.masks[scan.which] @ space.probs
     dens_q = pq ** (1.0 / q)
@@ -254,7 +281,9 @@ def duality_pairing_ratio(
     mode: str = "auto",
 ) -> float:
     """|E(f_N phi)| / (||f||_{H^s_{p(.)}} * ||phi||_{Lambda_2(1/p - 1)}),
-    the finite pairing whose boundedness the duality theorem asserts."""
+    the finite pairing whose boundedness the duality theorem asserts.  For
+    a constant p, alpha = 1/p - 1 is constant, so "auto" takes the exact
+    Lipschitz norm at any depth."""
     space = f.space
     if p.p_plus() > 1.0:
         raise DomainError("duality pairing requires p_+ <= 1")

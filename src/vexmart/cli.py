@@ -180,7 +180,7 @@ _COMMANDS = {
             bmo_norm(f, p, mode=a.mode, seed=a.seed, samples=a.samples))),
     ("lipschitz",): (
         ("space", "martingale", ("--q", {"type": float, "required": True}), "alpha",
-         _choice("--mode", "auto", "exhaustive", "sampled"), *_SAMPLING), False,
+         _choice("--mode", "auto", "exhaustive", "sampled", "dp"), *_SAMPLING), False,
         lambda a, space, f, alpha: _sup_json(lipschitz_norm(
             f, a.q, alpha, mode=a.mode, seed=a.seed, samples=a.samples))),
     # an experiment takes the options its draws read, and files for them

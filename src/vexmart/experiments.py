@@ -17,7 +17,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import DomainError, NumericalError, ResourceError, ValidationError
-from .bmo import bmo_norm, candidate_matrix
+from .bmo import _block_max, bmo_norm, candidate_matrix
 from .martingale import (
     ENUMERATION_CAP,
     Martingale,
@@ -433,19 +433,26 @@ def lemma34_check(
 
 def jn_equivalence(config: TrialConfig, p: Exponent) -> ConstantReport:
     """Two-sided envelope of bmo_norm(f, p) / bmo_norm(f, 1) over random
-    martingales, both norms taken exhaustively by ``bmo_norm``, which
-    reads the space's cached scan and the denominators the space keeps
-    for each exponent."""
+    martingales.  For a constant p both norms are block maxima over one
+    stopped-difference table per trial, at any depth; otherwise both are
+    ``bmo_norm``'s exhaustive scans, which read the space's cached scan and
+    the denominators the space keeps for each exponent."""
     space = config.space
-    as_leaf_exponent(space, p)
+    pv = as_leaf_exponent(space, p)
     if p.p_minus() < 1.0:
         raise DomainError("BMO norm equivalence requires p_- >= 1")
     ones = constant_exponent(space, 1.0)
+    constant = (pv == pv[0]).all()
     ratios, kept = [], []
     for i in range(config.trials):
         f = generate_martingale(config, i)
-        b1 = bmo_norm(f, ones, "exhaustive").value
-        bp = bmo_norm(f, p, "exhaustive").value
+        if constant:
+            table = stopped_terminal_diffs(f)
+            b1 = _block_max(space, table, 1.0)[0]
+            bp = _block_max(space, table, float(pv[0]))[0]
+        else:
+            b1 = bmo_norm(f, ones, "exhaustive").value
+            bp = bmo_norm(f, p, "exhaustive").value
         if b1 == 0.0 or bp == 0.0:
             continue
         ratios.append(bp / b1)
@@ -529,10 +536,126 @@ def _decay_segments(
         yield row + start, lo[at], hi[at], lhs
 
 
+def _decay_error(t: float, lhs: float, bound: float) -> NumericalError:
+    return NumericalError(f"decay bound violated at t={t}: level norm {lhs} > bound {bound}")
+
+
+def _scan_sups(space: FilteredSpace, pvals: np.ndarray, table: np.ndarray):
+    """``exp_jn_curve``'s suprema over the exhaustive scan: ||f||_{BMO_1},
+    ||f||_{BMO_{r p(.)}} as a function of r, and the decay envelope as a
+    function of (grid, counts, factors) that raises on a broken bound;
+    and the size of the family compared, as a details entry.
+
+    No pass is made per grid point.  Each stopping time's numerator is a
+    step function of t with at most one step per leaf (see
+    ``_decay_segments``), read in one pass over the scan: the envelope at
+    each t is the largest segment value over t, and the decay bound is
+    checked once per segment against the least bound up to its end, then
+    per grid point only on the segments that break that one."""
+    scan = candidate_matrix(space, "exhaustive")
+    # the scan holds every constant tau = n, so the table has exactly the
+    # positive values of the scan's differences, and the same grid
+    diffs = np.take(table, scan.cells)
+    probs, ones = space.probs, np.ones(space.n_leaves)
+    dens1 = kept_indicator_norms(space, ones, scan.masks)[scan.which]
+    b1 = max_norm_ratio(probs, ones, diffs, dens1)[0]
+    # every indicator's norm by its mask's bits (see StoppingScan; at most
+    # 19 leaves under the cap), 0 for the empty mask; in L^{r p(.)} it is
+    # the power 1/r of the L^{p(.)} one
+    norms = kept_indicator_norms(space, pvals, scan.masks)
+    dens = norms[scan.which]
+    norm_of_code = np.concatenate(([0.0], norms))
+
+    def bmo_at(r: float) -> float:
+        return max_norm_ratio(probs, pvals * r, diffs, dens ** (1.0 / r))[0]
+
+    def envelope(grid: np.ndarray, counts: np.ndarray, factors: np.ndarray):
+        # grid index j below is a position on the ascending grid;
+        # least[hi - 1], the least factor on grid indices 0..hi-1, is at
+        # most every factor on a segment [lo, hi); the bound
+        # fl(fl(factor * den) + slack) is monotone in the factor, so a
+        # segment that breaks it somewhere on its range breaks it at
+        # least[hi - 1]
+        g = grid.size
+        span = np.arange(g)
+        least = np.minimum.accumulate(factors)
+        slack = ASSERT_SLACK * max(1.0, float(dens.max()))
+        # top[lo * (g + 1) + hi]: the largest value lhs / den of the
+        # segments on [lo, hi)
+        top = np.zeros((g + 1) ** 2)
+        broken = np.zeros(g, dtype=bool)
+        for rows, lo, hi, lhs in _decay_segments(scan.cells, counts, norm_of_code):
+            den = dens[rows]
+            np.maximum.at(top, lo * (g + 1) + hi, lhs / den)
+            over = np.flatnonzero(lhs > least[hi - 1] * den + slack)
+            if over.size:
+                on = (span >= lo[over, None]) & (span < hi[over, None])
+                bound = factors * den[over, None] + slack
+                broken |= (on & (lhs[over, None] > bound)).any(axis=0)
+        if broken.any():
+            # the first broken grid point, and its row of largest excess,
+            # from the segments on it
+            j = int(np.flatnonzero(broken)[0])
+            lhs_at = np.zeros(dens.size)
+            for rows, lo, hi, lhs in _decay_segments(scan.cells, counts, norm_of_code):
+                on = (lo <= j) & (j < hi)
+                lhs_at[rows[on]] = lhs[on]
+            bound = factors[j] * dens
+            i = int(np.argmax(lhs_at - bound))
+            raise _decay_error(float(grid[j]), lhs_at[i], bound[i])
+        # the envelope at j is the largest value over lo <= j < hi
+        top = top.reshape(g + 1, g + 1)
+        np.maximum.accumulate(top, axis=0, out=top)
+        np.maximum.accumulate(top[:, ::-1], axis=1, out=top[:, ::-1])
+        return top.diagonal(1).copy()
+
+    return b1, bmo_at, envelope, {"stopping_times": len(diffs)}
+
+
+def _block_sups(space: FilteredSpace, p0: float, table: np.ndarray):
+    """``_scan_sups`` for a constant exponent p0, where every supremum is a
+    maximum over single blocks (see ``bmo``): each quantity is read from
+    per-block sums, at any depth, with no scan and no mask norms.
+
+    The decay envelope at grid index j is the largest P(B, D >= t_j)^(1/p0)
+    / P(B)^(1/p0) over the blocks B, D the block's stopped differences: a
+    cell with count k lies in the indicator at j exactly when j < k, so the
+    numerators of every block and grid point are one (blocks x counts)
+    histogram of the leaf probabilities, summed from the largest count
+    down.  The decay bound is checked against every block and grid point,
+    and a break names the block of largest excess at the first broken
+    t."""
+    ids, probs = space._stacked_blocks
+    b1 = _block_max(space, table, 1.0)[0]
+    den = probs ** (1.0 / p0)
+
+    def bmo_at(r: float) -> float:
+        return _block_max(space, table, r * p0)[0]
+
+    def envelope(grid: np.ndarray, counts: np.ndarray, factors: np.ndarray):
+        g, nb = grid.size, probs.size
+        hist = np.bincount(
+            (ids * (g + 1) + counts[:-1]).ravel(),
+            np.broadcast_to(space.probs, ids.shape).ravel(),
+            minlength=nb * (g + 1),
+        ).reshape(nb, g + 1)
+        # column k of the suffix sums holds the cells with count >= k, and
+        # column j + 1 the indicator at grid index j
+        lhs = np.cumsum(hist[:, ::-1], axis=1)[:, -2::-1] ** (1.0 / p0)
+        bound = factors * den[:, None]
+        broken = (lhs > bound + ASSERT_SLACK * max(1.0, float(den.max()))).any(axis=0)
+        if broken.any():
+            j = int(np.flatnonzero(broken)[0])
+            i = int(np.argmax(lhs[:, j] - bound[:, j]))
+            raise _decay_error(float(grid[j]), lhs[i, j], bound[i, j])
+        return (lhs / den[:, None]).max(axis=0)
+
+    return b1, bmo_at, envelope, {"blocks": probs.size}
+
+
 def exp_jn_curve(f: Martingale, p: Exponent) -> ConstantReport:
     """Exponential decay of ||chi_{tau<inf, f - f_{tau-1} >= t}||_{p(.)} /
-    ||chi_{tau<inf}||_{p(.)} in t, over the exhaustively enumerated stopping
-    times.
+    ||chi_{tau<inf}||_{p(.)} in t, over every stopping time.
 
     Asserts the envelope curve is nonincreasing, fits (C1, C2) by log-linear
     regression with C2 > 0 (no fit for a flat curve or one numpy finds
@@ -542,44 +665,32 @@ def exp_jn_curve(f: Martingale, p: Exponent) -> ConstantReport:
     values the construction actually uses (a fixed point, since r depends on
     C_hat through r = t / (2 * C_hat * ||f||_{BMO_1})).
 
-    One scan serves everything: ||f||_{BMO_1} is taken from the same
-    stopping times (the space's cached scan) and stopped differences as the
-    curve, gathered at the scan's cells from one table that also gives the
-    ascending t grid.  Off {tau < inf} the differences are exactly 0.
-
-    No pass is made per grid point.  Each stopping time's numerator is a
-    step function of t with at most one step per leaf (see
-    ``_decay_segments``), read in one pass over the scan: the envelope at
-    each t is the largest segment value over t, and the decay bound is
-    checked once per segment against the least bound up to its end, then
-    per grid point only on the segments that break that one."""
+    The suprema come from the stopped differences of one table, which also
+    gives the ascending t grid.  For a constant exponent p0 each is a
+    maximum over single blocks (``_block_sups``), at any depth, and the
+    curve keeps the scan's form P(B, D >= t)^(1/p0) / P(B)^(1/p0); details
+    then count the ``blocks`` compared.  A variable exponent is read from
+    the exhaustive scan (``_scan_sups``), refused past its cap, and details
+    count the ``stopping_times`` scanned; ||f||_{BMO_1} is taken from the
+    same scan and stopped differences as the curve.  Off {tau < inf} the
+    differences are exactly 0."""
     space = f.space
     pvals = as_leaf_exponent(space, p)
     require_f0_zero(f, "exp_jn_curve requires f_0 = 0")
-    scan = candidate_matrix(space, "exhaustive")
-    # the scan holds every constant tau = n, so the table has exactly the
-    # positive values of the scan's differences, and the same grid
     table = stopped_terminal_diffs(f)
-    diffs = np.take(table, scan.cells)
-    probs, ones = space.probs, np.ones(space.n_leaves)
-    dens1 = kept_indicator_norms(space, ones, scan.masks)[scan.which]
-    b1 = max_norm_ratio(probs, ones, diffs, dens1)[0]
+    if (pvals == pvals[0]).all():
+        b1, bmo_at, envelope, family = _block_sups(space, float(pvals[0]), table)
+    else:
+        b1, bmo_at, envelope, family = _scan_sups(space, pvals, table)
     if b1 == 0.0:
         raise DomainError("exponential decay curve requires a nonzero BMO_1 norm")
-    # every indicator's norm by its mask's bits (see StoppingScan; at most
-    # 19 leaves under the cap), 0 for the empty mask; in L^{r p(.)} it is
-    # the power 1/r of the L^{p(.)} one
-    norms = kept_indicator_norms(space, pvals, scan.masks)
-    dens = norms[scan.which]
-    norm_of_code = np.concatenate(([0.0], norms))
     grid = _t_grid_from_diffs(table)
 
     cache: dict[float, float] = {}
 
     def moment_ratio(r: float) -> float:
         if r not in cache:
-            best, _ = max_norm_ratio(probs, pvals * r, diffs, dens ** (1.0 / r))
-            cache[r] = best / b1
+            cache[r] = bmo_at(r) / b1
         return cache[r]
 
     # fixed point for C_hat: the r values used depend on C_hat and vice
@@ -603,50 +714,11 @@ def exp_jn_curve(f: Martingale, p: Exponent) -> ConstantReport:
             )
     c2 = math.log(2.0) / (2.0 * c_hat)
 
-    # grid index j below is a position on the ascending grid
-    g = grid.size
     counts = np.searchsorted(grid, table, side="right")
     counts[-1] = 0
     # libm's exp through math, which numpy's may differ from in the last bit
     factors = 4.0 * np.array(list(map(math.exp, (-c2 * grid / b1).tolist())))
-    # least[hi - 1], the least factor on grid indices 0..hi-1, is at most
-    # every factor on a segment [lo, hi); the bound fl(fl(factor * den) +
-    # slack) is monotone in the factor, so a segment that breaks it
-    # somewhere on its range breaks it at least[hi - 1]
-    span = np.arange(g)
-    least = np.minimum.accumulate(factors)
-    slack = ASSERT_SLACK * max(1.0, float(dens.max()))
-    # top[lo * (g + 1) + hi]: the largest value lhs / den of the segments
-    # on [lo, hi)
-    top = np.zeros((g + 1) ** 2)
-    broken = np.zeros(g, dtype=bool)
-    for rows, lo, hi, lhs in _decay_segments(scan.cells, counts, norm_of_code):
-        den = dens[rows]
-        np.maximum.at(top, lo * (g + 1) + hi, lhs / den)
-        over = np.flatnonzero(lhs > least[hi - 1] * den + slack)
-        if over.size:
-            on = (span >= lo[over, None]) & (span < hi[over, None])
-            bound = factors * den[over, None] + slack
-            broken |= (on & (lhs[over, None] > bound)).any(axis=0)
-    if broken.any():
-        # the first broken grid point, and its row of largest excess, from
-        # the segments on it
-        j = int(np.flatnonzero(broken)[0])
-        lhs_at = np.zeros(dens.size)
-        for rows, lo, hi, lhs in _decay_segments(scan.cells, counts, norm_of_code):
-            on = (lo <= j) & (j < hi)
-            lhs_at[rows[on]] = lhs[on]
-        bound = factors[j] * dens
-        i = int(np.argmax(lhs_at - bound))
-        raise NumericalError(
-            f"decay bound violated at t={float(grid[j])}: level norm {lhs_at[i]} > "
-            f"bound {bound[i]}"
-        )
-    # the envelope at j is the largest value over lo <= j < hi
-    top = top.reshape(g + 1, g + 1)
-    np.maximum.accumulate(top, axis=0, out=top)
-    np.maximum.accumulate(top[:, ::-1], axis=1, out=top[:, ::-1])
-    env = top.diagonal(1).copy()
+    env = envelope(grid, counts, factors)
     curve = np.column_stack((grid, env)).tolist()
     rise = np.flatnonzero(env[1:] > env[:-1] + 1e-12)
     if rise.size:
@@ -684,7 +756,7 @@ def exp_jn_curve(f: Martingale, p: Exponent) -> ConstantReport:
             "fit": fit,
             "proof_constants": {"C1": 4.0, "C2": c2, "C_hat": c_hat},
             "bmo1": b1,
-            "stopping_times": len(diffs),
+            **family,
         },
     )
 

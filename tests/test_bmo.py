@@ -56,8 +56,9 @@ class TestBmoNorm:
         f = martingale_from_terminal(two_leaf, (1.0, -1.0))
         res = bmo_norm(f, constant_exponent(two_leaf, 2.0))
         assert res.value == pytest.approx(1.0, rel=1e-10)
-        assert res.mode == "exhaustive"
-        assert res.candidates == 4  # the never-finite candidate is skipped
+        # a constant exponent: auto compares the root and the two leaves
+        assert res.mode == "dp"
+        assert res.candidates == 3
 
     def test_requires_zero_start(self, two_leaf):
         f = martingale_from_terminal(two_leaf, (2.0, 1.0))
@@ -282,32 +283,41 @@ class TestDpMode:
             bmo_norm(f, Exponent([1.5, 2.0, 1.5, 2.0]), mode="dp")
 
     def test_lipschitz_refuses_dp(self):
+        """dp is refused for a variable alpha only, and so for the duality
+        pairing of a variable p, whose alpha is 1/p - 1."""
         sp = build_dyadic_space(2)
         f = centered(random.Random(59), sp)
-        with pytest.raises(DomainError, match="bmo_norm only"):
-            lipschitz_norm(f, 2.0, [0.5] * 4, mode="dp")
-        with pytest.raises(DomainError, match="bmo_norm only"):
+        with pytest.raises(DomainError, match="constant alpha"):
+            lipschitz_norm(f, 2.0, [0.5, 0.25, 0.5, 0.25], mode="dp")
+        with pytest.raises(DomainError, match="constant alpha"):
             duality_pairing_ratio(f, [1.0, -1.0, 0.5, 0.0],
-                                  constant_exponent(sp, 0.8), mode="dp")
+                                  Exponent([0.8, 0.6, 0.8, 0.6]), mode="dp")
+        assert lipschitz_norm(f, 2.0, [0.5] * 4, mode="dp").mode == "dp"
 
     def test_auto_bands(self):
-        """auto scans up to AUTO_EXHAUSTIVE_CAP stopping times (dyadic 3:
-        677; 3-ary 2: 730), runs the DP past it up to the cap (dyadic 4:
-        458,330) and samples past the cap (dyadic 6)."""
+        """auto takes the block maximum for a constant exponent at every
+        size (dyadic 3: 677 stopping times; 3-ary 2: 730; dyadic 4:
+        458,330; dyadic 6, past the cap), and a variable exponent scans
+        exhaustively up to the cap and samples past it."""
         rng = random.Random(61)
         for sp, mode in ((build_dyadic_space(3), "exhaustive"),
                          (build_mary_space(3, 2), "exhaustive"),
-                         (build_dyadic_space(4), "dp"),
+                         (build_dyadic_space(4), None),
                          (build_dyadic_space(6), "sampled")):
             f = centered(rng, sp)
-            res = bmo_norm(f, constant_exponent(sp, 2.0))
-            assert res.mode == mode
-            if mode == "exhaustive":
-                assert res == bmo_norm(f, constant_exponent(sp, 2.0), mode="exhaustive")
+            p = constant_exponent(sp, 2.0)
+            res = bmo_norm(f, p)
+            assert res.mode == "dp" and res == bmo_norm(f, p, mode="dp")
+            # dyadic 4's variable exponent is the next test's
+            if mode is not None:
+                q = random_exponent(rng, sp.n_leaves)
+                res = bmo_norm(f, q)
+                assert res.mode == mode and res == bmo_norm(f, q, mode=mode)
 
     def test_auto_dp_band_matches_exhaustive(self, monkeypatch):
         """Dyadic 4 is exact either way, and a variable exponent there is
-        scanned; with the cap lowered past it, auto samples again."""
+        scanned; with the cap lowered past it, a variable exponent is
+        sampled and a constant one still takes the block maximum."""
         rng = random.Random(67)
         sp = build_dyadic_space(4)
         f = centered(rng, sp)
@@ -316,9 +326,41 @@ class TestDpMode:
         full = bmo_norm(f, p, mode="exhaustive")
         assert auto.mode == "dp"
         assert abs(auto.value - full.value) <= 1e-12 * full.value
-        assert bmo_norm(f, random_exponent(rng, 16)).mode == "exhaustive"
+        q = random_exponent(rng, 16)
+        assert bmo_norm(f, q).mode == "exhaustive"
         monkeypatch.setattr(bmo, "ENUMERATION_CAP", 10**5)
-        assert bmo_norm(f, p).mode == "sampled"
+        assert bmo_norm(f, q).mode == "sampled"
+        assert bmo_norm(f, p) == auto
+
+
+@settings(max_examples=120, deadline=None)
+@given(seed=st.integers(min_value=0, max_value=10**6),
+       law=st.sampled_from(["gauss", "gauss", "zero", "spike"]),
+       q_alpha=st.sampled_from([(1.0, 0.5), (2.0, 1.0), (2.0, 0.25),
+                                (1.5, 2.0), (2.0, 0.0)]))
+def test_lipschitz_block_max_matches_exhaustive(seed, law, q_alpha):
+    """For a constant alpha the Lipschitz supremum is the block maximum
+    with denominator P(B)^s, s = 1 + alpha q (alpha = 0: s = 1), to 1e-12
+    of the exhaustive scan, after comparing every block once; its witness
+    stops on one block alone, and its own ratio, from ``stop`` and
+    closed-form norms, is the value.  auto takes the same result."""
+    q, alpha = q_alpha
+    rng = random.Random(seed)
+    sp = random_tree_space(rng, max_leaves=8)
+    f = dp_martingale(rng, sp, law)
+    full = lipschitz_norm(f, q, [alpha] * sp.n_leaves, mode="exhaustive").value
+    res = lipschitz_norm(f, q, [alpha] * sp.n_leaves, mode="dp")
+    assert res.mode == "dp" and res.candidates == sum(sp.n_blocks)
+    assert abs(res.value - full) <= 1e-12 * full
+    assert lipschitz_norm(f, q, [alpha] * sp.n_leaves) == res
+    tau = validate_stopping_time(sp, res.argmax_tau.vals)
+    chi = tau.finite_mask
+    n = int(tau.vals[chi][0])
+    assert np.array_equal(chi, sp.block_of[n] == sp.block_of[n, chi][0])
+    diff = f.terminal - stop(f, tau).terminal
+    pq = float(chi @ sp.probs)
+    own = lp_norm(sp.probs, diff, q) / (pq ** (1 / q) * pq**alpha)
+    assert abs(own - res.value) <= 1e-12 * res.value
 
 
 class TestLipschitzNorm:

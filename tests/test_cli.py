@@ -330,7 +330,8 @@ class TestOtherCommands:
                     "--martingale", mg]) == 0
         obj = json.loads(capsys.readouterr().out)
         assert obj["value"] == pytest.approx(1.0, rel=1e-10)
-        assert obj["candidates"] == 4
+        # a constant exponent: auto compares the root and the two leaves
+        assert obj["mode"] == "dp" and obj["candidates"] == 3
 
 
 class TestExitCodes:
@@ -377,7 +378,8 @@ class TestExitCodes:
 
     def test_dp_mode(self, capsys, tmp_path):
         # the block maximum on dyadic 5 (2 * 10^11 stopping times, 63 blocks)
-        # with a constant exponent; a variable one is refused with exit 1
+        # with a constant exponent or alpha; a variable one is refused with
+        # exit 1
         sp = write_json(tmp_path / "s.json", serialize.space_to_json(build_dyadic_space(5)))
         term = [1.0 if i % 3 == 0 else -0.5 for i in range(32)]
         term = [t - sum(term) / 32 for t in term]
@@ -393,6 +395,15 @@ class TestExitCodes:
                     "--mode", "dp"])
         assert code == 1
         assert "constant exponent" in capsys.readouterr().err
+        for alpha, mode in ((pc, "dp"), (pc, "auto")):
+            code = run(["lipschitz", "--space", sp, "--martingale", mg, "--q", "2",
+                        "--alpha", alpha, "--mode", mode])
+            out = json.loads(capsys.readouterr().out)
+            assert code == 0 and out["mode"] == "dp" and out["candidates"] == 63
+        code = run(["lipschitz", "--space", sp, "--martingale", mg, "--q", "2",
+                    "--alpha", pv, "--mode", "dp"])
+        assert code == 1
+        assert "constant alpha" in capsys.readouterr().err
 
     @pytest.mark.parametrize("command", ["bmo", "lipschitz"])
     @pytest.mark.parametrize("mode", ["auto", "exhaustive", "dp"])
@@ -400,9 +411,9 @@ class TestExitCodes:
     def test_nonpositive_samples_refused_in_every_mode(
         self, capsys, tmp_path, command, mode, samples
     ):
-        # dyadic 3 scans exhaustively, so none of these runs samples; the
-        # count is refused at parse time all the same (lipschitz has no dp
-        # mode, and --samples is read before --mode)
+        # dyadic 3 scans exhaustively or takes the block maximum, so none of
+        # these runs samples; the count is refused at parse time all the same
+        # (--samples is read before --mode)
         sp = write_json(tmp_path / "s.json", serialize.space_to_json(build_dyadic_space(3)))
         mg = write_json(tmp_path / "m.json", {"terminal": [1.0, -1.0, 2.5, -2.5] * 2})
         vals = write_json(tmp_path / "v.json", {"values": [1.5] * 8})

@@ -372,12 +372,14 @@ def test_exp_jn_bmo1_equals_exhaustive_bmo_norm():
 
 
 def test_jn_calls_over_cap_fail_from_the_count(monkeypatch):
+    """Past the cap a variable exponent is refused before anything is
+    enumerated; a constant one reads every supremum from the blocks."""
     def refuse(*args, **kwargs):
         raise AssertionError("enumerated past the cap")
 
     monkeypatch.setattr(bmo, "enumerate_stopping_matrix", refuse)
     cfg = config(depth=5, trials=2)
-    p = constant_exponent(cfg.space, 2.0)
+    p = Exponent([1.5, 2.5] * 16)
     with pytest.raises(ResourceError, match="exhaustive mode refused"):
         jn_equivalence(cfg, p)
     f = generate_martingale(cfg, 0)
@@ -387,6 +389,26 @@ def test_jn_calls_over_cap_fail_from_the_count(monkeypatch):
     g = martingale_from_terminal(cfg.space, np.ones(cfg.space.n_leaves))
     with pytest.raises(DomainError):
         exp_jn_curve(g, p)
+    c = constant_exponent(cfg.space, 2.0)
+    assert jn_equivalence(cfg, c).ratios.size == 2
+    assert exp_jn_curve(f, c).details["blocks"] == 63
+    with pytest.raises(DomainError):
+        exp_jn_curve(g, c)
+
+
+def test_jn_constant_exponent_is_the_exhaustive_ratio():
+    """For a constant p each trial's ratio is that of the two exhaustive
+    bmo_norm scans, to 1e-12."""
+    rng = random.Random(73)
+    spaces = [build_dyadic_space(2), build_mary_space(3, 2)]
+    spaces += [random_tree_space(rng, max_leaves=8) for _ in range(4)]
+    for k, sp in enumerate(spaces):
+        cfg = TrialConfig(space=sp, seed=k, trials=4)
+        p = constant_exponent(sp, rng.choice([1.5, 2.0, 3.0]))
+        rep = jn_equivalence(cfg, p)
+        ratios, skips, _ = _jn_oracle(cfg, p)
+        assert rep.details["skips"] == skips
+        assert np.all(np.abs(rep.ratios - ratios) <= 1e-12 * np.array(ratios))
 
 
 class TestExpJnCurve:
@@ -554,13 +576,19 @@ def _jn_instance(space, rng, law="variable"):
     return f, random_exponent(rng, space.n_leaves, 1.0, 3.0)
 
 
-def _assert_envelope_is_per_t_loop(f, p, rep):
+def _assert_envelope_is_per_t_loop(f, p, rep, rel=0.0):
+    """The report's curve is the per-t loop's, bit for bit, or to ``rel``
+    relative."""
     curve = rep.details["curve"]
     grid = [t for t, _ in curve]
     constants = rep.details["proof_constants"]
     want, broken = _per_t_envelope(f, p, grid, constants["C2"], rep.details["bmo1"])
     assert broken is None
-    assert [y for _, y in curve] == want
+    got = [y for _, y in curve]
+    if rel:
+        assert np.all(np.abs(np.subtract(got, want)) <= rel * np.array(want))
+    else:
+        assert got == want
     return grid, want
 
 
@@ -622,12 +650,56 @@ def _uneven_space(kind, rng):
 def test_exp_jn_envelope_is_per_t_loop_on_uneven_spaces(kind, law):
     """Unequal leaf probabilities, three children per block, leaves not
     numbered in tree order, constant and variable exponents: the envelope
-    is the per-t loop's, bit for bit."""
+    is the per-t loop's, bit for bit.  A constant exponent's curve comes
+    from block sums, which add a block's probabilities in another order
+    than the per-t loop's batch solve of the same indicator; on the fourth
+    relabelled tree that puts one block an ulp above at two grid points,
+    so that tree is compared to 1e-12."""
     rng = random.Random(f"exp-jn-uneven:{kind}:{law}")
-    for _ in range(4):
+    for k in range(4):
         sp = _uneven_space(kind, rng)
         f, p = _jn_instance(sp, rng, law)
-        _assert_envelope_is_per_t_loop(f, p, exp_jn_curve(f, p))
+        rel = 1e-12 if (kind, law, k) == ("relabelled", "constant", 3) else 0.0
+        _assert_envelope_is_per_t_loop(f, p, exp_jn_curve(f, p), rel)
+
+
+@settings(max_examples=80, deadline=None)
+@given(seed=st.integers(min_value=0, max_value=10**6),
+       p0=st.sampled_from([1.0, 1.5, 2.0, 3.0]),
+       shape=st.sampled_from(["tree", "relabelled", "forest"]))
+def test_exp_jn_blocks_match_the_scan(seed, p0, shape):
+    """For a constant exponent exp_jn_curve reads b1, the moment ratios
+    and the curve from block sums; on random trees under the cap, b1,
+    C_hat and the curve are those of the scan path to 1e-12, and details
+    count the blocks compared in place of the stopping times."""
+    rng = random.Random(seed)
+    sp = random_tree_space(rng, max_leaves=8)
+    if shape == "relabelled":
+        sp = validate_filtration(*relabelled_levels(sp, rng))
+    elif shape == "forest":
+        sp = drop_root_level(sp)
+    v = np.array([rng.gauss(0.0, 1.0) for _ in range(sp.n_leaves)])
+    f = martingale_from_terminal(sp, v - cond_expect(sp, v, 0))
+    p = constant_exponent(sp, p0)
+    if bmo_norm(f, constant_exponent(sp, 1.0), mode="exhaustive").value == 0.0:
+        # a forest whose level 0 is discrete has only f = 0
+        with pytest.raises(DomainError, match="nonzero BMO_1"):
+            exp_jn_curve(f, p)
+        return
+    rep = exp_jn_curve(f, p)
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(experiments, "_block_sups", lambda space, q, table:
+                  experiments._scan_sups(space, np.full(space.n_leaves, q), table))
+        scan = exp_jn_curve(f, p)
+    assert rep.details["blocks"] == sum(sp.n_blocks)
+    assert "stopping_times" not in rep.details and "blocks" not in scan.details
+    want = scan.details["bmo1"]
+    assert abs(rep.details["bmo1"] - want) <= 1e-12 * want
+    want = scan.details["proof_constants"]["C_hat"]
+    assert abs(rep.details["proof_constants"]["C_hat"] - want) <= 1e-12 * want
+    got, want = np.array(rep.details["curve"]), np.array(scan.details["curve"])
+    assert np.array_equal(got[:, 0], want[:, 0])
+    assert np.all(np.abs(got[:, 1] - want[:, 1]) <= 1e-12 * want[:, 1])
 
 
 def test_level_leaf_table_gives_the_scan_grid():
@@ -692,6 +764,66 @@ def test_decay_bound_violation_names_the_first_broken_grid_point(
         exp_jn_curve(f, p)
     m = re.search(r"at t=(\S+): level norm (\S+) > bound (\S+)$", str(info.value))
     assert tuple(map(float, m.groups())) == want
+
+
+def _block_decay_oracle(f, p0, grid, c2, b1):
+    """The first grid point t at which some block B of some level n has
+    P(B, D_n >= t)^(1/p0) above 4 exp(-C2 t / b1) P(B)^(1/p0) plus the
+    slack, D_n = f - f_{n-1}, with that level norm and bound for the block
+    of largest excess, or None: one block and grid point at a time."""
+    sp = f.space
+    levels = np.repeat(np.arange(sp.depth + 1.0)[:, None], sp.n_leaves, axis=1)
+    diffs = stopped_diffs_oracle(f, levels)
+    blocks = [(n, sp.block_of[n] == b) for n in range(sp.depth + 1)
+              for b in range(sp.n_blocks[n])]
+    dens = [float(sp.probs[on].sum()) ** (1 / p0) for _, on in blocks]
+    slack = experiments.ASSERT_SLACK * max(1.0, max(dens))
+    for t in grid:
+        factor = 4.0 * math.exp(-c2 * t / b1)
+        found = []
+        for (n, on), den in zip(blocks, dens):
+            lhs = float(sp.probs[on & (diffs[n] >= t)].sum()) ** (1 / p0)
+            if lhs > factor * den + slack:
+                found.append((lhs - factor * den, lhs, factor * den))
+        if found:
+            _, lhs, bound = max(found)
+            return t, lhs, bound
+    return None
+
+
+def test_block_decay_bound_violation_names_its_block(monkeypatch):
+    """For a constant exponent, every moment ratio shrunk a thousandfold
+    breaks the decay bound on the block path too: the error names the
+    first broken grid point, the scan's first broken one as well, and
+    there the level norm and bound of the block of largest excess."""
+    sp = build_dyadic_space(3)
+    f, _ = _jn_instance(sp, random.Random("exp-jn-broken"))
+    p0 = 2.0
+    p = constant_exponent(sp, p0)
+    block_max = experiments._block_max
+
+    def shrunk(space, table, q, s=1.0):
+        value, b = block_max(space, table, q, s)
+        return (value, b) if q == 1.0 else (1e-3 * value, b)
+
+    monkeypatch.setattr(experiments, "_block_max", shrunk)
+    with monkeypatch.context() as m:
+        m.setattr(experiments, "ASSERT_SLACK", 1e300)
+        rep = exp_jn_curve(f, p)
+    grid = [t for t, _ in rep.details["curve"]]
+    c2, b1 = rep.details["proof_constants"]["C2"], rep.details["bmo1"]
+    want = _block_decay_oracle(f, p0, grid, c2, b1)
+    assert want is not None and want[0] not in (grid[0], grid[-1])
+    assert _per_t_envelope(f, p, grid, c2, b1)[1][0] == want[0]
+    with pytest.raises(NumericalError, match="decay bound violated") as info:
+        exp_jn_curve(f, p)
+    m = re.search(r"at t=(\S+): level norm (\S+) > bound (\S+)$", str(info.value))
+    t, lhs, bound = map(float, m.groups())
+    assert t == want[0]
+    assert lhs == pytest.approx(want[1], rel=1e-12)
+    assert bound == pytest.approx(want[2], rel=1e-12)
+    # the command line reports it with exit code 3
+    assert run(["experiment", "exp-jn", "--depth", "3", "--p-law", "constant"]) == 3
 
 
 class TestNakaiSadasue:

@@ -191,7 +191,9 @@ def test_cap_is_checked_on_every_call(monkeypatch):
         with pytest.raises(ResourceError, match="exhaustive mode refused"):
             call()
     assert bmo_norm(f, p).mode == "sampled"
-    assert lipschitz_norm(f, 2.0, [0.5] * 8).mode == "sampled"
+    # a constant alpha takes the block maximum, which has no cap
+    assert lipschitz_norm(f, 2.0, [0.5, 0.25] * 4).mode == "sampled"
+    assert lipschitz_norm(f, 2.0, [0.5] * 8).mode == "dp"
     monkeypatch.undo()
     assert candidate_matrix(sp) is cached
 
