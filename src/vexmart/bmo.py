@@ -1,15 +1,16 @@
 """BMO and Lipschitz norms as suprema over stopping times.
 
 The scan modes take a family of stopping times: the full (exhaustively
-enumerated) family when its size fits under the cap, otherwise a seeded
-sample that always contains tau = 0, tau = infinity and every constant-level
-tau = n.  Sampled values are lower bounds of the true supremum and the mode
-is reported so callers can pin exact results only.  The family depends
-on the filtration alone, so it is built once per space and cached there
-together with its distinct {tau < inf} masks.  The norms of those masks
-depend on the exponent too, and the space keeps them per exponent under a
-byte budget (``varlp.kept_indicator_norms``), so a call gathers its
-stopped differences from one table and solves its numerators, and its
+enumerated) family when its size fits under the cap, otherwise, in
+"auto", the block family, which stops at one block B of one level n
+(tau = n on B) and never elsewhere.  The block family's supremum is a
+lower bound of the true one and is reported as mode "block-lower", so
+callers can pin exact results only.  A family depends on the filtration
+alone, so it is built once per space and cached there together with its
+distinct {tau < inf} masks.  The norms of those masks depend on the
+exponent too, and the space keeps them per exponent under a byte budget
+(``varlp.kept_indicator_norms``), so a call gathers its stopped
+differences from one table and solves its numerators, and its
 denominators only for an exponent the space has not kept.
 
 For a constant exponent both norms have a third mode, "dp", exact and
@@ -24,7 +25,8 @@ a_j the integral of |f - f_n|^q over B_j and s = 1 + alpha q >= 1; as
 bound is attained by the tau that stops on the best block alone, so the
 supremum is a maximum over the blocks, the first in level-major order
 (the coarsest) on a tie.  A variable exponent takes the scan in "auto":
-exhaustive up to the cap, sampled past it.
+exhaustive up to the cap, the block family past it (a lower bound, as
+the mediant argument fails for a variable exponent).
 """
 
 from __future__ import annotations
@@ -45,10 +47,11 @@ from .martingale import (
     enumerate_stopping_matrix,
     martingale_from_terminal,
     require_f0_zero,
-    sample_stopping_matrix,
     stopped_terminal_diffs,
 )
-from .space import Exponent, FilteredSpace, as_leaf_exponent, as_leaf_values, readonly
+from .space import (
+    MAX_SCAN_BYTES, Exponent, FilteredSpace, as_leaf_exponent, as_leaf_values, readonly,
+)
 from .varlp import kept_indicator_norms, max_norm_ratio
 from .hardy import hs_norm
 
@@ -57,7 +60,7 @@ from .hardy import hs_norm
 class SupNormResult:
     value: float
     argmax_tau: StoppingTime
-    mode: str  # "exhaustive" | "sampled" | "dp"
+    mode: str  # "exhaustive" | "block-lower" | "dp"
     # the scanned stopping times, or for "dp" the blocks compared
     candidates: int
 
@@ -69,7 +72,7 @@ class StoppingScan:
     min(tau(x), N+1) * n_leaves + x of its difference in the table of
     ``stopped_terminal_diffs``; ``masks`` holds the distinct masks of
     {tau < inf}, ``which`` the position of each row's mask there, and
-    ``mode`` how the family was made, "exhaustive" or "sampled".  Masks
+    ``mode`` how the family was made, "exhaustive" or "block-lower".  Masks
     ascend by their bits read as a binary number c, leaf 0 on top; an
     exhaustive family has every nonempty subset (tau = N on it), so there
     mask c is at c - 1.  The norms of the masks are kept on the space (see
@@ -92,24 +95,20 @@ class StoppingScan:
         return cls(*map(readonly, (cells, finite[first], which)), mode)
 
 
-def candidate_matrix(
-    space: FilteredSpace,
-    mode: str = "auto",
-    seed: int = 0,
-    samples: int = 256,
-) -> StoppingScan:
-    """The stopping times to scan.  Exhaustive mode is taken when at most
-    ENUMERATION_CAP stopping times exist, decided on every call from the
-    count; sampled mode takes ``samples`` seeded draws plus every
-    constant-level tau, deduplicated.  Stopping times that are never
-    finite contribute nothing to any supremum over stopping times and are
-    left out.  Each scan is built once and cached on the space: the
-    exhaustive one, and the sampled one of the latest (seed, samples)."""
-    if mode not in ("auto", "exhaustive", "sampled"):
+def candidate_matrix(space: FilteredSpace, mode: str = "auto") -> StoppingScan:
+    """The stopping times to scan.  Every one is scanned when at most
+    ENUMERATION_CAP exist, decided on every call from the count; past it
+    "exhaustive" is refused and "auto" takes the block family, one row
+    per block B of each level n, tau = n on B and never elsewhere.  The
+    block scan is refused when its (rows, leaves) stop levels would take
+    over MAX_SCAN_BYTES.  Stopping times that are never finite contribute
+    nothing to any supremum over stopping times and are left out.  Each
+    scan is built once and cached on the space."""
+    if mode not in ("auto", "exhaustive"):
         raise DomainError(f"unknown supremum mode {mode!r}")
     count = count_stopping_times(space)
     cache = space._scan_cache
-    if mode in ("auto", "exhaustive") and count <= ENUMERATION_CAP:
+    if count <= ENUMERATION_CAP:
         if "exhaustive" not in cache:
             # the enumeration's last row, tau = inf, is its only never-finite one
             cache["exhaustive"] = StoppingScan.of(
@@ -121,18 +120,19 @@ def candidate_matrix(
             f"{count} stopping times exceed cap {ENUMERATION_CAP}; "
             "exhaustive mode refused"
         )
-    key, scan = cache.get("sampled", (None, None))
-    if key != (seed, samples):
-        levels = np.arange(space.depth + 1, dtype=float)[:, None]
-        rows = np.vstack([
-            sample_stopping_matrix(space, samples, seed),
-            np.broadcast_to(levels, (space.depth + 1, space.n_leaves)),
-        ])
-        # row 1, tau = inf, and any walk that never stopped
-        rows = rows[np.isfinite(rows).any(axis=1)]
-        scan = StoppingScan.of(rows[_distinct_rows(rows)[0]], space.depth, "sampled")
-        cache["sampled"] = ((seed, samples), scan)
-    return scan
+    if "block" not in cache:
+        rows, n = sum(space.n_blocks), space.n_leaves
+        if 8 * rows * n > MAX_SCAN_BYTES:
+            raise ResourceError(
+                f"{rows} blocks on {n} leaves: the block scan is over "
+                f"{MAX_SCAN_BYTES} bytes; a constant exponent or alpha takes "
+                "mode dp at any size"
+            )
+        # row b stops at its block's level on the block's leaves
+        taus = np.full((rows, n), INF)
+        taus[space._stacked_blocks[0], np.arange(n)] = np.arange(space.depth + 1.0)[:, None]
+        cache["block"] = StoppingScan.of(taus, space.depth, "block-lower")
+    return cache["block"]
 
 
 def _distinct_rows(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -189,25 +189,24 @@ def bmo_norm(
     f: Martingale,
     p: Exponent,
     mode: str = "auto",
-    seed: int = 0,
-    samples: int = 256,
 ) -> SupNormResult:
     """sup over tau of ||f - f^{tau-1}||_{p(.)} / ||chi_{tau<inf}||_{p(.)},
     with the terminal-level difference and f_{-1} = 0; stopping times that
     are never finite contribute nothing.
 
     Modes: "exhaustive" scans every stopping time (refused past
-    ENUMERATION_CAP of them), "sampled" a seeded sample (a lower bound),
-    and "dp", for a constant exponent p0 only, maximizes the p0-th power of
-    the ratio, sum over {tau<inf} of P |f - f^{tau-1}|^p0 over
-    P(tau < inf).  Both are sums over the blocks at which tau stops, and by
-    the mediant inequality the ratio of two such sums is at most the best
-    ratio of one block's terms, so dp returns the tau that stops on that
-    block alone, the first in level-major order (the coarsest level) on a
-    tie; its ``candidates`` counts the blocks compared.  "auto" takes dp
+    ENUMERATION_CAP of them), and "dp", for a constant exponent p0 only,
+    maximizes the p0-th power of the ratio, sum over {tau<inf} of
+    P |f - f^{tau-1}|^p0 over P(tau < inf).  Both are sums over the blocks
+    at which tau stops, and by the mediant inequality the ratio of two
+    such sums is at most the best ratio of one block's terms, so dp
+    returns the tau that stops on that block alone, the first in
+    level-major order (the coarsest level) on a tie; its ``candidates``
+    counts the blocks compared.  "auto" takes dp
     for a constant exponent, at every size; otherwise it scans
-    exhaustively up to ENUMERATION_CAP stopping times and samples past
-    it."""
+    exhaustively up to ENUMERATION_CAP stopping times, and past it scans
+    the tau that stop on one block alone, reported as "block-lower": a
+    lower bound, refused past MAX_SCAN_BYTES (see ``candidate_matrix``)."""
     space = f.space
     require_f0_zero(f, "bmo_norm requires f_0 = 0")
     pv = as_leaf_exponent(space, p)
@@ -217,7 +216,7 @@ def bmo_norm(
     table = stopped_terminal_diffs(f, shift="minus-one")
     if mode == "dp" or (mode == "auto" and constant):
         return _block_result(space, table, float(pv[0]))
-    scan = candidate_matrix(space, mode, seed, samples)
+    scan = candidate_matrix(space, mode)
     diffs = np.take(table, scan.cells)
     dens = kept_indicator_norms(space, pv, scan.masks)[scan.which]
     return _sup_result(scan, *max_norm_ratio(space.probs, pv, diffs, dens))
@@ -228,8 +227,6 @@ def lipschitz_norm(
     q: float,
     alpha: Exponent | Sequence[float],
     mode: str = "auto",
-    seed: int = 0,
-    samples: int = 256,
 ) -> SupNormResult:
     """sup over tau of ||chi||_{1/alpha(.)}^{-1} ||chi||_q^{-1}
     ||f - f^tau||_q, chi = chi_{tau<inf}, where alpha(.) >= 0 and 1/alpha
@@ -244,7 +241,8 @@ def lipschitz_norm(
     with a_j = sum_{B_j} P |f - f^tau|^q, b_j = P(B_j) and s = 1 + alpha q
     >= 1 (alpha = 0 gives s = 1, as ||chi||_inf = 1); that is at most
     max_j a_j / b_j^s, so "dp", which "auto" takes for a constant alpha, is
-    the block maximum.  A variable alpha refuses "dp"."""
+    the block maximum.  A variable alpha refuses "dp", and past the cap
+    "auto" takes it as a lower bound, "block-lower", from the block scan."""
     if not (math.isfinite(q) and q >= 1):
         raise DomainError(f"lipschitz_norm requires a finite q >= 1, got {q}")
     space = f.space
@@ -261,7 +259,7 @@ def lipschitz_norm(
     pos = avals > 0
     inv_alpha = 1.0 / np.where(pos, avals, avals.max() or 1.0)
 
-    scan = candidate_matrix(space, mode, seed, samples)
+    scan = candidate_matrix(space, mode)
     diffs = np.abs(np.take(table, scan.cells))
     nums = (diffs**q @ space.probs) ** (1.0 / q)
     pq = scan.masks[scan.which] @ space.probs
@@ -283,7 +281,9 @@ def duality_pairing_ratio(
     """|E(f_N phi)| / (||f||_{H^s_{p(.)}} * ||phi||_{Lambda_2(1/p - 1)}),
     the finite pairing whose boundedness the duality theorem asserts.  For
     a constant p, alpha = 1/p - 1 is constant, so "auto" takes the exact
-    Lipschitz norm at any depth."""
+    Lipschitz norm at any depth.  A variable p past the cap is refused:
+    its Lipschitz norm is then only a lower bound ("block-lower"), and
+    dividing by it would over-report the pairing."""
     space = f.space
     if p.p_plus() > 1.0:
         raise DomainError("duality pairing requires p_+ <= 1")
@@ -296,11 +296,14 @@ def duality_pairing_ratio(
     phi_mart = martingale_from_terminal(space, centered)
     alpha = 1.0 / p.vals - 1.0
     hs = hs_norm(f, p)
-    lip = lipschitz_norm(phi_mart, 2.0, alpha, mode=mode).value
+    lip = lipschitz_norm(phi_mart, 2.0, alpha, mode=mode)
+    if lip.mode == "block-lower":
+        raise DomainError("duality pairing for a variable p past the cap: the "
+                          "Lipschitz norm is only a lower bound there")
     if pairing <= 1e-15 * max(1.0, float(np.abs(phi_v).max())) * max(
         1.0, float(np.abs(f.terminal).max())
     ):
         return 0.0
-    if hs == 0.0 or lip == 0.0:
+    if hs == 0.0 or lip.value == 0.0:
         raise DomainError("zero denominator in duality pairing ratio")
-    return pairing / (hs * lip)
+    return pairing / (hs * lip.value)

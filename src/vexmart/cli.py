@@ -30,18 +30,6 @@ class _Parser(argparse.ArgumentParser):
         raise ValidationError(message)
 
 
-def _positive_int(text: str) -> int:
-    """argparse type of --samples: an integer of at least 1, refused at
-    parse time in every mode, whether or not the run samples."""
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
-    return value
-
-
 def _load(path: str):
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -147,9 +135,6 @@ def _choice(flag: str, *choices: str) -> tuple:
     return (flag, {"choices": choices, "default": choices[0]})
 
 
-_SAMPLING = (("--seed", {"type": int, "default": 0}),
-             ("--samples", {"type": _positive_int, "default": 256}))
-
 # command path -> (its options in parser order, whether it prints a
 # report, its run).  A bare string is a required input file option and a
 # list a group of mutually exclusive options.  The run takes the parsed
@@ -174,15 +159,12 @@ _COMMANDS = {
     ("check", "lemma34"): (("space", "exponent", "function"), True,
                            lambda a, space, p, f: lemma34_check(f, p, space)),
     ("bmo",): (
-        ("space", "exponent", "martingale",
-         _choice("--mode", "auto", "exhaustive", "sampled", "dp"), *_SAMPLING), False,
-        lambda a, space, p, f: _sup_json(
-            bmo_norm(f, p, mode=a.mode, seed=a.seed, samples=a.samples))),
+        ("space", "exponent", "martingale", _choice("--mode", "auto", "exhaustive", "dp")),
+        False, lambda a, space, p, f: _sup_json(bmo_norm(f, p, mode=a.mode))),
     ("lipschitz",): (
         ("space", "martingale", ("--q", {"type": float, "required": True}), "alpha",
-         _choice("--mode", "auto", "exhaustive", "sampled", "dp"), *_SAMPLING), False,
-        lambda a, space, f, alpha: _sup_json(lipschitz_norm(
-            f, a.q, alpha, mode=a.mode, seed=a.seed, samples=a.samples))),
+         _choice("--mode", "auto", "exhaustive", "dp")), False,
+        lambda a, space, f, alpha: _sup_json(lipschitz_norm(f, a.q, alpha, mode=a.mode))),
     # an experiment takes the options its draws read, and files for them
     **{("experiment", name): (
         ([("--space", {"help": "space JSON path"}),

@@ -735,8 +735,9 @@ def exp_jn_curve(f: Martingale, p: Exponent) -> ConstantReport:
         logs = np.log(ys)
         (slope, intercept), _, rank, _, _ = np.polyfit(ts / b1, logs, 1, full=True)
         # numpy finds rank 1 when the positive t lie within a few ulp of
-        # each other: a line through them measures nothing
-        if rank == 2:
+        # each other: a line through them measures nothing.  It may find
+        # rank 2 there too, with an intercept past exp's range: no fit
+        if rank == 2 and intercept < math.log(np.finfo(float).max):
             fit = {"C1": float(math.exp(intercept)), "C2": float(-slope)}
         # a curve flat up to round-off fits an arbitrarily-signed tiny
         # slope; only a genuine decay pins the sign

@@ -278,7 +278,7 @@ def enumerate_stopping_matrix(space: FilteredSpace) -> np.ndarray:
     count = count_stopping_times(space)
     if count > ENUMERATION_CAP:
         raise ResourceError(
-            f"{count} stopping times exceed cap {ENUMERATION_CAP}; use sampling mode"
+            f"{count} stopping times exceed cap {ENUMERATION_CAP}; enumeration refused"
         )
     kids = _children(space)
     level = np.repeat(np.arange(space.depth + 1.0), space.n_blocks).tolist()

@@ -21,6 +21,11 @@ from .errors import DomainError, ResourceError, ValidationError
 # allocate, in bytes; `check lemma34` evaluates at most one eighth of it in
 # leaf pairs (the bytes of an n x n matrix), holding one row block at a time
 MAX_SPACE_BYTES = 1 << 30
+# largest (rows, leaves) stop-level matrix of the block scan that `auto`
+# takes past ENUMERATION_CAP; its cells and gathered differences are as
+# large again, so dyadic depth 10 (16.8 MB) runs and depth 11 (67 MB) is
+# refused
+MAX_SCAN_BYTES = 1 << 25
 # bytes of one row block where a long array is made or walked a block at
 # a time, so that memory does not grow with the number of rows
 BLOCK_BYTES = 1 << 20
@@ -128,8 +133,8 @@ class FilteredSpace(ArrayValue):
     def _scan_cache(self) -> dict:
         """Stopping-time data that depend on the filtration alone, filled
         on first use by ``martingale`` (the count) and ``bmo`` (the
-        exhaustive scan and the latest sampled one) and kept while the
-        space lives.  Not part of the value: equality ignores it."""
+        exhaustive scan and the block scan) and kept while the space
+        lives.  Not part of the value: equality ignores it."""
         return {}
 
     @cached_property

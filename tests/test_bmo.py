@@ -1,5 +1,6 @@
 import math
 import random
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -16,6 +17,7 @@ from vexmart import (
     cond_expect,
     constant_exponent,
     duality_pairing_ratio,
+    StoppingTime,
     lipschitz_norm,
     luxemburg_norm,
     martingale_from_terminal,
@@ -24,19 +26,19 @@ from vexmart import (
     validate_stopping_time,
 )
 from vexmart import bmo, serialize
-from vexmart.bmo import StoppingScan, candidate_matrix
-from vexmart.martingale import _tree_witness
-from vexmart.varlp import kept_indicator_norms
+from vexmart.bmo import StoppingScan
+from vexmart.martingale import _tree_witness, sample_stopping_matrix, stopped_terminal_diffs
+from vexmart.varlp import kept_indicator_norms, max_norm_ratio
 
 from conftest import (
     bisection_oracle,
+    block_scan,
     children_of,
     drop_root_level,
     lp_norm,
     random_exponent,
     random_tree_space,
     relabelled_levels,
-    scan_levels,
 )
 
 
@@ -73,28 +75,30 @@ class TestBmoNorm:
             bmo_norm(f, constant_exponent(sp, 1.0), mode="exhaustive")
 
     def test_exhaustive_dominates_sampled(self):
+        """No sampled stopping time's own ratio, from ``stop`` and the
+        bisection oracle, exceeds the exhaustive supremum."""
         rng = random.Random(3)
         for _ in range(20):
             sp = random_tree_space(rng, max_leaves=6)
             f = centered(rng, sp)
             p = random_exponent(rng, sp.n_leaves, 1.0, 3.0)
             full = bmo_norm(f, p, mode="exhaustive").value
-            part = bmo_norm(f, p, mode="sampled", samples=16, seed=9).value
-            assert part <= full + 1e-10
+            for row in sample_stopping_matrix(sp, 16, seed=9):
+                chi = np.isfinite(row)
+                if chi.any():
+                    diff = f.terminal - stop(f, StoppingTime(row), shift="minus-one").terminal
+                    own = (bisection_oracle(sp.probs, p.vals, diff)
+                           / bisection_oracle(sp.probs, p.vals, chi.astype(float)))
+                    assert own <= full * (1 + 1e-10)
 
     def test_more_samples_never_decrease(self):
-        rng = random.Random(5)
+        """The sampled stream is a prefix: more samples only add rows."""
         sp = build_dyadic_space(3)
-        f = centered(rng, sp)
-        p = random_exponent(rng, sp.n_leaves, 1.0, 3.0)
-        small = bmo_norm(f, p, mode="sampled", samples=8, seed=2).value
-        # the sampled stream is a prefix: more samples only add candidates
-        big = bmo_norm(f, p, mode="sampled", samples=64, seed=2).value
-        assert big >= small - 1e-12
+        small = sample_stopping_matrix(sp, 8, seed=2)
+        assert np.array_equal(sample_stopping_matrix(sp, 64, seed=2)[:8], small)
 
     def test_witness_reproduces_value(self):
         rng = random.Random(7)
-        from vexmart import StoppingTime, luxemburg_norm, stop
         sp = random_tree_space(rng, max_leaves=6)
         f = centered(rng, sp)
         p = random_exponent(rng, sp.n_leaves, 1.0, 3.0)
@@ -251,14 +255,22 @@ def test_tree_witness_takes_first_flagged_ancestor(seed, shape, k, density):
 
 class TestDpMode:
     def test_dp_dominates_sampled(self):
+        """Past the cap, where no exhaustive oracle runs, no sampled
+        stopping time's closed-form ratio exceeds dp."""
         rng = random.Random(47)
         sp = build_dyadic_space(6)
+        taus = sample_stopping_matrix(sp, 64, seed=47)
+        taus = taus[np.isfinite(taus).any(axis=1)]
+        cells = (np.minimum(taus, sp.depth + 1).astype(int), np.arange(sp.n_leaves))
+        chi = np.isfinite(taus)
         for law in (2.0, 1.0, 1.5):
             p = constant_exponent(sp, law)
             for _ in range(4):
                 f = centered(rng, sp)
                 exact = bmo_norm(f, p, mode="dp").value
-                assert exact >= bmo_norm(f, p, mode="sampled").value * (1 - 1e-12)
+                diffs = stopped_terminal_diffs(f)[cells]
+                own = ((np.abs(diffs) ** law @ sp.probs) / (chi @ sp.probs)) ** (1 / law)
+                assert exact >= own.max() * (1 - 1e-12)
 
     def test_dp_at_extreme_scales(self):
         """Powers of differences near 1e160 or 1e-160 leave binary64, but
@@ -298,12 +310,13 @@ class TestDpMode:
         """auto takes the block maximum for a constant exponent at every
         size (dyadic 3: 677 stopping times; 3-ary 2: 730; dyadic 4:
         458,330; dyadic 6, past the cap), and a variable exponent scans
-        exhaustively up to the cap and samples past it."""
+        exhaustively up to the cap and past it the tau that stop on one
+        block alone, 127 of them on dyadic 6."""
         rng = random.Random(61)
         for sp, mode in ((build_dyadic_space(3), "exhaustive"),
                          (build_mary_space(3, 2), "exhaustive"),
                          (build_dyadic_space(4), None),
-                         (build_dyadic_space(6), "sampled")):
+                         (build_dyadic_space(6), "block-lower")):
             f = centered(rng, sp)
             p = constant_exponent(sp, 2.0)
             res = bmo_norm(f, p)
@@ -312,12 +325,17 @@ class TestDpMode:
             if mode is not None:
                 q = random_exponent(rng, sp.n_leaves)
                 res = bmo_norm(f, q)
-                assert res.mode == mode and res == bmo_norm(f, q, mode=mode)
+                assert res.mode == mode
+                if mode == "exhaustive":
+                    assert res == bmo_norm(f, q, mode=mode)
+                else:
+                    assert res.candidates == sum(sp.n_blocks) == 127
 
     def test_auto_dp_band_matches_exhaustive(self, monkeypatch):
         """Dyadic 4 is exact either way, and a variable exponent there is
-        scanned; with the cap lowered past it, a variable exponent is
-        sampled and a constant one still takes the block maximum."""
+        scanned; with the cap lowered past it, a variable exponent takes
+        the block scan, a lower bound, and a constant one still takes the
+        block maximum."""
         rng = random.Random(67)
         sp = build_dyadic_space(4)
         f = centered(rng, sp)
@@ -327,10 +345,86 @@ class TestDpMode:
         assert auto.mode == "dp"
         assert abs(auto.value - full.value) <= 1e-12 * full.value
         q = random_exponent(rng, 16)
-        assert bmo_norm(f, q).mode == "exhaustive"
+        scanned = bmo_norm(f, q)
+        assert scanned.mode == "exhaustive"
         monkeypatch.setattr(bmo, "ENUMERATION_CAP", 10**5)
-        assert bmo_norm(f, q).mode == "sampled"
+        lower = bmo_norm(f, q)
+        assert lower.mode == "block-lower" and lower.candidates == 31
+        assert lower.value <= scanned.value * (1 + 1e-12)
         assert bmo_norm(f, p) == auto
+
+    def test_block_lower_on_dyadic_six(self):
+        """CI's dyadic-6 inputs past the cap: both suprema stop on the
+        level-5 block of leaves 2 and 3 (the seeded sampler read 1.9044
+        and 1.9424 on them)."""
+        sp = build_dyadic_space(6)
+        f = martingale_from_terminal(sp, [1.0, -1.0, 2.5, -2.5] * 16)
+        want = np.full(64, math.inf)
+        want[2:4] = 5.0
+        for res, value in ((bmo_norm(f, Exponent([1.2, 2.8, 1.5, 2.1] * 16)), 2.5),
+                           (lipschitz_norm(f, 2.0, [0.2, 0.4] * 32), 5.601775471891431)):
+            assert res.mode == "block-lower" and res.candidates == 127
+            assert res.value == pytest.approx(value, rel=1e-12)
+            assert np.array_equal(res.argmax_tau.vals, want)
+
+
+def block_scan_sup(f, pvals):
+    """``bmo_norm``'s scan supremum over the block scan, for a constant
+    exponent too, which ``auto`` sends to dp instead."""
+    scan = block_scan(f.space)
+    diffs = np.take(stopped_terminal_diffs(f), scan.cells)
+    dens = kept_indicator_norms(f.space, pvals, scan.masks)[scan.which]
+    return max_norm_ratio(f.space.probs, pvals, diffs, dens)[0]
+
+
+@settings(max_examples=120, deadline=None)
+@given(seed=st.integers(min_value=0, max_value=10**6),
+       shape=st.sampled_from(["tree", "forest", "relabelled", "one-leaf"]),
+       law=st.sampled_from(["gauss", "gauss", "zero", "spike"]),
+       norm=st.sampled_from(["bmo", "lipschitz"]))
+def test_block_lower_is_a_single_block_lower_bound(seed, shape, law, norm):
+    """With the cap at 0, auto scans the tau that stop on one block alone:
+    for a variable exponent or alpha it reports "block-lower" after every
+    block, at most the exhaustive supremum, with a witness that stops on
+    one block whose own ratio, from ``stop`` and the bisection oracle, is
+    the value.  For a constant exponent the block scan is dp."""
+    rng = random.Random(seed)
+    sp = dp_space(rng, shape)
+    f = dp_martingale(rng, sp, law)
+    n = sp.n_leaves
+    if norm == "bmo":
+        p = random_exponent(rng, n, 0.5, 4.0)
+        full = bmo_norm(f, p, mode="exhaustive").value
+        with mock.patch.object(bmo, "ENUMERATION_CAP", 0):
+            res = bmo_norm(f, p)
+        pvals, shift, q = p.vals, "minus-one", None
+    else:
+        alpha = [0.0 if rng.random() < 0.2 else rng.uniform(0.0, 1.5) for _ in range(n)]
+        full = lipschitz_norm(f, 2.0, alpha, mode="exhaustive").value
+        with mock.patch.object(bmo, "ENUMERATION_CAP", 0):
+            res = lipschitz_norm(f, 2.0, alpha)
+        pvals = np.array([math.inf if a == 0 else 1 / a for a in alpha])
+        shift, q = "none", 2.0
+    variable = np.unique(pvals).size > 1
+    assert res.mode == ("block-lower" if variable else "dp")
+    assert res.candidates == sum(sp.n_blocks)
+    assert res.value <= full * (1 + 1e-12)
+    tau = validate_stopping_time(sp, res.argmax_tau.vals)
+    chi = tau.finite_mask
+    level = int(tau.vals[chi][0])
+    assert np.array_equal(chi, sp.block_of[level] == sp.block_of[level, chi][0])
+    diff = f.terminal - stop(f, tau, shift=shift).terminal
+    if q is None:
+        own = (bisection_oracle(sp.probs, pvals, diff)
+               / bisection_oracle(sp.probs, pvals, chi.astype(float)))
+    else:
+        own = (lp_norm(sp.probs, diff, q) / lp_norm(sp.probs, chi, q)
+               / bisection_oracle(sp.probs, pvals, chi.astype(float)))
+    assert abs(own - res.value) <= 1e-10 * res.value
+    if norm == "bmo":
+        p0 = float(rng.choice([0.5, 1.0, 2.0, 3.0]))
+        exact = bmo_norm(f, constant_exponent(sp, p0), mode="dp").value
+        assert abs(block_scan_sup(f, np.full(n, p0)) - exact) <= 1e-12 * exact
 
 
 @settings(max_examples=120, deadline=None)
@@ -467,6 +561,18 @@ class TestDualityPairing:
         with pytest.raises(DomainError):
             duality_pairing_ratio(f, (1.0, 0.0), constant_exponent(two_leaf, 2.0))
 
+    def test_refuses_a_lower_bound_past_the_cap(self):
+        """Past the cap a variable p's Lipschitz norm is only the block
+        scan's lower bound, and dividing by it would over-report the
+        pairing, so it is refused; a constant p stays exact at any depth."""
+        rng = random.Random(31)
+        sp = build_dyadic_space(6)
+        f = centered(rng, sp)
+        phi = [rng.gauss(0, 1) for _ in range(sp.n_leaves)]
+        with pytest.raises(DomainError, match="lower bound"):
+            duality_pairing_ratio(f, phi, Exponent([0.5, 0.9] * 32))
+        assert 0.0 < duality_pairing_ratio(f, phi, constant_exponent(sp, 0.5)) < math.inf
+
     def test_bounded_over_random_instances(self):
         rng = random.Random(29)
         vals = []
@@ -483,9 +589,8 @@ class TestDualityPairing:
 
 
 def _sampled_candidates_oracle(space, samples, seed):
-    """Sampled candidates as first built: one recursive descent per sampled
-    stopping time, then the constant rows tau = n, deduplicated by
-    ``np.unique(axis=0)``, never-finite rows dropped."""
+    """The sampler's rows as first built: tau = 0, tau = inf, then one
+    recursive descent per sampled stopping time."""
     children = children_of(space)
     rng = random.Random(f"vexmart-stopping:{seed}")
     n = space.n_leaves
@@ -504,9 +609,7 @@ def _sampled_candidates_oracle(space, samples, seed):
         for b in range(space.n_blocks[0]):
             descend(0, b)
         rows.append(vals)
-    rows.extend([float(level)] * n for level in range(space.depth + 1))
-    taus = np.unique(np.array(rows), axis=0)
-    return taus[np.isfinite(taus).any(axis=1)]
+    return np.array(rows)
 
 
 @settings(max_examples=80, deadline=None)
@@ -516,10 +619,8 @@ def test_sampled_candidates_match_recursive_oracle(seed, samples):
     rng = random.Random(seed)
     tree = validate_filtration(*relabelled_levels(random_tree_space(rng), rng))
     for sp in (tree, drop_root_level(tree)):
-        scan = candidate_matrix(sp, "sampled", seed=seed, samples=samples)
-        assert scan.mode == "sampled"
         want = _sampled_candidates_oracle(sp, samples, seed)
-        assert np.array_equal(scan_levels(scan, sp.depth), want)
+        assert np.array_equal(sample_stopping_matrix(sp, samples, seed), want)
 
 
 @settings(max_examples=60, deadline=None)
@@ -544,7 +645,7 @@ def test_indicator_norms_match_per_row_loop(seed):
         masks[rng.randrange(m)] = False
     taus = np.where(masks, float(sp.depth), math.inf)
     nonempty = masks.any(axis=1)
-    scan = StoppingScan.of(taus[nonempty], sp.depth, "sampled")
+    scan = StoppingScan.of(taus[nonempty], sp.depth, "exhaustive")
     assert np.array_equal(scan.masks[scan.which], masks[nonempty])
     got = np.zeros(m + 1)
     got[nonempty] = kept_indicator_norms(sp, p.vals, scan.masks)[scan.which]

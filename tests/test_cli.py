@@ -23,7 +23,7 @@ from vexmart import (
     reconstruct,
     validate_filtration,
 )
-from vexmart import martingale, serialize, space
+from vexmart import bmo, martingale, serialize, space
 from vexmart.cli import run
 from vexmart.experiments import (
     TrialConfig,
@@ -411,9 +411,8 @@ class TestExitCodes:
     def test_nonpositive_samples_refused_in_every_mode(
         self, capsys, tmp_path, command, mode, samples
     ):
-        # dyadic 3 scans exhaustively or takes the block maximum, so none of
-        # these runs samples; the count is refused at parse time all the same
-        # (--samples is read before --mode)
+        # no command samples: --samples is refused at parse time as an
+        # unknown option in every mode
         sp = write_json(tmp_path / "s.json", serialize.space_to_json(build_dyadic_space(3)))
         mg = write_json(tmp_path / "m.json", {"terminal": [1.0, -1.0, 2.5, -2.5] * 2})
         vals = write_json(tmp_path / "v.json", {"values": [1.5] * 8})
@@ -424,22 +423,43 @@ class TestExitCodes:
         assert code == 1
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert f"argument --samples: must be >= 1, got {samples}" in captured.err
+        assert f"unrecognized arguments: --samples {samples}" in captured.err
 
-    def test_sampler_memory_cap_exit_two(self, capsys, tmp_path, monkeypatch):
-        monkeypatch.setattr(martingale, "MAX_SPACE_BYTES", 1000)
-        sp = write_json(tmp_path / "s.json", serialize.space_to_json(build_dyadic_space(2)))
-        pe = write_json(tmp_path / "p.json", {"values": [1.5] * 4})
-        mg = write_json(tmp_path / "m.json", {"terminal": [1.0, -1.0, 2.0, -2.0]})
-        code = run(["bmo", "--space", sp, "--exponent", pe, "--martingale", mg,
-                    "--mode", "sampled", "--samples", "100"])
-        assert code == 2
-        assert "bytes" in capsys.readouterr().err
+    @pytest.mark.parametrize("command", ["bmo", "lipschitz"])
+    @pytest.mark.parametrize("option", [["--mode", "sampled"], ["--seed", "3"],
+                                        ["--samples", "256"]])
+    def test_sampling_options_refused(self, capsys, tmp_path, command, option):
+        sp = write_json(tmp_path / "s.json", serialize.space_to_json(build_dyadic_space(6)))
+        mg = write_json(tmp_path / "m.json", {"terminal": [1.0, -1.0, 2.5, -2.5] * 16})
+        vals = write_json(tmp_path / "v.json", {"values": [1.5, 2.5] * 32})
+        inputs = (["--exponent", vals] if command == "bmo"
+                  else ["--q", "2", "--alpha", vals])
+        assert run([command, "--space", sp, "--martingale", mg, *inputs, *option]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and option[0] in captured.err
 
-    @pytest.mark.parametrize("mode", ["auto", "sampled"])
+    def test_block_scan_memory_cap_exit_two(self, capsys, tmp_path, monkeypatch):
+        """Past the cap a variable exponent takes the block scan, refused by
+        its bytes before it is built; a constant one takes dp."""
+        monkeypatch.setattr(bmo, "MAX_SCAN_BYTES", 127 * 64 * 8 - 1)
+        sp = write_json(tmp_path / "s.json", serialize.space_to_json(build_dyadic_space(6)))
+        mg = write_json(tmp_path / "m.json", {"terminal": [1.0, -1.0, 2.0, -2.0] * 16})
+        for values, code in (([1.5, 2.5] * 32, 2), ([1.5] * 64, 0)):
+            pe = write_json(tmp_path / "p.json", {"values": values})
+            assert run(["bmo", "--space", sp, "--exponent", pe, "--martingale", mg]) == code
+            err = capsys.readouterr().err
+            assert ("bytes" in err and "dp" in err) if code else err == ""
+        # 127 blocks on 64 leaves: the budget is met exactly
+        monkeypatch.setattr(bmo, "MAX_SCAN_BYTES", 127 * 64 * 8)
+        pe = write_json(tmp_path / "p.json", {"values": [1.5, 2.5] * 32})
+        assert run(["bmo", "--space", sp, "--exponent", pe, "--martingale", mg]) == 0
+        assert json.loads(capsys.readouterr().out)["mode"] == "block-lower"
+
+    @pytest.mark.parametrize("mode", ["auto", "exhaustive"])
     def test_deep_filtration_bmo(self, capsys, tmp_path, mode):
         # 1,500 levels: far deeper than the interpreter's recursion limit,
-        # with 1 + 1501**2 stopping times, so auto mode samples
+        # with 1 + 1501**2 stopping times, so auto mode takes the 3,001
+        # single-block stopping times and exhaustive mode is refused
         sp = write_json(tmp_path / "s.json", {
             "leaf_probs": [0.5, 0.5],
             "levels": [[[0, 1]]] + [[[0], [1]]] * 1500,
@@ -448,8 +468,12 @@ class TestExitCodes:
         mg = write_json(tmp_path / "m.json", {"terminal": [1.0, -1.0]})
         code = run(["bmo", "--space", sp, "--exponent", pe, "--martingale", mg,
                     "--mode", mode])
+        if mode == "exhaustive":
+            assert code == 2
+            return
         assert code == 0
-        assert json.loads(capsys.readouterr().out)["mode"] == "sampled"
+        out = json.loads(capsys.readouterr().out)
+        assert out["mode"] == "block-lower" and out["candidates"] == 3001
 
     def test_bad_space_json_exit_one(self, capsys, tmp_path):
         # validation failure inside the space loader: bad refinement

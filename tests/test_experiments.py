@@ -460,6 +460,17 @@ class TestExpJnCurve:
         rep["details"].pop("fit")
         assert serialize.dumps(rep) == serialize.dumps(plain)
 
+    def test_fit_past_exp_range_is_no_fit(self):
+        """Two leaves whose positive grid points lie within 3 ulp of each
+        other, where numpy still finds rank 2 but an intercept near 1e14:
+        the report has no fit rather than an overflow."""
+        sp = validate_filtration([[[0, 1]], [[0], [1]]],
+                                 [0.6033967876164367, 0.39660321238356333])
+        f = martingale_from_terminal(sp, [0.014215884294332848, -0.021628213409505936])
+        rep = exp_jn_curve(f, constant_exponent(sp, 1.0))
+        assert rep.details["fit"] is None
+        assert [y for _, y in rep.details["curve"]] == [1.0, 1.0, sp.probs[0], sp.probs[0], 0.0]
+
     def test_unsettled_fixed_point_names_its_witness(self, monkeypatch):
         """Every numerator solve in exp_jn_curve reads a little larger than
         the one before, so the moment-chain constant never settles; the

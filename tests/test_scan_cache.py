@@ -1,5 +1,5 @@
-"""The stopping-time scan cached on the space: its oracle equality with a
-fresh enumeration or sample, its cells in the table of stopped
+"""The stopping-time scans cached on the space: their oracle equality with
+a fresh enumeration or the rows of every single block, their cells in the table of stopped
 differences, its read-only arrays, and that
 warm and cold spaces give the same suprema while the cap is still checked
 on every call.  The indicator norms each space keeps per exponent, for one
@@ -31,14 +31,11 @@ from vexmart import (
 )
 from vexmart import bmo, martingale, varlp
 from vexmart.bmo import candidate_matrix
-from vexmart.martingale import (
-    enumerate_stopping_matrix,
-    sample_stopping_matrix,
-    stopped_terminal_diffs,
-)
+from vexmart.martingale import enumerate_stopping_matrix, stopped_terminal_diffs
 from vexmart.varlp import indicator_norm, kept_indicator_norms, norm_batch
 
 from conftest import (
+    block_scan,
     drop_root_level,
     random_exponent,
     random_tree_space,
@@ -58,28 +55,28 @@ def _fresh_exhaustive(sp):
     return taus[np.isfinite(taus).any(axis=1)]
 
 
-def _fresh_sampled(sp, samples, seed):
-    levels = np.arange(sp.depth + 1, dtype=float)[:, None]
-    rows = np.vstack([
-        sample_stopping_matrix(sp, samples, seed),
-        np.broadcast_to(levels, (sp.depth + 1, sp.n_leaves)),
-    ])
-    taus = np.unique(rows, axis=0)
-    return taus[np.isfinite(taus).any(axis=1)]
+def _fresh_blocks(sp):
+    """One row per block, level 0 first: its level on the block's leaves
+    and never elsewhere."""
+    return np.array([np.where(sp.block_of[n] == b, float(n), math.inf)
+                     for n in range(sp.depth + 1) for b in range(sp.n_blocks[n])])
+
+
+def _scans(sp):
+    return {"exhaustive": lambda: candidate_matrix(sp, "exhaustive"),
+            "block-lower": lambda: block_scan(sp)}
 
 
 @settings(max_examples=60, deadline=None)
-@given(seed=st.integers(min_value=0, max_value=10**6),
-       samples=st.sampled_from([1, 2, 16, 64]))
-def test_cached_scans_match_fresh_enumeration_and_sampling(seed, samples):
+@given(seed=st.integers(min_value=0, max_value=10**6))
+def test_cached_scans_match_fresh_enumeration_and_block_rows(seed):
     rng = random.Random(seed)
     tree = random_tree_space(rng, max_leaves=8)
     sp = validate_filtration(*relabelled_levels(tree, rng))
-    want = {"exhaustive": _fresh_exhaustive(sp),
-            "sampled": _fresh_sampled(sp, samples, seed)}
+    want = {"exhaustive": _fresh_exhaustive(sp), "block-lower": _fresh_blocks(sp)}
     for _ in range(2):  # cold, then from the cache
         for mode, taus in want.items():
-            scan = candidate_matrix(sp, mode, seed=seed, samples=samples)
+            scan = _scans(sp)[mode]()
             assert scan.mode == mode
             assert np.array_equal(scan_levels(scan, sp.depth), taus)
             masks, which = np.unique(np.isfinite(taus), axis=0, return_inverse=True)
@@ -88,11 +85,10 @@ def test_cached_scans_match_fresh_enumeration_and_sampling(seed, samples):
 
 
 @settings(max_examples=30, deadline=None)
-@given(seed=st.integers(min_value=0, max_value=10**6),
-       samples=st.sampled_from([1, 2, 16, 64]))
-def test_cells_gather_each_rows_own_differences(seed, samples):
+@given(seed=st.integers(min_value=0, max_value=10**6))
+def test_cells_gather_each_rows_own_differences(seed):
     """On random trees, relabelled ones and ones without their root level,
-    for the exhaustive and a sampled scan and both shifts: the table of
+    for the exhaustive and the block scan and both shifts: the table of
     stopped differences gathered at the scan's cells is, byte for byte,
     the differences of the freshly made rows taken one row at a time, and
     the witness the scan rebuilds for each row is that row."""
@@ -101,10 +97,9 @@ def test_cells_gather_each_rows_own_differences(seed, samples):
     relabelled = validate_filtration(*relabelled_levels(tree, rng))
     for sp in (tree, relabelled, drop_root_level(tree)):
         f = centered(rng, sp)
-        fresh = {"exhaustive": _fresh_exhaustive(sp),
-                 "sampled": _fresh_sampled(sp, samples, seed)}
+        fresh = {"exhaustive": _fresh_exhaustive(sp), "block-lower": _fresh_blocks(sp)}
         for mode, taus in fresh.items():
-            scan = candidate_matrix(sp, mode, seed=seed, samples=samples)
+            scan = _scans(sp)[mode]()
             for shift in ("none", "minus-one"):
                 got = np.take(stopped_terminal_diffs(f, shift), scan.cells)
                 assert got.tobytes() == stopped_diffs_oracle(f, taus, shift).tobytes()
@@ -131,8 +126,7 @@ def test_exhaustive_masks_are_every_nonempty_subset_by_code(seed):
 def test_cached_scan_arrays_are_read_only():
     sp = build_dyadic_space(2)
     p = np.array([1.5, 2.5, 1.2, 3.0])
-    for scan in (candidate_matrix(sp, "exhaustive"),
-                 candidate_matrix(sp, "sampled", samples=8)):
+    for scan in (candidate_matrix(sp, "exhaustive"), block_scan(sp)):
         # the mask norms as solved, then as kept
         solved = kept_indicator_norms(sp, p, scan.masks)
         kept = kept_indicator_norms(sp, p, scan.masks)
@@ -145,15 +139,17 @@ def test_cached_scan_arrays_are_read_only():
 
 def _all_results(sp, seed):
     """Every scan-reading call once, on a martingale and exponent drawn
-    from ``seed``, with the bmo and Lipschitz norms in all three modes."""
+    from ``seed``, with the bmo and Lipschitz norms on the exhaustive scan
+    and, with the cap at 0, on the block scan."""
     rng = random.Random(seed)
     f = centered(rng, sp)
     p = random_exponent(rng, sp.n_leaves, 1.0, 3.0)
     alpha = [rng.uniform(0.0, 0.5) for _ in range(sp.n_leaves)]
     out = []
-    for mode in ("auto", "exhaustive", "sampled"):
-        out.append(bmo_norm(f, p, mode=mode, seed=seed % 3, samples=32))
-        out.append(lipschitz_norm(f, 2.0, alpha, mode=mode, seed=seed % 3, samples=32))
+    for cap in (bmo.ENUMERATION_CAP, 0):
+        with mock.patch.object(bmo, "ENUMERATION_CAP", cap):
+            out.append(bmo_norm(f, p))
+            out.append(lipschitz_norm(f, 2.0, alpha))
     out.append(exp_jn_curve(f, p))
     out.append(jn_equivalence(TrialConfig(sp, seed=seed, trials=3), p))
     return out
@@ -164,8 +160,8 @@ def _all_results(sp, seed):
     lambda: random_tree_space(random.Random(5), max_leaves=9),
 ])
 def test_warm_space_gives_the_cold_results(make):
-    """A space warmed by calls with other martingales, exponents, modes and
-    sample seeds returns, call for call, what a fresh space returns: no
+    """A space warmed by calls with other martingales, exponents and scans
+    returns, call for call, what a fresh space returns: no
     exponent- or martingale-dependent value leaks between calls."""
     warm = make()
     for seed in (11, 12, 13):
@@ -190,15 +186,15 @@ def test_cap_is_checked_on_every_call(monkeypatch):
                  lambda: jn_equivalence(TrialConfig(sp, trials=2), p)):
         with pytest.raises(ResourceError, match="exhaustive mode refused"):
             call()
-    assert bmo_norm(f, p).mode == "sampled"
+    assert bmo_norm(f, p).mode == "block-lower"
     # a constant alpha takes the block maximum, which has no cap
-    assert lipschitz_norm(f, 2.0, [0.5, 0.25] * 4).mode == "sampled"
+    assert lipschitz_norm(f, 2.0, [0.5, 0.25] * 4).mode == "block-lower"
     assert lipschitz_norm(f, 2.0, [0.5] * 8).mode == "dp"
     monkeypatch.undo()
     assert candidate_matrix(sp) is cached
 
 
-def test_second_call_enumerates_samples_and_walks_nothing(monkeypatch):
+def test_second_call_enumerates_and_walks_nothing(monkeypatch):
     calls = Counter()
 
     def counting(module, name):
@@ -212,7 +208,7 @@ def test_second_call_enumerates_samples_and_walks_nothing(monkeypatch):
 
     counting(martingale, "_count_walk")
     counting(bmo, "enumerate_stopping_matrix")
-    counting(bmo, "sample_stopping_matrix")
+    counting(bmo.StoppingScan, "of")
     mask_solves = Counter()
     solve = varlp.norm_batch
 
@@ -230,18 +226,19 @@ def test_second_call_enumerates_samples_and_walks_nothing(monkeypatch):
         p = random_exponent(rng, small.n_leaves)
         q = random_exponent(rng, large.n_leaves)
         bmo_norm(f, p)
-        lipschitz_norm(f, 2.0, [0.5] * 8, mode="sampled")
         exp_jn_curve(f, p)
         jn_equivalence(TrialConfig(small, seed=seed, trials=2), p)
-        bmo_norm(g, q)  # over the cap: sampled
+        # over the cap: the block scan
+        lipschitz_norm(g, 2.0, [0.5, 0.25] * 32)
+        bmo_norm(g, q)
         return count_stopping_times(small), count_stopping_times(large)
 
     counts = calls_on(0)
-    # one count walk per space; the enumeration walks no paths
-    assert calls == {"_count_walk": 2, "enumerate_stopping_matrix": 1,
-                     "sample_stopping_matrix": 2}
+    # one count walk per space; the enumeration walks no paths, and each
+    # space builds one scan
+    assert calls == {"_count_walk": 2, "enumerate_stopping_matrix": 1, "of": 2}
     # the masks of p (then kept for exp_jn_curve and jn_equivalence) and of
-    # p = 1 on the exhaustive scan, of 1/alpha and q on the sampled ones
+    # p = 1 on the exhaustive scan, of 1/alpha and q on the block scan
     assert sorted(mask_solves.values()) == [1, 1, 1, 1]
     calls.clear()
     mask_solves.clear()
@@ -274,7 +271,7 @@ def _fresh(sp, pvals, masks):
 def test_kept_mask_norms_equal_fresh_solves(make):
     """Calls with a constant, a variable, the unit and a Lipschitz exponent
     1/alpha with the finite value lipschitz_norm puts on {alpha = 0},
-    interleaved on the exhaustive and a sampled scan's masks, each return
+    interleaved on the exhaustive and the block scan's masks, each return
     exactly what a fresh solve returns."""
     sp = make()
     n = sp.n_leaves
@@ -287,8 +284,7 @@ def test_kept_mask_norms_equal_fresh_solves(make):
         1.0 / np.where(alpha > 0, alpha, alpha.max()),
         random_exponent(rng, n, 0.5, 4.0).vals,
     ]
-    scans = [candidate_matrix(sp, "exhaustive"),
-             candidate_matrix(sp, "sampled", seed=3, samples=16)]
+    scans = [candidate_matrix(sp, "exhaustive"), block_scan(sp)]
     for _ in range(3):
         for pvals in rng.sample(exponents, len(exponents)):
             for scan in scans:
@@ -311,7 +307,7 @@ def _held_bytes(sp):
        budget=st.sampled_from([0, 600, varlp._KEPT_NORM_BUDGET]))
 def test_kept_indicator_norms_equal_fresh_solves(seed, budget):
     """On a tree or a forest, calls with single masks and with mask arrays
-    (the exhaustive scan's, a sampled scan's and a random one's),
+    (the exhaustive scan's, the block scan's and a random one's),
     interleaved over a constant, two variable, the unit and a Lipschitz
     exponent 1/alpha with the finite value lipschitz_norm puts on
     {alpha = 0}, each return exactly what a fresh solve on the path of
@@ -334,7 +330,7 @@ def test_kept_indicator_norms_equal_fresh_solves(seed, budget):
     ]
     masks = [np.array([rng.random() < 0.6 for _ in range(n)]) for _ in range(4)]
     masks += [candidate_matrix(sp, "exhaustive").masks,
-              candidate_matrix(sp, "sampled", seed=3, samples=16).masks,
+              block_scan(sp).masks,
               np.array([[rng.random() < 0.5 for _ in range(n)] for _ in range(3)])]
     with mock.patch.object(varlp, "_KEPT_NORM_BUDGET", budget):
         for _ in range(40):
