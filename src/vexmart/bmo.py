@@ -281,29 +281,32 @@ def duality_pairing_ratio(
     """|E(f_N phi)| / (||f||_{H^s_{p(.)}} * ||phi||_{Lambda_2(1/p - 1)}),
     the finite pairing whose boundedness the duality theorem asserts.  For
     a constant p, alpha = 1/p - 1 is constant, so "auto" takes the exact
-    Lipschitz norm at any depth.  A variable p past the cap is refused:
-    its Lipschitz norm is then only a lower bound ("block-lower"), and
-    dividing by it would over-report the pairing."""
+    Lipschitz norm at any depth.  A nonzero pairing with a variable p past
+    the cap is refused, before anything is solved: "auto" would take its
+    Lipschitz norm as a lower bound ("block-lower"), and dividing by it
+    would over-report the pairing."""
     space = f.space
     if p.p_plus() > 1.0:
         raise DomainError("duality pairing requires p_+ <= 1")
     require_f0_zero(f, "duality pairing requires f_0 = 0")
     phi_v = as_leaf_values(space, phi)
     pairing = abs(float(np.sum(space.probs * f.terminal * phi_v)))
+    zero = pairing <= 1e-15 * max(1.0, float(np.abs(phi_v).max())) * max(
+        1.0, float(np.abs(f.terminal).max())
+    )
+    alpha = 1.0 / p.vals - 1.0
+    if (not zero and mode == "auto" and (alpha != alpha[0]).any()
+            and count_stopping_times(space) > ENUMERATION_CAP):
+        raise DomainError("duality pairing for a variable p past the cap: the "
+                          "Lipschitz norm is only a lower bound there")
     # remove the F_0 projection: it pairs to zero against f and makes the
     # Lipschitz norm's f_0 = 0 convention applicable
     centered = phi_v - space.level_averages(phi_v[None])[0]
     phi_mart = martingale_from_terminal(space, centered)
-    alpha = 1.0 / p.vals - 1.0
     hs = hs_norm(f, p)
-    lip = lipschitz_norm(phi_mart, 2.0, alpha, mode=mode)
-    if lip.mode == "block-lower":
-        raise DomainError("duality pairing for a variable p past the cap: the "
-                          "Lipschitz norm is only a lower bound there")
-    if pairing <= 1e-15 * max(1.0, float(np.abs(phi_v).max())) * max(
-        1.0, float(np.abs(f.terminal).max())
-    ):
+    lip = lipschitz_norm(phi_mart, 2.0, alpha, mode=mode).value
+    if zero:
         return 0.0
-    if hs == 0.0 or lip.value == 0.0:
+    if hs == 0.0 or lip == 0.0:
         raise DomainError("zero denominator in duality pairing ratio")
-    return pairing / (hs * lip.value)
+    return pairing / (hs * lip)

@@ -561,17 +561,27 @@ class TestDualityPairing:
         with pytest.raises(DomainError):
             duality_pairing_ratio(f, (1.0, 0.0), constant_exponent(two_leaf, 2.0))
 
-    def test_refuses_a_lower_bound_past_the_cap(self):
+    def test_refuses_a_lower_bound_past_the_cap(self, monkeypatch):
         """Past the cap a variable p's Lipschitz norm is only the block
-        scan's lower bound, and dividing by it would over-report the
-        pairing, so it is refused; a constant p stays exact at any depth."""
+        scan's lower bound, and dividing a nonzero pairing by it would
+        over-report it, so that is refused before any norm is solved; a
+        zero pairing is still 0, and a constant p stays exact at any
+        depth."""
         rng = random.Random(31)
         sp = build_dyadic_space(6)
         f = centered(rng, sp)
         phi = [rng.gauss(0, 1) for _ in range(sp.n_leaves)]
-        with pytest.raises(DomainError, match="lower bound"):
-            duality_pairing_ratio(f, phi, Exponent([0.5, 0.9] * 32))
+        p = Exponent([0.5, 0.9] * 32)
+        assert duality_pairing_ratio(f, [5.0] * sp.n_leaves, p) == 0.0
         assert 0.0 < duality_pairing_ratio(f, phi, constant_exponent(sp, 0.5)) < math.inf
+
+        def unsolvable(*args, **kwargs):
+            raise AssertionError("solved before the refusal")
+
+        monkeypatch.setattr(bmo, "hs_norm", unsolvable)
+        monkeypatch.setattr(bmo, "lipschitz_norm", unsolvable)
+        with pytest.raises(DomainError, match="lower bound"):
+            duality_pairing_ratio(f, phi, p)
 
     def test_bounded_over_random_instances(self):
         rng = random.Random(29)

@@ -426,9 +426,9 @@ class TestExitCodes:
         assert f"unrecognized arguments: --samples {samples}" in captured.err
 
     @pytest.mark.parametrize("command", ["bmo", "lipschitz"])
-    @pytest.mark.parametrize("option", [["--mode", "sampled"], ["--seed", "3"],
-                                        ["--samples", "256"]])
+    @pytest.mark.parametrize("option", [["--mode", "sampled"], ["--seed", "3"]])
     def test_sampling_options_refused(self, capsys, tmp_path, command, option):
+        # the sampler's other option, --samples, is the test above's
         sp = write_json(tmp_path / "s.json", serialize.space_to_json(build_dyadic_space(6)))
         mg = write_json(tmp_path / "m.json", {"terminal": [1.0, -1.0, 2.5, -2.5] * 16})
         vals = write_json(tmp_path / "v.json", {"values": [1.5, 2.5] * 32})
