@@ -1,17 +1,21 @@
 """BMO and Lipschitz norms as suprema over stopping times.
 
-The scan modes take a family of stopping times: the full (exhaustively
-enumerated) family when its size fits under the cap, otherwise, in
-"auto", the block family, which stops at one block B of one level n
-(tau = n on B) and never elsewhere.  The block family's supremum is a
-lower bound of the true one and is reported as mode "block-lower", so
-callers can pin exact results only.  A family depends on the filtration
-alone, so it is built once per space and cached there together with its
-distinct {tau < inf} masks.  The norms of those masks depend on the
-exponent too, and the space keeps them per exponent under a byte budget
-(``varlp.kept_indicator_norms``), so a call gathers its stopped
-differences from one table and solves its numerators, and its
-denominators only for an exponent the space has not kept.
+For a variable exponent (for Lipschitz, a variable alpha) "exhaustive"
+scans every stopping time, up to ENUMERATION_CAP of them.  The family
+depends on the filtration alone, so it is enumerated once per space and
+cached there together with its distinct {tau < inf} masks.  The norms of
+those masks depend on the exponent too, and the space keeps them per
+exponent under a byte budget (``varlp.kept_indicator_norms``), so a call
+gathers its stopped differences from one table and solves its
+numerators, and its denominators only for an exponent the space has not
+kept.  "auto" takes that scan up to the cap.  Past it, "auto" takes the
+stopping times that stop at one block B of one level n (tau = n on B) and
+never elsewhere: the largest ratio of one block, with its numerators
+from one Newton pass over the (level, leaf) cells segmented by block
+(``varlp.block_norms``) and its denominators kept on the space
+(``varlp.kept_block_norms``), so no blocks x leaves array is made.  That
+is a lower bound of the true supremum and is reported as mode
+"block-lower", so callers can pin exact results only.
 
 For a constant exponent both norms have a third mode, "dp", exact and
 with no scan, which "auto" takes at every size.  A stopping time tau
@@ -24,9 +28,9 @@ a_j the integral of |f - f_n|^q over B_j and s = 1 + alpha q >= 1; as
 (sum_j b_j)^s >= sum_j b_j^s, that is at most max_j a_j / b_j^s.  Either
 bound is attained by the tau that stops on the best block alone, so the
 supremum is a maximum over the blocks, the first in level-major order
-(the coarsest) on a tie.  A variable exponent takes the scan in "auto":
-exhaustive up to the cap, the block family past it (a lower bound, as
-the mediant argument fails for a variable exponent).
+(the coarsest) on a tie.  The mediant argument fails for a variable
+exponent, which is why the single-block value is only a lower bound
+there.
 """
 
 from __future__ import annotations
@@ -52,8 +56,16 @@ from .martingale import (
 from .space import (
     MAX_SCAN_BYTES, Exponent, FilteredSpace, as_leaf_exponent, as_leaf_values, readonly,
 )
-from .varlp import kept_indicator_norms, max_norm_ratio
+from .varlp import block_norms, kept_block_norms, kept_indicator_norms, max_norm_ratio
 from .hardy import hs_norm
+
+# arrays of one float or index per (level, leaf) cell that a "block-lower"
+# call holds at once at its peak: the space's block_of and level-major
+# ids, the grouping of the cells by block, the martingale's levels, the
+# table of stopped differences, the table of ones whose block norms are
+# the denominators, and the five of ``varlp.block_norms``; arrays of one
+# float per block (about two per leaf on a dyadic tree) are left out
+BLOCK_PASS_ARRAYS = 11
 
 
 @dataclass(frozen=True)
@@ -67,24 +79,22 @@ class SupNormResult:
 
 @dataclass(frozen=True, eq=False)
 class StoppingScan:
-    """A family of stopping times to scan, all arrays read-only: per row
-    (a tau finite somewhere) and leaf x, ``cells`` holds the position
+    """Every stopping time finite somewhere, to scan, all arrays read-only:
+    per row and leaf x, ``cells`` holds the position
     min(tau(x), N+1) * n_leaves + x of its difference in the table of
     ``stopped_terminal_diffs``; ``masks`` holds the distinct masks of
-    {tau < inf}, ``which`` the position of each row's mask there, and
-    ``mode`` how the family was made, "exhaustive" or "block-lower".  Masks
-    ascend by their bits read as a binary number c, leaf 0 on top; an
-    exhaustive family has every nonempty subset (tau = N on it), so there
-    mask c is at c - 1.  The norms of the masks are kept on the space (see
+    {tau < inf} and ``which`` the position of each row's mask there.  Masks
+    ascend by their bits read as a binary number c, leaf 0 on top; the
+    family has every nonempty subset (tau = N on it), so mask c is at
+    c - 1.  The norms of the masks are kept on the space (see
     ``varlp.kept_indicator_norms``)."""
 
     cells: np.ndarray
     masks: np.ndarray
     which: np.ndarray
-    mode: str
 
     @classmethod
-    def of(cls, taus: np.ndarray, depth: int, mode: str) -> "StoppingScan":
+    def of(cls, taus: np.ndarray, depth: int) -> "StoppingScan":
         """The scan of the rows of ``taus``, each finite somewhere.  Masks are
         told apart by their packed bits, which sort as the masks do."""
         finite = np.isfinite(taus)
@@ -92,47 +102,48 @@ class StoppingScan:
         cells = np.minimum(taus, depth + 1).astype(np.intp)
         cells *= cells.shape[1]
         cells += np.arange(cells.shape[1])
-        return cls(*map(readonly, (cells, finite[first], which)), mode)
+        return cls(*map(readonly, (cells, finite[first], which)))
 
 
-def candidate_matrix(space: FilteredSpace, mode: str = "auto") -> StoppingScan:
-    """The stopping times to scan.  Every one is scanned when at most
-    ENUMERATION_CAP exist, decided on every call from the count; past it
-    "exhaustive" is refused and "auto" takes the block family, one row
-    per block B of each level n, tau = n on B and never elsewhere.  The
-    block scan is refused when its (rows, leaves) stop levels would take
-    over MAX_SCAN_BYTES.  Stopping times that are never finite contribute
-    nothing to any supremum over stopping times and are left out.  Each
-    scan is built once and cached on the space."""
-    if mode not in ("auto", "exhaustive"):
-        raise DomainError(f"unknown supremum mode {mode!r}")
+def candidate_matrix(space: FilteredSpace) -> StoppingScan:
+    """Every stopping time that is finite somewhere, to scan: refused past
+    ENUMERATION_CAP of them, decided on every call from the count.  A
+    stopping time that is never finite contributes nothing to any supremum
+    over stopping times and is left out.  The scan is built once and cached
+    on the space."""
     count = count_stopping_times(space)
-    cache = space._scan_cache
-    if count <= ENUMERATION_CAP:
-        if "exhaustive" not in cache:
-            # the enumeration's last row, tau = inf, is its only never-finite one
-            cache["exhaustive"] = StoppingScan.of(
-                enumerate_stopping_matrix(space)[:-1], space.depth, "exhaustive"
-            )
-        return cache["exhaustive"]
-    if mode == "exhaustive":
+    if count > ENUMERATION_CAP:
         raise ResourceError(
             f"{count} stopping times exceed cap {ENUMERATION_CAP}; "
             "exhaustive mode refused"
         )
-    if "block" not in cache:
-        rows, n = sum(space.n_blocks), space.n_leaves
-        if 8 * rows * n > MAX_SCAN_BYTES:
-            raise ResourceError(
-                f"{rows} blocks on {n} leaves: the block scan is over "
-                f"{MAX_SCAN_BYTES} bytes; a constant exponent or alpha takes "
-                "mode dp at any size"
-            )
-        # row b stops at its block's level on the block's leaves
-        taus = np.full((rows, n), INF)
-        taus[space._stacked_blocks[0], np.arange(n)] = np.arange(space.depth + 1.0)[:, None]
-        cache["block"] = StoppingScan.of(taus, space.depth, "block-lower")
-    return cache["block"]
+    cache = space._scan_cache
+    if "exhaustive" not in cache:
+        # the enumeration's last row, tau = inf, is its only never-finite one
+        cache["exhaustive"] = StoppingScan.of(
+            enumerate_stopping_matrix(space)[:-1], space.depth
+        )
+    return cache["exhaustive"]
+
+
+def _scan_or_blocks(space: FilteredSpace, mode: str) -> StoppingScan | None:
+    """The scan of an "exhaustive" or "auto" supremum of a variable exponent
+    or alpha, or None past ENUMERATION_CAP in "auto", which then takes the
+    single-block lower end from ``varlp.block_norms``.  That pass is
+    refused before anything is allocated when its BLOCK_PASS_ARRAYS arrays
+    of one float per (level, leaf) cell would take over MAX_SCAN_BYTES."""
+    if mode not in ("auto", "exhaustive"):
+        raise DomainError(f"unknown supremum mode {mode!r}")
+    if mode == "exhaustive" or count_stopping_times(space) <= ENUMERATION_CAP:
+        return candidate_matrix(space)
+    need = 8 * space.block_of.size * BLOCK_PASS_ARRAYS
+    if need > MAX_SCAN_BYTES:
+        raise ResourceError(
+            f"{space.depth + 1} levels of {space.n_leaves} leaves: the single-block "
+            f"pass needs {need} bytes, over {MAX_SCAN_BYTES}; a constant exponent "
+            "or alpha takes mode dp at any size"
+        )
+    return None
 
 
 def _distinct_rows(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -153,36 +164,48 @@ def _distinct_rows(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def _sup_result(scan: StoppingScan, value: float, i: int) -> SupNormResult:
     rows, n = scan.cells.shape
     tau = np.where(scan.masks[scan.which[i]], scan.cells[i] // n, INF)
-    return SupNormResult(value, StoppingTime(tau), scan.mode, rows)
+    return SupNormResult(value, StoppingTime(tau), "exhaustive", rows)
+
+
+def _block_sums(space: FilteredSpace, table: np.ndarray, p0: float) -> tuple[np.ndarray, int]:
+    """Per block B of every level n, in the level-major numbering of
+    ``level_slices``, sum_B P |T_n / 2^e|^p0 with T_n row n of a table of
+    ``stopped_terminal_diffs``, from one ``bincount``, and e.  The power of
+    two scales the rows exactly into [0, 1), so no power overflows and only
+    powers negligible beside the largest can underflow."""
+    e = math.frexp(float(np.abs(table).max()))[1]
+    weights = space.probs * np.abs(np.ldexp(table[:-1], -e)) ** p0
+    return np.bincount(space._stacked_blocks[0].ravel(), weights.ravel()), e
 
 
 def _block_max(
     space: FilteredSpace, table: np.ndarray, p0: float, s: float = 1.0
 ) -> tuple[float, int]:
     """The largest (sum_B P |T_n|^p0 / P(B)^s)^(1/p0) over the blocks B of
-    every level n, with T_n row n of a table of ``stopped_terminal_diffs``,
-    and its block in the level-major numbering of ``level_slices``, the
-    first (the coarsest) on a tie.  The rows are first scaled exactly by a
-    power of two into [0, 1), so no power overflows and only powers
-    negligible beside the largest can underflow."""
-    e = math.frexp(float(np.abs(table).max()))[1]
-    weights = space.probs * np.abs(np.ldexp(table[:-1], -e)) ** p0
-    ids, probs = space._stacked_blocks
-    ratios = np.bincount(ids.ravel(), weights.ravel()) / (probs if s == 1.0 else probs**s)
+    every level n, from ``_block_sums``, and its block, the first (the
+    coarsest) on a tie."""
+    sums, e = _block_sums(space, table, p0)
+    probs = space._stacked_blocks[1]
+    ratios = sums / (probs if s == 1.0 else probs**s)
     b = int(np.argmax(ratios))
     return math.ldexp(float(ratios[b]) ** (1.0 / p0), e), b
 
 
-def _block_result(
-    space: FilteredSpace, table: np.ndarray, p0: float, s: float = 1.0
-) -> SupNormResult:
-    """``_block_max`` as a "dp" result: its witness stops on the best
-    block alone, at the block's level, and never elsewhere."""
-    value, b = _block_max(space, table, p0, s)
+def _block_result(space: FilteredSpace, value: float, b: int, mode: str) -> SupNormResult:
+    """A supremum attained on block b of the level-major numbering alone:
+    its witness stops at the block's level on the block's leaves and never
+    elsewhere, and ``candidates`` counts the blocks compared."""
     ids, probs = space._stacked_blocks
     n = next(n for n, level in enumerate(space.level_slices) if b < level.stop)
     tau = StoppingTime(np.where(ids[n] == b, float(n), INF))
-    return SupNormResult(value, tau, "dp", probs.size)
+    return SupNormResult(value, tau, mode, probs.size)
+
+
+def _block_lower(space: FilteredSpace, ratios: np.ndarray) -> SupNormResult:
+    """The largest of the per-block ratios, the first block in level-major
+    order on a tie, as a "block-lower" result."""
+    b = int(np.argmax(ratios))
+    return _block_result(space, float(ratios[b]), b, "block-lower")
 
 
 def bmo_norm(
@@ -204,19 +227,26 @@ def bmo_norm(
     level-major order (the coarsest level) on a tie; its ``candidates``
     counts the blocks compared.  "auto" takes dp
     for a constant exponent, at every size; otherwise it scans
-    exhaustively up to ENUMERATION_CAP stopping times, and past it scans
+    exhaustively up to ENUMERATION_CAP stopping times, and past it takes
     the tau that stop on one block alone, reported as "block-lower": a
-    lower bound, refused past MAX_SCAN_BYTES (see ``candidate_matrix``)."""
+    lower bound, the largest ||T_n 1_B|| / ||chi_B|| over the blocks B of
+    every level n, with T_n = (f - f_{n-1})_N, from ``varlp.block_norms``
+    and the denominators kept on the space (``varlp.kept_block_norms``);
+    refused past MAX_SCAN_BYTES (see ``_scan_or_blocks``)."""
     space = f.space
     require_f0_zero(f, "bmo_norm requires f_0 = 0")
     pv = as_leaf_exponent(space, p)
     constant = bool((pv == pv[0]).all())
     if mode == "dp" and not constant:
         raise DomainError("dp mode requires a constant exponent")
-    table = stopped_terminal_diffs(f, shift="minus-one")
     if mode == "dp" or (mode == "auto" and constant):
-        return _block_result(space, table, float(pv[0]))
-    scan = candidate_matrix(space, mode)
+        table = stopped_terminal_diffs(f, shift="minus-one")
+        return _block_result(space, *_block_max(space, table, float(pv[0])), "dp")
+    scan = _scan_or_blocks(space, mode)
+    table = stopped_terminal_diffs(f, shift="minus-one")
+    if scan is None:
+        return _block_lower(space, block_norms(space, table[:-1], pv)
+                            / kept_block_norms(space, pv))
     diffs = np.take(table, scan.cells)
     dens = kept_indicator_norms(space, pv, scan.masks)[scan.which]
     return _sup_result(scan, *max_norm_ratio(space.probs, pv, diffs, dens))
@@ -242,7 +272,10 @@ def lipschitz_norm(
     >= 1 (alpha = 0 gives s = 1, as ||chi||_inf = 1); that is at most
     max_j a_j / b_j^s, so "dp", which "auto" takes for a constant alpha, is
     the block maximum.  A variable alpha refuses "dp", and past the cap
-    "auto" takes it as a lower bound, "block-lower", from the block scan."""
+    "auto" takes it as a lower bound, "block-lower", over the tau that stop
+    on one block alone: per block B of level n, (sum_B P |T_n|^q / P(B))^(1/q)
+    with T_n = (f - f_n)_N, from ``_block_sums``, over ||chi_B||_{1/alpha(.)}
+    (1 on a block that meets {alpha = 0}) from ``varlp.kept_block_norms``."""
     if not (math.isfinite(q) and q >= 1):
         raise DomainError(f"lipschitz_norm requires a finite q >= 1, got {q}")
     space = f.space
@@ -253,13 +286,24 @@ def lipschitz_norm(
     if mode == "dp" and not constant:
         raise DomainError("dp mode requires a constant alpha: for a variable "
                           "alpha the Lipschitz ratio is not a ratio of block sums")
-    table = stopped_terminal_diffs(f, shift="none")
     if mode == "dp" or (mode == "auto" and constant):
-        return _block_result(space, table, q, 1.0 + float(avals[0]) * q)
+        table = stopped_terminal_diffs(f, shift="none")
+        return _block_result(
+            space, *_block_max(space, table, q, 1.0 + float(avals[0]) * q), "dp"
+        )
+    scan = _scan_or_blocks(space, mode)
+    table = stopped_terminal_diffs(f, shift="none")
     pos = avals > 0
     inv_alpha = 1.0 / np.where(pos, avals, avals.max() or 1.0)
+    if scan is None:
+        ids, probs = space._stacked_blocks
+        sums, e = _block_sums(space, table, q)
+        meets_zero = np.zeros(probs.size, dtype=bool)
+        meets_zero[ids[:, ~pos]] = True
+        dens_alpha = np.where(meets_zero, 1.0, kept_block_norms(space, inv_alpha))
+        return _block_lower(space, np.ldexp(sums ** (1.0 / q), e)
+                            / (probs ** (1.0 / q) * dens_alpha))
 
-    scan = candidate_matrix(space, mode)
     diffs = np.abs(np.take(table, scan.cells))
     nums = (diffs**q @ space.probs) ** (1.0 / q)
     pq = scan.masks[scan.which] @ space.probs

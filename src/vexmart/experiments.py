@@ -552,7 +552,7 @@ def _scan_sups(space: FilteredSpace, pvals: np.ndarray, table: np.ndarray):
     each t is the largest segment value over t, and the decay bound is
     checked once per segment against the least bound up to its end, then
     per grid point only on the segments that break that one."""
-    scan = candidate_matrix(space, "exhaustive")
+    scan = candidate_matrix(space)
     # the scan holds every constant tau = n, so the table has exactly the
     # positive values of the scan's differences, and the same grid
     diffs = np.take(table, scan.cells)

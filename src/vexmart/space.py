@@ -21,10 +21,10 @@ from .errors import DomainError, ResourceError, ValidationError
 # allocate, in bytes; `check lemma34` evaluates at most one eighth of it in
 # leaf pairs (the bytes of an n x n matrix), holding one row block at a time
 MAX_SPACE_BYTES = 1 << 30
-# largest (rows, leaves) stop-level matrix of the block scan that `auto`
-# takes past ENUMERATION_CAP; its cells and gathered differences are as
-# large again, so dyadic depth 10 (16.8 MB) runs and depth 11 (67 MB) is
-# refused
+# largest working set of the single-block pass that `auto` takes past
+# ENUMERATION_CAP: 8 bytes per (level, leaf) cell times the cell-sized
+# arrays it holds at once (bmo.BLOCK_PASS_ARRAYS), so dyadic depth 14
+# (21.6 MB) runs and depth 15 (46 MB) is refused
 MAX_SCAN_BYTES = 1 << 25
 # bytes of one row block where a long array is made or walked a block at
 # a time, so that memory does not grow with the number of rows
@@ -132,17 +132,19 @@ class FilteredSpace(ArrayValue):
     @cached_property
     def _scan_cache(self) -> dict:
         """Stopping-time data that depend on the filtration alone, filled
-        on first use by ``martingale`` (the count) and ``bmo`` (the
-        exhaustive scan and the block scan) and kept while the space
-        lives.  Not part of the value: equality ignores it."""
+        on first use by ``martingale`` (the count), ``bmo`` (the exhaustive
+        scan) and ``varlp`` (the (level, leaf) cells grouped by block, which
+        the single-block pass reads) and kept while the space lives.  Not
+        part of the value: equality ignores it."""
         return {}
 
     @cached_property
     def _kept_norms(self) -> list:
         """The indicator norms ||chi_E||_{p(.)} kept on this space by
-        ``varlp.kept_indicator_norms``: [bytes held, {exponent bytes:
-        {(mask shape, packed mask bits): norm}}].  Not part of the value:
-        equality ignores it."""
+        ``varlp.kept_indicator_norms`` and ``varlp.kept_block_norms``:
+        [bytes held, {exponent bytes: {(mask shape, packed mask bits) or
+        ("blocks", b""): norms}}].  Not part of the value: equality ignores
+        it."""
         return [0, {}]
 
     def level_averages(self, rows: np.ndarray, start: int = 0) -> np.ndarray:

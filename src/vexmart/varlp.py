@@ -33,9 +33,14 @@ pass, run by the batch loop on rows and by a scalar loop on one row or set:
   indicator norm ||chi_E|| (:func:`indicator_norm`) on E alone, P(E)^{1/p}
   where p is constant on E, else from the tangent at lambda = 1: a scalar
   loop, free of the batch's bookkeeping.
+* The norms of T_n 1_B for every block B of every level n of a (levels x
+  leaves) table T (:func:`block_norms`, the single-block suprema past the
+  cap) come from one Newton pass over the table's cells, segmented by
+  block, with the kernel's start, floor and stopping rule.
 * The norms ||chi_{tau<inf}|| that the BMO and Lipschitz denominators and
-  the atomic decomposition divide by are kept on the space, one store per
-  space under one byte budget (:func:`kept_indicator_norms`).
+  the atomic decomposition divide by, and the blocks' ||chi_B||, are kept
+  on the space, one store per space under one byte budget
+  (:func:`kept_indicator_norms`, :func:`kept_block_norms`).
 * The kernel reduces along the batch's longer axis, chosen from its shape
   alone: a batch with more rows than leaves (the stopping-time scans) is
   solved on its leaves x rows transpose, any other row by row.  Each
@@ -333,6 +338,105 @@ def max_norm_ratio(
     return float(best), int(np.argmax(ratios == best))
 
 
+def _segment_log_modular(
+    logw: np.ndarray, pvals: np.ndarray, u: np.ndarray, seg: np.ndarray, starts: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`_log_modular` on the segments of a 1-d ``logw``: per segment
+    k, the cells with seg == k, which run from starts[k] to the next start,
+    g(u[k]) and the slope -g'(u[k]), with the kernel's shift and floor."""
+    e = u.take(seg)
+    e *= pvals
+    np.subtract(logw, e, out=e)
+    top = np.maximum.reduceat(e, starts)
+    e -= top.take(seg)
+    np.maximum(e, _LOG_WEIGHT_FLOOR, out=e)
+    w = np.exp(e, out=e)
+    total = np.add.reduceat(w, starts)
+    w *= pvals
+    return top + np.log(total), np.add.reduceat(w, starts) / total
+
+
+def _block_cells(space: FilteredSpace) -> tuple[np.ndarray, np.ndarray]:
+    """The flat (level, leaf) cells of ``space._stacked_blocks[0]`` grouped
+    by block, from one stable argsort, so the blocks run level-major and a
+    block's cells in leaf order, and the position of each block's first
+    cell there.  Built once per space and kept in its ``_scan_cache``."""
+    cache = space._scan_cache
+    if "blocks" not in cache:
+        ids = space._stacked_blocks[0]
+        counts = np.bincount(ids.ravel())
+        cache["blocks"] = (readonly(np.argsort(ids, axis=None, kind="stable")),
+                           readonly(np.cumsum(counts) - counts))
+    return cache["blocks"]
+
+
+def block_norms(space: FilteredSpace, table: np.ndarray, pvals: np.ndarray) -> np.ndarray:
+    """||T_n 1_B||_{p(.)} for every block B of every level n, in the
+    level-major numbering of ``FilteredSpace.level_slices``, from a
+    (levels x leaves) table T: one Newton pass over its cells, segmented by
+    block (see :func:`_block_cells`), with no blocks x leaves array.
+
+    Zero cells are left out, since the kernel's floor puts their weights
+    e^-600 under the block's largest, below the last bit of every sum; a
+    block with no nonzero cell has norm 0.  On the others the iteration is
+    :func:`_luxemburg_rows`' own: u = log(lambda / max|T_n 1_B|), the start
+    at the zero of the tangent at u = 0, the kernel's shift and floor, and
+    each block keeps the first point whose step is at most NEWTON_REL_TOL,
+    so a norm agrees with the kernel's to about one unit in the last place
+    of u.  Besides ``table`` and the grouping it holds at most five arrays
+    of one float or index per cell at once (counted in
+    ``bmo.BLOCK_PASS_ARRAYS``)."""
+    order, starts = _block_cells(space)
+    # the cell-sized arrays held at once are at most five: the values (then
+    # logw), the leaves, the segments and p per cell, and one temporary; in
+    # the loop logw, the segments, p and the iteration's two
+    a = table.take(order)
+    np.abs(a, out=a)
+    nz = a > 0
+    counts = np.add.reduceat(nz, starts, dtype=np.intp)
+    norms = np.zeros(starts.size)
+    live = np.flatnonzero(counts)
+    if not live.size:
+        return norms
+    leaf = order % space.n_leaves
+    if np.count_nonzero(nz) < nz.size:
+        a, leaf, counts = a[nz], leaf[nz], counts[live]
+    del nz
+    # each cell's segment: the position of its block among the live ones
+    seg = np.repeat(np.arange(live.size), counts)
+    starts = np.cumsum(counts) - counts
+    top = np.maximum.reduceat(a, starts)
+    with np.errstate(divide="ignore", under="ignore"):
+        a /= top.take(seg)
+        logw = np.log(a, out=a)
+        q = pvals[leaf]
+        logw *= q
+        logw += np.log(space.probs)[leaf]
+        del a, leaf
+        # g is convex, so its tangent at u = 0 meets zero left of the root
+        g0, slope0 = _segment_log_modular(logw, q, np.zeros(live.size), seg, starts)
+        u = g0 / slope0
+        done = np.zeros(live.size, dtype=bool)
+        for _ in range(NEWTON_MAX_ITER):
+            g, slope = _segment_log_modular(logw, q, u, seg, starts)
+            step = g / slope
+            done |= step <= NEWTON_REL_TOL
+            if np.count_nonzero(done) == done.size:
+                break
+            # a finished block keeps the point it stopped at
+            step[done] = 0.0
+            u += step
+        else:
+            k = int(np.argmin(done))
+            raise NumericalError(
+                f"Luxemburg Newton iteration did not converge in {NEWTON_MAX_ITER} "
+                f"steps on {live.size - int(done.sum())} blocks; the first, block "
+                f"{live[k]}, was last at lambda {float(top[k] * np.exp(u[k]))!r}"
+            )
+    norms[live] = top * np.exp(u)
+    return norms
+
+
 def indicator_norm(probs: np.ndarray, pvals: np.ndarray, mask: np.ndarray) -> float:
     """||chi_E||_{p(.)} for the leaf set E = {mask}, solved on E alone,
     where the modular of chi_E / lambda is G(lambda) = sum_E P lambda^{-p}.
@@ -355,6 +459,36 @@ def indicator_norm(probs: np.ndarray, pvals: np.ndarray, mask: np.ndarray) -> fl
     return math.exp(_newton_root(np.log(pe), q, u, "the indicator of a set")[0])
 
 
+def _lookup(space: FilteredSpace, pvals: np.ndarray, key: tuple):
+    """The value kept on the space under the exponent's bytes and then
+    ``key``, or None."""
+    kept = space._kept_norms[1].get(pvals.tobytes())
+    return None if kept is None else kept.get(key)
+
+
+def _keep(space: FilteredSpace, pvals: np.ndarray, key: tuple, norm) -> None:
+    """Keep a solved value on the space under the exponent's bytes and then
+    ``key``, a pair whose second item is bytes.  A value that would take
+    the space past _KEPT_NORM_BUDGET bytes gives up every kept one first,
+    and is not kept if it alone passes the budget."""
+    held, by_exponent = store = space._kept_norms
+    pkey = pvals.tobytes()
+    kept = by_exponent.get(pkey)
+    size = (norm.nbytes if isinstance(norm, np.ndarray) else 8) + _ENTRY_BYTES + len(key[1])
+    # what the exponent's own entry adds while it has none
+    grow = _ENTRY_BYTES + len(pkey)
+    if held + size + (kept is None) * grow > _KEPT_NORM_BUDGET:
+        by_exponent.clear()
+        held, kept = 0, None
+    if kept is None:
+        kept, size = {}, size + grow
+    if size <= _KEPT_NORM_BUDGET:
+        kept[key] = norm
+        by_exponent[pkey] = kept
+        held += size
+    store[0] = held
+
+
 def kept_indicator_norms(
     space: FilteredSpace, pvals: np.ndarray, masks: np.ndarray
 ) -> float | np.ndarray:
@@ -362,33 +496,29 @@ def kept_indicator_norms(
     by :func:`indicator_norm`, or the read-only norms of a 2-d mask array's
     rows from one :func:`norm_batch`.  Kept on the space by the exponent's
     bytes, then by the masks' shape and flat packed bits, so the two paths
-    never share a key; a kept value is the solve's own.  A value that
-    would take the space past _KEPT_NORM_BUDGET bytes gives up every kept
-    one first, and is not kept if it alone passes the budget."""
-    held, by_exponent = store = space._kept_norms
-    pkey = pvals.tobytes()
+    never share a key; a kept value is the solve's own (see :func:`_keep`)."""
     key = (masks.shape, np.packbits(masks).tobytes())
-    kept = by_exponent.get(pkey)
-    norm = None if kept is None else kept.get(key)
+    norm = _lookup(space, pvals, key)
     if norm is None:
         if masks.ndim == 1:
-            norm, size = indicator_norm(space.probs, pvals, masks), 8
+            norm = indicator_norm(space.probs, pvals, masks)
         else:
             norm = readonly(norm_batch(space.probs, pvals, masks))
-            size = norm.nbytes
-        size += _ENTRY_BYTES + len(key[1])
-        # what the exponent's own entry adds while it has none
-        grow = _ENTRY_BYTES + len(pkey)
-        if held + size + (kept is None) * grow > _KEPT_NORM_BUDGET:
-            by_exponent.clear()
-            held, kept = 0, None
-        if kept is None:
-            kept, size = {}, size + grow
-        if size <= _KEPT_NORM_BUDGET:
-            kept[key] = norm
-            by_exponent[pkey] = kept
-            held += size
-        store[0] = held
+        _keep(space, pvals, key, norm)
+    return norm
+
+
+def kept_block_norms(space: FilteredSpace, pvals: np.ndarray) -> np.ndarray:
+    """||chi_B||_{p(.)} for every block B of every level, level-major, as
+    one read-only array from :func:`block_norms` on a table of ones.  Kept
+    on the space beside the masks' norms, under the exponent's bytes and
+    the key ("blocks", b""), which names the block family and which no
+    mask array's (shape, bits) key can equal (see :func:`_keep`)."""
+    key = ("blocks", b"")
+    norm = _lookup(space, pvals, key)
+    if norm is None:
+        norm = readonly(block_norms(space, np.ones(space.block_of.shape), pvals))
+        _keep(space, pvals, key, norm)
     return norm
 
 

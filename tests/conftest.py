@@ -1,11 +1,10 @@
 import math
 import random
-from unittest import mock
 
 import numpy as np
 import pytest
 
-from vexmart import Exponent, bmo, build_dyadic_space, serialize, validate_filtration
+from vexmart import Exponent, build_dyadic_space, serialize, validate_filtration
 
 
 def random_tree_space(rng: random.Random, max_leaves: int = 12, max_depth: int = 4):
@@ -96,12 +95,6 @@ def scan_levels(scan, depth):
     finite = scan.masks[scan.which]
     assert np.array_equal(level == depth + 1, ~finite)
     return np.where(finite, level, math.inf)
-
-
-def block_scan(space):
-    """The block scan, which ``auto`` takes past the cap, built under it."""
-    with mock.patch.object(bmo, "ENUMERATION_CAP", 0):
-        return bmo.candidate_matrix(space)
 
 
 def random_exponent(rng: random.Random, n: int, lo: float = 1.1, hi: float = 3.0):

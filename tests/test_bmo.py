@@ -28,11 +28,10 @@ from vexmart import (
 from vexmart import bmo, serialize
 from vexmart.bmo import StoppingScan
 from vexmart.martingale import _tree_witness, sample_stopping_matrix, stopped_terminal_diffs
-from vexmart.varlp import kept_indicator_norms, max_norm_ratio
+from vexmart.varlp import block_norms, indicator_norm, kept_block_norms, kept_indicator_norms
 
 from conftest import (
     bisection_oracle,
-    block_scan,
     children_of,
     drop_root_level,
     lp_norm,
@@ -334,7 +333,7 @@ class TestDpMode:
     def test_auto_dp_band_matches_exhaustive(self, monkeypatch):
         """Dyadic 4 is exact either way, and a variable exponent there is
         scanned; with the cap lowered past it, a variable exponent takes
-        the block scan, a lower bound, and a constant one still takes the
+        the single-block pass, a lower bound, and a constant one still takes the
         block maximum."""
         rng = random.Random(67)
         sp = build_dyadic_space(4)
@@ -369,12 +368,47 @@ class TestDpMode:
 
 
 def block_scan_sup(f, pvals):
-    """``bmo_norm``'s scan supremum over the block scan, for a constant
-    exponent too, which ``auto`` sends to dp instead."""
-    scan = block_scan(f.space)
-    diffs = np.take(stopped_terminal_diffs(f), scan.cells)
-    dens = kept_indicator_norms(f.space, pvals, scan.masks)[scan.which]
-    return max_norm_ratio(f.space.probs, pvals, diffs, dens)[0]
+    """``bmo_norm``'s block-lower supremum, for a constant exponent too,
+    which ``auto`` sends to dp instead: the largest ratio of the per-block
+    norms of the stopped differences to the kept block denominators."""
+    table = stopped_terminal_diffs(f)[:-1]
+    return (block_norms(f.space, table, pvals) / kept_block_norms(f.space, pvals)).max()
+
+
+@settings(max_examples=120, deadline=None)
+@given(seed=st.integers(min_value=0, max_value=10**6),
+       shape=st.sampled_from(["tree", "forest", "relabelled", "one-leaf"]),
+       law=st.sampled_from(["gauss", "zero", "spike"]),
+       p0=st.sampled_from([0.5, 1.0, 2.0, 3.0]))
+def test_block_norms_match_a_loop_over_blocks(seed, shape, law, p0):
+    """The segmented pass gives, per block B of level n in level-major
+    order, the norm of T_n 1_B that ``luxemburg_norm`` gives one block at a
+    time, to 1e-12 relative, and exactly 0 where T_n vanishes on B; its
+    kept denominators are ``indicator_norm`` of each block.  Leaves out of
+    tree order ("relabelled") are grouped by block all the same.  For a
+    constant exponent the largest ratio is ``_block_max``'s."""
+    rng = random.Random(seed)
+    sp = dp_space(rng, shape)
+    f = dp_martingale(rng, sp, law)
+    p = random_exponent(rng, sp.n_leaves, 0.5, 4.0)
+    full = stopped_terminal_diffs(f)
+    table = full[:-1]
+    got = block_norms(sp, table, p.vals)
+    dens = kept_block_norms(sp, p.vals)
+    k = 0
+    for n in range(sp.depth + 1):
+        for b in range(sp.n_blocks[n]):
+            chi = sp.block_of[n] == b
+            want = luxemburg_norm(sp, table[n] * chi, p).norm
+            if want == 0.0:
+                assert got[k] == 0.0
+            assert abs(got[k] - want) <= 1e-12 * want
+            den = indicator_norm(sp.probs, p.vals, chi)
+            assert abs(dens[k] - den) <= 1e-12 * den
+            k += 1
+    assert k == got.size == dens.size
+    exact = bmo._block_max(sp, full, p0)[0]
+    assert abs(block_scan_sup(f, np.full(sp.n_leaves, p0)) - exact) <= 1e-12 * exact
 
 
 @settings(max_examples=120, deadline=None)
@@ -655,7 +689,7 @@ def test_indicator_norms_match_per_row_loop(seed):
         masks[rng.randrange(m)] = False
     taus = np.where(masks, float(sp.depth), math.inf)
     nonempty = masks.any(axis=1)
-    scan = StoppingScan.of(taus[nonempty], sp.depth, "exhaustive")
+    scan = StoppingScan.of(taus[nonempty], sp.depth)
     assert np.array_equal(scan.masks[scan.which], masks[nonempty])
     got = np.zeros(m + 1)
     got[nonempty] = kept_indicator_norms(sp, p.vals, scan.masks)[scan.which]

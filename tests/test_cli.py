@@ -439,9 +439,12 @@ class TestExitCodes:
         assert captured.out == "" and option[0] in captured.err
 
     def test_block_scan_memory_cap_exit_two(self, capsys, tmp_path, monkeypatch):
-        """Past the cap a variable exponent takes the block scan, refused by
-        its bytes before it is built; a constant one takes dp."""
-        monkeypatch.setattr(bmo, "MAX_SCAN_BYTES", 127 * 64 * 8 - 1)
+        """Past the cap a variable exponent takes the single-block pass,
+        refused by its working set's bytes before it is allocated; a
+        constant one takes dp."""
+        # 7 levels of 64 leaves, BLOCK_PASS_ARRAYS floats per cell
+        need = 8 * 7 * 64 * bmo.BLOCK_PASS_ARRAYS
+        monkeypatch.setattr(bmo, "MAX_SCAN_BYTES", need - 1)
         sp = write_json(tmp_path / "s.json", serialize.space_to_json(build_dyadic_space(6)))
         mg = write_json(tmp_path / "m.json", {"terminal": [1.0, -1.0, 2.0, -2.0] * 16})
         for values, code in (([1.5, 2.5] * 32, 2), ([1.5] * 64, 0)):
@@ -449,8 +452,8 @@ class TestExitCodes:
             assert run(["bmo", "--space", sp, "--exponent", pe, "--martingale", mg]) == code
             err = capsys.readouterr().err
             assert ("bytes" in err and "dp" in err) if code else err == ""
-        # 127 blocks on 64 leaves: the budget is met exactly
-        monkeypatch.setattr(bmo, "MAX_SCAN_BYTES", 127 * 64 * 8)
+        # the budget is met exactly
+        monkeypatch.setattr(bmo, "MAX_SCAN_BYTES", need)
         pe = write_json(tmp_path / "p.json", {"values": [1.5, 2.5] * 32})
         assert run(["bmo", "--space", sp, "--exponent", pe, "--martingale", mg]) == 0
         assert json.loads(capsys.readouterr().out)["mode"] == "block-lower"

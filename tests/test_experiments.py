@@ -563,7 +563,7 @@ def _per_t_envelope(f, p, grid, c2, b1):
     taus = taus[np.isfinite(taus).any(axis=1)]
     finite = np.isfinite(taus)
     diffs = stopped_diffs_oracle(f, taus)
-    norms = kept_indicator_norms(sp, p.vals, bmo.candidate_matrix(sp, "exhaustive").masks)
+    norms = kept_indicator_norms(sp, p.vals, bmo.candidate_matrix(sp).masks)
     norm_of_code = np.concatenate(([0.0], norms))
     code = 1 << np.arange(sp.n_leaves - 1, -1, -1)
     dens = norm_of_code[finite @ code]
@@ -728,7 +728,7 @@ def test_level_leaf_table_gives_the_scan_grid():
         taus = enumerate_stopping_matrix(sp)
         diffs = stopped_diffs_oracle(f, taus[np.isfinite(taus).any(axis=1)])
         table = stopped_terminal_diffs(f)
-        cells = np.take(table, bmo.candidate_matrix(sp, "exhaustive").cells)
+        cells = np.take(table, bmo.candidate_matrix(sp).cells)
         assert cells.tobytes() == diffs.tobytes()
         assert not table[-1].any()
         grid = experiments._t_grid_from_diffs(diffs)

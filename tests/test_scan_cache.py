@@ -1,12 +1,15 @@
-"""The stopping-time scans cached on the space: their oracle equality with
-a fresh enumeration or the rows of every single block, their cells in the table of stopped
-differences, its read-only arrays, and that
-warm and cold spaces give the same suprema while the cap is still checked
-on every call.  The indicator norms each space keeps per exponent, for one
-mask and for a scan's masks: equal bit for bit to a fresh solve on the
-path of their shape, read-only, never solved twice and bounded by bytes."""
+"""The stopping-time data cached on the space: the exhaustive scan's oracle
+equality with a fresh enumeration, the grouping of the (level, leaf)
+cells by block against the rows of every single block, their cells in
+the table of stopped differences, their read-only arrays, and that warm
+and cold spaces give the same suprema while the cap is still checked on
+every call.  The indicator norms each space keeps per exponent, for one
+mask, for a scan's masks and for the blocks: equal bit for bit to a fresh
+solve on the path of their shape, read-only, never solved twice and
+bounded by bytes."""
 
 import math
+import operator
 import random
 from collections import Counter
 from unittest import mock
@@ -32,10 +35,11 @@ from vexmart import (
 from vexmart import bmo, martingale, varlp
 from vexmart.bmo import candidate_matrix
 from vexmart.martingale import enumerate_stopping_matrix, stopped_terminal_diffs
-from vexmart.varlp import indicator_norm, kept_indicator_norms, norm_batch
+from vexmart.varlp import (
+    block_norms, indicator_norm, kept_block_norms, kept_indicator_norms, norm_batch,
+)
 
 from conftest import (
-    block_scan,
     drop_root_level,
     random_exponent,
     random_tree_space,
@@ -62,49 +66,64 @@ def _fresh_blocks(sp):
                      for n in range(sp.depth + 1) for b in range(sp.n_blocks[n])])
 
 
-def _scans(sp):
-    return {"exhaustive": lambda: candidate_matrix(sp, "exhaustive"),
-            "block-lower": lambda: block_scan(sp)}
+def _block_groups(sp):
+    """The cells of each block, level-major, as the kept grouping lists
+    them."""
+    order, starts = varlp._block_cells(sp)
+    return np.split(order, starts[1:])
 
 
 @settings(max_examples=60, deadline=None)
 @given(seed=st.integers(min_value=0, max_value=10**6))
 def test_cached_scans_match_fresh_enumeration_and_block_rows(seed):
+    """The exhaustive scan is a fresh enumeration's rows, and the grouping
+    of the cells by block holds, per block, the cells that its single-block
+    row stops on (tau = n on the block's leaves), in leaf order: cold, then
+    from the cache."""
     rng = random.Random(seed)
     tree = random_tree_space(rng, max_leaves=8)
     sp = validate_filtration(*relabelled_levels(tree, rng))
-    want = {"exhaustive": _fresh_exhaustive(sp), "block-lower": _fresh_blocks(sp)}
-    for _ in range(2):  # cold, then from the cache
-        for mode, taus in want.items():
-            scan = _scans(sp)[mode]()
-            assert scan.mode == mode
-            assert np.array_equal(scan_levels(scan, sp.depth), taus)
-            masks, which = np.unique(np.isfinite(taus), axis=0, return_inverse=True)
-            assert np.array_equal(scan.masks, masks)
-            assert np.array_equal(scan.which, which.ravel())
+    taus, rows = _fresh_exhaustive(sp), _fresh_blocks(sp)
+    n = sp.n_leaves
+    for _ in range(2):
+        scan = candidate_matrix(sp)
+        assert np.array_equal(scan_levels(scan, sp.depth), taus)
+        masks, which = np.unique(np.isfinite(taus), axis=0, return_inverse=True)
+        assert np.array_equal(scan.masks, masks)
+        assert np.array_equal(scan.which, which.ravel())
+        groups = _block_groups(sp)
+        assert len(groups) == len(rows)
+        for cells, row in zip(groups, rows):
+            leaves = np.flatnonzero(np.isfinite(row))
+            assert np.array_equal(cells, row[leaves].astype(int) * n + leaves)
+    assert varlp._block_cells(sp) is varlp._block_cells(sp)
 
 
 @settings(max_examples=30, deadline=None)
 @given(seed=st.integers(min_value=0, max_value=10**6))
 def test_cells_gather_each_rows_own_differences(seed):
     """On random trees, relabelled ones and ones without their root level,
-    for the exhaustive and the block scan and both shifts: the table of
-    stopped differences gathered at the scan's cells is, byte for byte,
-    the differences of the freshly made rows taken one row at a time, and
-    the witness the scan rebuilds for each row is that row."""
+    for both shifts: the table of stopped differences gathered at the
+    exhaustive scan's cells, and at each block's grouped cells, is, byte for
+    byte, the differences of the freshly made rows taken one row at a time
+    (for a block, on its leaves), and the witness the scan rebuilds for
+    each row is that row."""
     rng = random.Random(seed)
     tree = random_tree_space(rng, max_leaves=7)
     relabelled = validate_filtration(*relabelled_levels(tree, rng))
     for sp in (tree, relabelled, drop_root_level(tree)):
         f = centered(rng, sp)
-        fresh = {"exhaustive": _fresh_exhaustive(sp), "block-lower": _fresh_blocks(sp)}
-        for mode, taus in fresh.items():
-            scan = _scans(sp)[mode]()
-            for shift in ("none", "minus-one"):
-                got = np.take(stopped_terminal_diffs(f, shift), scan.cells)
-                assert got.tobytes() == stopped_diffs_oracle(f, taus, shift).tobytes()
-            for i, row in enumerate(taus):
-                assert np.array_equal(bmo._sup_result(scan, 0.0, i).argmax_tau.vals, row)
+        taus, rows = _fresh_exhaustive(sp), _fresh_blocks(sp)
+        scan = candidate_matrix(sp)
+        for shift in ("none", "minus-one"):
+            table = stopped_terminal_diffs(f, shift)
+            got = np.take(table, scan.cells)
+            assert got.tobytes() == stopped_diffs_oracle(f, taus, shift).tobytes()
+            want = stopped_diffs_oracle(f, rows, shift)
+            for cells, row, diffs in zip(_block_groups(sp), rows, want):
+                assert np.take(table, cells).tobytes() == diffs[np.isfinite(row)].tobytes()
+        for i, row in enumerate(taus):
+            assert np.array_equal(bmo._sup_result(scan, 0.0, i).argmax_tau.vals, row)
 
 
 @settings(max_examples=60, deadline=None)
@@ -117,7 +136,7 @@ def test_exhaustive_masks_are_every_nonempty_subset_by_code(seed):
     tree = random_tree_space(rng, max_leaves=8)
     relabelled = validate_filtration(*relabelled_levels(tree, rng))
     for sp in (tree, relabelled, drop_root_level(tree)):
-        scan = candidate_matrix(sp, "exhaustive")
+        scan = candidate_matrix(sp)
         n = sp.n_leaves
         codes = scan.masks @ (1 << np.arange(n - 1, -1, -1))
         assert np.array_equal(codes, np.arange(1, 2**n))
@@ -126,21 +145,21 @@ def test_exhaustive_masks_are_every_nonempty_subset_by_code(seed):
 def test_cached_scan_arrays_are_read_only():
     sp = build_dyadic_space(2)
     p = np.array([1.5, 2.5, 1.2, 3.0])
-    for scan in (candidate_matrix(sp, "exhaustive"), block_scan(sp)):
-        # the mask norms as solved, then as kept
-        solved = kept_indicator_norms(sp, p, scan.masks)
-        kept = kept_indicator_norms(sp, p, scan.masks)
-        assert kept is solved
-        for a in (scan.cells, scan.masks, scan.which, kept):
-            corner = (0,) * a.ndim
-            with pytest.raises(ValueError):
-                a[corner] = a[corner]
+    scan = candidate_matrix(sp)
+    # the mask and block norms as solved, then as kept
+    solved = kept_indicator_norms(sp, p, scan.masks), kept_block_norms(sp, p)
+    kept = kept_indicator_norms(sp, p, scan.masks), kept_block_norms(sp, p)
+    assert all(map(operator.is_, kept, solved))
+    for a in (scan.cells, scan.masks, scan.which, *varlp._block_cells(sp), *kept):
+        corner = (0,) * a.ndim
+        with pytest.raises(ValueError):
+            a[corner] = a[corner]
 
 
 def _all_results(sp, seed):
     """Every scan-reading call once, on a martingale and exponent drawn
     from ``seed``, with the bmo and Lipschitz norms on the exhaustive scan
-    and, with the cap at 0, on the block scan."""
+    and, with the cap at 0, from the single-block pass."""
     rng = random.Random(seed)
     f = centered(rng, sp)
     p = random_exponent(rng, sp.n_leaves, 1.0, 3.0)
@@ -177,7 +196,7 @@ def test_cap_is_checked_on_every_call(monkeypatch):
     rng = random.Random(3)
     f = centered(rng, sp)
     p = random_exponent(rng, sp.n_leaves)
-    cached = candidate_matrix(sp, "exhaustive")
+    cached = candidate_matrix(sp)
     assert bmo_norm(f, p).mode == "exhaustive"
     monkeypatch.setattr(bmo, "ENUMERATION_CAP", count_stopping_times(sp) - 1)
     for call in (lambda: bmo_norm(f, p, mode="exhaustive"),
@@ -195,6 +214,9 @@ def test_cap_is_checked_on_every_call(monkeypatch):
 
 
 def test_second_call_enumerates_and_walks_nothing(monkeypatch):
+    """A warm call builds no scan and no grouping of the cells by block,
+    and solves no denominator again: neither a scan's mask norms nor the
+    block norms of an exponent the space keeps."""
     calls = Counter()
 
     def counting(module, name):
@@ -210,14 +232,20 @@ def test_second_call_enumerates_and_walks_nothing(monkeypatch):
     counting(bmo, "enumerate_stopping_matrix")
     counting(bmo.StoppingScan, "of")
     mask_solves = Counter()
-    solve = varlp.norm_batch
+    solve, solve_blocks = varlp.norm_batch, varlp.block_norms
 
     def counted_solve(probs, pvals, rows):
         mask_solves[pvals.tobytes()] += 1
         return solve(probs, pvals, rows)
 
-    # the store's one batch solve of a scan's masks
+    def counted_block_solve(space, table, pvals):
+        mask_solves[pvals.tobytes()] += 1
+        return solve_blocks(space, table, pvals)
+
+    # the store's one batch solve of a scan's masks, and its one block pass
+    # on a table of ones; bmo's own block pass, its numerators, is not one
     monkeypatch.setattr(varlp, "norm_batch", counted_solve)
+    monkeypatch.setattr(varlp, "block_norms", counted_block_solve)
     small, large = build_dyadic_space(3), build_dyadic_space(6)
 
     def calls_on(seed):
@@ -228,17 +256,19 @@ def test_second_call_enumerates_and_walks_nothing(monkeypatch):
         bmo_norm(f, p)
         exp_jn_curve(f, p)
         jn_equivalence(TrialConfig(small, seed=seed, trials=2), p)
-        # over the cap: the block scan
+        # over the cap: the single-block pass
         lipschitz_norm(g, 2.0, [0.5, 0.25] * 32)
         bmo_norm(g, q)
         return count_stopping_times(small), count_stopping_times(large)
 
     counts = calls_on(0)
-    # one count walk per space; the enumeration walks no paths, and each
-    # space builds one scan
-    assert calls == {"_count_walk": 2, "enumerate_stopping_matrix": 1, "of": 2}
+    # one count walk per space; the enumeration walks no paths, the small
+    # space builds one scan, and the large one groups its cells once, kept
+    # in its cache from then on
+    assert calls == {"_count_walk": 2, "enumerate_stopping_matrix": 1, "of": 1}
+    grouping = large._scan_cache["blocks"]
     # the masks of p (then kept for exp_jn_curve and jn_equivalence) and of
-    # p = 1 on the exhaustive scan, of 1/alpha and q on the block scan
+    # p = 1 on the exhaustive scan, the blocks of 1/alpha and of q
     assert sorted(mask_solves.values()) == [1, 1, 1, 1]
     calls.clear()
     mask_solves.clear()
@@ -250,6 +280,7 @@ def test_second_call_enumerates_and_walks_nothing(monkeypatch):
     # the same exponents again: nothing is solved twice
     assert calls_on(1) == counts
     assert not calls and not mask_solves
+    assert large._scan_cache["blocks"] is grouping
     # only the total is kept, never the per-block counts
     assert type(small._scan_cache["count"]) is int
     assert not any(isinstance(v, list) for v in small._scan_cache.values())
@@ -271,8 +302,8 @@ def _fresh(sp, pvals, masks):
 def test_kept_mask_norms_equal_fresh_solves(make):
     """Calls with a constant, a variable, the unit and a Lipschitz exponent
     1/alpha with the finite value lipschitz_norm puts on {alpha = 0},
-    interleaved on the exhaustive and the block scan's masks, each return
-    exactly what a fresh solve returns."""
+    interleaved on the exhaustive scan's masks, the single blocks' masks and
+    the block family, each return exactly what a fresh solve returns."""
     sp = make()
     n = sp.n_leaves
     rng = random.Random(n)
@@ -284,12 +315,15 @@ def test_kept_mask_norms_equal_fresh_solves(make):
         1.0 / np.where(alpha > 0, alpha, alpha.max()),
         random_exponent(rng, n, 0.5, 4.0).vals,
     ]
-    scans = [candidate_matrix(sp, "exhaustive"), block_scan(sp)]
+    masks = [candidate_matrix(sp).masks, np.isfinite(_fresh_blocks(sp))]
+    ones = np.ones(sp.block_of.shape)
     for _ in range(3):
         for pvals in rng.sample(exponents, len(exponents)):
-            for scan in scans:
-                got = kept_indicator_norms(sp, pvals, scan.masks)
-                assert np.array_equal(got, _fresh(sp, pvals, scan.masks))
+            for m in masks:
+                got = kept_indicator_norms(sp, pvals, m)
+                assert np.array_equal(got, _fresh(sp, pvals, m))
+            got = kept_block_norms(sp, pvals)
+            assert np.array_equal(got, block_norms(sp, ones, pvals))
 
 
 def _held_bytes(sp):
@@ -307,7 +341,7 @@ def _held_bytes(sp):
        budget=st.sampled_from([0, 600, varlp._KEPT_NORM_BUDGET]))
 def test_kept_indicator_norms_equal_fresh_solves(seed, budget):
     """On a tree or a forest, calls with single masks and with mask arrays
-    (the exhaustive scan's, the block scan's and a random one's),
+    (the exhaustive scan's, the single blocks' and a random one's),
     interleaved over a constant, two variable, the unit and a Lipschitz
     exponent 1/alpha with the finite value lipschitz_norm puts on
     {alpha = 0}, each return exactly what a fresh solve on the path of
@@ -329,8 +363,8 @@ def test_kept_indicator_norms_equal_fresh_solves(seed, budget):
         1.0 / np.where(alpha > 0, alpha, alpha.max()),
     ]
     masks = [np.array([rng.random() < 0.6 for _ in range(n)]) for _ in range(4)]
-    masks += [candidate_matrix(sp, "exhaustive").masks,
-              block_scan(sp).masks,
+    masks += [candidate_matrix(sp).masks,
+              np.isfinite(_fresh_blocks(sp)),
               np.array([[rng.random() < 0.5 for _ in range(n)] for _ in range(3)])]
     with mock.patch.object(varlp, "_KEPT_NORM_BUDGET", budget):
         for _ in range(40):
@@ -356,7 +390,7 @@ def test_kept_mask_norms_stay_under_the_byte_budget(monkeypatch):
     is not kept and leaves the store empty.  The held bytes are the kept
     entries' after every miss and clear."""
     sp = build_dyadic_space(2)
-    masks = candidate_matrix(sp, "exhaustive").masks
+    masks = candidate_matrix(sp).masks
     exponents = [np.full(4, 1.0 + k / 4) for k in range(6)]
     entry = (2 * varlp._ENTRY_BYTES + exponents[0].nbytes
              + len(np.packbits(masks).tobytes()) + 8 * len(masks))
@@ -407,7 +441,7 @@ def test_an_exponent_is_held_once_for_all_its_entries():
     exponent key, whose bytes the held total counts once."""
     sp = build_dyadic_space(3)
     pvals = random_exponent(random.Random(31), sp.n_leaves).vals
-    masks = candidate_matrix(sp, "exhaustive").masks
+    masks = candidate_matrix(sp).masks
     for m in (masks, masks[0], masks[-1], masks[:1]):
         kept_indicator_norms(sp, pvals, m)
     held, kept = sp._kept_norms
