@@ -353,7 +353,7 @@ class TestDpMode:
         assert bmo_norm(f, p) == auto
 
     def test_block_lower_on_dyadic_six(self):
-        """CI's dyadic-6 inputs past the cap: both suprema stop on the
+        """The pinned outputs' dyadic-6 inputs past the cap: both suprema stop on the
         level-5 block of leaves 2 and 3 (the seeded sampler read 1.9044
         and 1.9424 on them)."""
         sp = build_dyadic_space(6)
