@@ -73,7 +73,7 @@ class SupNormResult:
     value: float
     argmax_tau: StoppingTime
     mode: str  # "exhaustive" | "block-lower" | "dp"
-    # the scanned stopping times, or for "dp" the blocks compared
+    # the scanned stopping times, or for "dp" and "block-lower" the blocks compared
     candidates: int
 
 
@@ -170,12 +170,12 @@ def _sup_result(scan: StoppingScan, value: float, i: int) -> SupNormResult:
 def _block_sums(space: FilteredSpace, table: np.ndarray, p0: float) -> tuple[np.ndarray, int]:
     """Per block B of every level n, in the level-major numbering of
     ``level_slices``, sum_B P |T_n / 2^e|^p0 with T_n row n of a table of
-    ``stopped_terminal_diffs``, from one ``bincount``, and e.  The power of
-    two scales the rows exactly into [0, 1), so no power overflows and only
-    powers negligible beside the largest can underflow."""
+    ``stopped_terminal_diffs``, from ``FilteredSpace.block_sums``, and e.
+    The power of two scales the rows exactly into [0, 1), so no power
+    overflows and only powers negligible beside the largest can
+    underflow."""
     e = math.frexp(float(np.abs(table).max()))[1]
-    weights = space.probs * np.abs(np.ldexp(table[:-1], -e)) ** p0
-    return np.bincount(space._stacked_blocks[0].ravel(), weights.ravel()), e
+    return space.block_sums(np.abs(np.ldexp(table[:-1], -e)) ** p0), e
 
 
 def _block_max(
@@ -185,7 +185,7 @@ def _block_max(
     every level n, from ``_block_sums``, and its block, the first (the
     coarsest) on a tie."""
     sums, e = _block_sums(space, table, p0)
-    probs = space._stacked_blocks[1]
+    probs = space.block_probs
     ratios = sums / (probs if s == 1.0 else probs**s)
     b = int(np.argmax(ratios))
     return math.ldexp(float(ratios[b]) ** (1.0 / p0), e), b
@@ -195,10 +195,9 @@ def _block_result(space: FilteredSpace, value: float, b: int, mode: str) -> SupN
     """A supremum attained on block b of the level-major numbering alone:
     its witness stops at the block's level on the block's leaves and never
     elsewhere, and ``candidates`` counts the blocks compared."""
-    ids, probs = space._stacked_blocks
     n = next(n for n, level in enumerate(space.level_slices) if b < level.stop)
-    tau = StoppingTime(np.where(ids[n] == b, float(n), INF))
-    return SupNormResult(value, tau, mode, probs.size)
+    tau = StoppingTime(np.where(space.block_ids[n] == b, float(n), INF))
+    return SupNormResult(value, tau, mode, space.block_probs.size)
 
 
 def _block_lower(space: FilteredSpace, ratios: np.ndarray) -> SupNormResult:
@@ -224,15 +223,15 @@ def bmo_norm(
     at which tau stops, and by the mediant inequality the ratio of two
     such sums is at most the best ratio of one block's terms, so dp
     returns the tau that stops on that block alone, the first in
-    level-major order (the coarsest level) on a tie; its ``candidates``
-    counts the blocks compared.  "auto" takes dp
+    level-major order (the coarsest level) on a tie.  "auto" takes dp
     for a constant exponent, at every size; otherwise it scans
     exhaustively up to ENUMERATION_CAP stopping times, and past it takes
     the tau that stop on one block alone, reported as "block-lower": a
     lower bound, the largest ||T_n 1_B|| / ||chi_B|| over the blocks B of
     every level n, with T_n = (f - f_{n-1})_N, from ``varlp.block_norms``
     and the denominators kept on the space (``varlp.kept_block_norms``);
-    refused past MAX_SCAN_BYTES (see ``_scan_or_blocks``)."""
+    refused past MAX_SCAN_BYTES (see ``_scan_or_blocks``).  In both dp and
+    block-lower ``candidates`` counts the blocks compared."""
     space = f.space
     require_f0_zero(f, "bmo_norm requires f_0 = 0")
     pv = as_leaf_exponent(space, p)
@@ -296,10 +295,10 @@ def lipschitz_norm(
     pos = avals > 0
     inv_alpha = 1.0 / np.where(pos, avals, avals.max() or 1.0)
     if scan is None:
-        ids, probs = space._stacked_blocks
+        probs = space.block_probs
         sums, e = _block_sums(space, table, q)
         meets_zero = np.zeros(probs.size, dtype=bool)
-        meets_zero[ids[:, ~pos]] = True
+        meets_zero[space.block_ids[:, ~pos]] = True
         dens_alpha = np.where(meets_zero, 1.0, kept_block_norms(space, inv_alpha))
         return _block_lower(space, np.ldexp(sums ** (1.0 / q), e)
                             / (probs ** (1.0 / q) * dens_alpha))

@@ -411,7 +411,7 @@ def lemma34_check(
         sums = sums.ravel()
         for m in range(space.depth, -1, -1):
             bo = space.block_of[m][x]
-            avg = sums[row[:r] * nb[m] + bo] / space.block_probs[m][bo]
+            avg = sums[row[:r] * nb[m] + bo] / space.block_probs[space.block_ids[m, x]]
             ratios[m, x] = lhs[m, x] / (k * (avg + 1.0))
             if m:
                 sums = np.bincount(up[m - 1][: r * nb[m]], sums, r * nb[m - 1])
@@ -433,26 +433,21 @@ def lemma34_check(
 
 def jn_equivalence(config: TrialConfig, p: Exponent) -> ConstantReport:
     """Two-sided envelope of bmo_norm(f, p) / bmo_norm(f, 1) over random
-    martingales.  For a constant p both norms are block maxima over one
-    stopped-difference table per trial, at any depth; otherwise both are
-    ``bmo_norm``'s exhaustive scans, which read the space's cached scan and
-    the denominators the space keeps for each exponent."""
+    martingales.  For a constant p both norms are ``bmo_norm``'s "dp" block
+    maxima, at any depth; otherwise both are its exhaustive scans, which
+    read the space's cached scan and the denominators the space keeps for
+    each exponent.  Each norm builds its own stopped-difference table."""
     space = config.space
     pv = as_leaf_exponent(space, p)
     if p.p_minus() < 1.0:
         raise DomainError("BMO norm equivalence requires p_- >= 1")
     ones = constant_exponent(space, 1.0)
-    constant = (pv == pv[0]).all()
+    mode = "dp" if (pv == pv[0]).all() else "exhaustive"
     ratios, kept = [], []
     for i in range(config.trials):
         f = generate_martingale(config, i)
-        if constant:
-            table = stopped_terminal_diffs(f)
-            b1 = _block_max(space, table, 1.0)[0]
-            bp = _block_max(space, table, float(pv[0]))[0]
-        else:
-            b1 = bmo_norm(f, ones, "exhaustive").value
-            bp = bmo_norm(f, p, "exhaustive").value
+        b1 = bmo_norm(f, ones, mode).value
+        bp = bmo_norm(f, p, mode).value
         if b1 == 0.0 or bp == 0.0:
             continue
         ratios.append(bp / b1)
@@ -625,7 +620,7 @@ def _block_sups(space: FilteredSpace, p0: float, table: np.ndarray):
     down.  The decay bound is checked against every block and grid point,
     and a break names the block of largest excess at the first broken
     t."""
-    ids, probs = space._stacked_blocks
+    ids, probs = space.block_ids, space.block_probs
     b1 = _block_max(space, table, 1.0)[0]
     den = probs ** (1.0 / p0)
 

@@ -98,24 +98,33 @@ class FilteredSpace(ArrayValue):
     @cached_property
     def level_slices(self) -> tuple[slice, ...]:
         """Per level, the slice of its blocks in the level-major numbering
-        of ``_stacked_blocks``, which numbers the blocks of all levels
+        of ``block_ids``, which numbers the blocks of all levels
         consecutively, level 0 first."""
         ends = np.cumsum(self.n_blocks).tolist()
         return tuple(slice(end - k, end) for end, k in zip(ends, self.n_blocks))
 
     @cached_property
-    def _stacked_blocks(self) -> tuple[np.ndarray, np.ndarray]:
-        """``block_of`` with blocks numbered consecutively across levels,
-        and the block probabilities in that numbering."""
+    def block_ids(self) -> np.ndarray:
+        """``block_of`` with the blocks of all levels numbered consecutively,
+        level 0 first: the level-major numbering of ``level_slices``."""
         offsets = np.array([level.start for level in self.level_slices])
-        ids = readonly(self.block_of + offsets[:, None])
-        probs = np.bincount(ids.ravel(), weights=np.tile(self.probs, self.depth + 1))
-        return ids, readonly(probs)
+        return readonly(self.block_of + offsets[:, None])
 
     @cached_property
-    def block_probs(self) -> tuple[np.ndarray, ...]:
-        """Per level, the probability of each block."""
-        return tuple(self._stacked_blocks[1][level] for level in self.level_slices)
+    def block_probs(self) -> np.ndarray:
+        """The probability of every block, level-major: level n's are
+        ``block_probs[level_slices[n]]``."""
+        return readonly(self.block_sums(np.broadcast_to(1.0, self.block_of.shape)))
+
+    @cached_property
+    def block_cells(self) -> tuple[np.ndarray, np.ndarray]:
+        """The flat (level, leaf) cells of ``block_ids`` grouped by block,
+        from one stable argsort, so the blocks run level-major and a block's
+        cells in leaf order, and the position of each block's first cell
+        there."""
+        counts = np.bincount(self.block_ids.ravel())
+        return (readonly(np.argsort(self.block_ids, axis=None, kind="stable")),
+                readonly(np.cumsum(counts) - counts))
 
     @cached_property
     def parents(self) -> tuple[np.ndarray, ...]:
@@ -132,10 +141,9 @@ class FilteredSpace(ArrayValue):
     @cached_property
     def _scan_cache(self) -> dict:
         """Stopping-time data that depend on the filtration alone, filled
-        on first use by ``martingale`` (the count), ``bmo`` (the exhaustive
-        scan) and ``varlp`` (the (level, leaf) cells grouped by block, which
-        the single-block pass reads) and kept while the space lives.  Not
-        part of the value: equality ignores it."""
+        on first use by ``martingale`` (the count) and ``bmo`` (the
+        exhaustive scan) and kept while the space lives.  Not part of the
+        value: equality ignores it."""
         return {}
 
     @cached_property
@@ -147,15 +155,22 @@ class FilteredSpace(ArrayValue):
         it."""
         return [0, {}]
 
+    def block_sums(self, rows: np.ndarray, start: int = 0) -> np.ndarray:
+        """Entry b is sum_B P rows[k] over block b of ``block_ids``, B of
+        level start + k, from one weighted bincount; the blocks of levels
+        below ``start`` sum to 0, and the result ends with the last level
+        passed.  A level's blocks sum their leaves in leaf order, so a sum
+        does not depend on which other rows are passed."""
+        ids = self.block_ids[start : start + len(rows)]
+        return np.bincount(ids.ravel(), weights=(self.probs * rows).ravel())
+
     def level_averages(self, rows: np.ndarray, start: int = 0) -> np.ndarray:
         """Row k of the result is the block average of ``rows[k]`` at level
-        start + k, from one weighted bincount: the one implementation of
-        conditional expectation.  A level's blocks sum their leaves in leaf
-        order, so a row does not depend on which other rows are passed."""
-        ids, block_probs = self._stacked_blocks
-        ids = ids[start : start + len(rows)]
-        sums = np.bincount(ids.ravel(), weights=(self.probs * rows).ravel())
-        return (sums / block_probs[: sums.size])[ids]
+        start + k, ``block_sums`` over ``block_probs``: the one
+        implementation of conditional expectation."""
+        ids = self.block_ids[start : start + len(rows)]
+        sums = self.block_sums(rows, start)
+        return (sums / self.block_probs[: sums.size])[ids]
 
 
 @dataclass(frozen=True, eq=False)
@@ -392,8 +407,8 @@ def condition_k(
     if subsets == "blocks":
         # all blocks of all levels at once, numbered level-major; argmax
         # keeps the first largest value, as a scan with a strict > would
-        ids, block_probs = space._stacked_blocks
-        flat, pv_flat = ids.ravel(), np.tile(pv, space.depth + 1)
+        block_probs = space.block_probs
+        flat, pv_flat = space.block_ids.ravel(), np.tile(pv, space.depth + 1)
         hi = np.full(block_probs.size, -np.inf)
         lo = np.full(block_probs.size, np.inf)
         np.maximum.at(hi, flat, pv_flat)

@@ -356,25 +356,12 @@ def _segment_log_modular(
     return top + np.log(total), np.add.reduceat(w, starts) / total
 
 
-def _block_cells(space: FilteredSpace) -> tuple[np.ndarray, np.ndarray]:
-    """The flat (level, leaf) cells of ``space._stacked_blocks[0]`` grouped
-    by block, from one stable argsort, so the blocks run level-major and a
-    block's cells in leaf order, and the position of each block's first
-    cell there.  Built once per space and kept in its ``_scan_cache``."""
-    cache = space._scan_cache
-    if "blocks" not in cache:
-        ids = space._stacked_blocks[0]
-        counts = np.bincount(ids.ravel())
-        cache["blocks"] = (readonly(np.argsort(ids, axis=None, kind="stable")),
-                           readonly(np.cumsum(counts) - counts))
-    return cache["blocks"]
-
-
 def block_norms(space: FilteredSpace, table: np.ndarray, pvals: np.ndarray) -> np.ndarray:
     """||T_n 1_B||_{p(.)} for every block B of every level n, in the
     level-major numbering of ``FilteredSpace.level_slices``, from a
     (levels x leaves) table T: one Newton pass over its cells, segmented by
-    block (see :func:`_block_cells`), with no blocks x leaves array.
+    block (``FilteredSpace.block_cells``, kept on the space), with no
+    blocks x leaves array.
 
     Zero cells are left out, since the kernel's floor puts their weights
     e^-600 under the block's largest, below the last bit of every sum; a
@@ -386,7 +373,7 @@ def block_norms(space: FilteredSpace, table: np.ndarray, pvals: np.ndarray) -> n
     of u.  Besides ``table`` and the grouping it holds at most five arrays
     of one float or index per cell at once (counted in
     ``bmo.BLOCK_PASS_ARRAYS``)."""
-    order, starts = _block_cells(space)
+    order, starts = space.block_cells
     # the cell-sized arrays held at once are at most five: the values (then
     # logw), the leaves, the segments and p per cell, and one temporary; in
     # the loop logw, the segments, p and the iteration's two

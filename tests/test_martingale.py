@@ -451,7 +451,7 @@ def _block_average(space, values, level):
     v = np.asarray(values, dtype=float)
     bo = space.block_of[level]
     sums = np.bincount(bo, weights=space.probs * v, minlength=space.n_blocks[level])
-    return (sums / space.block_probs[level])[bo]
+    return (sums / space.block_probs[space.level_slices[level]])[bo]
 
 
 def test_level_averages_match_block_average():

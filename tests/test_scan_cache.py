@@ -69,7 +69,7 @@ def _fresh_blocks(sp):
 def _block_groups(sp):
     """The cells of each block, level-major, as the kept grouping lists
     them."""
-    order, starts = varlp._block_cells(sp)
+    order, starts = sp.block_cells
     return np.split(order, starts[1:])
 
 
@@ -96,7 +96,7 @@ def test_cached_scans_match_fresh_enumeration_and_block_rows(seed):
         for cells, row in zip(groups, rows):
             leaves = np.flatnonzero(np.isfinite(row))
             assert np.array_equal(cells, row[leaves].astype(int) * n + leaves)
-    assert varlp._block_cells(sp) is varlp._block_cells(sp)
+    assert sp.block_cells is sp.block_cells
 
 
 @settings(max_examples=30, deadline=None)
@@ -150,7 +150,7 @@ def test_cached_scan_arrays_are_read_only():
     solved = kept_indicator_norms(sp, p, scan.masks), kept_block_norms(sp, p)
     kept = kept_indicator_norms(sp, p, scan.masks), kept_block_norms(sp, p)
     assert all(map(operator.is_, kept, solved))
-    for a in (scan.cells, scan.masks, scan.which, *varlp._block_cells(sp), *kept):
+    for a in (scan.cells, scan.masks, scan.which, *sp.block_cells, *kept):
         corner = (0,) * a.ndim
         with pytest.raises(ValueError):
             a[corner] = a[corner]
@@ -264,9 +264,9 @@ def test_second_call_enumerates_and_walks_nothing(monkeypatch):
     counts = calls_on(0)
     # one count walk per space; the enumeration walks no paths, the small
     # space builds one scan, and the large one groups its cells once, kept
-    # in its cache from then on
+    # on the space (``block_cells``) from then on
     assert calls == {"_count_walk": 2, "enumerate_stopping_matrix": 1, "of": 1}
-    grouping = large._scan_cache["blocks"]
+    grouping = large.block_cells
     # the masks of p (then kept for exp_jn_curve and jn_equivalence) and of
     # p = 1 on the exhaustive scan, the blocks of 1/alpha and of q
     assert sorted(mask_solves.values()) == [1, 1, 1, 1]
@@ -280,7 +280,7 @@ def test_second_call_enumerates_and_walks_nothing(monkeypatch):
     # the same exponents again: nothing is solved twice
     assert calls_on(1) == counts
     assert not calls and not mask_solves
-    assert large._scan_cache["blocks"] is grouping
+    assert large.block_cells is grouping
     # only the total is kept, never the per-block counts
     assert type(small._scan_cache["count"]) is int
     assert not any(isinstance(v, list) for v in small._scan_cache.values())

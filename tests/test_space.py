@@ -564,21 +564,32 @@ def _level_numbering_spaces():
 @pytest.mark.parametrize("sp", _level_numbering_spaces())
 def test_level_slices_partition_the_block_numbering(sp):
     """The level slices tile 0..(all blocks) in level order, each as long
-    as its level, and hold exactly the stacked ids of their level; the
-    per-level block probabilities are each level's own bincount, byte for
-    byte."""
+    as its level, and hold exactly the level-major ids of their level; the
+    block probabilities are each level's own bincount, byte for byte, and
+    so are the block sums of any rows from any start level, which are 0 on
+    the levels below it.  The block arrays are read-only."""
     slices = sp.level_slices
     assert len(slices) == sp.depth + 1
     assert [s.stop - s.start for s in slices] == list(sp.n_blocks)
     assert slices[0].start == 0
     assert all(a.stop == b.start for a, b in zip(slices, slices[1:]))
-    ids, probs = sp._stacked_blocks
+    ids, probs = sp.block_ids, sp.block_probs
     assert slices[-1].stop == probs.size
     for n, s in enumerate(slices):
         assert np.array_equal(np.unique(ids[n]), np.arange(s.start, s.stop))
         own = np.bincount(sp.block_of[n], weights=sp.probs)
-        assert sp.block_probs[n].tobytes() == own.tobytes()
-        assert sp.block_probs[n].tobytes() == probs[s].tobytes()
+        assert probs[s].tobytes() == own.tobytes()
+    rows = np.random.default_rng(sp.n_leaves).normal(size=sp.block_of.shape)
+    for start in range(sp.depth + 1):
+        sums = sp.block_sums(rows[start:], start)
+        assert sums.size == probs.size
+        assert not sums[: slices[start].start].any()
+        for n in range(start, sp.depth + 1):
+            own = np.bincount(sp.block_of[n], weights=sp.probs * rows[n])
+            assert sums[slices[n]].tobytes() == own.tobytes()
+    for a in (ids, probs, *sp.block_cells):
+        with pytest.raises(ValueError):
+            a[(0,) * a.ndim] = a[(0,) * a.ndim]
 
 
 def test_mary_byte_cap():
