@@ -433,9 +433,9 @@ def lemma34_check(
 
 def jn_equivalence(config: TrialConfig, p: Exponent) -> ConstantReport:
     """Two-sided envelope of bmo_norm(f, p) / bmo_norm(f, 1) over random
-    martingales.  For a constant p both norms are ``bmo_norm``'s "dp" block
-    maxima, at any depth; otherwise both are its exhaustive scans, which
-    read the space's cached scan and the denominators the space keeps for
+    martingales.  BMO_1, and BMO_p for a constant p, are ``bmo_norm``'s "dp"
+    block maxima, at any depth; a variable p is its exhaustive scan, which
+    reads the space's cached scan and the denominators the space keeps for
     each exponent.  Each norm builds its own stopped-difference table."""
     space = config.space
     pv = as_leaf_exponent(space, p)
@@ -446,7 +446,7 @@ def jn_equivalence(config: TrialConfig, p: Exponent) -> ConstantReport:
     ratios, kept = [], []
     for i in range(config.trials):
         f = generate_martingale(config, i)
-        b1 = bmo_norm(f, ones, mode).value
+        b1 = bmo_norm(f, ones, "dp").value
         bp = bmo_norm(f, p, mode).value
         if b1 == 0.0 or bp == 0.0:
             continue
@@ -536,10 +536,10 @@ def _decay_error(t: float, lhs: float, bound: float) -> NumericalError:
 
 
 def _scan_sups(space: FilteredSpace, pvals: np.ndarray, table: np.ndarray):
-    """``exp_jn_curve``'s suprema over the exhaustive scan: ||f||_{BMO_1},
-    ||f||_{BMO_{r p(.)}} as a function of r, and the decay envelope as a
-    function of (grid, counts, factors) that raises on a broken bound;
-    and the size of the family compared, as a details entry.
+    """``exp_jn_curve``'s suprema over the exhaustive scan: ||f||_{BMO_{r p(.)}}
+    as a function of r, and the decay envelope as a function of (grid,
+    counts, factors) that raises on a broken bound; and the size of the
+    family compared, as a details entry.
 
     No pass is made per grid point.  Each stopping time's numerator is a
     step function of t with at most one step per leaf (see
@@ -551,9 +551,6 @@ def _scan_sups(space: FilteredSpace, pvals: np.ndarray, table: np.ndarray):
     # the scan holds every constant tau = n, so the table has exactly the
     # positive values of the scan's differences, and the same grid
     diffs = np.take(table, scan.cells)
-    probs, ones = space.probs, np.ones(space.n_leaves)
-    dens1 = kept_indicator_norms(space, ones, scan.masks)[scan.which]
-    b1 = max_norm_ratio(probs, ones, diffs, dens1)[0]
     # every indicator's norm by its mask's bits (see StoppingScan; at most
     # 19 leaves under the cap), 0 for the empty mask; in L^{r p(.)} it is
     # the power 1/r of the L^{p(.)} one
@@ -562,7 +559,7 @@ def _scan_sups(space: FilteredSpace, pvals: np.ndarray, table: np.ndarray):
     norm_of_code = np.concatenate(([0.0], norms))
 
     def bmo_at(r: float) -> float:
-        return max_norm_ratio(probs, pvals * r, diffs, dens ** (1.0 / r))[0]
+        return max_norm_ratio(space.probs, pvals * r, diffs, dens ** (1.0 / r))[0]
 
     def envelope(grid: np.ndarray, counts: np.ndarray, factors: np.ndarray):
         # grid index j below is a position on the ascending grid;
@@ -604,12 +601,12 @@ def _scan_sups(space: FilteredSpace, pvals: np.ndarray, table: np.ndarray):
         np.maximum.accumulate(top[:, ::-1], axis=1, out=top[:, ::-1])
         return top.diagonal(1).copy()
 
-    return b1, bmo_at, envelope, {"stopping_times": len(diffs)}
+    return bmo_at, envelope, {"stopping_times": len(diffs)}
 
 
 def _block_sups(space: FilteredSpace, p0: float, table: np.ndarray):
     """``_scan_sups`` for a constant exponent p0, where every supremum is a
-    maximum over single blocks (see ``bmo``): each quantity is read from
+    maximum over single blocks (see ``bmo``): both quantities are read from
     per-block sums, at any depth, with no scan and no mask norms.
 
     The decay envelope at grid index j is the largest P(B, D >= t_j)^(1/p0)
@@ -621,7 +618,6 @@ def _block_sups(space: FilteredSpace, p0: float, table: np.ndarray):
     and a break names the block of largest excess at the first broken
     t."""
     ids, probs = space.block_ids, space.block_probs
-    b1 = _block_max(space, table, 1.0)[0]
     den = probs ** (1.0 / p0)
 
     def bmo_at(r: float) -> float:
@@ -645,7 +641,7 @@ def _block_sups(space: FilteredSpace, p0: float, table: np.ndarray):
             raise _decay_error(float(grid[j]), lhs[i, j], bound[i, j])
         return (lhs / den[:, None]).max(axis=0)
 
-    return b1, bmo_at, envelope, {"blocks": probs.size}
+    return bmo_at, envelope, {"blocks": probs.size}
 
 
 def exp_jn_curve(f: Martingale, p: Exponent) -> ConstantReport:
@@ -666,17 +662,18 @@ def exp_jn_curve(f: Martingale, p: Exponent) -> ConstantReport:
     curve keeps the scan's form P(B, D >= t)^(1/p0) / P(B)^(1/p0); details
     then count the ``blocks`` compared.  A variable exponent is read from
     the exhaustive scan (``_scan_sups``), refused past its cap, and details
-    count the ``stopping_times`` scanned; ||f||_{BMO_1} is taken from the
-    same scan and stopped differences as the curve.  Off {tau < inf} the
-    differences are exactly 0."""
+    count the ``stopping_times`` scanned.  For every p, ||f||_{BMO_1} is
+    the block maximum of the same table, bit for bit ``bmo_norm``'s dp
+    value.  Off {tau < inf} the differences are exactly 0."""
     space = f.space
     pvals = as_leaf_exponent(space, p)
     require_f0_zero(f, "exp_jn_curve requires f_0 = 0")
     table = stopped_terminal_diffs(f)
     if (pvals == pvals[0]).all():
-        b1, bmo_at, envelope, family = _block_sups(space, float(pvals[0]), table)
+        bmo_at, envelope, family = _block_sups(space, float(pvals[0]), table)
     else:
-        b1, bmo_at, envelope, family = _scan_sups(space, pvals, table)
+        bmo_at, envelope, family = _scan_sups(space, pvals, table)
+    b1 = _block_max(space, table, 1.0)[0]
     if b1 == 0.0:
         raise DomainError("exponential decay curve requires a nonzero BMO_1 norm")
     grid = _t_grid_from_diffs(table)

@@ -315,7 +315,9 @@ def norm_batch(
 ) -> np.ndarray:
     """Luxemburg norms of many leaf functions sharing one (space, exponent),
     from the batch kernel, whose iteration :func:`luxemburg_norm` runs on
-    one row.  Internal plumbing for the sup-over-stopping-times modules."""
+    one row.  A row's norm can change in its last bit with the other rows
+    in its batch, so splitting batches another way can move pinned
+    outputs.  Internal plumbing for the sup-over-stopping-times modules."""
     rows = np.atleast_2d(np.asarray(rows, dtype=float))
     return _luxemburg_rows(probs, pvals, rows)
 

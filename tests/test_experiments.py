@@ -322,13 +322,14 @@ class TestJnEquivalence:
 
 
 def _jn_oracle(config, p):
-    """Ratios, skips and witness of jn_equivalence from two exhaustive
-    bmo_norm calls per trial."""
+    """Ratios, skips and witness of jn_equivalence from two bmo_norm calls
+    per trial: the exact dp block maximum for BMO_1, whose exponent is
+    constant, and the exhaustive scan for p."""
     one = constant_exponent(config.space, 1.0)
     ratios, skips, witness, best = [], 0, None, -1.0
     for i in range(config.trials):
         f = generate_martingale(config, i)
-        b1 = bmo_norm(f, one, mode="exhaustive").value
+        b1 = bmo_norm(f, one, mode="dp").value
         bp = bmo_norm(f, p, mode="exhaustive").value
         if b1 == 0.0 or bp == 0.0:
             skips += 1
@@ -359,16 +360,30 @@ def test_jn_equivalence_matches_per_trial_bmo_norms():
                           Exponent((2.0,))).details["skips"] == 3
 
 
-def test_exp_jn_bmo1_equals_exhaustive_bmo_norm():
+def test_exp_jn_bmo1_equals_dp_bmo_norm():
+    """For a variable and a constant p, exp_jn_curve's ||f||_{BMO_1} and the
+    denominator of each jn_equivalence ratio are bmo_norm's dp value, bit
+    for bit.  The exhaustive oracle of dp at p = 1 is
+    ``test_bmo.py::test_dp_matches_exhaustive``."""
     rng = random.Random(71)
     spaces = [build_dyadic_space(2), build_dyadic_space(3)]
     spaces += [random_tree_space(rng, max_leaves=8) for _ in range(8)]
-    for sp in spaces:
+    for k, sp in enumerate(spaces):
+        ones = constant_exponent(sp, 1.0)
         v = np.array([rng.gauss(0.0, 1.0) for _ in range(sp.n_leaves)])
         f = martingale_from_terminal(sp, v - cond_expect(sp, v, 0))
-        p = random_exponent(rng, sp.n_leaves, 1.0, 3.0)
-        want = bmo_norm(f, constant_exponent(sp, 1.0), mode="exhaustive").value
-        assert exp_jn_curve(f, p).details["bmo1"] == want
+        bmo1 = bmo_norm(f, ones, mode="dp").value
+        cfg = TrialConfig(space=sp, seed=k, trials=3)
+        variable = random_exponent(rng, sp.n_leaves, 1.0, 3.0)
+        for p in (variable, constant_exponent(sp, rng.uniform(1.0, 3.0))):
+            assert exp_jn_curve(f, p).details["bmo1"] == bmo1
+            ratios = []
+            for i in range(cfg.trials):
+                g = generate_martingale(cfg, i)
+                b1, bp = bmo_norm(g, ones, mode="dp").value, bmo_norm(g, p).value
+                if b1 and bp:
+                    ratios.append(bp / b1)
+            assert list(jn_equivalence(cfg, p).ratios) == ratios
 
 
 def test_jn_calls_over_cap_fail_from_the_count(monkeypatch):

@@ -168,7 +168,7 @@ PINS = [
     Pin("experiment exp-jn --space r7.json --exponent pr7.json --martingale mr7.json",
         "d9db7a01629b3f0ed3bf89bb0aa5712b4e1808987b611bc3ba97beaddac63926"),
     Pin("experiment jn --space r7.json --exponent pr7.json --trials 3",
-        "4e86fce5548a93f73d3f360fa65dbc8cc4b44cf68a53ec05650ed4729c05c447"),
+        "68d8605c8f3f4a8c29b68111dceeabe6c429527909fb56020536599b66d9bf16"),
     # the decay envelope on a space that is neither dyadic nor uniform
     Pin("experiment exp-jn --space u7.json",
         "5ef14d4c100f96425d7161128553fd140817513bc24fbbaf15b75a0eb7b432cf"),

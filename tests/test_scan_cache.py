@@ -32,7 +32,7 @@ from vexmart import (
     martingale_from_terminal,
     validate_filtration,
 )
-from vexmart import bmo, martingale, varlp
+from vexmart import bmo, experiments, martingale, varlp
 from vexmart.bmo import candidate_matrix
 from vexmart.martingale import enumerate_stopping_matrix, stopped_terminal_diffs
 from vexmart.varlp import (
@@ -216,7 +216,9 @@ def test_cap_is_checked_on_every_call(monkeypatch):
 def test_second_call_enumerates_and_walks_nothing(monkeypatch):
     """A warm call builds no scan and no grouping of the cells by block,
     and solves no denominator again: neither a scan's mask norms nor the
-    block norms of an exponent the space keeps."""
+    block norms of an exponent the space keeps.  With a variable exponent,
+    exp_jn_curve and jn_equivalence scan for it alone: ||f||_{BMO_1} is a
+    block maximum, so no numerator is solved with a constant exponent."""
     calls = Counter()
 
     def counting(module, name):
@@ -246,6 +248,13 @@ def test_second_call_enumerates_and_walks_nothing(monkeypatch):
     # on a table of ones; bmo's own block pass, its numerators, is not one
     monkeypatch.setattr(varlp, "norm_batch", counted_solve)
     monkeypatch.setattr(varlp, "block_norms", counted_block_solve)
+    ratio_pvals = []
+    for module in (bmo, experiments):
+        def counted_ratio(probs, pvals, *rest, ratio=module.max_norm_ratio):
+            ratio_pvals.append(pvals)
+            return ratio(probs, pvals, *rest)
+
+        monkeypatch.setattr(module, "max_norm_ratio", counted_ratio)
     small, large = build_dyadic_space(3), build_dyadic_space(6)
 
     def calls_on(seed):
@@ -254,8 +263,11 @@ def test_second_call_enumerates_and_walks_nothing(monkeypatch):
         p = random_exponent(rng, small.n_leaves)
         q = random_exponent(rng, large.n_leaves)
         bmo_norm(f, p)
+        ratio_pvals.clear()
         exp_jn_curve(f, p)
         jn_equivalence(TrialConfig(small, seed=seed, trials=2), p)
+        assert ratio_pvals
+        assert not any((v == v[0]).all() for v in ratio_pvals)
         # over the cap: the single-block pass
         lipschitz_norm(g, 2.0, [0.5, 0.25] * 32)
         bmo_norm(g, q)
@@ -267,9 +279,9 @@ def test_second_call_enumerates_and_walks_nothing(monkeypatch):
     # on the space (``block_cells``) from then on
     assert calls == {"_count_walk": 2, "enumerate_stopping_matrix": 1, "of": 1}
     grouping = large.block_cells
-    # the masks of p (then kept for exp_jn_curve and jn_equivalence) and of
-    # p = 1 on the exhaustive scan, the blocks of 1/alpha and of q
-    assert sorted(mask_solves.values()) == [1, 1, 1, 1]
+    # the masks of p on the exhaustive scan (then kept for exp_jn_curve and
+    # jn_equivalence), the blocks of 1/alpha and of q; p = 1 solves none
+    assert sorted(mask_solves.values()) == [1, 1, 1]
     calls.clear()
     mask_solves.clear()
     assert calls_on(1) == counts
