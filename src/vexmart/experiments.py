@@ -19,7 +19,6 @@ import numpy as np
 from .errors import DomainError, NumericalError, ResourceError, ValidationError
 from .bmo import _block_max, bmo_norm, candidate_matrix
 from .martingale import (
-    ENUMERATION_CAP,
     Martingale,
     martingale_from_terminal,
     maximal,
@@ -323,9 +322,9 @@ def doob_strong_check(config: TrialConfig, p: Exponent) -> ConstantReport:
     pvals = as_leaf_exponent(space, p)
     if p.p_minus() <= 1.0:
         raise DomainError("maximal-norm ratio requires p_- > 1")
-    # rows f_N, Mf, 10 f_N and 10 Mf per trial; a batch holds at most
-    # ENUMERATION_CAP entries, so memory does not grow with the trials
-    per_call = max(1, ENUMERATION_CAP // (4 * n))
+    # rows f_N, Mf, 10 f_N and 10 Mf per trial; a batch takes at most
+    # about BLOCK_BYTES, so memory does not grow with the trials
+    per_call = max(1, BLOCK_BYTES // (32 * n))
     norms = np.empty((config.trials, 4))
     for start in range(0, config.trials, per_call):
         rows = np.empty((min(per_call, config.trials - start), 4, n))

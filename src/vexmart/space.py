@@ -29,8 +29,7 @@ MAX_SCAN_BYTES = 1 << 25
 # bytes of one row block where a long array is made or walked a block at
 # a time, so that memory does not grow with the number of rows
 BLOCK_BYTES = 1 << 20
-# most stopping times an enumeration lists, and most pairs `condition_k`
-# scores at once
+# most stopping times an enumeration lists
 ENUMERATION_CAP = 10**6
 BRUTE_FORCE_LEAF_LIMIT = 20
 PROB_TOL = 1e-12
@@ -388,7 +387,7 @@ def condition_k(
     and larger p: the maxima of a point set, each one sort and a running
     minimum of P, with equal points kept at their smallest leaf.  The
     staircase pairs are scored by the pairwise formula
-    (P_i + P_j)^(-|p_i - p_j|) in chunks of at most ENUMERATION_CAP; the
+    (P_i + P_j)^(-|p_i - p_j|) in chunks of about BLOCK_BYTES; the
     witness is the lexicographically first pair i < j of largest value, or
     (0,) when no pair exceeds 1.  Pairs off the staircases are strictly
     worse in exact arithmetic, so this is the maximum and first argmax over
@@ -425,7 +424,7 @@ def condition_k(
     if mode == "exact-pairwise":
         lower, upper = _staircase(probs, pv), _staircase(probs, -pv)
         best, first = 1.0, None
-        step = max(1, ENUMERATION_CAP // upper.size)
+        step = max(1, BLOCK_BYTES // (8 * upper.size))
         for a in range(0, lower.size, step):
             i = lower[a : a + step, None]
             vals = (probs[i] + probs[upper]) ** -np.abs(pv[i] - pv[upper])

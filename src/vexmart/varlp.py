@@ -3,8 +3,9 @@
 The modular is the finite weighted sum  rho(f/lambda) = sum_w P(w) *
 (|f(w)|/lambda)^{p(w)}, computed for a whole grid of lambdas by one
 function, of which the scalar modular is a one-lambda call.  The Luxemburg
-norm is the infimal lambda with rho(f/lambda) <= 1, solved by one Newton
-pass, run by the batch loop on rows and by a scalar loop on one row or set:
+norm is the infimal lambda with rho(f/lambda) <= 1, solved by Newton's
+method, run by the batch loop on rows and by one loop on one row, one set
+or the blocks of a table:
 
 * In s = log(lambda), g(s) = log rho(f e^{-s}) is a log-sum-exp of affine
   functions of s, hence convex and strictly decreasing for f != 0, and the
@@ -29,22 +30,21 @@ pass, run by the batch loop on rows and by a scalar loop on one row or set:
   Such a row is strictly below the maximum, so the value and the first
   row attaining it come from rows solved exactly as in :func:`norm_batch`.
 * A constant exponent takes the closed form (E|f|^p)^{1/p}.
-* One row (:func:`luxemburg_norm`) is solved on the support of f and an
-  indicator norm ||chi_E|| (:func:`indicator_norm`) on E alone, P(E)^{1/p}
-  where p is constant on E, else from the tangent at lambda = 1: a scalar
-  loop, free of the batch's bookkeeping.
-* The norms of T_n 1_B for every block B of every level n of a (levels x
-  leaves) table T (:func:`block_norms`, the single-block suprema past the
-  cap) come from one Newton pass over the table's cells, segmented by
-  block, with the kernel's start, floor and stopping rule.
+* One loop, :func:`_newton`, solves one row (:func:`luxemburg_norm`, on
+  the support of f), one indicator norm ||chi_E|| (:func:`indicator_norm`,
+  on E alone: P(E)^{1/p} where p is constant on E, else from the tangent
+  at lambda = 1) and the norms of T_n 1_B for every block B of every level
+  n of a (levels x leaves) table T (:func:`block_norms`, the single-block
+  suprema past the cap), with the kernel's start, floor and stopping rule.
+  A row or a set is evaluated by the kernel's pass, the blocks by one
+  pass over the table's cells, segmented by block.
 * The norms ||chi_{tau<inf}|| that the BMO and Lipschitz denominators and
   the atomic decomposition divide by, and the blocks' ||chi_B||, are kept
   on the space, one store per space under one byte budget
   (:func:`kept_indicator_norms`, :func:`kept_block_norms`).
-* The kernel reduces along the batch's longer axis, chosen from its shape
-  alone: a batch with more rows than leaves (the stopping-time scans) is
-  solved on its leaves x rows transpose, any other row by row.  Each
-  layout, and a support alone, sums in its own order, so a norm agrees
+* The kernel solves every batch on its leaves x rows transpose, and its
+  pass sums over the leaves on axis 0, for one 1-d row alike.  A batch's
+  columns and a support alone sum in their own orders, so a norm agrees
   across them to about one unit in the last place of log(norm / max|f|).
 
 Exponents are finite, as an :class:`Exponent` guarantees.  The one +inf
@@ -137,32 +137,50 @@ def modular_grid(
 
 _LOG_WEIGHT_FLOOR = -600.0
 
-# Broadcast index tuples (per-leaf, per-row) for a batch whose leaf axis
-# is 1 (rows x leaves) or 0 (leaves x rows).
-_SPREAD = (
-    ((slice(None), None), (None, slice(None))),
-    ((None, slice(None)), (slice(None), None)),
-)
-
 
 def _log_modular(
-    logw: np.ndarray, pvals: np.ndarray, u: np.ndarray | np.float64, ax: int = 0
+    logw: np.ndarray, pvals: np.ndarray, u: np.ndarray | float
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Per row, g(u) = log sum_w exp(logw - p u) and the slope -g'(u),
-    which is the mean of p under the weights exp(logw - p u).  ``ax`` is
-    the leaf axis of a 2-d ``logw``; a 1-d ``logw`` is one row, with a
-    scalar u."""
-    leaf, row = _SPREAD[ax] if logw.ndim > 1 else ((), ())
-    e = logw - pvals[leaf] * u[row]
-    top = e.max(axis=ax)
-    e -= top[row]
+    """g(u) = log sum_w exp(logw - p u) and the slope -g'(u), which is the
+    mean of p under the weights exp(logw - p u), summed over the leaves on
+    axis 0: one row for a 1-d ``logw`` and a scalar u, one per column of a
+    leaves x rows ``logw`` with one u per column."""
+    e = logw - np.multiply.outer(pvals, u)
+    top = e.max(axis=0)
+    e -= top
     # each row's largest weight is exactly 1, so weights below e^-600 are
     # far under the last bit of both sums; raised to it, zero entries
     # (-inf) and underflow skip exp's slow path
     np.maximum(e, _LOG_WEIGHT_FLOOR, out=e)
     w = np.exp(e, out=e)
-    total = w.sum(axis=ax)
-    return top + np.log(total), (w @ pvals if ax else pvals @ w) / total
+    total = w.sum(axis=0)
+    return top + np.log(total), pvals @ w / total
+
+
+def _newton(evaluate, u, what, scale=1.0):
+    """Newton's method on g from a start u left of the root, a float or one
+    entry per independent problem, where ``evaluate(u)`` gives g(u) and the
+    slope -g'(u): each entry stops at its first point whose step is at most
+    NEWTON_REL_TOL and keeps it.  Returns u, the steps taken and g there.
+    A failure to converge names ``what(running, k)``, given the entries
+    still running and the index k of the first, and its last lambda,
+    scale * e^u."""
+    for it in range(1, NEWTON_MAX_ITER + 1):
+        g, slope = evaluate(u)
+        step = g / slope
+        done = step <= NEWTON_REL_TOL
+        running = done.size - np.count_nonzero(done)
+        if not running:
+            return u, it, g
+        if running < done.size:
+            step[done] = 0.0
+        u += step
+    k = int(np.argmin(done))
+    lam = float(np.ravel(scale * np.exp(u))[k])
+    raise NumericalError(
+        f"Luxemburg Newton iteration did not converge in {NEWTON_MAX_ITER} steps "
+        f"on {what(running, k)}, last at lambda {lam!r}"
+    )
 
 
 def _luxemburg_rows(
@@ -171,7 +189,8 @@ def _luxemburg_rows(
     rows: np.ndarray,
     dens: np.ndarray | None = None,
 ) -> np.ndarray:
-    """The Luxemburg norms of the rows of a 2-d array.
+    """The Luxemburg norms of the rows of a 2-d array, solved on its leaves
+    x rows transpose.
 
     Newton runs on u = log(lambda / max|f|), where the modular terms are
     P(w) |f(w)/max|f||^{p(w)} e^{-p(w) u}, and stops at the first point
@@ -185,15 +204,10 @@ def _luxemburg_rows(
     attaining the largest ratio is never dropped, and every row that
     finishes is solved exactly as without ``dens``.
     """
-    # the leaf axis: 0 when a batch has more rows than leaves and is solved
-    # on its leaves x rows transpose, so that every reduction runs along
-    # the longer axis
-    ax = int(rows.shape[0] <= rows.shape[1])
-    a = np.abs(rows) if ax else np.abs(rows.T, order="C")
-    leaf, row = _SPREAD[ax]
+    a = np.abs(rows.T, order="C")
     m = rows.shape[0]
     norms = np.zeros(m)
-    top = a.max(axis=ax, initial=0.0)
+    top = a.max(axis=0, initial=0.0)
     live = top > 0
     # log(0) = -inf marks a zero entry; terms far below the row maximum
     # may underflow to 0
@@ -201,18 +215,17 @@ def _luxemburg_rows(
         if np.all(pvals == pvals[0]):
             scale = np.where(live, top, 1.0)
             p0 = pvals[0]
-            terms = (a / scale[row]) ** p0
-            norms = scale * (terms @ probs if ax else probs @ terms) ** (1.0 / p0)
+            norms = scale * (probs @ (a / scale) ** p0) ** (1.0 / p0)
         elif live.any():
             idx = np.flatnonzero(live)
-            h = a if idx.size == m else np.take(a, idx, axis=1 - ax)
-            h = h / top[idx][row]
-            logw = np.log(probs)[leaf] + pvals[leaf] * np.log(h)
+            h = a if idx.size == m else np.take(a, idx, axis=1)
+            h = h / top[idx]
+            logw = np.log(probs)[:, None] + pvals[:, None] * np.log(h)
             # the rest reads only logw: free two batch-sized arrays before
             # the passes allocate their own
             del a, h
             # g is convex, so its tangent at u = 0 meets zero left of the root
-            g0, slope0 = _log_modular(logw, pvals, np.zeros(idx.size), ax)
+            g0, slope0 = _log_modular(logw, pvals, np.zeros(idx.size))
             u = g0 / slope0
             if dens is not None:
                 # in logs, the ratio a row reaches at e^u is lgain + u; the
@@ -226,9 +239,9 @@ def _luxemburg_rows(
                 if not keep.all():
                     idx, u, lgain = idx[keep], u[keep], lgain[keep]
                     slope0 = slope0[keep]
-                    logw = np.compress(keep, logw, axis=1 - ax)
+                    logw = np.compress(keep, logw, axis=1)
             for _ in range(NEWTON_MAX_ITER):
-                g, slope = _log_modular(logw, pvals, u, ax)
+                g, slope = _log_modular(logw, pvals, u)
                 step = g / slope
                 done = step <= NEWTON_REL_TOL
                 keep = ~done
@@ -246,7 +259,7 @@ def _luxemburg_rows(
                 u = nxt
                 if not keep.all():
                     idx, u = idx[keep], u[keep]
-                    logw = np.compress(keep, logw, axis=1 - ax)
+                    logw = np.compress(keep, logw, axis=1)
                     if dens is not None:
                         slope0, lgain = slope0[keep], lgain[keep]
             else:
@@ -257,30 +270,6 @@ def _luxemburg_rows(
                     f"row {idx[0]} of the batch, was last at lambda {lam!r}"
                 )
     return norms
-
-
-def _newton_root(
-    logw: np.ndarray, q: np.ndarray, u: float | None, what: str, scale: float = 1.0
-) -> tuple[float, int, float]:
-    """The kernel's iteration on one 1-d array, with g(u) = log sum
-    exp(logw - q u) from the kernel's own pass :func:`_log_modular`, from
-    a start u left of the root, or where u is None from the zero of the
-    tangent at u = 0, as the kernel starts: the first u whose step is at
-    most NEWTON_REL_TOL, the steps taken and g there.  A failure to
-    converge names ``what`` and its size, and the last lambda, scale * e^u."""
-    first = int(u is None)
-    u = np.float64(0.0 if first else u)
-    for it in range(1 - first, NEWTON_MAX_ITER + 1):
-        g, slope = _log_modular(logw, q, u)
-        step = g / slope
-        # the step from u = 0, right of the root, is not a stopping test
-        if it and step <= NEWTON_REL_TOL:
-            return u, it, g
-        u += step
-    raise NumericalError(
-        f"Newton iteration did not converge in {NEWTON_MAX_ITER} steps on "
-        f"{what} of {q.size} leaves, last at lambda {scale * math.exp(u)!r}"
-    )
 
 
 def luxemburg_norm(
@@ -304,7 +293,11 @@ def luxemburg_norm(
         q = pvals[live]
         logw = np.log(space.probs[live]) + q * np.log(a[live] / top)
         # g is convex, so its tangent at u = 0 meets zero left of the root
-        u, steps, g = _newton_root(logw, q, None, "the support of f, a set", top)
+        g0, slope0 = _log_modular(logw, q, 0.0)
+        u, steps, g = _newton(
+            lambda u: _log_modular(logw, q, u), g0 / slope0,
+            lambda *_: f"the support of f, a set of {q.size} leaves", top,
+        )
     return NormResult(top * math.exp(u), steps, abs(math.expm1(g)))
 
 
@@ -314,10 +307,11 @@ def norm_batch(
     rows: np.ndarray,
 ) -> np.ndarray:
     """Luxemburg norms of many leaf functions sharing one (space, exponent),
-    from the batch kernel, whose iteration :func:`luxemburg_norm` runs on
-    one row.  A row's norm can change in its last bit with the other rows
-    in its batch, so splitting batches another way can move pinned
-    outputs.  Internal plumbing for the sup-over-stopping-times modules."""
+    from the batch kernel, solved on the batch's leaves x rows transpose
+    with the pass and stopping rule that :func:`luxemburg_norm` runs on one
+    row.  A row's norm can change in its last bit with the other rows in
+    its batch, so splitting batches another way can move pinned outputs.
+    Internal plumbing for the sup-over-stopping-times modules."""
     rows = np.atleast_2d(np.asarray(rows, dtype=float))
     return _luxemburg_rows(probs, pvals, rows)
 
@@ -367,14 +361,13 @@ def block_norms(space: FilteredSpace, table: np.ndarray, pvals: np.ndarray) -> n
 
     Zero cells are left out, since the kernel's floor puts their weights
     e^-600 under the block's largest, below the last bit of every sum; a
-    block with no nonzero cell has norm 0.  On the others the iteration is
-    :func:`_luxemburg_rows`' own: u = log(lambda / max|T_n 1_B|), the start
-    at the zero of the tangent at u = 0, the kernel's shift and floor, and
-    each block keeps the first point whose step is at most NEWTON_REL_TOL,
-    so a norm agrees with the kernel's to about one unit in the last place
-    of u.  Besides ``table`` and the grouping it holds at most five arrays
-    of one float or index per cell at once (counted in
-    ``bmo.BLOCK_PASS_ARRAYS``)."""
+    block with no nonzero cell has norm 0.  On the others :func:`_newton`
+    runs on u = log(lambda / max|T_n 1_B|) from the zero of the tangent at
+    u = 0, with the kernel's shift and floor, and each block keeps the
+    first point whose step is at most NEWTON_REL_TOL, so a norm agrees with
+    the kernel's to about one unit in the last place of u.  Besides
+    ``table`` and the grouping it holds at most five arrays of one float or
+    index per cell at once (counted in ``bmo.BLOCK_PASS_ARRAYS``)."""
     order, starts = space.block_cells
     # the cell-sized arrays held at once are at most five: the values (then
     # logw), the leaves, the segments and p per cell, and one temporary; in
@@ -404,24 +397,10 @@ def block_norms(space: FilteredSpace, table: np.ndarray, pvals: np.ndarray) -> n
         del a, leaf
         # g is convex, so its tangent at u = 0 meets zero left of the root
         g0, slope0 = _segment_log_modular(logw, q, np.zeros(live.size), seg, starts)
-        u = g0 / slope0
-        done = np.zeros(live.size, dtype=bool)
-        for _ in range(NEWTON_MAX_ITER):
-            g, slope = _segment_log_modular(logw, q, u, seg, starts)
-            step = g / slope
-            done |= step <= NEWTON_REL_TOL
-            if np.count_nonzero(done) == done.size:
-                break
-            # a finished block keeps the point it stopped at
-            step[done] = 0.0
-            u += step
-        else:
-            k = int(np.argmin(done))
-            raise NumericalError(
-                f"Luxemburg Newton iteration did not converge in {NEWTON_MAX_ITER} "
-                f"steps on {live.size - int(done.sum())} blocks; the first, block "
-                f"{live[k]}, was last at lambda {float(top[k] * np.exp(u[k]))!r}"
-            )
+        u = _newton(
+            lambda u: _segment_log_modular(logw, q, u, seg, starts), g0 / slope0,
+            lambda running, k: f"{running} blocks; the first, block {live[k]}", top,
+        )[0]
     norms[live] = top * np.exp(u)
     return norms
 
@@ -445,7 +424,10 @@ def indicator_norm(probs: np.ndarray, pvals: np.ndarray, mask: np.ndarray) -> fl
     if (q == q[0]).all():
         return total ** (1.0 / float(q[0]))
     u = math.log(total) * total / float(pe @ q)
-    return math.exp(_newton_root(np.log(pe), q, u, "the indicator of a set")[0])
+    logw = np.log(pe)
+    u = _newton(lambda u: _log_modular(logw, q, u), u,
+                lambda *_: f"the indicator of a set of {q.size} leaves")[0]
+    return math.exp(u)
 
 
 def _lookup(space: FilteredSpace, pvals: np.ndarray, key: tuple):

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from vexmart import (
     DomainError,
     Exponent,
+    NumericalError,
     ResourceError,
     bmo_norm,
     build_dyadic_space,
@@ -25,7 +26,7 @@ from vexmart import (
     validate_filtration,
     validate_stopping_time,
 )
-from vexmart import bmo, serialize
+from vexmart import bmo, serialize, varlp
 from vexmart.bmo import StoppingScan
 from vexmart.martingale import _tree_witness, sample_stopping_matrix, stopped_terminal_diffs
 from vexmart.varlp import block_norms, indicator_norm, kept_block_norms, kept_indicator_norms
@@ -409,6 +410,23 @@ def test_block_norms_match_a_loop_over_blocks(seed, shape, law, p0):
     assert k == got.size == dens.size
     exact = bmo._block_max(sp, full, p0)[0]
     assert abs(block_scan_sup(f, np.full(sp.n_leaves, p0)) - exact) <= 1e-12 * exact
+
+
+def test_block_norms_failure_names_first_unconverged_block(monkeypatch):
+    """With one Newton step allowed, the error names how many blocks are
+    still short of their roots (3 of the 5 with a nonzero cell), the first
+    of them in level-major order, and the lambda it reached, which lies
+    below its norm: Newton climbs to the root from the left."""
+    sp = build_dyadic_space(2)
+    p = Exponent((1.2, 2.8, 1.5, 3.5))
+    table = stopped_terminal_diffs(martingale_from_terminal(sp, [1.0, -2.0, 0.5, 0.5]))[:-1]
+    want = block_norms(sp, table, p.vals)
+    assert np.count_nonzero(want) == 5
+    monkeypatch.setattr(varlp, "NEWTON_MAX_ITER", 1)
+    with pytest.raises(NumericalError, match=r"on 3 blocks; the first, block 0,") as info:
+        block_norms(sp, table, p.vals)
+    lam = float(str(info.value).rsplit("lambda ", 1)[1])
+    assert 0.0 < lam < want[0]
 
 
 @settings(max_examples=120, deadline=None)

@@ -1145,8 +1145,9 @@ def _doob_oracle(cfg, p):
 
 @pytest.mark.parametrize("stack", [None, 1, 3])
 def test_doob_matches_per_trial_norms(monkeypatch, stack):
-    """``stack`` trials per batch (by shrinking the entry cap) exercises the
-    slicing of the trials, None keeps the default of one batch."""
+    """``stack`` trials per batch (by shrinking the batch's byte budget)
+    exercises the slicing of the trials, None keeps the default of one
+    batch."""
     rng = random.Random(89)
     cases = [config(depth=0, trials=3), config(depth=1, seed=2, trials=12,
                                                martingale_law="two-point")]
@@ -1157,8 +1158,8 @@ def test_doob_matches_per_trial_norms(monkeypatch, stack):
     seen_skips = set()
     for cfg in cases:
         if stack is not None:
-            monkeypatch.setattr(experiments, "ENUMERATION_CAP",
-                                stack * 4 * cfg.space.n_leaves)
+            monkeypatch.setattr(experiments, "BLOCK_BYTES",
+                                stack * 32 * cfg.space.n_leaves)
         for p in (random_exponent(rng, cfg.space.n_leaves, 1.1, 4.0),
                   constant_exponent(cfg.space, 2.0)):
             rep = doob_strong_check(cfg, p)

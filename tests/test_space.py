@@ -273,11 +273,12 @@ class TestConditionK:
             slow = condition_k(sp, p, mode="brute-force").k
             assert res.k == pytest.approx(slow, rel=1e-12)
 
-    @pytest.mark.parametrize("cap", [1, 10**6])
+    @pytest.mark.parametrize("budget", [1, 10**6])
     @pytest.mark.parametrize("probs, values", TIED_PAIRS)
-    def test_tied_maximum_keeps_first_pair(self, monkeypatch, cap, probs, values):
-        # with cap 1 each lower-staircase leaf is scored in its own chunk
-        monkeypatch.setattr(space_module, "ENUMERATION_CAP", cap)
+    def test_tied_maximum_keeps_first_pair(self, monkeypatch, budget, probs, values):
+        # with a budget of 1 byte each lower-staircase leaf is scored in its
+        # own chunk
+        monkeypatch.setattr(space_module, "BLOCK_BYTES", budget)
         sp = validate_filtration([[[0, 1, 2, 3]], [[0], [1], [2], [3]]], probs)
         p = Exponent(values)
         res = condition_k(sp, p)
@@ -301,7 +302,7 @@ class TestConditionK:
         lower = space_module._staircase(sp.probs, p.vals)
         upper = space_module._staircase(sp.probs, -p.vals)
         assert (lower.size, upper.size) == (m, m)
-        assert lower.size * upper.size > space_module.ENUMERATION_CAP
+        assert 8 * lower.size * upper.size > space_module.BLOCK_BYTES
         res = condition_k(sp, p)
         assert (res.k, res.witness) == _pairwise_condition_k(sp, p)
 

@@ -176,7 +176,7 @@ def test_norm_batch_matches_scalar():
 )
 def test_kernel_matches_bisection_oracle(seed, p_lo, p_hi, log_scale, zero_frac,
                                          constant, shape):
-    # one row and n rows are solved row by row, n + 5 rows leaf by leaf
+    # one row, n rows and n + 5 rows, each batch on its leaves x rows transpose
     rng = random.Random(seed)
     sp = random_tree_space(rng)
     n = sp.n_leaves
@@ -202,9 +202,9 @@ def test_kernel_matches_bisection_oracle(seed, p_lo, p_hi, log_scale, zero_frac,
 
 
 @pytest.mark.parametrize("tall", [False, True])
-def test_batch_layout_changes_only_rounding(tall):
-    # a batch with more rows than leaves is reduced along its leaf axis, a
-    # one-row call along its row: the two differ in summation order only
+def test_short_and_tall_batches_match_one_row_solves(tall):
+    # a batch sums each column of its leaves x rows transpose, a one-row
+    # call its support: the two differ in summation order only
     rng = random.Random(23 + tall)
     for _ in range(40):
         sp = random_tree_space(rng)
@@ -268,9 +268,10 @@ def test_max_norm_ratio_matches_the_full_batch(seed, law, tall):
 @pytest.mark.parametrize("tall", [False, True])
 def test_newton_failure_names_first_unconverged_row(monkeypatch, tall):
     """With one Newton step allowed, the error names the batch index of the
-    first row still short of its root (row 0 is zero and has converged)
-    and the lambda it reached, which lies below its norm: Newton climbs to
-    the root from the left."""
+    first row still short of its root (row 0 is zero and never enters the
+    iteration), in a batch with fewer rows than leaves and in one with
+    more, and the lambda it reached, which lies below its norm: Newton
+    climbs to the root from the left."""
     sp = build_dyadic_space(2)
     p = Exponent((1.2, 2.8, 1.5, 3.5))
     rows = np.array([[0.0] * 4, [1.0, -2.0, 0.5, 3.0], [2.0, 0.0, -1.0, 1.0]]
