@@ -3,19 +3,20 @@
 For a variable exponent (for Lipschitz, a variable alpha) "exhaustive"
 scans every stopping time, up to ENUMERATION_CAP of them.  The family
 depends on the filtration alone, so it is enumerated once per space and
-cached there together with its distinct {tau < inf} masks.  The norms of
-those masks depend on the exponent too, and the space keeps them per
-exponent under a byte budget (``varlp.kept_indicator_norms``), so a call
-gathers its stopped differences from one table and solves its
-numerators, and its denominators only for an exponent the space has not
-kept.  "auto" takes that scan up to the cap.  Past it, "auto" takes the
-stopping times that stop at one block B of one level n (tau = n on B) and
-never elsewhere: the largest ratio of one block, with its numerators
-from one Newton pass over the (level, leaf) cells segmented by block
-(``varlp.block_norms``) and its denominators kept on the space
-(``varlp.kept_block_norms``), so no blocks x leaves array is made.  That
-is a lower bound of the true supremum and is reported as mode
-"block-lower", so callers can pin exact results only.
+cached there, each row with the code of its {tau < inf} set.  Every
+nonempty leaf subset is such a set, and the space keeps the norms of all
+subsets by code per exponent under a byte budget
+(``varlp.kept_subset_norms``), so a call gathers its stopped differences
+from one table and solves its numerators, and its denominators only for
+an exponent the space has not kept.  "auto" takes that scan up to the
+cap.  Past it, "auto" takes the stopping times that stop at one block B
+of one level n (tau = n on B) and never elsewhere: the largest ratio of
+one block, with its numerators from one Newton pass over the (level,
+leaf) cells segmented by block (``varlp.block_norms``) and its
+denominators kept on the space (``varlp.kept_block_norms``), so no
+blocks x leaves array is made.  That is a lower bound of the true
+supremum and is reported as mode "block-lower", so callers can pin exact
+results only.
 
 For a constant exponent both norms have a third mode, "dp", exact and
 with no scan, which "auto" takes at every size.  A stopping time tau
@@ -56,7 +57,7 @@ from .martingale import (
 from .space import (
     MAX_SCAN_BYTES, Exponent, FilteredSpace, as_leaf_exponent, as_leaf_values, readonly,
 )
-from .varlp import block_norms, kept_block_norms, kept_indicator_norms, max_norm_ratio
+from .varlp import block_norms, kept_block_norms, kept_subset_norms, max_norm_ratio
 from .hardy import hs_norm
 
 # arrays of one float or index per (level, leaf) cell that a "block-lower"
@@ -79,30 +80,27 @@ class SupNormResult:
 
 @dataclass(frozen=True, eq=False)
 class StoppingScan:
-    """Every stopping time finite somewhere, to scan, all arrays read-only:
+    """Every stopping time finite somewhere, to scan, both arrays read-only:
     per row and leaf x, ``cells`` holds the position
     min(tau(x), N+1) * n_leaves + x of its difference in the table of
-    ``stopped_terminal_diffs``; ``masks`` holds the distinct masks of
-    {tau < inf} and ``which`` the position of each row's mask there.  Masks
-    ascend by their bits read as a binary number c, leaf 0 on top; the
-    family has every nonempty subset (tau = N on it), so mask c is at
-    c - 1.  The norms of the masks are kept on the space (see
-    ``varlp.kept_indicator_norms``)."""
+    ``stopped_terminal_diffs``, and ``codes`` holds each row's {tau < inf}
+    bits read as a binary number, leaf 0 on top.  The family has every
+    nonempty subset (tau = N on it), so the codes are 1, ..., 2^n - 1, and
+    they index the subset norms the space keeps (see
+    ``varlp.kept_subset_norms``)."""
 
     cells: np.ndarray
-    masks: np.ndarray
-    which: np.ndarray
+    codes: np.ndarray
 
     @classmethod
     def of(cls, taus: np.ndarray, depth: int) -> "StoppingScan":
-        """The scan of the rows of ``taus``, each finite somewhere.  Masks are
-        told apart by their packed bits, which sort as the masks do."""
-        finite = np.isfinite(taus)
-        first, which = _distinct_rows(np.packbits(finite, axis=1))
+        """The scan of the rows of ``taus``, each finite somewhere."""
+        n = taus.shape[1]
+        codes = np.isfinite(taus) @ (1 << np.arange(n - 1, -1, -1))
         cells = np.minimum(taus, depth + 1).astype(np.intp)
-        cells *= cells.shape[1]
-        cells += np.arange(cells.shape[1])
-        return cls(*map(readonly, (cells, finite[first], which)))
+        cells *= n
+        cells += np.arange(n)
+        return cls(*map(readonly, (cells, codes)))
 
 
 def candidate_matrix(space: FilteredSpace) -> StoppingScan:
@@ -146,24 +144,9 @@ def _scan_or_blocks(space: FilteredSpace, mode: str) -> StoppingScan | None:
     return None
 
 
-def _distinct_rows(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """One index per distinct row of a 2-d array, rows ascending in
-    lexicographic order (first column most significant), and for every row
-    the position of its distinct row in that list.  The rows and order of
-    ``np.unique(a, axis=0)``, from one lexsort and one compare of
-    neighbouring sorted rows."""
-    order = np.lexsort(a.T[::-1])
-    ranked = a[order]
-    new = np.ones(order.size, dtype=bool)
-    new[1:] = (ranked[1:] != ranked[:-1]).any(axis=1)
-    which = np.empty(order.size, dtype=np.intp)
-    which[order] = np.cumsum(new) - 1
-    return order[new], which
-
-
 def _sup_result(scan: StoppingScan, value: float, i: int) -> SupNormResult:
     rows, n = scan.cells.shape
-    tau = np.where(scan.masks[scan.which[i]], scan.cells[i] // n, INF)
+    tau = np.where(scan.codes[i] >> np.arange(n - 1, -1, -1) & 1, scan.cells[i] // n, INF)
     return SupNormResult(value, StoppingTime(tau), "exhaustive", rows)
 
 
@@ -247,7 +230,7 @@ def bmo_norm(
         return _block_lower(space, block_norms(space, table[:-1], pv)
                             / kept_block_norms(space, pv))
     diffs = np.take(table, scan.cells)
-    dens = kept_indicator_norms(space, pv, scan.masks)[scan.which]
+    dens = kept_subset_norms(space, pv)[scan.codes]
     return _sup_result(scan, *max_norm_ratio(space.probs, pv, diffs, dens))
 
 
@@ -305,12 +288,11 @@ def lipschitz_norm(
 
     diffs = np.abs(np.take(table, scan.cells))
     nums = (diffs**q @ space.probs) ** (1.0 / q)
-    pq = scan.masks[scan.which] @ space.probs
-    dens_q = pq ** (1.0 / q)
-    meets_zero = (scan.masks & ~pos).any(axis=1)
-    norms = kept_indicator_norms(space, inv_alpha, scan.masks)
-    dens_alpha = np.where(meets_zero, 1.0, norms)
-    ratios = nums / (dens_q * dens_alpha[scan.which])
+    finite = scan.cells < (space.depth + 1) * space.n_leaves
+    dens_q = (finite @ space.probs) ** (1.0 / q)
+    meets_zero = finite[:, ~pos].any(axis=1)
+    norms = kept_subset_norms(space, inv_alpha)[scan.codes]
+    ratios = nums / (dens_q * np.where(meets_zero, 1.0, norms))
     i = int(np.argmax(ratios))
     return _sup_result(scan, float(ratios[i]), i)
 

@@ -17,7 +17,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import DomainError, NumericalError, ResourceError, ValidationError
-from .bmo import _block_max, bmo_norm, candidate_matrix
+from .bmo import _block_max, candidate_matrix
 from .martingale import (
     Martingale,
     martingale_from_terminal,
@@ -36,11 +36,10 @@ from .space import (
     build_dyadic_space,
     build_mary_space,
     condition_k,
-    constant_exponent,
     validate_filtration,
 )
 from .varlp import (
-    kept_indicator_norms,
+    kept_subset_norms,
     luxemburg_norm,
     max_norm_ratio,
     modular_grid,
@@ -432,22 +431,18 @@ def lemma34_check(
 
 def jn_equivalence(config: TrialConfig, p: Exponent) -> ConstantReport:
     """Two-sided envelope of bmo_norm(f, p) / bmo_norm(f, 1) over random
-    martingales.  BMO_1, and BMO_p for a constant p, are ``bmo_norm``'s "dp"
-    block maxima, at any depth; a variable p is its exhaustive scan, which
-    reads the space's cached scan and the denominators the space keeps for
-    each exponent.  Each norm builds its own stopped-difference table."""
-    space = config.space
-    pv = as_leaf_exponent(space, p)
+    martingales, both norms read from one stopped-difference table per
+    trial (``_sups``).  BMO_1, and BMO_p for a constant p, are block
+    maxima, ``bmo_norm``'s "dp" values bit for bit, at any depth; a
+    variable p is the exhaustive scan, which reads the space's cached scan
+    and the denominators the space keeps for each exponent."""
+    pv = as_leaf_exponent(config.space, p)
     if p.p_minus() < 1.0:
         raise DomainError("BMO norm equivalence requires p_- >= 1")
-    ones = constant_exponent(space, 1.0)
-    mode = "dp" if (pv == pv[0]).all() else "exhaustive"
     ratios, kept = [], []
     for i in range(config.trials):
-        f = generate_martingale(config, i)
-        b1 = bmo_norm(f, ones, "dp").value
-        bp = bmo_norm(f, p, mode).value
-        if b1 == 0.0 or bp == 0.0:
+        _, b1, bmo_at, _, _ = _sups(generate_martingale(config, i), pv)
+        if b1 == 0.0 or (bp := bmo_at(1.0)) == 0.0:
             continue
         ratios.append(bp / b1)
         kept.append(i)
@@ -493,7 +488,7 @@ def _decay_segments(
     indicator at grid index j exactly when j < k, so with a row's cells
     sorted by decreasing k the indicator at j is a prefix: the first i
     cells on j in [k_(i+1), k_(i)), where k_(n+1) = 0.
-    Yields, per block, the row, lo, hi and norm (by the mask's bits, as in
+    Yields, per block, the row, lo, hi and norm (by the set's code, as in
     ``StoppingScan``) of every nonempty segment [lo, hi); a row's norm is 0
     off its segments.
 
@@ -550,12 +545,11 @@ def _scan_sups(space: FilteredSpace, pvals: np.ndarray, table: np.ndarray):
     # the scan holds every constant tau = n, so the table has exactly the
     # positive values of the scan's differences, and the same grid
     diffs = np.take(table, scan.cells)
-    # every indicator's norm by its mask's bits (see StoppingScan; at most
-    # 19 leaves under the cap), 0 for the empty mask; in L^{r p(.)} it is
+    # every indicator's norm by its set's code (see StoppingScan; at most
+    # 19 leaves under the cap), 0 for the empty set; in L^{r p(.)} it is
     # the power 1/r of the L^{p(.)} one
-    norms = kept_indicator_norms(space, pvals, scan.masks)
-    dens = norms[scan.which]
-    norm_of_code = np.concatenate(([0.0], norms))
+    norm_of_code = kept_subset_norms(space, pvals)
+    dens = norm_of_code[scan.codes]
 
     def bmo_at(r: float) -> float:
         return max_norm_ratio(space.probs, pvals * r, diffs, dens ** (1.0 / r))[0]
@@ -606,7 +600,7 @@ def _scan_sups(space: FilteredSpace, pvals: np.ndarray, table: np.ndarray):
 def _block_sups(space: FilteredSpace, p0: float, table: np.ndarray):
     """``_scan_sups`` for a constant exponent p0, where every supremum is a
     maximum over single blocks (see ``bmo``): both quantities are read from
-    per-block sums, at any depth, with no scan and no mask norms.
+    per-block sums, at any depth, with no scan and no subset norms.
 
     The decay envelope at grid index j is the largest P(B, D >= t_j)^(1/p0)
     / P(B)^(1/p0) over the blocks B, D the block's stopped differences: a
@@ -643,6 +637,21 @@ def _block_sups(space: FilteredSpace, p0: float, table: np.ndarray):
     return bmo_at, envelope, {"blocks": probs.size}
 
 
+def _sups(f: Martingale, pvals: np.ndarray):
+    """One stopped-difference table of f and the suprema read from it:
+    ||f||_{BMO_1}, the block maximum at 1 and bit for bit ``bmo_norm``'s dp
+    value; ``bmo_at`` and the envelope of ``_block_sups`` for a constant
+    exponent or of ``_scan_sups`` otherwise (refused past the scan's cap);
+    and the table with the family's details entry."""
+    space = f.space
+    table = stopped_terminal_diffs(f)
+    if (pvals == pvals[0]).all():
+        bmo_at, envelope, family = _block_sups(space, float(pvals[0]), table)
+    else:
+        bmo_at, envelope, family = _scan_sups(space, pvals, table)
+    return table, _block_max(space, table, 1.0)[0], bmo_at, envelope, family
+
+
 def exp_jn_curve(f: Martingale, p: Exponent) -> ConstantReport:
     """Exponential decay of ||chi_{tau<inf, f - f_{tau-1} >= t}||_{p(.)} /
     ||chi_{tau<inf}||_{p(.)} in t, over every stopping time.
@@ -655,24 +664,18 @@ def exp_jn_curve(f: Martingale, p: Exponent) -> ConstantReport:
     values the construction actually uses (a fixed point, since r depends on
     C_hat through r = t / (2 * C_hat * ||f||_{BMO_1})).
 
-    The suprema come from the stopped differences of one table, which also
-    gives the ascending t grid.  For a constant exponent p0 each is a
-    maximum over single blocks (``_block_sups``), at any depth, and the
+    The suprema come from the stopped differences of one table (``_sups``),
+    which also gives the ascending t grid.  For a constant exponent p0 each
+    is a maximum over single blocks (``_block_sups``), at any depth, and the
     curve keeps the scan's form P(B, D >= t)^(1/p0) / P(B)^(1/p0); details
     then count the ``blocks`` compared.  A variable exponent is read from
     the exhaustive scan (``_scan_sups``), refused past its cap, and details
     count the ``stopping_times`` scanned.  For every p, ||f||_{BMO_1} is
     the block maximum of the same table, bit for bit ``bmo_norm``'s dp
     value.  Off {tau < inf} the differences are exactly 0."""
-    space = f.space
-    pvals = as_leaf_exponent(space, p)
+    pvals = as_leaf_exponent(f.space, p)
     require_f0_zero(f, "exp_jn_curve requires f_0 = 0")
-    table = stopped_terminal_diffs(f)
-    if (pvals == pvals[0]).all():
-        bmo_at, envelope, family = _block_sups(space, float(pvals[0]), table)
-    else:
-        bmo_at, envelope, family = _scan_sups(space, pvals, table)
-    b1 = _block_max(space, table, 1.0)[0]
+    table, b1, bmo_at, envelope, family = _sups(f, pvals)
     if b1 == 0.0:
         raise DomainError("exponential decay curve requires a nonzero BMO_1 norm")
     grid = _t_grid_from_diffs(table)

@@ -148,10 +148,10 @@ class FilteredSpace(ArrayValue):
     @cached_property
     def _kept_norms(self) -> list:
         """The indicator norms ||chi_E||_{p(.)} kept on this space by
-        ``varlp.kept_indicator_norms`` and ``varlp.kept_block_norms``:
-        [bytes held, {exponent bytes: {(mask shape, packed mask bits) or
-        ("blocks", b""): norms}}].  Not part of the value: equality ignores
-        it."""
+        ``varlp.kept_indicator_norms``, ``varlp.kept_subset_norms`` and
+        ``varlp.kept_block_norms``: [bytes held, {exponent bytes: {(mask
+        shape, packed mask bits), ("subsets", b"") or ("blocks", b""):
+        norms}}].  Not part of the value: equality ignores it."""
         return [0, {}]
 
     def block_sums(self, rows: np.ndarray, start: int = 0) -> np.ndarray:

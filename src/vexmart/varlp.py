@@ -40,8 +40,9 @@ or the blocks of a table:
   pass over the table's cells, segmented by block.
 * The norms ||chi_{tau<inf}|| that the BMO and Lipschitz denominators and
   the atomic decomposition divide by, and the blocks' ||chi_B||, are kept
-  on the space, one store per space under one byte budget
-  (:func:`kept_indicator_norms`, :func:`kept_block_norms`).
+  on the space, one store per space under one byte budget: one set's norm
+  (:func:`kept_indicator_norms`), every leaf subset's by code
+  (:func:`kept_subset_norms`) and every block's (:func:`kept_block_norms`).
 * The kernel solves every batch on its leaves x rows transpose, and its
   pass sums over the leaves on axis 0, for one 1-d row alike.  A batch's
   columns and a support alone sum in their own orders, so a norm agrees
@@ -430,21 +431,18 @@ def indicator_norm(probs: np.ndarray, pvals: np.ndarray, mask: np.ndarray) -> fl
     return math.exp(u)
 
 
-def _lookup(space: FilteredSpace, pvals: np.ndarray, key: tuple):
+def _kept(space: FilteredSpace, pvals: np.ndarray, key: tuple, solve):
     """The value kept on the space under the exponent's bytes and then
-    ``key``, or None."""
-    kept = space._kept_norms[1].get(pvals.tobytes())
-    return None if kept is None else kept.get(key)
-
-
-def _keep(space: FilteredSpace, pvals: np.ndarray, key: tuple, norm) -> None:
-    """Keep a solved value on the space under the exponent's bytes and then
-    ``key``, a pair whose second item is bytes.  A value that would take
-    the space past _KEPT_NORM_BUDGET bytes gives up every kept one first,
-    and is not kept if it alone passes the budget."""
+    ``key``, a pair whose second item is bytes, or else ``solve()``'s,
+    kept there.  A value that would take the space past _KEPT_NORM_BUDGET
+    bytes gives up every kept one first, and is not kept if it alone passes
+    the budget."""
     held, by_exponent = store = space._kept_norms
     pkey = pvals.tobytes()
     kept = by_exponent.get(pkey)
+    if kept is not None and key in kept:
+        return kept[key]
+    norm = solve()
     size = (norm.nbytes if isinstance(norm, np.ndarray) else 8) + _ENTRY_BYTES + len(key[1])
     # what the exponent's own entry adds while it has none
     grow = _ENTRY_BYTES + len(pkey)
@@ -458,39 +456,38 @@ def _keep(space: FilteredSpace, pvals: np.ndarray, key: tuple, norm) -> None:
         by_exponent[pkey] = kept
         held += size
     store[0] = held
-
-
-def kept_indicator_norms(
-    space: FilteredSpace, pvals: np.ndarray, masks: np.ndarray
-) -> float | np.ndarray:
-    """||chi_E||_{p(.)} for E = {mask}: a float for a 1-d mask, solved on E
-    by :func:`indicator_norm`, or the read-only norms of a 2-d mask array's
-    rows from one :func:`norm_batch`.  Kept on the space by the exponent's
-    bytes, then by the masks' shape and flat packed bits, so the two paths
-    never share a key; a kept value is the solve's own (see :func:`_keep`)."""
-    key = (masks.shape, np.packbits(masks).tobytes())
-    norm = _lookup(space, pvals, key)
-    if norm is None:
-        if masks.ndim == 1:
-            norm = indicator_norm(space.probs, pvals, masks)
-        else:
-            norm = readonly(norm_batch(space.probs, pvals, masks))
-        _keep(space, pvals, key, norm)
     return norm
+
+
+def kept_indicator_norms(space: FilteredSpace, pvals: np.ndarray, mask: np.ndarray) -> float:
+    """||chi_E||_{p(.)} for E = {mask}, a 1-d mask, solved on E by
+    :func:`indicator_norm`.  Kept on the space by the exponent's bytes,
+    then by the mask's shape and packed bits (see :func:`_kept`)."""
+    key = (mask.shape, np.packbits(mask).tobytes())
+    return _kept(space, pvals, key, lambda: indicator_norm(space.probs, pvals, mask))
+
+
+def kept_subset_norms(space: FilteredSpace, pvals: np.ndarray) -> np.ndarray:
+    """||chi_E||_{p(.)} for every leaf set E by its code, E's bits read with
+    leaf 0 on top as in ``bmo.StoppingScan``: one read-only array, 0 at
+    code 0, then codes 1, ..., 2^n - 1 from one :func:`norm_batch`.  Kept
+    on the space under the exponent's bytes and the key ("subsets", b"")
+    (see :func:`_kept`)."""
+    def solve():
+        n = space.n_leaves
+        masks = (np.arange(1, 1 << n)[:, None] >> np.arange(n - 1, -1, -1)) & 1
+        return readonly(np.concatenate(([0.0], norm_batch(space.probs, pvals, masks))))
+
+    return _kept(space, pvals, ("subsets", b""), solve)
 
 
 def kept_block_norms(space: FilteredSpace, pvals: np.ndarray) -> np.ndarray:
     """||chi_B||_{p(.)} for every block B of every level, level-major, as
-    one read-only array from :func:`block_norms` on a table of ones.  Kept
-    on the space beside the masks' norms, under the exponent's bytes and
-    the key ("blocks", b""), which names the block family and which no
-    mask array's (shape, bits) key can equal (see :func:`_keep`)."""
-    key = ("blocks", b"")
-    norm = _lookup(space, pvals, key)
-    if norm is None:
-        norm = readonly(block_norms(space, np.ones(space.block_of.shape), pvals))
-        _keep(space, pvals, key, norm)
-    return norm
+    one read-only array from :func:`block_norms` on a table of ones, kept
+    on the space under the exponent's bytes and the key ("blocks", b"")
+    (see :func:`_kept`)."""
+    return _kept(space, pvals, ("blocks", b""), lambda: readonly(
+        block_norms(space, np.ones(space.block_of.shape), pvals)))
 
 
 def check_power_identity(

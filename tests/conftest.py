@@ -87,12 +87,13 @@ def stopped_diffs_oracle(f, taus, shift="minus-one"):
 
 def scan_levels(scan, depth):
     """The stop levels of a scan's rows (inf for 'never'), read back from
-    its cells and masks, after checking that every cell lies at its own
-    leaf, and in the row of tau = inf exactly off the row's mask."""
+    its cells and codes, after checking that every cell lies at its own
+    leaf, and in the row of tau = inf exactly off the row's mask, the bits
+    of its code with leaf 0 on top."""
     n = scan.cells.shape[1]
     level, leaf = np.divmod(scan.cells, n)
     assert np.array_equal(leaf, np.broadcast_to(np.arange(n), leaf.shape))
-    finite = scan.masks[scan.which]
+    finite = (scan.codes[:, None] >> np.arange(n - 1, -1, -1)) & 1 == 1
     assert np.array_equal(level == depth + 1, ~finite)
     return np.where(finite, level, math.inf)
 

@@ -29,7 +29,7 @@ from vexmart import (
 from vexmart import bmo, serialize, varlp
 from vexmart.bmo import StoppingScan
 from vexmart.martingale import _tree_witness, sample_stopping_matrix, stopped_terminal_diffs
-from vexmart.varlp import block_norms, indicator_norm, kept_block_norms, kept_indicator_norms
+from vexmart.varlp import block_norms, indicator_norm, kept_block_norms, kept_subset_norms
 
 from conftest import (
     bisection_oracle,
@@ -689,11 +689,13 @@ def test_sampled_candidates_match_recursive_oracle(seed, samples):
 @given(seed=st.integers(min_value=0, max_value=10**6))
 def test_indicator_norms_match_per_row_loop(seed):
     """A scan of the stopping times tau = N on random leaf subsets, with
-    duplicate and empty subsets: its distinct-mask norms gathered by
-    ``which`` are the per-row norms, and the empty mask, which the scan's
-    callers leave out before ``StoppingScan.of``, has norm 0."""
+    duplicate and empty subsets: the kept subset norms gathered by the
+    scan's codes are the per-row norms, and the empty mask, which the
+    scan's callers leave out before ``StoppingScan.of``, has norm 0."""
     rng = random.Random(seed)
-    sp = random_tree_space(rng, max_leaves=20)
+    # the subset norms are 2**n solves: past 19 leaves no exhaustive scan
+    # is under ENUMERATION_CAP, and 16 keeps the solve near 0.3 s
+    sp = random_tree_space(rng, max_leaves=16)
     n = sp.n_leaves
     vals = [rng.uniform(0.5, 4.0) for _ in range(n)]
     if rng.random() < 0.3:
@@ -708,9 +710,10 @@ def test_indicator_norms_match_per_row_loop(seed):
     taus = np.where(masks, float(sp.depth), math.inf)
     nonempty = masks.any(axis=1)
     scan = StoppingScan.of(taus[nonempty], sp.depth)
-    assert np.array_equal(scan.masks[scan.which], masks[nonempty])
+    code = 1 << np.arange(n - 1, -1, -1)
+    assert np.array_equal(scan.codes, masks[nonempty] @ code)
     got = np.zeros(m + 1)
-    got[nonempty] = kept_indicator_norms(sp, p.vals, scan.masks)[scan.which]
+    got[nonempty] = kept_subset_norms(sp, p.vals)[scan.codes]
     want = np.array([luxemburg_norm(sp, row.astype(float), p).norm for row in masks])
     assert np.all(want[~nonempty] == 0.0)
     assert np.all(np.abs(got - want) <= 1e-12 * want)

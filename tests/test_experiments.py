@@ -43,7 +43,7 @@ from vexmart import bmo, experiments, serialize
 from vexmart.cli import run
 from vexmart.experiments import EXPONENT_LAWS, _ns_h, default_lambda_grid
 from vexmart.martingale import enumerate_stopping_matrix, stopped_terminal_diffs
-from vexmart.varlp import kept_indicator_norms, modular_grid
+from vexmart.varlp import kept_subset_norms, modular_grid
 
 from conftest import (
     drop_root_level,
@@ -360,6 +360,23 @@ def test_jn_equivalence_matches_per_trial_bmo_norms():
                           Exponent((2.0,))).details["skips"] == 3
 
 
+def test_jn_equivalence_builds_one_table_per_trial(monkeypatch):
+    """Both norms of a trial, BMO_1 and BMO_p, are read from one table of
+    stopped differences, for a constant and a variable exponent."""
+    calls = []
+    for module in (experiments, bmo):
+        def counted(f, *args, table=module.stopped_terminal_diffs, **kwargs):
+            calls.append(f)
+            return table(f, *args, **kwargs)
+
+        monkeypatch.setattr(module, "stopped_terminal_diffs", counted)
+    cfg = config(depth=3, seed=5, trials=5)
+    for p in (constant_exponent(cfg.space, 2.0), random_exponent(random.Random(5), 8)):
+        calls.clear()
+        assert jn_equivalence(cfg, p).ratios.size == 5
+        assert len(calls) == 5
+
+
 def test_exp_jn_bmo1_equals_dp_bmo_norm():
     """For a variable and a constant p, exp_jn_curve's ||f||_{BMO_1} and the
     denominator of each jn_equivalence ratio are bmo_norm's dp value, bit
@@ -568,7 +585,7 @@ def _per_t_envelope(f, p, grid, c2, b1):
     """The envelope and decay-bound check by one pass over the enumerated
     stopping times per grid point t, in grid order, as the reference: the
     indicator of each stopping time at t read by its mask's bits from the
-    norms the space keeps for the exhaustive scan's masks, against the bound
+    norms the space keeps for every leaf subset by code, against the bound
     4 exp(-C2 t / ||f||_{BMO_1}) times its denominator.  Returns the
     envelope and, for the first t where some stopping time breaks the
     bound, (t, its level norm, its bound) at the stopping time of largest
@@ -578,8 +595,7 @@ def _per_t_envelope(f, p, grid, c2, b1):
     taus = taus[np.isfinite(taus).any(axis=1)]
     finite = np.isfinite(taus)
     diffs = stopped_diffs_oracle(f, taus)
-    norms = kept_indicator_norms(sp, p.vals, bmo.candidate_matrix(sp).masks)
-    norm_of_code = np.concatenate(([0.0], norms))
+    norm_of_code = kept_subset_norms(sp, p.vals)
     code = 1 << np.arange(sp.n_leaves - 1, -1, -1)
     dens = norm_of_code[finite @ code]
     slack = experiments.ASSERT_SLACK * max(1.0, float(dens.max()))

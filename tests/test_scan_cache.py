@@ -4,10 +4,11 @@ cells by block against the rows of every single block, their cells in
 the table of stopped differences, their read-only arrays, and that warm
 and cold spaces give the same suprema while the cap is still checked on
 every call.  The indicator norms each space keeps per exponent, for one
-mask, for a scan's masks and for the blocks: equal bit for bit to a fresh
-solve on the path of their shape, read-only, never solved twice and
+mask, for every leaf subset by code and for the blocks: equal bit for bit
+to a fresh solve on their own path, read-only, never solved twice and
 bounded by bytes."""
 
+import itertools
 import math
 import operator
 import random
@@ -36,7 +37,8 @@ from vexmart import bmo, experiments, martingale, varlp
 from vexmart.bmo import candidate_matrix
 from vexmart.martingale import enumerate_stopping_matrix, stopped_terminal_diffs
 from vexmart.varlp import (
-    block_norms, indicator_norm, kept_block_norms, kept_indicator_norms, norm_batch,
+    block_norms, indicator_norm, kept_block_norms, kept_indicator_norms, kept_subset_norms,
+    norm_batch,
 )
 
 from conftest import (
@@ -88,9 +90,9 @@ def test_cached_scans_match_fresh_enumeration_and_block_rows(seed):
     for _ in range(2):
         scan = candidate_matrix(sp)
         assert np.array_equal(scan_levels(scan, sp.depth), taus)
-        masks, which = np.unique(np.isfinite(taus), axis=0, return_inverse=True)
-        assert np.array_equal(scan.masks, masks)
-        assert np.array_equal(scan.which, which.ravel())
+        # each row's finite leaves read as a binary number, leaf 0 on top
+        codes = [int("".join("1" if t < math.inf else "0" for t in row), 2) for row in taus]
+        assert scan.codes.tolist() == codes
         groups = _block_groups(sp)
         assert len(groups) == len(rows)
         for cells, row in zip(groups, rows):
@@ -129,28 +131,34 @@ def test_cells_gather_each_rows_own_differences(seed):
 @settings(max_examples=60, deadline=None)
 @given(seed=st.integers(min_value=0, max_value=10**6))
 def test_exhaustive_masks_are_every_nonempty_subset_by_code(seed):
-    """The exhaustive scan's distinct {tau < inf} masks, their bits read as
-    a binary number with leaf 0 on top, are 1, 2, ..., 2**n - 1 in order:
-    tau = N on any leaf subset is a stopping time."""
+    """The exhaustive scan's distinct {tau < inf} codes, the masks' bits
+    read as a binary number with leaf 0 on top, are 1, 2, ..., 2**n - 1:
+    tau = N on any leaf subset is a stopping time.  The kept subset norms
+    read 0 at code 0 and at every code c the norm of mask c."""
     rng = random.Random(seed)
     tree = random_tree_space(rng, max_leaves=8)
     relabelled = validate_filtration(*relabelled_levels(tree, rng))
     for sp in (tree, relabelled, drop_root_level(tree)):
-        scan = candidate_matrix(sp)
         n = sp.n_leaves
-        codes = scan.masks @ (1 << np.arange(n - 1, -1, -1))
-        assert np.array_equal(codes, np.arange(1, 2**n))
+        assert np.array_equal(np.unique(candidate_matrix(sp).codes), np.arange(1, 2**n))
+        p = random_exponent(rng, n, 0.5, 4.0).vals
+        norms = kept_subset_norms(sp, p)
+        assert norms.shape == (2**n,) and norms[0] == 0.0
+        for c in range(1, 2**n):
+            mask = np.array([c >> (n - 1 - x) & 1 for x in range(n)], dtype=bool)
+            want = indicator_norm(sp.probs, p, mask)
+            assert abs(norms[c] - want) <= 1e-14 * want
 
 
 def test_cached_scan_arrays_are_read_only():
     sp = build_dyadic_space(2)
     p = np.array([1.5, 2.5, 1.2, 3.0])
     scan = candidate_matrix(sp)
-    # the mask and block norms as solved, then as kept
-    solved = kept_indicator_norms(sp, p, scan.masks), kept_block_norms(sp, p)
-    kept = kept_indicator_norms(sp, p, scan.masks), kept_block_norms(sp, p)
+    # the subset and block norms as solved, then as kept
+    solved = kept_subset_norms(sp, p), kept_block_norms(sp, p)
+    kept = kept_subset_norms(sp, p), kept_block_norms(sp, p)
     assert all(map(operator.is_, kept, solved))
-    for a in (scan.cells, scan.masks, scan.which, *sp.block_cells, *kept):
+    for a in (scan.cells, scan.codes, *sp.block_cells, *kept):
         corner = (0,) * a.ndim
         with pytest.raises(ValueError):
             a[corner] = a[corner]
@@ -215,7 +223,7 @@ def test_cap_is_checked_on_every_call(monkeypatch):
 
 def test_second_call_enumerates_and_walks_nothing(monkeypatch):
     """A warm call builds no scan and no grouping of the cells by block,
-    and solves no denominator again: neither a scan's mask norms nor the
+    and solves no denominator again: neither the subset norms nor the
     block norms of an exponent the space keeps.  With a variable exponent,
     exp_jn_curve and jn_equivalence scan for it alone: ||f||_{BMO_1} is a
     block maximum, so no numerator is solved with a constant exponent."""
@@ -244,7 +252,7 @@ def test_second_call_enumerates_and_walks_nothing(monkeypatch):
         mask_solves[pvals.tobytes()] += 1
         return solve_blocks(space, table, pvals)
 
-    # the store's one batch solve of a scan's masks, and its one block pass
+    # the store's one batch solve of the subsets, and its one block pass
     # on a table of ones; bmo's own block pass, its numerators, is not one
     monkeypatch.setattr(varlp, "norm_batch", counted_solve)
     monkeypatch.setattr(varlp, "block_norms", counted_block_solve)
@@ -279,8 +287,8 @@ def test_second_call_enumerates_and_walks_nothing(monkeypatch):
     # on the space (``block_cells``) from then on
     assert calls == {"_count_walk": 2, "enumerate_stopping_matrix": 1, "of": 1}
     grouping = large.block_cells
-    # the masks of p on the exhaustive scan (then kept for exp_jn_curve and
-    # jn_equivalence), the blocks of 1/alpha and of q; p = 1 solves none
+    # the subsets of p for the exhaustive scan (then kept for exp_jn_curve
+    # and jn_equivalence), the blocks of 1/alpha and of q; p = 1 solves none
     assert sorted(mask_solves.values()) == [1, 1, 1]
     calls.clear()
     mask_solves.clear()
@@ -298,12 +306,22 @@ def test_second_call_enumerates_and_walks_nothing(monkeypatch):
     assert not any(isinstance(v, list) for v in small._scan_cache.values())
 
 
-def _fresh(sp, pvals, masks):
-    """What ``kept_indicator_norms`` solves, on the path of the masks'
-    shape."""
-    if masks.ndim == 1:
-        return indicator_norm(sp.probs, pvals, masks)
-    return norm_batch(sp.probs, pvals, masks.astype(float))
+def _fresh(sp, pvals, mask=None):
+    """What the store solves: for one mask, ``indicator_norm`` on it; for
+    None, the subset family, 0 and then one ``norm_batch`` over the masks
+    of codes 1, ..., 2**n - 1 in order, which ``itertools.product`` lists
+    with leaf 0 varying slowest."""
+    if mask is not None:
+        return indicator_norm(sp.probs, pvals, mask)
+    masks = np.array(list(itertools.product((0.0, 1.0), repeat=sp.n_leaves))[1:])
+    return np.concatenate(([0.0], norm_batch(sp.probs, pvals, masks)))
+
+
+def _kept(sp, pvals, mask=None):
+    """The kept norm of one mask, or for None of every leaf subset."""
+    if mask is None:
+        return kept_subset_norms(sp, pvals)
+    return kept_indicator_norms(sp, pvals, mask)
 
 
 @pytest.mark.parametrize("make", [
@@ -314,8 +332,8 @@ def _fresh(sp, pvals, masks):
 def test_kept_mask_norms_equal_fresh_solves(make):
     """Calls with a constant, a variable, the unit and a Lipschitz exponent
     1/alpha with the finite value lipschitz_norm puts on {alpha = 0},
-    interleaved on the exhaustive scan's masks, the single blocks' masks and
-    the block family, each return exactly what a fresh solve returns."""
+    interleaved on the subset family, the single blocks' masks and the
+    block family, each return exactly what a fresh solve returns."""
     sp = make()
     n = sp.n_leaves
     rng = random.Random(n)
@@ -327,13 +345,12 @@ def test_kept_mask_norms_equal_fresh_solves(make):
         1.0 / np.where(alpha > 0, alpha, alpha.max()),
         random_exponent(rng, n, 0.5, 4.0).vals,
     ]
-    masks = [candidate_matrix(sp).masks, np.isfinite(_fresh_blocks(sp))]
+    masks = [None, *np.isfinite(_fresh_blocks(sp))]
     ones = np.ones(sp.block_of.shape)
     for _ in range(3):
         for pvals in rng.sample(exponents, len(exponents)):
             for m in masks:
-                got = kept_indicator_norms(sp, pvals, m)
-                assert np.array_equal(got, _fresh(sp, pvals, m))
+                assert np.array_equal(_kept(sp, pvals, m), _fresh(sp, pvals, m))
             got = kept_block_norms(sp, pvals)
             assert np.array_equal(got, block_norms(sp, ones, pvals))
 
@@ -352,15 +369,13 @@ def _held_bytes(sp):
 @given(seed=st.integers(min_value=0, max_value=10**6),
        budget=st.sampled_from([0, 600, varlp._KEPT_NORM_BUDGET]))
 def test_kept_indicator_norms_equal_fresh_solves(seed, budget):
-    """On a tree or a forest, calls with single masks and with mask arrays
-    (the exhaustive scan's, the single blocks' and a random one's),
-    interleaved over a constant, two variable, the unit and a Lipschitz
-    exponent 1/alpha with the finite value lipschitz_norm puts on
-    {alpha = 0}, each return exactly what a fresh solve on the path of
-    their shape returns, across the clears that a budget of zero or a
-    small one forces.  Every kept value is that fresh solve, arrays are
-    read-only, and the held bytes are the kept entries' and within the
-    budget."""
+    """On a tree or a forest, calls with single masks and with the subset
+    family, interleaved over a constant, two variable, the unit and a
+    Lipschitz exponent 1/alpha with the finite value lipschitz_norm puts on
+    {alpha = 0}, each return exactly what a fresh solve on their path
+    returns, across the clears that a budget of zero or a small one forces.
+    Every kept value is that fresh solve, arrays are read-only, and the
+    held bytes are the kept entries' and within the budget."""
     rng = random.Random(seed)
     sp = random_tree_space(rng, max_leaves=9)
     if rng.random() < 0.5:
@@ -375,46 +390,45 @@ def test_kept_indicator_norms_equal_fresh_solves(seed, budget):
         1.0 / np.where(alpha > 0, alpha, alpha.max()),
     ]
     masks = [np.array([rng.random() < 0.6 for _ in range(n)]) for _ in range(4)]
-    masks += [candidate_matrix(sp).masks,
-              np.isfinite(_fresh_blocks(sp)),
-              np.array([[rng.random() < 0.5 for _ in range(n)] for _ in range(3)])]
+    masks += [None, *np.isfinite(_fresh_blocks(sp))[:2]]
     with mock.patch.object(varlp, "_KEPT_NORM_BUDGET", budget):
         for _ in range(40):
             pvals, m = rng.choice(exponents), rng.choice(masks)
-            got, want = kept_indicator_norms(sp, pvals, m), _fresh(sp, pvals, m)
-            if m.ndim == 1:
+            got, want = _kept(sp, pvals, m), _fresh(sp, pvals, m)
+            if m is not None:
                 assert type(got) is float and got.hex() == want.hex()
             else:
                 assert np.array_equal(got, want) and not got.flags.writeable
             held, kept = sp._kept_norms
             assert held == _held_bytes(sp) <= budget
             for pkey, norms in kept.items():
-                for (shape, bits), norm in norms.items():
-                    m = np.unpackbits(np.frombuffer(bits, np.uint8), count=math.prod(shape))
-                    m = m.astype(bool).reshape(shape)
+                for key, norm in norms.items():
+                    m = None
+                    if key != ("subsets", b""):
+                        (size,), bits = key
+                        m = np.unpackbits(np.frombuffer(bits, np.uint8), count=size)
+                        m = m.astype(bool)
                     assert np.array_equal(norm, _fresh(sp, np.frombuffer(pkey), m))
 
 
 def test_kept_mask_norms_stay_under_the_byte_budget(monkeypatch):
-    """Under a budget of three exponents' scan entries, a fourth exponent
+    """Under a budget of three exponents' subset entries, a fourth exponent
     gives up every kept norm at once and is then kept alone; a norm given
     up solves again to the same bits, and one larger than the whole budget
     is not kept and leaves the store empty.  The held bytes are the kept
     entries' after every miss and clear."""
     sp = build_dyadic_space(2)
-    masks = candidate_matrix(sp).masks
     exponents = [np.full(4, 1.0 + k / 4) for k in range(6)]
-    entry = (2 * varlp._ENTRY_BYTES + exponents[0].nbytes
-             + len(np.packbits(masks).tobytes()) + 8 * len(masks))
+    entry = 2 * varlp._ENTRY_BYTES + exponents[0].nbytes + 8 * 2**sp.n_leaves
     budget = 3 * entry + entry // 2
     monkeypatch.setattr(varlp, "_KEPT_NORM_BUDGET", budget)
     first = []
     for k, pvals in enumerate(exponents):
-        first.append(kept_indicator_norms(sp, pvals, masks))
+        first.append(kept_subset_norms(sp, pvals))
         held, kept = sp._kept_norms
         assert held == _held_bytes(sp) <= budget
         assert list(kept) == [e.tobytes() for e in exponents[k - k % 3 : k + 1]]
-    again = kept_indicator_norms(sp, exponents[0], masks)
+    again = kept_subset_norms(sp, exponents[0])
     assert again is not first[0]
     assert np.array_equal(again, first[0])
     assert list(sp._kept_norms[1]) == [exponents[0].tobytes()]
@@ -422,40 +436,40 @@ def test_kept_mask_norms_stay_under_the_byte_budget(monkeypatch):
 
     monkeypatch.setattr(varlp, "_KEPT_NORM_BUDGET", entry - 1)
     fresh = build_dyadic_space(2)
-    got = kept_indicator_norms(fresh, exponents[1], masks)
+    got = kept_subset_norms(fresh, exponents[1])
     assert np.array_equal(got, first[1])
     assert fresh._kept_norms == [0, {}]
 
 
-def test_a_mask_and_its_one_row_matrix_keep_their_own_paths():
-    """A mask and the same mask as a 1-row matrix are two keys: each call
-    returns its own path's value, in either order, although the two paths
-    differ in the last bits on some sets."""
+def test_a_mask_and_the_subset_family_keep_their_own_entries():
+    """A mask and the subset family are two keys under one exponent: each
+    call returns its own path's value, in either order, although the two
+    paths differ in the last bits on some sets."""
     rng = random.Random(29)
     differ = 0
     for trial in range(200):
-        sp = random_tree_space(rng, max_leaves=24)
-        pvals = random_exponent(rng, sp.n_leaves, 0.3, 4.0).vals
-        mask = np.array([rng.random() < 0.6 for _ in range(sp.n_leaves)])
-        calls = [mask, mask[None]] if trial % 2 else [mask[None], mask]
+        sp = random_tree_space(rng, max_leaves=9)
+        n = sp.n_leaves
+        pvals = random_exponent(rng, n, 0.3, 4.0).vals
+        mask = np.array([rng.random() < 0.6 for _ in range(n)])
+        calls = [mask, None] if trial % 2 else [None, mask]
         for _ in range(2):
             for m in calls:
-                got = kept_indicator_norms(sp, pvals, m)
-                assert np.array_equal(got, _fresh(sp, pvals, m))
-                assert type(got) is float if m.ndim == 1 else got.shape == (1,)
-        one, row = (kept_indicator_norms(sp, pvals, m) for m in (mask, mask[None]))
-        differ += one != row[0]
+                assert np.array_equal(_kept(sp, pvals, m), _fresh(sp, pvals, m))
+        assert len(sp._kept_norms[1][pvals.tobytes()]) == 2
+        code = int(mask @ (1 << np.arange(n - 1, -1, -1)))
+        differ += kept_indicator_norms(sp, pvals, mask) != kept_subset_norms(sp, pvals)[code]
     assert differ
 
 
 def test_an_exponent_is_held_once_for_all_its_entries():
-    """Single masks and a scan's masks under one exponent sit under one
+    """Single masks and the subset family under one exponent sit under one
     exponent key, whose bytes the held total counts once."""
     sp = build_dyadic_space(3)
     pvals = random_exponent(random.Random(31), sp.n_leaves).vals
-    masks = candidate_matrix(sp).masks
-    for m in (masks, masks[0], masks[-1], masks[:1]):
-        kept_indicator_norms(sp, pvals, m)
+    masks = np.isfinite(_fresh_blocks(sp))
+    for m in (None, masks[0], masks[-1], masks[1]):
+        _kept(sp, pvals, m)
     held, kept = sp._kept_norms
     assert list(kept) == [pvals.tobytes()]
     assert len(kept[pvals.tobytes()]) == 4
